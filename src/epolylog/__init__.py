@@ -19,9 +19,7 @@ from .kronecker import (
     dlog_kato_siegel,
     heat_residual,
     jacobi_J,
-    quasi_period_factor,
     s_coeffs,
-    theta,
 )
 from .logsheaf import (
     LiftSupportError,
@@ -44,7 +42,6 @@ from .numerics import (
     NonFiniteError,
     cauchy_coeffs,
     contour_integral,
-    enumerate_lattice,
     finite_diff,
     kahan_sum,
 )

@@ -14,14 +14,15 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .eisenstein import EisensteinQuery, F, F_tilde, eisenstein_sum_k2
 from .kronecker import (
     KroneckerPoint,
-    DVariantCoeffs,
     default_cauchy_config,
     distribution_residual,
     dlog_kato_siegel,
@@ -33,7 +34,6 @@ from .kronecker import (
 from .logsheaf import curvature_residual
 from .numerics import (
     CauchyConfig,
-    DiffConfig,
     LatticeTruncation,
     cauchy_coeffs,
     contour_integral,
@@ -45,19 +45,9 @@ from .weierstrass import (
     eta_periods,
     g_invariants,
     lattice_dist,
+    sigma,
     wp,
     zeta_fn,
-)
-
-SUITES = (
-    "weierstrass",
-    "heat",
-    "curvature",
-    "closedness",
-    "distribution",
-    "katosiegel",
-    "eisenstein",
-    "specialization",
 )
 
 EVAL_TARGETS = ("J", "s_coeffs", "F", "F_tilde", "dlogtheta", "L_form")
@@ -66,13 +56,13 @@ EVAL_TARGETS = ("J", "s_coeffs", "F", "F_tilde", "dlogtheta", "L_form")
 @dataclass(frozen=True)
 class RunConfig:
     """Knobs shared by every suite; see the module docstring for report
-    determinism. cauchy = None means each operation picks its own default
+    determinism. tolerance_overrides maps check names, of any suite, to
+    tolerances. cauchy = None means each operation picks its own default
     contour (radius clear of the D-torsion offsets)."""
 
     seed: int = 0
     tolerance_overrides: dict = field(default_factory=dict)
     truncation: LatticeTruncation = LatticeTruncation(shell_radius=500)
-    diff: DiffConfig = DiffConfig()
     cauchy: CauchyConfig | None = None
     parallelism: int = 1
     timings: bool = False
@@ -80,7 +70,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        known = {c[0] for checks in CHECKS.values() for c in checks}
         for name, tol in self.tolerance_overrides.items():
+            if name not in known:
+                raise ValueError(f"tolerance override for unknown check {name!r}")
             if not tol > 0:
                 raise ValueError(f"tolerance override {name}={tol} must be positive")
 
@@ -107,9 +100,266 @@ def _draw_zw(rng, t: complex) -> tuple[complex, complex]:
             return z, w
 
 
-def _check(name, anchor, tolerance, config, points, residual_fn) -> dict:
+def _draw_tz(rng) -> tuple[complex, complex]:
+    t = _draw_tau(rng)
+    return _draw_z(rng, t), t
+
+
+def _draw_kpoint(rng) -> KroneckerPoint:
+    t = _draw_tau(rng)
+    z, w = _draw_zw(rng, t)
+    return KroneckerPoint(z=z, w=w, tau=ModuliPoint(t))
+
+
+def _draw_label(rng, N: int, mult: int) -> tuple[int, int]:
+    # a label (a, b) with (mult*a, mult*b) != (0, 0) mod N
+    a, b = 0, 0
+    while (mult * a) % N == 0 and (mult * b) % N == 0:
+        a, b = int(rng.integers(0, N)), int(rng.integers(0, N))
+    return a, b
+
+
+@dataclass(frozen=True, eq=False)
+class Points:
+    """The points of one or more checks: build(rng) on stream 0
+    (default_rng(seed)) or stream 1 (default_rng(seed + 1)) of the suite.
+    A suite builds its point sets in the order its checks first name them,
+    which fixes the points of a seed; checks naming one Points share it."""
+
+    stream: int
+    build: Callable
+
+
+def _each(stream: int, draw, count: int) -> Points:
+    return Points(stream, lambda rng: [draw(rng) for _ in range(count)])
+
+
+def _legendre(pt, _config) -> float:
+    z, t = pt
+    eta1 = zeta_fn(z + 1, t) - zeta_fn(z, t)
+    eta2 = zeta_fn(z + t, t) - zeta_fn(z, t)
+    return abs(eta1 * t - eta2 - 2j * cmath.pi)
+
+
+def _zeta_law(pt, _config) -> float:
+    z, t = pt
+    return abs(zeta_fn(z + 1, t) - zeta_fn(z, t) - eta_periods(t).eta1)
+
+
+def _sigma_law(pt, _config) -> float:
+    z, t = pt
+    eta1 = eta_periods(t).eta1
+    lhs = sigma(z + 1, t)
+    rhs = -sigma(z, t) * cmath.exp(eta1 * (z + 0.5))
+    return abs(lhs - rhs) / max(1.0, abs(lhs))
+
+
+def _wp_ode(pt, _config) -> float:
+    z, t = pt
+    p, pp = wp(z, t)
+    g2, g3 = g_invariants(t)
+    return abs(pp**2 - (4 * p**3 - g2 * p - g3)) / max(1.0, abs(pp) ** 2)
+
+
+def _closedness(pt, config) -> float:
+    z, t = pt
+    return max(closedness_residual(z, t, D, n, cauchy=config.cauchy)
+               for D in (2, 3) for n in range(5))
+
+
+def _coeff_rescaling(pt, config) -> float:
+    # substitution w -> Dw: scaled-variant coefficients at radius r/D
+    # against D^k s_k extracted at radius r; node rounding noise grows
+    # like (D/r)^k, so the contour sits at 0.35 of the pole distance
+    z, t = pt
+    worst = 0.0
+    for D in (2, 3):
+        base_cfg = config.cauchy or CauchyConfig(radius=0.35 * min(1.0, abs(t)), samples=256)
+        sc = s_coeffs(z, t, D, 8, base_cfg)
+        scaled_cfg = replace(base_cfg, radius=base_cfg.radius / D)
+        cc = cauchy_coeffs(
+            lambda u: D * D * _J(z, D * np.asarray(u), t) - D * _J(D * z, u, t), 8, scaled_cfg)
+        for k in range(9):
+            ref = D**k * sc.coeffs[k]
+            worst = max(worst, abs(cc[k] - ref) / max(1.0, abs(ref)))
+    return worst
+
+
+def _pole_removal(pt, config) -> float:
+    # the D-variant is holomorphic across w = 0: on |w| = 1e-3, where each
+    # J term alone is ~1e3, the value must match the degree-8 Taylor
+    # polynomial from contour extraction
+    z, t = pt
+    worst = 0.0
+    for D in (2, 3):
+        sc = s_coeffs(z, t, D, 8, config.cauchy)
+        ws = 1e-3 * np.exp(2j * np.pi * np.arange(16) / 16)
+        f = D * D * _J(z, ws, t) - D * _J(D * z, ws / D, t)
+        poly = sum(sc.coeffs[k] * ws**k for k in range(9))
+        worst = max(worst, float(np.max(np.abs(f - poly))))
+    return worst
+
+
+def _ks_residue(t: complex, at_torsion: bool) -> float:
+    # residue D^2 - 1 at the origin, -1 at the D-torsion point (tau + 1)/D
+    worst = 0.0
+    for D in (2, 3):
+        # 128 contour nodes x an order-0 extraction each: skip the aliasing
+        # self-check and drop to 64 samples, plenty for c_0 alone
+        cfg = CauchyConfig(radius=default_cauchy_config(t, D).radius, samples=64,
+                           self_check=False)
+        if at_torsion:
+            center, r, expect = (t + 1) / D, 0.3 * min(1.0, abs(t)) / D, -2j * cmath.pi
+        else:
+            center, r, expect = 0.0, 0.4 * min(1.0, abs(t)) / D, 2j * cmath.pi * (D * D - 1)
+        val = contour_integral(lambda u: dlog_kato_siegel(u, t, D, cfg), center, r, 128)
+        worst = max(worst, abs(val - expect) / abs(expect))
+    return worst
+
+
+def _ks_norm_trace(pt, _config) -> float:
+    z, t = pt
+    worst = 0.0
+    for D, M in ((2, 3), (3, 2)):
+        ref = dlog_kato_siegel(z, t, D)
+        acc = 0.0 + 0.0j
+        for c in range(M):
+            for d in range(M):
+                acc += dlog_kato_siegel((z + c * t + d) / M, t, D)
+        worst = max(worst, abs(acc / M - ref) / max(1.0, abs(ref)))
+    return worst
+
+
+def _dlog_zeta(pt, config) -> float:
+    z, t = pt
+    worst = 0.0
+    for D in (2, 3):
+        form = l_form(z, t, D, 0, config.cauchy)
+        ref = D * D * zeta_fn(z, t) - D * zeta_fn(D * z, t)
+        worst = max(worst, abs(form.dz.get(0, 0) - ref) / max(1.0, abs(ref)))
+    return worst
+
+
+def _eisenstein_cases(rng) -> list:
+    cases = []
+    for k in (3, 4, 5):
+        for _ in range(3):
+            t = _draw_tau(rng)
+            N = int(rng.integers(3, 6))
+            cases.append((*_draw_label(rng, N, 1), N, k, t))
+    return cases
+
+
+def _naive_vs_lipschitz(case, config) -> float:
+    a, b, N, k, t = case
+    naive = F(EisensteinQuery(a=a, b=b, N=N, k=k, tau=t, mode="naive", trunc=config.truncation))
+    lip = F(EisensteinQuery(a=a, b=b, N=N, k=k, tau=t))
+    return abs(naive - lip) / max(1.0, abs(lip))
+
+
+def _k2_ordered(case, _config) -> float:
+    a, b, N, t = case
+    v = eisenstein_sum_k2(a, b, N, t, LatticeTruncation(500))
+    lip = F(EisensteinQuery(a=a, b=b, N=N, k=2, tau=t))
+    return abs(v - lip) / max(1.0, abs(lip))
+
+
+def _k2_doubling(case, _config) -> float:
+    a, b, N, t = case
+    v500 = eisenstein_sum_k2(a, b, N, t, LatticeTruncation(500))
+    v1000 = eisenstein_sum_k2(a, b, N, t, LatticeTruncation(1000))
+    return abs(v500 - v1000)
+
+
+def _draw_spec_case(rng, N: int) -> tuple:
+    t = _draw_tau(rng)
+    # reject labels fixed by (a,b) -> (-a,-b): those give identically zero
+    # series at odd weight (0/0 residuals)
+    return (*_draw_label(rng, N, 2), t)
+
+
+def _specialization(case, _config, k: int, N: int, D: int) -> float:
+    a, b, t = case
+    sp = specialize_eisenstein(TorsionLabel(a=a, b=b, N=N, D=D), t, k)
+    ft = F_tilde(EisensteinQuery(a=a, b=b, N=N, k=k + 1, tau=t), D, allow_degenerate=True)
+    if ft == 0:
+        return 0.0 if sp == ft else math.inf
+    return abs(sp - ft) / abs(ft)
+
+
+# all 20 taus first, then a z for each
+_W_TZ = Points(0, lambda rng: [(_draw_z(rng, t), t) for t in [_draw_tau(rng) for _ in range(20)]])
+_DIST_TZ = _each(1, _draw_tz, 5)
+_KS_TAUS = _each(0, _draw_tau, 5)
+_KS_TZ = _each(1, _draw_tz, 5)
+_CURV_TAUS = _each(0, _draw_tau, 10)
+# fixed cases with a != 0 mod N: the inner rows then carry an oscillating
+# character and the 500-shell ordered sum lands within ~1e-6 of the
+# Lipschitz value; a = 0 rows converge only like 1/R
+_K2_CASES = Points(0, lambda rng: [
+    (1, 2, 5, 0.21 + 1.1j), (1, 1, 3, -0.3 + 1.6j), (2, 1, 5, 1.3j)])
+
+# The verification suites, in report order: each check's name, anchor,
+# tolerance, point set and residual(point, config).
+CHECKS = {
+    "weierstrass": (
+        ("eta1-at-i", "quasi-period-square-lattice", 1e-8, Points(0, lambda rng: [0]),
+         lambda _, c: abs(eta_periods(1j).eta1 - cmath.pi)),
+        ("legendre", "legendre-relation", 1e-8, _W_TZ, _legendre),
+        ("zeta-law", "zeta-quasi-periodicity", 1e-9, _W_TZ, _zeta_law),
+        ("sigma-law", "sigma-quasi-periodicity", 1e-9, _W_TZ, _sigma_law),
+        ("wp-ode", "wp-differential-equation", 1e-7, _each(1, _draw_tz, 50), _wp_ode),
+    ),
+    "heat": (
+        ("heat", "mixed-heat-equation", 1e-6, _each(0, _draw_kpoint, 50),
+         lambda p, c: heat_residual(p)),
+    ),
+    "curvature": (
+        ("curvature-n0", "connection-flatness", 1e-12, _CURV_TAUS,
+         lambda t, c: curvature_residual(0, t)),
+        ("curvature-n1", "connection-flatness", 1e-5, _CURV_TAUS,
+         lambda t, c: curvature_residual(1, t)),
+        ("curvature", "connection-flatness", 1e-4, _CURV_TAUS,
+         lambda t, c: max(curvature_residual(n, t) for n in range(5))),
+    ),
+    "closedness": (
+        ("closedness", "absolute-form-closedness", 1e-4, _each(0, _draw_tz, 10),
+         _closedness),
+    ),
+    "distribution": (
+        ("distribution", "isogeny-distribution-law", 1e-6, _each(0, _draw_kpoint, 50),
+         lambda p, c: max(distribution_residual(p, D) for D in (2, 3))),
+        ("pole-removal", "kernel-pole-removal", 1e-8, _DIST_TZ, _pole_removal),
+        ("coeff-rescaling", "kernel-coefficient-rescaling", 1e-9, _DIST_TZ,
+         _coeff_rescaling),
+    ),
+    "katosiegel": (
+        ("ks-residue-origin", "kato-siegel-divisor", 1e-7, _KS_TAUS,
+         lambda t, c: _ks_residue(t, at_torsion=False)),
+        ("ks-residue-torsion", "kato-siegel-divisor", 1e-7, _KS_TAUS,
+         lambda t, c: _ks_residue(t, at_torsion=True)),
+        ("ks-norm-trace", "kato-siegel-norm-compatibility", 1e-7, _KS_TZ, _ks_norm_trace),
+        ("dlog-zeta", "kernel-constant-term", 1e-8, _KS_TZ, _dlog_zeta),
+    ),
+    "eisenstein": (
+        ("naive-vs-lipschitz", "level-series-cross-evaluators", 1e-5,
+         Points(0, _eisenstein_cases), _naive_vs_lipschitz),
+        ("k2-ordered", "weight-two-eisenstein-order", 1e-4, _K2_CASES, _k2_ordered),
+        ("k2-doubling", "weight-two-eisenstein-order", 5e-4, _K2_CASES, _k2_doubling),
+    ),
+    "specialization": tuple(
+        (f"specialization[k={k},N={N},D={D}]", "torsion-specialization", 1e-6,
+         _each(0, partial(_draw_spec_case, N=N), 5),
+         partial(_specialization, k=k, N=N, D=D))
+        for k in (2, 3, 4) for N in (3, 4, 5) for D in (2, 3)
+    ),
+}
+SUITES = tuple(CHECKS)
+
+
+def _check(name, anchor, tolerance, config, points, residual) -> dict:
     t0 = time.perf_counter()
-    residuals = ordered_map(residual_fn, points, config.parallelism)
+    residuals = ordered_map(lambda p: residual(p, config), points, config.parallelism)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     tol = float(config.tolerance_overrides.get(name, tolerance))
     worst = float(max(residuals))
@@ -124,325 +374,16 @@ def _check(name, anchor, tolerance, config, points, residual_fn) -> dict:
     }
 
 
-def _suite_weierstrass(config: RunConfig) -> list:
-    rng = np.random.default_rng(config.seed)
-    taus = [_draw_tau(rng) for _ in range(20)]
-    zs = [_draw_z(rng, t) for t in taus]
-
-    def legendre(i):
-        t, z = taus[i], zs[i]
-        eta1 = zeta_fn(z + 1, t) - zeta_fn(z, t)
-        eta2 = zeta_fn(z + t, t) - zeta_fn(z, t)
-        return abs(eta1 * t - eta2 - 2j * cmath.pi)
-
-    def zeta_law(i):
-        t, z = taus[i], zs[i]
-        return abs(zeta_fn(z + 1, t) - zeta_fn(z, t) - eta_periods(t).eta1)
-
-    def sigma_law(i):
-        from .weierstrass import sigma
-
-        t, z = taus[i], zs[i]
-        eta1 = eta_periods(t).eta1
-        lhs = sigma(z + 1, t)
-        rhs = -sigma(z, t) * cmath.exp(eta1 * (z + 0.5))
-        return abs(lhs - rhs) / max(1.0, abs(lhs))
-
-    pts50 = []
-    rng2 = np.random.default_rng(config.seed + 1)
-    for _ in range(50):
-        t = _draw_tau(rng2)
-        pts50.append((_draw_z(rng2, t), t))
-
-    def ode(pt):
-        z, t = pt
-        p, pp = wp(z, t)
-        g2, g3 = g_invariants(t)
-        return abs(pp**2 - (4 * p**3 - g2 * p - g3)) / max(1.0, abs(pp) ** 2)
-
-    return [
-        _check("eta1-at-i", "quasi-period-square-lattice", 1e-8, config, [0],
-               lambda _: abs(eta_periods(1j).eta1 - cmath.pi)),
-        _check("legendre", "legendre-relation", 1e-8, config, list(range(20)), legendre),
-        _check("zeta-law", "zeta-quasi-periodicity", 1e-9, config, list(range(20)), zeta_law),
-        _check("sigma-law", "sigma-quasi-periodicity", 1e-9, config, list(range(20)), sigma_law),
-        _check("wp-ode", "wp-differential-equation", 1e-7, config, pts50, ode),
-    ]
-
-
-def _suite_heat(config: RunConfig) -> list:
-    rng = np.random.default_rng(config.seed)
-    pts = []
-    for _ in range(50):
-        t = _draw_tau(rng)
-        z, w = _draw_zw(rng, t)
-        pts.append(KroneckerPoint(z=z, w=w, tau=ModuliPoint(t)))
-    cfg = DiffConfig(step=1e-3, richardson_levels=config.diff.richardson_levels)
-    return [_check("heat", "mixed-heat-equation", 1e-6, config, pts,
-                   lambda p: heat_residual(p, cfg))]
-
-
-def _suite_curvature(config: RunConfig) -> list:
-    rng = np.random.default_rng(config.seed)
-    taus = [_draw_tau(rng) for _ in range(10)]
-    out = [
-        _check("curvature-n0", "connection-flatness", 1e-12, config, taus,
-               lambda t: curvature_residual(0, t)),
-        _check("curvature-n1", "connection-flatness", 1e-5, config, taus,
-               lambda t: curvature_residual(1, t)),
-        _check("curvature", "connection-flatness", 1e-4, config, taus,
-               lambda t: max(curvature_residual(n, t) for n in range(5))),
-    ]
-    return out
-
-
-def _suite_closedness(config: RunConfig) -> list:
-    rng = np.random.default_rng(config.seed)
-    pts = []
-    for _ in range(10):
-        t = _draw_tau(rng)
-        pts.append((_draw_z(rng, t), t))
-
-    def worst(pt):
-        z, t = pt
-        return max(
-            closedness_residual(z, t, D, n, cauchy=config.cauchy)
-            for D in (2, 3)
-            for n in range(5)
-        )
-
-    return [_check("closedness", "absolute-form-closedness", 1e-4, config, pts, worst)]
-
-
-def _suite_distribution(config: RunConfig) -> list:
-    rng = np.random.default_rng(config.seed)
-    pts = []
-    for _ in range(50):
-        t = _draw_tau(rng)
-        z, w = _draw_zw(rng, t)
-        pts.append(KroneckerPoint(z=z, w=w, tau=ModuliPoint(t)))
-
-    def dist(p):
-        return max(distribution_residual(p, D) for D in (2, 3))
-
-    rng2 = np.random.default_rng(config.seed + 1)
-    rpts = []
-    for _ in range(5):
-        t = _draw_tau(rng2)
-        rpts.append((_draw_z(rng2, t), t))
-
-    def rescale(pt):
-        # substitution w -> Dw: scaled-variant coefficients at radius r/D
-        # against D^k s_k extracted at radius r; node rounding noise grows
-        # like (D/r)^k, so the contour sits at 0.35 of the pole distance
-        z, t = pt
-        worst = 0.0
-        for D in (2, 3):
-            base_cfg = config.cauchy or CauchyConfig(
-                radius=0.35 * min(1.0, abs(t)), samples=256)
-            sc = s_coeffs(z, t, D, 8, base_cfg)
-            scaled_cfg = CauchyConfig(
-                radius=base_cfg.radius / D,
-                samples=base_cfg.samples,
-                self_check=base_cfg.self_check,
-            )
-            cc = cauchy_coeffs(
-                lambda u: D * D * _J(z, D * np.asarray(u), t) - D * _J(D * z, u, t),
-                8, scaled_cfg,
-            )
-            for k in range(9):
-                ref = D**k * sc.coeffs[k]
-                worst = max(worst, abs(cc[k] - ref) / max(1.0, abs(ref)))
-        return worst
-
-    def pole_removal(pt):
-        # the D-variant is holomorphic across w = 0: on |w| = 1e-3, where each
-        # J term alone is ~1e3, the value must match the degree-8 Taylor
-        # polynomial from contour extraction
-        z, t = pt
-        worst = 0.0
-        for D in (2, 3):
-            sc = s_coeffs(z, t, D, 8, config.cauchy)
-            ws = 1e-3 * np.exp(2j * np.pi * np.arange(16) / 16)
-            f = D * D * _J(z, ws, t) - D * _J(D * z, ws / D, t)
-            poly = sum(sc.coeffs[k] * ws**k for k in range(9))
-            worst = max(worst, float(np.max(np.abs(f - poly))))
-        return worst
-
-    return [
-        _check("distribution", "isogeny-distribution-law", 1e-6, config, pts, dist),
-        _check("pole-removal", "kernel-pole-removal", 1e-8, config, rpts, pole_removal),
-        _check("coeff-rescaling", "kernel-coefficient-rescaling", 1e-9, config, rpts, rescale),
-    ]
-
-
-def _suite_katosiegel(config: RunConfig) -> list:
-    rng = np.random.default_rng(config.seed)
-    taus = [_draw_tau(rng) for _ in range(5)]
-
-    def _light_cfg(t, D):
-        # 128 contour nodes x an order-0 extraction each: skip the aliasing
-        # self-check and drop to 64 samples, plenty for c_0 alone
-        return CauchyConfig(radius=default_cauchy_config(t, D).radius,
-                            samples=64, self_check=False)
-
-    def residue_origin(t):
-        worst = 0.0
-        for D in (2, 3):
-            cfg = _light_cfg(t, D)
-            r = 0.4 * min(1.0, abs(t)) / D
-            val = contour_integral(lambda u: dlog_kato_siegel(u, t, D, cfg), 0.0, r, 128)
-            expect = 2j * cmath.pi * (D * D - 1)
-            worst = max(worst, abs(val - expect) / abs(expect))
-        return worst
-
-    def residue_torsion(t):
-        worst = 0.0
-        for D in (2, 3):
-            cfg = _light_cfg(t, D)
-            center = (t + 1) / D
-            r = 0.3 * min(1.0, abs(t)) / D
-            val = contour_integral(lambda u: dlog_kato_siegel(u, t, D, cfg), center, r, 128)
-            expect = -2j * cmath.pi
-            worst = max(worst, abs(val - expect) / abs(expect))
-        return worst
-
-    rng2 = np.random.default_rng(config.seed + 1)
-    pts = []
-    for _ in range(5):
-        t = _draw_tau(rng2)
-        pts.append((_draw_z(rng2, t), t))
-
-    def norm_trace(pt):
-        z, t = pt
-        worst = 0.0
-        for D, M in ((2, 3), (3, 2)):
-            ref = dlog_kato_siegel(z, t, D)
-            acc = 0.0 + 0.0j
-            for c in range(M):
-                for d in range(M):
-                    acc += dlog_kato_siegel((z + c * t + d) / M, t, D)
-            worst = max(worst, abs(acc / M - ref) / max(1.0, abs(ref)))
-        return worst
-
-    def dlog_zeta(pt):
-        z, t = pt
-        worst = 0.0
-        for D in (2, 3):
-            form = l_form(z, t, D, 0, config.cauchy)
-            ref = D * D * zeta_fn(z, t) - D * zeta_fn(D * z, t)
-            worst = max(worst, abs(form.dz.get(0, 0) - ref) / max(1.0, abs(ref)))
-        return worst
-
-    return [
-        _check("ks-residue-origin", "kato-siegel-divisor", 1e-7, config, taus, residue_origin),
-        _check("ks-residue-torsion", "kato-siegel-divisor", 1e-7, config, taus, residue_torsion),
-        _check("ks-norm-trace", "kato-siegel-norm-compatibility", 1e-7, config, pts, norm_trace),
-        _check("dlog-zeta", "kernel-constant-term", 1e-8, config, pts, dlog_zeta),
-    ]
-
-
-def _suite_eisenstein(config: RunConfig) -> list:
-    rng = np.random.default_rng(config.seed)
-    cases = []
-    for k in (3, 4, 5):
-        for _ in range(3):
-            t = _draw_tau(rng)
-            N = int(rng.integers(3, 6))
-            a, b = 0, 0
-            while a % N == 0 and b % N == 0:
-                a, b = int(rng.integers(0, N)), int(rng.integers(0, N))
-            cases.append((a, b, N, k, t))
-
-    def cross(case):
-        a, b, N, k, t = case
-        naive = F(EisensteinQuery(a=a, b=b, N=N, k=k, tau=t, mode="naive",
-                                  trunc=config.truncation))
-        lip = F(EisensteinQuery(a=a, b=b, N=N, k=k, tau=t))
-        return abs(naive - lip) / max(1.0, abs(lip))
-
-    # fixed cases with a != 0 mod N: the inner rows then carry an oscillating
-    # character and the 500-shell ordered sum lands within ~1e-6 of the
-    # Lipschitz value; a = 0 rows converge only like 1/R
-    k2cases = [
-        (1, 2, 5, 0.21 + 1.1j),
-        (1, 1, 3, -0.3 + 1.6j),
-        (2, 1, 5, 1.3j),
-    ]
-
-    def k2_ordered(case):
-        a, b, N, t = case
-        v = eisenstein_sum_k2(a, b, N, t, LatticeTruncation(500))
-        lip = F(EisensteinQuery(a=a, b=b, N=N, k=2, tau=t))
-        return abs(v - lip) / max(1.0, abs(lip))
-
-    def k2_doubling(case):
-        a, b, N, t = case
-        v500 = eisenstein_sum_k2(a, b, N, t, LatticeTruncation(500))
-        v1000 = eisenstein_sum_k2(a, b, N, t, LatticeTruncation(1000))
-        return abs(v500 - v1000)
-
-    return [
-        _check("naive-vs-lipschitz", "level-series-cross-evaluators", 1e-5,
-               config, cases, cross),
-        _check("k2-ordered", "weight-two-eisenstein-order", 1e-4, config, k2cases, k2_ordered),
-        _check("k2-doubling", "weight-two-eisenstein-order", 5e-4, config, k2cases, k2_doubling),
-    ]
-
-
-def _suite_specialization(config: RunConfig) -> list:
-    rng = np.random.default_rng(config.seed)
-    out = []
-    for k in (2, 3, 4):
-        for N in (3, 4, 5):
-            for D in (2, 3):
-                cases = []
-                for _ in range(5):
-                    t = _draw_tau(rng)
-                    # reject labels fixed by (a,b) -> (-a,-b): those give
-                    # identically zero series at odd weight (0/0 residuals)
-                    a, b = 0, 0
-                    while (2 * a) % N == 0 and (2 * b) % N == 0:
-                        a, b = int(rng.integers(0, N)), int(rng.integers(0, N))
-                    cases.append((a, b, t))
-
-                def spec_residual(case, k=k, N=N, D=D):
-                    a, b, t = case
-                    label = TorsionLabel(a=a, b=b, N=N, D=D)
-                    sp = specialize_eisenstein(label, t, k)
-                    ft = F_tilde(
-                        EisensteinQuery(a=a, b=b, N=N, k=k + 1, tau=t),
-                        D, allow_degenerate=True,
-                    )
-                    if ft == 0:
-                        return 0.0 if sp == ft else math.inf
-                    return abs(sp - ft) / abs(ft)
-
-                out.append(_check(
-                    f"specialization[k={k},N={N},D={D}]", "torsion-specialization",
-                    1e-6, config, cases, spec_residual,
-                ))
-    return out
-
-
-_SUITE_FNS = {
-    "weierstrass": _suite_weierstrass,
-    "heat": _suite_heat,
-    "curvature": _suite_curvature,
-    "closedness": _suite_closedness,
-    "distribution": _suite_distribution,
-    "katosiegel": _suite_katosiegel,
-    "eisenstein": _suite_eisenstein,
-    "specialization": _suite_specialization,
-}
-
-
 def cmd_verify(suite: str, config: RunConfig) -> dict:
     """Run one suite (or all of them) and return the report dict."""
-    names = SUITES if suite == "all" else (suite,)
     checks = []
-    for name in names:
-        checks.extend(_SUITE_FNS[name](config))
+    for name in SUITES if suite == "all" else (suite,):
+        streams = (np.random.default_rng(config.seed), np.random.default_rng(config.seed + 1))
+        drawn: dict = {}
+        for check, anchor, tolerance, pts, residual in CHECKS[name]:
+            if pts not in drawn:
+                drawn[pts] = pts.build(streams[pts.stream])
+            checks.append(_check(check, anchor, tolerance, config, drawn[pts], residual))
     # parallelism is an execution detail, not part of the report: the same
     # seed must produce byte-identical output at any worker count
     return {
@@ -469,15 +410,11 @@ def cmd_eval(target: str, args, config: RunConfig) -> dict:
         sc = s_coeffs(_parse_complex(args.z), t, args.D, args.n, config.cauchy)
         return {"target": "s_coeffs", "D": sc.D,
                 "value": [_c2j(c) for c in sc.coeffs]}
-    if target == "F":
+    if target in ("F", "F_tilde"):
         q = EisensteinQuery(a=args.a, b=args.b, N=args.N, k=args.k, tau=t,
                             mode=args.mode, trunc=config.truncation)
-        return {"target": "F", "value": _c2j(F(q))}
-    if target == "F_tilde":
-        q = EisensteinQuery(a=args.a, b=args.b, N=args.N, k=args.k, tau=t,
-                            mode=args.mode, trunc=config.truncation)
-        val = F_tilde(q, args.D, allow_degenerate=args.allow_degenerate)
-        return {"target": "F_tilde", "value": _c2j(val)}
+        val = F(q) if target == "F" else F_tilde(q, args.D, allow_degenerate=args.allow_degenerate)
+        return {"target": target, "value": _c2j(val)}
     if target == "dlogtheta":
         return {"target": "dlogtheta",
                 "value": _c2j(dlog_kato_siegel(_parse_complex(args.z), t, args.D))}
@@ -518,14 +455,16 @@ def _load_config(args) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             base = json.load(fh)
-    trunc_kw = dict(base.get("truncation", {}))
-    diff_kw = dict(base.get("diff", {}))
+        if not isinstance(base, dict):
+            raise ValueError("config file must hold a JSON object")
+        unknown = sorted(set(base) - {f.name for f in fields(RunConfig)})
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
     cauchy_kw = base.get("cauchy")
     cfg = RunConfig(
         seed=base.get("seed", 0),
         tolerance_overrides=dict(base.get("tolerance_overrides", {})),
-        truncation=LatticeTruncation(**{"shell_radius": 500, **trunc_kw}),
-        diff=DiffConfig(**diff_kw),
+        truncation=LatticeTruncation(**{"shell_radius": 500, **base.get("truncation", {})}),
         cauchy=CauchyConfig(**cauchy_kw) if cauchy_kw else None,
         parallelism=base.get("parallelism", 1),
         timings=base.get("timings", False),
@@ -540,7 +479,6 @@ def _load_config(args) -> RunConfig:
         cfg = replace(cfg, truncation=LatticeTruncation(
             shell_radius=args.shell_radius or cfg.truncation.shell_radius,
             ordering=args.ordering or cfg.truncation.ordering,
-            compensated=cfg.truncation.compensated,
         ))
     tols = _parse_tolerances(getattr(args, "tolerance", None))
     if tols:

@@ -14,6 +14,11 @@ T(x,xi,s) = (-1)^s T(-x, -xi mod 1, s)). Rows with real x and the m = 0
 polylogarithm row are summed exactly through Hurwitz zeta values at rational
 arguments. The row decomposition realizes the eisenstein summation order, so
 it is also valid at the conditionally convergent weights k <= 2.
+
+coset_sum evaluates the shifted, character-twisted sums of the same kind
+(Eisenstein-Kronecker series, Bannai-Kobayashi arXiv:math/0610163) over the
+nonzero cosets of D^-1 Z^2 / Z^2, which the torsion specialization in polylog
+needs; F and coset_sum share one naive kernel and the row machinery.
 """
 
 from __future__ import annotations
@@ -22,12 +27,13 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
 from .numerics import LatticeTruncation, kahan_sum
-from .weierstrass import ModuliPoint, _tau_of
+from .weierstrass import _tau_of
 
 
 class ConvergenceModeError(ValueError):
@@ -124,12 +130,8 @@ def _T_rows(x: np.ndarray, xi: Fraction, s: int) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     out = np.empty(x.shape, dtype=complex)
     up = x.imag > 0
-    xi_up = float(xi % 1)
-    xi_dn = float((-xi) % 1)
-    if np.any(up):
-        out[up] = _T_batch(x[up], xi_up, s)
-    if np.any(~up):
-        out[~up] = (-1) ** s * _T_batch(-x[~up], xi_dn, s)
+    out[up] = _T_batch(x[up], float(xi % 1), s)
+    out[~up] = (-1) ** s * _T_batch(-x[~up], float(-xi % 1), s)
     return out
 
 
@@ -137,13 +139,10 @@ def _row_count(im_tau: float, q_eff: float, extra: int = 3) -> int:
     return int(math.ceil(45.0 / (2.0 * math.pi * im_tau * q_eff))) + extra
 
 
-def _q_eff(*xis: Fraction) -> float:
-    # slowest decaying exponential frequency across the row forms used
-    vals = []
-    for xi in xis:
-        f = float(xi % 1)
-        vals.append(f if f > 0.0 else 1.0)
-    return min(vals)
+def _q_eff(xi: Fraction) -> float:
+    # slowest decaying exponential frequency of the rows T(x, xi, s) and
+    # their reflections T(-x, -xi, s)
+    return min(float(f) if f else 1.0 for f in (xi % 1, -xi % 1))
 
 
 def _F_lipschitz(a: int, b: int, N: int, k: int, t: complex) -> complex:
@@ -155,7 +154,7 @@ def _F_lipschitz(a: int, b: int, N: int, k: int, t: complex) -> complex:
         row0 = 0.0 + 0.0j if k == 1 else (1.0 + (-1) ** k) * complex(hurwitz_zeta(k, 1.0))
     else:
         row0 = _polylog_root(k, xi_a) + (-1) ** k * _polylog_root(k, xi_a2)
-    M = _row_count(t.imag, _q_eff(xi_a, xi_a2))
+    M = _row_count(t.imag, _q_eff(xi_a))
     m = np.arange(1, M + 1)
     cb = _roots_of_unity(N)[(m * b) % N]
     rows = cb * _T_batch(m * t, float(xi_a % 1), k) \
@@ -163,52 +162,71 @@ def _F_lipschitz(a: int, b: int, N: int, k: int, t: complex) -> complex:
     return prefac * (row0 + complex(np.sum(rows)))
 
 
-def _term_rows_naive(a: int, b: int, N: int, k: int, t: complex, R: int):
-    # row generator honoring the eisenstein order: m = 0, then paired +-m
-    roots = _roots_of_unity(N)
-    n = np.arange(1, R + 1)
-    char_pos = roots[(-a * n) % N]
-    char_neg = roots[(a * n) % N]
-
-    def row(m: int) -> complex:
-        cm = roots[(m * b) % N]
-        base = m * t
-        paired = char_pos / (base + n) ** k + char_neg / (base - n) ** k
-        inner = complex(np.sum(paired))
-        if m != 0:
-            inner += 1.0 / base**k
-        return cm * inner
-
-    yield row(0)
-    for m in range(1, R + 1):
-        yield row(m) + row(-m)
+def _coset_lipschitz(a: int, b: int, N: int, D: int, c: int, d: int, t: complex,
+                     s: int) -> complex:
+    # one coset of coset_sum by rows: the character factors as
+    # zeta_N^(cb - da) times zeta_N^(Dmb) on row m
+    xi = Fraction(-D * a, N)
+    M = _row_count(t.imag, _q_eff(xi), extra=4)
+    m = np.arange(-M, M + 1)
+    x = (m + c / D) * t + d / D
+    mchar = np.array([_zN(N, D * b * mm) for mm in m])
+    if c == 0:
+        keep = m != 0
+        rows = _T_rows(x[keep], xi, s)
+        coset = _row_real(d / D, xi, s) + complex(np.sum(mchar[keep] * rows))
+    else:
+        coset = complex(np.sum(mchar * _T_rows(x, xi, s)))
+    return _zN(N, c * b - d * a) * coset
 
 
-def _F_naive(a: int, b: int, N: int, k: int, t: complex, trunc: LatticeTruncation) -> complex:
-    prefac = (-1) ** (k + 1) * math.factorial(k - 1)
+def _naive_sum(a: int, b: int, N: int, D: int, c: int, d: int, t: complex, s: int,
+               trunc: LatticeTruncation) -> complex:
+    """The lattice sum of coset_sum for the one coset (c, d), truncated to
+    |m|, |n| <= R in the ordering of trunc: "box" sums whole rows m = -R..R,
+    "eisenstein" sums row 0, then the paired rows +-m, each row from n = 0
+    outward in +-n pairs. The origin term is skipped only when c = d = 0, so
+    F is the case D = 1, c = d = 0."""
+    if trunc.ordering == "box" and s < 3:
+        raise ConvergenceModeError(
+            f"weight {s} is conditionally convergent; box ordering is not a sum"
+        )
     R = trunc.shell_radius
+    roots = _roots_of_unity(N)
+    skip_origin = c == 0 and d == 0
+
+    def base(m: int) -> complex:
+        return (m + c / D) * t + d / D
+
     if trunc.ordering == "box":
-        if k <= 2:
-            raise ConvergenceModeError(
-                f"weight {k} is conditionally convergent; box ordering is not a sum"
-            )
-        roots = _roots_of_unity(N)
         n = np.arange(-R, R + 1)
-        char_n = roots[(-a * n) % N]
-        rows = []
-        for m in range(-R, R + 1):
-            den = (m * t + n) ** k
-            if m == 0:
+        char_n = roots[(-(D * n + d) * a) % N]
+
+        def row(m: int) -> complex:
+            den = (base(m) + n) ** s
+            origin = skip_origin and m == 0
+            if origin:
                 den[R] = 1.0  # origin excluded below
             terms = char_n / den
-            if m == 0:
+            if origin:
                 terms[R] = 0.0
-            rows.append(roots[(m * b) % N] * complex(np.sum(terms)))
-        total = kahan_sum(rows) if trunc.compensated else complex(np.sum(np.array(rows)))
-        return prefac * total
-    rows = _term_rows_naive(a, b, N, k, t, R)
-    total = kahan_sum(rows) if trunc.compensated else sum(rows)
-    return prefac * total
+            return roots[((D * m + c) * b) % N] * complex(np.sum(terms))
+
+        return kahan_sum(row(m) for m in range(-R, R + 1))
+
+    n = np.arange(1, R + 1)
+    char_pos = roots[(-(D * n + d) * a) % N]
+    char_neg = roots[(-(-D * n + d) * a) % N]
+    char_0 = complex(roots[(-d * a) % N])  # Python complex division, as F's pinned values use
+
+    def row(m: int) -> complex:
+        x = base(m)
+        inner = complex(np.sum(char_pos / (x + n) ** s + char_neg / (x - n) ** s))
+        if not (skip_origin and m == 0):
+            inner += char_0 / x**s
+        return roots[((D * m + c) * b) % N] * inner
+
+    return kahan_sum(row(0) if m == 0 else row(m) + row(-m) for m in range(R + 1))
 
 
 def F(query: EisensteinQuery) -> complex:
@@ -223,20 +241,8 @@ def F(query: EisensteinQuery) -> complex:
         return _F_lipschitz(query.a, query.b, query.N, query.k, t)
     if query.trunc is None:
         raise ValueError("naive mode requires an explicit LatticeTruncation")
-    return _F_naive(query.a, query.b, query.N, query.k, t, query.trunc)
-
-
-def _F_trivial(k: int, t: complex) -> complex:
-    """Weight-k sum with trivial character, sum'_{(m,n)} (m tau + n)^{-k},
-    times the (-1)^(k+1) (k-1)! normalization. Zero for odd k."""
-    if k < 2:
-        raise ConvergenceModeError("trivial-character extension needs k >= 2")
-    if k % 2 == 1:
-        return 0.0 + 0.0j
-    prefac = (-1) ** (k + 1) * math.factorial(k - 1)
-    M = _row_count(t.imag, 1.0)
-    rows = _T_batch(np.arange(1, M + 1) * t, 0.0, k)
-    return prefac * (2.0 * complex(hurwitz_zeta(k, 1.0)) + 2.0 * complex(np.sum(rows)))
+    prefac = (-1) ** (query.k + 1) * math.factorial(query.k - 1)
+    return prefac * _naive_sum(query.a, query.b, query.N, 1, 0, 0, t, query.k, query.trunc)
 
 
 def F_tilde(query: EisensteinQuery, D: int, allow_degenerate: bool = False) -> complex:
@@ -257,7 +263,9 @@ def F_tilde(query: EisensteinQuery, D: int, allow_degenerate: bool = False) -> c
             raise DegenerateLabelError(
                 f"(Da, Db) = {(D * query.a, D * query.b)} is (0,0) mod {query.N}"
             )
-        second = _F_trivial(query.k, t)
+        if query.k < 2:
+            raise ConvergenceModeError("trivial-character extension needs k >= 2")
+        second = _F_lipschitz(0, 0, 1, query.k, t)
     else:
         q2 = EisensteinQuery(a=a2, b=b2, N=query.N, k=query.k, tau=query.tau,
                              mode=query.mode, trunc=query.trunc)
@@ -265,10 +273,39 @@ def F_tilde(query: EisensteinQuery, D: int, allow_degenerate: bool = False) -> c
     return D**2 * first - D ** (2 - query.k) * second
 
 
+def coset_sum(a: int, b: int, N: int, D: int, tau, s: int, mode: str = "lipschitz",
+              trunc: LatticeTruncation | None = None) -> complex:
+    """Sum over the cosets (c, d) mod D, (c, d) != (0, 0), of the shifted
+    twisted lattice sums
+
+      sum_{(m,n)} zeta_N^((Dm+c) b - (Dn+d) a) / ((m + c/D) tau + n + d/D)^s,
+
+    the torsion specialization of the polylogarithm before its normalization.
+    mode "lipschitz" needs s >= 2; mode "naive" requires trunc, and its box
+    ordering needs s >= 3.
+    """
+    t = _tau_of(tau)
+    if mode == "naive":
+        if trunc is None:
+            raise ValueError("naive mode requires an explicit LatticeTruncation")
+        one_coset = partial(_naive_sum, trunc=trunc)
+    elif mode == "lipschitz":
+        if s < 2:
+            raise ConvergenceModeError(
+                "weight-1 inner rows are principal values; use the naive eisenstein ordering")
+        one_coset = _coset_lipschitz
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    total = 0.0 + 0.0j
+    for c in range(D):
+        for d in range(D):
+            if c != 0 or d != 0:
+                total += one_coset(a, b, N, D, c, d, t, s)
+    return total
+
+
 def eisenstein_sum_k2(a: int, b: int, N: int, tau, trunc: LatticeTruncation) -> complex:
     """Weight-2 series in the eisenstein order (inner n, then m, both paired
-    symmetrically). The value depends on this order; box truncation raises."""
-    if trunc.ordering != "eisenstein":
-        raise ConvergenceModeError("weight 2 requires the eisenstein ordering")
-    q = EisensteinQuery(a=a, b=b, N=N, k=2, tau=tau, mode="naive", trunc=trunc)
-    return F(q)
+    symmetrically). The value depends on this order; box truncation raises
+    ConvergenceModeError."""
+    return F(EisensteinQuery(a=a, b=b, N=N, k=2, tau=tau, mode="naive", trunc=trunc))

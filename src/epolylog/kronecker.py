@@ -48,11 +48,6 @@ class KroneckerPoint:
                 raise PoleProximityError(f"{name} = {x} within 1e-8 of the lattice")
 
 
-def theta(z, tau):
-    """Normalized odd theta (zeros exactly on the lattice, slope 1 at 0)."""
-    return theta_normalized(z, tau)
-
-
 def _J(z, w, t: complex):
     # vectorized over either argument
     return theta_normalized(np.asarray(z) + np.asarray(w), t) / (
@@ -63,12 +58,6 @@ def _J(z, w, t: complex):
 def jacobi_J(p: KroneckerPoint) -> complex:
     """Kernel value J(z, w, tau). Symmetric in (z, w); w*J -> 1 as w -> 0."""
     return complex(_J(p.z, p.w, _tau_of(p.tau)))
-
-
-def quasi_period_factor(c: int, d: int, p: KroneckerPoint) -> complex:
-    """Multiplier chi with J(z + c*tau + d, w) = chi * J(z, w): closed form
-    exp(-2*pi*i*c*w). Independent of z and of d."""
-    return cmath.exp(-2j * cmath.pi * c * p.w)
 
 
 def heat_residual(p: KroneckerPoint, cfg: DiffConfig | None = None) -> float:

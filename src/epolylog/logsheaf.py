@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .numerics import DiffConfig
+from .numerics import DiffConfig, finite_diff
 from .weierstrass import _tau_of, eta1_prime, eta_periods
 
 TWO_PI_I = 2j * cmath.pi
@@ -71,6 +71,15 @@ class LogFiber:
 
     def max_abs(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
+
+    def vector(self) -> np.ndarray:
+        """Dense coefficients in the order of basis_indices(n)."""
+        return np.array([self.get(i, j) for (i, j) in basis_indices(self.n)], dtype=complex)
+
+    @classmethod
+    def from_vector(cls, n: int, vec) -> "LogFiber":
+        """Inverse of vector(): coefficients in the order of basis_indices(n)."""
+        return cls(n, dict(zip(basis_indices(n), vec)))
 
 
 @dataclass(frozen=True)
@@ -175,29 +184,6 @@ def gauss_manin_matrix(tau, eta1_prime_method: str = "finite_diff") -> np.ndarra
     )
 
 
-def _fiber_to_vec(f: LogFiber, order: list) -> np.ndarray:
-    return np.array([f.get(i, j) for (i, j) in order], dtype=complex)
-
-
-def _vec_to_fiber(vec: np.ndarray, n: int, order: list) -> LogFiber:
-    return LogFiber(n, {key: val for key, val in zip(order, vec)})
-
-
-def _fd_fiber(fn, at: complex, cfg: DiffConfig, n: int, order: list) -> LogFiber:
-    # componentwise central differences with Richardson, on dense vectors
-    L = cfg.richardson_levels
-    table = []
-    for i in range(L + 1):
-        h = cfg.step / (2.0**i)
-        hi = _fiber_to_vec(fn(at + h), order)
-        lo = _fiber_to_vec(fn(at - h), order)
-        table.append((hi - lo) / (2.0 * h))
-    for j in range(1, L + 1):
-        fac = 4.0**j
-        table = [(fac * table[i + 1] - table[i]) / (fac - 1.0) for i in range(len(table) - 1)]
-    return _vec_to_fiber(table[0], n, order)
-
-
 def curvature_residual(
     n: int, tau, cfg: DiffConfig | None = None, eta1_prime_method: str = "finite_diff"
 ) -> float:
@@ -211,15 +197,13 @@ def curvature_residual(
     """
     cfg = cfg or DiffConfig(step=1e-5, richardson_levels=2)
     t = _tau_of(tau)
-    order = basis_indices(n)
     worst = 0.0
-    for (i, j) in order:
+    for (i, j) in basis_indices(n):
         v = LogFiber.basis(n, i, j)
         conn = abs_connection(v, t, eta1_prime_method)
         A, B = conn.dz, conn.dtau
-        dA = _fd_fiber(
-            lambda s: abs_connection(v, s, eta1_prime_method).dz, t, cfg, n, order
-        )
+        dA = LogFiber.from_vector(n, finite_diff(
+            lambda s: abs_connection(v, s, eta1_prime_method).dz.vector(), t, cfg))
         nab_tau_A = abs_connection(A, t, eta1_prime_method).dtau
         nab_z_B = abs_connection(B, t, eta1_prime_method).dz
         resid = dA.scale(-1.0).add(nab_tau_A.scale(-1.0)).add(nab_z_B)

@@ -1,16 +1,15 @@
-"""Shared numerical kernels: lattice enumeration, finite differences,
-Cauchy coefficient extraction and compensated summation.
+"""Shared numerical kernels: lattice truncation recipes, finite differences,
+Cauchy coefficient extraction and Kahan summation.
 
-Everything here is deterministic: fixed enumeration orders, fixed stencils,
-fixed sample counts. No randomness, no environment-dependent branching.
+Everything here is deterministic: fixed stencils, fixed sample counts. No
+randomness, no environment-dependent branching.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -31,12 +30,11 @@ class LatticeTruncation:
     each fixed m, and m symmetrically about 0; this order is part of the
     value for conditionally convergent sums. ordering "box" enumerates all
     |m|, |n| <= shell_radius row by row and is only legal for absolutely
-    convergent sums.
+    convergent sums. Naive sums accumulate their rows with kahan_sum.
     """
 
     shell_radius: int
     ordering: str = "eisenstein"
-    compensated: bool = True
 
     def __post_init__(self) -> None:
         if self.shell_radius < 1:
@@ -78,37 +76,15 @@ class CauchyConfig:
             raise ValueError(f"samples must be >= 16, got {self.samples}")
 
 
-def enumerate_lattice(trunc: LatticeTruncation) -> Iterator[tuple[int, int]]:
-    """Yield integer pairs (m, n), origin excluded, in the order fixed by
-    trunc.ordering. The sequence is the summation order."""
-    R = trunc.shell_radius
-    if trunc.ordering == "box":
-        for m in range(-R, R + 1):
-            for n in range(-R, R + 1):
-                if m == 0 and n == 0:
-                    continue
-                yield (m, n)
-        return
-    # eisenstein: m = 0, +1, -1, +2, -2, ...; inside each row n = 0, +1, -1, ...
-    for m in _symmetric(R):
-        for n in _symmetric(R):
-            if m == 0 and n == 0:
-                continue
-            yield (m, n)
-
-
-def _symmetric(R: int) -> Iterator[int]:
-    yield 0
-    for a in range(1, R + 1):
-        yield a
-        yield -a
-
-
-def finite_diff(f: Callable[[complex], complex], at: complex, cfg: DiffConfig) -> complex:
+def finite_diff(
+    f: Callable[[complex], complex | np.ndarray], at: complex, cfg: DiffConfig
+) -> complex | np.ndarray:
     """Derivative of f at `at` by central differences, Richardson-extrapolated.
 
-    Evaluates f at 2*(richardson_levels+1) stencil points. Raises
-    NonFiniteError if any evaluation is not finite.
+    Evaluates f at 2*(richardson_levels+1) stencil points. f may return a
+    scalar (the result is a complex) or an array (differentiated
+    componentwise, the result is an array). Raises NonFiniteError if any
+    evaluation has a component that is not finite.
     """
     L = cfg.richardson_levels
     table = []
@@ -116,13 +92,13 @@ def finite_diff(f: Callable[[complex], complex], at: complex, cfg: DiffConfig) -
         h = cfg.step / (2.0**i)
         hi = f(at + h)
         lo = f(at - h)
-        if not (np.isfinite(hi) and np.isfinite(lo)):
+        if not (np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))):
             raise NonFiniteError(f"non-finite stencil value at step {h}")
         table.append((hi - lo) / (2.0 * h))
     for j in range(1, L + 1):
         fac = 4.0**j
         table = [(fac * table[i + 1] - table[i]) / (fac - 1.0) for i in range(len(table) - 1)]
-    return complex(table[0])
+    return table[0] if isinstance(table[0], np.ndarray) else complex(table[0])
 
 
 def _circle_values(
@@ -188,7 +164,8 @@ def contour_integral(
 
 
 def kahan_sum(terms: Iterable[complex]) -> complex:
-    """Compensated (Kahan) sum in the order the iterable yields terms."""
+    """Kahan sum, with a running error correction, in the order the iterable
+    yields terms."""
     s = 0.0 + 0.0j
     c = 0.0 + 0.0j
     for t in terms:
@@ -199,17 +176,10 @@ def kahan_sum(terms: Iterable[complex]) -> complex:
     return s
 
 
-def pairwise_sum(values: np.ndarray) -> complex:
-    # numpy's pairwise reduction: deterministic for a fixed array layout
-    return complex(np.sum(values))
-
-
-def ordered_map(
-    fn: Callable, items: Sequence, parallelism: int = 1, chunk: int = 1
-) -> list:
+def ordered_map(fn: Callable, items: Sequence, parallelism: int = 1) -> list:
     """Map fn over items, preserving order. parallelism > 1 uses threads;
     results are identical to the serial order (pure fn required)."""
     if parallelism <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(fn, items, chunksize=max(chunk, 1)))
+        return list(pool.map(fn, items))

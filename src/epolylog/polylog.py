@@ -12,7 +12,7 @@ built from the degree-D kernel coefficients s_k; the absolute form adds
 and is closed for the absolute connection. Evaluating the coefficient tower
 at an N-torsion point collapses, for each k, to the smoothed weight-(k+1)
 Eisenstein series D^2 F^(k+1)_(a,b) - D^(1-k) F^(k+1)_(Da,Db); the sum
-computed here is
+computed here, with the coset sums of eisenstein.coset_sum, is
 
   (-1)^k k! D^(1-k) sum_{(c,d) mod D != (0,0)} sum_{(m,n) in Z^2}
       zeta_N^((Dm+c) b - (Dn+d) a) / ((m + c/D) tau + (n + d/D))^(k+1),
@@ -26,15 +26,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-import numpy as np
-
-from .eisenstein import ConvergenceModeError, _q_eff, _row_count, _row_real, _T_rows, _zN
+from .eisenstein import coset_sum
 from .kronecker import s_coeffs
-from .logsheaf import LogFiber, LogValuedForm, abs_connection, _fd_fiber, basis_indices
-from .numerics import CauchyConfig, DiffConfig, kahan_sum
-from .weierstrass import ModuliPoint, PoleProximityError, _tau_of, lattice_dist
+from .logsheaf import LogFiber, LogValuedForm, abs_connection
+from .numerics import CauchyConfig, DiffConfig, finite_diff
+from .weierstrass import PoleProximityError, _tau_of, lattice_dist
 
 TWO_PI_I = 2j * cmath.pi
 
@@ -102,90 +99,17 @@ def closedness_residual(
     margin = 10.0 * cfg.step
     if lattice_dist(z, t) < margin or lattice_dist(D * z, t) < D * margin:
         raise PoleProximityError(f"z = {z} too close to the polar locus for the stencil")
-    order = basis_indices(n)
     form = L_form(z, t, D, n, cauchy)
     P, Q = form.dz, form.dtau
-    dP = _fd_fiber(lambda s: L_form(z, s, D, n, cauchy).dz, t, cfg, n, order)
-    dQ = _fd_fiber(lambda x: L_form(x, t, D, n, cauchy).dtau, z, cfg, n, order)
+    dP = LogFiber.from_vector(
+        n, finite_diff(lambda s: L_form(z, s, D, n, cauchy).dz.vector(), t, cfg))
+    dQ = LogFiber.from_vector(
+        n, finite_diff(lambda x: L_form(x, t, D, n, cauchy).dtau.vector(), z, cfg))
     nab_tau_P = abs_connection(P, t, eta1_prime_method).dtau
     nab_z_Q = abs_connection(Q, t, eta1_prime_method).dz
     resid = dP.scale(-1.0).add(nab_tau_P.scale(-1.0)).add(dQ).add(nab_z_Q)
     scale = max(form.max_abs(), 1e-300)
     return resid.max_abs() / scale
-
-
-def _coset_sum_lipschitz(label: TorsionLabel, t: complex, k: int) -> complex:
-    a, b, N, D = label.a, label.b, label.N, label.D
-    s = k + 1
-    xi = Fraction(-D * a, N)
-    xi_neg = Fraction(D * a, N)
-    total = 0.0 + 0.0j
-    M = _row_count(t.imag, _q_eff(xi, xi_neg), extra=4)
-    for c in range(D):
-        for d in range(D):
-            if c == 0 and d == 0:
-                continue
-            const = _zN(N, c * b - d * a)
-            m = np.arange(-M, M + 1)
-            x = (m + c / D) * t + d / D
-            mchar = np.array([_zN(N, D * b * mm) for mm in m])
-            if c == 0:
-                real_row = _row_real(d / D, xi, s)
-                keep = m != 0
-                rows = _T_rows(x[keep], xi, s)
-                coset = real_row + complex(np.sum(mchar[keep] * rows))
-            else:
-                coset = complex(np.sum(mchar * _T_rows(x, xi, s)))
-            total += const * coset
-    return total
-
-
-def _coset_sum_naive(label: TorsionLabel, t: complex, k: int, trunc) -> complex:
-    a, b, N, D = label.a, label.b, label.N, label.D
-    s = k + 1
-    if trunc.ordering == "box" and s < 3:
-        raise ConvergenceModeError(
-            f"inner weight {s} is conditionally convergent; box ordering is not a sum"
-        )
-    R = trunc.shell_radius
-    roots = np.exp(2j * np.pi * np.arange(N) / N)
-    total = 0.0 + 0.0j
-    for c in range(D):
-        for d in range(D):
-            if c == 0 and d == 0:
-                continue
-            if trunc.ordering == "box":
-                n = np.arange(-R, R + 1)
-                nchar = roots[(-(D * n + d) * a) % N]
-                rows = []
-                for m in range(-R, R + 1):
-                    den = ((m + c / D) * t + n + d / D) ** s
-                    rows.append(
-                        roots[((D * m + c) * b) % N] * complex(np.sum(nchar / den))
-                    )
-                coset = kahan_sum(rows) if trunc.compensated else complex(np.sum(np.array(rows)))
-            else:
-                coset = _coset_rows_eisenstein(a, b, N, D, c, d, t, s, R, trunc.compensated)
-            total += coset
-    return total
-
-
-def _coset_rows_eisenstein(a, b, N, D, c, d, t, s, R, compensated) -> complex:
-    roots = np.exp(2j * np.pi * np.arange(N) / N)
-    n = np.arange(1, R + 1)
-    char_pos = roots[(-(D * n + d) * a) % N]
-    char_neg = roots[(-(-D * n + d) * a) % N]
-    char_0 = roots[(-d * a) % N]
-
-    def row(m: int) -> complex:
-        base = (m + c / D) * t + d / D
-        inner = char_0 / base**s + complex(
-            np.sum(char_pos / (base + n) ** s + char_neg / (base - n) ** s)
-        )
-        return roots[((D * m + c) * b) % N] * inner
-
-    gen = (row(0) if m == 0 else row(m) + row(-m) for m in range(R + 1))
-    return kahan_sum(gen) if compensated else sum(gen)
 
 
 def specialize_eisenstein(
@@ -206,15 +130,4 @@ def specialize_eisenstein(
     if D == 1:
         return 0.0 + 0.0j
     prefac = (-1) ** k * math.factorial(k) * float(D) ** (1 - k)
-    if mode == "lipschitz":
-        if k < 1:
-            raise ConvergenceModeError(
-                "weight-1 inner rows are principal values; use the naive "
-                "eisenstein ordering for k = 0"
-            )
-        return prefac * _coset_sum_lipschitz(label, t, k)
-    if mode == "naive":
-        if trunc is None:
-            raise ValueError("naive mode requires an explicit LatticeTruncation")
-        return prefac * _coset_sum_naive(label, t, k, trunc)
-    raise ValueError(f"unknown mode {mode!r}")
+    return prefac * coset_sum(label.a, label.b, label.N, D, t, k + 1, mode, trunc)

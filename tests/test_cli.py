@@ -152,6 +152,25 @@ class TestErrors:
         code = main(["verify", "heat", "--config", "/nonexistent/config.json"])
         assert code == 2
 
+    def test_unknown_config_key(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        for body in ({"seeed": 3}, {"diff": {"richardson_levels": 2}},
+                     {"truncation": {"shell_radius": 100, "compensated": False}}):
+            cfg.write_text(json.dumps(body))
+            assert main(["verify", "weierstrass", "--config", str(cfg)]) == 2
+        assert "seeed" in capsys.readouterr().err
+
+    def test_unknown_tolerance_name(self, capsys, tmp_path):
+        assert main(["verify", "heat", "--tolerance", "haet=1e-3"]) == 2
+        assert "haet" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tolerance_overrides": {"haet": 1e-3}}))
+        assert main(["verify", "heat", "--config", str(cfg)]) == 2
+        # names are checked against every suite, so one file serves them all
+        code, report = run_main(capsys, ["verify", "weierstrass", "--tolerance", "heat=1e-3"])
+        assert code == 0
+        assert report["overall_pass"] is True
+
 
 class TestConfigFile:
     def test_file_values_used(self, capsys, tmp_path):

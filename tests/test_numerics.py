@@ -11,32 +11,13 @@ from epolylog.numerics import (
     NonFiniteError,
     cauchy_coeffs,
     contour_integral,
-    enumerate_lattice,
     finite_diff,
     kahan_sum,
     ordered_map,
-    pairwise_sum,
 )
 
 
 class TestEnumerateLattice:
-    def test_box_count_and_origin(self):
-        pairs = list(enumerate_lattice(LatticeTruncation(3, ordering="box")))
-        assert len(pairs) == 7 * 7 - 1
-        assert (0, 0) not in pairs
-        assert len(set(pairs)) == len(pairs)
-
-    def test_box_order_row_major(self):
-        pairs = list(enumerate_lattice(LatticeTruncation(1, ordering="box")))
-        assert pairs == [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
-
-    def test_eisenstein_order_inner_n_first(self):
-        # the m = 0 row comes first, n alternating 1, -1, 2, -2, ...
-        pairs = list(enumerate_lattice(LatticeTruncation(2)))
-        assert pairs[:4] == [(0, 1), (0, -1), (0, 2), (0, -2)]
-        assert pairs[4] == (1, 0)
-        assert len(pairs) == 5 * 5 - 1
-
     def test_validation(self):
         with pytest.raises(ValueError):
             LatticeTruncation(0)
@@ -60,6 +41,19 @@ class TestFiniteDiff:
     def test_nonfinite(self):
         with pytest.raises(NonFiniteError):
             finite_diff(lambda z: math.nan, 0.3, DiffConfig(richardson_levels=0))
+
+    def test_array_valued_matches_componentwise(self):
+        f = lambda x: np.array([np.exp(x), 1j * np.sin(x), x**3 / 7.0])
+        cases = ((0.3 + 0.2j, DiffConfig()), (2.5, DiffConfig(step=1e-3, richardson_levels=3)))
+        for at, cfg in cases:
+            vec = finite_diff(f, at, cfg)
+            assert vec.shape == (3,)
+            for i in range(3):
+                assert finite_diff(lambda x: f(x)[i], at, cfg) == vec[i]
+
+    def test_array_valued_nonfinite_component(self):
+        with pytest.raises(NonFiniteError):
+            finite_diff(lambda x: np.array([x, math.nan]), 0.3, DiffConfig())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -125,10 +119,6 @@ class TestSummation:
         rng = np.random.default_rng(3)
         xs = rng.standard_normal(500) * 10.0 ** rng.integers(-8, 8, 500)
         assert abs(kahan_sum(xs) - math.fsum(xs)) < 1e-12 * max(1.0, abs(math.fsum(xs)))
-
-    def test_pairwise_sum(self):
-        xs = np.ones(1000, dtype=complex)
-        assert pairwise_sum(xs) == 1000.0 + 0.0j
 
 
 class TestOrderedMap:

@@ -121,6 +121,16 @@ class TestSpecialization:
                                       trunc=LatticeTruncation(300))
         assert abs(naive - lip) / max(1.0, abs(lip)) < 1e-4
 
+    def test_naive_box_matches_lipschitz(self):
+        label = TorsionLabel(a=1, b=2, N=5, D=2)
+        box = LatticeTruncation(100, ordering="box")
+        for k, bound in ((2, 1e-7), (3, 1e-9), (4, 1e-11)):
+            lip = specialize_eisenstein(label, TAU_A, k)
+            naive = specialize_eisenstein(label, TAU_A, k, mode="naive", trunc=box)
+            assert abs(naive - lip) / abs(lip) < bound
+        with pytest.raises(ConvergenceModeError):
+            specialize_eisenstein(label, TAU_A, 1, mode="naive", trunc=box)
+
     def test_weight_zero_needs_naive(self):
         label = TorsionLabel(a=1, b=0, N=4, D=2)
         with pytest.raises(ConvergenceModeError):
