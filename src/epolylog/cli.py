@@ -57,13 +57,11 @@ EVAL_TARGETS = ("J", "s_coeffs", "F", "F_tilde", "dlogtheta", "L_form")
 class RunConfig:
     """Knobs shared by every suite; see the module docstring for report
     determinism. tolerance_overrides maps check names, of any suite, to
-    tolerances. cauchy = None means each operation picks its own default
-    contour (radius clear of the D-torsion offsets)."""
+    tolerances."""
 
     seed: int = 0
     tolerance_overrides: dict = field(default_factory=dict)
     truncation: LatticeTruncation = LatticeTruncation(shell_radius=500)
-    cauchy: CauchyConfig | None = None
     parallelism: int = 1
     timings: bool = False
 
@@ -163,39 +161,38 @@ def _wp_ode(pt, _config) -> float:
 
 def _closedness(pt, config) -> float:
     z, t = pt
-    return max(closedness_residual(z, t, D, n, cauchy=config.cauchy)
-               for D in (2, 3) for n in range(5))
+    return max(closedness_residual(z, t, D, n) for D in (2, 3) for n in range(5))
 
 
-def _coeff_rescaling(pt, config) -> float:
-    # substitution w -> Dw: scaled-variant coefficients at radius r/D
-    # against D^k s_k extracted at radius r; node rounding noise grows
-    # like (D/r)^k, so the contour sits at 0.35 of the pole distance
+def _coeff_rescaling(pt, _config) -> float:
+    # contour oracle against closed form: the w -> Dw scaled variant at radius
+    # r/D against D^k s_k; node rounding noise grows like (D/r)^k, so the
+    # contour sits at 0.35 of the pole distance
     z, t = pt
     worst = 0.0
     for D in (2, 3):
-        base_cfg = config.cauchy or CauchyConfig(radius=0.35 * min(1.0, abs(t)), samples=256)
-        sc = s_coeffs(z, t, D, 8, base_cfg)
-        scaled_cfg = replace(base_cfg, radius=base_cfg.radius / D)
+        sc = s_coeffs(z, t, D, 8)
         cc = cauchy_coeffs(
-            lambda u: D * D * _J(z, D * np.asarray(u), t) - D * _J(D * z, u, t), 8, scaled_cfg)
+            lambda u: D * D * _J(z, D * np.asarray(u), t) - D * _J(D * z, u, t), 8,
+            CauchyConfig(radius=0.35 * min(1.0, abs(t)) / D, samples=256))
         for k in range(9):
             ref = D**k * sc.coeffs[k]
             worst = max(worst, abs(cc[k] - ref) / max(1.0, abs(ref)))
     return worst
 
 
-def _pole_removal(pt, config) -> float:
+def _pole_removal(pt, _config) -> float:
     # the D-variant is holomorphic across w = 0: on |w| = 1e-3, where each
     # J term alone is ~1e3, the value must match the degree-8 Taylor
     # polynomial from contour extraction
     z, t = pt
     worst = 0.0
     for D in (2, 3):
-        sc = s_coeffs(z, t, D, 8, config.cauchy)
+        coeffs = cauchy_coeffs(lambda w: D * D * _J(z, w, t) - D * _J(D * z, w / D, t), 8,
+                               default_cauchy_config(t, D))
         ws = 1e-3 * np.exp(2j * np.pi * np.arange(16) / 16)
         f = D * D * _J(z, ws, t) - D * _J(D * z, ws / D, t)
-        poly = sum(sc.coeffs[k] * ws**k for k in range(9))
+        poly = sum(coeffs[k] * ws**k for k in range(9))
         worst = max(worst, float(np.max(np.abs(f - poly))))
     return worst
 
@@ -204,15 +201,11 @@ def _ks_residue(t: complex, at_torsion: bool) -> float:
     # residue D^2 - 1 at the origin, -1 at the D-torsion point (tau + 1)/D
     worst = 0.0
     for D in (2, 3):
-        # 128 contour nodes x an order-0 extraction each: skip the aliasing
-        # self-check and drop to 64 samples, plenty for c_0 alone
-        cfg = CauchyConfig(radius=default_cauchy_config(t, D).radius, samples=64,
-                           self_check=False)
         if at_torsion:
             center, r, expect = (t + 1) / D, 0.3 * min(1.0, abs(t)) / D, -2j * cmath.pi
         else:
             center, r, expect = 0.0, 0.4 * min(1.0, abs(t)) / D, 2j * cmath.pi * (D * D - 1)
-        val = contour_integral(lambda u: dlog_kato_siegel(u, t, D, cfg), center, r, 128)
+        val = contour_integral(lambda u: dlog_kato_siegel(u, t, D), center, r, 128)
         worst = max(worst, abs(val - expect) / abs(expect))
     return worst
 
@@ -230,11 +223,11 @@ def _ks_norm_trace(pt, _config) -> float:
     return worst
 
 
-def _dlog_zeta(pt, config) -> float:
+def _dlog_zeta(pt, _config) -> float:
     z, t = pt
     worst = 0.0
     for D in (2, 3):
-        form = l_form(z, t, D, 0, config.cauchy)
+        form = l_form(z, t, D, 0)
         ref = D * D * zeta_fn(z, t) - D * zeta_fn(D * z, t)
         worst = max(worst, abs(form.dz.get(0, 0) - ref) / max(1.0, abs(ref)))
     return worst
@@ -258,17 +251,14 @@ def _naive_vs_lipschitz(case, config) -> float:
 
 
 def _k2_ordered(case, _config) -> float:
-    a, b, N, t = case
-    v = eisenstein_sum_k2(a, b, N, t, LatticeTruncation(500))
+    a, b, N, t, v500 = case
     lip = F(EisensteinQuery(a=a, b=b, N=N, k=2, tau=t))
-    return abs(v - lip) / max(1.0, abs(lip))
+    return abs(v500 - lip) / max(1.0, abs(lip))
 
 
 def _k2_doubling(case, _config) -> float:
-    a, b, N, t = case
-    v500 = eisenstein_sum_k2(a, b, N, t, LatticeTruncation(500))
-    v1000 = eisenstein_sum_k2(a, b, N, t, LatticeTruncation(1000))
-    return abs(v500 - v1000)
+    a, b, N, t, v500 = case
+    return abs(v500 - eisenstein_sum_k2(a, b, N, t, LatticeTruncation(1000)))
 
 
 def _draw_spec_case(rng, N: int) -> tuple:
@@ -295,9 +285,11 @@ _KS_TZ = _each(1, _draw_tz, 5)
 _CURV_TAUS = _each(0, _draw_tau, 10)
 # fixed cases with a != 0 mod N: the inner rows then carry an oscillating
 # character and the 500-shell ordered sum lands within ~1e-6 of the
-# Lipschitz value; a = 0 rows converge only like 1/R
+# Lipschitz value; a = 0 rows converge only like 1/R. Each case carries its
+# 500-shell sum, which both k2 checks use
 _K2_CASES = Points(0, lambda rng: [
-    (1, 2, 5, 0.21 + 1.1j), (1, 1, 3, -0.3 + 1.6j), (2, 1, 5, 1.3j)])
+    (*c, eisenstein_sum_k2(*c, LatticeTruncation(500)))
+    for c in ((1, 2, 5, 0.21 + 1.1j), (1, 1, 3, -0.3 + 1.6j), (2, 1, 5, 1.3j))])
 
 # The verification suites, in report order: each check's name, anchor,
 # tolerance, point set and residual(point, config).
@@ -407,7 +399,7 @@ def cmd_eval(target: str, args, config: RunConfig) -> dict:
                            tau=ModuliPoint(t))
         return {"target": "J", "value": _c2j(jacobi_J(p))}
     if target == "s_coeffs":
-        sc = s_coeffs(_parse_complex(args.z), t, args.D, args.n, config.cauchy)
+        sc = s_coeffs(_parse_complex(args.z), t, args.D, args.n)
         return {"target": "s_coeffs", "D": sc.D,
                 "value": [_c2j(c) for c in sc.coeffs]}
     if target in ("F", "F_tilde"):
@@ -419,7 +411,7 @@ def cmd_eval(target: str, args, config: RunConfig) -> dict:
         return {"target": "dlogtheta",
                 "value": _c2j(dlog_kato_siegel(_parse_complex(args.z), t, args.D))}
     if target == "L_form":
-        form = L_form(_parse_complex(args.z), t, args.D, args.n, config.cauchy)
+        form = L_form(_parse_complex(args.z), t, args.D, args.n)
         table = {
             "dz": {f"({i},{j})": _c2j(c) for (i, j), c in sorted(form.dz.coeffs.items())},
             "dtau": {f"({i},{j})": _c2j(c) for (i, j), c in sorted(form.dtau.coeffs.items())},
@@ -460,12 +452,10 @@ def _load_config(args) -> RunConfig:
         unknown = sorted(set(base) - {f.name for f in fields(RunConfig)})
         if unknown:
             raise ValueError(f"unknown config keys {unknown}")
-    cauchy_kw = base.get("cauchy")
     cfg = RunConfig(
         seed=base.get("seed", 0),
         tolerance_overrides=dict(base.get("tolerance_overrides", {})),
         truncation=LatticeTruncation(**{"shell_radius": 500, **base.get("truncation", {})}),
-        cauchy=CauchyConfig(**cauchy_kw) if cauchy_kw else None,
         parallelism=base.get("parallelism", 1),
         timings=base.get("timings", False),
     )

@@ -27,7 +27,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
@@ -74,6 +74,11 @@ def _roots_of_unity(N: int) -> np.ndarray:
 
 def _zN(N: int, e: int) -> complex:
     return complex(cmath.exp(2j * cmath.pi * (e % N) / N))
+
+
+@lru_cache(maxsize=1024)
+def _row_chars(N: int, e: int, M: int) -> tuple:
+    return tuple(_zN(N, e * m) for m in range(-M, M + 1))  # zeta_N^(e m), |m| <= M
 
 
 def _polylog_root(s: int, xi: Fraction) -> complex:
@@ -170,7 +175,7 @@ def _coset_lipschitz(a: int, b: int, N: int, D: int, c: int, d: int, t: complex,
     M = _row_count(t.imag, _q_eff(xi), extra=4)
     m = np.arange(-M, M + 1)
     x = (m + c / D) * t + d / D
-    mchar = np.array([_zN(N, D * b * mm) for mm in m])
+    mchar = np.array(_row_chars(N, D * b % N, M))
     if c == 0:
         keep = m != 0
         rows = _T_rows(x[keep], xi, s)

@@ -5,8 +5,8 @@ with residue 1, satisfies the mixed heat equation
 2*pi*i dJ/dtau = d^2 J / dz dw, and transforms by the z-independent factor
 exp(-2*pi*i*c*w) under z -> z + c*tau + d. The degree-D variant
 D^2 J(z, w) - D J(Dz, w/D) is analytic at w = 0; its Taylor coefficients
-s_k feed the polylogarithm forms, and s_0 is the logarithmic derivative of
-the Kato-Siegel theta function.
+s_k, in closed form, feed the polylogarithm forms, and s_0 is the logarithmic
+derivative of the Kato-Siegel theta function.
 """
 
 from __future__ import annotations
@@ -20,8 +20,12 @@ from .numerics import CauchyConfig, DiffConfig, cauchy_coeffs, finite_diff
 from .weierstrass import (
     ModuliPoint,
     PoleProximityError,
+    _exp_taylor,
     _tau_of,
+    _theta_taylor,
     lattice_dist,
+    reduce_to_cell,
+    theta_logderiv,
     theta_normalized,
 )
 
@@ -99,40 +103,49 @@ def default_cauchy_config(tau, D: int) -> CauchyConfig:
     return CauchyConfig(radius=min(0.1, torsion_min / 2.0), samples=256)
 
 
-def s_coeffs(z: complex, tau, D: int, n: int, cfg: CauchyConfig | None = None) -> DVariantCoeffs:
+def s_coeffs(z: complex, tau, D: int, n: int) -> DVariantCoeffs:
     """Coefficients s_k, k = 0..n, of the pole-free degree-D kernel variant.
 
+    Closed form (Zagier, Invent. Math. 104, 1991): s_k = D^2 g_(k+1)(z) -
+    D^(1-k) g_(k+1)(Dz), g_m(x) the w^m coefficient of w J(x, w) =
+    [theta(x + w)/theta(x)] [w/theta(w)], where theta(x + w)/theta(x) =
+    exp(-2 pi i c w) theta(x0 + w)/theta(x0) for x = x0 + m + c*tau.
     s_0 = D^2 zeta(z) - D zeta(Dz); rescaling w -> Dw multiplies s_k by D^k.
-    Contour extraction with the aliasing self-check from CauchyConfig.
     """
     if n < 0 or n > MAX_COEFF_ORDER:
         raise ValueError(f"coefficient order must be in 0..{MAX_COEFF_ORDER}, got {n}")
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
     t = _tau_of(tau)
-    for name, x in (("z", z), ("Dz", D * z)):
-        if lattice_dist(x, t) < 1e-8:
-            raise PoleProximityError(f"{name} within 1e-8 of the lattice")
-    cfg = cfg or default_cauchy_config(t, D)
+    # columns x = z, Dz; T holds the Taylor coefficients at x0 and at 0
+    x0, _, c = reduce_to_cell(np.array([z, D * z]), t)
+    if np.min(np.abs(x0)) < 1e-8:
+        raise PoleProximityError("z or Dz within 1e-8 of the lattice")
+    T = _theta_taylor(np.append(x0, 0.0), t, n + 2)
+    ratio = T[: n + 2, :2] / T[0, :2]
+    shift = _exp_taylor(-2j * np.pi * c, n + 1)
+    g = np.array([np.convolve(ratio[:, i], shift[:, i])[: n + 2] for i in range(2)]).T
+    for j in range(1, n + 2):  # divide by theta(w)/w, the series T[1:, 2]
+        g[j] -= T[j + 1 : 1 : -1, 2] @ g[:j]
+    k = np.arange(n + 1)
+    coeffs = D * D * g[1:, 0] - float(D) ** (1 - k) * g[1:, 1]
+    return DVariantCoeffs(D=D, z=z, tau=t, coeffs=tuple(complex(v) for v in coeffs))
 
-    def f(w):
-        return D * D * _J(z, w, t) - D * _J(D * z, w / D, t)
 
-    coeffs = cauchy_coeffs(f, n, cfg)
-    return DVariantCoeffs(D=D, z=z, tau=t, coeffs=tuple(coeffs))
-
-
-def dlog_kato_siegel(z: complex, tau, D: int, cfg: CauchyConfig | None = None) -> complex:
-    """Logarithmic derivative of the Kato-Siegel theta function: the constant
-    term s_0 = D^2 zeta(z) - D zeta(Dz), computed by contour extraction.
+def dlog_kato_siegel(z, tau, D: int, cfg: CauchyConfig | None = None):
+    """Logarithmic derivative of the Kato-Siegel theta function, the constant
+    term s_0 = D^2 zeta(z) - D zeta(Dz); broadcasts over arrays of z. With
+    cfg, s_0 is instead extracted on that contour (the reference path).
 
     Meromorphic with residue D^2 - 1 at lattice points and residue -1 at the
     nonzero D-torsion points; z must stay 1e-8 away from all of these.
     """
     t = _tau_of(tau)
-    if lattice_dist(D * z, t) / D < 1e-8:
+    if lattice_dist(D * np.asarray(z), t) / D < 1e-8:
         raise PoleProximityError(f"z = {z} within 1e-8 of the D-torsion locus")
-    return s_coeffs(z, t, D, 0, cfg).coeffs[0]
+    if cfg is not None:
+        return cauchy_coeffs(lambda w: D * D * _J(z, w, t) - D * _J(D * z, w / D, t), 0, cfg)[0]
+    return D * D * theta_logderiv(z, t) - D * theta_logderiv(D * np.asarray(z), t)
 
 
 def distribution_residual(p: KroneckerPoint, D: int) -> float:

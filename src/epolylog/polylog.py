@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .eisenstein import coset_sum
 from .kronecker import s_coeffs
 from .logsheaf import LogFiber, LogValuedForm, abs_connection
-from .numerics import CauchyConfig, DiffConfig, finite_diff
+from .numerics import DiffConfig, finite_diff
 from .weierstrass import PoleProximityError, _tau_of, lattice_dist
 
 TWO_PI_I = 2j * cmath.pi
@@ -57,21 +57,21 @@ class TorsionLabel:
             raise ValueError(f"D must be >= 1, got {self.D}")
 
 
-def l_form(z: complex, tau, D: int, n: int, cfg: CauchyConfig | None = None) -> LogValuedForm:
+def l_form(z: complex, tau, D: int, n: int) -> LogValuedForm:
     """Relative polylogarithm form at level n: dz coefficients k! s_k on the
     rows w^[k,0], no dtau part."""
     t = _tau_of(tau)
-    sc = s_coeffs(z, t, D, n, cfg)
+    sc = s_coeffs(z, t, D, n)
     dz = {(k, 0): math.factorial(k) * sc.coeffs[k] for k in range(n + 1)}
     return LogValuedForm(n=n, dz=LogFiber(n, dz), dtau=LogFiber.zero(n))
 
 
-def L_form(z: complex, tau, D: int, n: int, cfg: CauchyConfig | None = None) -> LogValuedForm:
+def L_form(z: complex, tau, D: int, n: int) -> LogValuedForm:
     """Absolute polylogarithm form at level n: the relative coefficients plus
     the dtau tower (k+1)! s_(k+1) / (2 pi i) on w^[k,0]. Identical floats to
     ks_lift of the level-(n+1) relative form."""
     t = _tau_of(tau)
-    sc = s_coeffs(z, t, D, n + 1, cfg)
+    sc = s_coeffs(z, t, D, n + 1)
     dz = {(k, 0): math.factorial(k) * sc.coeffs[k] for k in range(n + 1)}
     dtau = {(k, 0): math.factorial(k + 1) * sc.coeffs[k + 1] / TWO_PI_I for k in range(n + 1)}
     return LogValuedForm(n=n, dz=LogFiber(n, dz), dtau=LogFiber(n, dtau))
@@ -83,7 +83,6 @@ def closedness_residual(
     D: int,
     n: int,
     cfg: DiffConfig | None = None,
-    cauchy: CauchyConfig | None = None,
     eta1_prime_method: str = "finite_diff",
 ) -> float:
     """Max coefficient of d(L_n) + nabla ^ L_n, over the level-n basis,
@@ -99,12 +98,12 @@ def closedness_residual(
     margin = 10.0 * cfg.step
     if lattice_dist(z, t) < margin or lattice_dist(D * z, t) < D * margin:
         raise PoleProximityError(f"z = {z} too close to the polar locus for the stencil")
-    form = L_form(z, t, D, n, cauchy)
+    form = L_form(z, t, D, n)
     P, Q = form.dz, form.dtau
     dP = LogFiber.from_vector(
-        n, finite_diff(lambda s: L_form(z, s, D, n, cauchy).dz.vector(), t, cfg))
+        n, finite_diff(lambda s: L_form(z, s, D, n).dz.vector(), t, cfg))
     dQ = LogFiber.from_vector(
-        n, finite_diff(lambda x: L_form(x, t, D, n, cauchy).dtau.vector(), z, cfg))
+        n, finite_diff(lambda x: L_form(x, t, D, n).dtau.vector(), z, cfg))
     nab_tau_P = abs_connection(P, t, eta1_prime_method).dtau
     nab_z_Q = abs_connection(Q, t, eta1_prime_method).dz
     resid = dP.scale(-1.0).add(nab_tau_P.scale(-1.0)).add(dQ).add(nab_z_Q)

@@ -1,4 +1,6 @@
-"""Weierstrass functions on the lattice Z + Z*tau via q-series.
+"""Weierstrass functions on the lattice Z + Z*tau via q-series: one theta
+engine (_theta_taylor, Taylor coefficients from the Jacobi series) under the
+theta family and kronecker.s_coeffs; Lambert series for eta1, g2 and g3.
 
 Conventions: eta1 is the quasi-period with eta1(i) = +pi and
 zeta(z+1) - zeta(z) = eta1; eta2 = eta1*tau - 2*pi*i (Legendre relation with
@@ -53,14 +55,6 @@ def _tau_of(tau) -> complex:
     return t
 
 
-def _nterms(im_tau: float) -> int:
-    # |q|^n below 1e-19 after the reduced-z factor e^{+-pi Im tau}
-    n = int(math.ceil(45.0 / (2.0 * math.pi * im_tau))) + 6
-    if n > 5000:
-        raise ConvergenceError(f"Im tau = {im_tau} too small for the q-series")
-    return n
-
-
 def reduce_to_cell(z, tau) -> tuple:
     """Write z = z0 + m + n*tau with m = round(alpha), n = round(beta) for the
     real coordinates z = alpha + beta*tau. Works elementwise on arrays."""
@@ -80,56 +74,48 @@ def lattice_dist(z, tau) -> float:
     return float(np.min(np.abs(z0))) if z0.shape else float(abs(z0))
 
 
-def _theta_raw(z0: np.ndarray, t: complex) -> np.ndarray:
-    # z0 must already lie in the fundamental cell
-    q = cmath.exp(2j * cmath.pi * t)
-    e = np.exp(2j * np.pi * z0)
-    prod = np.ones_like(e)
-    qn = 1.0 + 0.0j
-    for _ in range(_nterms(t.imag)):
-        qn *= q
-        prod *= (1.0 - qn * e) * (1.0 - qn / e) / (1.0 - qn) ** 2
-    return np.sin(np.pi * z0) / np.pi * prod
+def _exp_taylor(x: np.ndarray, m: int) -> np.ndarray:
+    """Rows x^j / j!, j = 0..m: the Taylor coefficients of exp(x w) in w."""
+    return np.cumprod(np.vstack([np.ones(len(x)), x / np.arange(1, m + 1)[:, None]]), axis=0)
 
 
-def _theta_logderiv_raw(z0: np.ndarray, t: complex) -> np.ndarray:
-    q = cmath.exp(2j * cmath.pi * t)
-    e = np.exp(2j * np.pi * z0)
-    acc = np.zeros_like(e)
-    qn = 1.0 + 0.0j
-    for _ in range(_nterms(t.imag)):
-        qn *= q
-        u = qn / e
-        v = qn * e
-        acc += u / (1.0 - u) - v / (1.0 - v)
-    return np.pi / np.tan(np.pi * z0) + 2j * np.pi * acc
+@lru_cache(maxsize=256)
+def _jacobi_weights(t: complex, m: int) -> tuple:
+    # frequencies a_k, and weights on sin(a_k z) (rows j even) or cos(a_k z);
+    # at |Im z| <= Im(tau)/2 term k is below exp(-pi Im(tau) k^2) (2k+1)^m
+    # times term 0, and the terms stop under e^-42
+    pi_im = math.pi * t.imag
+    K = next((k for k in range(1, 200) if pi_im * k * k - m * math.log(2 * k + 1) > 42.0
+              and pi_im * k * (2 * k + 1) > m), None)
+    if K is None:
+        raise ConvergenceError(f"Im tau = {t.imag} too small for the theta series")
+    k = np.arange(K)
+    a = (2 * k + 1) * np.pi
+    c = (-1.0) ** k * np.exp(1j * np.pi * t * k * (k + 1))  # q^(-1/4) cancels
+    norm = c @ a
+    # the result's relative error is about 1e-16 times the cancellation of
+    # the alternating sum for theta_1'(0), which grows like e^(pi / (4 Im tau))
+    cancellation = (np.abs(c) @ a) / abs(norm)
+    if not cancellation < 1e6:
+        raise ConvergenceError(f"Im tau = {t.imag} too small for the theta series: "
+                               f"its terms cancel {cancellation:.1e}-fold")
+    # d^j/dz^j sin(a z) = a^j sin(a z + j pi/2): the sign cycles + + - -
+    w = (-1.0) ** (np.arange(m + 1) // 2)[:, None] * (c / norm) * _exp_taylor(a, m)
+    a.flags.writeable = w.flags.writeable = False
+    return a, w
 
 
-def _theta_logderiv2_raw(z0: np.ndarray, t: complex) -> np.ndarray:
-    q = cmath.exp(2j * cmath.pi * t)
-    e = np.exp(2j * np.pi * z0)
-    acc = np.zeros_like(e)
-    qn = 1.0 + 0.0j
-    for _ in range(_nterms(t.imag)):
-        qn *= q
-        u = qn / e
-        v = qn * e
-        acc += u / (1.0 - u) ** 2 + v / (1.0 - v) ** 2
-    return -np.pi**2 / np.sin(np.pi * z0) ** 2 + 4.0 * np.pi**2 * acc
-
-
-def _theta_logderiv3_raw(z0: np.ndarray, t: complex) -> np.ndarray:
-    q = cmath.exp(2j * cmath.pi * t)
-    e = np.exp(2j * np.pi * z0)
-    acc = np.zeros_like(e)
-    qn = 1.0 + 0.0j
-    for _ in range(_nterms(t.imag)):
-        qn *= q
-        u = qn / e
-        v = qn * e
-        acc += v * (1.0 + v) / (1.0 - v) ** 3 - u * (1.0 + u) / (1.0 - u) ** 3
-    s = np.sin(np.pi * z0)
-    return 2.0 * np.pi**3 * np.cos(np.pi * z0) / s**3 + 8j * np.pi**3 * acc
+def _theta_taylor(z0, t: complex, m: int) -> np.ndarray:
+    """Taylor coefficients theta^(j)(z0)/j!, j = 0..m, shape (m + 1,) + z0.shape,
+    at z0 in the fundamental cell: theta_1(pi z) = 2 sum_k (-1)^k q^((k+1/2)^2)
+    sin((2k+1) pi z), q = e^(i pi tau), over pi theta_1'(0); 1-periodic in tau."""
+    a, w = _jacobi_weights(complex(t.real - round(t.real), t.imag), m)
+    z0 = np.asarray(z0, dtype=complex)
+    x = np.outer(a, z0)
+    out = np.empty((m + 1, z0.size), dtype=complex)
+    out[0::2] = w[0::2] @ np.sin(x)
+    out[1::2] = w[1::2] @ np.cos(x)
+    return out.reshape((m + 1,) + z0.shape)
 
 
 def theta_normalized(z, tau):
@@ -144,7 +130,7 @@ def theta_normalized(z, tau):
     omega = n * t + m
     sign = np.where((m + n + m * n) % 2 == 0, 1.0, -1.0)
     fac = sign * np.exp(-2j * np.pi * n * (z0 + omega / 2.0))
-    out = fac * _theta_raw(z0, t)
+    out = fac * _theta_taylor(z0, t, 0)[0]
     return out if out.shape else complex(out)
 
 
@@ -152,19 +138,24 @@ def theta_logderiv(z, tau):
     """d/dz log theta_normalized, with the exact -2*pi*i*n translation shift."""
     t = _tau_of(tau)
     z0, _, n = reduce_to_cell(z, t)
-    out = _theta_logderiv_raw(z0, t) - 2j * np.pi * n
+    T = _theta_taylor(z0, t, 1)
+    out = T[1] / T[0] - 2j * np.pi * n
     return out if out.shape else complex(out)
 
 
 @lru_cache(maxsize=4096)
 def _eisenstein_weights(t: complex) -> tuple:
-    # Lambert series for E2, E4, E6; absolutely convergent for |q| < 1
+    # Lambert series for E2, E4, E6; absolutely convergent for |q| < 1, and
+    # |q|^n below 1e-19
+    n = int(math.ceil(45.0 / (2.0 * math.pi * t.imag))) + 6
+    if n > 5000:
+        raise ConvergenceError(f"Im tau = {t.imag} too small for the q-series")
     q = cmath.exp(2j * cmath.pi * t)
     e2 = 1.0 + 0.0j
     e4 = 1.0 + 0.0j
     e6 = 1.0 + 0.0j
     qn = 1.0 + 0.0j
-    for k in range(1, _nterms(t.imag) + 2):
+    for k in range(1, n + 2):
         qn *= q
         lam = qn / (1.0 - qn)
         e2 -= 24.0 * k * lam
@@ -203,19 +194,18 @@ def zeta_fn(z: complex, tau) -> complex:
 
 
 def wp(z: complex, tau) -> tuple[complex, complex]:
-    """Weierstrass p-function and its derivative, (p(z), p'(z)).
-
-    p = -(log theta)'' - eta1; both values are computed from the reduced
-    point since p and p' are fully periodic.
-    """
+    """Weierstrass p-function and its derivative, (p(z), p'(z)), from the
+    reduced point z0: p = -(log theta)'' - eta1 and p' = -sigma(2 z0)/sigma(z0)^4
+    = -theta(2 z0)/theta(z0)^4, which keeps its digits at small Im tau where
+    -(log theta)''' from Taylor coefficients cancels."""
     t = _tau_of(tau)
     if lattice_dist(z, t) < 1e-8:
         raise PoleProximityError(f"z = {z} within 1e-8 of the lattice")
     z0, _, _ = reduce_to_cell(z, t)
-    eta1 = eta_periods(t).eta1
-    p = -complex(_theta_logderiv2_raw(z0, t)) - eta1
-    pprime = -complex(_theta_logderiv3_raw(z0, t))
-    return p, pprime
+    T = _theta_taylor(z0, t, 2)
+    log1 = T[1] / T[0]
+    p = -(2.0 * T[2] / T[0] - log1 * log1) - eta_periods(t).eta1
+    return complex(p), -theta_normalized(2.0 * z0, t) / complex(T[0]) ** 4
 
 
 def g_invariants(tau) -> tuple[complex, complex]:

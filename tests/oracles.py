@@ -108,3 +108,31 @@ def F_brute(a, b, N, k, tau, R=400):
     den = (m * complex(tau) + n) ** k
     sign = 1.0 if k % 2 == 1 else -1.0
     return sign * float(math.factorial(k - 1)) * np.sum(char / den)
+
+
+def s_coeffs_ref(z, tau, D, n, nodes=64):
+    """Taylor coefficients s_0..s_n of w -> D^2 J(z, w) - D J(Dz, w/D), by the
+    trapezoid rule on |w| = r with J from jtheta. The poles nearest to w = 0
+    lie on the lattice, so r is half the shortest lattice vector and the
+    aliasing error is about 2^-nodes relative."""
+    tau = mpc(tau)
+    q = _q(tau)
+    norm = mppi * jtheta(1, 0, q, 1)
+
+    def theta(x):
+        return jtheta(1, mppi * x, q) / norm
+
+    def J(x, w):
+        return theta(x + w) / (theta(x) * theta(w))
+
+    r = min(abs(m * tau + k) for m in range(4)
+            for k in range(-int(mp.nint(m * tau.real)) - 1, -int(mp.nint(m * tau.real)) + 2)
+            if m or k) / 2
+    z = mpc(z)
+    acc = [mpc(0)] * (n + 1)
+    for j in range(nodes):
+        w = r * mpexp(2j * mppi * j / nodes)
+        f = D * D * J(z, w) - D * J(D * z, w / D)
+        for k in range(n + 1):
+            acc[k] += f / w**k
+    return [complex(c / nodes) for c in acc]

@@ -155,6 +155,7 @@ class TestErrors:
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         for body in ({"seeed": 3}, {"diff": {"richardson_levels": 2}},
+                     {"cauchy": {"radius": 0.1, "samples": 256}},
                      {"truncation": {"shell_radius": 100, "compensated": False}}):
             cfg.write_text(json.dumps(body))
             assert main(["verify", "weierstrass", "--config", str(cfg)]) == 2

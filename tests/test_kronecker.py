@@ -111,18 +111,38 @@ class TestSCoeffs:
             assert rel(sc.coeffs[k], ref[k]) < 1e-10
 
     def test_rescaling_paired_radii(self):
+        # closed form against the contour oracle: the w -> Dw substituted
+        # variant on radius r/D has coefficients D^k s_k
         from epolylog.kronecker import _J
         from epolylog.numerics import cauchy_coeffs
 
         z, t, D = Z_A, TAU_A, 3
         r = 0.35 * min(1.0, abs(t))
-        sc = s_coeffs(z, t, D, 8, CauchyConfig(radius=r, samples=256))
+        sc = s_coeffs(z, t, D, 8)
         cc = cauchy_coeffs(
             lambda u: D * D * _J(z, D * u, t) - D * _J(D * z, u, t),
             8, CauchyConfig(radius=r / D, samples=256),
         )
         for k in range(9):
             assert rel(cc[k], D**k * sc.coeffs[k]) < 1e-9
+
+    def test_order_16_vs_oracle(self):
+        # every order the API allows, against a dps-30 trapezoid rule on J
+        for (z, t), D in zip(STANDARD_POINTS + [(0.12 + 0.28j, 0.45 + 0.82j)], (2, 3, 2, 3, 3)):
+            sc = s_coeffs(z, t, D, MAX_COEFF_ORDER)
+            ref = oracles.s_coeffs_ref(z, t, D, MAX_COEFF_ORDER)
+            for k in range(MAX_COEFF_ORDER + 1):
+                assert rel(sc.coeffs[k], ref[k]) < 1e-12
+
+    def test_benchmark_known_defects(self):
+        # order 16 in the verify box, and a lattice whose shortest vector
+        # (0.1i) is far below min(1, |tau|): the contour extraction missed
+        # the first by a relative 0.33 and raised NonFiniteError on the second
+        for z, t, D, n in ((0.23 + 0.11j, 0.5 + 0.8j, 2, 16), (0.31 + 0.03j, 5 + 0.1j, 2, 4)):
+            sc = s_coeffs(z, t, D, n)
+            ref = oracles.s_coeffs_ref(z, t, D, n)
+            for k in range(n + 1):
+                assert abs(sc.coeffs[k] - ref[k]) / abs(ref[k]) < 1e-10
 
     def test_order_validation(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ import oracles
 from conftest import STANDARD_POINTS, STANDARD_TAUS
 from epolylog.numerics import DiffConfig
 from epolylog.weierstrass import (
+    ConvergenceError,
     ModuliPoint,
     PoleProximityError,
     eta1_prime,
@@ -84,6 +85,18 @@ class TestTheta:
         z, t = Z_A, TAU_A
         d = theta_logderiv(z + t, t) - theta_logderiv(z, t)
         assert abs(d + 2j * cmath.pi) < 1e-12
+
+    def test_small_im_tau_raises(self):
+        # the alternating Jacobi series cancels like e^(pi / (4 Im tau)):
+        # past 1e6 it raises rather than return a value short of digits
+        for t in (0.04j, 0.5 + 1e-3j, 1.0 + 1e-6j, 1e-300j):
+            with pytest.raises(ConvergenceError):
+                theta_normalized(Z_A * t.imag, t)
+        # the guard measures the cancellation, which is mildest away from
+        # the cusp at 0
+        for t in (-7.0 + 0.06j, 0.5 + 0.04j, 0.3 + 1e-3j):
+            z = 0.27 + 0.31 * t
+            assert rel(theta_normalized(z, t), oracles.theta_ref(z, t)) < 1e-10
 
     def test_vectorized(self):
         # array and scalar paths may differ by 1 ulp (SIMD transcendentals)
@@ -186,6 +199,17 @@ class TestWp:
             p, pp = wp(z, t)
             assert rel(p, oracles.wp_ref(z, t)) < 1e-13
             assert rel(pp, oracles.wpprime_ref(z, t)) < 1e-13
+
+    def test_small_im_tau(self):
+        # p' = -theta(2z)/theta(z)^4 keeps its digits where the third
+        # log-derivative from Taylor coefficients loses them (1.3e-11,
+        # 5.9e-12 and 2.3e-12 on these points)
+        for t, a, b in ((-16 + 0.06j, 0.12, 0.34), (-16.5 + 0.06j, 0.2, 0.39),
+                        (19.9 + 0.06j, 0.4, 0.35)):
+            z = a + b * t
+            p, pp = wp(z, t)
+            assert rel(p, oracles.wp_ref(z, t)) < 1e-12
+            assert rel(pp, oracles.wpprime_ref(z, t)) < 1e-12
 
     def test_brute_lattice_sum(self):
         # box-truncated raw lattice sum, independent of any theta machinery
