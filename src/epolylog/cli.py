@@ -351,7 +351,7 @@ SUITES = tuple(CHECKS)
 
 def _check(name, anchor, tolerance, config, points, residual) -> dict:
     t0 = time.perf_counter()
-    residuals = ordered_map(lambda p: residual(p, config), points, config.parallelism)
+    residuals = ordered_map(lambda p: residual(p, config), points)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     tol = float(config.tolerance_overrides.get(name, tolerance))
     worst = float(max(residuals))
@@ -467,7 +467,8 @@ def _load_config(args) -> RunConfig:
         cfg = replace(cfg, timings=True)
     if getattr(args, "shell_radius", None) is not None or getattr(args, "ordering", None):
         cfg = replace(cfg, truncation=LatticeTruncation(
-            shell_radius=args.shell_radius or cfg.truncation.shell_radius,
+            shell_radius=(cfg.truncation.shell_radius if args.shell_radius is None
+                          else args.shell_radius),
             ordering=args.ordering or cfg.truncation.ordering,
         ))
     tols = _parse_tolerances(getattr(args, "tolerance", None))
@@ -490,7 +491,8 @@ def _add_common(p) -> None:
     p.add_argument("--config", type=str, default=None, help="JSON config file")
     p.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
                    help="override a check tolerance (repeatable)")
-    p.add_argument("--parallelism", type=int, default=None)
+    p.add_argument("--parallelism", type=int, default=None,
+                   help="accepted for compatibility (>= 1); checks always run serially")
     p.add_argument("--timings", action="store_true",
                    help="record wall-clock runtime_ms (non-canonical reports)")
     p.add_argument("--shell-radius", type=int, default=None, dest="shell_radius")

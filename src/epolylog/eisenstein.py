@@ -27,7 +27,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
@@ -185,13 +185,25 @@ def _coset_lipschitz(a: int, b: int, N: int, D: int, c: int, d: int, t: complex,
     return _zN(N, c * b - d * a) * coset
 
 
-def _naive_sum(a: int, b: int, N: int, D: int, c: int, d: int, t: complex, s: int,
-               trunc: LatticeTruncation) -> complex:
-    """The lattice sum of coset_sum for the one coset (c, d), truncated to
-    |m|, |n| <= R in the ordering of trunc: "box" sums whole rows m = -R..R,
-    "eisenstein" sums row 0, then the paired rows +-m, each row from n = 0
-    outward in +-n pairs. The origin term is skipped only when c = d = 0, so
-    F is the case D = 1, c = d = 0."""
+# terms per block of rows in the naive kernel (a row longer than this is a
+# block of its own), which bounds its arrays whatever the truncation radius
+_BLOCK = 1 << 13
+
+
+def _naive_sums(labels, N: int, D: int, c: int, d: int, t: complex, s: int,
+                trunc: LatticeTruncation) -> list:
+    """The lattice sum of coset_sum for the one coset (c, d), one sum per
+    character label (a, b) in labels, truncated to |m|, |n| <= R in the
+    ordering of trunc: "box" sums whole rows m = -R..R, "eisenstein" sums row
+    0, then the paired rows +-m, each row from n = 0 outward in +-n pairs. The
+    origin term is skipped only when c = d = 0, so F is the case D = 1,
+    c = d = 0.
+
+    Rows are evaluated in blocks of at most _BLOCK terms, and every label
+    divides its characters by the same block of denominators. Each row's
+    character factor and the eisenstein origin column are Python complex
+    scalars, and the rows are Kahan-summed in order, so a label's sum does not
+    depend on the block size or on the other labels."""
     if trunc.ordering == "box" and s < 3:
         raise ConvergenceModeError(
             f"weight {s} is conditionally convergent; box ordering is not a sum"
@@ -199,39 +211,44 @@ def _naive_sum(a: int, b: int, N: int, D: int, c: int, d: int, t: complex, s: in
     R = trunc.shell_radius
     roots = _roots_of_unity(N)
     skip_origin = c == 0 and d == 0
-
-    def base(m: int) -> complex:
-        return (m + c / D) * t + d / D
-
-    if trunc.ordering == "box":
+    box = trunc.ordering == "box"
+    if box:
         n = np.arange(-R, R + 1)
-        char_n = roots[(-(D * n + d) * a) % N]
-
-        def row(m: int) -> complex:
-            den = (base(m) + n) ** s
-            origin = skip_origin and m == 0
-            if origin:
-                den[R] = 1.0  # origin excluded below
-            terms = char_n / den
-            if origin:
-                terms[R] = 0.0
-            return roots[((D * m + c) * b) % N] * complex(np.sum(terms))
-
-        return kahan_sum(row(m) for m in range(-R, R + 1))
-
-    n = np.arange(1, R + 1)
-    char_pos = roots[(-(D * n + d) * a) % N]
-    char_neg = roots[(-(-D * n + d) * a) % N]
-    char_0 = complex(roots[(-d * a) % N])  # Python complex division, as F's pinned values use
-
-    def row(m: int) -> complex:
-        x = base(m)
-        inner = complex(np.sum(char_pos / (x + n) ** s + char_neg / (x - n) ** s))
-        if not (skip_origin and m == 0):
-            inner += char_0 / x**s
-        return roots[((D * m + c) * b) % N] * inner
-
-    return kahan_sum(row(0) if m == 0 else row(m) + row(-m) for m in range(R + 1))
+        ms = list(range(-R, R + 1))
+        chars = [roots[(-(D * n + d) * a) % N] for a, _ in labels]
+    else:
+        n = np.arange(1, R + 1)
+        ms = [0] + [m for k in range(1, R + 1) for m in (k, -k)]
+        # char_0 is a Python complex: the origin column divides as F's pinned values do
+        chars = [(roots[(-(D * n + d) * a) % N], roots[(-(-D * n + d) * a) % N],
+                  complex(roots[(-d * a) % N])) for a, _ in labels]
+    rows = [[] for _ in labels]
+    step = max(1, _BLOCK // (2 * R + 1))
+    for i in range(0, len(ms), step):
+        block = ms[i:i + step]
+        xs = [(m + c / D) * t + d / D for m in block]
+        x = np.array(xs)[:, None]
+        origin = block.index(0) if skip_origin and 0 in block else None
+        if box:
+            den = (x + n) ** s
+            if origin is not None:
+                den[origin, R] = 1.0  # origin excluded below
+        else:
+            plus, minus = (x + n) ** s, (x - n) ** s
+            cols = [None if j == origin else xk**s for j, xk in enumerate(xs)]
+        for (_, b), ch, out in zip(labels, chars, rows):
+            if box:
+                terms = ch / den
+                if origin is not None:
+                    terms[origin, R] = 0.0
+                inner = terms.sum(axis=1).tolist()
+            else:
+                inner = (ch[0] / plus + ch[1] / minus).sum(axis=1).tolist()
+                inner = [v if col is None else v + ch[2] / col for v, col in zip(inner, cols)]
+            out.extend(roots[((D * m + c) * b) % N] * v for m, v in zip(block, inner))
+    if box:
+        return [kahan_sum(r) for r in rows]
+    return [kahan_sum([r[0]] + [p + q for p, q in zip(r[1::2], r[2::2])]) for r in rows]
 
 
 def F(query: EisensteinQuery) -> complex:
@@ -244,10 +261,16 @@ def F(query: EisensteinQuery) -> complex:
     t = _tau_of(query.tau)
     if query.mode == "lipschitz":
         return _F_lipschitz(query.a, query.b, query.N, query.k, t)
+    return _F_naive(query, t, [(query.a, query.b)])[0]
+
+
+def _F_naive(query: EisensteinQuery, t: complex, labels) -> list:
+    # naive F at each label (a, b) of labels, at the query's level, weight
+    # and truncation
     if query.trunc is None:
         raise ValueError("naive mode requires an explicit LatticeTruncation")
     prefac = (-1) ** (query.k + 1) * math.factorial(query.k - 1)
-    return prefac * _naive_sum(query.a, query.b, query.N, 1, 0, 0, t, query.k, query.trunc)
+    return [prefac * v for v in _naive_sums(labels, query.N, 1, 0, 0, t, query.k, query.trunc)]
 
 
 def F_tilde(query: EisensteinQuery, D: int, allow_degenerate: bool = False) -> complex:
@@ -261,9 +284,9 @@ def F_tilde(query: EisensteinQuery, D: int, allow_degenerate: bool = False) -> c
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
     t = _tau_of(query.tau)
-    first = F(query)
     a2, b2 = (D * query.a) % query.N, (D * query.b) % query.N
     if a2 == 0 and b2 == 0:
+        first = F(query)
         if not allow_degenerate:
             raise DegenerateLabelError(
                 f"(Da, Db) = {(D * query.a, D * query.b)} is (0,0) mod {query.N}"
@@ -271,10 +294,13 @@ def F_tilde(query: EisensteinQuery, D: int, allow_degenerate: bool = False) -> c
         if query.k < 2:
             raise ConvergenceModeError("trivial-character extension needs k >= 2")
         second = _F_lipschitz(0, 0, 1, query.k, t)
+    elif query.mode == "naive":
+        # one pass over the lattice: the two labels share its denominators
+        first, second = _F_naive(query, t, [(query.a, query.b), (a2, b2)])
     else:
-        q2 = EisensteinQuery(a=a2, b=b2, N=query.N, k=query.k, tau=query.tau,
-                             mode=query.mode, trunc=query.trunc)
-        second = F(q2)
+        first = F(query)
+        second = F(EisensteinQuery(a=a2, b=b2, N=query.N, k=query.k, tau=query.tau,
+                                   mode=query.mode, trunc=query.trunc))
     return D**2 * first - D ** (2 - query.k) * second
 
 
@@ -293,19 +319,23 @@ def coset_sum(a: int, b: int, N: int, D: int, tau, s: int, mode: str = "lipschit
     if mode == "naive":
         if trunc is None:
             raise ValueError("naive mode requires an explicit LatticeTruncation")
-        one_coset = partial(_naive_sum, trunc=trunc)
+
+        def one_coset(c, d):
+            return _naive_sums([(a, b)], N, D, c, d, t, s, trunc)[0]
     elif mode == "lipschitz":
         if s < 2:
             raise ConvergenceModeError(
                 "weight-1 inner rows are principal values; use the naive eisenstein ordering")
-        one_coset = _coset_lipschitz
+
+        def one_coset(c, d):
+            return _coset_lipschitz(a, b, N, D, c, d, t, s)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     total = 0.0 + 0.0j
     for c in range(D):
         for d in range(D):
             if c != 0 or d != 0:
-                total += one_coset(a, b, N, D, c, d, t, s)
+                total += one_coset(c, d)
     return total
 
 

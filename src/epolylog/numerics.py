@@ -7,7 +7,6 @@ randomness, no environment-dependent branching.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -37,8 +36,9 @@ class LatticeTruncation:
     ordering: str = "eisenstein"
 
     def __post_init__(self) -> None:
-        if self.shell_radius < 1:
-            raise ValueError(f"shell_radius must be >= 1, got {self.shell_radius}")
+        R = self.shell_radius
+        if not isinstance(R, int) or isinstance(R, bool) or R < 1:
+            raise ValueError(f"shell_radius must be an integer >= 1, got {R!r}")
         if self.ordering not in ("eisenstein", "box"):
             raise ValueError(f"unknown ordering {self.ordering!r}")
 
@@ -177,9 +177,7 @@ def kahan_sum(terms: Iterable[complex]) -> complex:
 
 
 def ordered_map(fn: Callable, items: Sequence, parallelism: int = 1) -> list:
-    """Map fn over items, preserving order. parallelism > 1 uses threads;
-    results are identical to the serial order (pure fn required)."""
-    if parallelism <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(fn, items))
+    """Map fn over items in order. parallelism is accepted and ignored: the
+    map runs serially, because a thread pool made verify runs slower (the
+    checks are CPU-bound Python, serialized by the interpreter lock)."""
+    return [fn(x) for x in items]

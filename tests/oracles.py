@@ -136,3 +136,61 @@ def s_coeffs_ref(z, tau, D, n, nodes=64):
         for k in range(n + 1):
             acc[k] += f / w**k
     return [complex(c / nodes) for c in acc]
+
+
+def _kahan(terms):
+    s = c = 0.0 + 0.0j
+    for t in terms:
+        y = complex(t) - c
+        tmp = s + y
+        c = (tmp - s) - y
+        s = tmp
+    return s
+
+
+def naive_sum_rows(a, b, N, D, c, d, tau, s, R, ordering):
+    """The naive lattice sum of one coset (c, d), one row m at a time:
+
+      sum_{|m|,|n| <= R} zeta_N^((Dm+c) b - (Dn+d) a) / ((m + c/D) tau + n + d/D)^s,
+
+    without the origin when c = d = 0. "box" Kahan-sums the rows m = -R..R;
+    "eisenstein" Kahan-sums row 0, then the paired rows +-m, each row from
+    n = 0 outward in +-n pairs. This is the row loop the package's blocked
+    kernel replaced, kept operation for operation (the same roots of unity,
+    numpy powers in the rows, a Python complex power in the eisenstein origin
+    column), so the two agree exactly."""
+    roots = np.exp(2j * np.pi * np.arange(N) / N)
+    skip_origin = c == 0 and d == 0
+
+    def base(m):
+        return (m + c / D) * tau + d / D
+
+    if ordering == "box":
+        n = np.arange(-R, R + 1)
+        char_n = roots[(-(D * n + d) * a) % N]
+
+        def row(m):
+            den = (base(m) + n) ** s
+            origin = skip_origin and m == 0
+            if origin:
+                den[R] = 1.0
+            terms = char_n / den
+            if origin:
+                terms[R] = 0.0
+            return roots[((D * m + c) * b) % N] * complex(np.sum(terms))
+
+        return _kahan(row(m) for m in range(-R, R + 1))
+
+    n = np.arange(1, R + 1)
+    char_pos = roots[(-(D * n + d) * a) % N]
+    char_neg = roots[(-(-D * n + d) * a) % N]
+    char_0 = complex(roots[(-d * a) % N])
+
+    def row(m):
+        x = base(m)
+        inner = complex(np.sum(char_pos / (x + n) ** s + char_neg / (x - n) ** s))
+        if not (skip_origin and m == 0):
+            inner += char_0 / x**s
+        return roots[((D * m + c) * b) % N] * inner
+
+    return _kahan(row(0) if m == 0 else row(m) + row(-m) for m in range(R + 1))

@@ -161,6 +161,22 @@ class TestErrors:
             assert main(["verify", "weierstrass", "--config", str(cfg)]) == 2
         assert "seeed" in capsys.readouterr().err
 
+    def test_zero_shell_radius(self, capsys):
+        # 0 is an invalid radius, not "use the default"
+        argv = ["eval", "F", "--a", "1", "--b", "2", "--N", "5", "--k", "3",
+                "--tau", "0.21+1.1i", "--mode", "naive", "--shell-radius", "0"]
+        assert main(argv) == 2
+        assert "shell_radius" in capsys.readouterr().err
+
+    def test_non_integer_shell_radius(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        argv = ["eval", "F", "--a", "1", "--b", "2", "--N", "5", "--k", "3",
+                "--tau", "0.21+1.1i", "--mode", "naive", "--config", str(cfg)]
+        for radius in (2.5, True, "3"):
+            cfg.write_text(json.dumps({"truncation": {"shell_radius": radius}}))
+            assert main(argv) == 2
+            assert "shell_radius" in capsys.readouterr().err
+
     def test_unknown_tolerance_name(self, capsys, tmp_path):
         assert main(["verify", "heat", "--tolerance", "haet=1e-3"]) == 2
         assert "haet" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath
@@ -5,12 +6,14 @@ import numpy as np
 import pytest
 
 import oracles
+from epolylog import eisenstein
 from epolylog.eisenstein import (
     ConvergenceModeError,
     DegenerateLabelError,
     EisensteinQuery,
     F,
     F_tilde,
+    _naive_sums,
     _polylog_root,
     _row_real,
     _T_batch,
@@ -79,6 +82,64 @@ class TestRowMachinery:
     def test_T_batch_needs_upper_half(self):
         with pytest.raises(ValueError):
             _T_batch(np.array([0.3 - 0.9j]), 0.25, 3)
+
+
+def _draw_case(rng, ordering):
+    N = rng.randint(2, 12)
+    labels = [(rng.randrange(N), rng.randrange(N)) for _ in range(2)]
+    tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0))
+    return labels, N, tau, rng.randint(3 if ordering == "box" else 1, 8)
+
+
+class TestNaiveKernel:
+    """The blocked kernel against the row loop it replaced, bit for bit."""
+
+    @staticmethod
+    def _check(labels, N, D, c, d, tau, s, R, ordering):
+        got = _naive_sums(labels, N, D, c, d, tau, s, LatticeTruncation(R, ordering))
+        want = [oracles.naive_sum_rows(a, b, N, D, c, d, tau, s, R, ordering)
+                for a, b in labels]
+        assert got == want
+
+    @pytest.mark.parametrize("ordering", ["eisenstein", "box"])
+    def test_every_coset(self, ordering):
+        rng = random.Random(4)
+        for D in (2, 3):
+            for c in range(D):
+                for d in range(D):
+                    labels, N, tau, s = _draw_case(rng, ordering)
+                    self._check(labels, N, D, c, d, tau, s, rng.choice((1, 7, 30)), ordering)
+
+    @pytest.mark.parametrize("ordering", ["eisenstein", "box"])
+    def test_radius_one(self, ordering):
+        rng = random.Random(5)
+        for D, c, d in ((1, 0, 0), (2, 1, 0), (3, 2, 1)):
+            labels, N, tau, s = _draw_case(rng, ordering)
+            self._check(labels, N, D, c, d, tau, s, 1, ordering)
+
+    @pytest.mark.parametrize("ordering", ["eisenstein", "box"])
+    @pytest.mark.parametrize("block, R", [
+        (39, 6),  # 3 rows of 13 per block, 13 rows: the box origin row opens a block
+        (33, 5),  # 3 rows of 11 per block: the box origin row closes a block
+        (16, 7),  # rows longer than half a block: one row per block
+        (1 << 13, 200),  # the default block: 20 rows of 401, 401 rows in all
+    ])
+    def test_block_edges(self, monkeypatch, ordering, block, R):
+        monkeypatch.setattr(eisenstein, "_BLOCK", block)
+        rng = random.Random(block + R)
+        for D, c, d in ((1, 0, 0), (2, 1, 1), (3, 0, 2)):
+            labels, N, tau, s = _draw_case(rng, ordering)
+            self._check(labels, N, D, c, d, tau, s, R, ordering)
+
+    @pytest.mark.parametrize("ordering, k", [("eisenstein", 2), ("eisenstein", 5), ("box", 4)])
+    def test_F_tilde_is_two_F_calls(self, ordering, k):
+        # F_tilde sums both labels in one pass; the result is that of two F calls
+        trunc = LatticeTruncation(60, ordering)
+        q = EisensteinQuery(a=1, b=2, N=5, k=k, tau=TAU, mode="naive", trunc=trunc)
+        for D in (2, 3):
+            second = F(EisensteinQuery(a=D % 5, b=2 * D % 5, N=5, k=k, tau=TAU,
+                                       mode="naive", trunc=trunc))
+            assert F_tilde(q, D) == D**2 * F(q) - D ** (2 - k) * second
 
 
 class TestF:

@@ -24,6 +24,12 @@ class TestEnumerateLattice:
         with pytest.raises(ValueError):
             LatticeTruncation(5, ordering="spiral")
 
+    def test_integer_radius(self):
+        for bad in (2.5, 3.0, True, False, "3", None):
+            with pytest.raises(ValueError):
+                LatticeTruncation(bad)
+        assert LatticeTruncation(1).shell_radius == 1
+
 
 class TestFiniteDiff:
     def test_exp(self):
