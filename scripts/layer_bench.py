@@ -7,8 +7,9 @@ the ROADMAP's performance aim:
 
   theta on a 256-point vector and scalar theta_normalized (weierstrass),
   s_coeffs at n = 8 (kronecker), F in Lipschitz mode and naive F at R = 500
-  (eisenstein), naive box F at R = 400, naive F_tilde and naive
-  specialize_eisenstein at R = 100, and abs_connection at level 4 (logsheaf).
+  (eisenstein), naive box F at R = 400, the weight-2 eisenstein_sum_k2 at
+  R = 500, naive F_tilde and naive specialize_eisenstein at R = 100, and
+  abs_connection at level 4 (logsheaf).
 
 --src picks the source tree to import, so a parent commit checked out
 elsewhere (git archive or git clone) and the working tree can be measured on
@@ -39,7 +40,7 @@ def best_ms(fn, repeat: int) -> float:
 
 
 def calls():
-    from epolylog.eisenstein import EisensteinQuery, F, F_tilde
+    from epolylog.eisenstein import EisensteinQuery, F, F_tilde, eisenstein_sum_k2
     from epolylog.kronecker import s_coeffs
     from epolylog.logsheaf import LogFiber, abs_connection, basis_indices
     from epolylog.numerics import LatticeTruncation
@@ -61,6 +62,7 @@ def calls():
         "F_lipschitz": lambda: F(EisensteinQuery(1, 2, 5, 4, tau)),
         "F_naive_R500": lambda: F(naive(500)),
         "F_naive_box_R400": lambda: F(naive(400, "box")),
+        "k2_naive_R500": lambda: eisenstein_sum_k2(1, 2, 5, tau, LatticeTruncation(500)),
         "F_tilde_naive_R100": lambda: F_tilde(naive(100), 2),
         "specialize_naive_R100": lambda: specialize_eisenstein(
             TorsionLabel(1, 2, 5, 3), tau, 3, mode="naive", trunc=LatticeTruncation(100)),

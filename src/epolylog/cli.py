@@ -66,8 +66,12 @@ class RunConfig:
     timings: bool = False
 
     def __post_init__(self) -> None:
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
+        for name, low in (("seed", 0), ("parallelism", 1)):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+        if not isinstance(self.timings, bool):
+            raise ValueError(f"timings must be true or false, got {self.timings!r}")
         known = {c[0] for checks in CHECKS.values() for c in checks}
         for name, tol in self.tolerance_overrides.items():
             if name not in known:

@@ -185,8 +185,8 @@ def _coset_lipschitz(a: int, b: int, N: int, D: int, c: int, d: int, t: complex,
     return _zN(N, c * b - d * a) * coset
 
 
-# terms per block of rows in the naive kernel (a row longer than this is a
-# block of its own), which bounds its arrays whatever the truncation radius
+# terms per block of denominators in the naive kernel (a row longer than this
+# is a block of its own), which bounds its arrays whatever the truncation radius
 _BLOCK = 1 << 13
 
 
@@ -199,18 +199,24 @@ def _naive_sums(labels, N: int, D: int, c: int, d: int, t: complex, s: int,
     origin term is skipped only when c = d = 0, so F is the case D = 1,
     c = d = 0.
 
-    Rows are evaluated in blocks of at most _BLOCK terms, and every label
-    divides its characters by the same block of denominators. Each row's
-    character factor and the eisenstein origin column are Python complex
-    scalars, and the rows are Kahan-summed in order, so a label's sum does not
-    depend on the block size or on the other labels."""
+    Rows are evaluated in blocks of at most _BLOCK denominators, and every
+    label divides its characters by the same block. When c = d = 0 the base
+    point of row -m is x_(-m) = -x_m exactly, so (x_(-m) +- n)^s equals
+    (-1)^s (x_m -+ n)^s bit for bit: numpy's binary powering, complex
+    addition and Smith division are all exactly odd under negation. A block
+    then runs over k = |m| and takes rows k and -k from one grid of powers:
+    row -k divides the characters by row k's grid with n reversed (box) or
+    with the +n and -n grids swapped (eisenstein), and its sum takes the sign
+    (-1)^s. Other cosets evaluate one row per grid row. Each row's character
+    factor and the eisenstein origin column are Python complex scalars, and
+    the rows are Kahan-summed in the order above, so a label's sum does not
+    depend on the block size, on the pairing or on the other labels."""
     if trunc.ordering == "box" and s < 3:
         raise ConvergenceModeError(
             f"weight {s} is conditionally convergent; box ordering is not a sum"
         )
     R = trunc.shell_radius
     roots = _roots_of_unity(N)
-    skip_origin = c == 0 and d == 0
     box = trunc.ordering == "box"
     if box:
         n = np.arange(-R, R + 1)
@@ -222,30 +228,48 @@ def _naive_sums(labels, N: int, D: int, c: int, d: int, t: complex, s: int,
         # char_0 is a Python complex: the origin column divides as F's pinned values do
         chars = [(roots[(-(D * n + d) * a) % N], roots[(-(-D * n + d) * a) % N],
                   complex(roots[(-d * a) % N])) for a, _ in labels]
-    rows = [[] for _ in labels]
+    # c = d = 0: the origin is skipped and row -m mirrors row m
+    paired = c == 0 and d == 0
+    heads = list(range(R + 1)) if paired else ms
+    slot = {m: j for j, m in enumerate(ms)}
+    rows = [[None] * len(ms) for _ in labels]
     step = max(1, _BLOCK // (2 * R + 1))
-    for i in range(0, len(ms), step):
-        block = ms[i:i + step]
+    for i in range(0, len(heads), step):
+        block = heads[i:i + step]
+        # the first paired block opens with row 0: its origin term is skipped
+        # and it has no mirror row
+        skip = 1 if paired and i == 0 else 0
+        mirrored = block[skip:] if paired else []
         xs = [(m + c / D) * t + d / D for m in block]
         x = np.array(xs)[:, None]
-        origin = block.index(0) if skip_origin and 0 in block else None
         if box:
             den = (x + n) ** s
-            if origin is not None:
-                den[origin, R] = 1.0  # origin excluded below
+            if skip:
+                den[0, R] = 1.0  # origin excluded below
         else:
             plus, minus = (x + n) ** s, (x - n) ** s
-            cols = [None if j == origin else xk**s for j, xk in enumerate(xs)]
+            cols = [xk**s for xk in xs]
         for (_, b), ch, out in zip(labels, chars, rows):
             if box:
                 terms = ch / den
-                if origin is not None:
-                    terms[origin, R] = 0.0
+                if skip:
+                    terms[0, R] = 0.0
                 inner = terms.sum(axis=1).tolist()
             else:
                 inner = (ch[0] / plus + ch[1] / minus).sum(axis=1).tolist()
-                inner = [v if col is None else v + ch[2] / col for v, col in zip(inner, cols)]
-            out.extend(roots[((D * m + c) * b) % N] * v for m, v in zip(block, inner))
+                inner = [v if j < skip else v + ch[2] / col
+                         for j, (v, col) in enumerate(zip(inner, cols))]
+            for m, v in zip(block, inner):
+                out[slot[m]] = roots[((D * m + c) * b) % N] * v
+            if not mirrored:
+                continue
+            if box:
+                back = (ch / den[skip:, ::-1]).sum(axis=1).tolist()
+            else:
+                back = (ch[0] / minus[skip:] + ch[1] / plus[skip:]).sum(axis=1).tolist()
+                back = [v + ch[2] / col for v, col in zip(back, cols[skip:])]
+            for m, v in zip(mirrored, back):
+                out[slot[-m]] = roots[(-D * m * b) % N] * (-v if s % 2 else v)
     if box:
         return [kahan_sum(r) for r in rows]
     return [kahan_sum([r[0]] + [p + q for p, q in zip(r[1::2], r[2::2])]) for r in rows]
@@ -286,13 +310,13 @@ def F_tilde(query: EisensteinQuery, D: int, allow_degenerate: bool = False) -> c
     t = _tau_of(query.tau)
     a2, b2 = (D * query.a) % query.N, (D * query.b) % query.N
     if a2 == 0 and b2 == 0:
-        first = F(query)
         if not allow_degenerate:
             raise DegenerateLabelError(
                 f"(Da, Db) = {(D * query.a, D * query.b)} is (0,0) mod {query.N}"
             )
         if query.k < 2:
             raise ConvergenceModeError("trivial-character extension needs k >= 2")
+        first = F(query)
         second = _F_lipschitz(0, 0, 1, query.k, t)
     elif query.mode == "naive":
         # one pass over the lattice: the two labels share its denominators

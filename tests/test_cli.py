@@ -161,6 +161,17 @@ class TestErrors:
             assert main(["verify", "weierstrass", "--config", str(cfg)]) == 2
         assert "seeed" in capsys.readouterr().err
 
+    def test_bad_config_scalars(self, capsys, tmp_path):
+        # wrong types used to run (timings "no" switched timings on, seed true
+        # printed "seed": true) or fail with a TypeError on comparison
+        cfg = tmp_path / "cfg.json"
+        for body in ({"timings": "no"}, {"timings": 1}, {"seed": True}, {"seed": -1},
+                     {"seed": 2.0}, {"parallelism": "2"}, {"parallelism": True},
+                     {"parallelism": 0}):
+            cfg.write_text(json.dumps(body))
+            assert main(["verify", "weierstrass", "--config", str(cfg)]) == 2
+            assert next(iter(body)) in capsys.readouterr().err
+
     def test_zero_shell_radius(self, capsys):
         # 0 is an invalid radius, not "use the default"
         argv = ["eval", "F", "--a", "1", "--b", "2", "--N", "5", "--k", "3",

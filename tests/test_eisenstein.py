@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -100,6 +101,21 @@ class TestNaiveKernel:
         want = [oracles.naive_sum_rows(a, b, N, D, c, d, tau, s, R, ordering)
                 for a, b in labels]
         assert got == want
+        # the signs of zero parts too: == takes -0.0 for 0.0
+        assert [(math.copysign(1, z.real), math.copysign(1, z.imag)) for z in got] \
+            == [(math.copysign(1, z.real), math.copysign(1, z.imag)) for z in want]
+
+    @pytest.mark.parametrize("ordering", ["eisenstein", "box"])
+    @pytest.mark.parametrize("R", [1, 9])
+    def test_paired_rows_every_weight(self, ordering, R):
+        # D = 1, c = d = 0: rows -m take row m's powers with the sign (-1)^s;
+        # Re tau = 0 and 1/2 put exact zeros into x_m + n
+        rng = random.Random(6 + R)
+        for s in range(3 if ordering == "box" else 1, 9):
+            for re in (0.0, 0.5, rng.uniform(-0.5, 0.5)):
+                labels, N, _, _ = _draw_case(rng, ordering)
+                tau = complex(re, rng.uniform(0.8, 2.0))
+                self._check(labels, N, 1, 0, 0, tau, s, R, ordering)
 
     @pytest.mark.parametrize("ordering", ["eisenstein", "box"])
     def test_every_coset(self, ordering):
@@ -119,10 +135,19 @@ class TestNaiveKernel:
 
     @pytest.mark.parametrize("ordering", ["eisenstein", "box"])
     @pytest.mark.parametrize("block, R", [
-        (39, 6),  # 3 rows of 13 per block, 13 rows: the box origin row opens a block
-        (33, 5),  # 3 rows of 11 per block: the box origin row closes a block
-        (16, 7),  # rows longer than half a block: one row per block
-        (1 << 13, 200),  # the default block: 20 rows of 401, 401 rows in all
+        # 3 grid rows of 13 per block: pairs run in blocks of rows {0, +-1, +-2},
+        # {+-3, +-4, +-5}, {+-6}, with row 0 opening the first; other cosets
+        # run 13 single rows in blocks of 3, 3, 3, 3, 1
+        (39, 6),
+        # 3 grid rows of 11 per block: the pair blocks {0, +-1, +-2} and
+        # {+-3, +-4, +-5} end at R; the 11 single rows end in a block of 2
+        (33, 5),
+        # 15-term rows, _BLOCK smaller than one pair: row 0 alone, then one
+        # pair (or one single row) per block
+        (16, 7),
+        # the default block, 20 grid rows of 401: 201 heads of pairs in 11
+        # blocks, 401 single rows in 21
+        (1 << 13, 200),
     ])
     def test_block_edges(self, monkeypatch, ordering, block, R):
         monkeypatch.setattr(eisenstein, "_BLOCK", block)
@@ -207,6 +232,16 @@ class TestFTilde:
     def test_degenerate_label_raises(self):
         # (Da, Db) = (0,0) mod N needs the explicit opt-in
         q = EisensteinQuery(a=1, b=2, N=2, k=3, tau=TAU)
+        with pytest.raises(DegenerateLabelError):
+            F_tilde(q, 2)
+
+    def test_degenerate_label_raises_before_summing(self, monkeypatch):
+        def no_sum(*args):
+            raise AssertionError("summed a lattice before the label check")
+
+        monkeypatch.setattr(eisenstein, "_naive_sums", no_sum)
+        q = EisensteinQuery(a=1, b=1, N=2, k=3, tau=TAU, mode="naive",
+                            trunc=LatticeTruncation(500))
         with pytest.raises(DegenerateLabelError):
             F_tilde(q, 2)
 
