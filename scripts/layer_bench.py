@@ -8,8 +8,9 @@ the ROADMAP's performance aim:
   theta on a 256-point vector and scalar theta_normalized (weierstrass),
   s_coeffs at n = 8 (kronecker), F in Lipschitz mode and naive F at R = 500
   (eisenstein), naive box F at R = 400, the weight-2 eisenstein_sum_k2 at
-  R = 500, naive F_tilde and naive specialize_eisenstein at R = 100, and
-  abs_connection at level 4 (logsheaf).
+  R = 500, naive F_tilde and naive specialize_eisenstein at R = 100,
+  abs_connection at level 4 (logsheaf), and the connection layer's real
+  cost: curvature_residual and closedness_residual at level 4.
 
 --src picks the source tree to import, so a parent commit checked out
 elsewhere (git archive or git clone) and the working tree can be measured on
@@ -42,9 +43,9 @@ def best_ms(fn, repeat: int) -> float:
 def calls():
     from epolylog.eisenstein import EisensteinQuery, F, F_tilde, eisenstein_sum_k2
     from epolylog.kronecker import s_coeffs
-    from epolylog.logsheaf import LogFiber, abs_connection, basis_indices
+    from epolylog.logsheaf import LogFiber, abs_connection, basis_indices, curvature_residual
     from epolylog.numerics import LatticeTruncation
-    from epolylog.polylog import TorsionLabel, specialize_eisenstein
+    from epolylog.polylog import TorsionLabel, closedness_residual, specialize_eisenstein
     from epolylog.weierstrass import theta_normalized
 
     tau = 0.21 + 1.1j
@@ -67,6 +68,8 @@ def calls():
         "specialize_naive_R100": lambda: specialize_eisenstein(
             TorsionLabel(1, 2, 5, 3), tau, 3, mode="naive", trunc=LatticeTruncation(100)),
         "abs_connection_n4": lambda: abs_connection(fiber, tau),
+        "curvature_n4": lambda: curvature_residual(4, tau),
+        "closedness_n4": lambda: closedness_residual(0.23 + 0.11j, tau, 2, 4),
     }
 
 

@@ -22,17 +22,12 @@ from .kronecker import (
     s_coeffs,
 )
 from .logsheaf import (
-    LiftSupportError,
     LogFiber,
     LogValuedForm,
     abs_connection,
     basis_indices,
     curvature_residual,
-    dp_multiply,
-    gauss_manin_matrix,
-    ks_lift,
     rel_connection,
-    transition,
 )
 from .numerics import (
     AliasingError,

@@ -37,7 +37,6 @@ from .numerics import (
     LatticeTruncation,
     cauchy_coeffs,
     contour_integral,
-    ordered_map,
 )
 from .polylog import TorsionLabel, L_form, closedness_residual, l_form, specialize_eisenstein
 from .weierstrass import (
@@ -355,7 +354,7 @@ SUITES = tuple(CHECKS)
 
 def _check(name, anchor, tolerance, config, points, residual) -> dict:
     t0 = time.perf_counter()
-    residuals = ordered_map(lambda p: residual(p, config), points)
+    residuals = [residual(p, config) for p in points]
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     tol = float(config.tolerance_overrides.get(name, tolerance))
     worst = float(max(residuals))

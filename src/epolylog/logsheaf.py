@@ -1,18 +1,17 @@
 """Finite-level fibers of the logarithm sheaf and their connections.
 
 A level-n fiber is spanned by divided-power monomials w^[i,j] with
-i + j <= n (i counts the first-kind direction, j the second-kind one).
-Coefficients are complex numbers; products follow the divided-power rule
-w^[i,j] w^[k,l] = C(i+k,i) C(j+l,j) w^[i+k,j+l]. The relative and absolute
-connections act through the quasi-period eta1(tau); their flatness is an
-algebraic cancellation, checked numerically by curvature_residual.
+i + j <= n (i counts the first-kind direction, j the second-kind one), with
+complex coefficients. The relative and absolute connections act through the
+quasi-period eta1(tau) and its closed-form derivative eta1'(tau); their
+flatness is an algebraic cancellation, checked numerically by
+curvature_residual.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 
@@ -20,10 +19,8 @@ from .numerics import DiffConfig, finite_diff
 from .weierstrass import _tau_of, eta1_prime, eta_periods
 
 TWO_PI_I = 2j * cmath.pi
-
-
-class LiftSupportError(ValueError):
-    """Input form has coefficients outside the pure first-kind rows (j = 0)."""
+# the dA/dtau stencil of curvature_residual
+_CURVATURE_STENCIL = DiffConfig(step=1e-5, richardson_levels=2)
 
 
 @dataclass(frozen=True)
@@ -103,24 +100,6 @@ def basis_indices(n: int) -> list:
     return [(i, d - i) for d in range(n + 1) for i in range(d + 1)]
 
 
-def dp_multiply(a: LogFiber, b: LogFiber) -> LogFiber:
-    """Divided-power product; lands in level a.n + b.n with no truncation."""
-    out: dict = {}
-    for (i, j), ca in a.coeffs.items():
-        for (k, l), cb in b.coeffs.items():
-            key = (i + k, j + l)
-            out[key] = out.get(key, 0.0) + ca * cb * comb(i + k, i) * comb(j + l, j)
-    return LogFiber(a.n + b.n, out)
-
-
-def transition(v: LogFiber) -> LogFiber:
-    """Projection from level n to level n-1: drop the top total degree."""
-    if v.n < 1:
-        raise ValueError("transition needs level >= 1")
-    kept = {k: c for k, c in v.coeffs.items() if k[0] + k[1] <= v.n - 1}
-    return LogFiber(v.n - 1, kept)
-
-
 def rel_connection(v: LogFiber, tau) -> LogValuedForm:
     """Relative connection: only a dz component,
 
@@ -138,9 +117,7 @@ def rel_connection(v: LogFiber, tau) -> LogValuedForm:
     return LogValuedForm(n=n, dz=LogFiber(n, dz), dtau=LogFiber.zero(n))
 
 
-def abs_connection(
-    v: LogFiber, tau, eta1_prime_method: str = "finite_diff"
-) -> LogValuedForm:
+def abs_connection(v: LogFiber, tau) -> LogValuedForm:
     """Absolute connection: the relative dz part plus the dtau action
 
       w^[k,j] -> [ (j-k) (eta1/2 pi i) w^[k,j]
@@ -151,7 +128,7 @@ def abs_connection(
     """
     t = _tau_of(tau)
     eta1 = eta_periods(t).eta1
-    d_eta1 = eta1_prime(t, method=eta1_prime_method)
+    d_eta1 = eta1_prime(t)
     n = v.n
     rel = rel_connection(v, t)
     dtau: dict = {}
@@ -169,68 +146,28 @@ def abs_connection(
     return LogValuedForm(n=n, dz=rel.dz, dtau=LogFiber(n, dtau))
 
 
-def gauss_manin_matrix(tau, eta1_prime_method: str = "finite_diff") -> np.ndarray:
-    """Connection matrix on the rank-2 de Rham fiber in the (first-kind,
-    second-kind) basis; trace-free with the Legendre relation built in."""
-    t = _tau_of(tau)
-    eta1 = eta_periods(t).eta1
-    d_eta1 = eta1_prime(t, method=eta1_prime_method)
-    return np.array(
-        [
-            [-eta1 / TWO_PI_I, d_eta1 - eta1**2 / TWO_PI_I],
-            [1.0 / TWO_PI_I, eta1 / TWO_PI_I],
-        ],
-        dtype=complex,
-    )
-
-
-def curvature_residual(
-    n: int, tau, cfg: DiffConfig | None = None, eta1_prime_method: str = "finite_diff"
-) -> float:
+def curvature_residual(n: int, tau) -> float:
     """Max curvature coefficient of the absolute connection at level n.
 
     For each basis vector v with nabla v = A dz + B dtau, the dz^dtau
     component of (d + nabla^)(nabla v) is  -dA/dtau - nabla_tau(A)
     + nabla_z(B); flatness means every coefficient vanishes. A and B have
     tau-dependent coefficients, so dA/dtau is taken by finite differences;
-    the residual floor is set by that stencil.
+    the residual floor is set by that stencil. The stencil differences the
+    Lambert series of eta1, while nabla uses the closed-form eta1', so the
+    residual compares two independent evaluations of eta1'.
     """
-    cfg = cfg or DiffConfig(step=1e-5, richardson_levels=2)
     t = _tau_of(tau)
     worst = 0.0
     for (i, j) in basis_indices(n):
         v = LogFiber.basis(n, i, j)
-        conn = abs_connection(v, t, eta1_prime_method)
+        conn = abs_connection(v, t)
         A, B = conn.dz, conn.dtau
         dA = LogFiber.from_vector(n, finite_diff(
-            lambda s: abs_connection(v, s, eta1_prime_method).dz.vector(), t, cfg))
-        nab_tau_A = abs_connection(A, t, eta1_prime_method).dtau
-        nab_z_B = abs_connection(B, t, eta1_prime_method).dz
+            lambda s: abs_connection(v, s).dz.vector(), t, _CURVATURE_STENCIL))
+        nab_tau_A = abs_connection(A, t).dtau
+        nab_z_B = abs_connection(B, t).dz
         resid = dA.scale(-1.0).add(nab_tau_A.scale(-1.0)).add(nab_z_B)
         worst = max(worst, resid.max_abs())
     return worst
 
-
-def ks_lift(form: LogValuedForm) -> LogValuedForm:
-    """Lift of a relative 1-form to an absolute one, defined on forms whose
-    dz component lives on the pure rows (k, 0) and whose dtau part vanishes:
-
-      c w^[k,0] dz  ->  c w^[k,0] dz + (c / 2 pi i) w^[k-1,0] dtau
-
-    at one level lower (coefficients beyond the target level are dropped).
-    """
-    if form.dtau.coeffs:
-        raise LiftSupportError("input must be a purely relative (dz) form")
-    if any(j != 0 for (_, j) in form.dz.coeffs):
-        raise LiftSupportError("dz coefficients must sit on the rows (k, 0)")
-    if form.n < 1:
-        raise ValueError("lift needs level >= 1")
-    m = form.n - 1
-    dz: dict = {}
-    dtau: dict = {}
-    for (k, _), c in form.dz.coeffs.items():
-        if k <= m:
-            dz[(k, 0)] = c
-        if k >= 1 and k - 1 <= m:
-            dtau[(k - 1, 0)] = dtau.get((k - 1, 0), 0.0) + c / TWO_PI_I
-    return LogValuedForm(n=m, dz=LogFiber(m, dz), dtau=LogFiber(m, dtau))

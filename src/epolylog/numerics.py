@@ -8,7 +8,7 @@ randomness, no environment-dependent branching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -175,9 +175,3 @@ def kahan_sum(terms: Iterable[complex]) -> complex:
         s = tmp
     return s
 
-
-def ordered_map(fn: Callable, items: Sequence, parallelism: int = 1) -> list:
-    """Map fn over items in order. parallelism is accepted and ignored: the
-    map runs serially, because a thread pool made verify runs slower (the
-    checks are CPU-bound Python, serialized by the interpreter lock)."""
-    return [fn(x) for x in items]

@@ -34,6 +34,8 @@ from .numerics import DiffConfig, finite_diff
 from .weierstrass import PoleProximityError, _tau_of, lattice_dist
 
 TWO_PI_I = 2j * cmath.pi
+# the dP/dtau and dQ/dz stencils of closedness_residual
+_CLOSEDNESS_STENCIL = DiffConfig(step=1e-4, richardson_levels=2)
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,8 @@ def l_form(z: complex, tau, D: int, n: int) -> LogValuedForm:
 
 def L_form(z: complex, tau, D: int, n: int) -> LogValuedForm:
     """Absolute polylogarithm form at level n: the relative coefficients plus
-    the dtau tower (k+1)! s_(k+1) / (2 pi i) on w^[k,0]. Identical floats to
-    ks_lift of the level-(n+1) relative form."""
+    the dtau tower (k+1)! s_(k+1) / (2 pi i) on w^[k,0]. Its dz part is, float
+    for float, the rows k <= n of the level-(n+1) relative form."""
     t = _tau_of(tau)
     sc = s_coeffs(z, t, D, n + 1)
     dz = {(k, 0): math.factorial(k) * sc.coeffs[k] for k in range(n + 1)}
@@ -77,14 +79,7 @@ def L_form(z: complex, tau, D: int, n: int) -> LogValuedForm:
     return LogValuedForm(n=n, dz=LogFiber(n, dz), dtau=LogFiber(n, dtau))
 
 
-def closedness_residual(
-    z: complex,
-    tau,
-    D: int,
-    n: int,
-    cfg: DiffConfig | None = None,
-    eta1_prime_method: str = "finite_diff",
-) -> float:
+def closedness_residual(z: complex, tau, D: int, n: int) -> float:
     """Max coefficient of d(L_n) + nabla ^ L_n, over the level-n basis,
     normalized by the largest input coefficient.
 
@@ -93,19 +88,18 @@ def closedness_residual(
     form makes every basis coefficient cancel. P and Q depend on (z, tau)
     through the kernel coefficients, differentiated here by central stencils.
     """
-    cfg = cfg or DiffConfig(step=1e-4, richardson_levels=2)
     t = _tau_of(tau)
-    margin = 10.0 * cfg.step
+    margin = 10.0 * _CLOSEDNESS_STENCIL.step
     if lattice_dist(z, t) < margin or lattice_dist(D * z, t) < D * margin:
         raise PoleProximityError(f"z = {z} too close to the polar locus for the stencil")
     form = L_form(z, t, D, n)
     P, Q = form.dz, form.dtau
     dP = LogFiber.from_vector(
-        n, finite_diff(lambda s: L_form(z, s, D, n).dz.vector(), t, cfg))
+        n, finite_diff(lambda s: L_form(z, s, D, n).dz.vector(), t, _CLOSEDNESS_STENCIL))
     dQ = LogFiber.from_vector(
-        n, finite_diff(lambda x: L_form(x, t, D, n).dtau.vector(), z, cfg))
-    nab_tau_P = abs_connection(P, t, eta1_prime_method).dtau
-    nab_z_Q = abs_connection(Q, t, eta1_prime_method).dz
+        n, finite_diff(lambda x: L_form(x, t, D, n).dtau.vector(), z, _CLOSEDNESS_STENCIL))
+    nab_tau_P = abs_connection(P, t).dtau
+    nab_z_Q = abs_connection(Q, t).dz
     resid = dP.scale(-1.0).add(nab_tau_P.scale(-1.0)).add(dQ).add(nab_z_Q)
     scale = max(form.max_abs(), 1e-300)
     return resid.max_abs() / scale

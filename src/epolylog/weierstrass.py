@@ -1,6 +1,6 @@
 """Weierstrass functions on the lattice Z + Z*tau via q-series: one theta
 engine (_theta_taylor, Taylor coefficients from the Jacobi series) under the
-theta family and kronecker.s_coeffs; Lambert series for eta1, g2 and g3.
+theta family and kronecker.s_coeffs; Lambert series for eta1, eta1', g2 and g3.
 
 Conventions: eta1 is the quasi-period with eta1(i) = +pi and
 zeta(z+1) - zeta(z) = eta1; eta2 = eta1*tau - 2*pi*i (Legendre relation with
@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .numerics import DiffConfig, finite_diff
 
 
 class PoleProximityError(ValueError):
@@ -217,15 +215,9 @@ def g_invariants(tau) -> tuple[complex, complex]:
     return g2, g3
 
 
-def eta1_prime(tau, method: str = "finite_diff", cfg: DiffConfig | None = None) -> complex:
-    """d(eta1)/dtau. Default backend differentiates the q-series numerically;
-    method="qseries" uses the exact weight-4 identity
-    eta1' = (pi^3 i / 18)(E2^2 - E4)."""
-    t = _tau_of(tau)
-    if method == "qseries":
-        e2, e4, _ = _eisenstein_weights(t)
-        return (cmath.pi**3 * 1j / 18.0) * (e2 * e2 - e4)
-    if method == "finite_diff":
-        cfg = cfg or DiffConfig(step=1e-5, richardson_levels=2)
-        return finite_diff(lambda s: eta_periods(s).eta1, t, cfg)
-    raise ValueError(f"unknown method {method!r}")
+def eta1_prime(tau) -> complex:
+    """d(eta1)/dtau in closed form, eta1' = (pi^3 i / 18)(E2^2 - E4): with
+    eta1 = (pi^2/3) E2 and d/dtau = 2 pi i q d/dq, this is Ramanujan's
+    q dE2/dq = (E2^2 - E4)/12."""
+    e2, e4, _ = _eisenstein_weights(_tau_of(tau))
+    return (cmath.pi**3 * 1j / 18.0) * (e2 * e2 - e4)

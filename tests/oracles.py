@@ -37,6 +37,12 @@ def eta1_ref(tau):
     return -(mppi**2 / 3) * jtheta(1, 0, q, 3) / jtheta(1, 0, q, 1)
 
 
+def eta1_prime_ref(tau):
+    """d(eta1)/dtau: mpmath's numerical derivative of eta1_ref at dps 30."""
+    with mp.workdps(30):
+        return mp.diff(eta1_ref, mpc(tau))
+
+
 def eta1_lattice_ref(tau, terms=60):
     """eta1 as the weight-2 lattice sum in inner-then-outer order; the inner
     row over n has the closed form pi^2/sin^2(pi m tau), so only the outer

@@ -1,22 +1,16 @@
 import cmath
-import math
 
 import numpy as np
 import pytest
 
 from conftest import STANDARD_TAUS
+from epolylog import logsheaf
 from epolylog.logsheaf import (
-    LiftSupportError,
     LogFiber,
-    LogValuedForm,
     abs_connection,
     basis_indices,
     curvature_residual,
-    dp_multiply,
-    gauss_manin_matrix,
-    ks_lift,
     rel_connection,
-    transition,
 )
 from epolylog.weierstrass import eta1_prime, eta_periods
 
@@ -58,56 +52,6 @@ class TestLogFiber:
         assert LogFiber(1, {(1, 0): 3.0 - 4.0j}).max_abs() == 5.0
 
 
-class TestDividedPowers:
-    def test_pure_powers(self):
-        # w^[i,0] * w^[k,0] = C(i+k, i) w^[i+k,0]
-        a = LogFiber.basis(1, 1, 0)
-        sq = dp_multiply(a, a)
-        assert sq.n == 2
-        assert sq.get(2, 0) == 2.0
-        cube = dp_multiply(sq, a)
-        assert cube.get(3, 0) == 6.0  # 3! w^[3]  = (w^[1])^3
-
-    def test_mixed_shuffle(self):
-        a = LogFiber.basis(2, 1, 1)
-        b = LogFiber.basis(3, 2, 1)
-        prod = dp_multiply(a, b)
-        assert prod.n == 5
-        assert prod.get(3, 2) == math.comb(3, 1) * math.comb(2, 1)
-
-    def test_commutative(self):
-        a = LogFiber(2, {(1, 0): 2.0, (0, 2): 1.0j})
-        b = LogFiber(3, {(2, 1): -1.0, (0, 0): 0.5})
-        ab, ba = dp_multiply(a, b), dp_multiply(b, a)
-        assert ab.coeffs == ba.coeffs
-
-    def test_unit(self):
-        one = LogFiber.basis(0, 0, 0)
-        a = LogFiber(2, {(1, 1): 3.0, (2, 0): 1.0})
-        assert dp_multiply(one, a).coeffs == a.coeffs
-
-
-class TestTransition:
-    def test_drops_top_degree(self):
-        v = LogFiber(2, {(2, 0): 1.0, (1, 1): 2.0, (1, 0): 3.0, (0, 0): 4.0})
-        w = transition(v)
-        assert w.n == 1
-        assert w.coeffs == {(1, 0): 3.0, (0, 0): 4.0}
-
-    def test_level_zero_rejected(self):
-        with pytest.raises(ValueError):
-            transition(LogFiber.zero(0))
-
-    def test_compatible_with_rel_connection(self):
-        # transition is flat: it intertwines the level-n and level-(n-1)
-        # relative connections
-        v = LogFiber(3, {(1, 1): 2.0, (0, 2): 1.0j, (0, 0): -1.0})
-        lhs = transition(rel_connection(v, TAU_A).dz)
-        rhs = rel_connection(transition(v), TAU_A).dz
-        diff = lhs.add(rhs.scale(-1.0))
-        assert diff.max_abs() < 1e-14
-
-
 class TestConnections:
     def test_rel_connection_on_basis(self):
         eta1 = eta_periods(TAU_A).eta1
@@ -125,25 +69,30 @@ class TestConnections:
         out = abs_connection(v, TAU_A)
         assert all(i + j == 3 for (i, j) in out.dtau.coeffs)
 
-    def test_abs_connection_level_one_matches_gm(self):
-        # on level 1 the dtau action in the basis (w^[1,0], w^[0,1]) is the
-        # rank-2 connection matrix
-        gm = gauss_manin_matrix(TAU_A)
-        c10 = abs_connection(LogFiber.basis(1, 1, 0), TAU_A).dtau
-        c01 = abs_connection(LogFiber.basis(1, 0, 1), TAU_A).dtau
-        got = np.array(
+    @staticmethod
+    def level_one_dtau(t):
+        # dtau action of abs_connection on level 1, basis (w^[1,0], w^[0,1])
+        c10 = abs_connection(LogFiber.basis(1, 1, 0), t).dtau
+        c01 = abs_connection(LogFiber.basis(1, 0, 1), t).dtau
+        return np.array(
             [[c10.get(1, 0), c01.get(1, 0)], [c10.get(0, 1), c01.get(0, 1)]]
         )
-        assert np.max(np.abs(got - gm)) < 1e-14
+
+    def test_abs_connection_level_one_matches_gm(self):
+        # the rank-2 Gauss-Manin connection in the (first-kind, second-kind)
+        # basis, with the Legendre relation built in
+        eta1 = eta_periods(TAU_A).eta1
+        gm = np.array(
+            [
+                [-eta1 / TWO_PI_I, eta1_prime(TAU_A) - eta1**2 / TWO_PI_I],
+                [1.0 / TWO_PI_I, eta1 / TWO_PI_I],
+            ]
+        )
+        assert np.max(np.abs(self.level_one_dtau(TAU_A) - gm)) < 1e-14
 
     def test_gm_trace_free(self):
         for t in STANDARD_TAUS:
-            assert abs(np.trace(gauss_manin_matrix(t))) < 1e-14
-
-    def test_gm_backends_agree(self):
-        a = gauss_manin_matrix(TAU_A, eta1_prime_method="finite_diff")
-        b = gauss_manin_matrix(TAU_A, eta1_prime_method="qseries")
-        assert np.max(np.abs(a - b)) < 1e-9
+            assert abs(np.trace(self.level_one_dtau(t))) < 1e-14
 
 
 class TestCurvature:
@@ -155,39 +104,11 @@ class TestCurvature:
             assert curvature_residual(n, TAU_A) < 1e-6
 
     def test_qseries_backend(self):
-        assert curvature_residual(2, 0.13 + 1.7j, eta1_prime_method="qseries") < 1e-6
+        assert curvature_residual(2, 0.13 + 1.7j) < 1e-6
 
+    def test_detects_wrong_eta1_prime(self, monkeypatch):
+        # the dA/dtau stencil differences eta1 itself, so a relative error of
+        # 1e-4 in the connection's eta1' must show at level 1
+        monkeypatch.setattr(logsheaf, "eta1_prime", lambda t: eta1_prime(t) * (1 + 1e-4))
+        assert curvature_residual(1, TAU_A) > 1e-5
 
-class TestKsLift:
-    def test_formula(self):
-        form = LogValuedForm(
-            n=2,
-            dz=LogFiber(2, {(0, 0): 1.5, (1, 0): 2.0j, (2, 0): -3.0}),
-            dtau=LogFiber.zero(2),
-        )
-        out = ks_lift(form)
-        assert out.n == 1
-        assert out.dz.get(0, 0) == 1.5
-        assert out.dz.get(1, 0) == 2.0j
-        assert out.dz.get(2, 0) == 0.0  # beyond the target level
-        assert out.dtau.get(0, 0) == 2.0j / TWO_PI_I + (-3.0) / TWO_PI_I * 0
-        assert abs(out.dtau.get(1, 0) - (-3.0) / TWO_PI_I) < 1e-16
-
-    def test_rejects_dtau_support(self):
-        form = LogValuedForm(
-            n=1, dz=LogFiber.zero(1), dtau=LogFiber(1, {(0, 0): 1.0})
-        )
-        with pytest.raises(LiftSupportError):
-            ks_lift(form)
-
-    def test_rejects_off_row_support(self):
-        form = LogValuedForm(
-            n=2, dz=LogFiber(2, {(0, 1): 1.0}), dtau=LogFiber.zero(2)
-        )
-        with pytest.raises(LiftSupportError):
-            ks_lift(form)
-
-    def test_level_zero_rejected(self):
-        form = LogValuedForm(n=0, dz=LogFiber(0, {(0, 0): 1.0}), dtau=LogFiber.zero(0))
-        with pytest.raises(ValueError):
-            ks_lift(form)

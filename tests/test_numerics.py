@@ -13,7 +13,6 @@ from epolylog.numerics import (
     contour_integral,
     finite_diff,
     kahan_sum,
-    ordered_map,
 )
 
 
@@ -126,13 +125,3 @@ class TestSummation:
         xs = rng.standard_normal(500) * 10.0 ** rng.integers(-8, 8, 500)
         assert abs(kahan_sum(xs) - math.fsum(xs)) < 1e-12 * max(1.0, abs(math.fsum(xs)))
 
-
-class TestOrderedMap:
-    def test_parallel_matches_serial(self):
-        items = list(range(64))
-        fn = lambda x: complex(x) ** 2 + 1j * x
-        assert ordered_map(fn, items, parallelism=4) == ordered_map(fn, items, parallelism=1)
-
-    def test_order_preserved(self):
-        out = ordered_map(lambda x: -x, [5, 3, 1, 2], parallelism=3)
-        assert out == [-5, -3, -1, -2]

@@ -11,7 +11,6 @@ from epolylog.eisenstein import (
     F_tilde,
 )
 from epolylog.kronecker import s_coeffs
-from epolylog.logsheaf import ks_lift
 from epolylog.numerics import LatticeTruncation
 from epolylog.polylog import (
     TorsionLabel,
@@ -68,15 +67,10 @@ class TestForms:
         for k in range(n + 1):
             expect = math.factorial(k + 1) * sc.coeffs[k + 1] / TWO_PI_I
             assert form.dtau.get(k, 0) == expect
-
-    def test_ks_lift_reproduces_L_form(self):
-        # identical arithmetic: the floats must match exactly
-        n, D = 2, 2
-        lifted = ks_lift(l_form(Z_A, TAU_A, D, n + 1))
-        direct = L_form(Z_A, TAU_A, D, n)
-        assert lifted.n == direct.n == n
-        assert lifted.dz.coeffs == direct.dz.coeffs
-        assert lifted.dtau.coeffs == direct.dtau.coeffs
+        # identical arithmetic: the dz rows are those of the level-(n+1)
+        # relative form with k <= n, float for float
+        relative = l_form(Z_A, TAU_A, D, n + 1)
+        assert form.dz.coeffs == {key: c for key, c in relative.dz.coeffs.items() if key[0] <= n}
 
 
 class TestClosedness:

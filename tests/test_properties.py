@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from epolylog.eisenstein import EisensteinQuery, F
 from epolylog.kronecker import KroneckerPoint, jacobi_J, s_coeffs
-from epolylog.logsheaf import LogFiber, dp_multiply, rel_connection, transition
 from epolylog.numerics import kahan_sum
 from epolylog.weierstrass import (
     ModuliPoint,
@@ -68,51 +67,6 @@ def test_J_quasi_periodicity(z, w, t, c, d):
     shifted = jacobi_J(KroneckerPoint(z=z + c * t + d, w=w, tau=ModuliPoint(t)))
     expect = cmath.exp(-2j * cmath.pi * c * p.w) * jacobi_J(p)
     assert abs(shifted - expect) <= 1e-8 * max(1.0, abs(expect))
-
-
-@st.composite
-def fibers(draw, max_level=4):
-    n = draw(st.integers(0, max_level))
-    keys = [(i, j) for i in range(n + 1) for j in range(n + 1 - i)]
-    coeffs = {}
-    for key in draw(st.lists(st.sampled_from(keys), max_size=5, unique=True)):
-        coeffs[key] = complex(draw(st.floats(-3, 3, **finite)),
-                              draw(st.floats(-3, 3, **finite)))
-    return LogFiber(n, coeffs)
-
-
-@given(a=fibers(), b=fibers())
-@settings(max_examples=60)
-def test_dp_multiply_commutative(a, b):
-    assert dp_multiply(a, b).coeffs == dp_multiply(b, a).coeffs
-
-
-@given(a=fibers(max_level=2), b=fibers(max_level=2), c=fibers(max_level=2))
-@settings(max_examples=40)
-def test_dp_multiply_associative(a, b, c):
-    lhs = dp_multiply(dp_multiply(a, b), c)
-    rhs = dp_multiply(a, dp_multiply(b, c))
-    keys = set(lhs.coeffs) | set(rhs.coeffs)
-    assert all(abs(lhs.get(*k) - rhs.get(*k)) < 1e-9 for k in keys)
-
-
-@given(i=st.integers(0, 5), k=st.integers(0, 5), j=st.integers(0, 3), l=st.integers(0, 3))
-@settings(max_examples=40)
-def test_dp_multiply_binomial(i, k, j, l):
-    prod = dp_multiply(LogFiber.basis(i + j, i, j), LogFiber.basis(k + l, k, l))
-    expect = math.comb(i + k, i) * math.comb(j + l, j)
-    assert prod.get(i + k, j + l) == expect
-
-
-@given(v=fibers(max_level=4), t=taus)
-@settings(max_examples=25)
-def test_transition_intertwines_rel_connection(v, t):
-    if v.n == 0:
-        return
-    lhs = transition(rel_connection(v, t).dz)
-    rhs = rel_connection(transition(v), t).dz
-    diff = lhs.add(rhs.scale(-1.0))
-    assert diff.max_abs() <= 1e-10 * max(1.0, v.max_abs())
 
 
 @given(

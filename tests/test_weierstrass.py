@@ -7,7 +7,6 @@ import pytest
 
 import oracles
 from conftest import STANDARD_POINTS, STANDARD_TAUS
-from epolylog.numerics import DiffConfig
 from epolylog.weierstrass import (
     ConvergenceError,
     ModuliPoint,
@@ -252,19 +251,14 @@ class TestInvariants:
 class TestEta1Prime:
     def test_backends_agree(self):
         for t in STANDARD_TAUS:
-            fd = eta1_prime(t, method="finite_diff")
-            qs = eta1_prime(t, method="qseries")
-            assert abs(fd - qs) / max(1.0, abs(qs)) < 1e-9
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            eta1_prime(TAU_A, method="magic")
+            ref = complex(oracles.eta1_prime_ref(t))
+            assert abs(eta1_prime(t) - ref) < 1e-12 * max(1.0, abs(ref))
 
     def test_matches_direct_stencil(self):
         t = 0.13 + 1.7j
         h = 1e-5
         direct = (eta_periods(t + h).eta1 - eta_periods(t - h).eta1) / (2 * h)
-        assert abs(eta1_prime(t, method="qseries") - direct) < 1e-6
+        assert abs(eta1_prime(t) - direct) < 1e-6
 
 
 class TestModuliPoint:
