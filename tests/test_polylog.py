@@ -67,10 +67,20 @@ class TestForms:
         for k in range(n + 1):
             expect = math.factorial(k + 1) * sc.coeffs[k + 1] / TWO_PI_I
             assert form.dtau.get(k, 0) == expect
-        # identical arithmetic: the dz rows are those of the level-(n+1)
-        # relative form with k <= n, float for float
+
+    def test_ks_lift_reproduces_L_form(self):
+        # the Kodaira-Spencer lift of l_form(n+1), c w^[k,0] dz ->
+        # c w^[k,0] dz + (c / 2 pi i) w^[k-1,0] dtau truncated to level n,
+        # is L_form(n); identical arithmetic, so the floats must match exactly
+        n, D = 2, 2
         relative = l_form(Z_A, TAU_A, D, n + 1)
-        assert form.dz.coeffs == {key: c for key, c in relative.dz.coeffs.items() if key[0] <= n}
+        direct = L_form(Z_A, TAU_A, D, n)
+        assert direct.n == n
+        assert not relative.dtau.coeffs
+        dz = {(k, j): c for (k, j), c in relative.dz.coeffs.items() if k <= n}
+        dtau = {(k - 1, 0): c / TWO_PI_I for (k, _), c in relative.dz.coeffs.items() if 1 <= k <= n + 1}
+        assert direct.dz.coeffs == dz
+        assert direct.dtau.coeffs == dtau
 
 
 class TestClosedness:
