@@ -12,6 +12,9 @@ the ROADMAP's performance aim:
   abs_connection at level 4 (logsheaf), and the connection layer's real
   cost: curvature_residual and closedness_residual at level 4.
 
+It also times cmd_verify(suite) at seed 0 for every verify suite, best of N
+in the same way (the whole suite per run).
+
 --src picks the source tree to import, so a parent commit checked out
 elsewhere (git archive or git clone) and the working tree can be measured on
 the same machine; --out merges the numbers into a JSON file under --label.
@@ -73,6 +76,13 @@ def calls():
     }
 
 
+def suite_seconds(repeat: int) -> dict:
+    from epolylog.cli import SUITES, RunConfig, cmd_verify
+
+    config = RunConfig(seed=0)
+    return {name: best_ms(lambda: cmd_verify(name, config), repeat) / 1e3 for name in SUITES}
+
+
 def verify_all() -> tuple:
     from epolylog.cli import RunConfig, cmd_verify
 
@@ -112,6 +122,9 @@ def main() -> None:
     for name, fn in calls().items():
         record["layers_ms"][name] = round(best_ms(fn, args.repeat), 4)
         print(f"{name:24s} {record['layers_ms'][name]:10.3f} ms")
+    record["suites_s"] = {k: round(v, 4) for k, v in suite_seconds(args.repeat).items()}
+    for name, sec in record["suites_s"].items():
+        print(f"{'verify ' + name:24s} {sec:10.3f} s")
     wall, md5 = verify_all()
     record["verify_all_seed0_s"] = round(wall, 3)
     record["verify_all_seed0_md5"] = md5

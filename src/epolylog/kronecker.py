@@ -135,11 +135,14 @@ def s_coeffs(z: complex, tau, D: int, n: int) -> DVariantCoeffs:
 def dlog_kato_siegel(z, tau, D: int, cfg: CauchyConfig | None = None):
     """Logarithmic derivative of the Kato-Siegel theta function, the constant
     term s_0 = D^2 zeta(z) - D zeta(Dz); broadcasts over arrays of z. With
-    cfg, s_0 is instead extracted on that contour (the reference path).
+    cfg, s_0 is instead extracted on that contour (the reference path), which
+    takes one scalar z: an array z raises TypeError before any sampling.
 
     Meromorphic with residue D^2 - 1 at lattice points and residue -1 at the
     nonzero D-torsion points; z must stay 1e-8 away from all of these.
     """
+    if cfg is not None and np.ndim(z) != 0:
+        raise TypeError(f"the contour path takes one z, got shape {np.shape(z)}")
     t = _tau_of(tau)
     if lattice_dist(D * np.asarray(z), t) / D < 1e-8:
         raise PoleProximityError(f"z = {z} within 1e-8 of the D-torsion locus")

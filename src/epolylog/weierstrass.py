@@ -55,11 +55,26 @@ def _tau_of(tau) -> complex:
 
 def reduce_to_cell(z, tau) -> tuple:
     """Write z = z0 + m + n*tau with m = round(alpha), n = round(beta) for the
-    real coordinates z = alpha + beta*tau. Works elementwise on arrays."""
+    real coordinates z = alpha + beta*tau, ties to even.
+
+    A Python or numpy scalar z gives a Python complex z0 and Python ints m, n;
+    any other input works elementwise and gives arrays. Both paths give the
+    same bits. Raises ValueError if alpha or beta is not finite."""
     t = _tau_of(tau)
+    if isinstance(z, (complex, float, int)):
+        z = complex(z)
+        beta = z.imag / t.imag
+        alpha = z.real - beta * t.real
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise ValueError(f"z = {z} has no finite lattice coordinates")
+        m, n = round(alpha), round(beta)
+        # copysign keeps the signed zeros of np.round, so z0 matches the array path
+        return z - math.copysign(m, alpha) - math.copysign(n, beta) * t, m, n
     z = np.asarray(z, dtype=complex)
     beta = z.imag / t.imag
     alpha = z.real - beta * t.real
+    if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
+        raise ValueError("z has no finite lattice coordinates")
     m = np.round(alpha)
     n = np.round(beta)
     z0 = z - m - n * t
@@ -67,9 +82,10 @@ def reduce_to_cell(z, tau) -> tuple:
 
 
 def lattice_dist(z, tau) -> float:
-    """Distance from z to the lattice point m + n*tau it reduces to."""
+    """Distance from z to the lattice point m + n*tau it reduces to (the least
+    such distance over an array)."""
     z0, _, _ = reduce_to_cell(z, tau)
-    return float(np.min(np.abs(z0))) if z0.shape else float(abs(z0))
+    return abs(z0) if isinstance(z0, complex) else float(np.min(np.abs(z0)))
 
 
 def _exp_taylor(x: np.ndarray, m: int) -> np.ndarray:
@@ -109,10 +125,11 @@ def _theta_taylor(z0, t: complex, m: int) -> np.ndarray:
     sin((2k+1) pi z), q = e^(i pi tau), over pi theta_1'(0); 1-periodic in tau."""
     a, w = _jacobi_weights(complex(t.real - round(t.real), t.imag), m)
     z0 = np.asarray(z0, dtype=complex)
-    x = np.outer(a, z0)
+    x = a[:, None] * z0.ravel()
     out = np.empty((m + 1, z0.size), dtype=complex)
     out[0::2] = w[0::2] @ np.sin(x)
-    out[1::2] = w[1::2] @ np.cos(x)
+    if m:  # theta alone (m = 0) has no odd rows
+        out[1::2] = w[1::2] @ np.cos(x)
     return out.reshape((m + 1,) + z0.shape)
 
 
@@ -126,7 +143,7 @@ def theta_normalized(z, tau):
     t = _tau_of(tau)
     z0, m, n = reduce_to_cell(z, t)
     omega = n * t + m
-    sign = np.where((m + n + m * n) % 2 == 0, 1.0, -1.0)
+    sign = 1.0 - 2.0 * ((m + n + m * n) % 2)
     fac = sign * np.exp(-2j * np.pi * n * (z0 + omega / 2.0))
     out = fac * _theta_taylor(z0, t, 0)[0]
     return out if out.shape else complex(out)

@@ -144,6 +144,12 @@ class TestErrors:
         code = main(["eval", "J", "--z", "0", "--w", "0.3", "--tau", "0+1i"])
         assert code == 2
 
+    def test_eval_non_finite_point(self, capsys):
+        # 1e400 parses as inf: a typed error, not a NaN that JSON rejects
+        code = main(["eval", "dlogtheta", "--z", "1e400", "--tau", "0.5+0.8i", "--D", "2"])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_bad_tolerance_syntax(self, capsys):
         code = main(["verify", "heat", "--tolerance", "heat"])
         assert code == 2

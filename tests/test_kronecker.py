@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from conftest import STANDARD_POINTS
+from epolylog import kronecker
 from epolylog.kronecker import (
     MAX_COEFF_ORDER,
     KroneckerPoint,
@@ -16,7 +17,7 @@ from epolylog.kronecker import (
     jacobi_J,
     s_coeffs,
 )
-from epolylog.numerics import CauchyConfig
+from epolylog.numerics import CauchyConfig, contour_integral
 from epolylog.weierstrass import ModuliPoint, PoleProximityError, zeta_fn
 
 TAU_A = 0.5 + 0.8j
@@ -182,6 +183,33 @@ class TestDlog:
         got = dlog_kato_siegel(Z_A, TAU_A, 2, cfg)
         ref = 4 * zeta_fn(Z_A, TAU_A) - 2 * zeta_fn(2 * Z_A, TAU_A)
         assert rel(got, ref) < 1e-9
+
+    def test_contour_path_rejects_arrays(self, monkeypatch):
+        # an array of z would broadcast against the contour's samples: with
+        # as many z as samples it used to return one number for all of them;
+        # the TypeError must come before any sampling
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("the contour was sampled")
+
+        monkeypatch.setattr(kronecker, "cauchy_coeffs", no_sampling)
+        cfg = CauchyConfig(radius=0.05, samples=64, self_check=False)
+        for count in (cfg.samples, 32):
+            zs = Z_A + 0.01 * np.exp(2j * np.pi * np.arange(count) / count)
+            with pytest.raises(TypeError):
+                dlog_kato_siegel(zs, 0.2 + 1.1j, 2, cfg)
+
+    def test_contour_integral_of_contour_path(self):
+        # contour_integral goes node by node and sums exactly what an
+        # explicit per-node trapezoid sums; the residue at 0 is D^2 - 1
+        t, D, samples = 0.2 + 1.1j, 2, 32
+        cfg = CauchyConfig(radius=default_cauchy_config(t, D).radius, samples=64,
+                           self_check=False)
+        r = 0.4 * min(1.0, abs(t)) / D
+        got = contour_integral(lambda u: dlog_kato_siegel(u, t, D, cfg), 0.0, r, samples)
+        nodes = np.exp(2j * np.pi * np.arange(samples) / samples)
+        vals = np.array([dlog_kato_siegel(u, t, D, cfg) for u in 0.0 + r * nodes])
+        assert got == complex(2j * np.pi * r / samples * np.sum(vals * nodes))
+        assert abs(got / (2j * np.pi) - (D * D - 1)) < 1e-9
 
 
 class TestDistribution:

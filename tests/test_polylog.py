@@ -6,7 +6,6 @@ import pytest
 from conftest import STANDARD_POINTS
 from epolylog.eisenstein import (
     ConvergenceModeError,
-    DegenerateLabelError,
     EisensteinQuery,
     F_tilde,
 )

@@ -1,7 +1,6 @@
 import cmath
 import math
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from epolylog.eisenstein import EisensteinQuery, F

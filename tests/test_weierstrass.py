@@ -1,5 +1,4 @@
 import cmath
-import math
 
 import mpmath
 import numpy as np
@@ -11,6 +10,8 @@ from epolylog.weierstrass import (
     ConvergenceError,
     ModuliPoint,
     PoleProximityError,
+    _jacobi_weights,
+    _theta_taylor,
     eta1_prime,
     eta_periods,
     g_invariants,
@@ -97,6 +98,21 @@ class TestTheta:
             z = 0.27 + 0.31 * t
             assert rel(theta_normalized(z, t), oracles.theta_ref(z, t)) < 1e-10
 
+    def test_taylor_engine_matches_outer_form(self):
+        # the engine's sums written out with np.outer and every row: the
+        # engine must give the same bits, for arrays and for scalars
+        rng = np.random.default_rng(3)
+        for t in STANDARD_TAUS + [0.3 + 0.12j]:
+            zs = rng.uniform(-0.5, 0.5, 8) + 1j * t.imag * rng.uniform(-0.5, 0.5, 8)
+            for m in (0, 1, 2, 5):
+                a, w = _jacobi_weights(complex(t.real - round(t.real), t.imag), m)
+                for z in (zs, complex(zs[0]), zs[1]):
+                    x = np.outer(a, z)
+                    ref = np.empty((m + 1, x.shape[1]), dtype=complex)
+                    ref[0::2] = w[0::2] @ np.sin(x)
+                    ref[1::2] = w[1::2] @ np.cos(x)
+                    assert _theta_taylor(z, t, m).tobytes() == ref.tobytes()
+
     def test_vectorized(self):
         # array and scalar paths may differ by 1 ulp (SIMD transcendentals)
         zs = np.array([Z_A, 0.31 + 0.17j, -0.4 + 0.09j])
@@ -124,6 +140,54 @@ class TestReduction:
     def test_lattice_dist(self):
         assert lattice_dist(2.0 + 3.0 * TAU_A, TAU_A) < 1e-14
         assert lattice_dist(Z_A, TAU_A) > 0.2
+        zs = np.array([Z_A, 2.0 + 3.0 * TAU_A])
+        assert lattice_dist(zs, TAU_A) == lattice_dist(zs[1], TAU_A)
+
+    def test_scalar_and_array_paths_agree(self):
+        # a scalar z takes a Python-float path; it must give the array path's
+        # bits, signed zeros included, and its m, n as Python ints
+        rng = np.random.default_rng(11)
+        # Im tau and Re tau dyadic, so z = alpha + beta*tau at half-integer
+        # alpha, beta reduces through exact ties
+        taus = [TAU_A, 0.25 + 1j, -37.5 + 0.5j, 50.0 + 2j, -50.0 + 1j]
+        taus += [complex(rng.uniform(-50, 50), rng.uniform(0.05, 3.0)) for _ in range(15)]
+        halves = (-1.5, -0.5, 0.5, 1.5, 2.5)
+        for t in taus:
+            zs = [complex(rng.uniform(-60, 60), rng.uniform(-8, 8)) for _ in range(20)]
+            zs += [a + b * t for a in halves for b in halves]
+            zs += [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), -0.3,
+                   -0.2 * t, 0.3 - 0.2 * t, 3]
+            for z in zs:
+                z0, m, n = reduce_to_cell(z, t)
+                a0, am, an = reduce_to_cell(np.array([z]), t)
+                assert type(z0) is complex and type(m) is int and type(n) is int
+                assert np.array([z0]).tobytes() == a0.tobytes(), (z, t)
+                assert (m, n) == (am[0], an[0]), (z, t)
+
+    def test_ties_round_to_even(self):
+        t = 0.25 + 1j
+        for a, m in ((-1.5, -2), (-0.5, 0), (0.5, 0), (1.5, 2), (2.5, 2)):
+            for z in (a + 0.5 * t, np.array([a + 0.5 * t])):
+                _, mm, nn = reduce_to_cell(z, t)
+                assert (mm, nn) == (m, 0)
+
+    def test_scalar_types(self):
+        for z in (Z_A, np.complex128(Z_A), 0.3, np.float64(0.3), 3):
+            z0, m, n = reduce_to_cell(z, TAU_A)
+            assert type(z0) is complex and type(m) is int and type(n) is int
+        z0, m, n = reduce_to_cell(np.asarray(Z_A), TAU_A)
+        assert z0.shape == m.shape == n.shape == ()
+
+    def test_non_finite_raises(self):
+        inf, nan = float("inf"), float("nan")
+        for bad in (inf, -inf, nan, complex(0.1, -inf), complex(nan, 0.1)):
+            with pytest.raises(ValueError):
+                reduce_to_cell(bad, TAU_A)
+            with pytest.raises(ValueError):
+                reduce_to_cell(np.array([Z_A, bad]), TAU_A)
+            for fn in (lattice_dist, theta_normalized, theta_logderiv, zeta_fn, wp):
+                with pytest.raises(ValueError):
+                    fn(bad, TAU_A)
 
 
 class TestQuasiPeriods:
