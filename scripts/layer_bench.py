@@ -9,8 +9,10 @@ the ROADMAP's performance aim:
   s_coeffs at n = 8 (kronecker), F in Lipschitz mode and naive F at R = 500
   (eisenstein), naive box F at R = 400, the weight-2 eisenstein_sum_k2 at
   R = 500, naive F_tilde and naive specialize_eisenstein at R = 100,
-  abs_connection at level 4 (logsheaf), and the connection layer's real
-  cost: curvature_residual and closedness_residual at level 4.
+  Lipschitz F_tilde at D = 2 and Lipschitz specialize_eisenstein at D = 3
+  (eight cosets of the row kernel), abs_connection at level 4 (logsheaf),
+  and the connection layer's real cost: curvature_residual and
+  closedness_residual at level 4.
 
 It also times cmd_verify(suite) at seed 0 for every verify suite, best of N
 in the same way (the whole suite per run).
@@ -70,6 +72,8 @@ def calls():
         "F_tilde_naive_R100": lambda: F_tilde(naive(100), 2),
         "specialize_naive_R100": lambda: specialize_eisenstein(
             TorsionLabel(1, 2, 5, 3), tau, 3, mode="naive", trunc=LatticeTruncation(100)),
+        "F_tilde_lipschitz": lambda: F_tilde(EisensteinQuery(1, 2, 5, 4, tau), 2),
+        "specialize_lipschitz": lambda: specialize_eisenstein(TorsionLabel(1, 2, 5, 3), tau, 3),
         "abs_connection_n4": lambda: abs_connection(fiber, tau),
         "curvature_n4": lambda: curvature_residual(4, tau),
         "closedness_n4": lambda: closedness_residual(0.23 + 0.11j, tau, 2, 4),

@@ -9,16 +9,21 @@ which converts each row m to an exponential sum
   T(x, xi, s) = sum_n e^(2 pi i xi n)/(x+n)^s
              = (-2 pi i)^s/(s-1)! sum_{l>=1} (l-xi)^(s-1) e^(2 pi i (l-xi) x)
 
-for Im x > 0 (minus pi*i extra when s = 1, xi = 0; Im x < 0 by the reflection
-T(x,xi,s) = (-1)^s T(-x, -xi mod 1, s)). Rows with real x and the m = 0
-polylogarithm row are summed exactly through Hurwitz zeta values at rational
-arguments. The row decomposition realizes the eisenstein summation order, so
-it is also valid at the conditionally convergent weights k <= 2.
+for Im x > 0 (Im x < 0 by the reflection T(x,xi,s) = (-1)^s T(-x, -xi mod 1, s)).
+Rows with real x and the m = 0 polylogarithm row are summed exactly through
+Hurwitz zeta values at rational arguments. The row decomposition realizes the
+eisenstein summation order, so it is also valid at the conditionally
+convergent weights k <= 2. At k = 1 it needs a != 0 mod N: with a = 0 row m
+tends to -+pi i zeta_N^(+-mb) and the rows do not sum. The naive square
+truncation at k = 1 also needs b != 0 mod N, without which it converges to
+another value; outside this domain F raises ConvergenceModeError.
 
 coset_sum evaluates the shifted, character-twisted sums of the same kind
 (Eisenstein-Kronecker series, Bannai-Kobayashi arXiv:math/0610163) over the
 nonzero cosets of D^-1 Z^2 / Z^2, which the torsion specialization in polylog
-needs; F and coset_sum share one naive kernel and the row machinery.
+needs. F and coset_sum share two kernels, one per mode: _naive_sums and the
+row kernel _lipschitz_sum each sum one coset (c, d), and F is the coset
+c = d = 0 at D = 1.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
@@ -72,15 +76,6 @@ def _roots_of_unity(N: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(N) / N)
 
 
-def _zN(N: int, e: int) -> complex:
-    return complex(cmath.exp(2j * cmath.pi * (e % N) / N))
-
-
-@lru_cache(maxsize=1024)
-def _row_chars(N: int, e: int, M: int) -> tuple:
-    return tuple(_zN(N, e * m) for m in range(-M, M + 1))  # zeta_N^(e m), |m| <= M
-
-
 def _polylog_root(s: int, xi: Fraction) -> complex:
     """Li_s(e^{2 pi i xi}) for rational xi, s >= 1 (s >= 2 when xi = 0)."""
     p, q = xi.numerator % xi.denominator, xi.denominator
@@ -114,25 +109,22 @@ def _row_real(x: float, xi: Fraction, s: int) -> complex:
 
 
 def _T_batch(x: np.ndarray, xi: float, s: int) -> np.ndarray:
-    """T(x, xi, s) for an array of x with Im x > 0, xi in [0, 1)."""
+    """T(x, xi, s) for an array of x with Im x > 0, xi in [0, 1), and xi != 0
+    when s = 1."""
     x = np.asarray(x, dtype=complex)
     if x.size == 0:
         return x
-    im_min = float(np.min(x.imag))
+    im_min = float(x.imag.min())
     if im_min <= 0.0:
         raise ValueError("batch rows need Im x > 0")
     L = int(math.ceil(48.0 / (2.0 * math.pi * im_min))) + s + 6
     freq = np.arange(1, L + 1) - xi
     phase = np.exp(2j * np.pi * np.outer(x, freq))
-    out = phase @ (freq ** (s - 1)) * (-2j * np.pi) ** s / math.factorial(s - 1)
-    if s == 1 and xi == 0.0:
-        out = out - 1j * np.pi
-    return out
+    return phase @ (freq ** (s - 1)) * (-2j * np.pi) ** s / math.factorial(s - 1)
 
 
 def _T_rows(x: np.ndarray, xi: Fraction, s: int) -> np.ndarray:
     """T over rows with arbitrary nonzero Im x, via reflection where needed."""
-    x = np.asarray(x, dtype=complex)
     out = np.empty(x.shape, dtype=complex)
     up = x.imag > 0
     out[up] = _T_batch(x[up], float(xi % 1), s)
@@ -140,49 +132,28 @@ def _T_rows(x: np.ndarray, xi: Fraction, s: int) -> np.ndarray:
     return out
 
 
-def _row_count(im_tau: float, q_eff: float, extra: int = 3) -> int:
-    return int(math.ceil(45.0 / (2.0 * math.pi * im_tau * q_eff))) + extra
-
-
-def _q_eff(xi: Fraction) -> float:
-    # slowest decaying exponential frequency of the rows T(x, xi, s) and
-    # their reflections T(-x, -xi, s)
-    return min(float(f) if f else 1.0 for f in (xi % 1, -xi % 1))
-
-
-def _F_lipschitz(a: int, b: int, N: int, k: int, t: complex) -> complex:
-    xi_a = Fraction(-a, N)
-    xi_a2 = Fraction(a, N)
-    prefac = (-1) ** (k + 1) * math.factorial(k - 1)
-    # m = 0 row: polylogarithms at the two conjugate roots of unity
-    if a % N == 0:
-        row0 = 0.0 + 0.0j if k == 1 else (1.0 + (-1) ** k) * complex(hurwitz_zeta(k, 1.0))
-    else:
-        row0 = _polylog_root(k, xi_a) + (-1) ** k * _polylog_root(k, xi_a2)
-    M = _row_count(t.imag, _q_eff(xi_a))
-    m = np.arange(1, M + 1)
-    cb = _roots_of_unity(N)[(m * b) % N]
-    rows = cb * _T_batch(m * t, float(xi_a % 1), k) \
-        + (-1) ** k * np.conj(cb) * _T_batch(m * t, float(xi_a2 % 1), k)
-    return prefac * (row0 + complex(np.sum(rows)))
-
-
-def _coset_lipschitz(a: int, b: int, N: int, D: int, c: int, d: int, t: complex,
-                     s: int) -> complex:
-    # one coset of coset_sum by rows: the character factors as
-    # zeta_N^(cb - da) times zeta_N^(Dmb) on row m
+def _lipschitz_sum(a: int, b: int, N: int, D: int, c: int, d: int, t: complex,
+                   s: int) -> complex:
+    """The lattice sum of coset_sum for the one coset (c, d), by rows: the
+    character factors as zeta_N^(cb - da) times zeta_N^(Dmb) on row m, whose
+    sum over n is T(x_m, -Da/N, s) at x_m = (m + c/D) tau + d/D. Row 0 is
+    real when c = 0: a Hurwitz zeta row at d/D, or without the origin (so
+    F is the case D = 1, c = d = 0) the polylogarithm pair at the two
+    conjugate roots. s = 1 needs Da != 0 mod N."""
     xi = Fraction(-D * a, N)
-    M = _row_count(t.imag, _q_eff(xi), extra=4)
-    m = np.arange(-M, M + 1)
-    x = (m + c / D) * t + d / D
-    mchar = np.array(_row_chars(N, D * b % N, M))
+    # rows m > 0 decay like e^(-2 pi m Im(tau) (1 - xi mod 1)), by the slowest
+    # frequency of T(x, xi, s); rows m < 0 by that of T(-x, -xi, s)
+    up, down = (int(math.ceil(45.0 / (2.0 * math.pi * t.imag * ((N - p) / N)))) + 4
+                for p in ((-D * a) % N, (D * a) % N))
+    m = np.arange(-down, up + 1)
+    row0 = 0.0
     if c == 0:
-        keep = m != 0
-        rows = _T_rows(x[keep], xi, s)
-        coset = _row_real(d / D, xi, s) + complex(np.sum(mchar[keep] * rows))
-    else:
-        coset = complex(np.sum(mchar * _T_rows(x, xi, s)))
-    return _zN(N, c * b - d * a) * coset
+        m = m[m != 0]
+        row0 = (_row_real(d / D, xi, s) if d else
+                _polylog_root(s, xi) + (-1) ** s * _polylog_root(s, -xi))
+    roots = _roots_of_unity(N)
+    rows = roots[(D * m * b) % N] * _T_rows((m + c / D) * t + d / D, xi, s)
+    return complex(roots[(c * b - d * a) % N]) * (row0 + complex(np.sum(rows)))
 
 
 # terms per block of denominators in the naive kernel (a row longer than this
@@ -281,11 +252,26 @@ def F(query: EisensteinQuery) -> complex:
     mode "naive" requires trunc; weights k <= 2 are conditionally convergent
     and demand the eisenstein ordering (box raises ConvergenceModeError).
     mode "lipschitz" sums rows in closed form and works for all k >= 1.
+    Weight 1 raises ConvergenceModeError when a = 0 mod N, and in mode
+    "naive" also when b = 0 mod N.
     """
     t = _tau_of(query.tau)
+    _check_weight_one([(query.a, query.b)], query.N, query.k, query.mode)
     if query.mode == "lipschitz":
         return _F_lipschitz(query.a, query.b, query.N, query.k, t)
     return _F_naive(query, t, [(query.a, query.b)])[0]
+
+
+def _check_weight_one(labels, N: int, k: int, mode: str) -> None:
+    # the weight-one domain of the module docstring, checked before any sum
+    for a, b in labels:
+        if k == 1 and (a % N == 0 or (mode == "naive" and b % N == 0)):
+            raise ConvergenceModeError(
+                f"weight 1 at (a, b) = {(a, b)} mod {N} does not converge in mode {mode!r}")
+
+
+def _F_lipschitz(a: int, b: int, N: int, k: int, t: complex) -> complex:
+    return (-1) ** (k + 1) * math.factorial(k - 1) * _lipschitz_sum(a, b, N, 1, 0, 0, t, k)
 
 
 def _F_naive(query: EisensteinQuery, t: complex, labels) -> list:
@@ -303,19 +289,21 @@ def F_tilde(query: EisensteinQuery, D: int, allow_degenerate: bool = False) -> c
     When (Da, Db) = (0,0) mod N the second label degenerates; by default this
     raises DegenerateLabelError. allow_degenerate extends F to the zero label
     by the trivial-character sum (zero at odd weight), under which the
-    torsion-specialization identity continues to hold.
+    torsion-specialization identity continues to hold. Both labels must lie
+    in F's weight-one domain.
     """
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
     t = _tau_of(query.tau)
     a2, b2 = (D * query.a) % query.N, (D * query.b) % query.N
-    if a2 == 0 and b2 == 0:
-        if not allow_degenerate:
-            raise DegenerateLabelError(
-                f"(Da, Db) = {(D * query.a, D * query.b)} is (0,0) mod {query.N}"
-            )
-        if query.k < 2:
-            raise ConvergenceModeError("trivial-character extension needs k >= 2")
+    degenerate = a2 == 0 and b2 == 0
+    if degenerate and not allow_degenerate:
+        raise DegenerateLabelError(
+            f"(Da, Db) = {(D * query.a, D * query.b)} is (0,0) mod {query.N}"
+        )
+    # this also keeps the trivial-character extension at k >= 2
+    _check_weight_one([(query.a, query.b), (a2, b2)], query.N, query.k, query.mode)
+    if degenerate:
         first = F(query)
         second = _F_lipschitz(0, 0, 1, query.k, t)
     elif query.mode == "naive":
@@ -352,7 +340,7 @@ def coset_sum(a: int, b: int, N: int, D: int, tau, s: int, mode: str = "lipschit
                 "weight-1 inner rows are principal values; use the naive eisenstein ordering")
 
         def one_coset(c, d):
-            return _coset_lipschitz(a, b, N, D, c, d, t, s)
+            return _lipschitz_sum(a, b, N, D, c, d, t, s)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     total = 0.0 + 0.0j

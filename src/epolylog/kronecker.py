@@ -144,6 +144,8 @@ def dlog_kato_siegel(z, tau, D: int, cfg: CauchyConfig | None = None):
     if cfg is not None and np.ndim(z) != 0:
         raise TypeError(f"the contour path takes one z, got shape {np.shape(z)}")
     t = _tau_of(tau)
+    if not np.isfinite(z).all():
+        raise ValueError(f"z = {z} has no finite lattice coordinates")
     if lattice_dist(D * np.asarray(z), t) / D < 1e-8:
         raise PoleProximityError(f"z = {z} within 1e-8 of the D-torsion locus")
     if cfg is not None:

@@ -14,6 +14,7 @@ from epolylog.eisenstein import (
     EisensteinQuery,
     F,
     F_tilde,
+    _lipschitz_sum,
     _naive_sums,
     _polylog_root,
     _row_real,
@@ -165,6 +166,73 @@ class TestNaiveKernel:
             second = F(EisensteinQuery(a=D % 5, b=2 * D % 5, N=5, k=k, tau=TAU,
                                        mode="naive", trunc=trunc))
             assert F_tilde(q, D) == D**2 * F(q) - D ** (2 - k) * second
+
+
+class TestLipschitzKernel:
+    """One coset of coset_sum by rows against the naive box sum of the same
+    coset (D = 1, c = d = 0 is F without its prefactor)."""
+
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_every_coset_vs_box(self, D):
+        # s >= 4 with (Da, Db) != (0, 0) mod N: the box truncation error at
+        # R = 400 is then about R^(1-s) (a trivial character leaves R^(2-s)),
+        # and a level N that does not divide D has such labels
+        rng = random.Random(8 + D)
+        for c in range(D):
+            for d in range(D):
+                for re in (0.0, 0.5, rng.uniform(-0.5, 0.5)):
+                    N = rng.choice([n for n in range(2, 13) if D % n])
+                    a = b = 0
+                    while (D * a) % N == 0 and (D * b) % N == 0:
+                        a, b = rng.randrange(N), rng.randrange(N)
+                    s = rng.randint(4, 7)
+                    tau = complex(re, rng.uniform(0.8, 2.0))
+                    got = _lipschitz_sum(a, b, N, D, c, d, tau, s)
+                    want = oracles.naive_sum_rows(a, b, N, D, c, d, tau, s, 400, "box")
+                    assert type(got) is complex
+                    assert abs(got - want) < 1e-8 * max(1.0, abs(want))
+
+
+class TestWeightOneDomain:
+    """At k = 1 the row sum diverges when a = 0 mod N, and the naive square
+    truncation misses the row sum when b = 0 mod N."""
+
+    @staticmethod
+    def _no_sums(monkeypatch):
+        def no_sum(*args):
+            raise AssertionError("summed a lattice outside the weight-one domain")
+
+        monkeypatch.setattr(eisenstein, "_lipschitz_sum", no_sum)
+        monkeypatch.setattr(eisenstein, "_naive_sums", no_sum)
+
+    @pytest.mark.parametrize("a, b, mode", [
+        (0, 2, "lipschitz"), (5, 2, "lipschitz"),
+        (0, 2, "naive"), (2, 0, "naive"), (1, 0, "naive"),
+    ])
+    def test_raises_before_summing(self, monkeypatch, a, b, mode):
+        self._no_sums(monkeypatch)
+        trunc = LatticeTruncation(250) if mode == "naive" else None
+        q = EisensteinQuery(a=a, b=b, N=5, k=1, tau=TAU, mode=mode, trunc=trunc)
+        with pytest.raises(ConvergenceModeError):
+            F(q)
+        with pytest.raises(ConvergenceModeError):
+            F_tilde(q, 2)
+
+    @pytest.mark.parametrize("mode", ["lipschitz", "naive"])
+    def test_F_tilde_second_label(self, monkeypatch, mode):
+        # (a, b) = (2, 1) mod 4 is inside the domain, (Da, Db) = (0, 2) is not
+        self._no_sums(monkeypatch)
+        trunc = LatticeTruncation(250) if mode == "naive" else None
+        q = EisensteinQuery(a=2, b=1, N=4, k=1, tau=TAU, mode=mode, trunc=trunc)
+        with pytest.raises(ConvergenceModeError):
+            F_tilde(q, 2)
+
+    def test_lipschitz_at_b_zero_is_the_row_sum(self):
+        # rows of 2R + 1 terms converge like 1/R to the Lipschitz value; the
+        # naive square truncation stays 0.49 (a = 2) and 2.09 (a = 1) away
+        for a in (1, 2):
+            lip = F(EisensteinQuery(a=a, b=0, N=5, k=1, tau=TAU))
+            assert abs(lip - oracles.F_rows(a, 0, 5, 1, TAU, 15, 100000)) < 1e-3
 
 
 class TestF:

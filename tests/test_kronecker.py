@@ -1,4 +1,5 @@
 import cmath
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,17 @@ class TestDlog:
     def test_torsion_guard(self):
         with pytest.raises(PoleProximityError):
             dlog_kato_siegel((TAU_A + 1) / 2, TAU_A, 2)
+
+    def test_non_finite_z(self):
+        # the check comes before D * z, where numpy warns for inf (0 * inf),
+        # and the error names the z that was passed
+        inf = float("inf")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in (complex(inf, 0.0), np.array([0.1, inf])):
+                with pytest.raises(ValueError, match="inf") as info:
+                    dlog_kato_siegel(z, TAU_A, 2)
+                assert "nan" not in str(info.value)
 
     def test_custom_config(self):
         cfg = CauchyConfig(radius=0.05, samples=64, self_check=False)
