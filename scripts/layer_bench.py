@@ -10,9 +10,9 @@ the ROADMAP's performance aim:
   (eisenstein), naive box F at R = 400, the weight-2 eisenstein_sum_k2 at
   R = 500, naive F_tilde and naive specialize_eisenstein at R = 100,
   Lipschitz F_tilde at D = 2 and Lipschitz specialize_eisenstein at D = 3
-  (eight cosets of the row kernel), abs_connection at level 4 (logsheaf),
-  and the connection layer's real cost: curvature_residual and
-  closedness_residual at level 4.
+  (eight cosets of the row kernel), the connection matrices abs_connection
+  at level 4 (logsheaf), and the connection layer's real cost:
+  curvature_residual and closedness_residual at level 4.
 
 It also times cmd_verify(suite) at seed 0 for every verify suite, best of N
 in the same way (the whole suite per run).
@@ -48,14 +48,13 @@ def best_ms(fn, repeat: int) -> float:
 def calls():
     from epolylog.eisenstein import EisensteinQuery, F, F_tilde, eisenstein_sum_k2
     from epolylog.kronecker import s_coeffs
-    from epolylog.logsheaf import LogFiber, abs_connection, basis_indices, curvature_residual
+    from epolylog.logsheaf import abs_connection, curvature_residual
     from epolylog.numerics import LatticeTruncation
     from epolylog.polylog import TorsionLabel, closedness_residual, specialize_eisenstein
     from epolylog.weierstrass import theta_normalized
 
     tau = 0.21 + 1.1j
     zs = 0.1 + 0.3 * np.linspace(0.0, 1.0, 256) + 0.05j
-    fiber = LogFiber(4, {ij: 1.0 + 0.5j * sum(ij) for ij in basis_indices(4)})
 
     def naive(R, ordering="eisenstein"):
         return EisensteinQuery(1, 2, 5, 4, tau, mode="naive",
@@ -74,7 +73,7 @@ def calls():
             TorsionLabel(1, 2, 5, 3), tau, 3, mode="naive", trunc=LatticeTruncation(100)),
         "F_tilde_lipschitz": lambda: F_tilde(EisensteinQuery(1, 2, 5, 4, tau), 2),
         "specialize_lipschitz": lambda: specialize_eisenstein(TorsionLabel(1, 2, 5, 3), tau, 3),
-        "abs_connection_n4": lambda: abs_connection(fiber, tau),
+        "abs_connection_n4": lambda: abs_connection(4, tau),
         "curvature_n4": lambda: curvature_residual(4, tau),
         "closedness_n4": lambda: closedness_residual(0.23 + 0.11j, tau, 2, 4),
     }

@@ -27,7 +27,6 @@ from .logsheaf import (
     abs_connection,
     basis_indices,
     curvature_residual,
-    rel_connection,
 )
 from .numerics import (
     AliasingError,

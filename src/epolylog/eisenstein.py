@@ -10,11 +10,12 @@ which converts each row m to an exponential sum
              = (-2 pi i)^s/(s-1)! sum_{l>=1} (l-xi)^(s-1) e^(2 pi i (l-xi) x)
 
 for Im x > 0 (Im x < 0 by the reflection T(x,xi,s) = (-1)^s T(-x, -xi mod 1, s)).
-Rows with real x and the m = 0 polylogarithm row are summed exactly through
-Hurwitz zeta values at rational arguments. The row decomposition realizes the
-eisenstein summation order, so it is also valid at the conditionally
-convergent weights k <= 2. At k = 1 it needs a != 0 mod N: with a = 0 row m
-tends to -+pi i zeta_N^(+-mb) and the rows do not sum. The naive square
+The real row m = 0 (origin left out in F) is summed exactly by one Hurwitz
+zeta call at rational arguments, or at weight 1 in closed form. The row
+decomposition realizes the eisenstein summation order, so it is also valid
+at the conditionally convergent weights k <= 2. At k = 1 it needs
+a != 0 mod N: with a = 0 row m tends to -+pi i zeta_N^(+-mb) and the rows
+do not sum. The naive square
 truncation at k = 1 also needs b != 0 mod N, without which it converges to
 another value; outside this domain F raises ConvergenceModeError.
 
@@ -76,36 +77,31 @@ def _roots_of_unity(N: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(N) / N)
 
 
-def _polylog_root(s: int, xi: Fraction) -> complex:
-    """Li_s(e^{2 pi i xi}) for rational xi, s >= 1 (s >= 2 when xi = 0)."""
-    p, q = xi.numerator % xi.denominator, xi.denominator
-    if p == 0:
-        if s < 2:
-            raise ValueError("Li_1(1) diverges")
-        return complex(hurwitz_zeta(s, 1.0))
-    if s == 1:
-        return -cmath.log(1.0 - cmath.exp(2j * cmath.pi * p / q))
-    r = np.arange(1, q + 1)
-    um = np.exp(2j * np.pi * p * r / q)
-    return complex(np.sum(um * hurwitz_zeta(s, r / q)) / q**s)
-
-
 def _row_real(x: float, xi: Fraction, s: int) -> complex:
-    """sum_n e^{2 pi i xi n}/(x+n)^s for real 0 < x < 1, rational xi, s >= 2.
+    """sum_n e^{2 pi i xi n}/(x+n)^s for real 0 <= x < 1 and rational xi,
+    leaving out the origin n = 0 at x = 0.
 
-    Split n mod q and reduce to Hurwitz zeta values; exact up to roundoff.
+    Split n mod q: the terms n >= 0 and n < 0 are Hurwitz zeta values at the
+    2q arguments (r+x)/q and (r+1-x)/q, r = 0..q-1, with the argument 0 at
+    x = 0 replaced by 1 (which drops the origin). Exact up to roundoff. s = 1
+    converges only at x = 0 with xi != 0 mod 1, where the row is
+    -log(1-u) + log(1-conj u) at u = e^{2 pi i xi}.
     """
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"need 0 < x < 1, got {x}")
-    if s < 2:
-        raise ConvergenceModeError("real row needs absolute convergence (s >= 2)")
+    if not 0.0 <= x < 1.0:
+        raise ValueError(f"need 0 <= x < 1, got {x}")
     p, q = xi.numerator % xi.denominator, xi.denominator
+    if s == 1:
+        if x:
+            raise ConvergenceModeError("real row needs absolute convergence (s >= 2)")
+        u = cmath.exp(2j * cmath.pi * p / q)
+        return -cmath.log(1.0 - u) + cmath.log(1.0 - u.conjugate())
     r = np.arange(q)
-    w = np.exp(2j * np.pi * p * r / q)
-    pos = np.sum(w * hurwitz_zeta(s, (r + x) / q)) / q**s
-    neg = (-1) ** s * np.sum(np.conj(w) * np.exp(-2j * np.pi * p / q)
-                             * hurwitz_zeta(s, (r + 1.0 - x) / q)) / q**s
-    return complex(pos + neg)
+    args = np.concatenate([(r + x) / q, (r + 1.0 - x) / q])
+    if not x:
+        args[0] = 1.0
+    w = np.exp(2j * np.pi * p * np.concatenate([r, -(r + 1)]) / q)
+    w[q:] *= (-1) ** s
+    return complex(w @ hurwitz_zeta(s, args)) / q**s
 
 
 def _T_batch(x: np.ndarray, xi: float, s: int) -> np.ndarray:
@@ -137,9 +133,8 @@ def _lipschitz_sum(a: int, b: int, N: int, D: int, c: int, d: int, t: complex,
     """The lattice sum of coset_sum for the one coset (c, d), by rows: the
     character factors as zeta_N^(cb - da) times zeta_N^(Dmb) on row m, whose
     sum over n is T(x_m, -Da/N, s) at x_m = (m + c/D) tau + d/D. Row 0 is
-    real when c = 0: a Hurwitz zeta row at d/D, or without the origin (so
-    F is the case D = 1, c = d = 0) the polylogarithm pair at the two
-    conjugate roots. s = 1 needs Da != 0 mod N."""
+    real when c = 0: _row_real at d/D, without the origin when d = 0 (so F
+    is the case D = 1, c = d = 0). s = 1 needs Da != 0 mod N."""
     xi = Fraction(-D * a, N)
     # rows m > 0 decay like e^(-2 pi m Im(tau) (1 - xi mod 1)), by the slowest
     # frequency of T(x, xi, s); rows m < 0 by that of T(-x, -xi, s)
@@ -149,8 +144,7 @@ def _lipschitz_sum(a: int, b: int, N: int, D: int, c: int, d: int, t: complex,
     row0 = 0.0
     if c == 0:
         m = m[m != 0]
-        row0 = (_row_real(d / D, xi, s) if d else
-                _polylog_root(s, xi) + (-1) ** s * _polylog_root(s, -xi))
+        row0 = _row_real(d / D, xi, s)
     roots = _roots_of_unity(N)
     rows = roots[(D * m * b) % N] * _T_rows((m + c / D) * t + d / D, xi, s)
     return complex(roots[(c * b - d * a) % N]) * (row0 + complex(np.sum(rows)))

@@ -9,7 +9,9 @@ built from the degree-D kernel coefficients s_k; the absolute form adds
 
   L_n = l_n + sum_{k<=n} (k+1)! s_{k+1} / (2 pi i) w^[k,0] dtau
 
-and is closed for the absolute connection. Evaluating the coefficient tower
+and is closed for the absolute connection: with the matrices Omega_z,
+Omega_tau of logsheaf.abs_connection, -dP/dtau - Omega_tau P + dQ/dz +
+Omega_z Q = 0 for L_n = P dz + Q dtau. Evaluating the coefficient tower
 at an N-torsion point collapses, for each k, to the smoothed weight-(k+1)
 Eisenstein series D^2 F^(k+1)_(a,b) - D^(1-k) F^(k+1)_(Da,Db); the sum
 computed here, with the coset sums of eisenstein.coset_sum, is
@@ -26,6 +28,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .eisenstein import coset_sum
 from .kronecker import s_coeffs
@@ -83,26 +87,22 @@ def closedness_residual(z: complex, tau, D: int, n: int) -> float:
     """Max coefficient of d(L_n) + nabla ^ L_n, over the level-n basis,
     normalized by the largest input coefficient.
 
-    With L = P dz + Q dtau the dz^dtau component is
-    -dP/dtau - nabla_tau(P) + dQ/dz + nabla_z(Q); closedness of the absolute
-    form makes every basis coefficient cancel. P and Q depend on (z, tau)
-    through the kernel coefficients, differentiated here by central stencils.
+    With L = P dz + Q dtau, on dense coefficient vectors, the dz^dtau
+    component is -dP/dtau - Omega_tau P + dQ/dz + Omega_z Q with the matrices
+    of logsheaf.abs_connection; closedness of the absolute form makes every
+    entry cancel. P and Q depend on (z, tau) through the kernel coefficients,
+    differentiated here by central stencils.
     """
     t = _tau_of(tau)
     margin = 10.0 * _CLOSEDNESS_STENCIL.step
     if lattice_dist(z, t) < margin or lattice_dist(D * z, t) < D * margin:
         raise PoleProximityError(f"z = {z} too close to the polar locus for the stencil")
     form = L_form(z, t, D, n)
-    P, Q = form.dz, form.dtau
-    dP = LogFiber.from_vector(
-        n, finite_diff(lambda s: L_form(z, s, D, n).dz.vector(), t, _CLOSEDNESS_STENCIL))
-    dQ = LogFiber.from_vector(
-        n, finite_diff(lambda x: L_form(x, t, D, n).dtau.vector(), z, _CLOSEDNESS_STENCIL))
-    nab_tau_P = abs_connection(P, t).dtau
-    nab_z_Q = abs_connection(Q, t).dz
-    resid = dP.scale(-1.0).add(nab_tau_P.scale(-1.0)).add(dQ).add(nab_z_Q)
-    scale = max(form.max_abs(), 1e-300)
-    return resid.max_abs() / scale
+    dP = finite_diff(lambda s: L_form(z, s, D, n).dz.vector(), t, _CLOSEDNESS_STENCIL)
+    dQ = finite_diff(lambda x: L_form(x, t, D, n).dtau.vector(), z, _CLOSEDNESS_STENCIL)
+    omega_z, omega_tau = abs_connection(n, t)
+    resid = -dP - omega_tau @ form.dz.vector() + dQ + omega_z @ form.dtau.vector()
+    return float(np.max(np.abs(resid))) / max(form.max_abs(), 1e-300)
 
 
 def specialize_eisenstein(
@@ -118,9 +118,5 @@ def specialize_eisenstein(
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    t = _tau_of(tau)
-    D = label.D
-    if D == 1:
-        return 0.0 + 0.0j
-    prefac = (-1) ** k * math.factorial(k) * float(D) ** (1 - k)
-    return prefac * coset_sum(label.a, label.b, label.N, D, t, k + 1, mode, trunc)
+    prefac = (-1) ** k * math.factorial(k) * float(label.D) ** (1 - k)
+    return prefac * coset_sum(label.a, label.b, label.N, label.D, tau, k + 1, mode, trunc)

@@ -16,7 +16,6 @@ from epolylog.eisenstein import (
     F_tilde,
     _lipschitz_sum,
     _naive_sums,
-    _polylog_root,
     _row_real,
     _T_batch,
     eisenstein_sum_k2,
@@ -50,14 +49,17 @@ class TestQueryValidation:
 
 class TestRowMachinery:
     def test_polylog_root_vs_mpmath(self):
-        for s, xi in [(2, Fraction(1, 4)), (3, Fraction(2, 5)), (1, Fraction(1, 3)), (4, Fraction(0, 1))]:
-            got = _polylog_root(s, xi)
-            ref = complex(mpmath.polylog(s, mpmath.exp(2j * mpmath.pi * float(xi))))
-            assert abs(got - ref) < 1e-13
+        # without the origin, the real row at x = 0 is the polylogarithm pair
+        # Li_s(u) + (-1)^s Li_s(conj u) at the root u = e^{2 pi i xi}
+        for s, xi in [(2, Fraction(1, 4)), (3, Fraction(2, 5)), (1, Fraction(1, 3)),
+                      (4, Fraction(0, 1)), (5, Fraction(1, 2))]:
+            u = mpmath.exp(2j * mpmath.pi * float(xi))
+            ref = complex(mpmath.polylog(s, u) + (-1) ** s * mpmath.polylog(s, 1 / u))
+            assert abs(_row_real(0.0, xi, s) - ref) < 1e-13
 
     def test_polylog_root_weight_one_at_one_diverges(self):
         with pytest.raises(ValueError):
-            _polylog_root(1, Fraction(0, 1))
+            _row_real(0.0, Fraction(0, 1), 1)
 
     def test_row_real_vs_lerchphi(self):
         # sum_n e^{2 pi i xi n}/(x+n)^s split into the two lerchphi halves

@@ -117,6 +117,17 @@ class TestSpecialization:
     def test_degree_one_vanishes(self):
         assert specialize_eisenstein(TorsionLabel(a=1, b=0, N=4, D=1), TAU_A, 3) == 0.0
 
+    def test_degree_one_validates(self):
+        # D = 1 sums no coset, but its mode, truncation and weight are
+        # checked as at any D
+        label = TorsionLabel(a=1, b=2, N=5, D=1)
+        with pytest.raises(ValueError):
+            specialize_eisenstein(label, 0.3 + 1j, 3, mode="lipschitzz")
+        with pytest.raises(ValueError):
+            specialize_eisenstein(label, 0.3 + 1j, 3, mode="naive")
+        with pytest.raises(ConvergenceModeError):
+            specialize_eisenstein(label, 0.3 + 1j, 0)
+
     def test_naive_cross_check(self):
         label = TorsionLabel(a=1, b=2, N=5, D=2)
         lip = specialize_eisenstein(label, TAU_A, 2)
