@@ -1,4 +1,5 @@
-"""Layer microbenchmarks: one fixed call per layer, timed best of N.
+"""Layer microbenchmarks: one fixed call per layer, timed best of N, in
+alternating rounds over one or two source trees.
 
 Prints, per call, the fastest of N timed runs after one warm-up run, then the
 wall time and the md5 of the canonical `verify all --seed 0` report and the
@@ -14,14 +15,26 @@ the ROADMAP's performance aim:
   at level 4 (logsheaf), and the connection layer's real cost:
   curvature_residual and closedness_residual at level 4.
 
+Every call above repeats one tau, so its theta weights come from the cache.
+The fresh-tau layers, scalar theta_normalized and s_coeffs at n = 4, cycle
+through 512 distinct verify-box tau (twice the 256 entries of the theta
+weights' cache), so every call builds its weights; a timed run is one cycle
+and the figure is its time per call. The round also counts the theta weights'
+cache misses (`_jacobi_weights.cache_info().misses`) over one `verify all
+--seed 0` run with that cache cleared first.
+
 It also times cmd_verify(suite) at seed 0 for every verify suite, best of N
 in the same way (the whole suite per run).
 
---src picks the source tree to import, so a parent commit checked out
-elsewhere (git archive or git clone) and the working tree can be measured on
-the same machine; --out merges the numbers into a JSON file under --label.
+--src picks the source tree to import; give it twice, say a parent commit
+checked out elsewhere (git archive or git clone) and the working tree, to
+compare them on the same machine. Each round measures every tree in a fresh
+interpreter, and the trees alternate: the first tree leads the odd rounds and
+the second the even ones, so host drift over the rounds falls on both. --out
+merges every round and the per-tree medians over the rounds into a JSON file.
 
-Run: python scripts/layer_bench.py [--src DIR] [--repeat N] [--label L --out FILE]
+Run: python scripts/layer_bench.py [--src DIR [--src DIR2]] [--label L [--label L2]]
+         [--rounds N] [--repeat N] [--out FILE]
 """
 
 import argparse
@@ -29,6 +42,8 @@ import hashlib
 import json
 import os
 import platform
+import statistics
+import subprocess
 import sys
 import time
 
@@ -45,6 +60,16 @@ def best_ms(fn, repeat: int) -> float:
     return best * 1e3
 
 
+FRESH_TAUS = 512  # distinct tau per fresh-tau run, twice the theta weights' cache
+
+
+def fresh_taus() -> list:
+    """FRESH_TAUS distinct tau of the verify box, |Re tau| <= 1/2, Im tau in [0.8, 2]."""
+    rng = np.random.default_rng(0)
+    return [complex(x, y) for x, y in zip(rng.uniform(-0.5, 0.5, FRESH_TAUS),
+                                          rng.uniform(0.8, 2.0, FRESH_TAUS))]
+
+
 def calls():
     from epolylog.eisenstein import EisensteinQuery, F, F_tilde, eisenstein_sum_k2
     from epolylog.kronecker import s_coeffs
@@ -56,6 +81,8 @@ def calls():
     tau = 0.21 + 1.1j
     zs = 0.1 + 0.3 * np.linspace(0.0, 1.0, 256) + 0.05j
 
+    taus = fresh_taus()
+
     def naive(R, ordering="eisenstein"):
         return EisensteinQuery(1, 2, 5, 4, tau, mode="naive",
                                trunc=LatticeTruncation(R, ordering))
@@ -64,6 +91,9 @@ def calls():
         "theta_vector_256": lambda: theta_normalized(zs, tau),
         "theta_scalar": lambda: theta_normalized(0.23 + 0.11j, tau),
         "s_coeffs_n8": lambda: s_coeffs(0.23 + 0.11j, tau, 2, 8),
+        # one cycle over the fresh tau; main() divides by FRESH_TAUS
+        "theta_scalar_fresh_tau": lambda: [theta_normalized(0.23 + 0.11j, t) for t in taus],
+        "s_coeffs_n4_fresh_tau": lambda: [s_coeffs(0.23 + 0.11j, t, 2, 4) for t in taus],
         "F_lipschitz": lambda: F(EisensteinQuery(1, 2, 5, 4, tau)),
         "F_naive_R500": lambda: F(naive(500)),
         "F_naive_box_R400": lambda: F(naive(400, "box")),
@@ -84,6 +114,16 @@ def suite_seconds(repeat: int) -> dict:
 
     config = RunConfig(seed=0)
     return {name: best_ms(lambda: cmd_verify(name, config), repeat) / 1e3 for name in SUITES}
+
+
+def cold_misses() -> int:
+    """Theta weight cache misses of one `verify all --seed 0` from a cleared cache."""
+    from epolylog.cli import RunConfig, cmd_verify
+    from epolylog.weierstrass import _jacobi_weights
+
+    _jacobi_weights.cache_clear()
+    cmd_verify("all", RunConfig(seed=0))
+    return _jacobi_weights.cache_info().misses
 
 
 def verify_all() -> tuple:
@@ -107,33 +147,84 @@ def src_lines(src: str) -> int:
     return total
 
 
-def main() -> None:
-    here = os.path.dirname(os.path.abspath(__file__))
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", default=os.path.join(here, "..", "src"),
-                    help="source tree holding the epolylog package (default: this checkout's)")
-    ap.add_argument("--repeat", type=int, default=7, help="timed runs per call")
-    ap.add_argument("--label", default="change", help="key of this run in --out")
-    ap.add_argument("--out", default=None, help="JSON file to merge the numbers into")
-    args = ap.parse_args()
-    if args.repeat < 1:
-        ap.error("--repeat must be >= 1")
-    src = os.path.abspath(args.src)
+def measure(src: str, repeat: int) -> dict:
+    """One round on the tree under src, in this interpreter."""
     sys.path.insert(0, src)
-
-    record = {"layers_ms": {}}
+    record = {"jacobi_weights_misses_verify_all_seed0": cold_misses(), "layers_ms": {}}
     for name, fn in calls().items():
-        record["layers_ms"][name] = round(best_ms(fn, args.repeat), 4)
-        print(f"{name:24s} {record['layers_ms'][name]:10.3f} ms")
-    record["suites_s"] = {k: round(v, 4) for k, v in suite_seconds(args.repeat).items()}
-    for name, sec in record["suites_s"].items():
-        print(f"{'verify ' + name:24s} {sec:10.3f} s")
+        per_run = FRESH_TAUS if name.endswith("_fresh_tau") else 1
+        record["layers_ms"][name] = round(best_ms(fn, repeat) / per_run, 4)
+    record["suites_s"] = {k: round(v, 4) for k, v in suite_seconds(repeat).items()}
     wall, md5 = verify_all()
     record["verify_all_seed0_s"] = round(wall, 3)
     record["verify_all_seed0_md5"] = md5
     record["src_lines"] = src_lines(src)
-    print(f"{'verify all --seed 0':24s} {wall:10.3f} s   md5 {md5}")
-    print(f"{'src lines':24s} {record['src_lines']:10d}")
+    return record
+
+
+def show(title: str, record: dict) -> None:
+    print(f"== {title}")
+    for name, ms in record["layers_ms"].items():
+        print(f"{name:24s} {ms:10.4f} ms")
+    for name, sec in record["suites_s"].items():
+        print(f"{'verify ' + name:24s} {sec:10.3f} s")
+    print(f"{'verify all --seed 0':24s} {record['verify_all_seed0_s']:10.3f} s   "
+          f"md5 {record['verify_all_seed0_md5']}")
+    print(f"{'theta weight misses':24s} {record['jacobi_weights_misses_verify_all_seed0']:10d}"
+          "   (cold verify all --seed 0)")
+    print(f"{'src lines':24s} {record['src_lines']:10d}", flush=True)
+
+
+def median_record(records: list) -> dict:
+    """Numbers: the median over rounds; anything else: the value, or the list
+    of values if the rounds disagree."""
+    first = records[0]
+    if isinstance(first, dict):
+        return {k: median_record([r[k] for r in records]) for k in first}
+    if isinstance(first, float):
+        return round(statistics.median(records), 4)
+    return first if all(r == first for r in records) else records
+
+
+def main() -> None:
+    here = os.path.dirname(os.path.abspath(__file__))
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", action="append",
+                    help="source tree holding the epolylog package; give it once or twice "
+                         "(default: this checkout's)")
+    ap.add_argument("--label", action="append",
+                    help="name of each tree in the output, in --src order "
+                         "(default: change, or parent and change for two trees)")
+    ap.add_argument("--rounds", type=int, default=3, help="rounds per tree")
+    ap.add_argument("--repeat", type=int, default=7, help="timed runs per call")
+    ap.add_argument("--out", default=None, help="JSON file to merge the numbers into")
+    ap.add_argument("--one-round", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    srcs = [os.path.abspath(s) for s in args.src or [os.path.join(here, "..", "src")]]
+    labels = args.label or (["change"] if len(srcs) == 1 else ["parent", "change"])
+    if len(srcs) > 2 or len(labels) != len(srcs) or len(set(labels)) != len(labels):
+        ap.error("give one or two --src trees and, if any, one distinct --label per tree")
+    if args.repeat < 1 or args.rounds < 1:
+        ap.error("--repeat and --rounds must be >= 1")
+    if args.one_round:  # a child: one round of one tree, the record as the last line
+        print(json.dumps(measure(srcs[0], args.repeat)))
+        return
+
+    rounds, order = {}, []
+    for r in range(1, args.rounds + 1):
+        trees = list(zip(labels, srcs))
+        for label, src in trees if r % 2 else trees[::-1]:
+            out = subprocess.run([sys.executable, os.path.abspath(__file__), "--src", src,
+                                  "--repeat", str(args.repeat), "--one-round"],
+                                 stdout=subprocess.PIPE, text=True, check=True)
+            key = f"{label}_round{r}"
+            rounds[key] = json.loads(out.stdout.strip().splitlines()[-1])
+            order.append(key)
+            show(key, rounds[key])
+    medians = {label: median_record([rounds[f"{label}_round{r}"]
+                                     for r in range(1, args.rounds + 1)]) for label in labels}
+    for label in labels:
+        show(f"{label}, median of {args.rounds} rounds", medians[label])
 
     if args.out:
         data = {}
@@ -143,7 +234,9 @@ def main() -> None:
         data["machine"] = {"cpus": os.cpu_count(), "python": platform.python_version(),
                            "numpy": np.__version__, "platform": platform.platform()}
         data["repeat"] = args.repeat
-        data[args.label] = record
+        data["order"] = order
+        data["rounds"] = rounds
+        data["median_over_rounds"] = medians
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=2)
             fh.write("\n")

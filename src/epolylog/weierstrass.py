@@ -1,6 +1,6 @@
-"""Weierstrass functions on the lattice Z + Z*tau via q-series: one theta
-engine (_theta_taylor, Taylor coefficients from the Jacobi series) under the
-theta family and kronecker.s_coeffs; Lambert series for eta1, eta1', g2 and g3.
+"""Weierstrass functions on the lattice Z + Z*tau via q-series: one theta engine
+(_theta_taylor: Jacobi series weights, per tau times a tau-independent table) under
+the theta family and kronecker.s_coeffs; Lambert series for eta1, eta1', g2 and g3.
 
 Conventions: eta1 is the quasi-period with eta1(i) = +pi and
 zeta(z+1) - zeta(z) = eta1; eta2 = eta1*tau - 2*pi*i (Legendre relation with
@@ -93,19 +93,30 @@ def _exp_taylor(x: np.ndarray, m: int) -> np.ndarray:
     return np.cumprod(np.vstack([np.ones(len(x)), x / np.arange(1, m + 1)[:, None]]), axis=0)
 
 
+@lru_cache(maxsize=None)  # K < 200 and m <= MAX_COEFF_ORDER + 2 bound the keys
+def _jacobi_table(K: int, m: int) -> tuple:
+    # tau-independent: k, (-1)^k, k + 1, a_k and the rows (-1)^(j//2) a_k^j / j!,
+    # since d^j/dz^j sin(a z) = a^j sin(a z + j pi/2) (the sign + + - - is exact)
+    k = np.arange(K)
+    sign, k1, a = (-1.0) ** k, k + 1, (2 * k + 1) * np.pi
+    rows = (-1.0) ** (np.arange(m + 1) // 2)[:, None] * _exp_taylor(a, m)
+    for arr in (k, sign, k1, a, rows):
+        arr.flags.writeable = False
+    return k, sign, k1, a, rows
+
+
 @lru_cache(maxsize=256)
 def _jacobi_weights(t: complex, m: int) -> tuple:
-    # frequencies a_k, and weights on sin(a_k z) (rows j even) or cos(a_k z);
-    # at |Im z| <= Im(tau)/2 term k is below exp(-pi Im(tau) k^2) (2k+1)^m
-    # times term 0, and the terms stop under e^-42
+    # frequencies a_k, and weights c_k times the table rows on sin(a_k z) (rows j
+    # even) or cos(a_k z); at |Im z| <= Im(tau)/2 term k is below exp(-pi Im(tau) k^2)
+    # (2k+1)^m times term 0, and the terms stop under e^-42
     pi_im = math.pi * t.imag
     K = next((k for k in range(1, 200) if pi_im * k * k - m * math.log(2 * k + 1) > 42.0
               and pi_im * k * (2 * k + 1) > m), None)
     if K is None:
         raise ConvergenceError(f"Im tau = {t.imag} too small for the theta series")
-    k = np.arange(K)
-    a = (2 * k + 1) * np.pi
-    c = (-1.0) ** k * np.exp(1j * np.pi * t * k * (k + 1))  # q^(-1/4) cancels
+    k, sign, k1, a, rows = _jacobi_table(K, m)
+    c = sign * np.exp(1j * np.pi * t * k * k1)  # q^(-1/4) cancels
     norm = c @ a
     # the result's relative error is about 1e-16 times the cancellation of
     # the alternating sum for theta_1'(0), which grows like e^(pi / (4 Im tau))
@@ -113,9 +124,8 @@ def _jacobi_weights(t: complex, m: int) -> tuple:
     if not cancellation < 1e6:
         raise ConvergenceError(f"Im tau = {t.imag} too small for the theta series: "
                                f"its terms cancel {cancellation:.1e}-fold")
-    # d^j/dz^j sin(a z) = a^j sin(a z + j pi/2): the sign cycles + + - -
-    w = (-1.0) ** (np.arange(m + 1) // 2)[:, None] * (c / norm) * _exp_taylor(a, m)
-    a.flags.writeable = w.flags.writeable = False
+    w = (c / norm) * rows
+    w.flags.writeable = False
     return a, w
 
 

@@ -1,4 +1,6 @@
 import cmath
+import math
+import re
 
 import mpmath
 import numpy as np
@@ -6,10 +8,12 @@ import pytest
 
 import oracles
 from conftest import STANDARD_POINTS, STANDARD_TAUS
+from epolylog.kronecker import MAX_COEFF_ORDER
 from epolylog.weierstrass import (
     ConvergenceError,
     ModuliPoint,
     PoleProximityError,
+    _jacobi_table,
     _jacobi_weights,
     _theta_taylor,
     eta1_prime,
@@ -36,6 +40,27 @@ SIGMA_A = complex(0.22991333599162926, 0.11022120722855972)
 WP_A = complex(9.4953166569873459, -11.982465090298054)
 WPP_A = complex(-28.685037527894157, 119.14063640992173)
 ETA1_A = complex(3.288626736608861, -0.0013220866977492866)
+
+
+def jacobi_weights_formula(t, m):
+    """The theta weights (a, w) for the reduced t and order m as one formula:
+    the Jacobi series' frequencies and coefficients times the Taylor rows of
+    exp(a w), with the derivative sign + + - -."""
+    pi_im = math.pi * t.imag
+    K = next((k for k in range(1, 200) if pi_im * k * k - m * math.log(2 * k + 1) > 42.0
+              and pi_im * k * (2 * k + 1) > m), None)
+    if K is None:
+        raise ConvergenceError(f"Im tau = {t.imag} too small for the theta series")
+    k = np.arange(K)
+    a = (2 * k + 1) * np.pi
+    c = (-1.0) ** k * np.exp(1j * np.pi * t * k * (k + 1))
+    norm = c @ a
+    cancellation = (np.abs(c) @ a) / abs(norm)
+    if not cancellation < 1e6:
+        raise ConvergenceError(f"Im tau = {t.imag} too small for the theta series: "
+                               f"its terms cancel {cancellation:.1e}-fold")
+    rows = np.cumprod(np.vstack([np.ones(K), a / np.arange(1, m + 1)[:, None]]), axis=0)
+    return a, (-1.0) ** (np.arange(m + 1) // 2)[:, None] * (c / norm) * rows
 
 
 def rel(got, expect):
@@ -112,6 +137,39 @@ class TestTheta:
                     ref[0::2] = w[0::2] @ np.sin(x)
                     ref[1::2] = w[1::2] @ np.cos(x)
                     assert _theta_taylor(z, t, m).tobytes() == ref.tobytes()
+
+    def test_weights_match_one_formula(self):
+        # the theta weights split into a tau-independent table and a tau pass
+        # must give the bits of the one formula, and raise where it raises
+        rng = np.random.default_rng(10)
+        taus = [complex(x - round(x), y)
+                for x, y in zip(rng.uniform(-50.0, 50.0, 60), np.geomspace(0.05, 5.0, 60))]
+        taus += [0.04j, 0.5 + 1e-3j, 1e-300j]
+        for t in taus:
+            for m in range(MAX_COEFF_ORDER + 3):
+                try:
+                    ref = jacobi_weights_formula(t, m)
+                except ConvergenceError as exc:
+                    with pytest.raises(ConvergenceError, match=re.escape(str(exc))):
+                        _jacobi_weights(t, m)
+                    continue
+                a, w = _jacobi_weights(t, m)
+                assert (a.tobytes(), w.tobytes()) == (ref[0].tobytes(), ref[1].tobytes())
+        for t in (0.04j, 0.5 + 1e-3j, 1e-300j):
+            for weights in (jacobi_weights_formula, _jacobi_weights):
+                with pytest.raises(ConvergenceError):
+                    weights(t, 1)
+
+    def test_weights_read_only(self):
+        # the frequencies and rows are shared by every tau with the same term
+        # count, so an in-place write into any cached array must raise
+        a, w = _jacobi_weights(0.21 + 1.1j, 2)
+        a2, w2 = _jacobi_weights(0.3 + 1.1j, 2)
+        table = _jacobi_table(len(a), 2)
+        assert a2 is a and table[3] is a
+        for arr in (a, w, w2) + table:
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     def test_vectorized(self):
         # array and scalar paths may differ by 1 ulp (SIMD transcendentals)
