@@ -13,7 +13,8 @@ the ROADMAP's performance aim:
   Lipschitz F_tilde at D = 2 and Lipschitz specialize_eisenstein at D = 3
   (eight cosets of the row kernel), the connection matrices abs_connection
   at level 4 (logsheaf), and the connection layer's real cost:
-  curvature_residual and closedness_residual at level 4.
+  curvature_residual and closedness_residual at level 4 (closedness_n4
+  covers the levels 0-4, the closedness suite's work for one point and D).
 
 Every call above repeats one tau, so its theta weights come from the cache.
 The fresh-tau layers, scalar theta_normalized and s_coeffs at n = 4, cycle
@@ -30,7 +31,10 @@ in the same way (the whole suite per run).
 checked out elsewhere (git archive or git clone) and the working tree, to
 compare them on the same machine. Each round measures every tree in a fresh
 interpreter, and the trees alternate: the first tree leads the odd rounds and
-the second the even ones, so host drift over the rounds falls on both. --out
+the second the even ones, so host drift over the rounds falls on both. After
+each tree's microbenchmarks the round runs that tree's tier-1 pytest (`python
+-m pytest -q --continue-on-collection-errors` in the tree's root, its src
+first on PYTHONPATH) and records the wall seconds and the passed count. --out
 merges every round and the per-tree medians over the rounds into a JSON file.
 
 Run: python scripts/layer_bench.py [--src DIR [--src DIR2]] [--label L [--label L2]]
@@ -42,6 +46,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -162,6 +167,20 @@ def measure(src: str, repeat: int) -> dict:
     return record
 
 
+def tier1(src: str) -> dict:
+    """Wall seconds and passed count of the tier-1 pytest of the tree whose
+    package lives under src."""
+    root = os.path.dirname(src)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                         cwd=root, env=env, stdout=subprocess.PIPE, text=True)
+    wall = time.perf_counter() - t0
+    passed = re.search(r"(\d+) passed", out.stdout)
+    return {"tier1_s": round(wall, 3), "tier1_passed": int(passed.group(1)) if passed else 0}
+
+
 def show(title: str, record: dict) -> None:
     print(f"== {title}")
     for name, ms in record["layers_ms"].items():
@@ -172,7 +191,9 @@ def show(title: str, record: dict) -> None:
           f"md5 {record['verify_all_seed0_md5']}")
     print(f"{'theta weight misses':24s} {record['jacobi_weights_misses_verify_all_seed0']:10d}"
           "   (cold verify all --seed 0)")
-    print(f"{'src lines':24s} {record['src_lines']:10d}", flush=True)
+    print(f"{'src lines':24s} {record['src_lines']:10d}")
+    print(f"{'tier-1 pytest':24s} {record['tier1_s']:10.3f} s   "
+          f"{record['tier1_passed']} passed", flush=True)
 
 
 def median_record(records: list) -> dict:
@@ -218,7 +239,7 @@ def main() -> None:
                                   "--repeat", str(args.repeat), "--one-round"],
                                  stdout=subprocess.PIPE, text=True, check=True)
             key = f"{label}_round{r}"
-            rounds[key] = json.loads(out.stdout.strip().splitlines()[-1])
+            rounds[key] = {**json.loads(out.stdout.strip().splitlines()[-1]), **tier1(src)}
             order.append(key)
             show(key, rounds[key])
     medians = {label: median_record([rounds[f"{label}_round{r}"]

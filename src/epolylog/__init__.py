@@ -43,7 +43,6 @@ from .polylog import (
     L_form,
     TorsionLabel,
     closedness_residual,
-    l_form,
     specialize_eisenstein,
 )
 from .weierstrass import (

@@ -46,19 +46,8 @@ class LogFiber:
                 clean[(int(i), int(j))] = complex(c)
         object.__setattr__(self, "coeffs", clean)
 
-    @classmethod
-    def zero(cls, n: int) -> "LogFiber":
-        return cls(n, {})
-
     def get(self, i: int, j: int) -> complex:
         return self.coeffs.get((i, j), 0.0 + 0.0j)
-
-    def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def vector(self) -> np.ndarray:
-        """Dense coefficients in the order of basis_indices(n)."""
-        return np.array([self.get(i, j) for (i, j) in basis_indices(self.n)], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -72,9 +61,6 @@ class LogValuedForm:
     def __post_init__(self) -> None:
         if self.dz.n != self.n or self.dtau.n != self.n:
             raise ValueError("component levels disagree with the form level")
-
-    def max_abs(self) -> float:
-        return max(self.dz.max_abs(), self.dtau.max_abs())
 
 
 def basis_indices(n: int) -> list:
@@ -93,7 +79,8 @@ def abs_connection(n: int, tau) -> tuple[np.ndarray, np.ndarray]:
                           + (i+1) (eta1' - eta1^2/2 pi i) w^[i+1,j-1].
 
     nabla_z drops images beyond total degree n; nabla_tau preserves total
-    degree, so no truncation occurs there.
+    degree, so no truncation occurs there. Hence the level-m matrices are
+    the leading (m+1)(m+2)/2 blocks of the level-n ones, m <= n.
     """
     t = _tau_of(tau)
     eta1 = eta_periods(t).eta1

@@ -1,13 +1,11 @@
 """Polylogarithm 1-forms with values in the logarithm fibers, and their
 specialization at torsion points to level-N Eisenstein series.
 
-The relative form at level n is
+The absolute form at level n, built from the degree-D kernel coefficients
+s_k, is
 
-  l_n = sum_{k<=n} k! s_k w^[k,0] dz,
-
-built from the degree-D kernel coefficients s_k; the absolute form adds
-
-  L_n = l_n + sum_{k<=n} (k+1)! s_{k+1} / (2 pi i) w^[k,0] dtau
+  L_n = sum_{k<=n} k! s_k w^[k,0] dz
+        + sum_{k<=n} (k+1)! s_{k+1} / (2 pi i) w^[k,0] dtau
 
 and is closed for the absolute connection: with the matrices Omega_z,
 Omega_tau of logsheaf.abs_connection, -dP/dtau - Omega_tau P + dQ/dz +
@@ -63,46 +61,53 @@ class TorsionLabel:
             raise ValueError(f"D must be >= 1, got {self.D}")
 
 
-def l_form(z: complex, tau, D: int, n: int) -> LogValuedForm:
-    """Relative polylogarithm form at level n: dz coefficients k! s_k on the
-    rows w^[k,0], no dtau part."""
-    t = _tau_of(tau)
-    sc = s_coeffs(z, t, D, n)
-    dz = {(k, 0): math.factorial(k) * sc.coeffs[k] for k in range(n + 1)}
-    return LogValuedForm(n=n, dz=LogFiber(n, dz), dtau=LogFiber.zero(n))
+def _rows(z: complex, t: complex, D: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients of L_n on the rows w^[k,0], k = 0..n, from one
+    s_coeffs call at order n + 1: k! s_k (dz) and (k+1)! s_(k+1) / (2 pi i)
+    (dtau)."""
+    s = s_coeffs(z, t, D, n + 1).coeffs
+    return (np.array([math.factorial(k) * s[k] for k in range(n + 1)]),
+            np.array([math.factorial(k + 1) * s[k + 1] / TWO_PI_I for k in range(n + 1)]))
 
 
 def L_form(z: complex, tau, D: int, n: int) -> LogValuedForm:
-    """Absolute polylogarithm form at level n: the relative coefficients plus
-    the dtau tower (k+1)! s_(k+1) / (2 pi i) on w^[k,0]. Its dz part is, float
-    for float, the rows k <= n of the level-(n+1) relative form."""
-    t = _tau_of(tau)
-    sc = s_coeffs(z, t, D, n + 1)
-    dz = {(k, 0): math.factorial(k) * sc.coeffs[k] for k in range(n + 1)}
-    dtau = {(k, 0): math.factorial(k + 1) * sc.coeffs[k + 1] / TWO_PI_I for k in range(n + 1)}
-    return LogValuedForm(n=n, dz=LogFiber(n, dz), dtau=LogFiber(n, dtau))
+    """Absolute polylogarithm form at level n: the relative coefficients
+    k! s_k dz plus the dtau tower (k+1)! s_(k+1) / (2 pi i), both on the
+    rows w^[k,0]."""
+    dz, dtau = _rows(z, _tau_of(tau), D, n)
+    return LogValuedForm(n=n, dz=LogFiber(n, {(k, 0): c for k, c in enumerate(dz)}),
+                         dtau=LogFiber(n, {(k, 0): c for k, c in enumerate(dtau)}))
 
 
 def closedness_residual(z: complex, tau, D: int, n: int) -> float:
-    """Max coefficient of d(L_n) + nabla ^ L_n, over the level-n basis,
-    normalized by the largest input coefficient.
+    """Worst closedness residual of L_m over the levels m = 0..n: the max
+    coefficient of d(L_m) + nabla ^ L_m over the level-m basis, normalized by
+    the largest coefficient of L_m.
 
     With L = P dz + Q dtau, on dense coefficient vectors, the dz^dtau
     component is -dP/dtau - Omega_tau P + dQ/dz + Omega_z Q with the matrices
     of logsheaf.abs_connection; closedness of the absolute form makes every
     entry cancel. P and Q depend on (z, tau) through the kernel coefficients,
-    differentiated here by central stencils.
+    differentiated here by central stencils. L_m is the rows k <= m of L_n
+    and the level-m connection the leading block of the level-n one, so the
+    level-m residual is the leading (m+1)(m+2)/2 entries of the level-n one.
     """
     t = _tau_of(tau)
     margin = 10.0 * _CLOSEDNESS_STENCIL.step
     if lattice_dist(z, t) < margin or lattice_dist(D * z, t) < D * margin:
         raise PoleProximityError(f"z = {z} too close to the polar locus for the stencil")
-    form = L_form(z, t, D, n)
-    dP = finite_diff(lambda s: L_form(z, s, D, n).dz.vector(), t, _CLOSEDNESS_STENCIL)
-    dQ = finite_diff(lambda x: L_form(x, t, D, n).dtau.vector(), z, _CLOSEDNESS_STENCIL)
+    P, Q = _rows(z, t, D, n)
+    dP = finite_diff(lambda s: _rows(z, s, D, n)[0], t, _CLOSEDNESS_STENCIL)
+    dQ = finite_diff(lambda x: _rows(x, t, D, n)[1], z, _CLOSEDNESS_STENCIL)
     omega_z, omega_tau = abs_connection(n, t)
-    resid = -dP - omega_tau @ form.dz.vector() + dQ + omega_z @ form.dtau.vector()
-    return float(np.max(np.abs(resid))) / max(form.max_abs(), 1e-300)
+    # dense vectors: w^[k,0] sits at k(k+3)/2 in basis_indices(n)
+    p, q, dp, dq = np.zeros((4, len(omega_z)), dtype=complex)
+    pos = [k * (k + 3) // 2 for k in range(n + 1)]
+    p[pos], q[pos], dp[pos], dq[pos] = P, Q, dP, dQ
+    resid = np.abs(-dp - omega_tau @ p + dq + omega_z @ q)
+    scale = np.maximum(np.abs(P), np.abs(Q))
+    return max(float(np.max(resid[: (m + 1) * (m + 2) // 2]) / max(np.max(scale[: m + 1]), 1e-300))
+               for m in range(n + 1))
 
 
 def specialize_eisenstein(

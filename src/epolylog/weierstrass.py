@@ -109,9 +109,11 @@ def _jacobi_table(K: int, m: int) -> tuple:
 def _jacobi_weights(t: complex, m: int) -> tuple:
     # frequencies a_k, and weights c_k times the table rows on sin(a_k z) (rows j
     # even) or cos(a_k z); at |Im z| <= Im(tau)/2 term k is below exp(-pi Im(tau) k^2)
-    # (2k+1)^m times term 0, and the terms stop under e^-42
+    # (2k+1)^m times term 0, and the terms stop under e^-42; no k with
+    # pi Im(tau) k^2 <= 42 passes, so the search starts at sqrt(42 / (pi Im tau))
     pi_im = math.pi * t.imag
-    K = next((k for k in range(1, 200) if pi_im * k * k - m * math.log(2 * k + 1) > 42.0
+    k0 = max(1, int(min(math.sqrt(42.0 / pi_im), 200.0)))
+    K = next((k for k in range(k0, 200) if pi_im * k * k - m * math.log(2 * k + 1) > 42.0
               and pi_im * k * (2 * k + 1) > m), None)
     if K is None:
         raise ConvergenceError(f"Im tau = {t.imag} too small for the theta series")

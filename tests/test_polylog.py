@@ -1,21 +1,24 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from conftest import STANDARD_POINTS
+from epolylog import polylog
 from epolylog.eisenstein import (
     ConvergenceModeError,
     EisensteinQuery,
     F_tilde,
 )
 from epolylog.kronecker import s_coeffs
-from epolylog.numerics import LatticeTruncation
+from epolylog.logsheaf import abs_connection, basis_indices
+from epolylog.numerics import LatticeTruncation, finite_diff
 from epolylog.polylog import (
+    _CLOSEDNESS_STENCIL,
     TorsionLabel,
     L_form,
     closedness_residual,
-    l_form,
     specialize_eisenstein,
 )
 from epolylog.weierstrass import PoleProximityError, zeta_fn
@@ -43,21 +46,32 @@ class TestTorsionLabel:
 
 
 class TestForms:
-    def test_l_form_coefficients(self):
+    def test_L_form_dz_rows(self):
         n, D = 3, 2
-        form = l_form(Z_A, TAU_A, D, n)
-        sc = s_coeffs(Z_A, TAU_A, D, n)
-        assert form.dtau.max_abs() == 0.0
+        form = L_form(Z_A, TAU_A, D, n)
+        sc = s_coeffs(Z_A, TAU_A, D, n + 1)
         for k in range(n + 1):
             assert form.dz.get(k, 0) == math.factorial(k) * sc.coeffs[k]
-        assert all(j == 0 for (_, j) in form.dz.coeffs)
+        assert all(j == 0 for part in (form.dz, form.dtau) for (_, j) in part.coeffs)
 
-    def test_l_form_level_zero_constant(self):
+    def test_level_zero_constant(self):
         for z, t in STANDARD_POINTS[:2]:
             for D in (2, 3):
-                form = l_form(z, t, D, 0)
+                s0 = s_coeffs(z, t, D, 0).coeffs[0]
                 ref = D * D * zeta_fn(z, t) - D * zeta_fn(D * z, t)
-                assert abs(form.dz.get(0, 0) - ref) / max(1.0, abs(ref)) < 1e-10
+                assert abs(s0 - ref) / max(1.0, abs(ref)) < 1e-10
+
+    def test_lower_levels_are_leading_rows(self):
+        # the tower: L_form(m) is the rows k <= m of L_form(4)
+        for z, t in STANDARD_POINTS:
+            for D in (2, 3):
+                top = L_form(z, t, D, 4)
+                for m in range(4):
+                    form = L_form(z, t, D, m)
+                    for low, high in ((form.dz, top.dz), (form.dtau, top.dtau)):
+                        for k in range(m + 1):
+                            ref = high.get(k, 0)
+                            assert abs(low.get(k, 0) - ref) <= 1e-14 * abs(ref)
 
     def test_L_form_dtau_tower(self):
         n, D = 2, 3
@@ -68,18 +82,35 @@ class TestForms:
             assert form.dtau.get(k, 0) == expect
 
     def test_ks_lift_reproduces_L_form(self):
-        # the Kodaira-Spencer lift of l_form(n+1), c w^[k,0] dz ->
-        # c w^[k,0] dz + (c / 2 pi i) w^[k-1,0] dtau truncated to level n,
-        # is L_form(n); identical arithmetic, so the floats must match exactly
+        # the Kodaira-Spencer lift of the relative form k! s_k w^[k,0] dz,
+        # k <= n + 1, c w^[k,0] dz -> c w^[k,0] dz + (c / 2 pi i) w^[k-1,0]
+        # dtau truncated to level n, is L_form(n); identical arithmetic, so
+        # the floats must match exactly
         n, D = 2, 2
-        relative = l_form(Z_A, TAU_A, D, n + 1)
+        sc = s_coeffs(Z_A, TAU_A, D, n + 1)
+        relative = {k: math.factorial(k) * sc.coeffs[k] for k in range(n + 2)}
         direct = L_form(Z_A, TAU_A, D, n)
         assert direct.n == n
-        assert not relative.dtau.coeffs
-        dz = {(k, j): c for (k, j), c in relative.dz.coeffs.items() if k <= n}
-        dtau = {(k - 1, 0): c / TWO_PI_I for (k, _), c in relative.dz.coeffs.items() if 1 <= k <= n + 1}
-        assert direct.dz.coeffs == dz
-        assert direct.dtau.coeffs == dtau
+        assert direct.dz.coeffs == {(k, 0): c for k, c in relative.items() if k <= n}
+        assert direct.dtau.coeffs == {(k - 1, 0): c / TWO_PI_I for k, c in relative.items() if k >= 1}
+
+
+def closedness_per_level(z, t, D, n):
+    """The closedness residual level by level: dense vectors from L_form(m)
+    at its own order, the same stencils, the worst over m <= n."""
+    worst = 0.0
+    for m in range(n + 1):
+        def dense(x, s, part):
+            fiber = getattr(L_form(x, s, D, m), part)
+            return np.array([fiber.get(i, j) for i, j in basis_indices(m)])
+
+        P, Q = dense(z, t, "dz"), dense(z, t, "dtau")
+        dP = finite_diff(lambda s: dense(z, s, "dz"), t, _CLOSEDNESS_STENCIL)
+        dQ = finite_diff(lambda x: dense(x, t, "dtau"), z, _CLOSEDNESS_STENCIL)
+        omega_z, omega_tau = abs_connection(m, t)
+        resid = np.max(np.abs(-dP - omega_tau @ P + dQ + omega_z @ Q))
+        worst = max(worst, resid / max(np.max(np.abs(P)), np.max(np.abs(Q))))
+    return worst
 
 
 class TestClosedness:
@@ -87,6 +118,27 @@ class TestClosedness:
         for n in (0, 1, 2):
             for D in (2, 3):
                 assert closedness_residual(Z_A, TAU_A, D, n) < 1e-4
+
+    def test_matches_per_level_oracle(self):
+        for z, t in STANDARD_POINTS:
+            for D in (2, 3):
+                for n in (0, 2, 4):
+                    ref = closedness_per_level(z, t, D, n)
+                    assert abs(closedness_residual(z, t, D, n) - ref) <= 1e-6 * ref
+
+    def test_catches_low_level_defect(self, monkeypatch):
+        # each level keeps its own normalization, so an error in the dtau row
+        # k = 0 shows at n = 4 although L_4 has far larger coefficients
+        rows = polylog._rows
+
+        def skewed(z, t, D, n):
+            dz, dtau = rows(z, t, D, n)
+            return dz, dtau * np.r_[1 + 1e-3, np.ones(n)]
+
+        monkeypatch.setattr(polylog, "_rows", skewed)
+        for z, t in STANDARD_POINTS:
+            for D in (2, 3):
+                assert closedness_residual(z, t, D, 4) > 1e-4
 
     def test_stencil_margin(self):
         with pytest.raises(PoleProximityError):

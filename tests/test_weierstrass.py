@@ -42,13 +42,19 @@ WPP_A = complex(-28.685037527894157, 119.14063640992173)
 ETA1_A = complex(3.288626736608861, -0.0013220866977492866)
 
 
+def term_count(t, m):
+    """The theta series' term count K for order m by a linear search from
+    k = 1: the first k whose term bound is below e^-42, or None."""
+    pi_im = math.pi * t.imag
+    return next((k for k in range(1, 200) if pi_im * k * k - m * math.log(2 * k + 1) > 42.0
+                 and pi_im * k * (2 * k + 1) > m), None)
+
+
 def jacobi_weights_formula(t, m):
     """The theta weights (a, w) for the reduced t and order m as one formula:
     the Jacobi series' frequencies and coefficients times the Taylor rows of
     exp(a w), with the derivative sign + + - -."""
-    pi_im = math.pi * t.imag
-    K = next((k for k in range(1, 200) if pi_im * k * k - m * math.log(2 * k + 1) > 42.0
-              and pi_im * k * (2 * k + 1) > m), None)
+    K = term_count(t, m)
     if K is None:
         raise ConvergenceError(f"Im tau = {t.imag} too small for the theta series")
     k = np.arange(K)
@@ -159,6 +165,15 @@ class TestTheta:
             for weights in (jacobi_weights_formula, _jacobi_weights):
                 with pytest.raises(ConvergenceError):
                     weights(t, 1)
+
+    def test_term_count_matches_linear_search(self):
+        # the engine starts its K search at floor(sqrt(42 / (pi Im tau))); it
+        # must find the K of a search from k = 1 (below Im tau = 0.06 the
+        # cancellation guard raises before K shows)
+        for y in np.linspace(0.06, 2.04, 397):
+            t = complex(0.0, y)
+            for m in range(MAX_COEFF_ORDER + 3):
+                assert len(_jacobi_weights(t, m)[0]) == term_count(t, m)
 
     def test_weights_read_only(self):
         # the frequencies and rows are shared by every tau with the same term
