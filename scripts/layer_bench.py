@@ -9,7 +9,9 @@ the ROADMAP's performance aim:
   theta on a 256-point vector and scalar theta_normalized (weierstrass),
   s_coeffs at n = 8 (kronecker), F in Lipschitz mode and naive F at R = 500
   (eisenstein), naive box F at R = 400, the weight-2 eisenstein_sum_k2 at
-  R = 500, naive F_tilde and naive specialize_eisenstein at R = 100,
+  R = 500, naive F_tilde at R = 500 (two labels over one lattice, the call
+  of perfbench's lattice-sums F_tilde slots), naive F_tilde and naive
+  specialize_eisenstein at R = 100,
   Lipschitz F_tilde at D = 2 and Lipschitz specialize_eisenstein at D = 3
   (eight cosets of the row kernel), the connection matrices abs_connection
   at level 4 (logsheaf), and the connection layer's real cost:
@@ -103,6 +105,7 @@ def calls():
         "F_naive_R500": lambda: F(naive(500)),
         "F_naive_box_R400": lambda: F(naive(400, "box")),
         "k2_naive_R500": lambda: eisenstein_sum_k2(1, 2, 5, tau, LatticeTruncation(500)),
+        "F_tilde_naive_R500": lambda: F_tilde(naive(500), 2),
         "F_tilde_naive_R100": lambda: F_tilde(naive(100), 2),
         "specialize_naive_R100": lambda: specialize_eisenstein(
             TorsionLabel(1, 2, 5, 3), tau, 3, mode="naive", trunc=LatticeTruncation(100)),

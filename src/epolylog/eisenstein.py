@@ -115,8 +115,12 @@ def _T_batch(x: np.ndarray, xi: float, s: int) -> np.ndarray:
         raise ValueError("batch rows need Im x > 0")
     L = int(math.ceil(48.0 / (2.0 * math.pi * im_min))) + s + 6
     freq = np.arange(1, L + 1) - xi
-    phase = np.exp(2j * np.pi * np.outer(x, freq))
-    return phase @ (freq ** (s - 1)) * (-2j * np.pi) ** s / math.factorial(s - 1)
+    # e^(2 pi i (l - xi) x) = e^(2 pi i (1 - xi) x) u^(l-1), u = e^(2 pi i x):
+    # two exps per row and a running product along the frequencies
+    phase = np.repeat(np.exp(2j * np.pi * x)[None], L, axis=0)
+    phase[0] = np.exp(2j * np.pi * (1.0 - xi) * x)
+    np.cumprod(phase, axis=0, out=phase)
+    return (freq ** (s - 1)) @ phase * (-2j * np.pi) ** s / math.factorial(s - 1)
 
 
 def _T_rows(x: np.ndarray, xi: Fraction, s: int) -> np.ndarray:
@@ -155,6 +159,15 @@ def _lipschitz_sum(a: int, b: int, N: int, D: int, c: int, d: int, t: complex,
 _BLOCK = 1 << 13
 
 
+def _power(z: np.ndarray, s: int) -> np.ndarray:
+    """z**s, s >= 1, by binary powering from z itself (a first product by 1
+    would flip signed zeros), so (-z)**s is (-1)**s z**s bit for bit, z != 0."""
+    if s == 1:
+        return z
+    half = _power(z * z, s >> 1)
+    return half * z if s & 1 else half
+
+
 def _naive_sums(labels, N: int, D: int, c: int, d: int, t: complex, s: int,
                 trunc: LatticeTruncation) -> list:
     """The lattice sum of coset_sum for the one coset (c, d), one sum per
@@ -164,18 +177,22 @@ def _naive_sums(labels, N: int, D: int, c: int, d: int, t: complex, s: int,
     origin term is skipped only when c = d = 0, so F is the case D = 1,
     c = d = 0.
 
-    Rows are evaluated in blocks of at most _BLOCK denominators, and every
-    label divides its characters by the same block. When c = d = 0 the base
-    point of row -m is x_(-m) = -x_m exactly, so (x_(-m) +- n)^s equals
-    (-1)^s (x_m -+ n)^s bit for bit: numpy's binary powering, complex
-    addition and Smith division are all exactly odd under negation. A block
-    then runs over k = |m| and takes rows k and -k from one grid of powers:
-    row -k divides the characters by row k's grid with n reversed (box) or
-    with the +n and -n grids swapped (eisenstein), and its sum takes the sign
-    (-1)^s. Other cosets evaluate one row per grid row. Each row's character
-    factor and the eisenstein origin column are Python complex scalars, and
-    the rows are Kahan-summed in the order above, so a label's sum does not
-    depend on the block size, on the pairing or on the other labels."""
+    Rows are evaluated in blocks of at most _BLOCK denominators. A block
+    takes the powers (x_m +- n)^s by _power and one reciprocal of them, by
+    which every label multiplies its characters, tiled to the block shape
+    once per call: numpy rounds a broadcast complex product differently from
+    one of two contiguous arrays of the same shape, the only kind used here.
+    When c = d = 0 the base point of row -m is x_(-m) = -x_m exactly, so
+    1/(x_(-m) +- n)^s is (-1)^s/(x_m -+ n)^s bit for bit: complex addition,
+    _power and np.reciprocal are exactly odd under negation. A block then
+    runs over k = |m| and takes rows k and -k from one grid of reciprocals:
+    row -k multiplies by row k's grid with n reversed (box, copied to a
+    contiguous array) or with the +n and -n grids swapped (eisenstein), and
+    its sum takes the sign (-1)^s. Other cosets evaluate one row per grid
+    row. Each row's character factor and the eisenstein origin column are
+    Python complex scalars, and the rows are Kahan-summed in the order
+    above, so a label's sum does not depend on the block size, on the
+    pairing or on the other labels."""
     if trunc.ordering == "box" and s < 3:
         raise ConvergenceModeError(
             f"weight {s} is conditionally convergent; box ordering is not a sum"
@@ -186,21 +203,26 @@ def _naive_sums(labels, N: int, D: int, c: int, d: int, t: complex, s: int,
     if box:
         n = np.arange(-R, R + 1)
         ms = list(range(-R, R + 1))
-        chars = [roots[(-(D * n + d) * a) % N] for a, _ in labels]
     else:
         n = np.arange(1, R + 1)
         ms = [0] + [m for k in range(1, R + 1) for m in (k, -k)]
-        # char_0 is a Python complex: the origin column divides as F's pinned values do
-        chars = [(roots[(-(D * n + d) * a) % N], roots[(-(-D * n + d) * a) % N],
-                  complex(roots[(-d * a) % N])) for a, _ in labels]
     # c = d = 0: the origin is skipped and row -m mirrors row m
     paired = c == 0 and d == 0
     heads = list(range(R + 1)) if paired else ms
+    step = max(1, _BLOCK // (2 * R + 1))
+    shape = (min(step, len(heads)), 1)
+    if box:
+        chars = [np.tile(roots[(-(D * n + d) * a) % N], shape) for a, _ in labels]
+    else:
+        # char_0 is a Python complex: the origin column divides as F's pinned values do
+        chars = [(np.tile(roots[(-(D * n + d) * a) % N], shape),
+                  np.tile(roots[(-(-D * n + d) * a) % N], shape),
+                  complex(roots[(-d * a) % N])) for a, _ in labels]
     slot = {m: j for j, m in enumerate(ms)}
     rows = [[None] * len(ms) for _ in labels]
-    step = max(1, _BLOCK // (2 * R + 1))
     for i in range(0, len(heads), step):
         block = heads[i:i + step]
+        h = len(block)
         # the first paired block opens with row 0: its origin term is skipped
         # and it has no mirror row
         skip = 1 if paired and i == 0 else 0
@@ -208,20 +230,22 @@ def _naive_sums(labels, N: int, D: int, c: int, d: int, t: complex, s: int,
         xs = [(m + c / D) * t + d / D for m in block]
         x = np.array(xs)[:, None]
         if box:
-            den = (x + n) ** s
+            den = _power(x + n, s)
             if skip:
                 den[0, R] = 1.0  # origin excluded below
+            inv = np.reciprocal(den)
+            back_inv = np.ascontiguousarray(inv[skip:, ::-1]) if mirrored else None
         else:
-            plus, minus = (x + n) ** s, (x - n) ** s
+            plus, minus = np.reciprocal(_power(x + n, s)), np.reciprocal(_power(x - n, s))
             cols = [xk**s for xk in xs]
         for (_, b), ch, out in zip(labels, chars, rows):
             if box:
-                terms = ch / den
+                terms = ch[:h] * inv
                 if skip:
                     terms[0, R] = 0.0
                 inner = terms.sum(axis=1).tolist()
             else:
-                inner = (ch[0] / plus + ch[1] / minus).sum(axis=1).tolist()
+                inner = (ch[0][:h] * plus + ch[1][:h] * minus).sum(axis=1).tolist()
                 inner = [v if j < skip else v + ch[2] / col
                          for j, (v, col) in enumerate(zip(inner, cols))]
             for m, v in zip(block, inner):
@@ -229,9 +253,10 @@ def _naive_sums(labels, N: int, D: int, c: int, d: int, t: complex, s: int,
             if not mirrored:
                 continue
             if box:
-                back = (ch / den[skip:, ::-1]).sum(axis=1).tolist()
+                back = (ch[:h - skip] * back_inv).sum(axis=1).tolist()
             else:
-                back = (ch[0] / minus[skip:] + ch[1] / plus[skip:]).sum(axis=1).tolist()
+                back = (ch[0][:h - skip] * minus[skip:]
+                        + ch[1][:h - skip] * plus[skip:]).sum(axis=1).tolist()
                 back = [v + ch[2] / col for v, col in zip(back, cols[skip:])]
             for m, v in zip(mirrored, back):
                 out[slot[-m]] = roots[(-D * m * b) % N] * (-v if s % 2 else v)

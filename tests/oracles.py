@@ -173,6 +173,15 @@ def _kahan(terms):
     return s
 
 
+def _power(z, s):
+    # z**s, s >= 1, by binary powering from z itself (a first product by 1
+    # flips signed zeros)
+    if s == 1:
+        return z
+    half = _power(z * z, s >> 1)
+    return half * z if s & 1 else half
+
+
 def naive_sum_rows(a, b, N, D, c, d, tau, s, R, ordering):
     """The naive lattice sum of one coset (c, d), one row m at a time:
 
@@ -181,9 +190,12 @@ def naive_sum_rows(a, b, N, D, c, d, tau, s, R, ordering):
     without the origin when c = d = 0. "box" Kahan-sums the rows m = -R..R;
     "eisenstein" Kahan-sums row 0, then the paired rows +-m, each row from
     n = 0 outward in +-n pairs. This is the row loop the package's blocked
-    kernel replaced, kept operation for operation (the same roots of unity,
-    numpy powers in the rows, a Python complex power in the eisenstein origin
-    column), so the two agree exactly."""
+    kernel replaced, kept operation for operation (the same roots of unity;
+    in the rows, powers by binary powering with array products from the base
+    itself, then characters times one reciprocal of the powers; a Python
+    complex power and division in the eisenstein origin column), so the two
+    agree exactly. Each product is of two contiguous 1-d arrays of one
+    shape, the kind of product the kernel takes on its 2-d blocks."""
     roots = np.exp(2j * np.pi * np.arange(N) / N)
     skip_origin = c == 0 and d == 0
 
@@ -195,11 +207,11 @@ def naive_sum_rows(a, b, N, D, c, d, tau, s, R, ordering):
         char_n = roots[(-(D * n + d) * a) % N]
 
         def row(m):
-            den = (base(m) + n) ** s
+            den = _power(base(m) + n, s)
             origin = skip_origin and m == 0
             if origin:
                 den[R] = 1.0
-            terms = char_n / den
+            terms = char_n * np.reciprocal(den)
             if origin:
                 terms[R] = 0.0
             return roots[((D * m + c) * b) % N] * complex(np.sum(terms))
@@ -213,7 +225,8 @@ def naive_sum_rows(a, b, N, D, c, d, tau, s, R, ordering):
 
     def row(m):
         x = base(m)
-        inner = complex(np.sum(char_pos / (x + n) ** s + char_neg / (x - n) ** s))
+        inner = complex(np.sum(char_pos * np.reciprocal(_power(x + n, s))
+                               + char_neg * np.reciprocal(_power(x - n, s))))
         if not (skip_origin and m == 0):
             inner += char_0 / x**s
         return roots[((D * m + c) * b) % N] * inner

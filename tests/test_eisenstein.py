@@ -83,6 +83,40 @@ class TestRowMachinery:
         got = _T_batch(np.array([0.3 + 0.9j]), 0.25, 3)[0]
         assert abs(got - complex(ref)) < 1e-14
 
+    def test_T_batch_phase_grid_vs_mpmath(self):
+        # the phase grid as a running product u^(l-1), u = e^(2 pi i x), is no
+        # less accurate than one exp per term, point by point within a factor
+        # 4 (below a 1e-14 relative floor, roundoff of the phase of u at
+        # |Re x| = 30), over a sweep against a dps-30 series; both formulas
+        # share the term count L, so they share its truncation error
+        def one_exp_per_term(x, xi, s):
+            L = int(math.ceil(48.0 / (2.0 * math.pi * x.imag.min()))) + s + 6
+            freq = np.arange(1, L + 1) - xi
+            phase = np.exp(2j * np.pi * np.outer(x, freq))
+            return phase @ (freq ** (s - 1)) * (-2j * np.pi) ** s / math.factorial(s - 1)
+
+        def series(x, xi, s):
+            with mpmath.workdps(30):
+                x, xi = mpmath.mpc(x), mpmath.mpf(xi.numerator) / xi.denominator
+                u = mpmath.exp(2j * mpmath.pi * x)
+                term, acc = mpmath.exp(2j * mpmath.pi * (1 - xi) * x), 0
+                for l in range(1, int(80.0 / (2.0 * math.pi * x.imag)) + 3 * s + 2):
+                    acc += (l - xi) ** (s - 1) * term
+                    term *= u
+                return complex((-2j * mpmath.pi) ** s / mpmath.factorial(s - 1) * acc)
+
+        rng = random.Random(12)
+        xis = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(9, 10), Fraction(11, 12)]
+        for _ in range(150):
+            x = complex(rng.uniform(-30.0, 30.0), rng.uniform(0.05, 3.0))
+            s, xi = rng.randint(1, 9), rng.choice(xis)
+            if s == 1 and xi == 0:
+                xi = Fraction(1, 3)
+            ref = series(x, xi, s)
+            old = abs(one_exp_per_term(np.array([x]), float(xi), s)[0] - ref) / abs(ref)
+            new = abs(_T_batch(np.array([x]), float(xi), s)[0] - ref) / abs(ref)
+            assert new <= 4.0 * max(old, 1e-14), (x, s, xi, old, new)
+
     def test_T_batch_needs_upper_half(self):
         with pytest.raises(ValueError):
             _T_batch(np.array([0.3 - 0.9j]), 0.25, 3)
@@ -109,10 +143,13 @@ class TestNaiveKernel:
             == [(math.copysign(1, z.real), math.copysign(1, z.imag)) for z in want]
 
     @pytest.mark.parametrize("ordering", ["eisenstein", "box"])
-    @pytest.mark.parametrize("R", [1, 9])
+    @pytest.mark.parametrize("R", [1, 2, 9])
     def test_paired_rows_every_weight(self, ordering, R):
         # D = 1, c = d = 0: rows -m take row m's powers with the sign (-1)^s;
-        # Re tau = 0 and 1/2 put exact zeros into x_m + n
+        # Re tau = 0 and 1/2 put exact zeros into x_m + n. At R = 1 an
+        # eisenstein row has one term, where a broadcast complex product
+        # rounds differently from the oracle's; R = 2 is the shortest row on
+        # which numpy takes its contiguous loop
         rng = random.Random(6 + R)
         for s in range(3 if ordering == "box" else 1, 9):
             for re in (0.0, 0.5, rng.uniform(-0.5, 0.5)):
@@ -246,6 +283,19 @@ class TestF:
         for k, tol in ((3, 1e-6), (4, 1e-9)):
             lip = F(EisensteinQuery(a=1, b=2, N=5, k=k, tau=TAU))
             assert abs(lip - oracles.F_brute(1, 2, 5, k, TAU, R=400)) < tol
+
+    def test_naive_box_vs_brute(self):
+        # the kernel's products and shared reciprocal against numpy ** and /
+        # over one meshgrid, on the same term set, relative to max(1, |brute|);
+        # labels fixed by (a, b) -> (-a, -b) are left out: at odd weight they
+        # vanish, and both sums are (k-1)! times roundoff (1.9e-13 apart for
+        # (0, 1) mod 2 at k = 7)
+        for a, b, N in ((1, 2, 5), (0, 1, 3), (3, 0, 4), (2, 5, 7)):
+            for k in range(3, 9):
+                naive = F(EisensteinQuery(a=a, b=b, N=N, k=k, tau=TAU, mode="naive",
+                                          trunc=LatticeTruncation(100, ordering="box")))
+                brute = oracles.F_brute(a, b, N, k, TAU, R=100)
+                assert abs(naive - brute) <= 1e-13 * max(1.0, abs(brute))
 
     def test_naive_eisenstein_cross(self):
         for k in (2, 3):
