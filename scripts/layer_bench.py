@@ -2,9 +2,11 @@
 alternating rounds over one or two source trees.
 
 Prints, per call, the fastest of N timed runs after one warm-up run, then the
-wall time and the md5 of the canonical `verify all --seed 0` report and the
-line count of `src/epolylog/*.py`. The calls are the layer microbenchmarks of
-the ROADMAP's performance aim:
+wall time and the md5 of the canonical `verify all --seed 0` report, the
+fastest of N further `verify all --seed 0` runs (on a machine shared with
+other work one run's wall time can move by 2x) and the line count of
+`src/epolylog/*.py`. The calls are the layer microbenchmarks of the ROADMAP's
+performance aim:
 
   theta on a 256-point vector and scalar theta_normalized (weierstrass),
   s_coeffs at n = 8 (kronecker), F in Lipschitz mode and naive F at R = 500
@@ -16,10 +18,14 @@ the ROADMAP's performance aim:
   (eight cosets of the row kernel), the connection matrices abs_connection
   at level 4 (logsheaf), and the connection layer's real cost:
   curvature_residual and closedness_residual at level 4 (closedness_n4
-  covers the levels 0-4, the closedness suite's work for one point and D).
+  covers the levels 0-4, the closedness suite's work for one point and D),
+  and the kernel's per-point checks (kronecker): the Kato-Siegel residue at
+  the origin by a 32-node contour integral of dlog_kato_siegel on its 64-sample
+  contour reference path (the call of perfbench's point-eval residue kind),
+  heat_residual and distribution_residual at D = 3 at one point.
 
 Every call above repeats one tau, so its theta weights come from the cache.
-The fresh-tau layers, scalar theta_normalized and s_coeffs at n = 4, cycle
+The fresh-tau layers, scalar theta_normalized, wp and s_coeffs at n = 4, cycle
 through 512 distinct verify-box tau (twice the 256 entries of the theta
 weights' cache), so every call builds its weights; a timed run is one cycle
 and the figure is its time per call. The round also counts the theta weights'
@@ -79,16 +85,21 @@ def fresh_taus() -> list:
 
 def calls():
     from epolylog.eisenstein import EisensteinQuery, F, F_tilde, eisenstein_sum_k2
-    from epolylog.kronecker import s_coeffs
+    from epolylog.kronecker import (KroneckerPoint, default_cauchy_config, distribution_residual,
+                                    dlog_kato_siegel, heat_residual, s_coeffs)
     from epolylog.logsheaf import abs_connection, curvature_residual
-    from epolylog.numerics import LatticeTruncation
+    from epolylog.numerics import CauchyConfig, LatticeTruncation, contour_integral
     from epolylog.polylog import TorsionLabel, closedness_residual, specialize_eisenstein
-    from epolylog.weierstrass import theta_normalized
+    from epolylog.weierstrass import ModuliPoint, theta_normalized, wp
 
     tau = 0.21 + 1.1j
     zs = 0.1 + 0.3 * np.linspace(0.0, 1.0, 256) + 0.05j
 
     taus = fresh_taus()
+
+    kpoint = KroneckerPoint(0.23 + 0.11j, 0.17 + 0.05j, ModuliPoint(tau))
+    residue_cfg = CauchyConfig(radius=default_cauchy_config(tau, 2).radius, samples=64,
+                               self_check=False)
 
     def naive(R, ordering="eisenstein"):
         return EisensteinQuery(1, 2, 5, 4, tau, mode="naive",
@@ -101,6 +112,7 @@ def calls():
         # one cycle over the fresh tau; main() divides by FRESH_TAUS
         "theta_scalar_fresh_tau": lambda: [theta_normalized(0.23 + 0.11j, t) for t in taus],
         "s_coeffs_n4_fresh_tau": lambda: [s_coeffs(0.23 + 0.11j, t, 2, 4) for t in taus],
+        "wp_fresh_tau": lambda: [wp(0.23 + 0.11j, t) for t in taus],
         "F_lipschitz": lambda: F(EisensteinQuery(1, 2, 5, 4, tau)),
         "F_naive_R500": lambda: F(naive(500)),
         "F_naive_box_R400": lambda: F(naive(400, "box")),
@@ -114,6 +126,11 @@ def calls():
         "abs_connection_n4": lambda: abs_connection(4, tau),
         "curvature_n4": lambda: curvature_residual(4, tau),
         "closedness_n4": lambda: closedness_residual(0.23 + 0.11j, tau, 2, 4),
+        "residue_contour_32": lambda: contour_integral(
+            lambda u: dlog_kato_siegel(u, tau, 2, residue_cfg), 0.0, 0.4 * min(1.0, abs(tau)) / 2,
+            32),
+        "heat_residual_point": lambda: heat_residual(kpoint),
+        "distribution_point": lambda: distribution_residual(kpoint, 3),
     }
 
 
@@ -166,6 +183,8 @@ def measure(src: str, repeat: int) -> dict:
     wall, md5 = verify_all()
     record["verify_all_seed0_s"] = round(wall, 3)
     record["verify_all_seed0_md5"] = md5
+    record["verify_all_seed0_best_s"] = round(
+        min(verify_all()[0] for _ in range(repeat)), 3)
     record["src_lines"] = src_lines(src)
     return record
 
@@ -192,6 +211,7 @@ def show(title: str, record: dict) -> None:
         print(f"{'verify ' + name:24s} {sec:10.3f} s")
     print(f"{'verify all --seed 0':24s} {record['verify_all_seed0_s']:10.3f} s   "
           f"md5 {record['verify_all_seed0_md5']}")
+    print(f"{'verify all, best of N':24s} {record['verify_all_seed0_best_s']:10.3f} s")
     print(f"{'theta weight misses':24s} {record['jacobi_weights_misses_verify_all_seed0']:10d}"
           "   (cold verify all --seed 0)")
     print(f"{'src lines':24s} {record['src_lines']:10d}")

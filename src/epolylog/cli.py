@@ -30,6 +30,7 @@ from .kronecker import (
     jacobi_J,
     s_coeffs,
     _J,
+    _variant,
 )
 from .logsheaf import curvature_residual
 from .numerics import (
@@ -191,12 +192,10 @@ def _pole_removal(pt, _config) -> float:
     z, t = pt
     worst = 0.0
     for D in (2, 3):
-        coeffs = cauchy_coeffs(lambda w: D * D * _J(z, w, t) - D * _J(D * z, w / D, t), 8,
-                               default_cauchy_config(t, D))
+        coeffs = cauchy_coeffs(lambda w: _variant(z, w, t, D), 8, default_cauchy_config(t, D))
         ws = 1e-3 * np.exp(2j * np.pi * np.arange(16) / 16)
-        f = D * D * _J(z, ws, t) - D * _J(D * z, ws / D, t)
         poly = sum(coeffs[k] * ws**k for k in range(9))
-        worst = max(worst, float(np.max(np.abs(f - poly))))
+        worst = max(worst, float(np.max(np.abs(_variant(z, ws, t, D) - poly))))
     return worst
 
 

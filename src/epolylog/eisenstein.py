@@ -113,7 +113,15 @@ def _T_batch(x: np.ndarray, xi: float, s: int) -> np.ndarray:
     im_min = float(x.imag.min())
     if im_min <= 0.0:
         raise ValueError("batch rows need Im x > 0")
-    L = int(math.ceil(48.0 / (2.0 * math.pi * im_min))) + s + 6
+    # terms u^(s-1) e^(-y u), u = l - xi, shrink by e^(-y/2) a step past 2(s-1)/y; with
+    # A = 48 - log(1 - e^(-y/2)) those after L are e^-48 below the peak once r = u y/(s-1)
+    # has r - log r >= 1 + a, a = A/(s-1), met via log r <= log c + r/c - 1 for c > 1
+    y = 2.0 * math.pi * im_min
+    A = 48.0 - math.log1p(-math.exp(-0.5 * y))
+    a = A / max(s - 1, 1)
+    c = 1.0 + a + math.log1p(a)
+    u = (s - 1) * (a + math.log(c)) / ((1.0 - 1.0 / c) * y) if s > 1 else A / y
+    L = max(int(math.ceil(48.0 / y)) + s + 6, math.ceil(u - 1.0 + xi))
     freq = np.arange(1, L + 1) - xi
     # e^(2 pi i (l - xi) x) = e^(2 pi i (1 - xi) x) u^(l-1), u = e^(2 pi i x):
     # two exps per row and a running product along the frequencies

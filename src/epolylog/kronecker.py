@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import CauchyConfig, DiffConfig, cauchy_coeffs, finite_diff
+from .numerics import (CauchyConfig, DiffConfig, cauchy_coeffs, finite_diff, richardson,
+                       stencil_nodes)
 from .weierstrass import (
     ModuliPoint,
     PoleProximityError,
@@ -59,15 +60,22 @@ def _J(z, w, t: complex):
     )
 
 
+def _variant(z: complex, w, t: complex, D: int):
+    """D^2 J(z, w) - D J(Dz, w/D) for an array w: one theta call at z + w, w, Dz + w/D, w/D."""
+    a, b, c, d = theta_normalized(np.stack([z + w, w, D * z + w / D, w / D]), t)
+    return (D * D * (a / (theta_normalized(z, t) * b))
+            - D * (c / (theta_normalized(D * z, t) * d)))
+
+
 def jacobi_J(p: KroneckerPoint) -> complex:
     """Kernel value J(z, w, tau). Symmetric in (z, w); w*J -> 1 as w -> 0."""
     return complex(_J(p.z, p.w, _tau_of(p.tau)))
 
 
 def heat_residual(p: KroneckerPoint, cfg: DiffConfig | None = None) -> float:
-    """|2*pi*i dJ/dtau - d^2 J/dz dw| / max(1, |J|) by nested central
-    differences. The default step 1e-3 balances roundoff amplification of
-    the nested stencil against truncation."""
+    """|2*pi*i dJ/dtau - d^2 J/dz dw| / max(1, |J|) by central differences, the
+    mixed one on the grid of z and w stencil nodes. The default step 1e-3
+    balances roundoff amplification of the nested stencil against truncation."""
     cfg = cfg or DiffConfig(step=1e-3, richardson_levels=2)
     t = _tau_of(p.tau)
     margin = 10.0 * cfg.step
@@ -76,11 +84,8 @@ def heat_residual(p: KroneckerPoint, cfg: DiffConfig | None = None) -> float:
             raise StencilMarginError(f"{name} within {margin} of the polar locus")
 
     d_tau = finite_diff(lambda s: complex(_J(p.z, p.w, s)), t, cfg)
-
-    def dw_at(zz: complex) -> complex:
-        return finite_diff(lambda ww: complex(_J(zz, ww, t)), p.w, cfg)
-
-    d_zw = finite_diff(dw_at, p.z, cfg)
+    grid = _J(stencil_nodes(p.z, cfg)[:, None], stencil_nodes(p.w, cfg), t)
+    d_zw = richardson(richardson(grid.T, cfg), cfg)
     val = complex(_J(p.z, p.w, t))
     return abs(2j * cmath.pi * d_tau - d_zw) / max(1.0, abs(val))
 
@@ -149,7 +154,7 @@ def dlog_kato_siegel(z, tau, D: int, cfg: CauchyConfig | None = None):
     if lattice_dist(D * np.asarray(z), t) / D < 1e-8:
         raise PoleProximityError(f"z = {z} within 1e-8 of the D-torsion locus")
     if cfg is not None:
-        return cauchy_coeffs(lambda w: D * D * _J(z, w, t) - D * _J(D * z, w / D, t), 0, cfg)[0]
+        return cauchy_coeffs(lambda w: _variant(z, w, t, D), 0, cfg)[0]
     return D * D * theta_logderiv(z, t) - D * theta_logderiv(D * np.asarray(z), t)
 
 
@@ -163,22 +168,15 @@ def distribution_residual(p: KroneckerPoint, D: int) -> float:
     0 = D^2 J - D J collapses to 0 exactly)."""
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
-    if D == 1:
-        return 0.0
     t = _tau_of(p.tau)
     z, w = p.z, p.w
     if lattice_dist(D * w, t) / D < 1e-6:
         raise PoleProximityError("w within 1e-6 of the D-torsion locus")
     if lattice_dist(D * z, t) < 1e-6:
         raise PoleProximityError("Dz within 1e-6 of the lattice")
-    lhs = 0.0 + 0.0j
-    for c in range(D):
-        for d in range(D):
-            if c == 0 and d == 0:
-                continue
-            lhs += cmath.exp(2j * cmath.pi * c * z) * complex(
-                _J(D * z, w + (c * t + d) / D, t)
-            )
-    lhs *= D
-    rhs = D * D * complex(_J(z, D * w, t)) - D * complex(_J(D * z, w, t))
-    return abs(lhs - rhs) / max(1.0, abs(complex(_J(z, w, t))))
+    cosets = [(c, d) for c in range(D) for d in range(D) if c or d]
+    zs = np.array([D * z] * len(cosets) + [z, D * z, z])
+    ws = np.array([w + (c * t + d) / D for c, d in cosets] + [D * w, w, w])
+    *coset_vals, j_z_dw, j_dz_w, j_z_w = _J(zs, ws, t).tolist()
+    lhs = D * sum(cmath.exp(2j * cmath.pi * c * z) * v for (c, _), v in zip(cosets, coset_vals))
+    return abs(lhs - (D * D * j_z_dw - D * j_dz_w)) / max(1.0, abs(j_z_w))

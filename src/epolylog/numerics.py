@@ -76,29 +76,28 @@ class CauchyConfig:
             raise ValueError(f"samples must be >= 16, got {self.samples}")
 
 
-def finite_diff(
-    f: Callable[[complex], complex | np.ndarray], at: complex, cfg: DiffConfig
-) -> complex | np.ndarray:
-    """Derivative of f at `at` by central differences, Richardson-extrapolated.
+def stencil_nodes(at, cfg: DiffConfig) -> np.ndarray:
+    """The nodes at +-h, h = step / 2^i, i = 0..richardson_levels, in richardson's order."""
+    hs = [cfg.step / (2.0**i) for i in range(cfg.richardson_levels + 1)]
+    return np.array([x for h in hs for x in (at + h, at - h)])
 
-    Evaluates f at 2*(richardson_levels+1) stencil points. f may return a
-    scalar (the result is a complex) or an array (differentiated
-    componentwise, the result is an array). Raises NonFiniteError if any
-    evaluation has a component that is not finite.
-    """
-    L = cfg.richardson_levels
-    table = []
-    for i in range(L + 1):
-        h = cfg.step / (2.0**i)
-        hi = f(at + h)
-        lo = f(at - h)
-        if not (np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))):
-            raise NonFiniteError(f"non-finite stencil value at step {h}")
-        table.append((hi - lo) / (2.0 * h))
-    for j in range(1, L + 1):
+
+def richardson(values, cfg: DiffConfig):
+    """Central differences, Richardson-extrapolated, from f's values (scalars or
+    arrays) at stencil_nodes(at, cfg) along the first axis; NonFiniteError on inf or nan."""
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteError("non-finite stencil value")
+    table = [(values[2 * i] - values[2 * i + 1]) / (2.0 * (cfg.step / (2.0**i)))
+             for i in range(cfg.richardson_levels + 1)]
+    for j in range(1, cfg.richardson_levels + 1):
         fac = 4.0**j
         table = [(fac * table[i + 1] - table[i]) / (fac - 1.0) for i in range(len(table) - 1)]
     return table[0] if isinstance(table[0], np.ndarray) else complex(table[0])
+
+
+def finite_diff(f: Callable, at: complex, cfg: DiffConfig) -> complex | np.ndarray:
+    """Derivative of f at `at`: richardson of f called at each stencil node."""
+    return richardson([f(x) for x in stencil_nodes(at, cfg).tolist()], cfg)
 
 
 def _circle_values(

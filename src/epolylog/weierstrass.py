@@ -145,6 +145,13 @@ def _theta_taylor(z0, t: complex, m: int) -> np.ndarray:
     return out.reshape((m + 1,) + z0.shape)
 
 
+def _translation(z0, m, n, t: complex):
+    # theta(z0 + m + n*tau) / theta(z0), by the law in theta_normalized's docstring
+    omega = n * t + m
+    sign = 1.0 - 2.0 * ((m + n + m * n) % 2)
+    return sign * np.exp(-2j * np.pi * n * (z0 + omega / 2.0))
+
+
 def theta_normalized(z, tau):
     """Normalized odd theta: simple zeros exactly on the lattice, slope 1 at 0.
 
@@ -154,10 +161,7 @@ def theta_normalized(z, tau):
     """
     t = _tau_of(tau)
     z0, m, n = reduce_to_cell(z, t)
-    omega = n * t + m
-    sign = 1.0 - 2.0 * ((m + n + m * n) % 2)
-    fac = sign * np.exp(-2j * np.pi * n * (z0 + omega / 2.0))
-    out = fac * _theta_taylor(z0, t, 0)[0]
+    out = _translation(z0, m, n, t) * _theta_taylor(z0, t, 0)[0]
     return out if out.shape else complex(out)
 
 
@@ -214,25 +218,27 @@ def sigma(z: complex, tau) -> complex:
 def zeta_fn(z: complex, tau) -> complex:
     """Weierstrass zeta: zeta(z) = 1/z + O(z^3), zeta(z+1) - zeta(z) = eta1."""
     t = _tau_of(tau)
-    if lattice_dist(z, t) < 1e-8:
+    z0, _, n = reduce_to_cell(z, t)
+    if abs(z0) < 1e-8:
         raise PoleProximityError(f"z = {z} within 1e-8 of the lattice")
-    eta1 = eta_periods(t).eta1
-    return complex(theta_logderiv(z, t)) + eta1 * z
+    T = _theta_taylor(z0, t, 1)
+    return complex(T[1] / T[0] - 2j * np.pi * n) + eta_periods(t).eta1 * z
 
 
 def wp(z: complex, tau) -> tuple[complex, complex]:
     """Weierstrass p-function and its derivative, (p(z), p'(z)), from the
     reduced point z0: p = -(log theta)'' - eta1 and p' = -sigma(2 z0)/sigma(z0)^4
     = -theta(2 z0)/theta(z0)^4, which keeps its digits at small Im tau where
-    -(log theta)''' from Taylor coefficients cancels."""
+    -(log theta)''' from Taylor coefficients cancels; one engine call serves both."""
     t = _tau_of(tau)
-    if lattice_dist(z, t) < 1e-8:
-        raise PoleProximityError(f"z = {z} within 1e-8 of the lattice")
     z0, _, _ = reduce_to_cell(z, t)
-    T = _theta_taylor(z0, t, 2)
-    log1 = T[1] / T[0]
-    p = -(2.0 * T[2] / T[0] - log1 * log1) - eta_periods(t).eta1
-    return complex(p), -theta_normalized(2.0 * z0, t) / complex(T[0]) ** 4
+    if abs(z0) < 1e-8:
+        raise PoleProximityError(f"z = {z} within 1e-8 of the lattice")
+    z2, m, n = reduce_to_cell(2.0 * z0, t)
+    T = _theta_taylor(np.array([z0, z2]), t, 2)
+    log1 = T[1, 0] / T[0, 0]
+    p = -(2.0 * T[2, 0] / T[0, 0] - log1 * log1) - eta_periods(t).eta1
+    return complex(p), -complex(_translation(z2, m, n, t) * T[0, 1]) / complex(T[0, 0]) ** 4
 
 
 def g_invariants(tau) -> tuple[complex, complex]:

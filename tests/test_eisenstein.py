@@ -87,8 +87,9 @@ class TestRowMachinery:
         # the phase grid as a running product u^(l-1), u = e^(2 pi i x), is no
         # less accurate than one exp per term, point by point within a factor
         # 4 (below a 1e-14 relative floor, roundoff of the phase of u at
-        # |Re x| = 30), over a sweep against a dps-30 series; both formulas
-        # share the term count L, so they share its truncation error
+        # |Re x| = 30), over a sweep against a dps-30 series; _T_batch sums at
+        # least the reference's ceil(48/y) + s + 6 terms, so its truncation
+        # error is no larger
         def one_exp_per_term(x, xi, s):
             L = int(math.ceil(48.0 / (2.0 * math.pi * x.imag.min()))) + s + 6
             freq = np.arange(1, L + 1) - xi
@@ -116,6 +117,53 @@ class TestRowMachinery:
             old = abs(one_exp_per_term(np.array([x]), float(xi), s)[0] - ref) / abs(ref)
             new = abs(_T_batch(np.array([x]), float(xi), s)[0] - ref) / abs(ref)
             assert new <= 4.0 * max(old, 1e-14), (x, s, xi, old, new)
+
+    def test_T_batch_keeps_its_term_count_in_the_box(self):
+        # L is the larger of ceil(48/y) + s + 6, y = 2 pi Im x, and the bound on
+        # the terms (l - xi)^(s-1) e^(-y (l - xi)); every row verify and the
+        # lattice-sums workload draw has Im x >= Im tau/3 >= 0.8/3 (coset rows at
+        # D = 3) and s <= 8, and there the first wins, so the sums keep the bits
+        # of that count alone. Both fall with y, the first stepping at y = 48/k,
+        # so the points just above those steps cover the whole range
+        def count_48(x, xi, s):
+            L = int(math.ceil(48.0 / (2.0 * math.pi * x.imag.min()))) + s + 6
+            freq = np.arange(1, L + 1) - xi
+            phase = np.repeat(np.exp(2j * np.pi * x)[None], L, axis=0)
+            phase[0] = np.exp(2j * np.pi * (1.0 - xi) * x)
+            np.cumprod(phase, axis=0, out=phase)
+            return (freq ** (s - 1)) @ phase * (-2j * np.pi) ** s / math.factorial(s - 1)
+
+        lo = 0.8 / 3
+        steps = [48.0 / (2.0 * math.pi * k) * (1 + 1e-12)
+                 for k in range(1, 100) if 48.0 / (2.0 * math.pi * k) >= lo]
+        for im in steps + [lo, 0.4, 0.8, 2.0]:
+            x = np.array([0.3 + 1j * im, -0.45 + 1j * (im + 0.8)])
+            for s in range(1, 9):
+                for xi in (0.0, 0.5, 11 / 12, 1.0 - 1e-12):
+                    if s == 1 and xi == 0.0:
+                        continue
+                    assert _T_batch(x, xi, s).tobytes() == count_48(x, xi, s).tobytes()
+
+    def test_T_batch_term_count_counts_s(self):
+        # ceil(48/y) + s + 6 terms alone ignore the (l - xi)^(s-1) growth: at
+        # these rows that sum sits 9.5e-9 and 1.0e-11 (relative, in mpmath) from
+        # the series; with the bound the truncation is below 1e-16 and float64
+        # reaches 3.3e-10 and 5.9e-12, the roundoff of sums whose largest terms
+        # are 3.7e5 and 1.2e4 times their value
+        def series(x, xi, s):
+            with mpmath.workdps(30):
+                x, xi = mpmath.mpc(x), mpmath.mpf(xi.numerator) / xi.denominator
+                u = mpmath.exp(2j * mpmath.pi * x)
+                term, acc = mpmath.exp(2j * mpmath.pi * (1 - xi) * x), 0
+                for l in range(1, 600):
+                    acc += (l - xi) ** (s - 1) * term
+                    term *= u
+                return complex((-2j * mpmath.pi) ** s / mpmath.factorial(s - 1) * acc)
+
+        for x, s, xi, tol in ((-20.64 + 0.0638j, 9, Fraction(9, 10), 1e-9),
+                              (-22.34 + 0.0603j, 7, Fraction(0), 1e-11)):
+            ref = series(x, xi, s)
+            assert abs(_T_batch(np.array([x]), float(xi), s)[0] - ref) / abs(ref) < tol
 
     def test_T_batch_needs_upper_half(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,8 @@ from epolylog.kronecker import (
     jacobi_J,
     s_coeffs,
 )
-from epolylog.numerics import CauchyConfig, contour_integral
+from epolylog.numerics import (CauchyConfig, DiffConfig, contour_integral, finite_diff,
+                               richardson, stencil_nodes)
 from epolylog.weierstrass import ModuliPoint, PoleProximityError, zeta_fn
 
 TAU_A = 0.5 + 0.8j
@@ -90,7 +91,42 @@ class TestKernel:
         assert abs(jacobi_J(p)) < 1e-12
 
 
+class TestVariant:
+    def test_one_theta_call_keeps_the_two_J_bits(self):
+        # D^2 J(z, w) - D J(Dz, w/D) from one stacked theta call, against the
+        # formula with two _J calls, on the contour rings of dlog_kato_siegel's
+        # reference path (64 samples), of pole-removal's extraction (256 and
+        # 512) and pole-removal's |w| = 1e-3 ring (16)
+        from epolylog.kronecker import _J, _variant
+
+        rings = ((64, 0.05), (256, 0.1), (512, 0.1), (16, 1e-3))
+        for (z, t), D in zip(STANDARD_POINTS + [(0.12 + 0.28j, 0.45 + 0.82j)], (2, 3, 2, 3, 3)):
+            for samples, radius in rings:
+                w = radius * np.exp(2j * np.pi * np.arange(samples) / samples)
+                two_J = D * D * _J(z, w, t) - D * _J(D * z, w / D, t)
+                assert _variant(z, w, t, D).tobytes() == two_J.tobytes()
+
+
 class TestHeat:
+    def test_grid_matches_nested_stencil(self):
+        # d^2 J/dz dw from J on the 6x6 grid of stencil nodes against nested
+        # scalar stencils (finite_diff in w inside finite_diff in z): both sit
+        # at stencil precision, and over 500 verify-box points (seeds 0-9) they
+        # differed by at most 7.8e-9 relative to max(1, |J|)
+        from epolylog.cli import _draw_kpoint
+        from epolylog.kronecker import _J
+
+        cfg = DiffConfig(step=1e-3, richardson_levels=2)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            p = _draw_kpoint(rng)
+            t = p.tau.tau
+            grid = _J(stencil_nodes(p.z, cfg)[:, None], stencil_nodes(p.w, cfg), t)
+            got = richardson(richardson(grid.T, cfg), cfg)
+            nested = finite_diff(
+                lambda zz: finite_diff(lambda ww: complex(_J(zz, ww, t)), p.w, cfg), p.z, cfg)
+            assert abs(got - nested) / max(1.0, abs(jacobi_J(p))) < 3e-8
+
     def test_residual_small(self):
         for z, t in STANDARD_POINTS[:2]:
             assert heat_residual(pt(z, 0.21 + 0.13j, t)) < 1e-6
@@ -238,3 +274,6 @@ class TestDistribution:
         with pytest.raises(PoleProximityError):
             # Dz on the lattice for D = 2
             distribution_residual(pt(0.5, W_A, TAU_A), 2)
+        with pytest.raises(PoleProximityError):
+            # at D = 1 the D-torsion locus of w is the lattice
+            distribution_residual(pt(Z_A, 1e-7, TAU_A), 1)

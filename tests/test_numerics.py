@@ -13,6 +13,8 @@ from epolylog.numerics import (
     contour_integral,
     finite_diff,
     kahan_sum,
+    richardson,
+    stencil_nodes,
 )
 
 
@@ -59,6 +61,34 @@ class TestFiniteDiff:
     def test_array_valued_nonfinite_component(self):
         with pytest.raises(NonFiniteError):
             finite_diff(lambda x: np.array([x, math.nan]), 0.3, DiffConfig())
+
+    def test_split_keeps_the_loop_bits(self):
+        # the central differences written as one loop over the levels are the
+        # reference; richardson of an f that numpy evaluates elementwise, called
+        # once on the whole node array as heat_residual's grid does, gives
+        # finite_diff's bits
+        def loop(f, at, cfg):
+            table = []
+            for i in range(cfg.richardson_levels + 1):
+                h = cfg.step / (2.0**i)
+                table.append((f(at + h) - f(at - h)) / (2.0 * h))
+            for j in range(1, cfg.richardson_levels + 1):
+                fac = 4.0**j
+                table = [(fac * table[i + 1] - table[i]) / (fac - 1.0)
+                         for i in range(len(table) - 1)]
+            return complex(table[0]) if np.ndim(table[0]) == 0 else table[0]
+
+        f = lambda x: np.sin(np.exp(x))
+        vec = lambda x: np.array([np.exp(x), np.sin(x), np.cos(2.0 * x)])
+        for at in (0.3 + 0.2j, 2.5, -1.1 + 0.7j):
+            for cfg in (DiffConfig(), DiffConfig(step=1e-3, richardson_levels=3),
+                        DiffConfig(step=0.1, richardson_levels=0)):
+                got = finite_diff(f, at, cfg)
+                assert got == loop(f, at, cfg)
+                assert richardson(f(stencil_nodes(at, cfg)), cfg) == got
+                assert np.array_equal(finite_diff(vec, at, cfg), loop(vec, at, cfg))
+                assert np.array_equal(richardson(vec(stencil_nodes(at, cfg)).T, cfg),
+                                      finite_diff(vec, at, cfg))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

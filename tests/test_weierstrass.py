@@ -323,6 +323,15 @@ class TestSigmaZeta:
         # sigma only has zeros on the lattice, no pole guard
         assert abs(sigma(2.0 + 3.0 * TAU_A, TAU_A)) < 1e-9
 
+    def test_zeta_is_logderiv_plus_eta1_z(self):
+        # one reduction serves the pole guard and the engine call: bit for bit
+        # the log-derivative of theta plus eta1 z
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            t = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0))
+            z = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+            assert zeta_fn(z, t) == complex(theta_logderiv(z, t)) + eta_periods(t).eta1 * z
+
 
 class TestWp:
     def test_frozen(self):
@@ -346,6 +355,18 @@ class TestWp:
             p, pp = wp(z, t)
             assert rel(p, oracles.wp_ref(z, t)) < 1e-12
             assert rel(pp, oracles.wpprime_ref(z, t)) < 1e-12
+
+    def test_wpprime_out_of_box(self):
+        # p' from one engine call at z0 and 2 z0 over the out-of-box domain the
+        # benchmark draws (Im tau log-spaced in [0.06, 0.8], |Re tau| <= 20, z in
+        # the box 0.1..0.4 of lattice coordinates); it read 5.0e-13 at most
+        rng = np.random.default_rng(9)
+        for im in np.geomspace(0.06, 0.8, 24):
+            t = complex(rng.uniform(-20.0, 20.0), im)
+            z = rng.uniform(0.1, 0.4) + rng.uniform(0.1, 0.4) * t
+            if min(lattice_dist(D * z, t) for D in (1, 2, 3)) < 0.01 * im:
+                continue
+            assert rel(wp(z, t)[1], oracles.wpprime_ref(z, t)) < 1e-10
 
     def test_brute_lattice_sum(self):
         # box-truncated raw lattice sum, independent of any theta machinery
