@@ -28,9 +28,12 @@ Every call above repeats one tau, so its theta weights come from the cache.
 The fresh-tau layers, scalar theta_normalized, wp and s_coeffs at n = 4, cycle
 through 512 distinct verify-box tau (twice the 256 entries of the theta
 weights' cache), so every call builds its weights; a timed run is one cycle
-and the figure is its time per call. The round also counts the theta weights'
-cache misses (`_jacobi_weights.cache_info().misses`) over one `verify all
---seed 0` run with that cache cleared first.
+and the figure is its time per call. theta_vector_fresh_tau_256 is one
+theta_normalized call on 256 points, each at its own tau (the first 256 of
+those tau): the vector-tau engine's weight lookup per tau and its padded sum;
+a tree whose theta takes one tau only records null for it. The round also
+counts the theta weights' cache misses (`_jacobi_weights.cache_info().misses`)
+over one `verify all --seed 0` run with that cache cleared first.
 
 It also times cmd_verify(suite) at seed 0 for every verify suite, best of N
 in the same way (the whole suite per run).
@@ -105,8 +108,11 @@ def calls():
         return EisensteinQuery(1, 2, 5, 4, tau, mode="naive",
                                trunc=LatticeTruncation(R, ordering))
 
+    vector_taus = np.array(taus[:256])
+
     return {
         "theta_vector_256": lambda: theta_normalized(zs, tau),
+        "theta_vector_fresh_tau_256": lambda: theta_normalized(zs, vector_taus),
         "theta_scalar": lambda: theta_normalized(0.23 + 0.11j, tau),
         "s_coeffs_n8": lambda: s_coeffs(0.23 + 0.11j, tau, 2, 8),
         # one cycle over the fresh tau; main() divides by FRESH_TAUS
@@ -178,7 +184,10 @@ def measure(src: str, repeat: int) -> dict:
     record = {"jacobi_weights_misses_verify_all_seed0": cold_misses(), "layers_ms": {}}
     for name, fn in calls().items():
         per_run = FRESH_TAUS if name.endswith("_fresh_tau") else 1
-        record["layers_ms"][name] = round(best_ms(fn, repeat) / per_run, 4)
+        try:
+            record["layers_ms"][name] = round(best_ms(fn, repeat) / per_run, 4)
+        except TypeError:  # an array of tau where the tree takes one tau
+            record["layers_ms"][name] = None
     record["suites_s"] = {k: round(v, 4) for k, v in suite_seconds(repeat).items()}
     wall, md5 = verify_all()
     record["verify_all_seed0_s"] = round(wall, 3)
@@ -206,7 +215,7 @@ def tier1(src: str) -> dict:
 def show(title: str, record: dict) -> None:
     print(f"== {title}")
     for name, ms in record["layers_ms"].items():
-        print(f"{name:24s} {ms:10.4f} ms")
+        print(f"{name:24s} {'n/a' if ms is None else f'{ms:10.4f}':>10s} ms")
     for name, sec in record["suites_s"].items():
         print(f"{'verify ' + name:24s} {sec:10.3f} s")
     print(f"{'verify all --seed 0':24s} {record['verify_all_seed0_s']:10.3f} s   "

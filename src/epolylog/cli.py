@@ -29,7 +29,6 @@ from .kronecker import (
     heat_residual,
     jacobi_J,
     s_coeffs,
-    _J,
     _variant,
 )
 from .logsheaf import curvature_residual
@@ -42,11 +41,13 @@ from .numerics import (
 from .polylog import TorsionLabel, L_form, closedness_residual, specialize_eisenstein
 from .weierstrass import (
     ModuliPoint,
+    _eta1,
+    _sigma,
+    _wp,
+    _zeta,
     eta_periods,
     g_invariants,
     lattice_dist,
-    sigma,
-    wp,
     zeta_fn,
 )
 
@@ -136,31 +137,36 @@ def _each(stream: int, draw, count: int) -> Points:
     return Points(stream, lambda rng: [draw(rng) for _ in range(count)])
 
 
-def _legendre(pt, _config) -> float:
-    z, t = pt
-    eta1 = zeta_fn(z + 1, t) - zeta_fn(z, t)
-    eta2 = zeta_fn(z + t, t) - zeta_fn(z, t)
-    return abs(eta1 * t - eta2 - 2j * cmath.pi)
+def _per_point(residual):
+    """A check's residual on its point list from residual(point, config)."""
+    return lambda points, config: [residual(p, config) for p in points]
 
 
-def _zeta_law(pt, _config) -> float:
-    z, t = pt
-    return abs(zeta_fn(z + 1, t) - zeta_fn(z, t) - eta_periods(t).eta1)
+# the weierstrass point checks: one evaluation on all points, each (z, tau) a column
+def _legendre(points, _config):
+    z, t = np.array(points).T
+    eta1 = _zeta(z + 1, t) - _zeta(z, t)
+    eta2 = _zeta(z + t, t) - _zeta(z, t)
+    return np.abs(eta1 * t - eta2 - 2j * cmath.pi)
 
 
-def _sigma_law(pt, _config) -> float:
-    z, t = pt
-    eta1 = eta_periods(t).eta1
-    lhs = sigma(z + 1, t)
-    rhs = -sigma(z, t) * cmath.exp(eta1 * (z + 0.5))
-    return abs(lhs - rhs) / max(1.0, abs(lhs))
+def _zeta_law(points, _config):
+    z, t = np.array(points).T
+    return np.abs(_zeta(z + 1, t) - _zeta(z, t) - _eta1(t))
 
 
-def _wp_ode(pt, _config) -> float:
-    z, t = pt
-    p, pp = wp(z, t)
-    g2, g3 = g_invariants(t)
-    return abs(pp**2 - (4 * p**3 - g2 * p - g3)) / max(1.0, abs(pp) ** 2)
+def _sigma_law(points, _config):
+    z, t = np.array(points).T
+    lhs = _sigma(z + 1, t)
+    rhs = -_sigma(z, t) * np.exp(_eta1(t) * (z + 0.5))
+    return np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))
+
+
+def _wp_ode(points, _config):
+    z, t = np.array(points).T
+    p, pp = _wp(z, t)
+    g2, g3 = np.array([g_invariants(x) for x in t.tolist()]).T
+    return np.abs(pp**2 - (4 * p**3 - g2 * p - g3)) / np.maximum(1.0, np.abs(pp) ** 2)
 
 
 def _closedness(pt, config) -> float:
@@ -176,9 +182,8 @@ def _coeff_rescaling(pt, _config) -> float:
     worst = 0.0
     for D in (2, 3):
         sc = s_coeffs(z, t, D, 8)
-        cc = cauchy_coeffs(
-            lambda u: D * D * _J(z, D * np.asarray(u), t) - D * _J(D * z, u, t), 8,
-            CauchyConfig(radius=0.35 * min(1.0, abs(t)) / D, samples=256))
+        cc = cauchy_coeffs(lambda u: _variant(z, D * u, t, D), 8,
+                           CauchyConfig(radius=0.35 * min(1.0, abs(t)) / D, samples=256))
         for k in range(9):
             ref = D**k * sc.coeffs[k]
             worst = max(worst, abs(cc[k] - ref) / max(1.0, abs(ref)))
@@ -217,10 +222,8 @@ def _ks_norm_trace(pt, _config) -> float:
     worst = 0.0
     for D, M in ((2, 3), (3, 2)):
         ref = dlog_kato_siegel(z, t, D)
-        acc = 0.0 + 0.0j
-        for c in range(M):
-            for d in range(M):
-                acc += dlog_kato_siegel((z + c * t + d) / M, t, D)
+        translates = [(z + c * t + d) / M for c in range(M) for d in range(M)]
+        acc = sum(dlog_kato_siegel(np.array(translates), t, D).tolist(), 0.0 + 0.0j)
         worst = max(worst, abs(acc / M - ref) / max(1.0, abs(ref)))
     return worst
 
@@ -294,11 +297,11 @@ _K2_CASES = Points(0, lambda rng: [
     for c in ((1, 2, 5, 0.21 + 1.1j), (1, 1, 3, -0.3 + 1.6j), (2, 1, 5, 1.3j))])
 
 # The verification suites, in report order: each check's name, anchor,
-# tolerance, point set and residual(point, config).
+# tolerance, point set and residual(points, config), a residual per point.
 CHECKS = {
     "weierstrass": (
         ("eta1-at-i", "quasi-period-square-lattice", 1e-8, Points(0, lambda rng: [0]),
-         lambda _, c: abs(eta_periods(1j).eta1 - cmath.pi)),
+         _per_point(lambda _, c: abs(eta_periods(1j).eta1 - cmath.pi))),
         ("legendre", "legendre-relation", 1e-8, _W_TZ, _legendre),
         ("zeta-law", "zeta-quasi-periodicity", 1e-9, _W_TZ, _zeta_law),
         ("sigma-law", "sigma-quasi-periodicity", 1e-9, _W_TZ, _sigma_law),
@@ -306,45 +309,46 @@ CHECKS = {
     ),
     "heat": (
         ("heat", "mixed-heat-equation", 1e-6, _each(0, _draw_kpoint, 50),
-         lambda p, c: heat_residual(p)),
+         _per_point(lambda p, c: heat_residual(p))),
     ),
     "curvature": (
         ("curvature-n0", "connection-flatness", 1e-12, _CURV_TAUS,
-         lambda t, c: curvature_residual(0, t)),
+         _per_point(lambda t, c: curvature_residual(0, t))),
         ("curvature-n1", "connection-flatness", 1e-8, _CURV_TAUS,
-         lambda t, c: curvature_residual(1, t)),
+         _per_point(lambda t, c: curvature_residual(1, t))),
         ("curvature", "connection-flatness", 1e-4, _CURV_TAUS,
-         lambda t, c: curvature_residual(4, t)),
+         _per_point(lambda t, c: curvature_residual(4, t))),
     ),
     "closedness": (
         ("closedness", "absolute-form-closedness", 1e-4, _each(0, _draw_tz, 10),
-         _closedness),
+         _per_point(_closedness)),
     ),
     "distribution": (
         ("distribution", "isogeny-distribution-law", 1e-6, _each(0, _draw_kpoint, 50),
-         lambda p, c: max(distribution_residual(p, D) for D in (2, 3))),
-        ("pole-removal", "kernel-pole-removal", 1e-8, _DIST_TZ, _pole_removal),
+         _per_point(lambda p, c: max(distribution_residual(p, D) for D in (2, 3)))),
+        ("pole-removal", "kernel-pole-removal", 1e-8, _DIST_TZ, _per_point(_pole_removal)),
         ("coeff-rescaling", "kernel-coefficient-rescaling", 1e-9, _DIST_TZ,
-         _coeff_rescaling),
+         _per_point(_coeff_rescaling)),
     ),
     "katosiegel": (
         ("ks-residue-origin", "kato-siegel-divisor", 1e-7, _KS_TAUS,
-         lambda t, c: _ks_residue(t, at_torsion=False)),
+         _per_point(lambda t, c: _ks_residue(t, at_torsion=False))),
         ("ks-residue-torsion", "kato-siegel-divisor", 1e-7, _KS_TAUS,
-         lambda t, c: _ks_residue(t, at_torsion=True)),
-        ("ks-norm-trace", "kato-siegel-norm-compatibility", 1e-7, _KS_TZ, _ks_norm_trace),
-        ("dlog-zeta", "kernel-constant-term", 1e-8, _KS_TZ, _dlog_zeta),
+         _per_point(lambda t, c: _ks_residue(t, at_torsion=True))),
+        ("ks-norm-trace", "kato-siegel-norm-compatibility", 1e-7, _KS_TZ,
+         _per_point(_ks_norm_trace)),
+        ("dlog-zeta", "kernel-constant-term", 1e-8, _KS_TZ, _per_point(_dlog_zeta)),
     ),
     "eisenstein": (
         ("naive-vs-lipschitz", "level-series-cross-evaluators", 1e-5,
-         Points(0, _eisenstein_cases), _naive_vs_lipschitz),
-        ("k2-ordered", "weight-two-eisenstein-order", 1e-4, _K2_CASES, _k2_ordered),
-        ("k2-doubling", "weight-two-eisenstein-order", 5e-4, _K2_CASES, _k2_doubling),
+         Points(0, _eisenstein_cases), _per_point(_naive_vs_lipschitz)),
+        ("k2-ordered", "weight-two-eisenstein-order", 1e-4, _K2_CASES, _per_point(_k2_ordered)),
+        ("k2-doubling", "weight-two-eisenstein-order", 5e-4, _K2_CASES, _per_point(_k2_doubling)),
     ),
     "specialization": tuple(
         (f"specialization[k={k},N={N},D={D}]", "torsion-specialization", 1e-6,
          _each(0, partial(_draw_spec_case, N=N), 5),
-         partial(_specialization, k=k, N=N, D=D))
+         _per_point(partial(_specialization, k=k, N=N, D=D)))
         for k in (2, 3, 4) for N in (3, 4, 5) for D in (2, 3)
     ),
 }
@@ -353,7 +357,7 @@ SUITES = tuple(CHECKS)
 
 def _check(name, anchor, tolerance, config, points, residual) -> dict:
     t0 = time.perf_counter()
-    residuals = [residual(p, config) for p in points]
+    residuals = residual(points, config)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     tol = float(config.tolerance_overrides.get(name, tolerance))
     worst = float(max(residuals))

@@ -16,21 +16,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (CauchyConfig, DiffConfig, cauchy_coeffs, finite_diff, richardson,
-                       stencil_nodes)
+from .numerics import CauchyConfig, DiffConfig, cauchy_coeffs, richardson, stencil_nodes
 from .weierstrass import (
     ModuliPoint,
     PoleProximityError,
+    _cell,
+    _dist,
     _exp_taylor,
     _tau_of,
+    _theta,
     _theta_taylor,
+    c_einsum,
     lattice_dist,
-    reduce_to_cell,
-    theta_logderiv,
     theta_normalized,
 )
 
 MAX_COEFF_ORDER = 16
+_LAG = np.subtract.outer(np.arange(MAX_COEFF_ORDER + 2), np.arange(MAX_COEFF_ORDER + 2))
 
 
 class StencilMarginError(ValueError):
@@ -53,11 +55,9 @@ class KroneckerPoint:
                 raise PoleProximityError(f"{name} = {x} within 1e-8 of the lattice")
 
 
-def _J(z, w, t: complex):
-    # vectorized over either argument
-    return theta_normalized(np.asarray(z) + np.asarray(w), t) / (
-        theta_normalized(z, t) * theta_normalized(w, t)
-    )
+def _J(z, w, t):
+    # vectorized over z, w and tau
+    return _theta(np.asarray(z) + np.asarray(w), t) / (_theta(z, t) * _theta(w, t))
 
 
 def _variant(z: complex, w, t: complex, D: int):
@@ -73,9 +73,9 @@ def jacobi_J(p: KroneckerPoint) -> complex:
 
 
 def heat_residual(p: KroneckerPoint, cfg: DiffConfig | None = None) -> float:
-    """|2*pi*i dJ/dtau - d^2 J/dz dw| / max(1, |J|) by central differences, the
-    mixed one on the grid of z and w stencil nodes. The default step 1e-3
-    balances roundoff amplification of the nested stencil against truncation."""
+    """|2*pi*i dJ/dtau - d^2 J/dz dw| / max(1, |J|) by central differences from J
+    on the tau stencil nodes and on the grid of z and w nodes, one call each. The
+    default step 1e-3 balances roundoff of the nested stencil against truncation."""
     cfg = cfg or DiffConfig(step=1e-3, richardson_levels=2)
     t = _tau_of(p.tau)
     margin = 10.0 * cfg.step
@@ -83,7 +83,7 @@ def heat_residual(p: KroneckerPoint, cfg: DiffConfig | None = None) -> float:
         if lattice_dist(x, t) < margin:
             raise StencilMarginError(f"{name} within {margin} of the polar locus")
 
-    d_tau = finite_diff(lambda s: complex(_J(p.z, p.w, s)), t, cfg)
+    d_tau = richardson(_J(p.z, p.w, stencil_nodes(t, cfg)), cfg)
     grid = _J(stencil_nodes(p.z, cfg)[:, None], stencil_nodes(p.w, cfg), t)
     d_zw = richardson(richardson(grid.T, cfg), cfg)
     val = complex(_J(p.z, p.w, t))
@@ -117,24 +117,32 @@ def s_coeffs(z: complex, tau, D: int, n: int) -> DVariantCoeffs:
     exp(-2 pi i c w) theta(x0 + w)/theta(x0) for x = x0 + m + c*tau.
     s_0 = D^2 zeta(z) - D zeta(Dz); rescaling w -> Dw multiplies s_k by D^k.
     """
+    t = _tau_of(tau)
+    return DVariantCoeffs(D=D, z=z, tau=t, coeffs=tuple(_s_columns(z, t, D, n).tolist()))
+
+
+def _s_columns(z, t, D: int, n: int) -> np.ndarray:
+    """The s_k of s_coeffs, k = 0..n, along the last axis, at z and at t, a complex
+    or an array of z's shape: one engine call, each column with its bits alone."""
     if n < 0 or n > MAX_COEFF_ORDER:
         raise ValueError(f"coefficient order must be in 0..{MAX_COEFF_ORDER}, got {n}")
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
-    t = _tau_of(tau)
-    # columns x = z, Dz; T holds the Taylor coefficients at x0 and at 0
-    x0, _, c = reduce_to_cell(np.array([z, D * z]), t)
-    if np.min(np.abs(x0)) < 1e-8:
+    shape, z = np.shape(z), np.ravel(np.asarray(z, dtype=complex))
+    t, P = (t if isinstance(t, complex) else np.tile(np.ravel(t), 2)), z.size
+    # columns x = z, Dz; T holds the Taylor coefficients at x0 and at 0, per column
+    x0, _, c = _cell(np.concatenate([z, D * z]), t)
+    if _dist(x0) < 1e-8:
         raise PoleProximityError("z or Dz within 1e-8 of the lattice")
-    T = _theta_taylor(np.append(x0, 0.0), t, n + 2)
-    ratio = T[: n + 2, :2] / T[0, :2]
-    shift = _exp_taylor(-2j * np.pi * c, n + 1)
-    g = np.array([np.convolve(ratio[:, i], shift[:, i])[: n + 2] for i in range(2)]).T
-    for j in range(1, n + 2):  # divide by theta(w)/w, the series T[1:, 2]
-        g[j] -= T[j + 1 : 1 : -1, 2] @ g[:j]
-    k = np.arange(n + 1)
-    coeffs = D * D * g[1:, 0] - float(D) ** (1 - k) * g[1:, 1]
-    return DVariantCoeffs(D=D, z=z, tau=t, coeffs=tuple(complex(v) for v in coeffs))
+    T = _theta_taylor(np.array([x0, np.zeros(2 * P)]), t, n + 2)
+    lag = _LAG[: n + 2, : n + 2]  # the Toeplitz matrix of the shift series
+    shift = np.where(lag[..., None] >= 0, _exp_taylor(-2j * np.pi * c, n + 1)[lag], 0)
+    g = c_einsum("jic,ic->jc", shift, T[: n + 2, 0] / T[0, 0])
+    for j in range(1, n + 2):  # divide by theta(w)/w, the series T[1:, 1]
+        g[j] -= c_einsum("ic,ic->c", T[j + 1 : 1 : -1, 1], g[:j])
+    k = np.arange(n + 1)[:, None]
+    s = D * D * g[1:, :P] - float(D) ** (1 - k) * g[1:, P:]
+    return s.T.reshape(shape + (n + 1,))
 
 
 def dlog_kato_siegel(z, tau, D: int, cfg: CauchyConfig | None = None):
@@ -151,11 +159,16 @@ def dlog_kato_siegel(z, tau, D: int, cfg: CauchyConfig | None = None):
     t = _tau_of(tau)
     if not np.isfinite(z).all():
         raise ValueError(f"z = {z} has no finite lattice coordinates")
-    if lattice_dist(D * np.asarray(z), t) / D < 1e-8:
+    z = z if isinstance(z, (complex, float, int)) else np.asarray(z)
+    (x0, _, c0), (x1, _, c1) = _cell(z, t), _cell(D * z, t)
+    if _dist(x1) / D < 1e-8:
         raise PoleProximityError(f"z = {z} within 1e-8 of the D-torsion locus")
     if cfg is not None:
         return cauchy_coeffs(lambda w: _variant(z, w, t, D), 0, cfg)[0]
-    return D * D * theta_logderiv(z, t) - D * theta_logderiv(D * np.asarray(z), t)
+    T = _theta_taylor(np.array([x0, x1]), t, 1)
+    dlog = T[1] / T[0] - 2j * np.pi * np.array([c0, c1])  # theta_logderiv at z and Dz
+    out = D * D * dlog[0] - D * dlog[1]
+    return out if out.shape else complex(out)
 
 
 def distribution_residual(p: KroneckerPoint, D: int) -> float:

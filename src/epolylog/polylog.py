@@ -30,12 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eisenstein import coset_sum
-from .kronecker import s_coeffs
+from .kronecker import MAX_COEFF_ORDER, _s_columns
 from .logsheaf import LogFiber, LogValuedForm, abs_connection
-from .numerics import DiffConfig, finite_diff
+from .numerics import DiffConfig, richardson, stencil_nodes
 from .weierstrass import PoleProximityError, _tau_of, lattice_dist
 
 TWO_PI_I = 2j * cmath.pi
+_FACT = np.array([float(math.factorial(k)) for k in range(MAX_COEFF_ORDER + 1)])
 # the dP/dtau and dQ/dz stencils of closedness_residual
 _CLOSEDNESS_STENCIL = DiffConfig(step=1e-4, richardson_levels=2)
 
@@ -61,13 +62,13 @@ class TorsionLabel:
             raise ValueError(f"D must be >= 1, got {self.D}")
 
 
-def _rows(z: complex, t: complex, D: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients of L_n on the rows w^[k,0], k = 0..n, from one
-    s_coeffs call at order n + 1: k! s_k (dz) and (k+1)! s_(k+1) / (2 pi i)
-    (dtau)."""
-    s = s_coeffs(z, t, D, n + 1).coeffs
-    return (np.array([math.factorial(k) * s[k] for k in range(n + 1)]),
-            np.array([math.factorial(k + 1) * s[k + 1] / TWO_PI_I for k in range(n + 1)]))
+def _rows(z, t, D: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients of L_n on the rows w^[k,0], k = 0..n, along the last
+    axis, at z and t (as in kronecker._s_columns), from the s_k to order n + 1:
+    k! s_k (dz) and (k+1)! s_(k+1) / (2 pi i) (dtau)."""
+    s = _s_columns(z, t, D, n + 1)
+    y = _FACT[1 : n + 2] * s[..., 1:]  # over 2 pi i as Python's complex division rounds it
+    return _FACT[: n + 1] * s[..., :-1], y.imag / TWO_PI_I.imag - 1j * (y.real / TWO_PI_I.imag)
 
 
 def L_form(z: complex, tau, D: int, n: int) -> LogValuedForm:
@@ -88,17 +89,21 @@ def closedness_residual(z: complex, tau, D: int, n: int) -> float:
     component is -dP/dtau - Omega_tau P + dQ/dz + Omega_z Q with the matrices
     of logsheaf.abs_connection; closedness of the absolute form makes every
     entry cancel. P and Q depend on (z, tau) through the kernel coefficients,
-    differentiated here by central stencils. L_m is the rows k <= m of L_n
-    and the level-m connection the leading block of the level-n one, so the
-    level-m residual is the leading (m+1)(m+2)/2 entries of the level-n one.
+    differentiated by central stencils: one _rows call on the centre, the z
+    nodes and the tau nodes (13 columns, each with the bits it has alone), then
+    numerics.richardson. L_m is the rows k <= m of L_n and the level-m
+    connection the leading block of the level-n one, so the level-m residual
+    is the leading (m+1)(m+2)/2 entries of the level-n one.
     """
     t = _tau_of(tau)
-    margin = 10.0 * _CLOSEDNESS_STENCIL.step
+    cfg = _CLOSEDNESS_STENCIL
+    margin = 10.0 * cfg.step
     if lattice_dist(z, t) < margin or lattice_dist(D * z, t) < D * margin:
         raise PoleProximityError(f"z = {z} too close to the polar locus for the stencil")
-    P, Q = _rows(z, t, D, n)
-    dP = finite_diff(lambda s: _rows(z, s, D, n)[0], t, _CLOSEDNESS_STENCIL)
-    dQ = finite_diff(lambda x: _rows(x, t, D, n)[1], z, _CLOSEDNESS_STENCIL)
+    zs, ts = stencil_nodes(z, cfg), stencil_nodes(t, cfg)
+    Ps, Qs = _rows(np.r_[z, zs, [z] * len(ts)], np.r_[t, [t] * len(zs), ts], D, n)
+    P, Q = Ps[0], Qs[0]
+    dP, dQ = richardson(Ps[-len(ts):], cfg), richardson(Qs[1:-len(ts)], cfg)
     omega_z, omega_tau = abs_connection(n, t)
     # dense vectors: w^[k,0] sits at k(k+3)/2 in basis_indices(n)
     p, q, dp, dq = np.zeros((4, len(omega_z)), dtype=complex)

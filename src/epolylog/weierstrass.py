@@ -1,6 +1,9 @@
 """Weierstrass functions on the lattice Z + Z*tau via q-series: one theta engine
 (_theta_taylor: Jacobi series weights, per tau times a tau-independent table) under
-the theta family and kronecker.s_coeffs; Lambert series for eta1, eta1', g2 and g3.
+the theta family and kronecker._s_columns; Lambert series for eta1, eta1', g2 and g3.
+The evaluators broadcast over z and tau; the package's batched paths call their
+private cores (_cell, _theta, _zeta, _sigma, _wp, _eta1), so that a public function
+is only ever called at one tau from inside the package.
 
 Conventions: eta1 is the quasi-period with eta1(i) = +pi and
 zeta(z+1) - zeta(z) = eta1; eta2 = eta1*tau - 2*pi*i (Legendre relation with
@@ -19,6 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from numpy._core.multiarray import c_einsum  # np.einsum without its Python wrapper
 
 
 class PoleProximityError(ValueError):
@@ -46,9 +51,11 @@ class QuasiPeriods:
     eta2: complex
 
 
-def _tau_of(tau) -> complex:
-    t = complex(tau.tau) if isinstance(tau, ModuliPoint) else complex(tau)
-    if not (t.imag > 0.0):
+def _tau_of(tau):
+    # tau as a complex, or as a complex array for an array of tau
+    t = tau.tau if isinstance(tau, ModuliPoint) else tau
+    t = complex(t) if isinstance(t, (complex, float, int, np.number)) else np.asarray(t, complex)
+    if not (t.imag > 0.0 if isinstance(t, complex) else (t.imag > 0.0).all()):
         raise ValueError(f"Im tau must be positive, got {t}")
     return t
 
@@ -57,11 +64,16 @@ def reduce_to_cell(z, tau) -> tuple:
     """Write z = z0 + m + n*tau with m = round(alpha), n = round(beta) for the
     real coordinates z = alpha + beta*tau, ties to even.
 
-    A Python or numpy scalar z gives a Python complex z0 and Python ints m, n;
-    any other input works elementwise and gives arrays. Both paths give the
-    same bits. Raises ValueError if alpha or beta is not finite."""
-    t = _tau_of(tau)
-    if isinstance(z, (complex, float, int)):
+    A Python or numpy scalar z at one tau gives a Python complex z0 and Python
+    ints m, n; any other input (an array of z, or of tau, which broadcast)
+    works elementwise and gives arrays. Both paths give the same bits. Raises
+    ValueError if alpha or beta is not finite."""
+    return _cell(z, _tau_of(tau))
+
+
+def _cell(z, t) -> tuple:
+    # reduce_to_cell at t from _tau_of
+    if isinstance(z, (complex, float, int)) and isinstance(t, complex):
         z = complex(z)
         beta = z.imag / t.imag
         alpha = z.real - beta * t.real
@@ -81,11 +93,15 @@ def reduce_to_cell(z, tau) -> tuple:
     return z0, m.astype(int), n.astype(int)
 
 
+def _dist(z0) -> float:
+    # the least abs(z0) of a reduction
+    return abs(z0) if isinstance(z0, complex) else float(np.abs(z0).min())
+
+
 def lattice_dist(z, tau) -> float:
     """Distance from z to the lattice point m + n*tau it reduces to (the least
     such distance over an array)."""
-    z0, _, _ = reduce_to_cell(z, tau)
-    return abs(z0) if isinstance(z0, complex) else float(np.min(np.abs(z0)))
+    return _dist(reduce_to_cell(z, tau)[0])
 
 
 def _exp_taylor(x: np.ndarray, m: int) -> np.ndarray:
@@ -131,17 +147,29 @@ def _jacobi_weights(t: complex, m: int) -> tuple:
     return a, w
 
 
-def _theta_taylor(z0, t: complex, m: int) -> np.ndarray:
-    """Taylor coefficients theta^(j)(z0)/j!, j = 0..m, shape (m + 1,) + z0.shape,
-    at z0 in the fundamental cell: theta_1(pi z) = 2 sum_k (-1)^k q^((k+1/2)^2)
-    sin((2k+1) pi z), q = e^(i pi tau), over pi theta_1'(0); 1-periodic in tau."""
-    a, w = _jacobi_weights(complex(t.real - round(t.real), t.imag), m)
-    z0 = np.asarray(z0, dtype=complex)
-    x = a[:, None] * z0.ravel()
+def _theta_taylor(z0, t, m: int) -> np.ndarray:
+    """Taylor coefficients theta^(j)(z0)/j!, j = 0..m, shape (m + 1,) + the shape of
+    z0 and t (a complex or an array) broadcast, at z0 in the cell of t: theta_1(pi z)
+    = 2 sum_k (-1)^k q^((k+1/2)^2) sin((2k+1) pi z), q = e^(i pi tau), over pi
+    theta_1'(0); 1-periodic in tau. One einsum sums each column in the order k = 0,
+    1, ..., with its own tau's weights padded by zero weights at frequency 0 (finite
+    at any Im z0), so a column has the bits of the call at its tau alone."""
+    if isinstance(t, complex):
+        a, w = _jacobi_weights(complex(t.real - round(t.real), t.imag), m)
+        z0, a = np.asarray(z0, dtype=complex), a[:, None]
+    else:
+        z0, t = np.broadcast_arrays(np.asarray(z0, dtype=complex), t)
+        cols = [_jacobi_weights(complex(x.real - round(x.real), x.imag), m)
+                for x in t.ravel().tolist()]
+        K = max(len(ak) for ak, _ in cols)
+        a, w = np.zeros((K, len(cols))), np.zeros((m + 1, K, len(cols)), dtype=complex)
+        for p, (ak, wk) in enumerate(cols):
+            a[: len(ak), p], w[:, : len(ak), p] = ak, wk
+    x = a * z0.ravel()
     out = np.empty((m + 1, z0.size), dtype=complex)
-    out[0::2] = w[0::2] @ np.sin(x)
+    out[0::2] = c_einsum("jk...,k...->j...", w[0::2], np.sin(x))
     if m:  # theta alone (m = 0) has no odd rows
-        out[1::2] = w[1::2] @ np.cos(x)
+        out[1::2] = c_einsum("jk...,k...->j...", w[1::2], np.cos(x))
     return out.reshape((m + 1,) + z0.shape)
 
 
@@ -159,16 +187,19 @@ def theta_normalized(z, tau):
     theta(z+tau) = -exp(-2*pi*i*(z + tau/2)) * theta(z); the general law for
     z + n*tau + m carries the sign (-1)^(m+n+mn).
     """
-    t = _tau_of(tau)
-    z0, m, n = reduce_to_cell(z, t)
-    out = _translation(z0, m, n, t) * _theta_taylor(z0, t, 0)[0]
+    out = _theta(z, _tau_of(tau))
     return out if out.shape else complex(out)
+
+
+def _theta(z, t):
+    z0, m, n = _cell(z, t)
+    return _translation(z0, m, n, t) * _theta_taylor(z0, t, 0)[0]
 
 
 def theta_logderiv(z, tau):
     """d/dz log theta_normalized, with the exact -2*pi*i*n translation shift."""
     t = _tau_of(tau)
-    z0, _, n = reduce_to_cell(z, t)
+    z0, _, n = _cell(z, t)
     T = _theta_taylor(z0, t, 1)
     out = T[1] / T[0] - 2j * np.pi * n
     return out if out.shape else complex(out)
@@ -195,6 +226,13 @@ def _eisenstein_weights(t: complex) -> tuple:
     return e2, e4, e6
 
 
+def _eta1(t):
+    # (pi^2/3) E2 at a complex t, or at each tau of an array (each from the cache)
+    e2 = (_eisenstein_weights(t)[0] if isinstance(t, complex) else
+          np.reshape([_eisenstein_weights(x)[0] for x in t.ravel().tolist()], t.shape))
+    return (cmath.pi**2 / 3.0) * e2
+
+
 def eta_periods(tau) -> QuasiPeriods:
     """Quasi-periods of zeta for the period pair (1, tau).
 
@@ -202,27 +240,33 @@ def eta_periods(tau) -> QuasiPeriods:
     relation eta1*tau - eta2*1 = 2*pi*i.
     """
     t = _tau_of(tau)
-    e2, _, _ = _eisenstein_weights(t)
-    eta1 = (cmath.pi**2 / 3.0) * e2
+    eta1 = _eta1(t)
     return QuasiPeriods(eta1=eta1, eta2=eta1 * t - 2j * cmath.pi)
 
 
 def sigma(z: complex, tau) -> complex:
     """Weierstrass sigma: odd entire function, sigma(z) = z + O(z^5),
     sigma(z+1) = -sigma(z) exp(eta1 (z + 1/2))."""
-    t = _tau_of(tau)
-    eta1 = eta_periods(t).eta1
-    return cmath.exp(eta1 * z * z / 2.0) * theta_normalized(z, t)
+    out = _sigma(z, _tau_of(tau))
+    return out if out.shape else complex(out)
+
+
+def _sigma(z, t):
+    return np.exp(_eta1(t) * z * z / 2.0) * _theta(z, t)
 
 
 def zeta_fn(z: complex, tau) -> complex:
     """Weierstrass zeta: zeta(z) = 1/z + O(z^3), zeta(z+1) - zeta(z) = eta1."""
-    t = _tau_of(tau)
-    z0, _, n = reduce_to_cell(z, t)
-    if abs(z0) < 1e-8:
+    out = _zeta(z, _tau_of(tau))
+    return out if out.shape else complex(out)
+
+
+def _zeta(z, t):
+    z0, _, n = _cell(z, t)
+    if _dist(z0) < 1e-8:
         raise PoleProximityError(f"z = {z} within 1e-8 of the lattice")
     T = _theta_taylor(z0, t, 1)
-    return complex(T[1] / T[0] - 2j * np.pi * n) + eta_periods(t).eta1 * z
+    return T[1] / T[0] - 2j * np.pi * n + _eta1(t) * z
 
 
 def wp(z: complex, tau) -> tuple[complex, complex]:
@@ -230,15 +274,19 @@ def wp(z: complex, tau) -> tuple[complex, complex]:
     reduced point z0: p = -(log theta)'' - eta1 and p' = -sigma(2 z0)/sigma(z0)^4
     = -theta(2 z0)/theta(z0)^4, which keeps its digits at small Im tau where
     -(log theta)''' from Taylor coefficients cancels; one engine call serves both."""
-    t = _tau_of(tau)
-    z0, _, _ = reduce_to_cell(z, t)
-    if abs(z0) < 1e-8:
+    p, pp = _wp(z, _tau_of(tau))
+    return (p, pp) if p.shape else (complex(p), complex(pp))
+
+
+def _wp(z, t):
+    z0, _, _ = _cell(z, t)
+    if _dist(z0) < 1e-8:
         raise PoleProximityError(f"z = {z} within 1e-8 of the lattice")
-    z2, m, n = reduce_to_cell(2.0 * z0, t)
+    z2, m, n = _cell(2.0 * z0, t)
     T = _theta_taylor(np.array([z0, z2]), t, 2)
     log1 = T[1, 0] / T[0, 0]
-    p = -(2.0 * T[2, 0] / T[0, 0] - log1 * log1) - eta_periods(t).eta1
-    return complex(p), -complex(_translation(z2, m, n, t) * T[0, 1]) / complex(T[0, 0]) ** 4
+    p = -(2.0 * T[2, 0] / T[0, 0] - log1 * log1) - _eta1(t)
+    return p, -(_translation(z2, m, n, t) * T[0, 1]) / T[0, 0] ** 4
 
 
 def g_invariants(tau) -> tuple[complex, complex]:

@@ -66,6 +66,64 @@ class TestVerify:
         assert report["overall_pass"] is True
 
 
+class TestBatchedChecks:
+    def test_weierstrass_checks_match_per_point_formulas(self):
+        # the four weierstrass point checks run once on all their points, each
+        # (z, tau) a column; written out point by point with the scalar
+        # evaluators they agree to roundoff
+        import cmath
+
+        import numpy as np
+
+        from epolylog.cli import CHECKS
+        from epolylog.weierstrass import eta_periods, g_invariants, sigma, wp, zeta_fn
+
+        def legendre(z, t):
+            eta1 = zeta_fn(z + 1, t) - zeta_fn(z, t)
+            eta2 = zeta_fn(z + t, t) - zeta_fn(z, t)
+            return abs(eta1 * t - eta2 - 2j * cmath.pi)
+
+        def zeta_law(z, t):
+            return abs(zeta_fn(z + 1, t) - zeta_fn(z, t) - eta_periods(t).eta1)
+
+        def sigma_law(z, t):
+            lhs = sigma(z + 1, t)
+            rhs = -sigma(z, t) * cmath.exp(eta_periods(t).eta1 * (z + 0.5))
+            return abs(lhs - rhs) / max(1.0, abs(lhs))
+
+        def wp_ode(z, t):
+            (p, pp), (g2, g3) = wp(z, t), g_invariants(t)
+            return abs(pp**2 - (4 * p**3 - g2 * p - g3)) / max(1.0, abs(pp) ** 2)
+
+        formulas = {"legendre": legendre, "zeta-law": zeta_law, "sigma-law": sigma_law,
+                    "wp-ode": wp_ode}
+        for seed in (0, 1, 2):
+            for name, _, _, pts, residual in CHECKS["weierstrass"]:
+                if name in formulas:
+                    points = pts.build(np.random.default_rng(seed + pts.stream))
+                    batched = residual(points, None)
+                    assert len(batched) == len(points)
+                    for (z, t), got in zip(points, batched):
+                        assert abs(got - formulas[name](z, t)) < 1e-13
+
+    def test_norm_trace_keeps_the_per_translate_sum(self):
+        # one dlog_kato_siegel call on the M^2 translates, summed in the order
+        # of the loop over them: the same bits as a call per translate
+        from epolylog.cli import _ks_norm_trace
+        from epolylog.kronecker import dlog_kato_siegel
+
+        for z, t in ((0.23 + 0.11j, 0.5 + 0.8j), (0.14 + 0.21j, 0.13 + 1.7j)):
+            worst = 0.0
+            for D, M in ((2, 3), (3, 2)):
+                ref = dlog_kato_siegel(z, t, D)
+                acc = 0.0 + 0.0j
+                for c in range(M):
+                    for d in range(M):
+                        acc += dlog_kato_siegel((z + c * t + d) / M, t, D)
+                worst = max(worst, abs(acc / M - ref) / max(1.0, abs(ref)))
+            assert _ks_norm_trace((z, t), None) == worst
+
+
 class TestEval:
     def test_J(self, capsys):
         code, res = run_main(

@@ -203,6 +203,24 @@ class TestSCoeffs:
         assert r12 < r2 <= 0.1
 
 
+class TestSColumns:
+    def test_columns_keep_the_scalar_bits(self):
+        # the s_k kernel on (z, tau) columns, every column at its own tau or all
+        # at one: each column has the bits of s_coeffs at its point
+        from epolylog.kronecker import _s_columns
+
+        rng = np.random.default_rng(12)
+        for D in (1, 2, 3):
+            for n in (0, 1, 5, MAX_COEFF_ORDER):
+                t = rng.uniform(-3.0, 3.0, 13) + 1j * rng.choice([0.3, 0.8, 1.4, 2.0], 13)
+                z = rng.uniform(0.1, 0.4, 13) + 1j * rng.uniform(0.05, 0.3, 13)
+                for tau in (t, complex(t[0])):
+                    cols = _s_columns(z, tau, D, n)
+                    for p in range(len(z)):
+                        one = s_coeffs(complex(z[p]), tau if np.ndim(tau) == 0 else tau[p], D, n)
+                        assert cols[p].tobytes() == np.array(one.coeffs).tobytes()
+
+
 class TestDlog:
     def test_equals_zeta_combination(self):
         for z, t in STANDARD_POINTS:
@@ -210,6 +228,25 @@ class TestDlog:
                 got = dlog_kato_siegel(z, t, D)
                 ref = D * D * zeta_fn(z, t) - D * zeta_fn(D * z, t)
                 assert rel(got, ref) < 1e-10
+
+    def test_one_engine_call_keeps_the_two_call_bits(self):
+        # the closed path reduces z and Dz once each and makes one engine call
+        # on both: the same bits as D^2 theta_logderiv(z) - D theta_logderiv(Dz),
+        # at scalars and at arrays of z
+        from epolylog.weierstrass import theta_logderiv
+
+        rng = np.random.default_rng(13)
+        for D in (1, 2, 3):
+            for _ in range(100):
+                t = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0))
+                z = complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+                two = D * D * theta_logderiv(z, t) - D * theta_logderiv(D * z, t)
+                one = dlog_kato_siegel(z, t, D)
+                assert type(one) is complex
+                assert np.array(one).tobytes() == np.array(two).tobytes()
+                zs = z + 0.1 * rng.standard_normal(9) + 0.1j * rng.standard_normal(9)
+                two = D * D * theta_logderiv(zs, t) - D * theta_logderiv(D * zs, t)
+                assert dlog_kato_siegel(zs, t, D).tobytes() == two.tobytes()
 
     def test_torsion_guard(self):
         with pytest.raises(PoleProximityError):

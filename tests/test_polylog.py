@@ -13,7 +13,7 @@ from epolylog.eisenstein import (
 )
 from epolylog.kronecker import s_coeffs
 from epolylog.logsheaf import abs_connection, basis_indices
-from epolylog.numerics import LatticeTruncation, finite_diff
+from epolylog.numerics import LatticeTruncation, finite_diff, stencil_nodes
 from epolylog.polylog import (
     _CLOSEDNESS_STENCIL,
     TorsionLabel,
@@ -125,6 +125,18 @@ class TestClosedness:
                 for n in (0, 2, 4):
                     ref = closedness_per_level(z, t, D, n)
                     assert abs(closedness_residual(z, t, D, n) - ref) <= 1e-6 * ref
+
+    def test_stencil_columns_keep_the_scalar_bits(self):
+        # closedness_residual evaluates its centre, z nodes and tau nodes in one
+        # _rows call; each column must have the bits of _rows at that node alone
+        z, t, D, n = Z_A, TAU_A, 3, 4
+        zs, ts = stencil_nodes(z, _CLOSEDNESS_STENCIL), stencil_nodes(t, _CLOSEDNESS_STENCIL)
+        nodes = [(z, t)] + [(x, t) for x in zs.tolist()] + [(z, s) for s in ts.tolist()]
+        dz, dtau = polylog._rows(np.array([x for x, _ in nodes]), np.array([s for _, s in nodes]),
+                                 D, n)
+        for p, (x, s) in enumerate(nodes):
+            one = polylog._rows(x, s, D, n)
+            assert (dz[p].tobytes(), dtau[p].tobytes()) == (one[0].tobytes(), one[1].tobytes())
 
     def test_catches_low_level_defect(self, monkeypatch):
         # each level keeps its own normalization, so an error in the dtau row

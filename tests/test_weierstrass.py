@@ -130,8 +130,10 @@ class TestTheta:
             assert rel(theta_normalized(z, t), oracles.theta_ref(z, t)) < 1e-10
 
     def test_taylor_engine_matches_outer_form(self):
-        # the engine's sums written out with np.outer and every row: the
-        # engine must give the same bits, for arrays and for scalars
+        # the engine's sums written out: row j at a point sums w[j, k] times
+        # sin (j even) or cos (j odd) of a_k z over k = 0, 1, ... in that
+        # order, in Python complex arithmetic; the engine must give the same
+        # bits, for arrays and for scalars
         rng = np.random.default_rng(3)
         for t in STANDARD_TAUS + [0.3 + 0.12j]:
             zs = rng.uniform(-0.5, 0.5, 8) + 1j * t.imag * rng.uniform(-0.5, 0.5, 8)
@@ -139,9 +141,10 @@ class TestTheta:
                 a, w = _jacobi_weights(complex(t.real - round(t.real), t.imag), m)
                 for z in (zs, complex(zs[0]), zs[1]):
                     x = np.outer(a, z)
-                    ref = np.empty((m + 1, x.shape[1]), dtype=complex)
-                    ref[0::2] = w[0::2] @ np.sin(x)
-                    ref[1::2] = w[1::2] @ np.cos(x)
+                    trig = (np.sin(x), np.cos(x))
+                    ref = np.array([[sum((complex(w[j, k]) * complex(trig[j % 2][k, p])
+                                          for k in range(len(a))), 0j)
+                                     for p in range(x.shape[1])] for j in range(m + 1)])
                     assert _theta_taylor(z, t, m).tobytes() == ref.tobytes()
 
     def test_weights_match_one_formula(self):
@@ -192,6 +195,78 @@ class TestTheta:
         vals = theta_normalized(zs, TAU_A)
         singles = [theta_normalized(z, TAU_A) for z in zs]
         assert np.max(np.abs(vals - np.array(singles))) < 1e-14
+
+
+class TestVectorTau:
+    """The engine and the evaluators at an array of tau: each column keeps the
+    bits of the call at its own tau (the engine) or its value (the evaluators)."""
+
+    @staticmethod
+    def mixed(rng, P):
+        # tau from Im 0.05 (27 terms at order 18) to Im 5 (3 terms), and z0 in
+        # each tau's cell
+        ims = rng.choice([0.05, 0.3, 1.1, 2.0, 5.0], P)
+        ims[: min(P, 2)] = [0.05, 5.0][: min(P, 2)]
+        t = rng.uniform(-3.0, 3.0, P) + 1j * ims
+        z0 = rng.uniform(-0.5, 0.5, P) + 1j * ims * rng.uniform(-0.5, 0.5, P)
+        return z0, t
+
+    def test_columns_keep_the_scalar_bits(self):
+        rng = np.random.default_rng(14)
+        for P in (1, 2, 3, 7, 8, 9, 16, 17, 64, 255, 300):
+            z0, t = self.mixed(rng, P)
+            for m in range(MAX_COEFF_ORDER + 3):
+                out = _theta_taylor(z0, t, m)
+                for p in range(P):
+                    one = _theta_taylor(complex(z0[p]), complex(t[p]), m)
+                    assert out[:, p].tobytes() == one.tobytes(), (P, m, p)
+
+    def test_padded_terms_stay_finite(self):
+        # the Im tau = 1e-3 column takes 116 terms; the Im tau = 5 column's z0
+        # sits at |Im z0| = Im tau / 2, where sin(a_k z0) for k up to 115
+        # overflows: its padded terms must not meet those frequencies
+        t = np.array([0.3 + 1e-3j, 5j, 0.2 + 5j])
+        z0 = np.array([0.1 + 2e-4j, 0.3 + 2.5j, -0.4 - 2.5j])
+        for m in (0, 1, 2):
+            out = _theta_taylor(z0, t, m)
+            assert np.isfinite(out).all()
+            for p in range(len(t)):
+                assert out[:, p].tobytes() == _theta_taylor(z0[p], complex(t[p]), m).tobytes()
+
+    def test_guard_raises_the_scalar_message(self):
+        for bad in (0.04j, 0.5 + 1e-3j):
+            with pytest.raises(ConvergenceError) as scalar:
+                _theta_taylor(0.01, bad, 1)
+            t = np.array([0.3 + 1.1j, bad, 1j])
+            with pytest.raises(ConvergenceError, match=re.escape(str(scalar.value))):
+                _theta_taylor(np.full(3, 0.01 + 0j), t, 1)
+            with pytest.raises(ConvergenceError, match=re.escape(str(scalar.value))):
+                theta_normalized(0.01, t)
+
+    def test_reduction_broadcasts(self):
+        rng = np.random.default_rng(15)
+        t = rng.uniform(-0.5, 0.5, 40) + 1j * rng.uniform(0.8, 2.0, 40)
+        z = rng.uniform(-3.0, 3.0, 40) + 1j * rng.uniform(-3.0, 3.0, 40)
+        z0, m, n = reduce_to_cell(z, t)
+        for p in range(len(t)):
+            one = reduce_to_cell(complex(z[p]), complex(t[p]))
+            assert (complex(z0[p]), int(m[p]), int(n[p])) == one
+
+    def test_evaluators_broadcast(self):
+        rng = np.random.default_rng(16)
+        t = rng.uniform(-0.5, 0.5, 12) + 1j * rng.uniform(0.8, 2.0, 12)
+        z = rng.uniform(-2.0, 2.0, 12) + 1j * rng.uniform(-2.0, 2.0, 12)
+        p, pp = wp(z, t)
+        eta = eta_periods(t)
+        for i in range(len(t)):
+            zi, ti = complex(z[i]), complex(t[i])
+            assert rel(theta_normalized(z, t)[i], theta_normalized(zi, ti)) < 1e-14
+            assert rel(theta_logderiv(z, t)[i], theta_logderiv(zi, ti)) < 1e-14
+            assert rel(sigma(z, t)[i], sigma(zi, ti)) < 1e-14
+            assert rel(zeta_fn(z, t)[i], zeta_fn(zi, ti)) < 1e-14
+            assert rel(p[i], wp(zi, ti)[0]) < 1e-14 and rel(pp[i], wp(zi, ti)[1]) < 1e-14
+            assert eta.eta1[i] == eta_periods(ti).eta1
+            assert rel(eta.eta2[i], eta_periods(ti).eta2) < 1e-14
 
 
 class TestReduction:
