@@ -11,6 +11,7 @@ import argparse
 
 import numpy as np
 
+from epolylog import kronecker
 from epolylog.kronecker import KroneckerPoint, heat_residual
 from epolylog.numerics import DiffConfig
 from epolylog.weierstrass import ModuliPoint, lattice_dist
@@ -44,13 +45,18 @@ def main() -> None:
     header = "step      " + "".join(f"  richardson={r}" for r in levels)
     print(header)
     print("-" * len(header))
-    for step in steps:
-        row = f"{step:8.0e}  "
-        for r in levels:
-            cfg = DiffConfig(step=step, richardson_levels=r)
-            worst = max(heat_residual(p, cfg) for p in pts)
-            row += f"  {worst:12.3e}"
-        print(row)
+    default = kronecker._HEAT_STENCIL
+    try:
+        for step in steps:
+            row = f"{step:8.0e}  "
+            for r in levels:
+                # heat_residual reads its stencil from the module constant
+                kronecker._HEAT_STENCIL = DiffConfig(step=step, richardson_levels=r)
+                worst = max(heat_residual(p) for p in pts)
+                row += f"  {worst:12.3e}"
+            print(row)
+    finally:
+        kronecker._HEAT_STENCIL = default
 
 
 if __name__ == "__main__":

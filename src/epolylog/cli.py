@@ -182,7 +182,8 @@ def _coeff_rescaling(pt, _config) -> float:
     worst = 0.0
     for D in (2, 3):
         sc = s_coeffs(z, t, D, 8)
-        cc = cauchy_coeffs(lambda u: _variant(z, D * u, t, D), 8,
+        f = _variant(z, t, D)
+        cc = cauchy_coeffs(lambda u: f(D * u), 8,
                            CauchyConfig(radius=0.35 * min(1.0, abs(t)) / D, samples=256))
         for k in range(9):
             ref = D**k * sc.coeffs[k]
@@ -197,10 +198,11 @@ def _pole_removal(pt, _config) -> float:
     z, t = pt
     worst = 0.0
     for D in (2, 3):
-        coeffs = cauchy_coeffs(lambda w: _variant(z, w, t, D), 8, default_cauchy_config(t, D))
+        f = _variant(z, t, D)
+        coeffs = cauchy_coeffs(f, 8, default_cauchy_config(t, D))
         ws = 1e-3 * np.exp(2j * np.pi * np.arange(16) / 16)
         poly = sum(coeffs[k] * ws**k for k in range(9))
-        worst = max(worst, float(np.max(np.abs(_variant(z, ws, t, D) - poly))))
+        worst = max(worst, float(np.max(np.abs(f(ws) - poly))))
     return worst
 
 
@@ -502,7 +504,8 @@ def _add_common(p) -> None:
     p.add_argument("--timings", action="store_true",
                    help="record wall-clock runtime_ms (non-canonical reports)")
     p.add_argument("--shell-radius", type=int, default=None, dest="shell_radius")
-    p.add_argument("--ordering", choices=("eisenstein", "box"), default=None)
+    p.add_argument("--ordering", choices=("eisenstein", "box"), default=None,
+                   help="naive sum order; box sums as eisenstein but refuses weights 1, 2")
     p.add_argument("--out", type=str, default=None, help="write JSON here instead of stdout")
 
 

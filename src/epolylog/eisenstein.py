@@ -2,9 +2,9 @@
 
   F_(a,b)^(k)(tau) = (-1)^(k+1) (k-1)! * sum'_{(m,n)} zeta_N^(mb - na) / (m tau + n)^k
 
-(primed sum: origin excluded). Two evaluators: "naive" truncated lattice sums
-in the ordering fixed by LatticeTruncation, and "lipschitz" row summation,
-which converts each row m to an exponential sum
+(primed sum: origin excluded). Two evaluators: "naive" sums over the square
+|m|, |n| <= R of a LatticeTruncation in the eisenstein order of _naive_sums,
+and "lipschitz" row summation, which converts each row m to an exponential sum
 
   T(x, xi, s) = sum_n e^(2 pi i xi n)/(x+n)^s
              = (-2 pi i)^s/(s-1)! sum_{l>=1} (l-xi)^(s-1) e^(2 pi i (l-xi) x)
@@ -179,11 +179,11 @@ def _power(z: np.ndarray, s: int) -> np.ndarray:
 def _naive_sums(labels, N: int, D: int, c: int, d: int, t: complex, s: int,
                 trunc: LatticeTruncation) -> list:
     """The lattice sum of coset_sum for the one coset (c, d), one sum per
-    character label (a, b) in labels, truncated to |m|, |n| <= R in the
-    ordering of trunc: "box" sums whole rows m = -R..R, "eisenstein" sums row
-    0, then the paired rows +-m, each row from n = 0 outward in +-n pairs. The
-    origin term is skipped only when c = d = 0, so F is the case D = 1,
-    c = d = 0.
+    character label (a, b) in labels, truncated to |m|, |n| <= R: row 0, then
+    the paired rows +-m, each row from n = 0 outward in +-n pairs. The origin
+    term is skipped only when c = d = 0, so F is the case D = 1, c = d = 0.
+    Both orderings of trunc sum these terms in this order; "box" only declares
+    absolute convergence and is refused below weight 3.
 
     Rows are evaluated in blocks of at most _BLOCK denominators. A block
     takes the powers (x_m +- n)^s by _power and one reciprocal of them, by
@@ -193,91 +193,55 @@ def _naive_sums(labels, N: int, D: int, c: int, d: int, t: complex, s: int,
     When c = d = 0 the base point of row -m is x_(-m) = -x_m exactly, so
     1/(x_(-m) +- n)^s is (-1)^s/(x_m -+ n)^s bit for bit: complex addition,
     _power and np.reciprocal are exactly odd under negation. A block then
-    runs over k = |m| and takes rows k and -k from one grid of reciprocals:
-    row -k multiplies by row k's grid with n reversed (box, copied to a
-    contiguous array) or with the +n and -n grids swapped (eisenstein), and
-    its sum takes the sign (-1)^s. Other cosets evaluate one row per grid
-    row. Each row's character factor and the eisenstein origin column are
-    Python complex scalars, and the rows are Kahan-summed in the order
-    above, so a label's sum does not depend on the block size, on the
-    pairing or on the other labels."""
+    runs over k = |m| >= 0 and takes row -k from row k's grids with the +n
+    and -n grids swapped, its sum taking the sign (-1)^s. Other cosets
+    evaluate one row per grid row. Each row's character factor and the
+    origin column n = 0 are Python complex scalars, and the rows are
+    Kahan-summed in the order above, so a label's sum does not depend on the
+    block size, on the pairing or on the other labels."""
     if trunc.ordering == "box" and s < 3:
         raise ConvergenceModeError(
             f"weight {s} is conditionally convergent; box ordering is not a sum"
         )
     R = trunc.shell_radius
     roots = _roots_of_unity(N)
-    box = trunc.ordering == "box"
-    if box:
-        n = np.arange(-R, R + 1)
-        ms = list(range(-R, R + 1))
-    else:
-        n = np.arange(1, R + 1)
-        ms = [0] + [m for k in range(1, R + 1) for m in (k, -k)]
+    n = np.arange(1, R + 1)
     # c = d = 0: the origin is skipped and row -m mirrors row m
     paired = c == 0 and d == 0
-    heads = list(range(R + 1)) if paired else ms
+    heads = range(R + 1) if paired else range(-R, R + 1)
     step = max(1, _BLOCK // (2 * R + 1))
     shape = (min(step, len(heads)), 1)
-    if box:
-        chars = [np.tile(roots[(-(D * n + d) * a) % N], shape) for a, _ in labels]
-    else:
-        # char_0 is a Python complex: the origin column divides as F's pinned values do
-        chars = [(np.tile(roots[(-(D * n + d) * a) % N], shape),
-                  np.tile(roots[(-(-D * n + d) * a) % N], shape),
-                  complex(roots[(-d * a) % N])) for a, _ in labels]
-    slot = {m: j for j, m in enumerate(ms)}
-    rows = [[None] * len(ms) for _ in labels]
+    # the origin column is a Python complex: it divides as F's pinned values do
+    chars = [(np.tile(roots[(-(D * n + d) * a) % N], shape),
+              np.tile(roots[(-(-D * n + d) * a) % N], shape),
+              complex(roots[(-d * a) % N])) for a, _ in labels]
+    rows = [{} for _ in labels]
     for i in range(0, len(heads), step):
         block = heads[i:i + step]
-        h = len(block)
-        # the first paired block opens with row 0: its origin term is skipped
-        # and it has no mirror row
-        skip = 1 if paired and i == 0 else 0
-        mirrored = block[skip:] if paired else []
         xs = [(m + c / D) * t + d / D for m in block]
         x = np.array(xs)[:, None]
-        if box:
-            den = _power(x + n, s)
-            if skip:
-                den[0, R] = 1.0  # origin excluded below
-            inv = np.reciprocal(den)
-            back_inv = np.ascontiguousarray(inv[skip:, ::-1]) if mirrored else None
-        else:
-            plus, minus = np.reciprocal(_power(x + n, s)), np.reciprocal(_power(x - n, s))
-            cols = [xk**s for xk in xs]
-        for (_, b), ch, out in zip(labels, chars, rows):
-            if box:
-                terms = ch[:h] * inv
-                if skip:
-                    terms[0, R] = 0.0
-                inner = terms.sum(axis=1).tolist()
-            else:
-                inner = (ch[0][:h] * plus + ch[1][:h] * minus).sum(axis=1).tolist()
-                inner = [v if j < skip else v + ch[2] / col
-                         for j, (v, col) in enumerate(zip(inner, cols))]
-            for m, v in zip(block, inner):
-                out[slot[m]] = roots[((D * m + c) * b) % N] * v
-            if not mirrored:
-                continue
-            if box:
-                back = (ch[:h - skip] * back_inv).sum(axis=1).tolist()
-            else:
-                back = (ch[0][:h - skip] * minus[skip:]
-                        + ch[1][:h - skip] * plus[skip:]).sum(axis=1).tolist()
-                back = [v + ch[2] / col for v, col in zip(back, cols[skip:])]
-            for m, v in zip(mirrored, back):
-                out[slot[-m]] = roots[(-D * m * b) % N] * (-v if s % 2 else v)
-    if box:
-        return [kahan_sum(r) for r in rows]
-    return [kahan_sum([r[0]] + [p + q for p, q in zip(r[1::2], r[2::2])]) for r in rows]
+        plus, minus = np.reciprocal(_power(x + n, s)), np.reciprocal(_power(x - n, s))
+        cols = [xk**s for xk in xs]
+        for (_, b), (pos, neg, origin), out in zip(labels, chars, rows):
+            pos, neg = pos[:len(block)], neg[:len(block)]
+            inner = (pos * plus + neg * minus).sum(axis=1).tolist()
+            for m, v, col in zip(block, inner, cols):
+                out[m] = roots[((D * m + c) * b) % N] * (
+                    v if paired and not m else v + origin / col)
+            if paired:
+                back = (pos * minus + neg * plus).sum(axis=1).tolist()
+                for m, v, col in zip(block, back, cols):
+                    if m:  # row 0 has no mirror
+                        v += origin / col
+                        out[-m] = roots[(-D * m * b) % N] * (-v if s % 2 else v)
+    return [kahan_sum([r[0]] + [r[k] + r[-k] for k in range(1, R + 1)]) for r in rows]
 
 
 def F(query: EisensteinQuery) -> complex:
     """Evaluate the weight-k level-N Eisenstein series for the query.
 
-    mode "naive" requires trunc; weights k <= 2 are conditionally convergent
-    and demand the eisenstein ordering (box raises ConvergenceModeError).
+    mode "naive" requires trunc and sums its square in the eisenstein order;
+    box, which declares absolute convergence, raises ConvergenceModeError at k <= 2.
     mode "lipschitz" sums rows in closed form and works for all k >= 1.
     Weight 1 raises ConvergenceModeError when a = 0 mod N, and in mode
     "naive" also when b = 0 mod N.
@@ -351,8 +315,8 @@ def coset_sum(a: int, b: int, N: int, D: int, tau, s: int, mode: str = "lipschit
       sum_{(m,n)} zeta_N^((Dm+c) b - (Dn+d) a) / ((m + c/D) tau + n + d/D)^s,
 
     the torsion specialization of the polylogarithm before its normalization.
-    mode "lipschitz" needs s >= 2; mode "naive" requires trunc, and its box
-    ordering needs s >= 3.
+    mode "lipschitz" needs s >= 2; mode "naive" requires trunc, and a box
+    trunc, which declares absolute convergence, needs s >= 3.
     """
     t = _tau_of(tau)
     if mode == "naive":
@@ -380,6 +344,6 @@ def coset_sum(a: int, b: int, N: int, D: int, tau, s: int, mode: str = "lipschit
 
 def eisenstein_sum_k2(a: int, b: int, N: int, tau, trunc: LatticeTruncation) -> complex:
     """Weight-2 series in the eisenstein order (inner n, then m, both paired
-    symmetrically). The value depends on this order; box truncation raises
+    symmetrically); weight 2 converges only conditionally, so box raises
     ConvergenceModeError."""
     return F(EisensteinQuery(a=a, b=b, N=N, k=2, tau=tau, mode="naive", trunc=trunc))

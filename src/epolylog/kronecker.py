@@ -32,6 +32,8 @@ from .weierstrass import (
 )
 
 MAX_COEFF_ORDER = 16
+# heat_residual's stencil: step 1e-3 balances the nested stencil's roundoff and truncation
+_HEAT_STENCIL = DiffConfig(step=1e-3, richardson_levels=2)
 _LAG = np.subtract.outer(np.arange(MAX_COEFF_ORDER + 2), np.arange(MAX_COEFF_ORDER + 2))
 
 
@@ -60,11 +62,15 @@ def _J(z, w, t):
     return _theta(np.asarray(z) + np.asarray(w), t) / (_theta(z, t) * _theta(w, t))
 
 
-def _variant(z: complex, w, t: complex, D: int):
-    """D^2 J(z, w) - D J(Dz, w/D) for an array w: one theta call at z + w, w, Dz + w/D, w/D."""
-    a, b, c, d = theta_normalized(np.stack([z + w, w, D * z + w / D, w / D]), t)
-    return (D * D * (a / (theta_normalized(z, t) * b))
-            - D * (c / (theta_normalized(D * z, t) * d)))
+def _variant(z: complex, t: complex, D: int):
+    """The function w -> D^2 J(z, w) - D J(Dz, w/D) on arrays w: theta(z) and
+    theta(Dz) once, then one theta call at z + w, w, Dz + w/D, w/D per array."""
+    theta_z, theta_dz = theta_normalized(z, t), theta_normalized(D * z, t)
+
+    def variant(w):
+        a, b, c, d = theta_normalized(np.stack([z + w, w, D * z + w / D, w / D]), t)
+        return D * D * (a / (theta_z * b)) - D * (c / (theta_dz * d))
+    return variant
 
 
 def jacobi_J(p: KroneckerPoint) -> complex:
@@ -72,11 +78,11 @@ def jacobi_J(p: KroneckerPoint) -> complex:
     return complex(_J(p.z, p.w, _tau_of(p.tau)))
 
 
-def heat_residual(p: KroneckerPoint, cfg: DiffConfig | None = None) -> float:
+def heat_residual(p: KroneckerPoint) -> float:
     """|2*pi*i dJ/dtau - d^2 J/dz dw| / max(1, |J|) by central differences from J
-    on the tau stencil nodes and on the grid of z and w nodes, one call each. The
-    default step 1e-3 balances roundoff of the nested stencil against truncation."""
-    cfg = cfg or DiffConfig(step=1e-3, richardson_levels=2)
+    on the tau stencil nodes and on the grid of z and w nodes, one call each, with
+    the stencil _HEAT_STENCIL."""
+    cfg = _HEAT_STENCIL
     t = _tau_of(p.tau)
     margin = 10.0 * cfg.step
     for name, x in (("z", p.z), ("w", p.w), ("z+w", p.z + p.w)):
@@ -164,7 +170,7 @@ def dlog_kato_siegel(z, tau, D: int, cfg: CauchyConfig | None = None):
     if _dist(x1) / D < 1e-8:
         raise PoleProximityError(f"z = {z} within 1e-8 of the D-torsion locus")
     if cfg is not None:
-        return cauchy_coeffs(lambda w: _variant(z, w, t, D), 0, cfg)[0]
+        return cauchy_coeffs(_variant(z, t, D), 0, cfg)[0]
     T = _theta_taylor(np.array([x0, x1]), t, 1)
     dlog = T[1] / T[0] - 2j * np.pi * np.array([c0, c1])  # theta_logderiv at z and Dz
     out = D * D * dlog[0] - D * dlog[1]

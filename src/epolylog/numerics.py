@@ -23,13 +23,13 @@ class AliasingError(ArithmeticError):
 
 @dataclass(frozen=True)
 class LatticeTruncation:
-    """Truncation recipe for double sums over the period lattice.
-
-    ordering "eisenstein" runs the inner index n symmetrically about 0 for
-    each fixed m, and m symmetrically about 0; this order is part of the
-    value for conditionally convergent sums. ordering "box" enumerates all
-    |m|, |n| <= shell_radius row by row and is only legal for absolutely
-    convergent sums. Naive sums accumulate their rows with kahan_sum.
+    """Truncation recipe for double sums over the period lattice: the square
+    |m|, |n| <= shell_radius, which naive sums add in the eisenstein order
+    (n symmetrically about 0 for each m, m symmetrically about 0), Kahan-summing
+    their rows. At a fixed radius both orderings hold the same terms; an order
+    would matter only in a limit R -> oo, which this truncation never takes.
+    ordering "box" declares the sum absolutely convergent: it is refused for
+    conditionally convergent sums and otherwise sums as "eisenstein".
     """
 
     shell_radius: int

@@ -187,15 +187,18 @@ def naive_sum_rows(a, b, N, D, c, d, tau, s, R, ordering):
 
       sum_{|m|,|n| <= R} zeta_N^((Dm+c) b - (Dn+d) a) / ((m + c/D) tau + n + d/D)^s,
 
-    without the origin when c = d = 0. "box" Kahan-sums the rows m = -R..R;
-    "eisenstein" Kahan-sums row 0, then the paired rows +-m, each row from
-    n = 0 outward in +-n pairs. This is the row loop the package's blocked
-    kernel replaced, kept operation for operation (the same roots of unity;
-    in the rows, powers by binary powering with array products from the base
-    itself, then characters times one reciprocal of the powers; a Python
-    complex power and division in the eisenstein origin column), so the two
-    agree exactly. Each product is of two contiguous 1-d arrays of one
-    shape, the kind of product the kernel takes on its 2-d blocks."""
+    without the origin when c = d = 0. "eisenstein" Kahan-sums row 0, then
+    the paired rows +-m, each row from n = 0 outward in +-n pairs: the row
+    loop the package's blocked kernel replaced, kept operation for operation
+    (the same roots of unity; in the rows, powers by binary powering with
+    array products from the base itself, then characters times one
+    reciprocal of the powers; a Python complex power and division in the
+    origin column), so the two agree exactly under either ordering of the
+    kernel. Each product is of two contiguous 1-d arrays of one shape, the
+    kind of product the kernel takes on its 2-d blocks. "box" Kahan-sums the
+    full rows m = -R..R, each by one np.sum over n = -R..R: the same terms in
+    another rounding order, an independent reference for the row kernel
+    _lipschitz_sum at absolutely convergent weights."""
     roots = np.exp(2j * np.pi * np.arange(N) / N)
     skip_origin = c == 0 and d == 0
 

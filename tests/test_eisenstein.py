@@ -178,12 +178,14 @@ def _draw_case(rng, ordering):
 
 
 class TestNaiveKernel:
-    """The blocked kernel against the row loop it replaced, bit for bit."""
+    """The blocked kernel against the eisenstein row loop it replaced, bit for
+    bit, under either ordering: at a fixed R both hold the same terms, and the
+    kernel sums them in one order."""
 
     @staticmethod
     def _check(labels, N, D, c, d, tau, s, R, ordering):
         got = _naive_sums(labels, N, D, c, d, tau, s, LatticeTruncation(R, ordering))
-        want = [oracles.naive_sum_rows(a, b, N, D, c, d, tau, s, R, ordering)
+        want = [oracles.naive_sum_rows(a, b, N, D, c, d, tau, s, R, "eisenstein")
                 for a, b in labels]
         assert got == want
         # the signs of zero parts too: == takes -0.0 for 0.0
@@ -364,6 +366,9 @@ class TestF:
         box = F(EisensteinQuery(a=1, b=2, N=5, k=4, tau=TAU, mode="naive",
                                 trunc=LatticeTruncation(200, ordering="box")))
         assert abs(box - lip) < 1e-8
+        # box only declares absolute convergence: the same terms in the same order
+        assert box == F(EisensteinQuery(a=1, b=2, N=5, k=4, tau=TAU, mode="naive",
+                                        trunc=LatticeTruncation(200)))
 
     def test_box_rejected_below_weight_three(self):
         with pytest.raises(ConvergenceModeError):

@@ -18,8 +18,8 @@ from epolylog.kronecker import (
     jacobi_J,
     s_coeffs,
 )
-from epolylog.numerics import (CauchyConfig, DiffConfig, contour_integral, finite_diff,
-                               richardson, stencil_nodes)
+from epolylog.numerics import (CauchyConfig, contour_integral, finite_diff, richardson,
+                               stencil_nodes)
 from epolylog.weierstrass import ModuliPoint, PoleProximityError, zeta_fn
 
 TAU_A = 0.5 + 0.8j
@@ -104,7 +104,25 @@ class TestVariant:
             for samples, radius in rings:
                 w = radius * np.exp(2j * np.pi * np.arange(samples) / samples)
                 two_J = D * D * _J(z, w, t) - D * _J(D * z, w / D, t)
-                assert _variant(z, w, t, D).tobytes() == two_J.tobytes()
+                assert _variant(z, t, D)(w).tobytes() == two_J.tobytes()
+
+    def test_theta_of_z_once_per_variant(self, monkeypatch):
+        # coeff-rescaling at one point, per D: theta(z) and theta(Dz) once,
+        # and one stacked theta call on each of the 256- and 512-sample rings
+        # (s_coeffs calls the engine through kronecker's own name, not counted)
+        from epolylog import weierstrass
+        from epolylog.cli import _coeff_rescaling
+
+        calls = []
+        engine = weierstrass._theta_taylor
+
+        def counted(*args):
+            calls.append(args)
+            return engine(*args)
+
+        monkeypatch.setattr(weierstrass, "_theta_taylor", counted)
+        _coeff_rescaling((Z_A, TAU_A), None)
+        assert len(calls) == 8
 
 
 class TestHeat:
@@ -116,7 +134,7 @@ class TestHeat:
         from epolylog.cli import _draw_kpoint
         from epolylog.kronecker import _J
 
-        cfg = DiffConfig(step=1e-3, richardson_levels=2)
+        cfg = kronecker._HEAT_STENCIL
         rng = np.random.default_rng(11)
         for _ in range(20):
             p = _draw_kpoint(rng)
