@@ -5,8 +5,11 @@ Prints, per call, the fastest of N timed runs after one warm-up run, then the
 wall time and the md5 of the canonical `verify all --seed 0` report, the
 fastest of N further `verify all --seed 0` runs (on a machine shared with
 other work one run's wall time can move by 2x) and the line count of
-`src/epolylog/*.py`. The calls are the layer microbenchmarks of the ROADMAP's
-performance aim:
+`src/epolylog/*.py`. Next to each wall time it records the CPU time
+(time.process_time, the smallest of the same runs), and it marks a call whose
+CPU time exceeds 1.2 x its wall time: that call kept a second core busy (a
+multithreaded BLAS, say), which a faster wall time alone hides. The calls are
+the layer microbenchmarks of the ROADMAP's performance aim:
 
   theta on a 256-point vector and scalar theta_normalized (weierstrass),
   s_coeffs at n = 8 (kronecker), F in Lipschitz mode and naive F at R = 500
@@ -66,14 +69,22 @@ import time
 import numpy as np
 
 
-def best_ms(fn, repeat: int) -> float:
+def best_ms(fn, repeat: int) -> tuple:
+    """The fastest wall time and the smallest CPU time (time.process_time, all
+    threads of the process) of repeat runs after one warm-up run, in ms."""
     fn()
-    best = float("inf")
+    wall = cpu = float("inf")
     for _ in range(repeat):
-        t0 = time.perf_counter()
+        c0, t0 = time.process_time(), time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - t0)
-    return best * 1e3
+        wall = min(wall, time.perf_counter() - t0)
+        cpu = min(cpu, time.process_time() - c0)
+    return wall * 1e3, cpu * 1e3
+
+
+# a call whose CPU time exceeds this multiple of its wall time ran on more
+# than one core (say a multithreaded BLAS), and show() marks it
+CPU_OVER_WALL = 1.2
 
 
 FRESH_TAUS = 512  # distinct tau per fresh-tau run, twice the theta weights' cache
@@ -141,10 +152,12 @@ def calls():
 
 
 def suite_seconds(repeat: int) -> dict:
+    """Per verify suite at seed 0: (wall s, CPU s), best of repeat."""
     from epolylog.cli import SUITES, RunConfig, cmd_verify
 
     config = RunConfig(seed=0)
-    return {name: best_ms(lambda: cmd_verify(name, config), repeat) / 1e3 for name in SUITES}
+    return {name: tuple(v / 1e3 for v in best_ms(lambda: cmd_verify(name, config), repeat))
+            for name in SUITES}
 
 
 def cold_misses() -> int:
@@ -158,14 +171,15 @@ def cold_misses() -> int:
 
 
 def verify_all() -> tuple:
+    """Wall s, CPU s and the md5 of the report of one `verify all --seed 0`."""
     from epolylog.cli import RunConfig, cmd_verify
 
-    t0 = time.perf_counter()
+    c0, t0 = time.process_time(), time.perf_counter()
     report = cmd_verify("all", RunConfig(seed=0))
-    wall = time.perf_counter() - t0
+    wall, cpu = time.perf_counter() - t0, time.process_time() - c0
     # the CLI prints json.dumps(report, indent=2) and a newline
     text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-    return wall, hashlib.md5(text.encode()).hexdigest()
+    return wall, cpu, hashlib.md5(text.encode()).hexdigest()
 
 
 def src_lines(src: str) -> int:
@@ -181,19 +195,25 @@ def src_lines(src: str) -> int:
 def measure(src: str, repeat: int) -> dict:
     """One round on the tree under src, in this interpreter."""
     sys.path.insert(0, src)
-    record = {"jacobi_weights_misses_verify_all_seed0": cold_misses(), "layers_ms": {}}
+    record = {"jacobi_weights_misses_verify_all_seed0": cold_misses(), "layers_ms": {},
+              "layers_cpu_ms": {}}
     for name, fn in calls().items():
         per_run = FRESH_TAUS if name.endswith("_fresh_tau") else 1
         try:
-            record["layers_ms"][name] = round(best_ms(fn, repeat) / per_run, 4)
+            wall, cpu = (round(v / per_run, 4) for v in best_ms(fn, repeat))
         except TypeError:  # an array of tau where the tree takes one tau
-            record["layers_ms"][name] = None
-    record["suites_s"] = {k: round(v, 4) for k, v in suite_seconds(repeat).items()}
-    wall, md5 = verify_all()
+            wall = cpu = None
+        record["layers_ms"][name], record["layers_cpu_ms"][name] = wall, cpu
+    suites = suite_seconds(repeat)
+    record["suites_s"] = {k: round(wall, 4) for k, (wall, _) in suites.items()}
+    record["suites_cpu_s"] = {k: round(cpu, 4) for k, (_, cpu) in suites.items()}
+    wall, cpu, md5 = verify_all()
     record["verify_all_seed0_s"] = round(wall, 3)
+    record["verify_all_seed0_cpu_s"] = round(cpu, 3)
     record["verify_all_seed0_md5"] = md5
-    record["verify_all_seed0_best_s"] = round(
-        min(verify_all()[0] for _ in range(repeat)), 3)
+    runs = [verify_all() for _ in range(repeat)]
+    record["verify_all_seed0_best_s"] = round(min(r[0] for r in runs), 3)
+    record["verify_all_seed0_best_cpu_s"] = round(min(r[1] for r in runs), 3)
     record["src_lines"] = src_lines(src)
     return record
 
@@ -212,15 +232,24 @@ def tier1(src: str) -> dict:
     return {"tier1_s": round(wall, 3), "tier1_passed": int(passed.group(1)) if passed else 0}
 
 
+def cpu_note(wall, cpu) -> str:
+    return f"   CPU > {CPU_OVER_WALL} x wall" if wall and cpu > CPU_OVER_WALL * wall else ""
+
+
 def show(title: str, record: dict) -> None:
-    print(f"== {title}")
+    print(f"== {title}   (wall, CPU)")
     for name, ms in record["layers_ms"].items():
-        print(f"{name:24s} {'n/a' if ms is None else f'{ms:10.4f}':>10s} ms")
+        cpu = record["layers_cpu_ms"][name]
+        print(f"{name:26s} " + ("       n/a ms" if ms is None else
+                                f"{ms:10.4f} ms {cpu:10.4f} ms{cpu_note(ms, cpu)}"))
     for name, sec in record["suites_s"].items():
-        print(f"{'verify ' + name:24s} {sec:10.3f} s")
-    print(f"{'verify all --seed 0':24s} {record['verify_all_seed0_s']:10.3f} s   "
-          f"md5 {record['verify_all_seed0_md5']}")
-    print(f"{'verify all, best of N':24s} {record['verify_all_seed0_best_s']:10.3f} s")
+        cpu = record["suites_cpu_s"][name]
+        print(f"{'verify ' + name:24s} {sec:10.3f} s  {cpu:10.3f} s{cpu_note(sec, cpu)}")
+    wall, cpu = record["verify_all_seed0_s"], record["verify_all_seed0_cpu_s"]
+    print(f"{'verify all --seed 0':24s} {wall:10.3f} s  {cpu:10.3f} s"
+          f"   md5 {record['verify_all_seed0_md5']}{cpu_note(wall, cpu)}")
+    wall, cpu = record["verify_all_seed0_best_s"], record["verify_all_seed0_best_cpu_s"]
+    print(f"{'verify all, best of N':24s} {wall:10.3f} s  {cpu:10.3f} s{cpu_note(wall, cpu)}")
     print(f"{'theta weight misses':24s} {record['jacobi_weights_misses_verify_all_seed0']:10d}"
           "   (cold verify all --seed 0)")
     print(f"{'src lines':24s} {record['src_lines']:10d}")

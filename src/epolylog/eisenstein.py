@@ -22,9 +22,11 @@ another value; outside this domain F raises ConvergenceModeError.
 coset_sum evaluates the shifted, character-twisted sums of the same kind
 (Eisenstein-Kronecker series, Bannai-Kobayashi arXiv:math/0610163) over the
 nonzero cosets of D^-1 Z^2 / Z^2, which the torsion specialization in polylog
-needs. F and coset_sum share two kernels, one per mode: _naive_sums and the
-row kernel _lipschitz_sum each sum one coset (c, d), and F is the coset
-c = d = 0 at D = 1.
+needs. Every sum goes through one dispatch, _lattice_sums, the only place
+that picks a kernel: _naive_sums sums one coset (c, d) for all the labels
+of a call in one pass over the square, and the row kernel _lipschitz_sum
+sums one label over all the cosets of a call with one _T_rows call. F and
+both labels of F_tilde are the coset c = d = 0 at D = 1.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy._core.multiarray import c_einsum  # np.einsum without its Python wrapper
 from scipy.special import zeta as hurwitz_zeta
 
 from .numerics import LatticeTruncation, kahan_sum
@@ -128,38 +131,45 @@ def _T_batch(x: np.ndarray, xi: float, s: int) -> np.ndarray:
     phase = np.repeat(np.exp(2j * np.pi * x)[None], L, axis=0)
     phase[0] = np.exp(2j * np.pi * (1.0 - xi) * x)
     np.cumprod(phase, axis=0, out=phase)
-    return (freq ** (s - 1)) @ phase * (-2j * np.pi) ** s / math.factorial(s - 1)
+    # summed in term order, each row alone, and off the (multithreaded) BLAS
+    return c_einsum("l,lr->r", freq ** (s - 1), phase) * (-2j * np.pi) ** s / math.factorial(s - 1)
 
 
 def _T_rows(x: np.ndarray, xi: Fraction, s: int) -> np.ndarray:
     """T over rows with arbitrary nonzero Im x, via reflection where needed."""
+    p, q = xi.numerator, xi.denominator  # xi mod 1 without Fraction arithmetic
     out = np.empty(x.shape, dtype=complex)
     up = x.imag > 0
-    out[up] = _T_batch(x[up], float(xi % 1), s)
-    out[~up] = (-1) ** s * _T_batch(-x[~up], float(-xi % 1), s)
+    out[up] = _T_batch(x[up], p % q / q, s)
+    out[~up] = (-1) ** s * _T_batch(-x[~up], -p % q / q, s)
     return out
 
 
-def _lipschitz_sum(a: int, b: int, N: int, D: int, c: int, d: int, t: complex,
-                   s: int) -> complex:
-    """The lattice sum of coset_sum for the one coset (c, d), by rows: the
-    character factors as zeta_N^(cb - da) times zeta_N^(Dmb) on row m, whose
-    sum over n is T(x_m, -Da/N, s) at x_m = (m + c/D) tau + d/D. Row 0 is
-    real when c = 0: _row_real at d/D, without the origin when d = 0 (so F
-    is the case D = 1, c = d = 0). s = 1 needs Da != 0 mod N."""
+def _lipschitz_sum(a: int, b: int, N: int, D: int, cosets, t: complex, s: int) -> complex:
+    """The lattice sum of coset_sum over the given cosets (c, d), by rows:
+    row m of coset (c, d) carries the character zeta_N^((Dm+c)b - da), and
+    its sum over n is T(x, -Da/N, s) at x = (m + c/D) tau + d/D. The cosets
+    share xi = -Da/N and the row range, so the rows of all of them go
+    through one _T_rows call, whose term count the smallest Im x of the
+    batch sets. Row 0 is real when c = 0: _row_real at d/D, without the
+    origin when d = 0 (so F is the case D = 1, cosets [(0, 0)]). s = 1 needs
+    Da != 0 mod N."""
     xi = Fraction(-D * a, N)
     # rows m > 0 decay like e^(-2 pi m Im(tau) (1 - xi mod 1)), by the slowest
     # frequency of T(x, xi, s); rows m < 0 by that of T(-x, -xi, s)
     up, down = (int(math.ceil(45.0 / (2.0 * math.pi * t.imag * ((N - p) / N)))) + 4
                 for p in ((-D * a) % N, (D * a) % N))
     m = np.arange(-down, up + 1)
-    row0 = 0.0
-    if c == 0:
-        m = m[m != 0]
-        row0 = _row_real(d / D, xi, s)
     roots = _roots_of_unity(N)
-    rows = roots[(D * m * b) % N] * _T_rows((m + c / D) * t + d / D, xi, s)
-    return complex(roots[(c * b - d * a) % N]) * (row0 + complex(np.sum(rows)))
+    row0, xs, chars = 0.0, [], []
+    for c, d in cosets:
+        if c == 0:
+            row0 += roots[(-d * a) % N] * _row_real(d / D, xi, s)
+        mc = m if c else m[m != 0]
+        xs.append((mc + c / D) * t + d / D)
+        chars.append(roots[(D * b * mc + (c * b - d * a)) % N])
+    rows = np.concatenate(chars) * _T_rows(np.concatenate(xs), xi, s)
+    return complex(row0 + np.sum(rows))
 
 
 # terms per block of denominators in the naive kernel (a row longer than this
@@ -237,6 +247,26 @@ def _naive_sums(labels, N: int, D: int, c: int, d: int, t: complex, s: int,
     return [kahan_sum([r[0]] + [r[k] + r[-k] for k in range(1, R + 1)]) for r in rows]
 
 
+def _lattice_sums(labels, N: int, D: int, cosets, t: complex, s: int, mode: str,
+                  trunc: LatticeTruncation | None) -> list:
+    """The one dispatch of every lattice sum here: one sum per character
+    label (a, b) in labels, over the cosets (c, d) mod D (no coset sums to
+    0), by the kernel of mode: _lipschitz_sum takes one label and every
+    coset, _naive_sums one coset and every label."""
+    if mode not in ("naive", "lipschitz"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "naive" and trunc is None:
+        raise ValueError("naive mode requires an explicit LatticeTruncation")
+    if not cosets:
+        return [0j] * len(labels)
+    if mode == "lipschitz":
+        return [_lipschitz_sum(a, b, N, D, cosets, t, s) for a, b in labels]
+    sums = _naive_sums(labels, N, D, *cosets[0], t, s, trunc)
+    for c, d in cosets[1:]:
+        sums = [u + v for u, v in zip(sums, _naive_sums(labels, N, D, c, d, t, s, trunc))]
+    return sums
+
+
 def F(query: EisensteinQuery) -> complex:
     """Evaluate the weight-k level-N Eisenstein series for the query.
 
@@ -248,9 +278,9 @@ def F(query: EisensteinQuery) -> complex:
     """
     t = _tau_of(query.tau)
     _check_weight_one([(query.a, query.b)], query.N, query.k, query.mode)
-    if query.mode == "lipschitz":
-        return _F_lipschitz(query.a, query.b, query.N, query.k, t)
-    return _F_naive(query, t, [(query.a, query.b)])[0]
+    total, = _lattice_sums([(query.a, query.b)], query.N, 1, [(0, 0)], t, query.k, query.mode,
+                           query.trunc)
+    return (-1) ** (query.k + 1) * math.factorial(query.k - 1) * total
 
 
 def _check_weight_one(labels, N: int, k: int, mode: str) -> None:
@@ -259,19 +289,6 @@ def _check_weight_one(labels, N: int, k: int, mode: str) -> None:
         if k == 1 and (a % N == 0 or (mode == "naive" and b % N == 0)):
             raise ConvergenceModeError(
                 f"weight 1 at (a, b) = {(a, b)} mod {N} does not converge in mode {mode!r}")
-
-
-def _F_lipschitz(a: int, b: int, N: int, k: int, t: complex) -> complex:
-    return (-1) ** (k + 1) * math.factorial(k - 1) * _lipschitz_sum(a, b, N, 1, 0, 0, t, k)
-
-
-def _F_naive(query: EisensteinQuery, t: complex, labels) -> list:
-    # naive F at each label (a, b) of labels, at the query's level, weight
-    # and truncation
-    if query.trunc is None:
-        raise ValueError("naive mode requires an explicit LatticeTruncation")
-    prefac = (-1) ** (query.k + 1) * math.factorial(query.k - 1)
-    return [prefac * v for v in _naive_sums(labels, query.N, 1, 0, 0, t, query.k, query.trunc)]
 
 
 def F_tilde(query: EisensteinQuery, D: int, allow_degenerate: bool = False) -> complex:
@@ -286,24 +303,21 @@ def F_tilde(query: EisensteinQuery, D: int, allow_degenerate: bool = False) -> c
     if D < 1:
         raise ValueError(f"D must be >= 1, got {D}")
     t = _tau_of(query.tau)
-    a2, b2 = (D * query.a) % query.N, (D * query.b) % query.N
-    degenerate = a2 == 0 and b2 == 0
+    labels = [(query.a, query.b), ((D * query.a) % query.N, (D * query.b) % query.N)]
+    degenerate = labels[1] == (0, 0)
     if degenerate and not allow_degenerate:
         raise DegenerateLabelError(
             f"(Da, Db) = {(D * query.a, D * query.b)} is (0,0) mod {query.N}"
         )
     # this also keeps the trivial-character extension at k >= 2
-    _check_weight_one([(query.a, query.b), (a2, b2)], query.N, query.k, query.mode)
-    if degenerate:
-        first = F(query)
-        second = _F_lipschitz(0, 0, 1, query.k, t)
-    elif query.mode == "naive":
-        # one pass over the lattice: the two labels share its denominators
-        first, second = _F_naive(query, t, [(query.a, query.b), (a2, b2)])
-    else:
-        first = F(query)
-        second = F(EisensteinQuery(a=a2, b=b2, N=query.N, k=query.k, tau=query.tau,
-                                   mode=query.mode, trunc=query.trunc))
+    _check_weight_one(labels, query.N, query.k, query.mode)
+    # the trivial-character extension is the sum by rows in either mode
+    split = degenerate and query.mode == "naive"
+    sums = _lattice_sums(labels[:1] if split else labels, query.N, 1, [(0, 0)], t, query.k,
+                         query.mode, query.trunc)
+    if split:
+        sums += _lattice_sums(labels[1:], query.N, 1, [(0, 0)], t, query.k, "lipschitz", None)
+    first, second = ((-1) ** (query.k + 1) * math.factorial(query.k - 1) * v for v in sums)
     return D**2 * first - D ** (2 - query.k) * second
 
 
@@ -319,26 +333,11 @@ def coset_sum(a: int, b: int, N: int, D: int, tau, s: int, mode: str = "lipschit
     trunc, which declares absolute convergence, needs s >= 3.
     """
     t = _tau_of(tau)
-    if mode == "naive":
-        if trunc is None:
-            raise ValueError("naive mode requires an explicit LatticeTruncation")
-
-        def one_coset(c, d):
-            return _naive_sums([(a, b)], N, D, c, d, t, s, trunc)[0]
-    elif mode == "lipschitz":
-        if s < 2:
-            raise ConvergenceModeError(
-                "weight-1 inner rows are principal values; use the naive eisenstein ordering")
-
-        def one_coset(c, d):
-            return _lipschitz_sum(a, b, N, D, c, d, t, s)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    total = 0.0 + 0.0j
-    for c in range(D):
-        for d in range(D):
-            if c != 0 or d != 0:
-                total += one_coset(c, d)
+    if mode == "lipschitz" and s < 2:
+        raise ConvergenceModeError(
+            "weight-1 inner rows are principal values; use the naive eisenstein ordering")
+    cosets = [(c, d) for c in range(D) for d in range(D) if c or d]
+    total, = _lattice_sums([(a, b)], N, D, cosets, t, s, mode, trunc)
     return total
 
 

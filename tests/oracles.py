@@ -197,8 +197,9 @@ def naive_sum_rows(a, b, N, D, c, d, tau, s, R, ordering):
     kernel. Each product is of two contiguous 1-d arrays of one shape, the
     kind of product the kernel takes on its 2-d blocks. "box" Kahan-sums the
     full rows m = -R..R, each by one np.sum over n = -R..R: the same terms in
-    another rounding order, an independent reference for the row kernel
-    _lipschitz_sum at absolutely convergent weights."""
+    another rounding order, an independent reference at absolutely
+    convergent weights for the row kernel _lipschitz_sum, which takes a list
+    of cosets (summed here one call per coset)."""
     roots = np.exp(2j * np.pi * np.arange(N) / N)
     skip_origin = c == 0 and d == 0
 

@@ -248,38 +248,75 @@ class TestNaiveKernel:
 
     @pytest.mark.parametrize("ordering, k", [("eisenstein", 2), ("eisenstein", 5), ("box", 4)])
     def test_F_tilde_is_two_F_calls(self, ordering, k):
-        # F_tilde sums both labels in one pass; the result is that of two F calls
-        trunc = LatticeTruncation(60, ordering)
-        q = EisensteinQuery(a=1, b=2, N=5, k=k, tau=TAU, mode="naive", trunc=trunc)
-        for D in (2, 3):
-            second = F(EisensteinQuery(a=D % 5, b=2 * D % 5, N=5, k=k, tau=TAU,
-                                       mode="naive", trunc=trunc))
-            assert F_tilde(q, D) == D**2 * F(q) - D ** (2 - k) * second
+        # F_tilde sends both labels through one lattice-sum call (in naive mode
+        # one pass over the lattice); in either mode the result is that of two
+        # F calls, bit for bit
+        for mode, trunc in (("naive", LatticeTruncation(60, ordering)), ("lipschitz", None)):
+            q = EisensteinQuery(a=1, b=2, N=5, k=k, tau=TAU, mode=mode, trunc=trunc)
+            for D in (2, 3):
+                second = F(EisensteinQuery(a=D % 5, b=2 * D % 5, N=5, k=k, tau=TAU,
+                                           mode=mode, trunc=trunc))
+                assert F_tilde(q, D) == D**2 * F(q) - D ** (2 - k) * second
 
 
 class TestLipschitzKernel:
-    """One coset of coset_sum by rows against the naive box sum of the same
-    coset (D = 1, c = d = 0 is F without its prefactor)."""
+    """The row kernel against the naive box sum of the same cosets: each
+    coset alone (D = 1, c = d = 0 is F without its prefactor), and the
+    nonzero cosets of coset_sum in one call."""
 
-    @pytest.mark.parametrize("D", [1, 2, 3])
-    def test_every_coset_vs_box(self, D):
+    @staticmethod
+    def _draw(rng, D, re):
         # s >= 4 with (Da, Db) != (0, 0) mod N: the box truncation error at
         # R = 400 is then about R^(1-s) (a trivial character leaves R^(2-s)),
         # and a level N that does not divide D has such labels
+        N = rng.choice([n for n in range(2, 13) if D % n])
+        a = b = 0
+        while (D * a) % N == 0 and (D * b) % N == 0:
+            a, b = rng.randrange(N), rng.randrange(N)
+        return a, b, N, rng.randint(4, 7), complex(re, rng.uniform(0.8, 2.0))
+
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_every_coset_vs_box(self, D):
         rng = random.Random(8 + D)
         for c in range(D):
             for d in range(D):
                 for re in (0.0, 0.5, rng.uniform(-0.5, 0.5)):
-                    N = rng.choice([n for n in range(2, 13) if D % n])
-                    a = b = 0
-                    while (D * a) % N == 0 and (D * b) % N == 0:
-                        a, b = rng.randrange(N), rng.randrange(N)
-                    s = rng.randint(4, 7)
-                    tau = complex(re, rng.uniform(0.8, 2.0))
-                    got = _lipschitz_sum(a, b, N, D, c, d, tau, s)
+                    a, b, N, s, tau = self._draw(rng, D, re)
+                    got = _lipschitz_sum(a, b, N, D, [(c, d)], tau, s)
                     want = oracles.naive_sum_rows(a, b, N, D, c, d, tau, s, 400, "box")
                     assert type(got) is complex
                     assert abs(got - want) < 1e-8 * max(1.0, abs(want))
+        # all nonzero cosets in one call: their rows share one T batch, whose
+        # term count the smallest Im x of all of them sets
+        cosets = [(c, d) for c in range(D) for d in range(D) if c or d]
+        for re in (0.0, 0.5, rng.uniform(-0.5, 0.5)) if cosets else ():
+            a, b, N, s, tau = self._draw(rng, D, re)
+            got = _lipschitz_sum(a, b, N, D, cosets, tau, s)
+            want = sum(oracles.naive_sum_rows(a, b, N, D, c, d, tau, s, 400, "box")
+                       for c, d in cosets)
+            alone = sum(_lipschitz_sum(a, b, N, D, [coset], tau, s) for coset in cosets)
+            assert type(got) is complex
+            assert abs(got - want) < 1e-8 * max(1.0, abs(want))
+            assert abs(got - alone) < 1e-13 * abs(alone)
+
+    def test_one_row_call_per_coset_sum(self, monkeypatch):
+        calls = []
+        rows = eisenstein._T_rows
+
+        def counted(x, xi, s):
+            calls.append(len(x))
+            return rows(x, xi, s)
+
+        monkeypatch.setattr(eisenstein, "_T_rows", counted)
+        for D in (2, 3):
+            calls.clear()
+            eisenstein.coset_sum(1, 2, 5, D, TAU, 4)
+            batch = calls[:]
+            calls.clear()
+            for coset in [(c, d) for c in range(D) for d in range(D) if c or d]:
+                _lipschitz_sum(1, 2, 5, D, [coset], TAU, 4)
+            # one call on the rows of all D^2 - 1 cosets
+            assert len(batch) == 1 and batch[0] == sum(calls)
 
 
 class TestWeightOneDomain:

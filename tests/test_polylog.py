@@ -179,7 +179,13 @@ class TestSpecialization:
         assert abs(sp - ft) / max(1.0, abs(ft)) < 1e-10
 
     def test_degree_one_vanishes(self):
-        assert specialize_eisenstein(TorsionLabel(a=1, b=0, N=4, D=1), TAU_A, 3) == 0.0
+        # D = 1 has no nonzero coset: in either mode the empty sum 0j times
+        # the prefactor -3! (k = 3), which is -0.0 + 0.0j exactly
+        for label in (TorsionLabel(a=1, b=0, N=4, D=1), TorsionLabel(a=1, b=2, N=5, D=1)):
+            for mode, trunc in (("lipschitz", None), ("naive", LatticeTruncation(50))):
+                v = specialize_eisenstein(label, TAU_A, 3, mode=mode, trunc=trunc)
+                assert type(v) is complex and v == 0
+                assert (math.copysign(1.0, v.real), math.copysign(1.0, v.imag)) == (-1.0, 1.0)
 
     def test_degree_one_validates(self):
         # D = 1 sums no coset, but its mode, truncation and weight are
