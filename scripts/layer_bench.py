@@ -8,7 +8,9 @@ other work one run's wall time can move by 2x) and the line count of
 `src/epolylog/*.py`. Next to each wall time it records the CPU time
 (time.process_time, the smallest of the same runs), and it marks a call whose
 CPU time exceeds 1.2 x its wall time: that call kept a second core busy (a
-multithreaded BLAS, say), which a faster wall time alone hides. The calls are
+multithreaded BLAS, say), which a faster wall time alone hides. Next to
+F_naive_R500 it prints naive_ns_per_term, that call's wall time over its
+(2R+1)^2 - 1 lattice terms: the naive kernel's cost per term. The calls are
 the layer microbenchmarks of the ROADMAP's performance aim:
 
   theta on a 256-point vector and scalar theta_normalized (weierstrass),
@@ -87,6 +89,11 @@ def best_ms(fn, repeat: int) -> tuple:
 CPU_OVER_WALL = 1.2
 
 
+# the naive F whose wall time per lattice term is naive_ns_per_term
+NAIVE_R = 500
+NAIVE_TERMS = (2 * NAIVE_R + 1) ** 2 - 1
+
+
 FRESH_TAUS = 512  # distinct tau per fresh-tau run, twice the theta weights' cache
 
 
@@ -131,7 +138,7 @@ def calls():
         "s_coeffs_n4_fresh_tau": lambda: [s_coeffs(0.23 + 0.11j, t, 2, 4) for t in taus],
         "wp_fresh_tau": lambda: [wp(0.23 + 0.11j, t) for t in taus],
         "F_lipschitz": lambda: F(EisensteinQuery(1, 2, 5, 4, tau)),
-        "F_naive_R500": lambda: F(naive(500)),
+        "F_naive_R500": lambda: F(naive(NAIVE_R)),
         "F_naive_box_R400": lambda: F(naive(400, "box")),
         "k2_naive_R500": lambda: eisenstein_sum_k2(1, 2, 5, tau, LatticeTruncation(500)),
         "F_tilde_naive_R500": lambda: F_tilde(naive(500), 2),
@@ -204,6 +211,8 @@ def measure(src: str, repeat: int) -> dict:
         except TypeError:  # an array of tau where the tree takes one tau
             wall = cpu = None
         record["layers_ms"][name], record["layers_cpu_ms"][name] = wall, cpu
+    naive_ms = record["layers_ms"]["F_naive_R500"]
+    record["naive_ns_per_term"] = round(naive_ms * 1e6 / NAIVE_TERMS, 3)
     suites = suite_seconds(repeat)
     record["suites_s"] = {k: round(wall, 4) for k, (wall, _) in suites.items()}
     record["suites_cpu_s"] = {k: round(cpu, 4) for k, (_, cpu) in suites.items()}
@@ -240,8 +249,10 @@ def show(title: str, record: dict) -> None:
     print(f"== {title}   (wall, CPU)")
     for name, ms in record["layers_ms"].items():
         cpu = record["layers_cpu_ms"][name]
+        per_term = (f"   {record['naive_ns_per_term']:.3f} ns/term"
+                    if name == "F_naive_R500" else "")
         print(f"{name:26s} " + ("       n/a ms" if ms is None else
-                                f"{ms:10.4f} ms {cpu:10.4f} ms{cpu_note(ms, cpu)}"))
+                                f"{ms:10.4f} ms {cpu:10.4f} ms{per_term}{cpu_note(ms, cpu)}"))
     for name, sec in record["suites_s"].items():
         cpu = record["suites_cpu_s"][name]
         print(f"{'verify ' + name:24s} {sec:10.3f} s  {cpu:10.3f} s{cpu_note(sec, cpu)}")

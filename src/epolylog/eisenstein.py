@@ -23,10 +23,10 @@ coset_sum evaluates the shifted, character-twisted sums of the same kind
 (Eisenstein-Kronecker series, Bannai-Kobayashi arXiv:math/0610163) over the
 nonzero cosets of D^-1 Z^2 / Z^2, which the torsion specialization in polylog
 needs. Every sum goes through one dispatch, _lattice_sums, the only place
-that picks a kernel: _naive_sums sums one coset (c, d) for all the labels
-of a call in one pass over the square, and the row kernel _lipschitz_sum
-sums one label over all the cosets of a call with one _T_rows call. F and
-both labels of F_tilde are the coset c = d = 0 at D = 1.
+that picks a kernel: _naive_sums sums one coset (c, d) for all labels of a
+call in one pass over the square, from class sums of n mod N that all the
+labels share; _lipschitz_sum sums one label over all cosets of a call with
+one _T_rows call. F and both labels of F_tilde are the coset c = d = 0, D = 1.
 """
 
 from __future__ import annotations
@@ -80,31 +80,36 @@ def _roots_of_unity(N: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(N) / N)
 
 
-def _row_real(x: float, xi: Fraction, s: int) -> complex:
-    """sum_n e^{2 pi i xi n}/(x+n)^s for real 0 <= x < 1 and rational xi,
-    leaving out the origin n = 0 at x = 0.
+def _row_real(xs, xi: Fraction, s: int) -> list:
+    """sum_n e^{2 pi i xi n}/(x+n)^s for each real 0 <= x < 1 in xs and
+    rational xi, leaving out the origin n = 0 at x = 0.
 
     Split n mod q: the terms n >= 0 and n < 0 are Hurwitz zeta values at the
     2q arguments (r+x)/q and (r+1-x)/q, r = 0..q-1, with the argument 0 at
-    x = 0 replaced by 1 (which drops the origin). Exact up to roundoff. s = 1
-    converges only at x = 0 with xi != 0 mod 1, where the row is
-    -log(1-u) + log(1-conj u) at u = e^{2 pi i xi}.
+    x = 0 replaced by 1 (which drops the origin). The arguments of every x go
+    through one Hurwitz zeta call; each x weights its own 2q values. Exact
+    up to roundoff. s = 1 converges only at x = 0 with xi != 0 mod 1,
+    where the row is -log(1-u) + log(1-conj u) at u = e^{2 pi i xi}.
     """
-    if not 0.0 <= x < 1.0:
-        raise ValueError(f"need 0 <= x < 1, got {x}")
+    if not all(0.0 <= x < 1.0 for x in xs):
+        raise ValueError(f"need 0 <= x < 1, got {xs}")
     p, q = xi.numerator % xi.denominator, xi.denominator
     if s == 1:
-        if x:
+        if any(xs):
             raise ConvergenceModeError("real row needs absolute convergence (s >= 2)")
         u = cmath.exp(2j * cmath.pi * p / q)
-        return -cmath.log(1.0 - u) + cmath.log(1.0 - u.conjugate())
+        return [-cmath.log(1.0 - u) + cmath.log(1.0 - u.conjugate())] * len(xs)
+    if not xs:
+        return []
     r = np.arange(q)
-    args = np.concatenate([(r + x) / q, (r + 1.0 - x) / q])
-    if not x:
-        args[0] = 1.0
+    args = np.concatenate([a for x in xs for a in ((r + x) / q, (r + 1.0 - x) / q)])
+    for i, x in enumerate(xs):
+        if not x:
+            args[2 * q * i] = 1.0
     w = np.exp(2j * np.pi * p * np.concatenate([r, -(r + 1)]) / q)
     w[q:] *= (-1) ** s
-    return complex(w @ hurwitz_zeta(s, args)) / q**s
+    z = hurwitz_zeta(s, args)
+    return [complex(w @ z[i:i + 2 * q]) / q**s for i in range(0, len(z), 2 * q)]
 
 
 def _T_batch(x: np.ndarray, xi: float, s: int) -> np.ndarray:
@@ -151,9 +156,9 @@ def _lipschitz_sum(a: int, b: int, N: int, D: int, cosets, t: complex, s: int) -
     its sum over n is T(x, -Da/N, s) at x = (m + c/D) tau + d/D. The cosets
     share xi = -Da/N and the row range, so the rows of all of them go
     through one _T_rows call, whose term count the smallest Im x of the
-    batch sets. Row 0 is real when c = 0: _row_real at d/D, without the
-    origin when d = 0 (so F is the case D = 1, cosets [(0, 0)]). s = 1 needs
-    Da != 0 mod N."""
+    batch sets. Row 0 is real when c = 0: one _row_real call at the d/D of
+    those cosets, without the origin when d = 0 (so F is the case D = 1,
+    cosets [(0, 0)]). s = 1 needs Da != 0 mod N."""
     xi = Fraction(-D * a, N)
     # rows m > 0 decay like e^(-2 pi m Im(tau) (1 - xi mod 1)), by the slowest
     # frequency of T(x, xi, s); rows m < 0 by that of T(-x, -xi, s)
@@ -161,10 +166,11 @@ def _lipschitz_sum(a: int, b: int, N: int, D: int, cosets, t: complex, s: int) -
                 for p in ((-D * a) % N, (D * a) % N))
     m = np.arange(-down, up + 1)
     roots = _roots_of_unity(N)
+    ds = [d for c, d in cosets if c == 0]
     row0, xs, chars = 0.0, [], []
+    for d, v in zip(ds, _row_real([d / D for d in ds], xi, s)):
+        row0 += roots[(-d * a) % N] * v
     for c, d in cosets:
-        if c == 0:
-            row0 += roots[(-d * a) % N] * _row_real(d / D, xi, s)
         mc = m if c else m[m != 0]
         xs.append((mc + c / D) * t + d / D)
         chars.append(roots[(D * b * mc + (c * b - d * a)) % N])
@@ -190,57 +196,60 @@ def _naive_sums(labels, N: int, D: int, c: int, d: int, t: complex, s: int,
                 trunc: LatticeTruncation) -> list:
     """The lattice sum of coset_sum for the one coset (c, d), one sum per
     character label (a, b) in labels, truncated to |m|, |n| <= R: row 0, then
-    the paired rows +-m, each row from n = 0 outward in +-n pairs. The origin
-    term is skipped only when c = d = 0, so F is the case D = 1, c = d = 0.
-    Both orderings of trunc sum these terms in this order; "box" only declares
-    absolute convergence and is refused below weight 3.
+    the paired rows +-m, each row's columns n != 0 by class mod N, then n = 0.
+    The origin term is skipped only when c = d = 0, so F is the case D = 1,
+    c = d = 0. Both orderings of trunc sum these terms in this order; "box"
+    only declares absolute convergence and is refused below weight 3.
 
-    Rows are evaluated in blocks of at most _BLOCK denominators. A block
-    takes the powers (x_m +- n)^s by _power and one reciprocal of them, by
-    which every label multiplies its characters, tiled to the block shape
-    once per call: numpy rounds a broadcast complex product differently from
-    one of two contiguous arrays of the same shape, the only kind used here.
-    When c = d = 0 the base point of row -m is x_(-m) = -x_m exactly, so
-    1/(x_(-m) +- n)^s is (-1)^s/(x_m -+ n)^s bit for bit: complex addition,
-    _power and np.reciprocal are exactly odd under negation. A block then
-    runs over k = |m| >= 0 and takes row -k from row k's grids with the +n
-    and -n grids swapped, its sum taking the sign (-1)^s. Other cosets
-    evaluate one row per grid row. Each row's character factor and the
-    origin column n = 0 are Python complex scalars, and the rows are
-    Kahan-summed in the order above, so a label's sum does not depend on the
-    block size, on the pairing or on the other labels."""
+    The characters zeta_N^(-(+-Dn+d)a) of the columns +-n depend only on
+    n mod N, so the columns are ordered once per call by class n = r mod N,
+    r = 1..min(N, R) (a class above R is empty), for +n and then for -n.
+    Rows are evaluated in blocks of at most _BLOCK denominators: one grid of
+    powers (x_m + [n, -n])^s by _power, one reciprocal of it, and each grid
+    row reduced to its class sums S_m in column order (np.add.reduceat). A
+    label's row value is its class characters dotted with S_m in class
+    order, by one C einsum for all labels, so labels share all grid work.
+    When c = d = 0, x_(-m) = -x_m exactly, and 1/(x_(-m) +- n)^s is
+    (-1)^s/(x_m -+ n)^s bit for bit (complex addition, _power and
+    np.reciprocal are exactly odd under negation): a block then runs over
+    k = |m| >= 0 and takes row -k from row k's class sums with their +n and
+    -n halves swapped, its sum taking the sign (-1)^s. Each row's character
+    factor and the origin column n = 0 are Python complex scalars, and the
+    rows are Kahan-summed in the order above, so a label's sum does not
+    depend on the block size, on the pairing or on the other labels."""
     if trunc.ordering == "box" and s < 3:
         raise ConvergenceModeError(
             f"weight {s} is conditionally convergent; box ordering is not a sum"
         )
     R = trunc.shell_radius
-    roots = _roots_of_unity(N)
-    n = np.arange(1, R + 1)
+    roots = _roots_of_unity(N).tolist()  # Python complex scalars: cheap per-row products
+    classes = [np.arange(r, R + 1, N) for r in range(1, min(N, R) + 1)]
+    n = np.concatenate(classes + [-k for k in classes]).astype(complex)
+    starts = np.cumsum([0] + [len(k) for k in classes] * 2)[:-1]
+    r = (np.arange(1, len(classes) + 1) * [[1], [-1]]).ravel()  # signed class per segment
+    chars = np.array([np.take(roots, (-(D * r + d) * a) % N) for a, _ in labels])
+    swap = np.roll(np.arange(len(r)), len(classes))  # row -m's class sums from row m's
+    # the origin column is a Python complex: it divides as F's pinned values do
+    origins = [roots[(-d * a) % N] for a, _ in labels]
     # c = d = 0: the origin is skipped and row -m mirrors row m
     paired = c == 0 and d == 0
     heads = range(R + 1) if paired else range(-R, R + 1)
     step = max(1, _BLOCK // (2 * R + 1))
-    shape = (min(step, len(heads)), 1)
-    # the origin column is a Python complex: it divides as F's pinned values do
-    chars = [(np.tile(roots[(-(D * n + d) * a) % N], shape),
-              np.tile(roots[(-(-D * n + d) * a) % N], shape),
-              complex(roots[(-d * a) % N])) for a, _ in labels]
     rows = [{} for _ in labels]
     for i in range(0, len(heads), step):
         block = heads[i:i + step]
         xs = [(m + c / D) * t + d / D for m in block]
-        x = np.array(xs)[:, None]
-        plus, minus = np.reciprocal(_power(x + n, s)), np.reciprocal(_power(x - n, s))
+        sums = np.add.reduceat(np.reciprocal(_power(np.array(xs)[:, None] + n, s)), starts,
+                               axis=1)
+        inner = c_einsum("jk,mk->jm", chars, sums).tolist()
+        back = c_einsum("jk,mk->jm", chars, sums.take(swap, axis=1)).tolist() if paired else inner
         cols = [xk**s for xk in xs]
-        for (_, b), (pos, neg, origin), out in zip(labels, chars, rows):
-            pos, neg = pos[:len(block)], neg[:len(block)]
-            inner = (pos * plus + neg * minus).sum(axis=1).tolist()
-            for m, v, col in zip(block, inner, cols):
+        for (_, b), origin, out, vs, ws in zip(labels, origins, rows, inner, back):
+            for m, v, col in zip(block, vs, cols):
                 out[m] = roots[((D * m + c) * b) % N] * (
                     v if paired and not m else v + origin / col)
             if paired:
-                back = (pos * minus + neg * plus).sum(axis=1).tolist()
-                for m, v, col in zip(block, back, cols):
+                for m, v, col in zip(block, ws, cols):
                     if m:  # row 0 has no mirror
                         v += origin / col
                         out[-m] = roots[(-D * m * b) % N] * (-v if s % 2 else v)

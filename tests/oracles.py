@@ -188,18 +188,20 @@ def naive_sum_rows(a, b, N, D, c, d, tau, s, R, ordering):
       sum_{|m|,|n| <= R} zeta_N^((Dm+c) b - (Dn+d) a) / ((m + c/D) tau + n + d/D)^s,
 
     without the origin when c = d = 0. "eisenstein" Kahan-sums row 0, then
-    the paired rows +-m, each row from n = 0 outward in +-n pairs: the row
-    loop the package's blocked kernel replaced, kept operation for operation
-    (the same roots of unity; in the rows, powers by binary powering with
-    array products from the base itself, then characters times one
-    reciprocal of the powers; a Python complex power and division in the
-    origin column), so the two agree exactly under either ordering of the
-    kernel. Each product is of two contiguous 1-d arrays of one shape, the
-    kind of product the kernel takes on its 2-d blocks. "box" Kahan-sums the
-    full rows m = -R..R, each by one np.sum over n = -R..R: the same terms in
-    another rounding order, an independent reference at absolutely
-    convergent weights for the row kernel _lipschitz_sum, which takes a list
-    of cosets (summed here one call per coset)."""
+    the paired rows +-m, each row computed on its own, operation for
+    operation as the package's blocked kernel computes its grid rows: the
+    columns n = 1..R ordered by class of n mod N, for +n and then for -n;
+    powers by binary powering with array products from the base itself; one
+    reciprocal of the powers; the class sums by np.add.reduceat on the 1-d
+    row (which rounds as the 2-d reduction does, row by row); their dot with
+    the class characters by einsum, in class order; then a Python complex
+    power and division in the origin column. Row -m is evaluated from its
+    own base point, not mirrored from row m, so the two agree exactly only
+    if the kernel's mirror is exact. "box" Kahan-sums the full rows
+    m = -R..R, each by one np.sum over n = -R..R: the same terms in another
+    rounding order, an independent reference at absolutely convergent
+    weights for both kernels (the row kernel _lipschitz_sum takes a list of
+    cosets, summed here one call per coset)."""
     roots = np.exp(2j * np.pi * np.arange(N) / N)
     skip_origin = c == 0 and d == 0
 
@@ -222,15 +224,18 @@ def naive_sum_rows(a, b, N, D, c, d, tau, s, R, ordering):
 
         return _kahan(row(m) for m in range(-R, R + 1))
 
-    n = np.arange(1, R + 1)
-    char_pos = roots[(-(D * n + d) * a) % N]
-    char_neg = roots[(-(-D * n + d) * a) % N]
+    # the columns n = 1..R by class n = r mod N, r = 1..min(N, R), for +n then -n
+    classes = [np.arange(r, R + 1, N) for r in range(1, min(N, R) + 1)]
+    n = np.concatenate(classes)
+    starts = np.cumsum([0] + [len(k) for k in classes] * 2)[:-1]
+    r = np.arange(1, len(classes) + 1)
+    chars = np.concatenate([roots[(-(D * r + d) * a) % N], roots[(-(-D * r + d) * a) % N]])
     char_0 = complex(roots[(-d * a) % N])
 
     def row(m):
         x = base(m)
-        inner = complex(np.sum(char_pos * np.reciprocal(_power(x + n, s))
-                               + char_neg * np.reciprocal(_power(x - n, s))))
+        sums = np.add.reduceat(np.reciprocal(_power(x + np.concatenate([n, -n]), s)), starts)
+        inner = complex(np.einsum("k,k->", chars, sums))
         if not (skip_origin and m == 0):
             inner += char_0 / x**s
         return roots[((D * m + c) * b) % N] * inner

@@ -55,24 +55,24 @@ class TestRowMachinery:
                       (4, Fraction(0, 1)), (5, Fraction(1, 2))]:
             u = mpmath.exp(2j * mpmath.pi * float(xi))
             ref = complex(mpmath.polylog(s, u) + (-1) ** s * mpmath.polylog(s, 1 / u))
-            assert abs(_row_real(0.0, xi, s) - ref) < 1e-13
+            assert abs(_row_real([0.0], xi, s)[0] - ref) < 1e-13
 
     def test_polylog_root_weight_one_at_one_diverges(self):
         with pytest.raises(ValueError):
-            _row_real(0.0, Fraction(0, 1), 1)
+            _row_real([0.0], Fraction(0, 1), 1)
 
     def test_row_real_vs_lerchphi(self):
         # sum_n e^{2 pi i xi n}/(x+n)^s split into the two lerchphi halves
         x, xi, s = 0.25, Fraction(1, 3), 3
         u = mpmath.exp(2j * mpmath.pi * float(xi))
         ref = mpmath.lerchphi(u, s, x) + (-1) ** s / u * mpmath.lerchphi(1 / u, s, 1 - x)
-        assert abs(_row_real(x, xi, s) - complex(ref)) < 1e-12
+        assert abs(_row_real([x], xi, s)[0] - complex(ref)) < 1e-12
 
     def test_row_real_domain(self):
         with pytest.raises(ValueError):
-            _row_real(1.5, Fraction(1, 3), 3)
+            _row_real([1.5], Fraction(1, 3), 3)
         with pytest.raises(ConvergenceModeError):
-            _row_real(0.5, Fraction(1, 3), 1)
+            _row_real([0.5], Fraction(1, 3), 1)
 
     def test_T_batch_vs_direct_sum(self):
         x, xi, s = mpmath.mpc(0.3, 0.9), 0.25, 3
@@ -246,6 +246,47 @@ class TestNaiveKernel:
             labels, N, tau, s = _draw_case(rng, ordering)
             self._check(labels, N, D, c, d, tau, s, R, ordering)
 
+    @pytest.mark.parametrize("N", [2, 5, 12])
+    def test_class_edges_vs_box(self, N):
+        # the columns are summed by class of n mod N: at R < N some classes are
+        # empty, and R = 0, 1, -1 mod N makes the classes equal, the first one
+        # longer or the last one shorter; a = 0 is the trivial n-character. Against
+        # the box rows, the same terms in another rounding order, scaled by
+        # max(1, |value|): at odd weights with real characters the sum is an
+        # exact 0
+        rng = random.Random(N)
+        for R in (1, 2, 5, 11, 12, 13, 25):
+            for D, c, d in ((1, 0, 0), (2, 1, 0), (3, 0, 2), (3, 2, 1)):
+                for s in (3, 6, 8):
+                    labels = [(0, rng.randrange(1, N)), (rng.randrange(1, N), rng.randrange(N))]
+                    tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0))
+                    got = _naive_sums(labels, N, D, c, d, tau, s, LatticeTruncation(R))
+                    for (a, b), v in zip(labels, got):
+                        want = oracles.naive_sum_rows(a, b, N, D, c, d, tau, s, R, "box")
+                        assert abs(v - want) < 1e-13 * max(1.0, abs(want)), (R, D, c, d, s)
+
+    def test_grid_work_does_not_grow_with_labels(self, monkeypatch):
+        # every label reads the block's class sums: one grid of powers per
+        # block, of columns +n and -n, whatever the number of labels
+        calls = []
+        power = eisenstein._power
+
+        def counted(z, s):
+            calls.append(z.shape)
+            return power(z, s)
+
+        monkeypatch.setattr(eisenstein, "_power", counted)
+        counts = []
+        for labels in ([(1, 2)], [(1, 2), (0, 3), (4, 4)]):
+            for D, c, d in ((1, 0, 0), (3, 2, 1)):
+                calls.clear()
+                _naive_sums(labels, 5, D, c, d, TAU, 6, LatticeTruncation(40))
+                counts.append(calls[:])
+        assert counts[:2] == counts[2:]
+        # R = 40 is one block: rows 0..40 (c = d = 0) or -40..40, by 2R
+        # columns; z^6 takes three nested _power calls
+        assert counts[:2] == [[(41, 80)] * 3, [(81, 80)] * 3]
+
     @pytest.mark.parametrize("ordering, k", [("eisenstein", 2), ("eisenstein", 5), ("box", 4)])
     def test_F_tilde_is_two_F_calls(self, ordering, k):
         # F_tilde sends both labels through one lattice-sum call (in naive mode
@@ -317,6 +358,25 @@ class TestLipschitzKernel:
                 _lipschitz_sum(1, 2, 5, D, [coset], TAU, 4)
             # one call on the rows of all D^2 - 1 cosets
             assert len(batch) == 1 and batch[0] == sum(calls)
+
+    def test_one_hurwitz_call_per_coset_sum(self, monkeypatch):
+        # the real rows 0 of the c = 0 cosets share q and go through one
+        # Hurwitz zeta call; each keeps the bits of its own call
+        calls = []
+        zeta = eisenstein.hurwitz_zeta
+
+        def counted(s, x):
+            calls.append(x.shape)
+            return zeta(s, x)
+
+        monkeypatch.setattr(eisenstein, "hurwitz_zeta", counted)
+        for D in (2, 3):
+            calls.clear()
+            eisenstein.coset_sum(1, 2, 5, D, TAU, 4)
+            assert calls == [((D - 1) * 2 * 5,)]
+            for xi, s in ((Fraction(-D, 5), 4), (Fraction(1, 3), 3), (Fraction(0), 2)):
+                xs = [d / D for d in range(D)]
+                assert _row_real(xs, xi, s) == [_row_real([x], xi, s)[0] for x in xs]
 
 
 class TestWeightOneDomain:
