@@ -43,15 +43,22 @@ over one `verify all --seed 0` run with that cache cleared first.
 It also times cmd_verify(suite) at seed 0 for every verify suite, best of N
 in the same way (the whole suite per run).
 
---src picks the source tree to import; give it twice, say a parent commit
-checked out elsewhere (git archive or git clone) and the working tree, to
-compare them on the same machine. Each round measures every tree in a fresh
+--src picks the source tree to import, the directory holding the epolylog
+package or a checkout root whose src/ holds it; give it twice, say a parent
+commit checked out elsewhere (git archive or git clone) and the working tree,
+to compare them on the same machine. Each round measures every tree in a fresh
 interpreter, and the trees alternate: the first tree leads the odd rounds and
 the second the even ones, so host drift over the rounds falls on both. After
 each tree's microbenchmarks the round runs that tree's tier-1 pytest (`python
 -m pytest -q --continue-on-collection-errors` in the tree's root, its src
-first on PYTHONPATH) and records the wall seconds and the passed count. --out
-merges every round and the per-tree medians over the rounds into a JSON file.
+first on PYTHONPATH) and records the wall seconds and the passed count. With
+two trees it prints, for every layer, every verify suite and the best `verify
+all`, the second tree's time over the first's in each round, with the median
+and range of those ratios, beside the ratio of the per-tree medians over the
+rounds. A host whose speed drifts between rounds moves both trees of a round
+alike, so the per-round ratios are the figure to compare; the ratio of
+medians mixes rounds of different speeds. --out merges every round, the
+per-tree medians and the per-round ratios into a JSON file.
 
 Run: python scripts/layer_bench.py [--src DIR [--src DIR2]] [--label L [--label L2]]
          [--rounds N] [--repeat N] [--out FILE]
@@ -279,6 +286,39 @@ def median_record(records: list) -> dict:
     return first if all(r == first for r in records) else records
 
 
+def times(record: dict) -> dict:
+    """The timed figures of a record: each layer (ms), each verify suite and
+    the best `verify all` (s)."""
+    return {**record["layers_ms"],
+            **{f"verify {k}": v for k, v in record["suites_s"].items()},
+            "verify all, best of N": record["verify_all_seed0_best_s"]}
+
+
+def round_ratios(rounds: dict, medians: dict, labels: list, n_rounds: int) -> dict:
+    """Per timed figure: the second tree's time over the first's in each
+    round, their median, min and max, and the ratio of the per-tree medians
+    over the rounds."""
+    pairs = [[times(rounds[f"{label}_round{r}"]) for label in labels]
+             for r in range(1, n_rounds + 1)]
+    first, second = (times(medians[label]) for label in labels)
+    out = {}
+    for name in first:
+        ratios = [round(b[name] / a[name], 4) for a, b in pairs if a.get(name) and b.get(name)]
+        if ratios:
+            out[name] = {"rounds": ratios, "median": round(statistics.median(ratios), 4),
+                         "min": min(ratios), "max": max(ratios),
+                         "of_medians": round(second[name] / first[name], 4)}
+    return out
+
+
+def show_ratios(labels: list, ratios: dict) -> None:
+    print(f"== {labels[1]} / {labels[0]}: per-round ratios, median [min, max], "
+          "and the ratio of the medians over rounds")
+    for name, r in ratios.items():
+        print(f"{name:28s} {r['median']:7.3f} [{r['min']:.3f}, {r['max']:.3f}]"
+              f"   {r['of_medians']:7.3f}")
+
+
 def main() -> None:
     here = os.path.dirname(os.path.abspath(__file__))
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -294,6 +334,9 @@ def main() -> None:
     ap.add_argument("--one-round", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     srcs = [os.path.abspath(s) for s in args.src or [os.path.join(here, "..", "src")]]
+    # a checkout root: its package lives under src/
+    srcs = [os.path.join(s, "src") if os.path.isdir(os.path.join(s, "src", "epolylog")) else s
+            for s in srcs]
     labels = args.label or (["change"] if len(srcs) == 1 else ["parent", "change"])
     if len(srcs) > 2 or len(labels) != len(srcs) or len(set(labels)) != len(labels):
         ap.error("give one or two --src trees and, if any, one distinct --label per tree")
@@ -318,6 +361,9 @@ def main() -> None:
                                      for r in range(1, args.rounds + 1)]) for label in labels}
     for label in labels:
         show(f"{label}, median of {args.rounds} rounds", medians[label])
+    ratios = round_ratios(rounds, medians, labels, args.rounds) if len(labels) == 2 else None
+    if ratios:
+        show_ratios(labels, ratios)
 
     if args.out:
         data = {}
@@ -330,6 +376,8 @@ def main() -> None:
         data["order"] = order
         data["rounds"] = rounds
         data["median_over_rounds"] = medians
+        if ratios:
+            data["round_ratios"] = {"of": f"{labels[1]} / {labels[0]}", **ratios}
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=2)
             fh.write("\n")

@@ -37,7 +37,6 @@ from .numerics import (
     cauchy_coeffs,
     contour_integral,
     finite_diff,
-    kahan_sum,
 )
 from .polylog import (
     L_form,

@@ -2,8 +2,8 @@
 
   F_(a,b)^(k)(tau) = (-1)^(k+1) (k-1)! * sum'_{(m,n)} zeta_N^(mb - na) / (m tau + n)^k
 
-(primed sum: origin excluded). Two evaluators: "naive" sums over the square
-|m|, |n| <= R of a LatticeTruncation in the eisenstein order of _naive_sums,
+(primed sum: origin excluded). Two evaluators: "naive" sums the terms of the
+square |m|, |n| <= R of a LatticeTruncation, exactly rounded (_naive_sums),
 and "lipschitz" row summation, which converts each row m to an exponential sum
 
   T(x, xi, s) = sum_n e^(2 pi i xi n)/(x+n)^s
@@ -13,20 +13,20 @@ for Im x > 0 (Im x < 0 by the reflection T(x,xi,s) = (-1)^s T(-x, -xi mod 1, s))
 The real row m = 0 (origin left out in F) is summed exactly by one Hurwitz
 zeta call at rational arguments, or at weight 1 in closed form. The row
 decomposition realizes the eisenstein summation order, so it is also valid
-at the conditionally convergent weights k <= 2. At k = 1 it needs
-a != 0 mod N: with a = 0 row m tends to -+pi i zeta_N^(+-mb) and the rows
-do not sum. The naive square
-truncation at k = 1 also needs b != 0 mod N, without which it converges to
-another value; outside this domain F raises ConvergenceModeError.
+at the conditionally convergent weights k <= 2. At k = 1 it needs a != 0
+mod N: with a = 0 row m tends to -+pi i zeta_N^(+-mb) and the rows do not
+sum. The naive square truncation at k = 1 also needs b != 0 mod N, without
+which it converges to another value; outside this domain F raises
+ConvergenceModeError.
 
 coset_sum evaluates the shifted, character-twisted sums of the same kind
 (Eisenstein-Kronecker series, Bannai-Kobayashi arXiv:math/0610163) over the
 nonzero cosets of D^-1 Z^2 / Z^2, which the torsion specialization in polylog
 needs. Every sum goes through one dispatch, _lattice_sums, the only place
-that picks a kernel: _naive_sums sums one coset (c, d) for all labels of a
-call in one pass over the square, from class sums of n mod N that all the
-labels share; _lipschitz_sum sums one label over all cosets of a call with
-one _T_rows call. F and both labels of F_tilde are the coset c = d = 0, D = 1.
+that picks a kernel: _naive_sums sums every label over every coset of a call
+from class sums of n mod N that the labels share, one math.fsum per label;
+_lipschitz_sum sums one label over all cosets with one _T_rows call. F and
+both labels of F_tilde are the coset c = d = 0, D = 1.
 """
 
 from __future__ import annotations
@@ -34,13 +34,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from numpy._core.multiarray import c_einsum  # np.einsum without its Python wrapper
 from scipy.special import zeta as hurwitz_zeta
 
-from .numerics import LatticeTruncation, kahan_sum
+from .numerics import LatticeTruncation
 from .weierstrass import _tau_of
 
 
@@ -80,9 +79,9 @@ def _roots_of_unity(N: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(N) / N)
 
 
-def _row_real(xs, xi: Fraction, s: int) -> list:
+def _row_real(xs, p: int, q: int, s: int) -> list:
     """sum_n e^{2 pi i xi n}/(x+n)^s for each real 0 <= x < 1 in xs and
-    rational xi, leaving out the origin n = 0 at x = 0.
+    xi = p/q in lowest terms, q >= 1, leaving out the origin n = 0 at x = 0.
 
     Split n mod q: the terms n >= 0 and n < 0 are Hurwitz zeta values at the
     2q arguments (r+x)/q and (r+1-x)/q, r = 0..q-1, with the argument 0 at
@@ -93,7 +92,7 @@ def _row_real(xs, xi: Fraction, s: int) -> list:
     """
     if not all(0.0 <= x < 1.0 for x in xs):
         raise ValueError(f"need 0 <= x < 1, got {xs}")
-    p, q = xi.numerator % xi.denominator, xi.denominator
+    p %= q
     if s == 1:
         if any(xs):
             raise ConvergenceModeError("real row needs absolute convergence (s >= 2)")
@@ -140,9 +139,8 @@ def _T_batch(x: np.ndarray, xi: float, s: int) -> np.ndarray:
     return c_einsum("l,lr->r", freq ** (s - 1), phase) * (-2j * np.pi) ** s / math.factorial(s - 1)
 
 
-def _T_rows(x: np.ndarray, xi: Fraction, s: int) -> np.ndarray:
-    """T over rows with arbitrary nonzero Im x, via reflection where needed."""
-    p, q = xi.numerator, xi.denominator  # xi mod 1 without Fraction arithmetic
+def _T_rows(x: np.ndarray, p: int, q: int, s: int) -> np.ndarray:
+    """T at xi = p/q over rows with any nonzero Im x, reflected where needed."""
     out = np.empty(x.shape, dtype=complex)
     up = x.imag > 0
     out[up] = _T_batch(x[up], p % q / q, s)
@@ -159,22 +157,23 @@ def _lipschitz_sum(a: int, b: int, N: int, D: int, cosets, t: complex, s: int) -
     batch sets. Row 0 is real when c = 0: one _row_real call at the d/D of
     those cosets, without the origin when d = 0 (so F is the case D = 1,
     cosets [(0, 0)]). s = 1 needs Da != 0 mod N."""
-    xi = Fraction(-D * a, N)
+    g = math.gcd(D * a, N)  # xi = -Da/N = p/q in lowest terms
+    p, q = -D * a // g, N // g
     # rows m > 0 decay like e^(-2 pi m Im(tau) (1 - xi mod 1)), by the slowest
     # frequency of T(x, xi, s); rows m < 0 by that of T(-x, -xi, s)
-    up, down = (int(math.ceil(45.0 / (2.0 * math.pi * t.imag * ((N - p) / N)))) + 4
-                for p in ((-D * a) % N, (D * a) % N))
+    up, down = (int(math.ceil(45.0 / (2.0 * math.pi * t.imag * ((N - e) / N)))) + 4
+                for e in ((-D * a) % N, (D * a) % N))
     m = np.arange(-down, up + 1)
     roots = _roots_of_unity(N)
     ds = [d for c, d in cosets if c == 0]
     row0, xs, chars = 0.0, [], []
-    for d, v in zip(ds, _row_real([d / D for d in ds], xi, s)):
+    for d, v in zip(ds, _row_real([d / D for d in ds], p, q, s)):
         row0 += roots[(-d * a) % N] * v
     for c, d in cosets:
         mc = m if c else m[m != 0]
         xs.append((mc + c / D) * t + d / D)
         chars.append(roots[(D * b * mc + (c * b - d * a)) % N])
-    rows = np.concatenate(chars) * _T_rows(np.concatenate(xs), xi, s)
+    rows = np.concatenate(chars) * _T_rows(np.concatenate(xs), p, q, s)
     return complex(row0 + np.sum(rows))
 
 
@@ -192,68 +191,64 @@ def _power(z: np.ndarray, s: int) -> np.ndarray:
     return half * z if s & 1 else half
 
 
-def _naive_sums(labels, N: int, D: int, c: int, d: int, t: complex, s: int,
+def _naive_sums(labels, N: int, D: int, cosets, t: complex, s: int,
                 trunc: LatticeTruncation) -> list:
-    """The lattice sum of coset_sum for the one coset (c, d), one sum per
-    character label (a, b) in labels, truncated to |m|, |n| <= R: row 0, then
-    the paired rows +-m, each row's columns n != 0 by class mod N, then n = 0.
-    The origin term is skipped only when c = d = 0, so F is the case D = 1,
-    c = d = 0. Both orderings of trunc sum these terms in this order; "box"
-    only declares absolute convergence and is refused below weight 3.
+    """The lattice sum of coset_sum over the given cosets (c, d), one sum per
+    character label (a, b) in labels: the terms |m|, |n| <= R of each coset,
+    without the origin at c = d = 0 (F is D = 1, cosets [(0, 0)]). "box" sums
+    the same terms alike; it only declares absolute convergence and is
+    refused below weight 3.
 
-    The characters zeta_N^(-(+-Dn+d)a) of the columns +-n depend only on
-    n mod N, so the columns are ordered once per call by class n = r mod N,
-    r = 1..min(N, R) (a class above R is empty), for +n and then for -n.
-    Rows are evaluated in blocks of at most _BLOCK denominators: one grid of
-    powers (x_m + [n, -n])^s by _power, one reciprocal of it, and each grid
-    row reduced to its class sums S_m in column order (np.add.reduceat). A
-    label's row value is its class characters dotted with S_m in class
-    order, by one C einsum for all labels, so labels share all grid work.
-    When c = d = 0, x_(-m) = -x_m exactly, and 1/(x_(-m) +- n)^s is
-    (-1)^s/(x_m -+ n)^s bit for bit (complex addition, _power and
-    np.reciprocal are exactly odd under negation): a block then runs over
-    k = |m| >= 0 and takes row -k from row k's class sums with their +n and
-    -n halves swapped, its sum taking the sign (-1)^s. Each row's character
-    factor and the origin column n = 0 are Python complex scalars, and the
-    rows are Kahan-summed in the order above, so a label's sum does not
-    depend on the block size, on the pairing or on the other labels."""
+    The column characters zeta_N^(-(Dn+d)a) depend only on n mod N, so the
+    columns are ordered by class: n = 0, then n = r mod N, r = 1..min(N, R),
+    for +n and then for -n. Rows run in blocks of at most _BLOCK denominators
+    (memory: _BLOCK plus one value per label and row): one grid of powers
+    (x_m + n)^s by _power, one reciprocal of it (the origin's power set to 1
+    and its class sum to 0), each grid row reduced to its class sums by
+    np.add.reduceat, and one C einsum of every label's class characters with
+    them. At c = d = 0, x_(-m) = -x_m exactly, and complex addition, _power
+    and np.reciprocal are exactly odd under negation, so row -m takes row m's
+    class sums with their +n and -n halves swapped and the sign (-1)^s. The
+    row characters zeta_N^((Dm+c)b) are one array product, and each label's
+    rows of all cosets one math.fsum of the real and of the imaginary parts:
+    exactly rounded, so no order of the rows enters."""
     if trunc.ordering == "box" and s < 3:
-        raise ConvergenceModeError(
-            f"weight {s} is conditionally convergent; box ordering is not a sum"
-        )
+        raise ConvergenceModeError(f"weight {s} is conditionally convergent; "
+                                   "box ordering is not a sum")
     R = trunc.shell_radius
-    roots = _roots_of_unity(N).tolist()  # Python complex scalars: cheap per-row products
+    roots = _roots_of_unity(N)
     classes = [np.arange(r, R + 1, N) for r in range(1, min(N, R) + 1)]
-    n = np.concatenate(classes + [-k for k in classes]).astype(complex)
-    starts = np.cumsum([0] + [len(k) for k in classes] * 2)[:-1]
-    r = (np.arange(1, len(classes) + 1) * [[1], [-1]]).ravel()  # signed class per segment
-    chars = np.array([np.take(roots, (-(D * r + d) * a) % N) for a, _ in labels])
-    swap = np.roll(np.arange(len(r)), len(classes))  # row -m's class sums from row m's
-    # the origin column is a Python complex: it divides as F's pinned values do
-    origins = [roots[(-d * a) % N] for a, _ in labels]
-    # c = d = 0: the origin is skipped and row -m mirrors row m
-    paired = c == 0 and d == 0
-    heads = range(R + 1) if paired else range(-R, R + 1)
-    step = max(1, _BLOCK // (2 * R + 1))
-    rows = [{} for _ in labels]
-    for i in range(0, len(heads), step):
-        block = heads[i:i + step]
-        xs = [(m + c / D) * t + d / D for m in block]
-        sums = np.add.reduceat(np.reciprocal(_power(np.array(xs)[:, None] + n, s)), starts,
-                               axis=1)
-        inner = c_einsum("jk,mk->jm", chars, sums).tolist()
-        back = c_einsum("jk,mk->jm", chars, sums.take(swap, axis=1)).tolist() if paired else inner
-        cols = [xk**s for xk in xs]
-        for (_, b), origin, out, vs, ws in zip(labels, origins, rows, inner, back):
-            for m, v, col in zip(block, vs, cols):
-                out[m] = roots[((D * m + c) * b) % N] * (
-                    v if paired and not m else v + origin / col)
-            if paired:
-                for m, v, col in zip(block, ws, cols):
-                    if m:  # row 0 has no mirror
-                        v += origin / col
-                        out[-m] = roots[(-D * m * b) % N] * (-v if s % 2 else v)
-    return [kahan_sum([r[0]] + [r[k] + r[-k] for k in range(1, R + 1)]) for r in rows]
+    n = np.concatenate([[0]] + classes + [-k for k in classes]).astype(complex)
+    starts = np.cumsum([0, 1] + [len(k) for k in classes] * 2)[:-1]
+    r = np.arange(len(classes) + 1)
+    r = np.concatenate([r, -r[1:]])  # the signed class of each column segment
+    swap = np.concatenate([[0], np.roll(np.arange(1, len(r)), len(classes))])  # class -r
+    a, b = np.array(labels).T
+    step = max(1, _BLOCK // len(n))
+    rows = np.empty((len(labels), len(cosets), 2 * R + 1), dtype=complex)  # rows m = -R..R
+    for j, (c, d) in enumerate(cosets):
+        chars = roots[np.outer(-a, D * r + d) % N]
+        paired = c == 0 and d == 0  # the origin is left out and row -m mirrors row m
+        lo = R if paired else 0  # row m sits at R + m
+        xs = (np.arange(lo - R, R + 1) + c / D) * t + d / D
+        for i in range(0, len(xs), step):
+            origin = paired and not i
+            grid = _power(xs[i:i + step, None] + n, s)
+            if origin:
+                grid[0, 0] = 1.0
+            sums = np.add.reduceat(np.reciprocal(grid), starts, axis=1)
+            if origin:
+                sums[0, 0] = 0.0
+            at, to = lo + i, lo + i + len(grid)
+            if paired:  # rows -m sit at 2R - (R + m); row 0, its own mirror, is written after
+                rows[:, j, 2 * R + 1 - to:2 * R + 1 - at] = c_einsum(
+                    "jk,mk->jm", chars, sums.take(swap, axis=1))[:, ::-1]
+            rows[:, j, at:to] = c_einsum("jk,mk->jm", chars, sums)
+    m, c = np.arange(-R, R + 1), np.array(cosets)
+    row_chars = roots[np.multiply.outer(b, D * m + c[:, :1]) % N]
+    mirrored = (m < 0) & (c == 0).all(axis=1)[:, None] & bool(s % 2)  # the sign (-1)^s
+    rows = (rows * np.where(mirrored, -row_chars, row_chars)).reshape(len(labels), -1)
+    return [complex(math.fsum(v.real.tolist()), math.fsum(v.imag.tolist())) for v in rows]
 
 
 def _lattice_sums(labels, N: int, D: int, cosets, t: complex, s: int, mode: str,
@@ -261,7 +256,7 @@ def _lattice_sums(labels, N: int, D: int, cosets, t: complex, s: int, mode: str,
     """The one dispatch of every lattice sum here: one sum per character
     label (a, b) in labels, over the cosets (c, d) mod D (no coset sums to
     0), by the kernel of mode: _lipschitz_sum takes one label and every
-    coset, _naive_sums one coset and every label."""
+    coset, _naive_sums every label and every coset."""
     if mode not in ("naive", "lipschitz"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "naive" and trunc is None:
@@ -270,10 +265,7 @@ def _lattice_sums(labels, N: int, D: int, cosets, t: complex, s: int, mode: str,
         return [0j] * len(labels)
     if mode == "lipschitz":
         return [_lipschitz_sum(a, b, N, D, cosets, t, s) for a, b in labels]
-    sums = _naive_sums(labels, N, D, *cosets[0], t, s, trunc)
-    for c, d in cosets[1:]:
-        sums = [u + v for u, v in zip(sums, _naive_sums(labels, N, D, c, d, t, s, trunc))]
-    return sums
+    return _naive_sums(labels, N, D, cosets, t, s, trunc)
 
 
 def F(query: EisensteinQuery) -> complex:
@@ -306,7 +298,11 @@ def F_tilde(query: EisensteinQuery, D: int, allow_degenerate: bool = False) -> c
     When (Da, Db) = (0,0) mod N the second label degenerates; by default this
     raises DegenerateLabelError. allow_degenerate extends F to the zero label
     by the trivial-character sum (zero at odd weight), under which the
-    torsion-specialization identity continues to hold. Both labels must lie
+    torsion-specialization identity continues to hold. That sum is the
+    Lipschitz row sum in either mode: with no character the square
+    truncation's tail does not cancel, so it falls off like R^(2-k) only and
+    at k = 2 converges to another limit (at R = 500, tau = 0.21 + 1.1i it is
+    0.93 relative away at k = 2 and 4.6e-7 at k = 4). Both labels must lie
     in F's weight-one domain.
     """
     if D < 1:
@@ -316,11 +312,9 @@ def F_tilde(query: EisensteinQuery, D: int, allow_degenerate: bool = False) -> c
     degenerate = labels[1] == (0, 0)
     if degenerate and not allow_degenerate:
         raise DegenerateLabelError(
-            f"(Da, Db) = {(D * query.a, D * query.b)} is (0,0) mod {query.N}"
-        )
+            f"(Da, Db) = {(D * query.a, D * query.b)} is (0,0) mod {query.N}")
     # this also keeps the trivial-character extension at k >= 2
     _check_weight_one(labels, query.N, query.k, query.mode)
-    # the trivial-character extension is the sum by rows in either mode
     split = degenerate and query.mode == "naive"
     sums = _lattice_sums(labels[:1] if split else labels, query.N, 1, [(0, 0)], t, query.k,
                          query.mode, query.trunc)

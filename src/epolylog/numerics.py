@@ -1,5 +1,5 @@
-"""Shared numerical kernels: lattice truncation recipes, finite differences,
-Cauchy coefficient extraction and Kahan summation.
+"""Shared numerical kernels: lattice truncation recipes, finite differences
+and Cauchy coefficient extraction.
 
 Everything here is deterministic: fixed stencils, fixed sample counts. No
 randomness, no environment-dependent branching.
@@ -8,7 +8,7 @@ randomness, no environment-dependent branching.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -24,12 +24,12 @@ class AliasingError(ArithmeticError):
 @dataclass(frozen=True)
 class LatticeTruncation:
     """Truncation recipe for double sums over the period lattice: the square
-    |m|, |n| <= shell_radius, which naive sums add in the eisenstein order
-    (n symmetrically about 0 for each m, m symmetrically about 0), Kahan-summing
-    their rows. At a fixed radius both orderings hold the same terms; an order
-    would matter only in a limit R -> oo, which this truncation never takes.
-    ordering "box" declares the sum absolutely convergent: it is refused for
-    conditionally convergent sums and otherwise sums as "eisenstein".
+    |m|, |n| <= shell_radius, whose terms naive sums add exactly rounded (one
+    math.fsum over the row sums), so no order of the rows enters. At a fixed
+    radius both orderings hold the same terms; an order would matter only in
+    a limit R -> oo, which this truncation never takes. ordering "box"
+    declares the sum absolutely convergent: it is refused for conditionally
+    convergent sums and otherwise sums as "eisenstein".
     """
 
     shell_radius: int
@@ -160,17 +160,3 @@ def contour_integral(
     nodes = np.exp(2j * np.pi * np.arange(samples) / samples)
     vals = _circle_values(f, center, radius, samples)
     return complex(2j * np.pi * radius / samples * np.sum(vals * nodes))
-
-
-def kahan_sum(terms: Iterable[complex]) -> complex:
-    """Kahan sum, with a running error correction, in the order the iterable
-    yields terms."""
-    s = 0.0 + 0.0j
-    c = 0.0 + 0.0j
-    for t in terms:
-        y = complex(t) - c
-        tmp = s + y
-        c = (tmp - s) - y
-        s = tmp
-    return s
-

@@ -187,21 +187,24 @@ def naive_sum_rows(a, b, N, D, c, d, tau, s, R, ordering):
 
       sum_{|m|,|n| <= R} zeta_N^((Dm+c) b - (Dn+d) a) / ((m + c/D) tau + n + d/D)^s,
 
-    without the origin when c = d = 0. "eisenstein" Kahan-sums row 0, then
-    the paired rows +-m, each row computed on its own, operation for
-    operation as the package's blocked kernel computes its grid rows: the
-    columns n = 1..R ordered by class of n mod N, for +n and then for -n;
+    without the origin when c = d = 0. "eisenstein" computes each row m on
+    its own, operation for operation as the package's blocked kernel
+    computes its grid rows: the columns ordered by class of n mod N, class
+    0 (n = 0), then n = r mod N, r = 1..min(N, R), for +n and then for -n;
     powers by binary powering with array products from the base itself; one
-    reciprocal of the powers; the class sums by np.add.reduceat on the 1-d
-    row (which rounds as the 2-d reduction does, row by row); their dot with
-    the class characters by einsum, in class order; then a Python complex
-    power and division in the origin column. Row -m is evaluated from its
-    own base point, not mirrored from row m, so the two agree exactly only
-    if the kernel's mirror is exact. "box" Kahan-sums the full rows
+    reciprocal of the powers (the origin's power set to 1 first); the class
+    sums by np.add.reduceat on the 1-d row (which rounds as the 2-d
+    reduction does, row by row), the origin's class sum then set to 0;
+    their dot with the class characters by einsum, in class order. The row
+    characters multiply the stacked row values as one array product (a
+    scalar complex product can round differently), and math.fsum sums the
+    real and the imaginary parts exactly rounded. Row -m is evaluated from
+    its own base point, not mirrored from row m, so the two agree exactly
+    only if the kernel's mirror is exact. "box" Kahan-sums the full rows
     m = -R..R, each by one np.sum over n = -R..R: the same terms in another
     rounding order, an independent reference at absolutely convergent
-    weights for both kernels (the row kernel _lipschitz_sum takes a list of
-    cosets, summed here one call per coset)."""
+    weights for both kernels (which take a list of cosets, summed here one
+    call per coset)."""
     roots = np.exp(2j * np.pi * np.arange(N) / N)
     skip_origin = c == 0 and d == 0
 
@@ -224,20 +227,24 @@ def naive_sum_rows(a, b, N, D, c, d, tau, s, R, ordering):
 
         return _kahan(row(m) for m in range(-R, R + 1))
 
-    # the columns n = 1..R by class n = r mod N, r = 1..min(N, R), for +n then -n
+    # the columns by class: n = 0, then n = r mod N, r = 1..min(N, R), for +n then -n
     classes = [np.arange(r, R + 1, N) for r in range(1, min(N, R) + 1)]
-    n = np.concatenate(classes)
-    starts = np.cumsum([0] + [len(k) for k in classes] * 2)[:-1]
-    r = np.arange(1, len(classes) + 1)
-    chars = np.concatenate([roots[(-(D * r + d) * a) % N], roots[(-(-D * r + d) * a) % N]])
-    char_0 = complex(roots[(-d * a) % N])
+    n = np.concatenate([[0]] + classes + [-k for k in classes])
+    starts = np.cumsum([0, 1] + [len(k) for k in classes] * 2)[:-1]
+    r = np.arange(len(classes) + 1)
+    r = np.concatenate([r, -r[1:]])
+    chars = roots[(-(D * r + d) * a) % N]
 
     def row(m):
-        x = base(m)
-        sums = np.add.reduceat(np.reciprocal(_power(x + np.concatenate([n, -n]), s)), starts)
-        inner = complex(np.einsum("k,k->", chars, sums))
-        if not (skip_origin and m == 0):
-            inner += char_0 / x**s
-        return roots[((D * m + c) * b) % N] * inner
+        origin = skip_origin and m == 0
+        den = _power(base(m) + n, s)
+        if origin:
+            den[0] = 1.0
+        sums = np.add.reduceat(np.reciprocal(den), starts)
+        if origin:
+            sums[0] = 0.0
+        return np.einsum("k,k->", chars, sums)
 
-    return _kahan(row(0) if m == 0 else row(m) + row(-m) for m in range(R + 1))
+    m = np.arange(-R, R + 1)
+    rows = np.array([row(k) for k in m.tolist()]) * roots[((D * m + c) * b) % N]
+    return complex(math.fsum(rows.real.tolist()), math.fsum(rows.imag.tolist()))

@@ -51,28 +51,27 @@ class TestRowMachinery:
     def test_polylog_root_vs_mpmath(self):
         # without the origin, the real row at x = 0 is the polylogarithm pair
         # Li_s(u) + (-1)^s Li_s(conj u) at the root u = e^{2 pi i xi}
-        for s, xi in [(2, Fraction(1, 4)), (3, Fraction(2, 5)), (1, Fraction(1, 3)),
-                      (4, Fraction(0, 1)), (5, Fraction(1, 2))]:
-            u = mpmath.exp(2j * mpmath.pi * float(xi))
+        for s, p, q in [(2, 1, 4), (3, 2, 5), (1, 1, 3), (4, 0, 1), (5, 1, 2)]:
+            u = mpmath.exp(2j * mpmath.pi * p / q)
             ref = complex(mpmath.polylog(s, u) + (-1) ** s * mpmath.polylog(s, 1 / u))
-            assert abs(_row_real([0.0], xi, s)[0] - ref) < 1e-13
+            assert abs(_row_real([0.0], p, q, s)[0] - ref) < 1e-13
 
     def test_polylog_root_weight_one_at_one_diverges(self):
         with pytest.raises(ValueError):
-            _row_real([0.0], Fraction(0, 1), 1)
+            _row_real([0.0], 0, 1, 1)
 
     def test_row_real_vs_lerchphi(self):
         # sum_n e^{2 pi i xi n}/(x+n)^s split into the two lerchphi halves
-        x, xi, s = 0.25, Fraction(1, 3), 3
-        u = mpmath.exp(2j * mpmath.pi * float(xi))
+        x, p, q, s = 0.25, 1, 3, 3
+        u = mpmath.exp(2j * mpmath.pi * p / q)
         ref = mpmath.lerchphi(u, s, x) + (-1) ** s / u * mpmath.lerchphi(1 / u, s, 1 - x)
-        assert abs(_row_real([x], xi, s)[0] - complex(ref)) < 1e-12
+        assert abs(_row_real([x], p, q, s)[0] - complex(ref)) < 1e-12
 
     def test_row_real_domain(self):
         with pytest.raises(ValueError):
-            _row_real([1.5], Fraction(1, 3), 3)
+            _row_real([1.5], 1, 3, 3)
         with pytest.raises(ConvergenceModeError):
-            _row_real([0.5], Fraction(1, 3), 1)
+            _row_real([0.5], 1, 3, 1)
 
     def test_T_batch_vs_direct_sum(self):
         x, xi, s = mpmath.mpc(0.3, 0.9), 0.25, 3
@@ -178,13 +177,13 @@ def _draw_case(rng, ordering):
 
 
 class TestNaiveKernel:
-    """The blocked kernel against the eisenstein row loop it replaced, bit for
-    bit, under either ordering: at a fixed R both hold the same terms, and the
-    kernel sums them in one order."""
+    """The blocked kernel against a row-at-a-time evaluation of the same
+    operations, bit for bit, under either ordering: at a fixed R both hold
+    the same terms, and each label's rows are one exactly rounded sum."""
 
     @staticmethod
     def _check(labels, N, D, c, d, tau, s, R, ordering):
-        got = _naive_sums(labels, N, D, c, d, tau, s, LatticeTruncation(R, ordering))
+        got = _naive_sums(labels, N, D, [(c, d)], tau, s, LatticeTruncation(R, ordering))
         want = [oracles.naive_sum_rows(a, b, N, D, c, d, tau, s, R, "eisenstein")
                 for a, b in labels]
         assert got == want
@@ -260,14 +259,45 @@ class TestNaiveKernel:
                 for s in (3, 6, 8):
                     labels = [(0, rng.randrange(1, N)), (rng.randrange(1, N), rng.randrange(N))]
                     tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0))
-                    got = _naive_sums(labels, N, D, c, d, tau, s, LatticeTruncation(R))
+                    got = _naive_sums(labels, N, D, [(c, d)], tau, s, LatticeTruncation(R))
                     for (a, b), v in zip(labels, got):
                         want = oracles.naive_sum_rows(a, b, N, D, c, d, tau, s, R, "box")
                         assert abs(v - want) < 1e-13 * max(1.0, abs(want)), (R, D, c, d, s)
 
+    def test_vs_mpmath(self):
+        # against a dps-30 brute-force sum of the same terms, to 1e-13 x
+        # max(1, |value|): an accuracy check that no float summation order
+        # enters, one coset at a time and a coset list in one call; s is
+        # drawn per case
+        def brute(a, b, N, D, cosets, tau, s, R):
+            with mpmath.workdps(30):
+                t, total = mpmath.mpc(tau), 0
+                for c, d in cosets:
+                    for m in range(-R, R + 1):
+                        x = (m + mpmath.mpf(c) / D) * t + mpmath.mpf(d) / D
+                        for n in range(-R, R + 1):
+                            if c == d == m == n == 0:
+                                continue
+                            e = ((D * m + c) * b - (D * n + d) * a) % N
+                            total += mpmath.expjpi(mpmath.mpf(2 * e) / N) / (x + n) ** s
+                return complex(total)
+
+        rng = random.Random(18)
+        cases = [(R, D, [(c, d)]) for R in (1, 2, 5, 13)
+                 for D, c, d in ((1, 0, 0), (2, 1, 0), (3, 0, 2), (3, 2, 1))]
+        cases += [(5, D, [(c, d) for c in range(D) for d in range(D) if c or d]) for D in (2, 3)]
+        for R, D, cosets in cases:
+            N, s = rng.randint(2, 12), rng.randint(1, 8)
+            labels = [(rng.randrange(N), rng.randrange(N)) for _ in range(2)]
+            tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0))
+            got = _naive_sums(labels, N, D, cosets, tau, s, LatticeTruncation(R))
+            for (a, b), v in zip(labels, got):
+                want = brute(a, b, N, D, cosets, tau, s, R)
+                assert abs(v - want) < 1e-13 * max(1.0, abs(want)), (R, D, cosets, s)
+
     def test_grid_work_does_not_grow_with_labels(self, monkeypatch):
         # every label reads the block's class sums: one grid of powers per
-        # block, of columns +n and -n, whatever the number of labels
+        # block, of columns 0, +n and -n, whatever the number of labels
         calls = []
         power = eisenstein._power
 
@@ -280,12 +310,12 @@ class TestNaiveKernel:
         for labels in ([(1, 2)], [(1, 2), (0, 3), (4, 4)]):
             for D, c, d in ((1, 0, 0), (3, 2, 1)):
                 calls.clear()
-                _naive_sums(labels, 5, D, c, d, TAU, 6, LatticeTruncation(40))
+                _naive_sums(labels, 5, D, [(c, d)], TAU, 6, LatticeTruncation(40))
                 counts.append(calls[:])
         assert counts[:2] == counts[2:]
-        # R = 40 is one block: rows 0..40 (c = d = 0) or -40..40, by 2R
+        # R = 40 is one block: rows 0..40 (c = d = 0) or -40..40, by 2R + 1
         # columns; z^6 takes three nested _power calls
-        assert counts[:2] == [[(41, 80)] * 3, [(81, 80)] * 3]
+        assert counts[:2] == [[(41, 81)] * 3, [(81, 81)] * 3]
 
     @pytest.mark.parametrize("ordering, k", [("eisenstein", 2), ("eisenstein", 5), ("box", 4)])
     def test_F_tilde_is_two_F_calls(self, ordering, k):
@@ -344,9 +374,9 @@ class TestLipschitzKernel:
         calls = []
         rows = eisenstein._T_rows
 
-        def counted(x, xi, s):
+        def counted(x, p, q, s):
             calls.append(len(x))
-            return rows(x, xi, s)
+            return rows(x, p, q, s)
 
         monkeypatch.setattr(eisenstein, "_T_rows", counted)
         for D in (2, 3):
@@ -374,9 +404,9 @@ class TestLipschitzKernel:
             calls.clear()
             eisenstein.coset_sum(1, 2, 5, D, TAU, 4)
             assert calls == [((D - 1) * 2 * 5,)]
-            for xi, s in ((Fraction(-D, 5), 4), (Fraction(1, 3), 3), (Fraction(0), 2)):
+            for p, q, s in ((-D, 5, 4), (1, 3, 3), (0, 1, 2)):
                 xs = [d / D for d in range(D)]
-                assert _row_real(xs, xi, s) == [_row_real([x], xi, s)[0] for x in xs]
+                assert _row_real(xs, p, q, s) == [_row_real([x], p, q, s)[0] for x in xs]
 
 
 class TestWeightOneDomain:
@@ -521,6 +551,17 @@ class TestFTilde:
         v = F_tilde(q, 2, allow_degenerate=True)
         expect = 4 * F(q)
         assert abs(v - expect) < 1e-13 * max(1.0, abs(expect))
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_degenerate_naive_takes_the_row_sum(self, k):
+        # in naive mode the first label is the square sum and the trivial
+        # character is the Lipschitz row sum, bit for bit
+        D, N = 2, 2
+        q = EisensteinQuery(a=1, b=1, N=N, k=k, tau=TAU, mode="naive",
+                            trunc=LatticeTruncation(60))
+        trivial, = eisenstein._lattice_sums([(0, 0)], N, 1, [(0, 0)], TAU, k, "lipschitz", None)
+        second = (-1) ** (k + 1) * math.factorial(k - 1) * trivial
+        assert F_tilde(q, D, allow_degenerate=True) == D**2 * F(q) - D ** (2 - k) * second
 
 
 class TestOrderedWeightTwo:

@@ -12,7 +12,6 @@ from epolylog.numerics import (
     cauchy_coeffs,
     contour_integral,
     finite_diff,
-    kahan_sum,
     richardson,
     stencil_nodes,
 )
@@ -141,17 +140,4 @@ class TestContourIntegral:
 
     def test_analytic_vanishes(self):
         assert abs(contour_integral(np.exp, 0.3, 0.5)) < 1e-13
-
-
-class TestSummation:
-    def test_kahan_recovers_small_terms(self):
-        # 10000 units accumulated onto 1e16 all round away in a plain sum
-        terms = [1e16] + [1.0] * 10000 + [-1e16]
-        assert kahan_sum(terms) == 10000.0
-        assert sum(terms) == 0.0
-
-    def test_kahan_matches_fsum(self):
-        rng = np.random.default_rng(3)
-        xs = rng.standard_normal(500) * 10.0 ** rng.integers(-8, 8, 500)
-        assert abs(kahan_sum(xs) - math.fsum(xs)) < 1e-12 * max(1.0, abs(math.fsum(xs)))
 

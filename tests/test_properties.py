@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from epolylog.eisenstein import EisensteinQuery, F
 from epolylog.kronecker import KroneckerPoint, jacobi_J, s_coeffs
-from epolylog.numerics import kahan_sum
 from epolylog.weierstrass import (
     ModuliPoint,
     eta_periods,
@@ -96,13 +95,6 @@ def test_reduce_to_cell_reconstruction(z, t):
     alpha = complex(z0).real - beta * t.real
     assert abs(alpha) <= 0.5 + 1e-9
     assert abs(beta) <= 0.5 + 1e-9
-
-
-@given(xs=st.lists(st.floats(-1e8, 1e8, **finite), min_size=1, max_size=200))
-@settings(max_examples=60)
-def test_kahan_matches_fsum(xs):
-    exact = math.fsum(xs)
-    assert abs(kahan_sum(xs) - exact) <= 1e-9 * max(1.0, abs(exact))
 
 
 @given(z=zs, t=taus, D=st.integers(2, 3))
