@@ -23,10 +23,10 @@ coset_sum evaluates the shifted, character-twisted sums of the same kind
 (Eisenstein-Kronecker series, Bannai-Kobayashi arXiv:math/0610163) over the
 nonzero cosets of D^-1 Z^2 / Z^2, which the torsion specialization in polylog
 needs. Every sum goes through one dispatch, _lattice_sums, the only place
-that picks a kernel: _naive_sums sums every label over every coset of a call
-from class sums of n mod N that the labels share, one math.fsum per label;
-_lipschitz_sum sums one label over all cosets with one _T_rows call. F and
-both labels of F_tilde are the coset c = d = 0, D = 1.
+that picks a kernel, and each kernel sums every label over every coset of a
+call: _naive_sums from class sums of n mod N that the labels share, one
+math.fsum per label; _lipschitz_sums with one _T_batch call on the rows of
+both half-planes. F and both labels of F_tilde are the coset c = d = 0, D = 1.
 """
 
 from __future__ import annotations
@@ -102,21 +102,17 @@ def _row_real(xs, p: int, q: int, s: int) -> list:
         return []
     r = np.arange(q)
     args = np.concatenate([a for x in xs for a in ((r + x) / q, (r + 1.0 - x) / q)])
-    for i, x in enumerate(xs):
-        if not x:
-            args[2 * q * i] = 1.0
+    args[[2 * q * i for i, x in enumerate(xs) if not x]] = 1.0
     w = np.exp(2j * np.pi * p * np.concatenate([r, -(r + 1)]) / q)
     w[q:] *= (-1) ** s
     z = hurwitz_zeta(s, args)
     return [complex(w @ z[i:i + 2 * q]) / q**s for i in range(0, len(z), 2 * q)]
 
 
-def _T_batch(x: np.ndarray, xi: float, s: int) -> np.ndarray:
-    """T(x, xi, s) for an array of x with Im x > 0, xi in [0, 1), and xi != 0
-    when s = 1."""
-    x = np.asarray(x, dtype=complex)
-    if x.size == 0:
-        return x
+def _T_batch(x: np.ndarray, xi: np.ndarray, col: np.ndarray, s: int) -> np.ndarray:
+    """T(x, xi[col], s) for an array of x with Im x > 0: xi holds one shift
+    in [0, 1) per column (not 0 when s = 1), col the column of each x. The
+    weights (l - xi)^(s-1) are one power per column, taken by index."""
     im_min = float(x.imag.min())
     if im_min <= 0.0:
         raise ValueError("batch rows need Im x > 0")
@@ -128,53 +124,56 @@ def _T_batch(x: np.ndarray, xi: float, s: int) -> np.ndarray:
     a = A / max(s - 1, 1)
     c = 1.0 + a + math.log1p(a)
     u = (s - 1) * (a + math.log(c)) / ((1.0 - 1.0 / c) * y) if s > 1 else A / y
-    L = max(int(math.ceil(48.0 / y)) + s + 6, math.ceil(u - 1.0 + xi))
-    freq = np.arange(1, L + 1) - xi
+    L = max(int(math.ceil(48.0 / y)) + s + 6, math.ceil(u - 1.0 + max(xi)))
     # e^(2 pi i (l - xi) x) = e^(2 pi i (1 - xi) x) u^(l-1), u = e^(2 pi i x):
     # two exps per row and a running product along the frequencies
     phase = np.repeat(np.exp(2j * np.pi * x)[None], L, axis=0)
-    phase[0] = np.exp(2j * np.pi * (1.0 - xi) * x)
+    phase[0] = np.exp(2j * np.pi * (1.0 - xi)[col] * x)
     np.cumprod(phase, axis=0, out=phase)
     # summed in term order, each row alone, and off the (multithreaded) BLAS
-    return c_einsum("l,lr->r", freq ** (s - 1), phase) * (-2j * np.pi) ** s / math.factorial(s - 1)
+    weights = ((np.arange(1, L + 1)[:, None] - xi) ** (s - 1)).take(col, axis=1)
+    return c_einsum("lr,lr->r", weights, phase) * (-2j * np.pi) ** s / math.factorial(s - 1)
 
 
-def _T_rows(x: np.ndarray, p: int, q: int, s: int) -> np.ndarray:
-    """T at xi = p/q over rows with any nonzero Im x, reflected where needed."""
-    out = np.empty(x.shape, dtype=complex)
-    up = x.imag > 0
-    out[up] = _T_batch(x[up], p % q / q, s)
-    out[~up] = (-1) ** s * _T_batch(-x[~up], -p % q / q, s)
-    return out
-
-
-def _lipschitz_sum(a: int, b: int, N: int, D: int, cosets, t: complex, s: int) -> complex:
-    """The lattice sum of coset_sum over the given cosets (c, d), by rows:
-    row m of coset (c, d) carries the character zeta_N^((Dm+c)b - da), and
-    its sum over n is T(x, -Da/N, s) at x = (m + c/D) tau + d/D. The cosets
-    share xi = -Da/N and the row range, so the rows of all of them go
-    through one _T_rows call, whose term count the smallest Im x of the
-    batch sets. Row 0 is real when c = 0: one _row_real call at the d/D of
-    those cosets, without the origin when d = 0 (so F is the case D = 1,
-    cosets [(0, 0)]). s = 1 needs Da != 0 mod N."""
-    g = math.gcd(D * a, N)  # xi = -Da/N = p/q in lowest terms
-    p, q = -D * a // g, N // g
-    # rows m > 0 decay like e^(-2 pi m Im(tau) (1 - xi mod 1)), by the slowest
-    # frequency of T(x, xi, s); rows m < 0 by that of T(-x, -xi, s)
-    up, down = (int(math.ceil(45.0 / (2.0 * math.pi * t.imag * ((N - e) / N)))) + 4
-                for e in ((-D * a) % N, (D * a) % N))
-    m = np.arange(-down, up + 1)
+def _lipschitz_sums(labels, N: int, D: int, cosets, t: complex, s: int) -> list:
+    """The lattice sum of coset_sum over the given cosets (c, d), one sum per
+    character label (a, b) in labels, by rows: row m of coset (c, d) carries
+    the character zeta_N^((Dm+c)b - da), and its sum over n is T(x, -Da/N, s)
+    at x = (m + c/D) tau + d/D. Row 0 is real when c = 0: one _row_real call
+    per label at the d/D of those cosets, without the origin when d = 0 (so F
+    is the case D = 1, cosets [(0, 0)]). Every other row of every label and
+    coset goes through one _T_batch call, whose term count the smallest Im x
+    of all of them sets; the rows with Im x < 0 are reflected first,
+    T(x, xi, s) = (-1)^s T(-x, -xi mod 1, s), so each label has two columns
+    of xi. s = 1 needs Da != 0 mod N."""
     roots = _roots_of_unity(N)
     ds = [d for c, d in cosets if c == 0]
-    row0, xs, chars = 0.0, [], []
-    for d, v in zip(ds, _row_real([d / D for d in ds], p, q, s)):
-        row0 += roots[(-d * a) % N] * v
-    for c, d in cosets:
-        mc = m if c else m[m != 0]
-        xs.append((mc + c / D) * t + d / D)
-        chars.append(roots[(D * b * mc + (c * b - d * a)) % N])
-    rows = np.concatenate(chars) * _T_rows(np.concatenate(xs), p, q, s)
-    return complex(row0 + np.sum(rows))
+    row0s, sizes, xis, xs, chars = [], [], [], [], []
+    for a, b in labels:
+        g = math.gcd(D * a, N)  # xi = -Da/N = p/q in lowest terms
+        p, q = -D * a // g, N // g
+        xis += [p % q / q, -p % q / q]
+        row0s.append(sum(roots[(-d * a) % N] * v
+                         for d, v in zip(ds, _row_real([d / D for d in ds], p, q, s))))
+        # rows m > 0 decay like e^(-2 pi m Im(tau) (1 - xi mod 1)), by the slowest
+        # frequency of T(x, xi, s); rows m < 0 by that of T(-x, -xi, s)
+        up, down = (int(math.ceil(45.0 / (2.0 * math.pi * t.imag * ((N - e) / N)))) + 4
+                    for e in ((-D * a) % N, (D * a) % N))
+        m = np.arange(-down, up + 1)
+        for c, d in cosets:
+            mc = m if c else m[m != 0]
+            xs.append((mc + c / D) * t + d / D)
+            chars.append(roots[(D * b * mc + (c * b - d * a)) % N])
+        sizes.append(sum(map(len, xs[-len(cosets):])))
+    x, chars = np.concatenate(xs), np.concatenate(chars)
+    col = np.arange(0, 2 * len(labels), 2).repeat(sizes)
+    down = x.imag < 0
+    np.negative(x, out=x, where=down)
+    np.multiply(chars, (-1) ** s, out=chars, where=down)
+    col += down
+    rows = chars * _T_batch(x, np.array(xis), col, s)
+    return [complex(row0 + rows[end - n:end].sum())
+            for row0, n, end in zip(row0s, sizes, np.cumsum(sizes))]
 
 
 # terms per block of denominators in the naive kernel (a row longer than this
@@ -255,8 +254,8 @@ def _lattice_sums(labels, N: int, D: int, cosets, t: complex, s: int, mode: str,
                   trunc: LatticeTruncation | None) -> list:
     """The one dispatch of every lattice sum here: one sum per character
     label (a, b) in labels, over the cosets (c, d) mod D (no coset sums to
-    0), by the kernel of mode: _lipschitz_sum takes one label and every
-    coset, _naive_sums every label and every coset."""
+    0), by the kernel of mode, _lipschitz_sums or _naive_sums, each called
+    once with every label and every coset."""
     if mode not in ("naive", "lipschitz"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "naive" and trunc is None:
@@ -264,15 +263,15 @@ def _lattice_sums(labels, N: int, D: int, cosets, t: complex, s: int, mode: str,
     if not cosets:
         return [0j] * len(labels)
     if mode == "lipschitz":
-        return [_lipschitz_sum(a, b, N, D, cosets, t, s) for a, b in labels]
+        return _lipschitz_sums(labels, N, D, cosets, t, s)
     return _naive_sums(labels, N, D, cosets, t, s, trunc)
 
 
 def F(query: EisensteinQuery) -> complex:
     """Evaluate the weight-k level-N Eisenstein series for the query.
 
-    mode "naive" requires trunc and sums its square in the eisenstein order;
-    box, which declares absolute convergence, raises ConvergenceModeError at k <= 2.
+    mode "naive" requires trunc and sums the terms of its square |m|, |n| <= R,
+    exactly rounded; box is refused below weight 3 (ConvergenceModeError).
     mode "lipschitz" sums rows in closed form and works for all k >= 1.
     Weight 1 raises ConvergenceModeError when a = 0 mod N, and in mode
     "naive" also when b = 0 mod N.
@@ -345,7 +344,7 @@ def coset_sum(a: int, b: int, N: int, D: int, tau, s: int, mode: str = "lipschit
 
 
 def eisenstein_sum_k2(a: int, b: int, N: int, tau, trunc: LatticeTruncation) -> complex:
-    """Weight-2 series in the eisenstein order (inner n, then m, both paired
-    symmetrically); weight 2 converges only conditionally, so box raises
-    ConvergenceModeError."""
+    """Weight-2 series as the naive sum of the terms of the square |m|, |n| <= R
+    of trunc, exactly rounded; weight 2 converges only conditionally, so box
+    is refused below weight 3 (ConvergenceModeError)."""
     return F(EisensteinQuery(a=a, b=b, N=N, k=2, tau=tau, mode="naive", trunc=trunc))

@@ -14,7 +14,7 @@ from epolylog.eisenstein import (
     EisensteinQuery,
     F,
     F_tilde,
-    _lipschitz_sum,
+    _lipschitz_sums,
     _naive_sums,
     _row_real,
     _T_batch,
@@ -45,6 +45,11 @@ class TestQueryValidation:
             EisensteinQuery(a=1, b=0, N=4, k=3, tau=TAU, mode="magic")
         with pytest.raises(ValueError):
             EisensteinQuery(a=1, b=0, N=4, k=3, tau=0.5)
+
+
+def _T_one(x, xi, s):
+    """_T_batch on the single row x, with its own xi."""
+    return _T_batch(np.array([x]), np.array([xi]), np.array([0]), s)[0]
 
 
 class TestRowMachinery:
@@ -79,7 +84,7 @@ class TestRowMachinery:
         for l in range(1, 80):
             acc += (l - xi) ** (s - 1) * mpmath.exp(2j * mpmath.pi * (l - xi) * x)
         ref = (-2j * mpmath.pi) ** s / mpmath.factorial(s - 1) * acc
-        got = _T_batch(np.array([0.3 + 0.9j]), 0.25, 3)[0]
+        got = _T_one(0.3 + 0.9j, 0.25, 3)
         assert abs(got - complex(ref)) < 1e-14
 
     def test_T_batch_phase_grid_vs_mpmath(self):
@@ -114,7 +119,7 @@ class TestRowMachinery:
                 xi = Fraction(1, 3)
             ref = series(x, xi, s)
             old = abs(one_exp_per_term(np.array([x]), float(xi), s)[0] - ref) / abs(ref)
-            new = abs(_T_batch(np.array([x]), float(xi), s)[0] - ref) / abs(ref)
+            new = abs(_T_one(x, float(xi), s) - ref) / abs(ref)
             assert new <= 4.0 * max(old, 1e-14), (x, s, xi, old, new)
 
     def test_T_batch_keeps_its_term_count_in_the_box(self):
@@ -123,7 +128,8 @@ class TestRowMachinery:
         # lattice-sums workload draw has Im x >= Im tau/3 >= 0.8/3 (coset rows at
         # D = 3) and s <= 8, and there the first wins, so the sums keep the bits
         # of that count alone. Both fall with y, the first stepping at y = 48/k,
-        # so the points just above those steps cover the whole range
+        # so the points just above those steps cover the whole range. Each row
+        # has its own xi, and keeps the bits of a batch at that xi alone
         def count_48(x, xi, s):
             L = int(math.ceil(48.0 / (2.0 * math.pi * x.imag.min()))) + s + 6
             freq = np.arange(1, L + 1) - xi
@@ -135,13 +141,16 @@ class TestRowMachinery:
         lo = 0.8 / 3
         steps = [48.0 / (2.0 * math.pi * k) * (1 + 1e-12)
                  for k in range(1, 100) if 48.0 / (2.0 * math.pi * k) >= lo]
+        xis = (0.0, 0.5, 11 / 12, 1.0 - 1e-12)
         for im in steps + [lo, 0.4, 0.8, 2.0]:
             x = np.array([0.3 + 1j * im, -0.45 + 1j * (im + 0.8)])
             for s in range(1, 9):
-                for xi in (0.0, 0.5, 11 / 12, 1.0 - 1e-12):
-                    if s == 1 and xi == 0.0:
+                for pair in zip(xis, xis[1:] + xis[:1]):
+                    if s == 1 and 0.0 in pair:
                         continue
-                    assert _T_batch(x, xi, s).tobytes() == count_48(x, xi, s).tobytes()
+                    want = np.array([count_48(x, xi, s)[r] for r, xi in enumerate(pair)])
+                    got = _T_batch(x, np.array(pair), np.array([0, 1]), s)
+                    assert got.tobytes() == want.tobytes()
 
     def test_T_batch_term_count_counts_s(self):
         # ceil(48/y) + s + 6 terms alone ignore the (l - xi)^(s-1) growth: at
@@ -162,11 +171,11 @@ class TestRowMachinery:
         for x, s, xi, tol in ((-20.64 + 0.0638j, 9, Fraction(9, 10), 1e-9),
                               (-22.34 + 0.0603j, 7, Fraction(0), 1e-11)):
             ref = series(x, xi, s)
-            assert abs(_T_batch(np.array([x]), float(xi), s)[0] - ref) / abs(ref) < tol
+            assert abs(_T_one(x, float(xi), s) - ref) / abs(ref) < tol
 
     def test_T_batch_needs_upper_half(self):
         with pytest.raises(ValueError):
-            _T_batch(np.array([0.3 - 0.9j]), 0.25, 3)
+            _T_one(0.3 - 0.9j, 0.25, 3)
 
 
 def _draw_case(rng, ordering):
@@ -332,8 +341,9 @@ class TestNaiveKernel:
 
 class TestLipschitzKernel:
     """The row kernel against the naive box sum of the same cosets: each
-    coset alone (D = 1, c = d = 0 is F without its prefactor), and the
-    nonzero cosets of coset_sum in one call."""
+    coset alone (D = 1, c = d = 0 is F without its prefactor), and two labels
+    over the nonzero cosets of coset_sum (at D = 1 the coset of F) in one
+    call."""
 
     @staticmethod
     def _draw(rng, D, re):
@@ -353,41 +363,60 @@ class TestLipschitzKernel:
             for d in range(D):
                 for re in (0.0, 0.5, rng.uniform(-0.5, 0.5)):
                     a, b, N, s, tau = self._draw(rng, D, re)
-                    got = _lipschitz_sum(a, b, N, D, [(c, d)], tau, s)
+                    got, = _lipschitz_sums([(a, b)], N, D, [(c, d)], tau, s)
                     want = oracles.naive_sum_rows(a, b, N, D, c, d, tau, s, 400, "box")
                     assert type(got) is complex
                     assert abs(got - want) < 1e-8 * max(1.0, abs(want))
-        # all nonzero cosets in one call: their rows share one T batch, whose
-        # term count the smallest Im x of all of them sets
-        cosets = [(c, d) for c in range(D) for d in range(D) if c or d]
-        for re in (0.0, 0.5, rng.uniform(-0.5, 0.5)) if cosets else ():
+        # every label and coset in one call: their rows share one T batch, whose
+        # term count the smallest Im x of all of them sets. The second label
+        # has another xi = -Da/N, and with it other row ranges, as in F_tilde;
+        # it comes from its own stream, so the first labels are drawn as before
+        cosets = [(c, d) for c in range(D) for d in range(D) if c or d] or [(0, 0)]
+        second = random.Random(D)
+        for re in (0.0, 0.5, rng.uniform(-0.5, 0.5)):
             a, b, N, s, tau = self._draw(rng, D, re)
-            got = _lipschitz_sum(a, b, N, D, cosets, tau, s)
-            want = sum(oracles.naive_sum_rows(a, b, N, D, c, d, tau, s, 400, "box")
-                       for c, d in cosets)
-            alone = sum(_lipschitz_sum(a, b, N, D, [coset], tau, s) for coset in cosets)
-            assert type(got) is complex
-            assert abs(got - want) < 1e-8 * max(1.0, abs(want))
-            assert abs(got - alone) < 1e-13 * abs(alone)
+            labels = [(a, b)]
+            while len(labels) < 2:
+                a2, b2 = second.randrange(N), second.randrange(N)
+                if (D * a2) % N != (D * a) % N and ((D * a2) % N or (D * b2) % N):
+                    labels.append((a2, b2))
+            both = _lipschitz_sums(labels, N, D, cosets, tau, s)
+            for (a, b), got in zip(labels, both):
+                one, = _lipschitz_sums([(a, b)], N, D, cosets, tau, s)
+                want = sum(oracles.naive_sum_rows(a, b, N, D, c, d, tau, s, 400, "box")
+                           for c, d in cosets)
+                assert type(got) is complex
+                assert abs(got - want) < 1e-8 * max(1.0, abs(want))
+                assert abs(got - one) < 1e-13 * abs(one)
+            alone = sum(_lipschitz_sums(labels[:1], N, D, [coset], tau, s)[0] for coset in cosets)
+            assert abs(both[0] - alone) < 1e-13 * abs(alone)
 
-    def test_one_row_call_per_coset_sum(self, monkeypatch):
+    def test_one_T_call_per_lattice_sum(self, monkeypatch):
+        # F, both labels of F_tilde and the D^2 - 1 cosets of coset_sum: one
+        # _T_batch call on the rows of every label and coset, both half-planes
         calls = []
-        rows = eisenstein._T_rows
+        batch = eisenstein._T_batch
 
-        def counted(x, p, q, s):
+        def counted(x, xi, col, s):
             calls.append(len(x))
-            return rows(x, p, q, s)
+            return batch(x, xi, col, s)
 
-        monkeypatch.setattr(eisenstein, "_T_rows", counted)
-        for D in (2, 3):
+        monkeypatch.setattr(eisenstein, "_T_batch", counted)
+        q = EisensteinQuery(a=1, b=2, N=5, k=4, tau=TAU)
+        nonzero = [[(c, d) for c in range(D) for d in range(D) if c or d] for D in (2, 3)]
+        for evaluate, labels, D, cosets in (
+                (lambda: F(q), [(1, 2)], 1, [(0, 0)]),
+                (lambda: F_tilde(q, 2), [(1, 2), (2, 4)], 1, [(0, 0)]),
+                (lambda: eisenstein.coset_sum(1, 2, 5, 2, TAU, 4), [(1, 2)], 2, nonzero[0]),
+                (lambda: eisenstein.coset_sum(1, 2, 5, 3, TAU, 4), [(1, 2)], 3, nonzero[1])):
             calls.clear()
-            eisenstein.coset_sum(1, 2, 5, D, TAU, 4)
-            batch = calls[:]
+            evaluate()
+            batch_rows = calls[:]
             calls.clear()
-            for coset in [(c, d) for c in range(D) for d in range(D) if c or d]:
-                _lipschitz_sum(1, 2, 5, D, [coset], TAU, 4)
-            # one call on the rows of all D^2 - 1 cosets
-            assert len(batch) == 1 and batch[0] == sum(calls)
+            for label in labels:
+                for coset in cosets:
+                    _lipschitz_sums([label], 5, D, [coset], TAU, 4)
+            assert len(batch_rows) == 1 and batch_rows[0] == sum(calls)
 
     def test_one_hurwitz_call_per_coset_sum(self, monkeypatch):
         # the real rows 0 of the c = 0 cosets share q and go through one
@@ -418,7 +447,7 @@ class TestWeightOneDomain:
         def no_sum(*args):
             raise AssertionError("summed a lattice outside the weight-one domain")
 
-        monkeypatch.setattr(eisenstein, "_lipschitz_sum", no_sum)
+        monkeypatch.setattr(eisenstein, "_lipschitz_sums", no_sum)
         monkeypatch.setattr(eisenstein, "_naive_sums", no_sum)
 
     @pytest.mark.parametrize("a, b, mode", [

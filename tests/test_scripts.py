@@ -1,0 +1,57 @@
+"""The scripts under scripts/: each imports with src on the path, every
+layer microbenchmark of layer_bench.calls() runs once, and the private
+package names the scripts reach into exist and act as the scripts assume.
+A change to the package that would break a script fails here.
+"""
+import importlib.util
+import math
+from pathlib import Path
+
+import pytest
+
+from epolylog import kronecker, weierstrass
+from epolylog.kronecker import KroneckerPoint, heat_residual
+from epolylog.numerics import DiffConfig
+from epolylog.weierstrass import ModuliPoint
+
+SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+
+
+def _load(path: Path):
+    """Import a script as a module: its main() sits under the __main__ check."""
+    spec = importlib.util.spec_from_file_location(f"scripts_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.stem)
+def test_script_imports(path):
+    _load(path)
+
+
+def test_layer_bench_calls_run_once():
+    calls = _load(next(p for p in SCRIPTS if p.stem == "layer_bench")).calls()
+    for fn in calls.values():
+        fn()
+
+
+def test_contour_radius_sweep_kernel():
+    # kronecker._J on an array of w, as the sweep's rescaled contour samples it
+    sweep = _load(next(p for p in SCRIPTS if p.stem == "contour_radius_sweep"))
+    assert math.isfinite(sweep.rescale_residual(0.23 + 0.11j, 0.5 + 0.8j, 2, 0.4, 4))
+
+
+def test_heat_stencil_is_the_module_constant(monkeypatch):
+    # heat_stencil_scan swaps kronecker._HEAT_STENCIL, which heat_residual reads
+    assert isinstance(kronecker._HEAT_STENCIL, DiffConfig)
+    point = KroneckerPoint(0.23 + 0.11j, 0.17 + 0.05j, ModuliPoint(0.21 + 1.1j))
+    default = heat_residual(point)
+    monkeypatch.setattr(kronecker, "_HEAT_STENCIL", DiffConfig(step=1e-2, richardson_levels=0))
+    assert heat_residual(point) != default
+
+
+def test_theta_weights_cache_counts_misses():
+    # layer_bench counts the theta weights' cache misses of one verify run
+    info = weierstrass._jacobi_weights.cache_info()
+    assert callable(weierstrass._jacobi_weights.cache_clear) and info.misses >= 0
