@@ -14,13 +14,14 @@ F_naive_R500 it prints naive_ns_per_term, that call's wall time over its
 the layer microbenchmarks of the ROADMAP's performance aim:
 
   theta on a 256-point vector and scalar theta_normalized (weierstrass),
-  s_coeffs at n = 8 (kronecker), F in Lipschitz mode and naive F at R = 500
+  s_coeffs at n = 8 (kronecker), F in Lipschitz mode (at the verify-box tau
+  and at 0.5 + 0.03i, near the real axis) and naive F at R = 500
   (eisenstein), naive box F at R = 400, the weight-2 eisenstein_sum_k2 at
   R = 500, naive F_tilde at R = 500 (two labels over one lattice, the call
   of perfbench's lattice-sums F_tilde slots), naive F_tilde and naive
   specialize_eisenstein at R = 100,
   Lipschitz F_tilde at D = 2 and Lipschitz specialize_eisenstein at D = 3
-  (eight cosets of the row kernel), the connection matrices abs_connection
+  (eight cosets of the Lipschitz kernel), the connection matrices abs_connection
   at level 4 (logsheaf), and the connection layer's real cost:
   curvature_residual and closedness_residual at level 4 (closedness_n4
   covers the levels 0-4, the closedness suite's work for one point and D),
@@ -145,6 +146,8 @@ def calls():
         "s_coeffs_n4_fresh_tau": lambda: [s_coeffs(0.23 + 0.11j, t, 2, 4) for t in taus],
         "wp_fresh_tau": lambda: [wp(0.23 + 0.11j, t) for t in taus],
         "F_lipschitz": lambda: F(EisensteinQuery(1, 2, 5, 4, tau)),
+        # near the real axis, outside the verify box, where the rows decay slowly
+        "F_lipschitz_small_im": lambda: F(EisensteinQuery(1, 2, 5, 4, 0.5 + 0.03j)),
         "F_naive_R500": lambda: F(naive(NAIVE_R)),
         "F_naive_box_R400": lambda: F(naive(400, "box")),
         "k2_naive_R500": lambda: eisenstein_sum_k2(1, 2, 5, tau, LatticeTruncation(500)),

@@ -4,29 +4,27 @@
 
 (primed sum: origin excluded). Two evaluators: "naive" sums the terms of the
 square |m|, |n| <= R of a LatticeTruncation, exactly rounded (_naive_sums),
-and "lipschitz" row summation, which converts each row m to an exponential sum
+and "lipschitz" sums by rows (_lipschitz_sums), row m being the exponential sum
 
   T(x, xi, s) = sum_n e^(2 pi i xi n)/(x+n)^s
              = (-2 pi i)^s/(s-1)! sum_{l>=1} (l-xi)^(s-1) e^(2 pi i (l-xi) x)
 
 for Im x > 0 (Im x < 0 by the reflection T(x,xi,s) = (-1)^s T(-x, -xi mod 1, s)).
-The real row m = 0 (origin left out in F) is summed exactly by one Hurwitz
-zeta call at rational arguments, or at weight 1 in closed form. The row
-decomposition realizes the eisenstein summation order, so it is also valid
-at the conditionally convergent weights k <= 2. At k = 1 it needs a != 0
-mod N: with a = 0 row m tends to -+pi i zeta_N^(+-mb) and the rows do not
-sum. The naive square truncation at k = 1 also needs b != 0 mod N, without
-which it converges to another value; outside this domain F raises
-ConvergenceModeError.
+The rows of a half-plane carry a geometric character, so at each frequency
+they sum in closed form (a Lambert series), and the real row m = 0 is a
+Bernoulli polynomial at a rational point. The rows realize the eisenstein
+summation order, so this also holds at the conditionally convergent weights
+k <= 2. At k = 1 it needs a != 0 mod N: with a = 0 row m tends to
+-+pi i zeta_N^(+-mb) and the rows do not sum. The naive square truncation at
+k = 1 also needs b != 0 mod N, without which it converges to another value;
+outside this domain F raises ConvergenceModeError.
 
 coset_sum evaluates the shifted, character-twisted sums of the same kind
 (Eisenstein-Kronecker series, Bannai-Kobayashi arXiv:math/0610163) over the
 nonzero cosets of D^-1 Z^2 / Z^2, which the torsion specialization in polylog
-needs. Every sum goes through one dispatch, _lattice_sums, the only place
-that picks a kernel, and each kernel sums every label over every coset of a
-call: _naive_sums from class sums of n mod N that the labels share, one
-math.fsum per label; _lipschitz_sums with one _T_batch call on the rows of
-both half-planes. F and both labels of F_tilde are the coset c = d = 0, D = 1.
+needs. Every sum goes through one dispatch, _lattice_sums, and each kernel
+sums all labels and cosets of a call in one pass. F and both labels of
+F_tilde are the coset c = d = 0, D = 1.
 """
 
 from __future__ import annotations
@@ -34,10 +32,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from numpy._core.multiarray import c_einsum  # np.einsum without its Python wrapper
-from scipy.special import zeta as hurwitz_zeta
 
 from .numerics import LatticeTruncation
 from .weierstrass import _tau_of
@@ -79,101 +78,93 @@ def _roots_of_unity(N: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(N) / N)
 
 
-def _row_real(xs, p: int, q: int, s: int) -> list:
-    """sum_n e^{2 pi i xi n}/(x+n)^s for each real 0 <= x < 1 in xs and
-    xi = p/q in lowest terms, q >= 1, leaving out the origin n = 0 at x = 0.
-
-    Split n mod q: the terms n >= 0 and n < 0 are Hurwitz zeta values at the
-    2q arguments (r+x)/q and (r+1-x)/q, r = 0..q-1, with the argument 0 at
-    x = 0 replaced by 1 (which drops the origin). The arguments of every x go
-    through one Hurwitz zeta call; each x weights its own 2q values. Exact
-    up to roundoff. s = 1 converges only at x = 0 with xi != 0 mod 1,
-    where the row is -log(1-u) + log(1-conj u) at u = e^{2 pi i xi}.
-    """
-    if not all(0.0 <= x < 1.0 for x in xs):
-        raise ValueError(f"need 0 <= x < 1, got {xs}")
-    p %= q
-    if s == 1:
-        if any(xs):
-            raise ConvergenceModeError("real row needs absolute convergence (s >= 2)")
-        u = cmath.exp(2j * cmath.pi * p / q)
-        return [-cmath.log(1.0 - u) + cmath.log(1.0 - u.conjugate())] * len(xs)
-    if not xs:
-        return []
-    r = np.arange(q)
-    args = np.concatenate([a for x in xs for a in ((r + x) / q, (r + 1.0 - x) / q)])
-    args[[2 * q * i for i, x in enumerate(xs) if not x]] = 1.0
-    w = np.exp(2j * np.pi * p * np.concatenate([r, -(r + 1)]) / q)
-    w[q:] *= (-1) ** s
-    z = hurwitz_zeta(s, args)
-    return [complex(w @ z[i:i + 2 * q]) / q**s for i in range(0, len(z), 2 * q)]
+@lru_cache(maxsize=None)
+def _bernoulli(s: int) -> tuple:
+    """Integers c_0..c_s and M with M B_s(x) = sum_k c_k x^(s-k), B_s the
+    Bernoulli polynomial (c_k = M binom(s, k) B_k, B_1 = -1/2)."""
+    B = [Fraction(1)]
+    for n in range(1, s + 1):
+        B.append(-sum(math.comb(n + 1, k) * B[k] for k in range(n)) / (n + 1))
+    M = math.lcm(*(v.denominator for v in B))
+    return tuple(int(math.comb(s, k) * B[k] * M) for k in range(s + 1)), M
 
 
-def _T_batch(x: np.ndarray, xi: np.ndarray, col: np.ndarray, s: int) -> np.ndarray:
-    """T(x, xi[col], s) for an array of x with Im x > 0: xi holds one shift
-    in [0, 1) per column (not 0 when s = 1), col the column of each x. The
-    weights (l - xi)^(s-1) are one power per column, taken by index."""
-    im_min = float(x.imag.min())
+def _row_zero(a: int, N: int, D: int, ds, s: int) -> complex:
+    """Row m = 0 of the cosets (0, d), d in ds: sum_n zeta_N^(-(Dn+d)a)/(n + d/D)^s,
+    without the origin at d = 0. With k = Dn + d it is D^s sum_(k = d mod D, k != 0)
+    e^(2 pi i k theta)/k^s, theta = -a/N, which the D characters of k mod D split
+    into full sums at theta + j/D, j < D, each -(2 pi i)^s B_s({theta})/s! with B_s
+    at a rational point p/q, q = ND: one exactly rounded quotient of integers. At
+    s = 1 that is the logarithm pair -log(1 - u) + log(1 - 1/u), u = e^(2 pi i theta),
+    which needs theta != 0 mod 1."""
+    coeffs, M = _bernoulli(s)
+    q, total = N * D, 0j
+    for j in range(D):
+        p = (j * N - a * D) % q
+        if s == 1 and not p:
+            raise ConvergenceModeError("the real row at weight 1 needs theta != 0 mod 1")
+        num = sum(c * p ** (s - k) * q**k for k, c in enumerate(coeffs))  # M q^s B_s(p/q)
+        total += sum(cmath.exp(-2j * cmath.pi * j * d / D) for d in ds) * (num / (M * q**s))
+    return -(2j * math.pi) ** s / math.factorial(s) * D ** (s - 1) * total
+
+
+def _lambert(y: np.ndarray, xi: np.ndarray, rho: np.ndarray, t: complex, s: int) -> np.ndarray:
+    """sum_(m >= 0) rho^m T(y + m t, xi, s) for each half (y, xi, rho), Im y > 0,
+    0 <= xi < 1 (not 0 at s = 1), |rho| <= 1: with C_s = (-2 pi i)^s/(s-1)!,
+    at each frequency of T the rows are a geometric series, so this is
+
+      C_s sum_(l >= 1) (l - xi)^(s-1) e^(2 pi i (l - xi) y) / (1 - rho e^(2 pi i (l - xi) t)),
+
+    and rho = 0 gives T(y, xi, s) itself. Every half runs over the same L terms."""
+    im_min = float(y.imag.min())
     if im_min <= 0.0:
-        raise ValueError("batch rows need Im x > 0")
-    # terms u^(s-1) e^(-y u), u = l - xi, shrink by e^(-y/2) a step past 2(s-1)/y; with
-    # A = 48 - log(1 - e^(-y/2)) those after L are e^-48 below the peak once r = u y/(s-1)
-    # has r - log r >= 1 + a, a = A/(s-1), met via log r <= log c + r/c - 1 for c > 1
-    y = 2.0 * math.pi * im_min
-    A = 48.0 - math.log1p(-math.exp(-0.5 * y))
+        raise ValueError("Lambert halves need Im y > 0")
+    # terms u^(s-1) e^(-w u), u = l - xi, shrink by e^(-w/2) a step past 2(s-1)/w; with
+    # A = 48 - log(1 - e^(-w/2)) those after L are e^-48 below the peak once r = u w/(s-1)
+    # has r - log r >= 1 + a, a = A/(s-1), met via log r <= log c + r/c - 1 for c > 1;
+    # there the denominators are 1 to e^-48, as Im t >= Im y
+    w = 2.0 * math.pi * im_min
+    A = 48.0 - math.log1p(-math.exp(-0.5 * w))
     a = A / max(s - 1, 1)
     c = 1.0 + a + math.log1p(a)
-    u = (s - 1) * (a + math.log(c)) / ((1.0 - 1.0 / c) * y) if s > 1 else A / y
-    L = max(int(math.ceil(48.0 / y)) + s + 6, math.ceil(u - 1.0 + max(xi)))
-    # e^(2 pi i (l - xi) x) = e^(2 pi i (1 - xi) x) u^(l-1), u = e^(2 pi i x):
-    # two exps per row and a running product along the frequencies
-    phase = np.repeat(np.exp(2j * np.pi * x)[None], L, axis=0)
-    phase[0] = np.exp(2j * np.pi * (1.0 - xi)[col] * x)
+    u = (s - 1) * (a + math.log(c)) / ((1.0 - 1.0 / c) * w) if s > 1 else A / w
+    L = max(int(math.ceil(48.0 / w)) + s + 6, math.ceil(u - 1.0 + xi.max()))
+    # e^(2 pi i (l - xi) x) = e^(2 pi i (1 - xi) x) u^(l-1), u = e^(2 pi i x), at x = y
+    # and x = t: two exps per column and a running product along the frequencies
+    z = 2j * np.pi * np.concatenate([y, np.full(len(y), t)])
+    phase = np.repeat(np.exp(z)[None], L, axis=0)
+    phase[0] = np.exp((1.0 - np.concatenate([xi, xi])) * z)
     np.cumprod(phase, axis=0, out=phase)
-    # summed in term order, each row alone, and off the (multithreaded) BLAS
-    weights = ((np.arange(1, L + 1)[:, None] - xi) ** (s - 1)).take(col, axis=1)
-    return c_einsum("lr,lr->r", weights, phase) * (-2j * np.pi) ** s / math.factorial(s - 1)
+    f = np.arange(1, L + 1)[:, None] - xi
+    terms = f ** (s - 1) * phase[:, :len(y)] / (1.0 - rho * phase[:, len(y):])
+    return terms.sum(axis=0) * ((-2j * np.pi) ** s / math.factorial(s - 1))
 
 
 def _lipschitz_sums(labels, N: int, D: int, cosets, t: complex, s: int) -> list:
     """The lattice sum of coset_sum over the given cosets (c, d), one sum per
-    character label (a, b) in labels, by rows: row m of coset (c, d) carries
-    the character zeta_N^((Dm+c)b - da), and its sum over n is T(x, -Da/N, s)
-    at x = (m + c/D) tau + d/D. Row 0 is real when c = 0: one _row_real call
-    per label at the d/D of those cosets, without the origin when d = 0 (so F
-    is the case D = 1, cosets [(0, 0)]). Every other row of every label and
-    coset goes through one _T_batch call, whose term count the smallest Im x
-    of all of them sets; the rows with Im x < 0 are reflected first,
-    T(x, xi, s) = (-1)^s T(-x, -xi mod 1, s), so each label has two columns
-    of xi. s = 1 needs Da != 0 mod N."""
-    roots = _roots_of_unity(N)
-    ds = [d for c, d in cosets if c == 0]
-    row0s, sizes, xis, xs, chars = [], [], [], [], []
+    character label (a, b) in labels. Row m of coset (c, d) is zeta_N^((Dm+c)b
+    - da) T(x_m, xi, s), xi = -Da/N mod 1, x_m = (m + c/D) tau + d/D, and its
+    character is a constant times zeta_N^(Dbm). So the rows m >= m0 = [c = 0]
+    are one Lambert half at y = x_m0, rho = zeta_N^(Db), and the rows m <= -1,
+    reflected by T(x, xi, s) = (-1)^s T(-x, -xi mod 1, s), one at y = -x_-1,
+    rho = zeta_N^(-Db); all halves of all labels and cosets go through one
+    _lambert call. Row 0 is real when c = 0: one _row_zero per label over
+    those cosets, without the origin when d = 0 (F is D = 1, cosets
+    [(0, 0)]). s = 1 needs Da != 0 mod N."""
+    roots = _roots_of_unity(N).tolist()
+    halves = []  # (y, xi, rho, character of the first row), label by label
     for a, b in labels:
-        g = math.gcd(D * a, N)  # xi = -Da/N = p/q in lowest terms
-        p, q = -D * a // g, N // g
-        xis += [p % q / q, -p % q / q]
-        row0s.append(sum(roots[(-d * a) % N] * v
-                         for d, v in zip(ds, _row_real([d / D for d in ds], p, q, s))))
-        # rows m > 0 decay like e^(-2 pi m Im(tau) (1 - xi mod 1)), by the slowest
-        # frequency of T(x, xi, s); rows m < 0 by that of T(-x, -xi, s)
-        up, down = (int(math.ceil(45.0 / (2.0 * math.pi * t.imag * ((N - e) / N)))) + 4
-                    for e in ((-D * a) % N, (D * a) % N))
-        m = np.arange(-down, up + 1)
         for c, d in cosets:
-            mc = m if c else m[m != 0]
-            xs.append((mc + c / D) * t + d / D)
-            chars.append(roots[(D * b * mc + (c * b - d * a)) % N])
-        sizes.append(sum(map(len, xs[-len(cosets):])))
-    x, chars = np.concatenate(xs), np.concatenate(chars)
-    col = np.arange(0, 2 * len(labels), 2).repeat(sizes)
-    down = x.imag < 0
-    np.negative(x, out=x, where=down)
-    np.multiply(chars, (-1) ** s, out=chars, where=down)
-    col += down
-    rows = chars * _T_batch(x, np.array(xis), col, s)
-    return [complex(row0 + rows[end - n:end].sum())
-            for row0, n, end in zip(row0s, sizes, np.cumsum(sizes))]
+            m0 = c == 0
+            halves += [((m0 + c / D) * t + d / D, -D * a % N / N, roots[D * b % N],
+                        roots[((D * m0 + c) * b - d * a) % N]),
+                       ((1 - c / D) * t - d / D, D * a % N / N, roots[-D * b % N],
+                        (-1) ** s * roots[((c - D) * b - d * a) % N])]
+    y, xi, rho, pref = map(np.array, zip(*halves))
+    sums = (pref * _lambert(y, xi, rho, t, s)).reshape(len(labels), -1).sum(axis=1)
+    ds = [d for c, d in cosets if c == 0]
+    return [complex(v + _row_zero(a, N, D, ds, s)) if ds else complex(v)
+            for (a, _), v in zip(labels, sums)]
 
 
 # terms per block of denominators in the naive kernel (a row longer than this
@@ -181,13 +172,15 @@ def _lipschitz_sums(labels, N: int, D: int, cosets, t: complex, s: int) -> list:
 _BLOCK = 1 << 13
 
 
-def _power(z: np.ndarray, s: int) -> np.ndarray:
-    """z**s, s >= 1, by binary powering from z itself (a first product by 1
-    would flip signed zeros), so (-z)**s is (-1)**s z**s bit for bit, z != 0."""
+def _power(work: list, s: int) -> np.ndarray:
+    """z**s, z = work[0], s >= 1, by binary powering from z itself (a first product
+    by 1 would flip signed zeros), so (-z)**s is (-1)**s z**s bit for bit, z != 0;
+    the products, z**s among them, go into work[1:] (s.bit_length() - 1 slots)."""
     if s == 1:
-        return z
-    half = _power(z * z, s >> 1)
-    return half * z if s & 1 else half
+        return work[0]
+    np.multiply(work[0], work[0], out=work[1])
+    half = _power(work[1:], s >> 1)
+    return np.multiply(half, work[0], out=half) if s & 1 else half
 
 
 def _naive_sums(labels, N: int, D: int, cosets, t: complex, s: int,
@@ -201,16 +194,17 @@ def _naive_sums(labels, N: int, D: int, cosets, t: complex, s: int,
     The column characters zeta_N^(-(Dn+d)a) depend only on n mod N, so the
     columns are ordered by class: n = 0, then n = r mod N, r = 1..min(N, R),
     for +n and then for -n. Rows run in blocks of at most _BLOCK denominators
-    (memory: _BLOCK plus one value per label and row): one grid of powers
-    (x_m + n)^s by _power, one reciprocal of it (the origin's power set to 1
-    and its class sum to 0), each grid row reduced to its class sums by
-    np.add.reduceat, and one C einsum of every label's class characters with
-    them. At c = d = 0, x_(-m) = -x_m exactly, and complex addition, _power
-    and np.reciprocal are exactly odd under negation, so row -m takes row m's
-    class sums with their +n and -n halves swapped and the sign (-1)^s. The
-    row characters zeta_N^((Dm+c)b) are one array product, and each label's
-    rows of all cosets one math.fsum of the real and of the imaginary parts:
-    exactly rounded, so no order of the rows enters."""
+    (memory: _BLOCK times the bits of s, plus one value per label and row),
+    written into buffers allocated once per call: one grid of powers
+    (x_m + n)^s by _power, one reciprocal of it in place (the origin's power
+    set to 1 and its class sum to 0), each grid row reduced to its class
+    sums by np.add.reduceat, and one C einsum of every label's class
+    characters with them. At c = d = 0, x_(-m) = -x_m exactly, and complex
+    addition, _power and np.reciprocal are exactly odd under negation, so row
+    -m takes row m's class sums with their +n and -n halves swapped and the
+    sign (-1)^s. The row characters zeta_N^((Dm+c)b) are one array product,
+    and each label's rows of all cosets one math.fsum of the real and of the
+    imaginary parts: exactly rounded, so no order of the rows enters."""
     if trunc.ordering == "box" and s < 3:
         raise ConvergenceModeError(f"weight {s} is conditionally convergent; "
                                    "box ordering is not a sum")
@@ -224,6 +218,8 @@ def _naive_sums(labels, N: int, D: int, cosets, t: complex, s: int,
     swap = np.concatenate([[0], np.roll(np.arange(1, len(r)), len(classes))])  # class -r
     a, b = np.array(labels).T
     step = max(1, _BLOCK // len(n))
+    work = list(np.empty((s.bit_length(), min(step, 2 * R + 1), len(n)), dtype=complex))
+    block_sums = np.empty((len(work[0]), len(starts)), dtype=complex)
     rows = np.empty((len(labels), len(cosets), 2 * R + 1), dtype=complex)  # rows m = -R..R
     for j, (c, d) in enumerate(cosets):
         chars = roots[np.outer(-a, D * r + d) % N]
@@ -232,10 +228,14 @@ def _naive_sums(labels, N: int, D: int, cosets, t: complex, s: int,
         xs = (np.arange(lo - R, R + 1) + c / D) * t + d / D
         for i in range(0, len(xs), step):
             origin = paired and not i
-            grid = _power(xs[i:i + step, None] + n, s)
+            x = xs[i:i + step, None]
+            block = work if len(x) == len(work[0]) else [w[:len(x)] for w in work]
+            np.add(x, n, out=block[0])
+            grid = _power(block, s)
             if origin:
                 grid[0, 0] = 1.0
-            sums = np.add.reduceat(np.reciprocal(grid), starts, axis=1)
+            sums = np.add.reduceat(np.reciprocal(grid, out=grid), starts, axis=1,
+                                   out=block_sums[:len(grid)])
             if origin:
                 sums[0, 0] = 0.0
             at, to = lo + i, lo + i + len(grid)

@@ -135,6 +135,50 @@ def F_rows(a, b, N, k, tau, M, R):
     return (-1) ** (k + 1) * math.factorial(k - 1) * total
 
 
+def _row_terms(xi, k, y):
+    """The number of terms l of sum_l (l - xi)^(k-1) e^(-y (l - xi)) down to
+    e^-60 of its largest term, past which they only fall."""
+    def log_term(f):
+        return (k - 1) * math.log(f) - y * f
+
+    top = log_term(max(1.0 - xi, (k - 1) / y))
+    l = max(1, math.ceil((k - 1) / y + xi))
+    while log_term(l - xi) > top - 60.0:
+        l += 1
+    return l
+
+
+def F_rows_mp(a, b, N, k, tau):
+    """Level-N weight-k series at dps 30, one row m at a time,
+
+      (-1)^(k+1) (k-1)! sum_m zeta_N^(mb) sum_n zeta_N^(-na) / (m tau + n)^k:
+
+    row 0 (origin left out) is the polylogarithm pair Li_k(u) + (-1)^k
+    Li_k(1/u), u = e^(-2 pi i a/N); row m > 0 is the exponential series
+    (-2 pi i)^k/(k-1)! sum_(l >= 1) (l - xi)^(k-1) e^(2 pi i (l - xi) m tau),
+    xi = -a/N mod 1, and row -m that series at xi = a/N mod 1 times (-1)^k.
+    The rows run until they fall below e^-50 of row 1, the terms of a row
+    until e^-60 of its largest; a != 0 mod N at k = 1."""
+    with mp.workdps(30):
+        t = mpc(tau)
+        u = mpexp(-2j * mppi * a / N)
+        total = mp.polylog(k, u) + (-1) ** k * mp.polylog(k, 1 / u)
+        roots = [mpexp(2j * mppi * r / N) for r in range(N)]
+        scale = (-2j * mppi) ** k / mp.factorial(k - 1)
+        for sign in (1, -1):
+            xi = mp.mpf((-sign * a) % N) / N
+            rows = int(50.0 / (2.0 * math.pi * float(t.imag) * float(1 - xi))) + 2
+            for m in range(1, rows + 1):
+                x = m * t
+                step = mpexp(2j * mppi * x)
+                term, row = mpexp(2j * mppi * (1 - xi) * x), 0
+                for l in range(1, _row_terms(float(xi), k, 2.0 * math.pi * float(x.imag)) + 1):
+                    row += (l - xi) ** (k - 1) * term
+                    term *= step
+                total += roots[sign * m * b % N] * (-1) ** (k * (sign < 0)) * scale * row
+        return complex((-1) ** (k + 1) * mp.factorial(k - 1) * total)
+
+
 def s_coeffs_ref(z, tau, D, n, nodes=64):
     """Taylor coefficients s_0..s_n of w -> D^2 J(z, w) - D J(Dz, w/D), by the
     trapezoid rule on |w| = r with J from jtheta. The poles nearest to w = 0

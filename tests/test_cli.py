@@ -291,6 +291,16 @@ class TestSubprocess:
         report = json.loads(proc.stdout)
         assert report["overall_pass"] is True
 
+    def test_import_leaves_scipy_out(self):
+        # numpy is the one runtime dependency: no module of the package, the
+        # CLI included, imports scipy, whose import alone is most of the setup
+        # time of a fresh process
+        code = ("import sys, epolylog, epolylog.cli, epolylog.polylog, epolylog.eisenstein; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_byte_identical_stdout(self):
         argv = [sys.executable, "-m", "epolylog.cli", "verify", "curvature", "--seed", "5"]
         a = subprocess.run(argv, capture_output=True)

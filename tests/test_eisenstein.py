@@ -14,10 +14,10 @@ from epolylog.eisenstein import (
     EisensteinQuery,
     F,
     F_tilde,
+    _lambert,
     _lipschitz_sums,
     _naive_sums,
-    _row_real,
-    _T_batch,
+    _row_zero,
     eisenstein_sum_k2,
 )
 from epolylog.numerics import LatticeTruncation
@@ -47,36 +47,67 @@ class TestQueryValidation:
             EisensteinQuery(a=1, b=0, N=4, k=3, tau=0.5)
 
 
+def _T_batch(x, xi, s):
+    """T(x, xi, s) for each x with its own xi: the Lambert halves at rho = 0,
+    one row each (the denominators are exactly 1)."""
+    return _lambert(x, xi, np.zeros(len(x)), 0j, s)
+
+
 def _T_one(x, xi, s):
-    """_T_batch on the single row x, with its own xi."""
-    return _T_batch(np.array([x]), np.array([xi]), np.array([0]), s)[0]
+    """_T_batch on the single row x."""
+    return _T_batch(np.array([x]), np.array([xi]), s)[0]
 
 
 class TestRowMachinery:
     def test_polylog_root_vs_mpmath(self):
         # without the origin, the real row at x = 0 is the polylogarithm pair
-        # Li_s(u) + (-1)^s Li_s(conj u) at the root u = e^{2 pi i xi}
+        # Li_s(u) + (-1)^s Li_s(conj u) at the root u = e^{2 pi i xi}, xi = -a/N
         for s, p, q in [(2, 1, 4), (3, 2, 5), (1, 1, 3), (4, 0, 1), (5, 1, 2)]:
             u = mpmath.exp(2j * mpmath.pi * p / q)
             ref = complex(mpmath.polylog(s, u) + (-1) ** s * mpmath.polylog(s, 1 / u))
-            assert abs(_row_real([0.0], p, q, s)[0] - ref) < 1e-13
+            assert abs(_row_zero(-p, q, 1, [0], s) - ref) < 1e-13
 
     def test_polylog_root_weight_one_at_one_diverges(self):
         with pytest.raises(ValueError):
-            _row_real([0.0], 0, 1, 1)
+            _row_zero(0, 1, 1, [0], 1)
 
     def test_row_real_vs_lerchphi(self):
-        # sum_n e^{2 pi i xi n}/(x+n)^s split into the two lerchphi halves
+        # sum_n e^{2 pi i xi n}/(x+n)^s split into the two lerchphi halves: the
+        # real row x = d/D = 1/4 of the coset (0, 1) at D = 4 and (a, N) = (2, 3),
+        # xi = -Da/N = 1/3 mod 1, under its character zeta_N^(-da)
         x, p, q, s = 0.25, 1, 3, 3
         u = mpmath.exp(2j * mpmath.pi * p / q)
         ref = mpmath.lerchphi(u, s, x) + (-1) ** s / u * mpmath.lerchphi(1 / u, s, 1 - x)
-        assert abs(_row_real([x], p, q, s)[0] - complex(ref)) < 1e-12
+        ref *= mpmath.exp(-2j * mpmath.pi * 2 / 3)
+        assert abs(_row_zero(2, 3, 4, [1], s) - complex(ref)) < 1e-12
 
     def test_row_real_domain(self):
-        with pytest.raises(ValueError):
-            _row_real([1.5], 1, 3, 3)
-        with pytest.raises(ConvergenceModeError):
-            _row_real([0.5], 1, 3, 1)
+        # weight 1 converges only off the integer frequencies theta + j/D
+        for a, N, D in ((0, 3, 1), (5, 5, 1), (1, 2, 2)):
+            with pytest.raises(ConvergenceModeError):
+                _row_zero(a, N, D, [0], 1)
+
+    def test_row_zero_vs_hurwitz(self):
+        # the split into the D classes of k mod D against the rows summed from
+        # mpmath's Hurwitz zeta, class by class of n mod N: every d list of the
+        # c = 0 cosets at D = 2, 3, 4
+        def row(a, N, D, d, s):
+            with mpmath.workdps(30):
+                x, total = mpmath.mpf(d) / D, 0
+                for r in range(N):
+                    char = mpmath.expjpi(mpmath.mpf(-2 * ((D * r + d) * a % N)) / N)
+                    total += char * mpmath.zeta(s, (r + x) / N if r or d else 1) / N**s
+                    char = mpmath.expjpi(mpmath.mpf(-2 * ((-D * (r + 1) + d) * a % N)) / N)
+                    total += (-1) ** s * char * mpmath.zeta(s, (r + 1 - x) / N) / N**s
+                return complex(total)
+
+        rng = random.Random(20)
+        for D in (2, 3, 4):
+            for ds in ([0], list(range(1, D)), list(range(D)), [D - 1]):
+                N, s = rng.randint(2, 9), rng.randint(2, 8)
+                a = rng.randrange(N)
+                want = sum(row(a, N, D, d, s) for d in ds)
+                assert abs(_row_zero(a, N, D, ds, s) - want) < 1e-13 * max(1.0, abs(want))
 
     def test_T_batch_vs_direct_sum(self):
         x, xi, s = mpmath.mpc(0.3, 0.9), 0.25, 3
@@ -91,7 +122,7 @@ class TestRowMachinery:
         # the phase grid as a running product u^(l-1), u = e^(2 pi i x), is no
         # less accurate than one exp per term, point by point within a factor
         # 4 (below a 1e-14 relative floor, roundoff of the phase of u at
-        # |Re x| = 30), over a sweep against a dps-30 series; _T_batch sums at
+        # |Re x| = 30), over a sweep against a dps-30 series; _lambert sums at
         # least the reference's ceil(48/y) + s + 6 terms, so its truncation
         # error is no larger
         def one_exp_per_term(x, xi, s):
@@ -129,14 +160,16 @@ class TestRowMachinery:
         # D = 3) and s <= 8, and there the first wins, so the sums keep the bits
         # of that count alone. Both fall with y, the first stepping at y = 48/k,
         # so the points just above those steps cover the whole range. Each row
-        # has its own xi, and keeps the bits of a batch at that xi alone
+        # has its own xi, and keeps the bits of a batch at that xi alone (rho = 0
+        # makes every denominator exactly 1)
         def count_48(x, xi, s):
             L = int(math.ceil(48.0 / (2.0 * math.pi * x.imag.min()))) + s + 6
-            freq = np.arange(1, L + 1) - xi
-            phase = np.repeat(np.exp(2j * np.pi * x)[None], L, axis=0)
-            phase[0] = np.exp(2j * np.pi * (1.0 - xi) * x)
+            z = 2j * np.pi * x
+            phase = np.repeat(np.exp(z)[None], L, axis=0)
+            phase[0] = np.exp((1.0 - xi) * z)
             np.cumprod(phase, axis=0, out=phase)
-            return (freq ** (s - 1)) @ phase * (-2j * np.pi) ** s / math.factorial(s - 1)
+            terms = (np.arange(1, L + 1)[:, None] - xi) ** (s - 1) * phase
+            return terms.sum(axis=0) * ((-2j * np.pi) ** s / math.factorial(s - 1))
 
         lo = 0.8 / 3
         steps = [48.0 / (2.0 * math.pi * k) * (1 + 1e-12)
@@ -149,7 +182,7 @@ class TestRowMachinery:
                     if s == 1 and 0.0 in pair:
                         continue
                     want = np.array([count_48(x, xi, s)[r] for r, xi in enumerate(pair)])
-                    got = _T_batch(x, np.array(pair), np.array([0, 1]), s)
+                    got = _T_batch(x, np.array(pair), s)
                     assert got.tobytes() == want.tobytes()
 
     def test_T_batch_term_count_counts_s(self):
@@ -310,9 +343,9 @@ class TestNaiveKernel:
         calls = []
         power = eisenstein._power
 
-        def counted(z, s):
-            calls.append(z.shape)
-            return power(z, s)
+        def counted(work, s):
+            calls.append(work[0].shape)
+            return power(work, s)
 
         monkeypatch.setattr(eisenstein, "_power", counted)
         counts = []
@@ -340,10 +373,10 @@ class TestNaiveKernel:
 
 
 class TestLipschitzKernel:
-    """The row kernel against the naive box sum of the same cosets: each
+    """The Lambert kernel against the naive box sum of the same cosets: each
     coset alone (D = 1, c = d = 0 is F without its prefactor), and two labels
     over the nonzero cosets of coset_sum (at D = 1 the coset of F) in one
-    call."""
+    call; its halves against their rows summed one by one."""
 
     @staticmethod
     def _draw(rng, D, re):
@@ -367,8 +400,8 @@ class TestLipschitzKernel:
                     want = oracles.naive_sum_rows(a, b, N, D, c, d, tau, s, 400, "box")
                     assert type(got) is complex
                     assert abs(got - want) < 1e-8 * max(1.0, abs(want))
-        # every label and coset in one call: their rows share one T batch, whose
-        # term count the smallest Im x of all of them sets. The second label
+        # every label and coset in one call: their halves share one frequency
+        # pass, whose term count the smallest Im y of all of them sets. The second label
         # has another xi = -Da/N, and with it other row ranges, as in F_tilde;
         # it comes from its own stream, so the first labels are drawn as before
         cosets = [(c, d) for c in range(D) for d in range(D) if c or d] or [(0, 0)]
@@ -388,20 +421,29 @@ class TestLipschitzKernel:
                 assert type(got) is complex
                 assert abs(got - want) < 1e-8 * max(1.0, abs(want))
                 assert abs(got - one) < 1e-13 * abs(one)
-            alone = sum(_lipschitz_sums(labels[:1], N, D, [coset], tau, s)[0] for coset in cosets)
-            assert abs(both[0] - alone) < 1e-13 * abs(alone)
+            # the cosets can cancel far below their own size, so roundoff is
+            # measured against the largest of them
+            alone = [_lipschitz_sums(labels[:1], N, D, [coset], tau, s)[0] for coset in cosets]
+            assert abs(both[0] - sum(alone)) < 1e-13 * max(map(abs, alone))
 
     def test_one_T_call_per_lattice_sum(self, monkeypatch):
         # F, both labels of F_tilde and the D^2 - 1 cosets of coset_sum: one
-        # _T_batch call on the rows of every label and coset, both half-planes
-        calls = []
-        batch = eisenstein._T_batch
+        # frequency pass (_lambert call) on the halves of every label and
+        # coset, as many as the one-label one-coset calls have together, and
+        # one closed-form row 0 per label when a coset has c = 0
+        calls, rows0 = [], []
+        lambert, row_zero = eisenstein._lambert, eisenstein._row_zero
 
-        def counted(x, xi, col, s):
-            calls.append(len(x))
-            return batch(x, xi, col, s)
+        def counted(y, xi, rho, t, s):
+            calls.append(len(y))
+            return lambert(y, xi, rho, t, s)
 
-        monkeypatch.setattr(eisenstein, "_T_batch", counted)
+        def counted_row(a, N, D, ds, s):
+            rows0.append(len(ds))
+            return row_zero(a, N, D, ds, s)
+
+        monkeypatch.setattr(eisenstein, "_lambert", counted)
+        monkeypatch.setattr(eisenstein, "_row_zero", counted_row)
         q = EisensteinQuery(a=1, b=2, N=5, k=4, tau=TAU)
         nonzero = [[(c, d) for c in range(D) for d in range(D) if c or d] for D in (2, 3)]
         for evaluate, labels, D, cosets in (
@@ -410,32 +452,52 @@ class TestLipschitzKernel:
                 (lambda: eisenstein.coset_sum(1, 2, 5, 2, TAU, 4), [(1, 2)], 2, nonzero[0]),
                 (lambda: eisenstein.coset_sum(1, 2, 5, 3, TAU, 4), [(1, 2)], 3, nonzero[1])):
             calls.clear()
+            rows0.clear()
             evaluate()
-            batch_rows = calls[:]
+            halves, real_rows = calls[:], rows0[:]
+            assert real_rows == [D - 1 if D > 1 else 1] * len(labels)
             calls.clear()
             for label in labels:
                 for coset in cosets:
                     _lipschitz_sums([label], 5, D, [coset], TAU, 4)
-            assert len(batch_rows) == 1 and batch_rows[0] == sum(calls)
+            assert halves == [2 * len(labels) * len(cosets)] == [sum(calls)]
 
-    def test_one_hurwitz_call_per_coset_sum(self, monkeypatch):
-        # the real rows 0 of the c = 0 cosets share q and go through one
-        # Hurwitz zeta call; each keeps the bits of its own call
-        calls = []
-        zeta = eisenstein.hurwitz_zeta
+    def test_lambert_vs_rows_mpmath(self):
+        # each half is sum_(m >= 0) rho^m T(y + m t, xi, s): against those rows
+        # summed one by one, each by its exponential series, at dps 30, for
+        # rho a root of unity (1 among them) and for Im y below and at Im t
+        def rows(y, xi, rho, t, s):
+            with mpmath.workdps(30):
+                y, t, xi = mpmath.mpc(y), mpmath.mpc(t), mpmath.mpf(xi.numerator) / xi.denominator
+                total, m = 0, 0
+                while True:
+                    x = y + m * t
+                    u = mpmath.exp(2j * mpmath.pi * x)
+                    term, row = mpmath.exp(2j * mpmath.pi * (1 - xi) * x), 0
+                    for l in range(1, int(60.0 / (2.0 * math.pi * float(x.imag))) + 3 * s + 4):
+                        row += (l - xi) ** (s - 1) * term
+                        term *= u
+                    total += rho**m * row
+                    if abs(row) < 1e-22 * abs(total):
+                        break
+                    m += 1
+                return complex((-2j * mpmath.pi) ** s / mpmath.factorial(s - 1) * total)
 
-        def counted(s, x):
-            calls.append(x.shape)
-            return zeta(s, x)
-
-        monkeypatch.setattr(eisenstein, "hurwitz_zeta", counted)
-        for D in (2, 3):
-            calls.clear()
-            eisenstein.coset_sum(1, 2, 5, D, TAU, 4)
-            assert calls == [((D - 1) * 2 * 5,)]
-            for p, q, s in ((-D, 5, 4), (1, 3, 3), (0, 1, 2)):
-                xs = [d / D for d in range(D)]
-                assert _row_real(xs, p, q, s) == [_row_real([x], p, q, s)[0] for x in xs]
+        rng = random.Random(19)
+        for _ in range(12):
+            t = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0))
+            N, s = rng.randint(2, 7), rng.randint(1, 8)
+            halves = []
+            for _ in range(3):
+                xi = Fraction(rng.randrange(1 if s == 1 else 0, N), N)
+                y = complex(rng.uniform(-0.5, 0.5), t.imag * rng.choice((1 / 3, 1 / 2, 1.0)))
+                halves.append((y, xi, rng.randrange(N)))
+            y, xi, r = map(np.array, zip(*halves))
+            got = _lambert(y, xi.astype(float), np.exp(2j * np.pi * r / N), t, s)
+            for v, (y, xi, r) in zip(got, halves):
+                rho = mpmath.expjpi(mpmath.mpf(2 * r) / N)
+                want = rows(y, xi, rho, t, s)
+                assert abs(v - want) < 1e-13 * max(1.0, abs(want)), (y, xi, r, t, s)
 
 
 class TestWeightOneDomain:
@@ -489,6 +551,15 @@ class TestF:
         for k, tol in ((3, 1e-6), (4, 1e-9)):
             lip = F(EisensteinQuery(a=1, b=2, N=5, k=k, tau=TAU))
             assert abs(lip - oracles.F_brute(1, 2, 5, k, TAU, R=400)) < tol
+
+    def test_small_im_tau_vs_rows(self):
+        # near the real axis the rows decay slowly (about 2000 rows of up to 500
+        # terms at 0.02i); the Lambert halves sum them in closed form, within
+        # 1e-12 relative of the rows summed one by one at dps 30
+        for tau in (0.02j, 0.5 + 0.03j):
+            got = F(EisensteinQuery(a=1, b=2, N=5, k=4, tau=tau))
+            want = oracles.F_rows_mp(1, 2, 5, 4, tau)
+            assert abs(got - want) < 1e-12 * abs(want), tau
 
     def test_naive_box_vs_brute(self):
         # the kernel's products and shared reciprocal against numpy ** and /
