@@ -462,6 +462,27 @@ class TestLipschitzKernel:
                     _lipschitz_sums([label], 5, D, [coset], TAU, 4)
             assert halves == [2 * len(labels) * len(cosets)] == [sum(calls)]
 
+    def test_one_hurwitz_call_per_coset_sum(self, monkeypatch):
+        # the real rows 0 of the c = 0 cosets (0, d), d = 1 .. D-1, share theta
+        # and go through one closed-form Hurwitz call (_row_zero) over all d;
+        # that call is the sum of the one-d calls up to roundoff
+        calls = []
+        row_zero = eisenstein._row_zero
+
+        def counted(a, N, D, ds, s):
+            calls.append((a, N, D, list(ds), s))
+            return row_zero(a, N, D, ds, s)
+
+        monkeypatch.setattr(eisenstein, "_row_zero", counted)
+        for D in (2, 3):
+            calls.clear()
+            eisenstein.coset_sum(1, 2, 5, D, TAU, 4)
+            assert calls == [(1, 5, D, list(range(1, D)), 4)]
+            for a, N, s in ((1, 5, 4), (2, 3, 3), (1, 2, 2)):
+                ds = list(range(D))
+                alone = [row_zero(a, N, D, [d], s) for d in ds]
+                assert abs(row_zero(a, N, D, ds, s) - sum(alone)) < 1e-13 * max(map(abs, alone))
+
     def test_lambert_vs_rows_mpmath(self):
         # each half is sum_(m >= 0) rho^m T(y + m t, xi, s): against those rows
         # summed one by one, each by its exponential series, at dps 30, for
