@@ -1,5 +1,5 @@
 """Layer microbenchmarks: one fixed call per layer, timed best of N, in
-alternating rounds over one or two source trees.
+rounds over one or two source trees.
 
 Prints, per call, the fastest of N timed runs after one warm-up run, then the
 wall time and the md5 of the canonical `verify all --seed 0` report, the
@@ -47,15 +47,21 @@ in the same way (the whole suite per run).
 --src picks the source tree to import, the directory holding the epolylog
 package or a checkout root whose src/ holds it; give it twice, say a parent
 commit checked out elsewhere (git archive or git clone) and the working tree,
-to compare them on the same machine. Each round measures every tree in a fresh
-interpreter, and the trees alternate: the first tree leads the odd rounds and
-the second the even ones, so host drift over the rounds falls on both. After
-each tree's microbenchmarks the round runs that tree's tier-1 pytest (`python
--m pytest -q --continue-on-collection-errors` in the tree's root, its src
-first on PYTHONPATH) and records the wall seconds and the passed count. With
-two trees it prints, for every layer, every verify suite and the best `verify
-all`, the second tree's time over the first's in each round, with the median
-and range of those ratios, beside the ratio of the per-tree medians over the
+to compare them on the same machine. Each round measures every tree's verify
+suites and `verify all` in a fresh interpreter, and the trees alternate: the
+first tree leads the odd rounds and the second the even ones, so host drift
+over the rounds falls on both. After that the round runs the tree's tier-1
+pytest (`python -m pytest -q --continue-on-collection-errors` in the tree's
+root, its src first on PYTHONPATH) and records the wall seconds and the
+passed count. With one tree the fresh interpreter also times the layer
+microbenchmarks. With two trees this interpreter times them, both trees
+interleaved call by call: each tree is imported under its own package name
+(the package's modules import one another only relatively), and each of
+the N timed runs of a call runs it on both trees, the lead alternating, so the
+host's drift within a round falls on both sides of every ratio. Two trees
+also print, for every layer, every verify suite and the best `verify all`,
+the second tree's time over the first's in each round, with the median and
+range of those ratios, beside the ratio of the per-tree medians over the
 rounds. A host whose speed drifts between rounds moves both trees of a round
 alike, so the per-round ratios are the figure to compare; the ratio of
 medians mixes rounds of different speeds. --out merges every round, the
@@ -67,6 +73,8 @@ Run: python scripts/layer_bench.py [--src DIR [--src DIR2]] [--label L [--label 
 
 import argparse
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -79,17 +87,20 @@ import time
 import numpy as np
 
 
-def best_ms(fn, repeat: int) -> tuple:
-    """The fastest wall time and the smallest CPU time (time.process_time, all
-    threads of the process) of repeat runs after one warm-up run, in ms."""
-    fn()
-    wall = cpu = float("inf")
-    for _ in range(repeat):
-        c0, t0 = time.process_time(), time.perf_counter()
-        fn()
-        wall = min(wall, time.perf_counter() - t0)
-        cpu = min(cpu, time.process_time() - c0)
-    return wall * 1e3, cpu * 1e3
+def best_ms(fns: list, repeat: int) -> tuple:
+    """The results of one warm-up run of each fn, and per fn the fastest wall
+    time and the smallest CPU time (time.process_time, all threads of the
+    process) of repeat timed runs, in ms. Each timed run runs every fn, the
+    lead rotating from run to run."""
+    results = [fn() for fn in fns]
+    wall, cpu = [float("inf")] * len(fns), [float("inf")] * len(fns)
+    for i in range(repeat):
+        for k in [(i + j) % len(fns) for j in range(len(fns))]:
+            c0, t0 = time.process_time(), time.perf_counter()
+            fns[k]()
+            wall[k] = min(wall[k], time.perf_counter() - t0)
+            cpu[k] = min(cpu[k], time.process_time() - c0)
+    return results, [(w * 1e3, c * 1e3) for w, c in zip(wall, cpu)]
 
 
 # a call whose CPU time exceeds this multiple of its wall time ran on more
@@ -112,60 +123,91 @@ def fresh_taus() -> list:
                                           rng.uniform(0.8, 2.0, FRESH_TAUS))]
 
 
-def calls():
-    from epolylog.eisenstein import EisensteinQuery, F, F_tilde, eisenstein_sum_k2
-    from epolylog.kronecker import (KroneckerPoint, default_cauchy_config, distribution_residual,
-                                    dlog_kato_siegel, heat_residual, s_coeffs)
-    from epolylog.logsheaf import abs_connection, curvature_residual
-    from epolylog.numerics import CauchyConfig, LatticeTruncation, contour_integral
-    from epolylog.polylog import TorsionLabel, closedness_residual, specialize_eisenstein
-    from epolylog.weierstrass import ModuliPoint, theta_normalized, wp
+def load_tree(src: str, name: str) -> str:
+    """Import the epolylog package under src as the package name and return
+    the name; its modules import one another only relatively, so two trees
+    can live in one interpreter."""
+    pkg = os.path.join(src, "epolylog")
+    spec = importlib.util.spec_from_file_location(name, os.path.join(pkg, "__init__.py"),
+                                                  submodule_search_locations=[pkg])
+    sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[name])
+    return name
 
+
+def calls(pkg: str = "epolylog"):
+    """The layer microbenchmarks of the package imported as pkg, by name."""
+    E, K, Lg, Nm, P, W = (importlib.import_module(f"{pkg}.{m}") for m in (
+        "eisenstein", "kronecker", "logsheaf", "numerics", "polylog", "weierstrass"))
     tau = 0.21 + 1.1j
     zs = 0.1 + 0.3 * np.linspace(0.0, 1.0, 256) + 0.05j
 
     taus = fresh_taus()
 
-    kpoint = KroneckerPoint(0.23 + 0.11j, 0.17 + 0.05j, ModuliPoint(tau))
-    residue_cfg = CauchyConfig(radius=default_cauchy_config(tau, 2).radius, samples=64,
-                               self_check=False)
+    kpoint = K.KroneckerPoint(0.23 + 0.11j, 0.17 + 0.05j, W.ModuliPoint(tau))
+    residue_cfg = Nm.CauchyConfig(radius=K.default_cauchy_config(tau, 2).radius, samples=64,
+                                  self_check=False)
 
     def naive(R, ordering="eisenstein"):
-        return EisensteinQuery(1, 2, 5, 4, tau, mode="naive",
-                               trunc=LatticeTruncation(R, ordering))
+        return E.EisensteinQuery(1, 2, 5, 4, tau, mode="naive",
+                                 trunc=Nm.LatticeTruncation(R, ordering))
 
     vector_taus = np.array(taus[:256])
 
     return {
-        "theta_vector_256": lambda: theta_normalized(zs, tau),
-        "theta_vector_fresh_tau_256": lambda: theta_normalized(zs, vector_taus),
-        "theta_scalar": lambda: theta_normalized(0.23 + 0.11j, tau),
-        "s_coeffs_n8": lambda: s_coeffs(0.23 + 0.11j, tau, 2, 8),
+        "theta_vector_256": lambda: W.theta_normalized(zs, tau),
+        "theta_vector_fresh_tau_256": lambda: W.theta_normalized(zs, vector_taus),
+        "theta_scalar": lambda: W.theta_normalized(0.23 + 0.11j, tau),
+        "s_coeffs_n8": lambda: K.s_coeffs(0.23 + 0.11j, tau, 2, 8),
         # one cycle over the fresh tau; main() divides by FRESH_TAUS
-        "theta_scalar_fresh_tau": lambda: [theta_normalized(0.23 + 0.11j, t) for t in taus],
-        "s_coeffs_n4_fresh_tau": lambda: [s_coeffs(0.23 + 0.11j, t, 2, 4) for t in taus],
-        "wp_fresh_tau": lambda: [wp(0.23 + 0.11j, t) for t in taus],
-        "F_lipschitz": lambda: F(EisensteinQuery(1, 2, 5, 4, tau)),
+        "theta_scalar_fresh_tau": lambda: [W.theta_normalized(0.23 + 0.11j, t) for t in taus],
+        "s_coeffs_n4_fresh_tau": lambda: [K.s_coeffs(0.23 + 0.11j, t, 2, 4) for t in taus],
+        "wp_fresh_tau": lambda: [W.wp(0.23 + 0.11j, t) for t in taus],
+        "F_lipschitz": lambda: E.F(E.EisensteinQuery(1, 2, 5, 4, tau)),
         # near the real axis, outside the verify box, where the rows decay slowly
-        "F_lipschitz_small_im": lambda: F(EisensteinQuery(1, 2, 5, 4, 0.5 + 0.03j)),
-        "F_naive_R500": lambda: F(naive(NAIVE_R)),
-        "F_naive_box_R400": lambda: F(naive(400, "box")),
-        "k2_naive_R500": lambda: eisenstein_sum_k2(1, 2, 5, tau, LatticeTruncation(500)),
-        "F_tilde_naive_R500": lambda: F_tilde(naive(500), 2),
-        "F_tilde_naive_R100": lambda: F_tilde(naive(100), 2),
-        "specialize_naive_R100": lambda: specialize_eisenstein(
-            TorsionLabel(1, 2, 5, 3), tau, 3, mode="naive", trunc=LatticeTruncation(100)),
-        "F_tilde_lipschitz": lambda: F_tilde(EisensteinQuery(1, 2, 5, 4, tau), 2),
-        "specialize_lipschitz": lambda: specialize_eisenstein(TorsionLabel(1, 2, 5, 3), tau, 3),
-        "abs_connection_n4": lambda: abs_connection(4, tau),
-        "curvature_n4": lambda: curvature_residual(4, tau),
-        "closedness_n4": lambda: closedness_residual(0.23 + 0.11j, tau, 2, 4),
-        "residue_contour_32": lambda: contour_integral(
-            lambda u: dlog_kato_siegel(u, tau, 2, residue_cfg), 0.0, 0.4 * min(1.0, abs(tau)) / 2,
-            32),
-        "heat_residual_point": lambda: heat_residual(kpoint),
-        "distribution_point": lambda: distribution_residual(kpoint, 3),
+        "F_lipschitz_small_im": lambda: E.F(E.EisensteinQuery(1, 2, 5, 4, 0.5 + 0.03j)),
+        "F_naive_R500": lambda: E.F(naive(NAIVE_R)),
+        "F_naive_box_R400": lambda: E.F(naive(400, "box")),
+        "k2_naive_R500": lambda: E.eisenstein_sum_k2(1, 2, 5, tau, Nm.LatticeTruncation(500)),
+        "F_tilde_naive_R500": lambda: E.F_tilde(naive(500), 2),
+        "F_tilde_naive_R100": lambda: E.F_tilde(naive(100), 2),
+        "specialize_naive_R100": lambda: P.specialize_eisenstein(
+            P.TorsionLabel(1, 2, 5, 3), tau, 3, mode="naive", trunc=Nm.LatticeTruncation(100)),
+        "F_tilde_lipschitz": lambda: E.F_tilde(E.EisensteinQuery(1, 2, 5, 4, tau), 2),
+        "specialize_lipschitz": lambda: P.specialize_eisenstein(
+            P.TorsionLabel(1, 2, 5, 3), tau, 3),
+        "abs_connection_n4": lambda: Lg.abs_connection(4, tau),
+        "curvature_n4": lambda: Lg.curvature_residual(4, tau),
+        "closedness_n4": lambda: P.closedness_residual(0.23 + 0.11j, tau, 2, 4),
+        "residue_contour_32": lambda: Nm.contour_integral(
+            lambda u: K.dlog_kato_siegel(u, tau, 2, residue_cfg), 0.0,
+            0.4 * min(1.0, abs(tau)) / 2, 32),
+        "heat_residual_point": lambda: K.heat_residual(kpoint),
+        "distribution_point": lambda: K.distribution_residual(kpoint, 3),
     }
+
+
+def layers(trees: list, repeat: int) -> tuple:
+    """One round of the layer microbenchmarks on each tree (a calls() dict
+    each), every call timed by best_ms on all trees at once: per tree the
+    record of layers_ms, layers_cpu_ms and naive_ns_per_term, and the
+    results of its calls."""
+    records = [{"layers_ms": {}, "layers_cpu_ms": {}} for _ in trees]
+    results = [{} for _ in trees]
+    for name in trees[0]:
+        per_run = FRESH_TAUS if name.endswith("_fresh_tau") else 1
+        try:
+            got, timed = best_ms([tree[name] for tree in trees], repeat)
+        except TypeError:  # an array of tau where a tree takes one tau
+            got, timed = [None] * len(trees), [None] * len(trees)
+        for record, result, value, ms in zip(records, results, got, timed):
+            wall, cpu = (None, None) if ms is None else (round(v / per_run, 4) for v in ms)
+            record["layers_ms"][name], record["layers_cpu_ms"][name] = wall, cpu
+            result[name] = value
+    for record in records:
+        record["naive_ns_per_term"] = round(
+            record["layers_ms"]["F_naive_R500"] * 1e6 / NAIVE_TERMS, 3)
+    return records, results
 
 
 def suite_seconds(repeat: int) -> dict:
@@ -173,7 +215,7 @@ def suite_seconds(repeat: int) -> dict:
     from epolylog.cli import SUITES, RunConfig, cmd_verify
 
     config = RunConfig(seed=0)
-    return {name: tuple(v / 1e3 for v in best_ms(lambda: cmd_verify(name, config), repeat))
+    return {name: tuple(v / 1e3 for v in best_ms([lambda: cmd_verify(name, config)], repeat)[1][0])
             for name in SUITES}
 
 
@@ -209,20 +251,13 @@ def src_lines(src: str) -> int:
     return total
 
 
-def measure(src: str, repeat: int) -> dict:
-    """One round on the tree under src, in this interpreter."""
+def measure(src: str, repeat: int, with_layers: bool) -> dict:
+    """One round on the tree under src, in this interpreter: the layer
+    microbenchmarks if with_layers, the verify suites and `verify all`."""
     sys.path.insert(0, src)
-    record = {"jacobi_weights_misses_verify_all_seed0": cold_misses(), "layers_ms": {},
-              "layers_cpu_ms": {}}
-    for name, fn in calls().items():
-        per_run = FRESH_TAUS if name.endswith("_fresh_tau") else 1
-        try:
-            wall, cpu = (round(v / per_run, 4) for v in best_ms(fn, repeat))
-        except TypeError:  # an array of tau where the tree takes one tau
-            wall = cpu = None
-        record["layers_ms"][name], record["layers_cpu_ms"][name] = wall, cpu
-    naive_ms = record["layers_ms"]["F_naive_R500"]
-    record["naive_ns_per_term"] = round(naive_ms * 1e6 / NAIVE_TERMS, 3)
+    record = {"jacobi_weights_misses_verify_all_seed0": cold_misses()}
+    if with_layers:
+        record.update(layers([calls()], repeat)[0][0])
     suites = suite_seconds(repeat)
     record["suites_s"] = {k: round(wall, 4) for k, (wall, _) in suites.items()}
     record["suites_cpu_s"] = {k: round(cpu, 4) for k, (_, cpu) in suites.items()}
@@ -334,7 +369,7 @@ def main() -> None:
     ap.add_argument("--rounds", type=int, default=3, help="rounds per tree")
     ap.add_argument("--repeat", type=int, default=7, help="timed runs per call")
     ap.add_argument("--out", default=None, help="JSON file to merge the numbers into")
-    ap.add_argument("--one-round", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--one-round", choices=("layers", "verify"), help=argparse.SUPPRESS)
     args = ap.parse_args()
     srcs = [os.path.abspath(s) for s in args.src or [os.path.join(here, "..", "src")]]
     # a checkout root: its package lives under src/
@@ -346,18 +381,24 @@ def main() -> None:
     if args.repeat < 1 or args.rounds < 1:
         ap.error("--repeat and --rounds must be >= 1")
     if args.one_round:  # a child: one round of one tree, the record as the last line
-        print(json.dumps(measure(srcs[0], args.repeat)))
+        print(json.dumps(measure(srcs[0], args.repeat, args.one_round == "layers")))
         return
 
+    # two trees: this interpreter times the layers, interleaved, each tree its own package
+    packages = ([calls(load_tree(src, f"epolylog_tree{i}")) for i, src in enumerate(srcs)]
+                if len(srcs) == 2 else [])
     rounds, order = {}, []
     for r in range(1, args.rounds + 1):
+        interleaved = dict(zip(labels, layers(packages, args.repeat)[0])) if packages else {}
         trees = list(zip(labels, srcs))
         for label, src in trees if r % 2 else trees[::-1]:
             out = subprocess.run([sys.executable, os.path.abspath(__file__), "--src", src,
-                                  "--repeat", str(args.repeat), "--one-round"],
+                                  "--repeat", str(args.repeat),
+                                  "--one-round", "verify" if interleaved else "layers"],
                                  stdout=subprocess.PIPE, text=True, check=True)
             key = f"{label}_round{r}"
-            rounds[key] = {**json.loads(out.stdout.strip().splitlines()[-1]), **tier1(src)}
+            rounds[key] = {**interleaved.get(label, {}),
+                           **json.loads(out.stdout.strip().splitlines()[-1]), **tier1(src)}
             order.append(key)
             show(key, rounds[key])
     medians = {label: median_record([rounds[f"{label}_round{r}"]

@@ -74,8 +74,11 @@ class EisensteinQuery:
         _tau_of(self.tau)
 
 
+@lru_cache(maxsize=None)
 def _roots_of_unity(N: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(N) / N)
+    roots = np.exp(2j * np.pi * np.arange(N) / N)
+    roots.flags.writeable = False  # shared by every call at level N
+    return roots
 
 
 @lru_cache(maxsize=None)
@@ -108,15 +111,18 @@ def _row_zero(a: int, N: int, D: int, ds, s: int) -> complex:
     return -(2j * math.pi) ** s / math.factorial(s) * D ** (s - 1) * total
 
 
-def _lambert(y: np.ndarray, xi: np.ndarray, rho: np.ndarray, t: complex, s: int) -> np.ndarray:
+def _lambert(y, xi, rho, t: complex, s: int) -> np.ndarray:
     """sum_(m >= 0) rho^m T(y + m t, xi, s) for each half (y, xi, rho), Im y > 0,
     0 <= xi < 1 (not 0 at s = 1), |rho| <= 1: with C_s = (-2 pi i)^s/(s-1)!,
     at each frequency of T the rows are a geometric series, so this is
 
       C_s sum_(l >= 1) (l - xi)^(s-1) e^(2 pi i (l - xi) y) / (1 - rho e^(2 pi i (l - xi) t)),
 
-    and rho = 0 gives T(y, xi, s) itself. Every half runs over the same L terms."""
-    im_min = float(y.imag.min())
+    and rho = 0 gives T(y, xi, s) itself. y, xi and rho are sequences, one entry per
+    half. Every half runs over the same L terms, summed in frequency order by a
+    running sum (numpy's sum over one column would add pairwise), so a half keeps
+    its bits whatever other halves share the call."""
+    im_min = min(v.imag for v in y)
     if im_min <= 0.0:
         raise ValueError("Lambert halves need Im y > 0")
     # terms u^(s-1) e^(-w u), u = l - xi, shrink by e^(-w/2) a step past 2(s-1)/w; with
@@ -128,16 +134,18 @@ def _lambert(y: np.ndarray, xi: np.ndarray, rho: np.ndarray, t: complex, s: int)
     a = A / max(s - 1, 1)
     c = 1.0 + a + math.log1p(a)
     u = (s - 1) * (a + math.log(c)) / ((1.0 - 1.0 / c) * w) if s > 1 else A / w
-    L = max(int(math.ceil(48.0 / w)) + s + 6, math.ceil(u - 1.0 + xi.max()))
+    L = max(int(math.ceil(48.0 / w)) + s + 6, math.ceil(u - 1.0 + max(xi)))
     # e^(2 pi i (l - xi) x) = e^(2 pi i (1 - xi) x) u^(l-1), u = e^(2 pi i x), at x = y
     # and x = t: two exps per column and a running product along the frequencies
-    z = 2j * np.pi * np.concatenate([y, np.full(len(y), t)])
-    phase = np.repeat(np.exp(z)[None], L, axis=0)
-    phase[0] = np.exp((1.0 - np.concatenate([xi, xi])) * z)
+    H = len(y)
+    z, xi = 2j * np.pi * np.array([*y, *[t] * H]), np.array([*xi, *xi])  # columns y, then t
+    phase = np.empty((L, 2 * H), dtype=complex)
+    phase[1:] = np.exp(z)
+    np.exp((1.0 - xi) * z, out=phase[0])
     np.cumprod(phase, axis=0, out=phase)
-    f = np.arange(1, L + 1)[:, None] - xi
-    terms = f ** (s - 1) * phase[:, :len(y)] / (1.0 - rho * phase[:, len(y):])
-    return terms.sum(axis=0) * ((-2j * np.pi) ** s / math.factorial(s - 1))
+    f = np.arange(1, L + 1)[:, None] - xi[:H]
+    terms = f ** (s - 1) * phase[:, :H] / (1.0 - np.asarray(rho) * phase[:, H:])
+    return np.cumsum(terms, axis=0, out=terms)[-1] * ((-2j * np.pi) ** s / math.factorial(s - 1))
 
 
 def _lipschitz_sums(labels, N: int, D: int, cosets, t: complex, s: int) -> list:
@@ -160,8 +168,8 @@ def _lipschitz_sums(labels, N: int, D: int, cosets, t: complex, s: int) -> list:
                         roots[((D * m0 + c) * b - d * a) % N]),
                        ((1 - c / D) * t - d / D, D * a % N / N, roots[-D * b % N],
                         (-1) ** s * roots[((c - D) * b - d * a) % N])]
-    y, xi, rho, pref = map(np.array, zip(*halves))
-    sums = (pref * _lambert(y, xi, rho, t, s)).reshape(len(labels), -1).sum(axis=1)
+    y, xi, rho, pref = zip(*halves)
+    sums = (np.array(pref) * _lambert(y, xi, rho, t, s)).reshape(len(labels), -1).sum(axis=1)
     ds = [d for c, d in cosets if c == 0]
     return [complex(v + _row_zero(a, N, D, ds, s)) if ds else complex(v)
             for (a, _), v in zip(labels, sums)]
@@ -193,18 +201,23 @@ def _naive_sums(labels, N: int, D: int, cosets, t: complex, s: int,
 
     The column characters zeta_N^(-(Dn+d)a) depend only on n mod N, so the
     columns are ordered by class: n = 0, then n = r mod N, r = 1..min(N, R),
-    for +n and then for -n. Rows run in blocks of at most _BLOCK denominators
-    (memory: _BLOCK times the bits of s, plus one value per label and row),
-    written into buffers allocated once per call: one grid of powers
-    (x_m + n)^s by _power, one reciprocal of it in place (the origin's power
-    set to 1 and its class sum to 0), each grid row reduced to its class
-    sums by np.add.reduceat, and one C einsum of every label's class
-    characters with them. At c = d = 0, x_(-m) = -x_m exactly, and complex
-    addition, _power and np.reciprocal are exactly odd under negation, so row
-    -m takes row m's class sums with their +n and -n halves swapped and the
-    sign (-1)^s. The row characters zeta_N^((Dm+c)b) are one array product,
-    and each label's rows of all cosets one math.fsum of the real and of the
-    imaginary parts: exactly rounded, so no order of the rows enters."""
+    for +n and then for -n. Rows run in blocks of at most _BLOCK denominators,
+    in buffers allocated once per call (memory: _BLOCK times the bits of s,
+    plus 2 min(N, R) + 1 class sums per row and one value per label, coset
+    and row). A block's grid x_m + n is x_m copied in, plus the interleaved
+    floats (n, 0.0) on its float view: the complex addition's own two IEEE
+    additions, Re x_m + n and Im x_m + 0.0, by numpy's faster float loop.
+    _power raises it to (x_m + n)^s, one reciprocal inverts it in place (the
+    origin's power set to 1 and its class sum to 0), and np.add.reduceat
+    writes each row's class sums into the buffer of all rows. After the
+    blocks, one C einsum per coset projects the class sums onto every
+    label's class characters. At c = d = 0, x_(-m) = -x_m exactly, and the
+    addition, _power and np.reciprocal are exactly odd under negation, so
+    rows -m take rows m's class sums with their +n and -n halves swapped (one
+    take) and the sign (-1)^s. The row characters zeta_N^((Dm+c)b) are one
+    array product, and each label's rows of all cosets one math.fsum of the
+    real and of the imaginary parts: exactly rounded, so no order of the rows
+    enters."""
     if trunc.ordering == "box" and s < 3:
         raise ConvergenceModeError(f"weight {s} is conditionally convergent; "
                                    "box ordering is not a sum")
@@ -212,6 +225,7 @@ def _naive_sums(labels, N: int, D: int, cosets, t: complex, s: int,
     roots = _roots_of_unity(N)
     classes = [np.arange(r, R + 1, N) for r in range(1, min(N, R) + 1)]
     n = np.concatenate([[0]] + classes + [-k for k in classes]).astype(complex)
+    n_float = n.view(float)  # interleaved (n, 0.0)
     starts = np.cumsum([0, 1] + [len(k) for k in classes] * 2)[:-1]
     r = np.arange(len(classes) + 1)
     r = np.concatenate([r, -r[1:]])  # the signed class of each column segment
@@ -219,30 +233,26 @@ def _naive_sums(labels, N: int, D: int, cosets, t: complex, s: int,
     a, b = np.array(labels).T
     step = max(1, _BLOCK // len(n))
     work = list(np.empty((s.bit_length(), min(step, 2 * R + 1), len(n)), dtype=complex))
-    block_sums = np.empty((len(work[0]), len(starts)), dtype=complex)
-    rows = np.empty((len(labels), len(cosets), 2 * R + 1), dtype=complex)  # rows m = -R..R
+    sums = np.empty((2 * R + 1, len(starts)), dtype=complex)  # class sums of rows m = -R..R
+    rows = np.empty((len(labels), len(cosets), 2 * R + 1), dtype=complex)
     for j, (c, d) in enumerate(cosets):
-        chars = roots[np.outer(-a, D * r + d) % N]
         paired = c == 0 and d == 0  # the origin is left out and row -m mirrors row m
         lo = R if paired else 0  # row m sits at R + m
         xs = (np.arange(lo - R, R + 1) + c / D) * t + d / D
         for i in range(0, len(xs), step):
-            origin = paired and not i
             x = xs[i:i + step, None]
             block = work if len(x) == len(work[0]) else [w[:len(x)] for w in work]
-            np.add(x, n, out=block[0])
+            np.copyto(block[0], x)
+            np.add(floats := block[0].view(float), n_float, out=floats)
             grid = _power(block, s)
-            if origin:
+            if paired and not i:
                 grid[0, 0] = 1.0
-            sums = np.add.reduceat(np.reciprocal(grid, out=grid), starts, axis=1,
-                                   out=block_sums[:len(grid)])
-            if origin:
-                sums[0, 0] = 0.0
-            at, to = lo + i, lo + i + len(grid)
-            if paired:  # rows -m sit at 2R - (R + m); row 0, its own mirror, is written after
-                rows[:, j, 2 * R + 1 - to:2 * R + 1 - at] = c_einsum(
-                    "jk,mk->jm", chars, sums.take(swap, axis=1))[:, ::-1]
-            rows[:, j, at:to] = c_einsum("jk,mk->jm", chars, sums)
+            np.add.reduceat(np.reciprocal(grid, out=grid), starts, axis=1,
+                            out=sums[lo + i:lo + i + len(x)])
+        if paired:  # the origin's class sum, and rows -m from rows m >= 1
+            sums[R, 0] = 0.0
+            np.take(sums[:R:-1], swap, axis=1, out=sums[:R], mode="clip")
+        c_einsum("jk,mk->jm", roots[np.outer(-a, D * r + d) % N], sums, out=rows[:, j])
     m, c = np.arange(-R, R + 1), np.array(cosets)
     row_chars = roots[np.multiply.outer(b, D * m + c[:, :1]) % N]
     mirrored = (m < 0) & (c == 0).all(axis=1)[:, None] & bool(s % 2)  # the sign (-1)^s

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -47,15 +48,15 @@ class TestQueryValidation:
             EisensteinQuery(a=1, b=0, N=4, k=3, tau=0.5)
 
 
-def _T_batch(x, xi, s):
+def _lambert_batch(x, xi, s):
     """T(x, xi, s) for each x with its own xi: the Lambert halves at rho = 0,
     one row each (the denominators are exactly 1)."""
     return _lambert(x, xi, np.zeros(len(x)), 0j, s)
 
 
-def _T_one(x, xi, s):
-    """_T_batch on the single row x."""
-    return _T_batch(np.array([x]), np.array([xi]), s)[0]
+def _lambert_one(x, xi, s):
+    """_lambert_batch on the single row x."""
+    return _lambert_batch(np.array([x]), np.array([xi]), s)[0]
 
 
 class TestRowMachinery:
@@ -71,7 +72,7 @@ class TestRowMachinery:
         with pytest.raises(ValueError):
             _row_zero(0, 1, 1, [0], 1)
 
-    def test_row_real_vs_lerchphi(self):
+    def test_row_zero_vs_lerchphi(self):
         # sum_n e^{2 pi i xi n}/(x+n)^s split into the two lerchphi halves: the
         # real row x = d/D = 1/4 of the coset (0, 1) at D = 4 and (a, N) = (2, 3),
         # xi = -Da/N = 1/3 mod 1, under its character zeta_N^(-da)
@@ -81,7 +82,7 @@ class TestRowMachinery:
         ref *= mpmath.exp(-2j * mpmath.pi * 2 / 3)
         assert abs(_row_zero(2, 3, 4, [1], s) - complex(ref)) < 1e-12
 
-    def test_row_real_domain(self):
+    def test_row_zero_domain(self):
         # weight 1 converges only off the integer frequencies theta + j/D
         for a, N, D in ((0, 3, 1), (5, 5, 1), (1, 2, 2)):
             with pytest.raises(ConvergenceModeError):
@@ -109,16 +110,16 @@ class TestRowMachinery:
                 want = sum(row(a, N, D, d, s) for d in ds)
                 assert abs(_row_zero(a, N, D, ds, s) - want) < 1e-13 * max(1.0, abs(want))
 
-    def test_T_batch_vs_direct_sum(self):
+    def test_lambert_vs_direct_sum(self):
         x, xi, s = mpmath.mpc(0.3, 0.9), 0.25, 3
         acc = mpmath.mpf(0)
         for l in range(1, 80):
             acc += (l - xi) ** (s - 1) * mpmath.exp(2j * mpmath.pi * (l - xi) * x)
         ref = (-2j * mpmath.pi) ** s / mpmath.factorial(s - 1) * acc
-        got = _T_one(0.3 + 0.9j, 0.25, 3)
+        got = _lambert_one(0.3 + 0.9j, 0.25, 3)
         assert abs(got - complex(ref)) < 1e-14
 
-    def test_T_batch_phase_grid_vs_mpmath(self):
+    def test_lambert_phase_grid_vs_mpmath(self):
         # the phase grid as a running product u^(l-1), u = e^(2 pi i x), is no
         # less accurate than one exp per term, point by point within a factor
         # 4 (below a 1e-14 relative floor, roundoff of the phase of u at
@@ -150,10 +151,10 @@ class TestRowMachinery:
                 xi = Fraction(1, 3)
             ref = series(x, xi, s)
             old = abs(one_exp_per_term(np.array([x]), float(xi), s)[0] - ref) / abs(ref)
-            new = abs(_T_one(x, float(xi), s) - ref) / abs(ref)
+            new = abs(_lambert_one(x, float(xi), s) - ref) / abs(ref)
             assert new <= 4.0 * max(old, 1e-14), (x, s, xi, old, new)
 
-    def test_T_batch_keeps_its_term_count_in_the_box(self):
+    def test_lambert_keeps_its_term_count_in_the_box(self):
         # L is the larger of ceil(48/y) + s + 6, y = 2 pi Im x, and the bound on
         # the terms (l - xi)^(s-1) e^(-y (l - xi)); every row verify and the
         # lattice-sums workload draw has Im x >= Im tau/3 >= 0.8/3 (coset rows at
@@ -182,10 +183,10 @@ class TestRowMachinery:
                     if s == 1 and 0.0 in pair:
                         continue
                     want = np.array([count_48(x, xi, s)[r] for r, xi in enumerate(pair)])
-                    got = _T_batch(x, np.array(pair), s)
+                    got = _lambert_batch(x, np.array(pair), s)
                     assert got.tobytes() == want.tobytes()
 
-    def test_T_batch_term_count_counts_s(self):
+    def test_lambert_term_count_counts_s(self):
         # ceil(48/y) + s + 6 terms alone ignore the (l - xi)^(s-1) growth: at
         # these rows that sum sits 9.5e-9 and 1.0e-11 (relative, in mpmath) from
         # the series; with the bound the truncation is below 1e-16 and float64
@@ -204,11 +205,26 @@ class TestRowMachinery:
         for x, s, xi, tol in ((-20.64 + 0.0638j, 9, Fraction(9, 10), 1e-9),
                               (-22.34 + 0.0603j, 7, Fraction(0), 1e-11)):
             ref = series(x, xi, s)
-            assert abs(_T_one(x, float(xi), s) - ref) / abs(ref) < tol
+            assert abs(_lambert_one(x, float(xi), s) - ref) / abs(ref) < tol
 
-    def test_T_batch_needs_upper_half(self):
+    def test_lambert_needs_upper_half(self):
         with pytest.raises(ValueError):
-            _T_one(0.3 - 0.9j, 0.25, 3)
+            _lambert_one(0.3 - 0.9j, 0.25, 3)
+
+    def test_lambert_one_half_keeps_its_bits(self):
+        # the frequencies are summed in order whatever the number of halves:
+        # one half alone (a one-column sum, which a plain numpy sum would add
+        # pairwise) equals the same half taken twice in one batch, bit for bit
+        rng = random.Random(56)
+        for _ in range(60):
+            t = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0))
+            N, s = rng.randint(2, 7), rng.randint(1, 8)
+            y = complex(rng.uniform(-0.5, 0.5), t.imag * rng.choice((1 / 3, 1 / 2, 1.0)))
+            xi = rng.randrange(1 if s == 1 else 0, N) / N
+            rho = complex(np.exp(2j * np.pi * rng.randrange(N) / N))
+            one = _lambert(np.array([y]), np.array([xi]), np.array([rho]), t, s)
+            two = _lambert(np.array([y, y]), np.array([xi, xi]), np.array([rho, rho]), t, s)
+            assert one.tobytes() == two[:1].tobytes() == two[1:].tobytes(), (y, xi, rho, t, s)
 
 
 def _draw_case(rng, ordering):
@@ -358,6 +374,55 @@ class TestNaiveKernel:
         # R = 40 is one block: rows 0..40 (c = d = 0) or -40..40, by 2R + 1
         # columns; z^6 takes three nested _power calls
         assert counts[:2] == [[(41, 81)] * 3, [(81, 81)] * 3]
+
+    @pytest.mark.parametrize("D", [1, 2, 3])
+    def test_one_projection_per_coset(self, monkeypatch, D):
+        # the class sums of every block of a coset meet the labels' class
+        # characters in one einsum after the blocks: one c_einsum call per
+        # coset, with _BLOCK splitting the rows into 25 blocks (13 for the
+        # paired coset c = d = 0), into blocks of 8 rows, or into one block,
+        # and the same sums from each
+        einsums, blocks = [], []
+        einsum, power = eisenstein.c_einsum, eisenstein._power
+
+        def counted_einsum(*args, **kwargs):
+            einsums.append(args[0])
+            return einsum(*args, **kwargs)
+
+        def counted_power(work, s):
+            if s == 4:  # a block's call, not a nested one
+                blocks.append(len(work[0]))
+            return power(work, s)
+
+        monkeypatch.setattr(eisenstein, "c_einsum", counted_einsum)
+        monkeypatch.setattr(eisenstein, "_power", counted_power)
+        cosets = [(c, d) for c in range(D) for d in range(D)]
+        sums = []
+        for block, count in ((25, 25 * D * D - 12), (200, 4 * D * D - 2), (1 << 13, D * D)):
+            monkeypatch.setattr(eisenstein, "_BLOCK", block)  # 25 columns at R = 12
+            einsums.clear()
+            blocks.clear()
+            sums.append(_naive_sums([(1, 2), (3, 4)], 5, D, cosets, TAU, 4,
+                                    LatticeTruncation(12)))
+            assert len(einsums) == len(cosets)
+            assert len(blocks) == count
+        assert sums[0] == sums[1] == sums[2]
+
+    @pytest.mark.parametrize("R, s, bound_kib", [
+        # measured 806 and 856 KiB: the work buffer (_BLOCK terms per bit of
+        # s), the class sums (2 min(N, R) + 1 = 11 per row: 172 and 344 KiB)
+        # and the rows; R = 1000 at k = 2 is eisenstein_sum_k2 in verify
+        (500, 8, 880), (1000, 2, 940)])
+    def test_peak_memory(self, R, s, bound_kib):
+        args = ([(1, 2)], 5, 1, [(0, 0)], TAU, s, LatticeTruncation(R))
+        _naive_sums(*args)  # caches filled first
+        tracemalloc.start()
+        try:
+            _naive_sums(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_kib * 1024, peak / 1024
 
     @pytest.mark.parametrize("ordering, k", [("eisenstein", 2), ("eisenstein", 5), ("box", 4)])
     def test_F_tilde_is_two_F_calls(self, ordering, k):

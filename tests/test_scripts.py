@@ -1,12 +1,16 @@
 """The scripts under scripts/: each imports with src on the path, every
-layer microbenchmark of layer_bench.calls() runs once, and the private
+layer microbenchmark of layer_bench.calls() runs once, layer_bench's
+two-tree timing runs once with this tree on both sides, and the private
 package names the scripts reach into exist and act as the scripts assume.
 A change to the package that would break a script fails here.
 """
+import dataclasses
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from epolylog import kronecker, weierstrass
@@ -55,3 +59,35 @@ def test_theta_weights_cache_counts_misses():
     # layer_bench counts the theta weights' cache misses of one verify run
     info = weierstrass._jacobi_weights.cache_info()
     assert callable(weierstrass._jacobi_weights.cache_clear) and info.misses >= 0
+
+
+def _bits(value):
+    """A call's result in a form that == compares bit for bit: arrays by
+    dtype, shape and bytes, numbers by repr (signed zeros and nan too),
+    dataclasses and sequences item by item."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, (list, tuple)):
+        return tuple(_bits(v) for v in value)
+    return repr(value)
+
+
+def test_layer_bench_interleaves_two_trees():
+    # the two-tree form: both trees in this interpreter, each its own package,
+    # every call timed on both; the working tree on both sides gives the same
+    # results call by call, bit for bit
+    bench = _load(next(p for p in SCRIPTS if p.stem == "layer_bench"))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    names = [bench.load_tree(src, f"epolylog_tree{i}") for i in range(2)]
+    try:
+        records, results = bench.layers([bench.calls(name) for name in names], 1)
+    finally:
+        for key in [k for k in sys.modules if k.split(".")[0] in names]:
+            del sys.modules[key]
+    assert results[0].keys() == results[1].keys() == records[0]["layers_ms"].keys()
+    for name in results[0]:
+        assert _bits(results[0][name]) == _bits(results[1][name]), name
+    assert all(ms > 0 for record in records for ms in record["layers_ms"].values())
+    assert all(record["naive_ns_per_term"] > 0 for record in records)
