@@ -47,18 +47,17 @@ in the same way (the whole suite per run).
 --src picks the source tree to import, the directory holding the epolylog
 package or a checkout root whose src/ holds it; give it twice, say a parent
 commit checked out elsewhere (git archive or git clone) and the working tree,
-to compare them on the same machine. Each round measures every tree's verify
-suites and `verify all` in a fresh interpreter, and the trees alternate: the
-first tree leads the odd rounds and the second the even ones, so host drift
-over the rounds falls on both. After that the round runs the tree's tier-1
-pytest (`python -m pytest -q --continue-on-collection-errors` in the tree's
-root, its src first on PYTHONPATH) and records the wall seconds and the
-passed count. With one tree the fresh interpreter also times the layer
-microbenchmarks. With two trees this interpreter times them, both trees
-interleaved call by call: each tree is imported under its own package name
-(the package's modules import one another only relatively), and each of
-the N timed runs of a call runs it on both trees, the lead alternating, so the
-host's drift within a round falls on both sides of every ratio. Two trees
+to compare them on the same machine. This interpreter times the layer
+microbenchmarks: each tree is imported under its own package name (the
+package's modules import one another only relatively), and with two trees
+each of the N timed runs of a call runs it on both, the lead alternating,
+so the host's drift within a round falls on both sides of every ratio. Each
+round then measures every tree's verify suites and `verify all` in a fresh
+interpreter, and the trees alternate: the first tree leads the odd rounds
+and the second the even ones, so host drift over the rounds falls on both.
+After that the round runs the tree's tier-1 pytest (`python -m pytest -q
+--continue-on-collection-errors` in the tree's root, its src first on
+PYTHONPATH) and records the wall seconds and the passed count. Two trees
 also print, for every layer, every verify suite and the best `verify all`,
 the second tree's time over the first's in each round, with the median and
 range of those ratios, beside the ratio of the per-tree medians over the
@@ -251,13 +250,11 @@ def src_lines(src: str) -> int:
     return total
 
 
-def measure(src: str, repeat: int, with_layers: bool) -> dict:
-    """One round on the tree under src, in this interpreter: the layer
-    microbenchmarks if with_layers, the verify suites and `verify all`."""
+def measure(src: str, repeat: int) -> dict:
+    """The verify suites and `verify all` of one round on the tree under src,
+    in this interpreter."""
     sys.path.insert(0, src)
     record = {"jacobi_weights_misses_verify_all_seed0": cold_misses()}
-    if with_layers:
-        record.update(layers([calls()], repeat)[0][0])
     suites = suite_seconds(repeat)
     record["suites_s"] = {k: round(wall, 4) for k, (wall, _) in suites.items()}
     record["suites_cpu_s"] = {k: round(cpu, 4) for k, (_, cpu) in suites.items()}
@@ -369,7 +366,7 @@ def main() -> None:
     ap.add_argument("--rounds", type=int, default=3, help="rounds per tree")
     ap.add_argument("--repeat", type=int, default=7, help="timed runs per call")
     ap.add_argument("--out", default=None, help="JSON file to merge the numbers into")
-    ap.add_argument("--one-round", choices=("layers", "verify"), help=argparse.SUPPRESS)
+    ap.add_argument("--one-round", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     srcs = [os.path.abspath(s) for s in args.src or [os.path.join(here, "..", "src")]]
     # a checkout root: its package lives under src/
@@ -380,25 +377,23 @@ def main() -> None:
         ap.error("give one or two --src trees and, if any, one distinct --label per tree")
     if args.repeat < 1 or args.rounds < 1:
         ap.error("--repeat and --rounds must be >= 1")
-    if args.one_round:  # a child: one round of one tree, the record as the last line
-        print(json.dumps(measure(srcs[0], args.repeat, args.one_round == "layers")))
+    if args.one_round:  # a child: one tree's verify suites, the record as the last line
+        print(json.dumps(measure(srcs[0], args.repeat)))
         return
 
-    # two trees: this interpreter times the layers, interleaved, each tree its own package
-    packages = ([calls(load_tree(src, f"epolylog_tree{i}")) for i, src in enumerate(srcs)]
-                if len(srcs) == 2 else [])
+    # this interpreter times the layers, each tree its own package, interleaved call by call
+    packages = [calls(load_tree(src, f"epolylog_tree{i}")) for i, src in enumerate(srcs)]
     rounds, order = {}, []
     for r in range(1, args.rounds + 1):
-        interleaved = dict(zip(labels, layers(packages, args.repeat)[0])) if packages else {}
+        timed = dict(zip(labels, layers(packages, args.repeat)[0]))
         trees = list(zip(labels, srcs))
         for label, src in trees if r % 2 else trees[::-1]:
             out = subprocess.run([sys.executable, os.path.abspath(__file__), "--src", src,
-                                  "--repeat", str(args.repeat),
-                                  "--one-round", "verify" if interleaved else "layers"],
+                                  "--repeat", str(args.repeat), "--one-round"],
                                  stdout=subprocess.PIPE, text=True, check=True)
             key = f"{label}_round{r}"
-            rounds[key] = {**interleaved.get(label, {}),
-                           **json.loads(out.stdout.strip().splitlines()[-1]), **tier1(src)}
+            rounds[key] = {**timed[label], **json.loads(out.stdout.strip().splitlines()[-1]),
+                           **tier1(src)}
             order.append(key)
             show(key, rounds[key])
     medians = {label: median_record([rounds[f"{label}_round{r}"]

@@ -201,23 +201,21 @@ def _naive_sums(labels, N: int, D: int, cosets, t: complex, s: int,
 
     The column characters zeta_N^(-(Dn+d)a) depend only on n mod N, so the
     columns are ordered by class: n = 0, then n = r mod N, r = 1..min(N, R),
-    for +n and then for -n. Rows run in blocks of at most _BLOCK denominators,
-    in buffers allocated once per call (memory: _BLOCK times the bits of s,
-    plus 2 min(N, R) + 1 class sums per row and one value per label, coset
-    and row). A block's grid x_m + n is x_m copied in, plus the interleaved
-    floats (n, 0.0) on its float view: the complex addition's own two IEEE
-    additions, Re x_m + n and Im x_m + 0.0, by numpy's faster float loop.
-    _power raises it to (x_m + n)^s, one reciprocal inverts it in place (the
-    origin's power set to 1 and its class sum to 0), and np.add.reduceat
-    writes each row's class sums into the buffer of all rows. After the
-    blocks, one C einsum per coset projects the class sums onto every
-    label's class characters. At c = d = 0, x_(-m) = -x_m exactly, and the
-    addition, _power and np.reciprocal are exactly odd under negation, so
-    rows -m take rows m's class sums with their +n and -n halves swapped (one
-    take) and the sign (-1)^s. The row characters zeta_N^((Dm+c)b) are one
-    array product, and each label's rows of all cosets one math.fsum of the
-    real and of the imaginary parts: exactly rounded, so no order of the rows
-    enters."""
+    for +n and then for -n. Rows run in blocks of at most _BLOCK terms, and
+    their class sums (2 min(N, R) + 1 per row) in spans of at most 2 _BLOCK
+    of them or one block (memory: _BLOCK times the bits of s, two spans and
+    one value per label, coset and row). A block's grid x_m + n is x_m plus
+    the floats (n, 0.0) on its float view: Re x_m + n and Im x_m + 0.0, the
+    complex addition's own IEEE additions, by numpy's faster float loop.
+    _power, a reciprocal in place (the origin's power set to 1 and its class
+    sum to 0) and np.add.reduceat give each row's class sums, and one C
+    einsum per span (per coset, if its rows fit one span) projects them onto
+    every label's class characters. At c = d = 0, x_(-m) = -x_m exactly, and
+    the addition, _power and np.reciprocal are exactly odd under negation, so
+    rows -m take rows m's class sums with their +n and -n halves swapped and
+    the sign (-1)^s. The row characters zeta_N^((Dm+c)b) are one array
+    product, and each label's rows of all cosets one math.fsum of the real
+    and imaginary parts: exactly rounded, so no order of the rows enters."""
     if trunc.ordering == "box" and s < 3:
         raise ConvergenceModeError(f"weight {s} is conditionally convergent; "
                                    "box ordering is not a sum")
@@ -232,28 +230,36 @@ def _naive_sums(labels, N: int, D: int, cosets, t: complex, s: int,
     swap = np.concatenate([[0], np.roll(np.arange(1, len(r)), len(classes))])  # class -r
     a, b = np.array(labels).T
     step = max(1, _BLOCK // len(n))
+    span = step * max(1, 2 * _BLOCK // (step * len(starts)))  # rows per projection
     work = list(np.empty((s.bit_length(), min(step, 2 * R + 1), len(n)), dtype=complex))
-    sums = np.empty((2 * R + 1, len(starts)), dtype=complex)  # class sums of rows m = -R..R
+    sums = np.empty((min(2 * span, 2 * R + 1), len(starts)), dtype=complex)  # class sums
     rows = np.empty((len(labels), len(cosets), 2 * R + 1), dtype=complex)
+    m = np.empty((len(cosets), 2 * R + 1), dtype=int)  # the row m of each row value
     for j, (c, d) in enumerate(cosets):
         paired = c == 0 and d == 0  # the origin is left out and row -m mirrors row m
-        lo = R if paired else 0  # row m sits at R + m
-        xs = (np.arange(lo - R, R + 1) + c / D) * t + d / D
-        for i in range(0, len(xs), step):
-            x = xs[i:i + step, None]
-            block = work if len(x) == len(work[0]) else [w[:len(x)] for w in work]
-            np.copyto(block[0], x)
-            np.add(floats := block[0].view(float), n_float, out=floats)
-            grid = _power(block, s)
-            if paired and not i:
-                grid[0, 0] = 1.0
-            np.add.reduceat(np.reciprocal(grid, out=grid), starts, axis=1,
-                            out=sums[lo + i:lo + i + len(x)])
-        if paired:  # the origin's class sum, and rows -m from rows m >= 1
-            sums[R, 0] = 0.0
-            np.take(sums[:R:-1], swap, axis=1, out=sums[:R], mode="clip")
-        c_einsum("jk,mk->jm", roots[np.outer(-a, D * r + d) % N], sums, out=rows[:, j])
-    m, c = np.arange(-R, R + 1), np.array(cosets)
+        ms = np.arange(0 if paired else -R, R + 1)
+        xs, chars = (ms + c / D) * t + d / D, roots[np.outer(-a, D * r + d) % N]
+        for i0 in range(0, len(xs), span):
+            h = len(span_ms := ms[i0:i0 + span])
+            for i in range(0, h, step):
+                x = xs[i0 + i:i0 + i + step, None]
+                block = work if len(x) == len(work[0]) else [w[:len(x)] for w in work]
+                np.copyto(block[0], x)
+                np.add(floats := block[0].view(float), n_float, out=floats)
+                grid = _power(block, s)
+                if paired and not i0 + i:
+                    grid[0, 0] = 1.0
+                np.add.reduceat(np.reciprocal(grid, out=grid), starts, axis=1,
+                                out=sums[i:i + len(x)])
+            if paired:  # the origin's class sum, and rows -m from rows m >= 1
+                f = int(not i0)
+                sums[0, :f] = 0.0
+                np.take(sums[f:h], swap, axis=1, out=sums[h:2 * h - f], mode="clip")
+                span_ms = np.concatenate([span_ms, -span_ms[f:]])
+            p = 2 * i0 - (i0 > 0) if paired else i0  # the rows of the earlier spans
+            m[j, p:p + len(span_ms)] = span_ms
+            c_einsum("jk,mk->jm", chars, sums[:len(span_ms)], out=rows[:, j, p:p + len(span_ms)])
+    c = np.array(cosets)
     row_chars = roots[np.multiply.outer(b, D * m + c[:, :1]) % N]
     mirrored = (m < 0) & (c == 0).all(axis=1)[:, None] & bool(s % 2)  # the sign (-1)^s
     rows = (rows * np.where(mirrored, -row_chars, row_chars)).reshape(len(labels), -1)

@@ -376,12 +376,15 @@ class TestNaiveKernel:
         assert counts[:2] == [[(41, 81)] * 3, [(81, 81)] * 3]
 
     @pytest.mark.parametrize("D", [1, 2, 3])
-    def test_one_projection_per_coset(self, monkeypatch, D):
-        # the class sums of every block of a coset meet the labels' class
-        # characters in one einsum after the blocks: one c_einsum call per
-        # coset, with _BLOCK splitting the rows into 25 blocks (13 for the
-        # paired coset c = d = 0), into blocks of 8 rows, or into one block,
-        # and the same sums from each
+    def test_one_projection_per_span(self, monkeypatch, D):
+        # the class sums of the blocks of a span meet the labels' class
+        # characters in one einsum after the span's blocks: one c_einsum call
+        # per coset while its rows fit one span of 2 _BLOCK class sums, with
+        # _BLOCK splitting the rows into blocks of 8 rows (4 D^2 - 2 blocks)
+        # or into one block; at _BLOCK = 25 a span is 4 rows of 11 class
+        # sums: 4 spans for the paired coset (rows 0..12), 7 for each other
+        # (rows -12..12), in 25 D^2 - 12 single-row blocks; the same sums
+        # from each
         einsums, blocks = [], []
         einsum, power = eisenstein.c_einsum, eisenstein._power
 
@@ -398,23 +401,27 @@ class TestNaiveKernel:
         monkeypatch.setattr(eisenstein, "_power", counted_power)
         cosets = [(c, d) for c in range(D) for d in range(D)]
         sums = []
-        for block, count in ((25, 25 * D * D - 12), (200, 4 * D * D - 2), (1 << 13, D * D)):
+        for block, spans, count in ((25, 7 * D * D - 3, 25 * D * D - 12),
+                                    (200, D * D, 4 * D * D - 2), (1 << 13, D * D, D * D)):
             monkeypatch.setattr(eisenstein, "_BLOCK", block)  # 25 columns at R = 12
             einsums.clear()
             blocks.clear()
             sums.append(_naive_sums([(1, 2), (3, 4)], 5, D, cosets, TAU, 4,
                                     LatticeTruncation(12)))
-            assert len(einsums) == len(cosets)
+            assert len(einsums) == spans
             assert len(blocks) == count
         assert sums[0] == sums[1] == sums[2]
 
-    @pytest.mark.parametrize("R, s, bound_kib", [
-        # measured 806 and 856 KiB: the work buffer (_BLOCK terms per bit of
-        # s), the class sums (2 min(N, R) + 1 = 11 per row: 172 and 344 KiB)
-        # and the rows; R = 1000 at k = 2 is eisenstein_sum_k2 in verify
-        (500, 8, 880), (1000, 2, 940)])
-    def test_peak_memory(self, R, s, bound_kib):
-        args = ([(1, 2)], 5, 1, [(0, 0)], TAU, s, LatticeTruncation(R))
+    @pytest.mark.parametrize("R, N, s, bound_kib", [
+        # measured 796, 821 and 1096 KiB: the work buffer (_BLOCK terms per bit
+        # of s: 500, 250 and 375 KiB), the class sums of at most two spans
+        # (2 min(N, R) + 1 per row: 172, 344 and 500 KiB) and the rows; R =
+        # 1000 at k = 2 is eisenstein_sum_k2 in verify; at N >= R every column
+        # is its own class, and the spans keep the class sums from growing
+        # with the lattice (all rows at once would be 16 MB)
+        (500, 5, 8, 880), (1000, 5, 2, 900), (500, 1000, 4, 1200)])
+    def test_peak_memory(self, R, N, s, bound_kib):
+        args = ([(1, 2)], N, 1, [(0, 0)], TAU, s, LatticeTruncation(R))
         _naive_sums(*args)  # caches filled first
         tracemalloc.start()
         try:
