@@ -1,10 +1,9 @@
 """Layer microbenchmarks: one fixed call per layer, timed best of N, in
 rounds over one or two source trees.
 
-Prints, per call, the fastest of N timed runs after one warm-up run, then the
-wall time and the md5 of the canonical `verify all --seed 0` report, the
-fastest of N further `verify all --seed 0` runs (on a machine shared with
-other work one run's wall time can move by 2x) and the line count of
+Prints, per call, the fastest of N timed runs after one warm-up run (on a
+machine shared with other work one run's wall time can move by 2x), then the
+md5 of the canonical `verify all --seed 0` report and the line count of
 `src/epolylog/*.py`. Next to each wall time it records the CPU time
 (time.process_time, the smallest of the same runs), and it marks a call whose
 CPU time exceeds 1.2 x its wall time: that call kept a second core busy (a
@@ -36,34 +35,34 @@ through 512 distinct verify-box tau (twice the 256 entries of the theta
 weights' cache), so every call builds its weights; a timed run is one cycle
 and the figure is its time per call. theta_vector_fresh_tau_256 is one
 theta_normalized call on 256 points, each at its own tau (the first 256 of
-those tau): the vector-tau engine's weight lookup per tau and its padded sum;
-a tree whose theta takes one tau only records null for it. The round also
-counts the theta weights' cache misses (`_jacobi_weights.cache_info().misses`)
-over one `verify all --seed 0` run with that cache cleared first.
+those tau): the vector-tau engine's weight lookup per tau and its padded sum.
+The round also counts the theta weights' cache misses
+(`_jacobi_weights.cache_info().misses`) over one `verify all --seed 0` run
+with that cache cleared first.
 
-It also times cmd_verify(suite) at seed 0 for every verify suite, best of N
-in the same way (the whole suite per run).
+The verify suites are timed the same way: cmd_verify(suite) at seed 0 for
+every verify suite and for `all` (the whole suite per run), each a call of
+suites(), timed after the layers; the md5 of the canonical `verify all --seed
+0` report comes from its warm-up run.
 
 --src picks the source tree to import, the directory holding the epolylog
 package or a checkout root whose src/ holds it; give it twice, say a parent
 commit checked out elsewhere (git archive or git clone) and the working tree,
-to compare them on the same machine. This interpreter times the layer
-microbenchmarks: each tree is imported under its own package name (the
-package's modules import one another only relatively), and with two trees
-each of the N timed runs of a call runs it on both, the lead alternating,
-so the host's drift within a round falls on both sides of every ratio. Each
-round then measures every tree's verify suites and `verify all` in a fresh
-interpreter, and the trees alternate: the first tree leads the odd rounds
-and the second the even ones, so host drift over the rounds falls on both.
-After that the round runs the tree's tier-1 pytest (`python -m pytest -q
---continue-on-collection-errors` in the tree's root, its src first on
-PYTHONPATH) and records the wall seconds and the passed count. Two trees
-also print, for every layer, every verify suite and the best `verify all`,
-the second tree's time over the first's in each round, with the median and
-range of those ratios, beside the ratio of the per-tree medians over the
-rounds. A host whose speed drifts between rounds moves both trees of a round
-alike, so the per-round ratios are the figure to compare; the ratio of
-medians mixes rounds of different speeds. --out merges every round, the
+to compare them on the same machine. Each tree is imported into this
+interpreter under its own package name (the package's modules import one
+another only relatively), and with two trees each of the N timed runs of a
+call runs it on both, the lead alternating, so the host's drift within a
+round falls on both sides of every ratio. The trees alternate from round to
+round too: the first tree leads the odd rounds and the second the even ones.
+After its calls each round runs each tree's tier-1 pytest (`python -m pytest
+-q --continue-on-collection-errors` in the tree's root, its src first on
+PYTHONPATH), in the same order, and records the wall seconds and the passed,
+failed and error counts. Two trees also print, for every layer and every
+verify suite, the second tree's time over the first's in each round, with the
+median and range of those ratios, beside the ratio of the per-tree medians
+over the rounds. A host whose speed drifts between rounds moves both trees of
+a round alike, so the per-round ratios are the figure to compare; the ratio
+of medians mixes rounds of different speeds. --out merges every round, the
 per-tree medians and the per-round ratios into a JSON file.
 
 Run: python scripts/layer_bench.py [--src DIR [--src DIR2]] [--label L [--label L2]]
@@ -82,6 +81,7 @@ import statistics
 import subprocess
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -186,58 +186,49 @@ def calls(pkg: str = "epolylog"):
     }
 
 
+def suites(pkg: str) -> dict:
+    """cmd_verify at seed 0 of every verify suite and of `all`, of the package
+    imported as pkg, by name."""
+    cli = importlib.import_module(f"{pkg}.cli")
+    config = cli.RunConfig(seed=0)
+    return {f"verify {name}": partial(cli.cmd_verify, name, config)
+            for name in (*cli.SUITES, "all")}
+
+
 def layers(trees: list, repeat: int) -> tuple:
-    """One round of the layer microbenchmarks on each tree (a calls() dict
-    each), every call timed by best_ms on all trees at once: per tree the
-    record of layers_ms, layers_cpu_ms and naive_ns_per_term, and the
-    results of its calls."""
+    """One round of timed calls on each tree (a dict of calls each, such as
+    calls() and suites()), every call timed by best_ms on all trees at once:
+    per tree the record of layers_ms, layers_cpu_ms and, when F_naive_R500 is
+    among the calls, naive_ns_per_term, and the results of its calls."""
     records = [{"layers_ms": {}, "layers_cpu_ms": {}} for _ in trees]
     results = [{} for _ in trees]
     for name in trees[0]:
         per_run = FRESH_TAUS if name.endswith("_fresh_tau") else 1
-        try:
-            got, timed = best_ms([tree[name] for tree in trees], repeat)
-        except TypeError:  # an array of tau where a tree takes one tau
-            got, timed = [None] * len(trees), [None] * len(trees)
-        for record, result, value, ms in zip(records, results, got, timed):
-            wall, cpu = (None, None) if ms is None else (round(v / per_run, 4) for v in ms)
-            record["layers_ms"][name], record["layers_cpu_ms"][name] = wall, cpu
+        got, timed = best_ms([tree[name] for tree in trees], repeat)
+        for record, result, value, (wall, cpu) in zip(records, results, got, timed):
+            record["layers_ms"][name] = round(wall / per_run, 4)
+            record["layers_cpu_ms"][name] = round(cpu / per_run, 4)
             result[name] = value
     for record in records:
-        record["naive_ns_per_term"] = round(
-            record["layers_ms"]["F_naive_R500"] * 1e6 / NAIVE_TERMS, 3)
+        if "F_naive_R500" in record["layers_ms"]:
+            record["naive_ns_per_term"] = round(
+                record["layers_ms"]["F_naive_R500"] * 1e6 / NAIVE_TERMS, 3)
     return records, results
 
 
-def suite_seconds(repeat: int) -> dict:
-    """Per verify suite at seed 0: (wall s, CPU s), best of repeat."""
-    from epolylog.cli import SUITES, RunConfig, cmd_verify
-
-    config = RunConfig(seed=0)
-    return {name: tuple(v / 1e3 for v in best_ms([lambda: cmd_verify(name, config)], repeat)[1][0])
-            for name in SUITES}
-
-
-def cold_misses() -> int:
-    """Theta weight cache misses of one `verify all --seed 0` from a cleared cache."""
-    from epolylog.cli import RunConfig, cmd_verify
-    from epolylog.weierstrass import _jacobi_weights
-
-    _jacobi_weights.cache_clear()
-    cmd_verify("all", RunConfig(seed=0))
-    return _jacobi_weights.cache_info().misses
+def cold_misses(pkg: str) -> int:
+    """Theta weight cache misses of one `verify all --seed 0` from a cleared
+    cache, of the package imported as pkg."""
+    cli, W = (importlib.import_module(f"{pkg}.{m}") for m in ("cli", "weierstrass"))
+    W._jacobi_weights.cache_clear()
+    cli.cmd_verify("all", cli.RunConfig(seed=0))
+    return W._jacobi_weights.cache_info().misses
 
 
-def verify_all() -> tuple:
-    """Wall s, CPU s and the md5 of the report of one `verify all --seed 0`."""
-    from epolylog.cli import RunConfig, cmd_verify
-
-    c0, t0 = time.process_time(), time.perf_counter()
-    report = cmd_verify("all", RunConfig(seed=0))
-    wall, cpu = time.perf_counter() - t0, time.process_time() - c0
+def report_md5(report: dict) -> str:
     # the CLI prints json.dumps(report, indent=2) and a newline
     text = json.dumps(report, indent=2, allow_nan=False) + "\n"
-    return wall, cpu, hashlib.md5(text.encode()).hexdigest()
+    return hashlib.md5(text.encode()).hexdigest()
 
 
 def src_lines(src: str) -> int:
@@ -250,28 +241,9 @@ def src_lines(src: str) -> int:
     return total
 
 
-def measure(src: str, repeat: int) -> dict:
-    """The verify suites and `verify all` of one round on the tree under src,
-    in this interpreter."""
-    sys.path.insert(0, src)
-    record = {"jacobi_weights_misses_verify_all_seed0": cold_misses()}
-    suites = suite_seconds(repeat)
-    record["suites_s"] = {k: round(wall, 4) for k, (wall, _) in suites.items()}
-    record["suites_cpu_s"] = {k: round(cpu, 4) for k, (_, cpu) in suites.items()}
-    wall, cpu, md5 = verify_all()
-    record["verify_all_seed0_s"] = round(wall, 3)
-    record["verify_all_seed0_cpu_s"] = round(cpu, 3)
-    record["verify_all_seed0_md5"] = md5
-    runs = [verify_all() for _ in range(repeat)]
-    record["verify_all_seed0_best_s"] = round(min(r[0] for r in runs), 3)
-    record["verify_all_seed0_best_cpu_s"] = round(min(r[1] for r in runs), 3)
-    record["src_lines"] = src_lines(src)
-    return record
-
-
 def tier1(src: str) -> dict:
-    """Wall seconds and passed count of the tier-1 pytest of the tree whose
-    package lives under src."""
+    """Wall seconds and the passed, failed and error counts of the tier-1
+    pytest of the tree whose package lives under src."""
     root = os.path.dirname(src)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -279,12 +251,15 @@ def tier1(src: str) -> dict:
     out = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
                          cwd=root, env=env, stdout=subprocess.PIPE, text=True)
     wall = time.perf_counter() - t0
-    passed = re.search(r"(\d+) passed", out.stdout)
-    return {"tier1_s": round(wall, 3), "tier1_passed": int(passed.group(1)) if passed else 0}
+    # pytest's summary line, say "1 failed, 296 passed, 2 errors in 17.02s"
+    summary = (out.stdout.strip().splitlines() or [""])[-1]
+    found = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|error)", summary)}
+    return {"tier1_s": round(wall, 3), "tier1_passed": found.get("passed", 0),
+            "tier1_failed": found.get("failed", 0), "tier1_errors": found.get("error", 0)}
 
 
 def cpu_note(wall, cpu) -> str:
-    return f"   CPU > {CPU_OVER_WALL} x wall" if wall and cpu > CPU_OVER_WALL * wall else ""
+    return f"   CPU > {CPU_OVER_WALL} x wall" if cpu > CPU_OVER_WALL * wall else ""
 
 
 def show(title: str, record: dict) -> None:
@@ -293,21 +268,13 @@ def show(title: str, record: dict) -> None:
         cpu = record["layers_cpu_ms"][name]
         per_term = (f"   {record['naive_ns_per_term']:.3f} ns/term"
                     if name == "F_naive_R500" else "")
-        print(f"{name:26s} " + ("       n/a ms" if ms is None else
-                                f"{ms:10.4f} ms {cpu:10.4f} ms{per_term}{cpu_note(ms, cpu)}"))
-    for name, sec in record["suites_s"].items():
-        cpu = record["suites_cpu_s"][name]
-        print(f"{'verify ' + name:24s} {sec:10.3f} s  {cpu:10.3f} s{cpu_note(sec, cpu)}")
-    wall, cpu = record["verify_all_seed0_s"], record["verify_all_seed0_cpu_s"]
-    print(f"{'verify all --seed 0':24s} {wall:10.3f} s  {cpu:10.3f} s"
-          f"   md5 {record['verify_all_seed0_md5']}{cpu_note(wall, cpu)}")
-    wall, cpu = record["verify_all_seed0_best_s"], record["verify_all_seed0_best_cpu_s"]
-    print(f"{'verify all, best of N':24s} {wall:10.3f} s  {cpu:10.3f} s{cpu_note(wall, cpu)}")
-    print(f"{'theta weight misses':24s} {record['jacobi_weights_misses_verify_all_seed0']:10d}"
+        print(f"{name:26s} {ms:10.4f} ms {cpu:10.4f} ms{per_term}{cpu_note(ms, cpu)}")
+    print(f"{'verify all --seed 0 md5':26s} {record['verify_all_seed0_md5']}")
+    print(f"{'theta weight misses':26s} {record['jacobi_weights_misses_verify_all_seed0']:10d}"
           "   (cold verify all --seed 0)")
-    print(f"{'src lines':24s} {record['src_lines']:10d}")
-    print(f"{'tier-1 pytest':24s} {record['tier1_s']:10.3f} s   "
-          f"{record['tier1_passed']} passed", flush=True)
+    print(f"{'src lines':26s} {record['src_lines']:10d}")
+    print(f"{'tier-1 pytest':26s} {record['tier1_s']:10.3f} s   {record['tier1_passed']} passed, "
+          f"{record['tier1_failed']} failed, {record['tier1_errors']} errors", flush=True)
 
 
 def median_record(records: list) -> dict:
@@ -321,28 +288,19 @@ def median_record(records: list) -> dict:
     return first if all(r == first for r in records) else records
 
 
-def times(record: dict) -> dict:
-    """The timed figures of a record: each layer (ms), each verify suite and
-    the best `verify all` (s)."""
-    return {**record["layers_ms"],
-            **{f"verify {k}": v for k, v in record["suites_s"].items()},
-            "verify all, best of N": record["verify_all_seed0_best_s"]}
-
-
 def round_ratios(rounds: dict, medians: dict, labels: list, n_rounds: int) -> dict:
-    """Per timed figure: the second tree's time over the first's in each
-    round, their median, min and max, and the ratio of the per-tree medians
-    over the rounds."""
-    pairs = [[times(rounds[f"{label}_round{r}"]) for label in labels]
+    """Per timed call: the second tree's time over the first's in each round,
+    their median, min and max, and the ratio of the per-tree medians over the
+    rounds."""
+    pairs = [[rounds[f"{label}_round{r}"]["layers_ms"] for label in labels]
              for r in range(1, n_rounds + 1)]
-    first, second = (times(medians[label]) for label in labels)
+    first, second = (medians[label]["layers_ms"] for label in labels)
     out = {}
     for name in first:
-        ratios = [round(b[name] / a[name], 4) for a, b in pairs if a.get(name) and b.get(name)]
-        if ratios:
-            out[name] = {"rounds": ratios, "median": round(statistics.median(ratios), 4),
-                         "min": min(ratios), "max": max(ratios),
-                         "of_medians": round(second[name] / first[name], 4)}
+        ratios = [round(b[name] / a[name], 4) for a, b in pairs]
+        out[name] = {"rounds": ratios, "median": round(statistics.median(ratios), 4),
+                     "min": min(ratios), "max": max(ratios),
+                     "of_medians": round(second[name] / first[name], 4)}
     return out
 
 
@@ -366,7 +324,6 @@ def main() -> None:
     ap.add_argument("--rounds", type=int, default=3, help="rounds per tree")
     ap.add_argument("--repeat", type=int, default=7, help="timed runs per call")
     ap.add_argument("--out", default=None, help="JSON file to merge the numbers into")
-    ap.add_argument("--one-round", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
     srcs = [os.path.abspath(s) for s in args.src or [os.path.join(here, "..", "src")]]
     # a checkout root: its package lives under src/
@@ -377,23 +334,20 @@ def main() -> None:
         ap.error("give one or two --src trees and, if any, one distinct --label per tree")
     if args.repeat < 1 or args.rounds < 1:
         ap.error("--repeat and --rounds must be >= 1")
-    if args.one_round:  # a child: one tree's verify suites, the record as the last line
-        print(json.dumps(measure(srcs[0], args.repeat)))
-        return
 
-    # this interpreter times the layers, each tree its own package, interleaved call by call
-    packages = [calls(load_tree(src, f"epolylog_tree{i}")) for i, src in enumerate(srcs)]
+    # each tree its own package in this interpreter, its calls interleaved call by call
+    pkgs = [load_tree(src, f"epolylog_tree{i}") for i, src in enumerate(srcs)]
+    trees = [(label, src, pkg, {**calls(pkg), **suites(pkg)})
+             for label, src, pkg in zip(labels, srcs, pkgs)]
     rounds, order = {}, []
     for r in range(1, args.rounds + 1):
-        timed = dict(zip(labels, layers(packages, args.repeat)[0]))
-        trees = list(zip(labels, srcs))
-        for label, src in trees if r % 2 else trees[::-1]:
-            out = subprocess.run([sys.executable, os.path.abspath(__file__), "--src", src,
-                                  "--repeat", str(args.repeat), "--one-round"],
-                                 stdout=subprocess.PIPE, text=True, check=True)
+        lead = trees if r % 2 else trees[::-1]
+        records, results = layers([fns for *_, fns in lead], args.repeat)
+        for (label, src, pkg, _), record, result in zip(lead, records, results):
             key = f"{label}_round{r}"
-            rounds[key] = {**timed[label], **json.loads(out.stdout.strip().splitlines()[-1]),
-                           **tier1(src)}
+            rounds[key] = {**record, "verify_all_seed0_md5": report_md5(result["verify all"]),
+                           "jacobi_weights_misses_verify_all_seed0": cold_misses(pkg),
+                           "src_lines": src_lines(src), **tier1(src)}
             order.append(key)
             show(key, rounds[key])
     medians = {label: median_record([rounds[f"{label}_round{r}"]

@@ -60,7 +60,7 @@ def _lambert_one(x, xi, s):
 
 
 class TestRowMachinery:
-    def test_polylog_root_vs_mpmath(self):
+    def test_row_zero_vs_polylog(self):
         # without the origin, the real row at x = 0 is the polylogarithm pair
         # Li_s(u) + (-1)^s Li_s(conj u) at the root u = e^{2 pi i xi}, xi = -a/N
         for s, p, q in [(2, 1, 4), (3, 2, 5), (1, 1, 3), (4, 0, 1), (5, 1, 2)]:
@@ -68,7 +68,7 @@ class TestRowMachinery:
             ref = complex(mpmath.polylog(s, u) + (-1) ** s * mpmath.polylog(s, 1 / u))
             assert abs(_row_zero(-p, q, 1, [0], s) - ref) < 1e-13
 
-    def test_polylog_root_weight_one_at_one_diverges(self):
+    def test_row_zero_weight_one_at_one_diverges(self):
         with pytest.raises(ValueError):
             _row_zero(0, 1, 1, [0], 1)
 
@@ -498,7 +498,7 @@ class TestLipschitzKernel:
             alone = [_lipschitz_sums(labels[:1], N, D, [coset], tau, s)[0] for coset in cosets]
             assert abs(both[0] - sum(alone)) < 1e-13 * max(map(abs, alone))
 
-    def test_one_T_call_per_lattice_sum(self, monkeypatch):
+    def test_one_lambert_call_per_lattice_sum(self, monkeypatch):
         # F, both labels of F_tilde and the D^2 - 1 cosets of coset_sum: one
         # frequency pass (_lambert call) on the halves of every label and
         # coset, as many as the one-label one-coset calls have together, and

@@ -1,7 +1,8 @@
 """The scripts under scripts/: each imports with src on the path, every
 layer microbenchmark of layer_bench.calls() runs once, layer_bench's
-two-tree timing runs once with this tree on both sides, and the private
-package names the scripts reach into exist and act as the scripts assume.
+two-tree timing runs once with this tree on both sides, on the layers and
+on one verify suite, and the private package names the scripts reach into
+exist and act as the scripts assume.
 A change to the package that would break a script fails here.
 """
 import dataclasses
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from epolylog import kronecker, weierstrass
+from epolylog.cli import SUITES
 from epolylog.kronecker import KroneckerPoint, heat_residual
 from epolylog.numerics import DiffConfig
 from epolylog.weierstrass import ModuliPoint
@@ -91,3 +93,23 @@ def test_layer_bench_interleaves_two_trees():
         assert _bits(results[0][name]) == _bits(results[1][name]), name
     assert all(ms > 0 for record in records for ms in record["layers_ms"].values())
     assert all(record["naive_ns_per_term"] > 0 for record in records)
+
+
+def test_layer_bench_times_suites_in_process():
+    # the verify suites go through the same two-tree timing as the layers,
+    # each tree's own cmd_verify; both sides return the same report, bit for bit
+    bench = _load(next(p for p in SCRIPTS if p.stem == "layer_bench"))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    names = [bench.load_tree(src, f"epolylog_tree{i}") for i in range(2)]
+    try:
+        suites = [bench.suites(name) for name in names]
+        records, results = bench.layers(
+            [{"verify weierstrass": s["verify weierstrass"]} for s in suites], 1)
+    finally:
+        for key in [k for k in sys.modules if k.split(".")[0] in names]:
+            del sys.modules[key]
+    assert all(s.keys() == {f"verify {n}" for n in (*SUITES, "all")} for s in suites)
+    report = results[0]["verify weierstrass"]
+    assert report["suite"] == "weierstrass" and report["overall_pass"]
+    assert _bits(report) == _bits(results[1]["verify weierstrass"])
+    assert all(record["layers_ms"]["verify weierstrass"] > 0 for record in records)
