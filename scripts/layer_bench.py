@@ -33,9 +33,12 @@ Every call above repeats one tau, so its theta weights come from the cache.
 The fresh-tau layers, scalar theta_normalized, wp and s_coeffs at n = 4, cycle
 through 512 distinct verify-box tau (twice the 256 entries of the theta
 weights' cache), so every call builds its weights; a timed run is one cycle
-and the figure is its time per call. theta_vector_fresh_tau_256 is one
-theta_normalized call on 256 points, each at its own tau (the first 256 of
-those tau): the vector-tau engine's weight lookup per tau and its padded sum.
+and the figure is its time per call. The 4096 entries of the E2, E4, E6 cache
+hold all 512 tau, so eisenstein_weights_fresh_tau calls the uncached
+_eisenstein_weights at each: what the Lambert sums of a tau new to eta1, g2
+and g3 cost. theta_vector_fresh_tau_256 is one theta_normalized call on 256
+points, each at its own tau (the first 256 of those tau): the vector-tau
+engine's weight lookup per tau and its padded sum.
 The round also counts the theta weights' cache misses
 (`_jacobi_weights.cache_info().misses`) over one `verify all --seed 0` run
 with that cache cleared first.
@@ -162,6 +165,8 @@ def calls(pkg: str = "epolylog"):
         "theta_scalar_fresh_tau": lambda: [W.theta_normalized(0.23 + 0.11j, t) for t in taus],
         "s_coeffs_n4_fresh_tau": lambda: [K.s_coeffs(0.23 + 0.11j, t, 2, 4) for t in taus],
         "wp_fresh_tau": lambda: [W.wp(0.23 + 0.11j, t) for t in taus],
+        "eisenstein_weights_fresh_tau": lambda: [W._eisenstein_weights.__wrapped__(t)
+                                                 for t in taus],
         "F_lipschitz": lambda: E.F(E.EisensteinQuery(1, 2, 5, 4, tau)),
         # near the real axis, outside the verify box, where the rows decay slowly
         "F_lipschitz_small_im": lambda: E.F(E.EisensteinQuery(1, 2, 5, 4, 0.5 + 0.03j)),
@@ -268,12 +273,12 @@ def show(title: str, record: dict) -> None:
         cpu = record["layers_cpu_ms"][name]
         per_term = (f"   {record['naive_ns_per_term']:.3f} ns/term"
                     if name == "F_naive_R500" else "")
-        print(f"{name:26s} {ms:10.4f} ms {cpu:10.4f} ms{per_term}{cpu_note(ms, cpu)}")
-    print(f"{'verify all --seed 0 md5':26s} {record['verify_all_seed0_md5']}")
-    print(f"{'theta weight misses':26s} {record['jacobi_weights_misses_verify_all_seed0']:10d}"
+        print(f"{name:28s} {ms:10.4f} ms {cpu:10.4f} ms{per_term}{cpu_note(ms, cpu)}")
+    print(f"{'verify all --seed 0 md5':28s} {record['verify_all_seed0_md5']}")
+    print(f"{'theta weight misses':28s} {record['jacobi_weights_misses_verify_all_seed0']:10d}"
           "   (cold verify all --seed 0)")
-    print(f"{'src lines':26s} {record['src_lines']:10d}")
-    print(f"{'tier-1 pytest':26s} {record['tier1_s']:10.3f} s   {record['tier1_passed']} passed, "
+    print(f"{'src lines':28s} {record['src_lines']:10d}")
+    print(f"{'tier-1 pytest':28s} {record['tier1_s']:10.3f} s   {record['tier1_passed']} passed, "
           f"{record['tier1_failed']} failed, {record['tier1_errors']} errors", flush=True)
 
 

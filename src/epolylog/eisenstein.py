@@ -5,19 +5,16 @@
 (primed sum: origin excluded). Two evaluators: "naive" sums the terms of the
 square |m|, |n| <= R of a LatticeTruncation, exactly rounded (_naive_sums),
 and "lipschitz" sums by rows (_lipschitz_sums), row m being the exponential sum
-
-  T(x, xi, s) = sum_n e^(2 pi i xi n)/(x+n)^s
-             = (-2 pi i)^s/(s-1)! sum_{l>=1} (l-xi)^(s-1) e^(2 pi i (l-xi) x)
-
-for Im x > 0 (Im x < 0 by the reflection T(x,xi,s) = (-1)^s T(-x, -xi mod 1, s)).
-The rows of a half-plane carry a geometric character, so at each frequency
-they sum in closed form (a Lambert series), and the real row m = 0 is a
-Bernoulli polynomial at a rational point. The rows realize the eisenstein
-summation order, so this also holds at the conditionally convergent weights
-k <= 2. At k = 1 it needs a != 0 mod N: with a = 0 row m tends to
--+pi i zeta_N^(+-mb) and the rows do not sum. The naive square truncation at
-k = 1 also needs b != 0 mod N, without which it converges to another value;
-outside this domain F raises ConvergenceModeError.
+T(x, xi, s) = sum_n e^(2 pi i xi n)/(x+n)^s of weierstrass._lambert for Im x > 0
+(Im x < 0 by the reflection T(x,xi,s) = (-1)^s T(-x, -xi mod 1, s)). The rows
+of a half-plane carry a geometric character, so at each frequency they sum in
+closed form (a Lambert series, the engine that also gives E2, E4 and E6), and
+the real row m = 0 is a Bernoulli polynomial at a rational point. The rows
+realize the eisenstein summation order, so this also holds at the conditionally
+convergent weights k <= 2. At k = 1 it needs a != 0 mod N: with a = 0 row m
+tends to -+pi i zeta_N^(+-mb) and the rows do not sum. The naive square
+truncation at k = 1 also needs b != 0 mod N, without which it converges to
+another value; outside this domain F raises ConvergenceModeError.
 
 coset_sum evaluates the shifted, character-twisted sums of the same kind
 (Eisenstein-Kronecker series, Bannai-Kobayashi arXiv:math/0610163) over the
@@ -39,7 +36,7 @@ import numpy as np
 from numpy._core.multiarray import c_einsum  # np.einsum without its Python wrapper
 
 from .numerics import LatticeTruncation
-from .weierstrass import _tau_of
+from .weierstrass import _lambert, _tau_of
 
 
 class ConvergenceModeError(ValueError):
@@ -109,43 +106,6 @@ def _row_zero(a: int, N: int, D: int, ds, s: int) -> complex:
         num = sum(c * p ** (s - k) * q**k for k, c in enumerate(coeffs))  # M q^s B_s(p/q)
         total += sum(cmath.exp(-2j * cmath.pi * j * d / D) for d in ds) * (num / (M * q**s))
     return -(2j * math.pi) ** s / math.factorial(s) * D ** (s - 1) * total
-
-
-def _lambert(y, xi, rho, t: complex, s: int) -> np.ndarray:
-    """sum_(m >= 0) rho^m T(y + m t, xi, s) for each half (y, xi, rho), Im y > 0,
-    0 <= xi < 1 (not 0 at s = 1), |rho| <= 1: with C_s = (-2 pi i)^s/(s-1)!,
-    at each frequency of T the rows are a geometric series, so this is
-
-      C_s sum_(l >= 1) (l - xi)^(s-1) e^(2 pi i (l - xi) y) / (1 - rho e^(2 pi i (l - xi) t)),
-
-    and rho = 0 gives T(y, xi, s) itself. y, xi and rho are sequences, one entry per
-    half. Every half runs over the same L terms, summed in frequency order by a
-    running sum (numpy's sum over one column would add pairwise), so a half keeps
-    its bits whatever other halves share the call."""
-    im_min = min(v.imag for v in y)
-    if im_min <= 0.0:
-        raise ValueError("Lambert halves need Im y > 0")
-    # terms u^(s-1) e^(-w u), u = l - xi, shrink by e^(-w/2) a step past 2(s-1)/w; with
-    # A = 48 - log(1 - e^(-w/2)) those after L are e^-48 below the peak once r = u w/(s-1)
-    # has r - log r >= 1 + a, a = A/(s-1), met via log r <= log c + r/c - 1 for c > 1;
-    # there the denominators are 1 to e^-48, as Im t >= Im y
-    w = 2.0 * math.pi * im_min
-    A = 48.0 - math.log1p(-math.exp(-0.5 * w))
-    a = A / max(s - 1, 1)
-    c = 1.0 + a + math.log1p(a)
-    u = (s - 1) * (a + math.log(c)) / ((1.0 - 1.0 / c) * w) if s > 1 else A / w
-    L = max(int(math.ceil(48.0 / w)) + s + 6, math.ceil(u - 1.0 + max(xi)))
-    # e^(2 pi i (l - xi) x) = e^(2 pi i (1 - xi) x) u^(l-1), u = e^(2 pi i x), at x = y
-    # and x = t: two exps per column and a running product along the frequencies
-    H = len(y)
-    z, xi = 2j * np.pi * np.array([*y, *[t] * H]), np.array([*xi, *xi])  # columns y, then t
-    phase = np.empty((L, 2 * H), dtype=complex)
-    phase[1:] = np.exp(z)
-    np.exp((1.0 - xi) * z, out=phase[0])
-    np.cumprod(phase, axis=0, out=phase)
-    f = np.arange(1, L + 1)[:, None] - xi[:H]
-    terms = f ** (s - 1) * phase[:, :H] / (1.0 - np.asarray(rho) * phase[:, H:])
-    return np.cumsum(terms, axis=0, out=terms)[-1] * ((-2j * np.pi) ** s / math.factorial(s - 1))
 
 
 def _lipschitz_sums(labels, N: int, D: int, cosets, t: complex, s: int) -> list:

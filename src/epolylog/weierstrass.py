@@ -1,6 +1,8 @@
 """Weierstrass functions on the lattice Z + Z*tau via q-series: one theta engine
 (_theta_taylor: Jacobi series weights, per tau times a tau-independent table) under
-the theta family and kronecker._s_columns; Lambert series for eta1, eta1', g2 and g3.
+the theta family and kronecker._s_columns, and one Lambert engine (_lambert: half
+lattices of rows T(x, xi, s), summed by frequency) under E2, E4 and E6, so eta1,
+eta1', g2 and g3, and under the Lipschitz lattice sums of eisenstein.
 The evaluators broadcast over z and tau; the package's batched paths call their
 private cores (_cell, _theta, _zeta, _sigma, _wp, _eta1), so that a public function
 is only ever called at one tau from inside the package.
@@ -205,25 +207,58 @@ def theta_logderiv(z, tau):
     return out if out.shape else complex(out)
 
 
+def _lambert(y, xi, rho, t: complex, s: int) -> np.ndarray:
+    """sum_(m >= 0) rho^m T(y + m t, xi, s) for each half (y, xi, rho), Im y > 0,
+    0 <= xi < 1 (not 0 at s = 1), |rho| <= 1, where for Im x > 0
+
+      T(x, xi, s) = sum_n e^(2 pi i xi n)/(x+n)^s
+                  = C_s sum_(l >= 1) (l - xi)^(s-1) e^(2 pi i (l - xi) x),
+
+    C_s = (-2 pi i)^s/(s-1)!. At each frequency of T the rows are a geometric
+    series, so this is
+
+      C_s sum_(l >= 1) (l - xi)^(s-1) e^(2 pi i (l - xi) y) / (1 - rho e^(2 pi i (l - xi) t)),
+
+    and rho = 0 gives T(y, xi, s) itself. y, xi and rho are sequences, one entry per
+    half. Every half runs over the same L terms, summed in frequency order by a
+    running sum (numpy's sum over one column would add pairwise), so a half keeps
+    its bits whatever other halves share the call. Past 5000 terms it raises
+    ConvergenceError, before it allocates any."""
+    im_min = min(v.imag for v in y)
+    if im_min <= 0.0:
+        raise ValueError("Lambert halves need Im y > 0")
+    # terms u^(s-1) e^(-w u), u = l - xi, shrink by e^(-w/2) a step past 2(s-1)/w; with
+    # A = 48 - log(1 - e^(-w/2)) those after L are e^-48 below the peak once r = u w/(s-1)
+    # has r - log r >= 1 + a, a = A/(s-1), met via log r <= log c + r/c - 1 for c > 1;
+    # there the denominators are 1 to e^-48, as Im t >= Im y
+    w = 2.0 * math.pi * im_min
+    A = 48.0 - math.log1p(-math.exp(-0.5 * w))
+    a = A / max(s - 1, 1)
+    c = 1.0 + a + math.log1p(a)
+    u = (s - 1) * (a + math.log(c)) / ((1.0 - 1.0 / c) * w) if s > 1 else A / w
+    L = max(int(math.ceil(48.0 / w)) + s + 6, math.ceil(u - 1.0 + max(xi)))
+    if L > 5000:
+        raise ConvergenceError(f"Im y = {im_min} too small for the Lambert series ({L} terms)")
+    # e^(2 pi i (l - xi) x) = e^(2 pi i (1 - xi) x) u^(l-1), u = e^(2 pi i x), at x = y
+    # and x = t: two exps per column and a running product along the frequencies
+    H = len(y)
+    z, xi = 2j * np.pi * np.array([*y, *[t] * H]), np.array([*xi, *xi])  # columns y, then t
+    phase = np.empty((L, 2 * H), dtype=complex)
+    phase[1:] = np.exp(z)
+    np.exp((1.0 - xi) * z, out=phase[0])
+    np.cumprod(phase, axis=0, out=phase)
+    f = np.arange(1, L + 1)[:, None] - xi[:H]
+    terms = f ** (s - 1) * phase[:, :H] / (1.0 - np.asarray(rho) * phase[:, H:])
+    return np.cumsum(terms, axis=0, out=terms)[-1] * ((-2j * np.pi) ** s / math.factorial(s - 1))
+
+
 @lru_cache(maxsize=4096)
 def _eisenstein_weights(t: complex) -> tuple:
-    # Lambert series for E2, E4, E6; absolutely convergent for |q| < 1, and
-    # |q|^n below 1e-19
-    n = int(math.ceil(45.0 / (2.0 * math.pi * t.imag))) + 6
-    if n > 5000:
-        raise ConvergenceError(f"Im tau = {t.imag} too small for the q-series")
-    q = cmath.exp(2j * cmath.pi * t)
-    e2 = 1.0 + 0.0j
-    e4 = 1.0 + 0.0j
-    e6 = 1.0 + 0.0j
-    qn = 1.0 + 0.0j
-    for k in range(1, n + 2):
-        qn *= q
-        lam = qn / (1.0 - qn)
-        e2 -= 24.0 * k * lam
-        e4 += 240.0 * k**3 * lam
-        e6 -= 504.0 * k**5 * lam
-    return e2, e4, e6
+    # E_s = G_s / (2 zeta(s)), G_s = sum' 1/(m t + n)^s = 2 zeta(s) + 2 sum_(m >= 1)
+    # T(m t, 0, s): one Lambert half at y = t, xi = 0, rho = 1; 1-periodic in t
+    t = complex(t.real - round(t.real), t.imag)
+    return tuple(complex(1.0 + _lambert([t], [0.0], [1.0], t, s)[0] / zeta_s) for s, zeta_s in
+                 ((2, math.pi**2 / 6.0), (4, math.pi**4 / 90.0), (6, math.pi**6 / 945.0)))
 
 
 def _eta1(t):

@@ -61,6 +61,14 @@ def sigma_ref(z, tau):
     return mpexp(eta1_ref(tau) * mpc(z) ** 2 / 2) * theta_ref(z, tau)
 
 
+def e4_e6_ref(tau):
+    """Eisenstein series E4 and E6 from the theta constants at nome q = e^{i pi tau}:
+    E4 = (th2^8 + th3^8 + th4^8)/2, E6 = (th2^4 + th3^4)(th3^4 + th4^4)(th4^4 - th2^4)/2."""
+    q = _q(tau)
+    t2, t3, t4 = (jtheta(j, 0, q) ** 4 for j in (2, 3, 4))
+    return (t2**2 + t3**2 + t4**2) / 2, (t2 + t3) * (t3 + t4) * (t4 - t2) / 2
+
+
 def wp_ref(z, tau):
     """-(log theta)'' - eta1 via jtheta derivatives."""
     q = _q(tau)

@@ -202,6 +202,13 @@ class TestErrors:
         code = main(["eval", "J", "--z", "0", "--w", "0.3", "--tau", "0+1i"])
         assert code == 2
 
+    def test_eval_lambert_term_count(self, capsys):
+        # a Lipschitz sum past 5000 Lambert terms is a typed error, exit 2
+        code = main(["eval", "F", "--tau", "0.3+1e-4i", "--a", "1", "--b", "2", "--N", "5",
+                     "--k", "4"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_eval_non_finite_point(self, capsys):
         # 1e400 parses as inf: a typed error, not a NaN that JSON rejects
         code = main(["eval", "dlogtheta", "--z", "1e400", "--tau", "0.5+0.8i", "--D", "2"])

@@ -15,13 +15,13 @@ from epolylog.eisenstein import (
     EisensteinQuery,
     F,
     F_tilde,
-    _lambert,
     _lipschitz_sums,
     _naive_sums,
     _row_zero,
     eisenstein_sum_k2,
 )
 from epolylog.numerics import LatticeTruncation
+from epolylog.weierstrass import ConvergenceError, _lambert
 
 TAU = 0.21 + 1.1j
 
@@ -689,6 +689,12 @@ class TestF:
         # box only declares absolute convergence: the same terms in the same order
         assert box == F(EisensteinQuery(a=1, b=2, N=5, k=4, tau=TAU, mode="naive",
                                         trunc=LatticeTruncation(200)))
+
+    def test_lambert_term_count_guard(self):
+        # at Im tau = 1e-4 the Lambert halves would need about 1e5 terms: past
+        # 5000 the sum raises instead of returning a value dominated by roundoff
+        with pytest.raises(ConvergenceError):
+            F(EisensteinQuery(a=1, b=2, N=5, k=4, tau=0.3 + 1e-4j))
 
     def test_box_rejected_below_weight_three(self):
         with pytest.raises(ConvergenceModeError):

@@ -13,6 +13,7 @@ from epolylog.weierstrass import (
     ConvergenceError,
     ModuliPoint,
     PoleProximityError,
+    _eisenstein_weights,
     _jacobi_table,
     _jacobi_weights,
     _theta_taylor,
@@ -479,6 +480,14 @@ class TestInvariants:
     def test_square_lattice_g3_vanishes(self):
         g2, g3 = g_invariants(1j)
         assert abs(g3) < 1e-14 * max(1.0, abs(g2))
+
+    @pytest.mark.parametrize("t", [0.5 + 0.03j, 19.9 + 0.06j, 0.02j, -16 + 0.06j])
+    def test_e4_e6_vs_theta_constants(self, t):
+        # near the real axis and far from Re tau = 0: E4 and E6 against the
+        # theta-constant formulas at dps 30, independent of any Lambert series
+        _, e4, e6 = _eisenstein_weights(t)
+        for got, ref in zip((e4, e6), map(complex, oracles.e4_e6_ref(t))):
+            assert abs(got - ref) < 1e-14 * max(1.0, abs(ref)), t
 
 
 class TestEta1Prime:
