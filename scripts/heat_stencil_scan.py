@@ -1,10 +1,10 @@
 """Step-size scan for the mixed heat-equation residual.
 
-Sweeps the central-difference step and Richardson depth used by
-heat_residual and prints the worst relative residual over a small seeded
-point set. The table shows the usual V shape: truncation error falls with
-the step until roundoff in the theta quotients takes over, with Richardson
-extrapolation moving the floor left. Useful when retuning DiffConfig.
+Sweeps the first central-difference step used by heat_residual
+(kronecker._HEAT_STEP) and prints the worst relative residual over a small
+seeded point set. The column shows the usual V shape: truncation error falls
+with the step until roundoff in the theta quotients takes over. Useful when
+retuning _HEAT_STEP.
 """
 
 import argparse
@@ -13,7 +13,6 @@ import numpy as np
 
 from epolylog import kronecker
 from epolylog.kronecker import KroneckerPoint, heat_residual
-from epolylog.numerics import DiffConfig
 from epolylog.weierstrass import ModuliPoint, lattice_dist
 
 
@@ -40,23 +39,18 @@ def main() -> None:
 
     pts = draw_points(args.seed, args.points)
     steps = [10.0 ** (-e) for e in (2, 3, 4, 5)]
-    levels = (0, 1, 2)
 
-    header = "step      " + "".join(f"  richardson={r}" for r in levels)
+    header = "step      worst residual"
     print(header)
     print("-" * len(header))
-    default = kronecker._HEAT_STENCIL
+    default = kronecker._HEAT_STEP
     try:
         for step in steps:
-            row = f"{step:8.0e}  "
-            for r in levels:
-                # heat_residual reads its stencil from the module constant
-                kronecker._HEAT_STENCIL = DiffConfig(step=step, richardson_levels=r)
-                worst = max(heat_residual(p) for p in pts)
-                row += f"  {worst:12.3e}"
-            print(row)
+            # heat_residual reads its step from the module constant
+            kronecker._HEAT_STEP = step
+            print(f"{step:8.0e}  {max(heat_residual(p) for p in pts):14.3e}")
     finally:
-        kronecker._HEAT_STENCIL = default
+        kronecker._HEAT_STEP = default
 
 
 if __name__ == "__main__":

@@ -31,12 +31,10 @@ from .logsheaf import (
 from .numerics import (
     AliasingError,
     CauchyConfig,
-    DiffConfig,
     LatticeTruncation,
     NonFiniteError,
     cauchy_coeffs,
     contour_integral,
-    finite_diff,
 )
 from .polylog import (
     L_form,

@@ -77,8 +77,9 @@ class RunConfig:
         for name, tol in self.tolerance_overrides.items():
             if name not in known:
                 raise ValueError(f"tolerance override for unknown check {name!r}")
-            if not tol > 0:
-                raise ValueError(f"tolerance override {name}={tol} must be positive")
+            if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+                    or not math.isfinite(tol) or tol <= 0):
+                raise ValueError(f"tolerance override {name}={tol!r} must be a finite number > 0")
 
 
 # random evaluation boxes; margins keep every stencil and contour away from

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import CauchyConfig, DiffConfig, cauchy_coeffs, richardson, stencil_nodes
+from .numerics import CauchyConfig, cauchy_coeffs, richardson, stencil_nodes
 from .weierstrass import (
     ModuliPoint,
     PoleProximityError,
@@ -32,8 +32,8 @@ from .weierstrass import (
 )
 
 MAX_COEFF_ORDER = 16
-# heat_residual's stencil: step 1e-3 balances the nested stencil's roundoff and truncation
-_HEAT_STENCIL = DiffConfig(step=1e-3, richardson_levels=2)
+# heat_residual's stencil step: 1e-3 balances the nested stencil's roundoff and truncation
+_HEAT_STEP = 1e-3
 _LAG = np.subtract.outer(np.arange(MAX_COEFF_ORDER + 2), np.arange(MAX_COEFF_ORDER + 2))
 
 
@@ -81,17 +81,17 @@ def jacobi_J(p: KroneckerPoint) -> complex:
 def heat_residual(p: KroneckerPoint) -> float:
     """|2*pi*i dJ/dtau - d^2 J/dz dw| / max(1, |J|) by central differences from J
     on the tau stencil nodes and on the grid of z and w nodes, one call each, with
-    the stencil _HEAT_STENCIL."""
-    cfg = _HEAT_STENCIL
+    the stencil step _HEAT_STEP."""
+    h = _HEAT_STEP
     t = _tau_of(p.tau)
-    margin = 10.0 * cfg.step
+    margin = 10.0 * h
     for name, x in (("z", p.z), ("w", p.w), ("z+w", p.z + p.w)):
         if lattice_dist(x, t) < margin:
             raise StencilMarginError(f"{name} within {margin} of the polar locus")
 
-    d_tau = richardson(_J(p.z, p.w, stencil_nodes(t, cfg)), cfg)
-    grid = _J(stencil_nodes(p.z, cfg)[:, None], stencil_nodes(p.w, cfg), t)
-    d_zw = richardson(richardson(grid.T, cfg), cfg)
+    d_tau = richardson(_J(p.z, p.w, stencil_nodes(t, h)), h)
+    grid = _J(stencil_nodes(p.z, h)[:, None], stencil_nodes(p.w, h), t)
+    d_zw = richardson(richardson(grid.T, h), h)
     val = complex(_J(p.z, p.w, t))
     return abs(2j * cmath.pi * d_tau - d_zw) / max(1.0, abs(val))
 

@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import DiffConfig, finite_diff
+from .numerics import richardson, stencil_nodes
 from .weierstrass import _tau_of, eta1_prime, eta_periods
 
 TWO_PI_I = 2j * cmath.pi
-# the dOmega_z/dtau stencil of curvature_residual
-_CURVATURE_STENCIL = DiffConfig(step=1e-5, richardson_levels=2)
+# the step of curvature_residual's dOmega_z/dtau stencil
+_CURVATURE_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -113,5 +113,6 @@ def curvature_residual(n: int, tau) -> float:
     """
     t = _tau_of(tau)
     omega_z, omega_tau = abs_connection(n, t)
-    d_omega_z = finite_diff(lambda s: abs_connection(n, s)[0], t, _CURVATURE_STENCIL)
+    h = _CURVATURE_STEP
+    d_omega_z = richardson([abs_connection(n, s)[0] for s in stencil_nodes(t, h).tolist()], h)
     return float(np.max(np.abs(-d_omega_z - omega_tau @ omega_z + omega_z @ omega_tau)))

@@ -12,6 +12,9 @@ from typing import Callable
 
 import numpy as np
 
+# central differences at step, step/2, step/4, extrapolated twice: O(step^6)
+_RICHARDSON_DEPTH = 2
+
 
 class NonFiniteError(ArithmeticError):
     """A stencil or quadrature evaluation produced inf or nan."""
@@ -44,20 +47,6 @@ class LatticeTruncation:
 
 
 @dataclass(frozen=True)
-class DiffConfig:
-    """Central difference stencil with Richardson extrapolation."""
-
-    step: float = 1e-4
-    richardson_levels: int = 2
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.step < 1.0:
-            raise ValueError(f"step must be in (0, 1), got {self.step}")
-        if not 0 <= self.richardson_levels <= 4:
-            raise ValueError("richardson_levels must be in 0..4")
-
-
-@dataclass(frozen=True)
 class CauchyConfig:
     """Contour sampling for Taylor coefficient extraction.
 
@@ -76,28 +65,23 @@ class CauchyConfig:
             raise ValueError(f"samples must be >= 16, got {self.samples}")
 
 
-def stencil_nodes(at, cfg: DiffConfig) -> np.ndarray:
-    """The nodes at +-h, h = step / 2^i, i = 0..richardson_levels, in richardson's order."""
-    hs = [cfg.step / (2.0**i) for i in range(cfg.richardson_levels + 1)]
+def stencil_nodes(at, step: float) -> np.ndarray:
+    """The nodes at +-h, h = step / 2^i, i = 0.._RICHARDSON_DEPTH, in richardson's order."""
+    hs = [step / (2.0**i) for i in range(_RICHARDSON_DEPTH + 1)]
     return np.array([x for h in hs for x in (at + h, at - h)])
 
 
-def richardson(values, cfg: DiffConfig):
+def richardson(values, step: float):
     """Central differences, Richardson-extrapolated, from f's values (scalars or
-    arrays) at stencil_nodes(at, cfg) along the first axis; NonFiniteError on inf or nan."""
+    arrays) at stencil_nodes(at, step) along the first axis; NonFiniteError on inf or nan."""
     if not np.all(np.isfinite(values)):
         raise NonFiniteError("non-finite stencil value")
-    table = [(values[2 * i] - values[2 * i + 1]) / (2.0 * (cfg.step / (2.0**i)))
-             for i in range(cfg.richardson_levels + 1)]
-    for j in range(1, cfg.richardson_levels + 1):
+    table = [(values[2 * i] - values[2 * i + 1]) / (2.0 * (step / (2.0**i)))
+             for i in range(_RICHARDSON_DEPTH + 1)]
+    for j in range(1, _RICHARDSON_DEPTH + 1):
         fac = 4.0**j
         table = [(fac * table[i + 1] - table[i]) / (fac - 1.0) for i in range(len(table) - 1)]
     return table[0] if isinstance(table[0], np.ndarray) else complex(table[0])
-
-
-def finite_diff(f: Callable, at: complex, cfg: DiffConfig) -> complex | np.ndarray:
-    """Derivative of f at `at`: richardson of f called at each stencil node."""
-    return richardson([f(x) for x in stencil_nodes(at, cfg).tolist()], cfg)
 
 
 def _circle_values(

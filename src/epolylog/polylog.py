@@ -32,13 +32,13 @@ import numpy as np
 from .eisenstein import coset_sum
 from .kronecker import MAX_COEFF_ORDER, _s_columns
 from .logsheaf import LogFiber, LogValuedForm, abs_connection
-from .numerics import DiffConfig, richardson, stencil_nodes
+from .numerics import richardson, stencil_nodes
 from .weierstrass import PoleProximityError, _tau_of, lattice_dist
 
 TWO_PI_I = 2j * cmath.pi
 _FACT = np.array([float(math.factorial(k)) for k in range(MAX_COEFF_ORDER + 1)])
-# the dP/dtau and dQ/dz stencils of closedness_residual
-_CLOSEDNESS_STENCIL = DiffConfig(step=1e-4, richardson_levels=2)
+# the step of closedness_residual's dP/dtau and dQ/dz stencils
+_CLOSEDNESS_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,8 @@ def _rows(z, t, D: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The coefficients of L_n on the rows w^[k,0], k = 0..n, along the last
     axis, at z and t (as in kronecker._s_columns), from the s_k to order n + 1:
     k! s_k (dz) and (k+1)! s_(k+1) / (2 pi i) (dtau)."""
+    if not 0 <= n <= MAX_COEFF_ORDER - 1:
+        raise ValueError(f"level must be in 0..{MAX_COEFF_ORDER - 1}, got {n}")
     s = _s_columns(z, t, D, n + 1)
     y = _FACT[1 : n + 2] * s[..., 1:]  # over 2 pi i as Python's complex division rounds it
     return _FACT[: n + 1] * s[..., :-1], y.imag / TWO_PI_I.imag - 1j * (y.real / TWO_PI_I.imag)
@@ -96,14 +98,14 @@ def closedness_residual(z: complex, tau, D: int, n: int) -> float:
     is the leading (m+1)(m+2)/2 entries of the level-n one.
     """
     t = _tau_of(tau)
-    cfg = _CLOSEDNESS_STENCIL
-    margin = 10.0 * cfg.step
+    h = _CLOSEDNESS_STEP
+    margin = 10.0 * h
     if lattice_dist(z, t) < margin or lattice_dist(D * z, t) < D * margin:
         raise PoleProximityError(f"z = {z} too close to the polar locus for the stencil")
-    zs, ts = stencil_nodes(z, cfg), stencil_nodes(t, cfg)
+    zs, ts = stencil_nodes(z, h), stencil_nodes(t, h)
     Ps, Qs = _rows(np.r_[z, zs, [z] * len(ts)], np.r_[t, [t] * len(zs), ts], D, n)
     P, Q = Ps[0], Qs[0]
-    dP, dQ = richardson(Ps[-len(ts):], cfg), richardson(Qs[1:-len(ts)], cfg)
+    dP, dQ = richardson(Ps[-len(ts):], h), richardson(Qs[1:-len(ts)], h)
     omega_z, omega_tau = abs_connection(n, t)
     # dense vectors: w^[k,0] sits at k(k+3)/2 in basis_indices(n)
     p, q, dp, dq = np.zeros((4, len(omega_z)), dtype=complex)

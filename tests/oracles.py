@@ -300,3 +300,12 @@ def naive_sum_rows(a, b, N, D, c, d, tau, s, R, ordering):
     m = np.arange(-R, R + 1)
     rows = np.array([row(k) for k in m.tolist()]) * roots[((D * m + c) * b) % N]
     return complex(math.fsum(rows.real.tolist()), math.fsum(rows.imag.tolist()))
+
+
+def stencil_loop(f, at, step):
+    """f' at `at` from f called node by node: central differences at step,
+    step/2 and step/4, Richardson-extrapolated twice."""
+    table = [(f(at + h) - f(at - h)) / (2.0 * h) for h in (step, step / 2.0, step / 4.0)]
+    for fac in (4.0, 16.0):
+        table = [(fac * b - a) / (fac - 1.0) for a, b in zip(table, table[1:])]
+    return table[0]

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from epolylog import cli
 from epolylog.cli import main
 from epolylog.kronecker import KroneckerPoint, jacobi_J
 from epolylog.weierstrass import ModuliPoint
@@ -218,6 +219,19 @@ class TestErrors:
     def test_bad_tolerance_syntax(self, capsys):
         code = main(["verify", "heat", "--tolerance", "heat"])
         assert code == 2
+
+    def test_bad_tolerance_values(self, capsys, tmp_path, monkeypatch):
+        # inf, a string and true are refused, naming the check, before any suite runs
+        def no_run(*args):
+            raise AssertionError("a suite ran")
+        monkeypatch.setattr(cli, "cmd_verify", no_run)
+        assert main(["verify", "heat", "--tolerance", "heat=inf"]) == 2
+        assert "heat" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        for tol in ("1e-3", True):
+            cfg.write_text(json.dumps({"tolerance_overrides": {"heat": tol}}))
+            assert main(["verify", "heat", "--config", str(cfg)]) == 2
+            assert "heat" in capsys.readouterr().err
 
     def test_missing_config_file(self, capsys):
         code = main(["verify", "heat", "--config", "/nonexistent/config.json"])

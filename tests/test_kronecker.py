@@ -18,8 +18,7 @@ from epolylog.kronecker import (
     jacobi_J,
     s_coeffs,
 )
-from epolylog.numerics import (CauchyConfig, contour_integral, finite_diff, richardson,
-                               stencil_nodes)
+from epolylog.numerics import CauchyConfig, contour_integral, richardson, stencil_nodes
 from epolylog.weierstrass import ModuliPoint, PoleProximityError, zeta_fn
 
 TAU_A = 0.5 + 0.8j
@@ -128,21 +127,21 @@ class TestVariant:
 class TestHeat:
     def test_grid_matches_nested_stencil(self):
         # d^2 J/dz dw from J on the 6x6 grid of stencil nodes against nested
-        # scalar stencils (finite_diff in w inside finite_diff in z): both sit
+        # scalar stencils (oracles.stencil_loop in w inside one in z): both sit
         # at stencil precision, and over 500 verify-box points (seeds 0-9) they
         # differed by at most 7.8e-9 relative to max(1, |J|)
         from epolylog.cli import _draw_kpoint
         from epolylog.kronecker import _J
 
-        cfg = kronecker._HEAT_STENCIL
+        h = kronecker._HEAT_STEP
         rng = np.random.default_rng(11)
         for _ in range(20):
             p = _draw_kpoint(rng)
             t = p.tau.tau
-            grid = _J(stencil_nodes(p.z, cfg)[:, None], stencil_nodes(p.w, cfg), t)
-            got = richardson(richardson(grid.T, cfg), cfg)
-            nested = finite_diff(
-                lambda zz: finite_diff(lambda ww: complex(_J(zz, ww, t)), p.w, cfg), p.z, cfg)
+            grid = _J(stencil_nodes(p.z, h)[:, None], stencil_nodes(p.w, h), t)
+            got = richardson(richardson(grid.T, h), h)
+            nested = oracles.stencil_loop(
+                lambda zz: oracles.stencil_loop(lambda ww: complex(_J(zz, ww, t)), p.w, h), p.z, h)
             assert abs(got - nested) / max(1.0, abs(jacobi_J(p))) < 3e-8
 
     def test_residual_small(self):

@@ -3,21 +3,20 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from epolylog.numerics import (
     AliasingError,
     CauchyConfig,
-    DiffConfig,
     LatticeTruncation,
     NonFiniteError,
     cauchy_coeffs,
     contour_integral,
-    finite_diff,
     richardson,
     stencil_nodes,
 )
 
 
-class TestEnumerateLattice:
+class TestLatticeTruncation:
     def test_validation(self):
         with pytest.raises(ValueError):
             LatticeTruncation(0)
@@ -31,47 +30,52 @@ class TestEnumerateLattice:
         assert LatticeTruncation(1).shell_radius == 1
 
 
-class TestFiniteDiff:
+def node_by_node(f, at, step):
+    """richardson of f called at each stencil node, as curvature_residual runs it."""
+    return richardson([f(x) for x in stencil_nodes(at, step).tolist()], step)
+
+
+class TestRichardson:
     def test_exp(self):
         # roundoff floor ~ulp/step with step 1e-4
-        d = finite_diff(np.exp, 0.3 + 0.2j, DiffConfig())
-        assert abs(d - np.exp(0.3 + 0.2j)) < 1e-10
+        at = 0.3 + 0.2j
+        d = richardson(np.exp(stencil_nodes(at, 1e-4)), 1e-4)
+        assert abs(d - np.exp(at)) < 1e-10
 
     def test_richardson_improves(self):
-        f = np.sin
-        at = 0.7
-        coarse = abs(finite_diff(f, at, DiffConfig(step=1e-2, richardson_levels=0)) - math.cos(at))
-        fine = abs(finite_diff(f, at, DiffConfig(step=1e-2, richardson_levels=2)) - math.cos(at))
+        # against the plain central difference at the same first step
+        f, at, h = np.sin, 0.7, 1e-2
+        coarse = abs((f(at + h) - f(at - h)) / (2.0 * h) - math.cos(at))
+        fine = abs(richardson(f(stencil_nodes(at, h)), h) - math.cos(at))
         assert fine < coarse / 100.0
 
     def test_nonfinite(self):
         with pytest.raises(NonFiniteError):
-            finite_diff(lambda z: math.nan, 0.3, DiffConfig(richardson_levels=0))
+            node_by_node(lambda z: math.nan, 0.3, 1e-4)
 
     def test_array_valued_matches_componentwise(self):
         f = lambda x: np.array([np.exp(x), 1j * np.sin(x), x**3 / 7.0])
-        cases = ((0.3 + 0.2j, DiffConfig()), (2.5, DiffConfig(step=1e-3, richardson_levels=3)))
-        for at, cfg in cases:
-            vec = finite_diff(f, at, cfg)
+        for at, step in ((0.3 + 0.2j, 1e-4), (2.5, 1e-3)):
+            vec = node_by_node(f, at, step)
             assert vec.shape == (3,)
             for i in range(3):
-                assert finite_diff(lambda x: f(x)[i], at, cfg) == vec[i]
+                assert node_by_node(lambda x: f(x)[i], at, step) == vec[i]
 
     def test_array_valued_nonfinite_component(self):
         with pytest.raises(NonFiniteError):
-            finite_diff(lambda x: np.array([x, math.nan]), 0.3, DiffConfig())
+            node_by_node(lambda x: np.array([x, math.nan]), 0.3, 1e-4)
 
     def test_split_keeps_the_loop_bits(self):
         # the central differences written as one loop over the levels are the
         # reference; richardson of an f that numpy evaluates elementwise, called
         # once on the whole node array as heat_residual's grid does, gives
-        # finite_diff's bits
-        def loop(f, at, cfg):
+        # the bits of f called node by node, and so does oracles.stencil_loop
+        def loop(f, at, step):
             table = []
-            for i in range(cfg.richardson_levels + 1):
-                h = cfg.step / (2.0**i)
+            for i in range(3):
+                h = step / (2.0**i)
                 table.append((f(at + h) - f(at - h)) / (2.0 * h))
-            for j in range(1, cfg.richardson_levels + 1):
+            for j in (1, 2):
                 fac = 4.0**j
                 table = [(fac * table[i + 1] - table[i]) / (fac - 1.0)
                          for i in range(len(table) - 1)]
@@ -80,20 +84,13 @@ class TestFiniteDiff:
         f = lambda x: np.sin(np.exp(x))
         vec = lambda x: np.array([np.exp(x), np.sin(x), np.cos(2.0 * x)])
         for at in (0.3 + 0.2j, 2.5, -1.1 + 0.7j):
-            for cfg in (DiffConfig(), DiffConfig(step=1e-3, richardson_levels=3),
-                        DiffConfig(step=0.1, richardson_levels=0)):
-                got = finite_diff(f, at, cfg)
-                assert got == loop(f, at, cfg)
-                assert richardson(f(stencil_nodes(at, cfg)), cfg) == got
-                assert np.array_equal(finite_diff(vec, at, cfg), loop(vec, at, cfg))
-                assert np.array_equal(richardson(vec(stencil_nodes(at, cfg)).T, cfg),
-                                      finite_diff(vec, at, cfg))
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DiffConfig(step=0.0)
-        with pytest.raises(ValueError):
-            DiffConfig(richardson_levels=7)
+            for step in (1e-4, 1e-3, 0.1):
+                got = node_by_node(f, at, step)
+                assert got == loop(f, at, step) == oracles.stencil_loop(f, at, step)
+                assert richardson(f(stencil_nodes(at, step)), step) == got
+                assert np.array_equal(node_by_node(vec, at, step), loop(vec, at, step))
+                assert np.array_equal(richardson(vec(stencil_nodes(at, step)).T, step),
+                                      node_by_node(vec, at, step))
 
 
 class TestCauchyCoeffs:

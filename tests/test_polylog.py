@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from conftest import STANDARD_POINTS
 from epolylog import polylog
 from epolylog.eisenstein import (
@@ -13,9 +14,9 @@ from epolylog.eisenstein import (
 )
 from epolylog.kronecker import s_coeffs
 from epolylog.logsheaf import abs_connection, basis_indices
-from epolylog.numerics import LatticeTruncation, finite_diff, stencil_nodes
+from epolylog.numerics import LatticeTruncation, stencil_nodes
 from epolylog.polylog import (
-    _CLOSEDNESS_STENCIL,
+    _CLOSEDNESS_STEP,
     TorsionLabel,
     L_form,
     closedness_residual,
@@ -105,8 +106,8 @@ def closedness_per_level(z, t, D, n):
             return np.array([fiber.get(i, j) for i, j in basis_indices(m)])
 
         P, Q = dense(z, t, "dz"), dense(z, t, "dtau")
-        dP = finite_diff(lambda s: dense(z, s, "dz"), t, _CLOSEDNESS_STENCIL)
-        dQ = finite_diff(lambda x: dense(x, t, "dtau"), z, _CLOSEDNESS_STENCIL)
+        dP = oracles.stencil_loop(lambda s: dense(z, s, "dz"), t, _CLOSEDNESS_STEP)
+        dQ = oracles.stencil_loop(lambda x: dense(x, t, "dtau"), z, _CLOSEDNESS_STEP)
         omega_z, omega_tau = abs_connection(m, t)
         resid = np.max(np.abs(-dP - omega_tau @ P + dQ + omega_z @ Q))
         worst = max(worst, resid / max(np.max(np.abs(P)), np.max(np.abs(Q))))
@@ -130,7 +131,7 @@ class TestClosedness:
         # closedness_residual evaluates its centre, z nodes and tau nodes in one
         # _rows call; each column must have the bits of _rows at that node alone
         z, t, D, n = Z_A, TAU_A, 3, 4
-        zs, ts = stencil_nodes(z, _CLOSEDNESS_STENCIL), stencil_nodes(t, _CLOSEDNESS_STENCIL)
+        zs, ts = stencil_nodes(z, _CLOSEDNESS_STEP), stencil_nodes(t, _CLOSEDNESS_STEP)
         nodes = [(z, t)] + [(x, t) for x in zs.tolist()] + [(z, s) for s in ts.tolist()]
         dz, dtau = polylog._rows(np.array([x for x, _ in nodes]), np.array([s for _, s in nodes]),
                                  D, n)
@@ -158,6 +159,15 @@ class TestClosedness:
         with pytest.raises(PoleProximityError):
             # Dz on the lattice for D = 3
             closedness_residual(TAU_A / 3, TAU_A, 3, 1)
+
+    def test_level_range(self):
+        # one level check for both forms, before any kernel call
+        assert L_form(Z_A, TAU_A, 2, 15).n == 15
+        assert closedness_residual(Z_A, TAU_A, 2, 15) < 1e-4
+        for f in (L_form, closedness_residual):
+            for n in (-1, 16):
+                with pytest.raises(ValueError, match=r"level must be in 0\.\.15"):
+                    f(Z_A, TAU_A, 2, n)
 
 
 class TestSpecialization:

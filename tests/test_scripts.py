@@ -17,7 +17,6 @@ import pytest
 from epolylog import kronecker, weierstrass
 from epolylog.cli import SUITES
 from epolylog.kronecker import KroneckerPoint, heat_residual
-from epolylog.numerics import DiffConfig
 from epolylog.weierstrass import ModuliPoint
 
 SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
@@ -49,11 +48,11 @@ def test_contour_radius_sweep_kernel():
 
 
 def test_heat_stencil_is_the_module_constant(monkeypatch):
-    # heat_stencil_scan swaps kronecker._HEAT_STENCIL, which heat_residual reads
-    assert isinstance(kronecker._HEAT_STENCIL, DiffConfig)
+    # heat_stencil_scan swaps kronecker._HEAT_STEP, which heat_residual reads
+    assert isinstance(kronecker._HEAT_STEP, float)
     point = KroneckerPoint(0.23 + 0.11j, 0.17 + 0.05j, ModuliPoint(0.21 + 1.1j))
     default = heat_residual(point)
-    monkeypatch.setattr(kronecker, "_HEAT_STENCIL", DiffConfig(step=1e-2, richardson_levels=0))
+    monkeypatch.setattr(kronecker, "_HEAT_STEP", 1e-2)
     assert heat_residual(point) != default
 
 
