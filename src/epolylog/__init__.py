@@ -13,7 +13,6 @@ from .eisenstein import (
 from .kronecker import (
     DVariantCoeffs,
     KroneckerPoint,
-    StencilMarginError,
     default_cauchy_config,
     distribution_residual,
     dlog_kato_siegel,
@@ -51,9 +50,6 @@ from .weierstrass import (
     eta_periods,
     g_invariants,
     lattice_dist,
-    reduce_to_cell,
-    sigma,
-    theta_logderiv,
     theta_normalized,
     wp,
     zeta_fn,

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .eisenstein import EisensteinQuery, F, F_tilde, eisenstein_sum_k2
+from .eisenstein import EisensteinQuery, F, F_tilde, _lipschitz_sums, eisenstein_sum_k2
 from .kronecker import (
     KroneckerPoint,
     default_cauchy_config,
@@ -42,7 +42,7 @@ from .polylog import TorsionLabel, L_form, closedness_residual, specialize_eisen
 from .weierstrass import (
     ModuliPoint,
     _eta1,
-    _sigma,
+    _theta,
     _wp,
     _zeta,
     eta_periods,
@@ -158,8 +158,11 @@ def _zeta_law(points, _config):
 
 def _sigma_law(points, _config):
     z, t = np.array(points).T
-    lhs = _sigma(z + 1, t)
-    rhs = -_sigma(z, t) * np.exp(_eta1(t) * (z + 0.5))
+
+    def sigma(x):  # the Weierstrass sigma, exp(eta1 x^2/2) theta(x)
+        return np.exp(_eta1(t) * x * x / 2.0) * _theta(x, t)
+    lhs = sigma(z + 1)
+    rhs = -sigma(z) * np.exp(_eta1(t) * (z + 0.5))
     return np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))
 
 
@@ -269,6 +272,22 @@ def _k2_doubling(case, _config) -> float:
     return abs(v500 - eisenstein_sum_k2(a, b, N, t, LatticeTruncation(1000)))
 
 
+def _draw_modular_case(rng) -> tuple:
+    t = _draw_tau(rng)
+    N, k = int(rng.integers(2, 9)), int(rng.integers(3, 7))
+    return (*_draw_label(rng, N, 1), N, k, t)
+
+
+def _modularity(case, _config) -> float:
+    # the lattice sum of label (a, b) at -1/tau is tau^k times that of (b, -a) at
+    # tau (swap (m, n) -> (n, -m)); from the Lipschitz kernel itself, so that no
+    # reduction of tau inside F can make the two sides one computation
+    a, b, N, k, t = case
+    lhs = _lipschitz_sums([(a, b)], N, 1, [(0, 0)], -1 / t, k)[0]
+    rhs = t**k * _lipschitz_sums([(b, -a % N)], N, 1, [(0, 0)], t, k)[0]
+    return abs(lhs - rhs) / max(1.0, abs(rhs))
+
+
 def _draw_spec_case(rng, N: int) -> tuple:
     t = _draw_tau(rng)
     # reject labels fixed by (a,b) -> (-a,-b): those give identically zero
@@ -347,6 +366,8 @@ CHECKS = {
          Points(0, _eisenstein_cases), _per_point(_naive_vs_lipschitz)),
         ("k2-ordered", "weight-two-eisenstein-order", 1e-4, _K2_CASES, _per_point(_k2_ordered)),
         ("k2-doubling", "weight-two-eisenstein-order", 5e-4, _K2_CASES, _per_point(_k2_doubling)),
+        ("eisenstein-modularity", "level-series-modularity", 1e-12,
+         _each(1, _draw_modular_case, 20), _per_point(_modularity)),
     ),
     "specialization": tuple(
         (f"specialization[k={k},N={N},D={D}]", "torsion-specialization", 1e-6,
@@ -461,6 +482,9 @@ def _load_config(args) -> RunConfig:
         unknown = sorted(set(base) - {f.name for f in fields(RunConfig)})
         if unknown:
             raise ValueError(f"unknown config keys {unknown}")
+        for key in ("tolerance_overrides", "truncation"):
+            if not isinstance(base.get(key, {}), dict):
+                raise ValueError(f"config key {key} must hold a JSON object")
     cfg = RunConfig(
         seed=base.get("seed", 0),
         tolerance_overrides=dict(base.get("tolerance_overrides", {})),

@@ -37,10 +37,6 @@ _HEAT_STEP = 1e-3
 _LAG = np.subtract.outer(np.arange(MAX_COEFF_ORDER + 2), np.arange(MAX_COEFF_ORDER + 2))
 
 
-class StencilMarginError(ValueError):
-    """A finite-difference stencil would come too close to the polar locus."""
-
-
 @dataclass(frozen=True)
 class KroneckerPoint:
     """Arguments (z, w) for the kernel at a fixed tau; z and w must keep a
@@ -87,7 +83,7 @@ def heat_residual(p: KroneckerPoint) -> float:
     margin = 10.0 * h
     for name, x in (("z", p.z), ("w", p.w), ("z+w", p.z + p.w)):
         if lattice_dist(x, t) < margin:
-            raise StencilMarginError(f"{name} within {margin} of the polar locus")
+            raise PoleProximityError(f"{name} within {margin} of the polar locus")
 
     d_tau = richardson(_J(p.z, p.w, stencil_nodes(t, h)), h)
     grid = _J(stencil_nodes(p.z, h)[:, None], stencil_nodes(p.w, h), t)
@@ -101,8 +97,6 @@ class DVariantCoeffs:
     """Taylor coefficients s_0..s_n of w -> D^2 J(z, w) - D J(Dz, w/D)."""
 
     D: int
-    z: complex
-    tau: complex
     coeffs: tuple
 
 
@@ -123,8 +117,7 @@ def s_coeffs(z: complex, tau, D: int, n: int) -> DVariantCoeffs:
     exp(-2 pi i c w) theta(x0 + w)/theta(x0) for x = x0 + m + c*tau.
     s_0 = D^2 zeta(z) - D zeta(Dz); rescaling w -> Dw multiplies s_k by D^k.
     """
-    t = _tau_of(tau)
-    return DVariantCoeffs(D=D, z=z, tau=t, coeffs=tuple(_s_columns(z, t, D, n).tolist()))
+    return DVariantCoeffs(D=D, coeffs=tuple(_s_columns(z, _tau_of(tau), D, n).tolist()))
 
 
 def _s_columns(z, t, D: int, n: int) -> np.ndarray:
@@ -172,7 +165,7 @@ def dlog_kato_siegel(z, tau, D: int, cfg: CauchyConfig | None = None):
     if cfg is not None:
         return cauchy_coeffs(_variant(z, t, D), 0, cfg)[0]
     T = _theta_taylor(np.array([x0, x1]), t, 1)
-    dlog = T[1] / T[0] - 2j * np.pi * np.array([c0, c1])  # theta_logderiv at z and Dz
+    dlog = T[1] / T[0] - 2j * np.pi * np.array([c0, c1])  # (log theta)' at z and Dz
     out = D * D * dlog[0] - D * dlog[1]
     return out if out.shape else complex(out)
 

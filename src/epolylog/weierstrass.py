@@ -4,13 +4,13 @@ the theta family and kronecker._s_columns, and one Lambert engine (_lambert: hal
 lattices of rows T(x, xi, s), summed by frequency) under E2, E4 and E6, so eta1,
 eta1', g2 and g3, and under the Lipschitz lattice sums of eisenstein.
 The evaluators broadcast over z and tau; the package's batched paths call their
-private cores (_cell, _theta, _zeta, _sigma, _wp, _eta1), so that a public function
-is only ever called at one tau from inside the package.
+private cores (_cell, _theta, _zeta, _wp, _eta1), so that a public function is only
+ever called at one tau from inside the package.
 
 Conventions: eta1 is the quasi-period with eta1(i) = +pi and
 zeta(z+1) - zeta(z) = eta1; eta2 = eta1*tau - 2*pi*i (Legendre relation with
 the period pair (1, tau)). theta_normalized is the odd Jacobi theta scaled so
-that theta(z) = z + O(z^3) at the origin; sigma(z) = exp(eta1 z^2/2) theta(z).
+that theta(z) = z + O(z^3) at the origin.
 
 All evaluators reduce z into the fundamental cell around 0 and apply exact
 quasi-period laws, so accuracy is uniform over the plane.
@@ -29,7 +29,9 @@ from numpy._core.multiarray import c_einsum  # np.einsum without its Python wrap
 
 
 class PoleProximityError(ValueError):
-    """Evaluation point is too close to a pole (within 1e-8 of the lattice)."""
+    """Evaluation point is too close to a pole (within 1e-8 of the lattice), or a
+    finite-difference stencil around it would come within its margin of the polar
+    locus."""
 
 
 class ConvergenceError(ArithmeticError):
@@ -62,19 +64,13 @@ def _tau_of(tau):
     return t
 
 
-def reduce_to_cell(z, tau) -> tuple:
-    """Write z = z0 + m + n*tau with m = round(alpha), n = round(beta) for the
-    real coordinates z = alpha + beta*tau, ties to even.
-
-    A Python or numpy scalar z at one tau gives a Python complex z0 and Python
-    ints m, n; any other input (an array of z, or of tau, which broadcast)
-    works elementwise and gives arrays. Both paths give the same bits. Raises
-    ValueError if alpha or beta is not finite."""
-    return _cell(z, _tau_of(tau))
-
-
 def _cell(z, t) -> tuple:
-    # reduce_to_cell at t from _tau_of
+    # z = z0 + m + n*t with m = round(alpha), n = round(beta) for the real
+    # coordinates z = alpha + beta*t, ties to even, at t from _tau_of. A Python or
+    # numpy scalar z at a complex t gives a Python complex z0 and Python ints m, n;
+    # any other input (an array of z, or of t, which broadcast) works elementwise
+    # and gives arrays, with the same bits. Raises ValueError if alpha or beta is
+    # not finite.
     if isinstance(z, (complex, float, int)) and isinstance(t, complex):
         z = complex(z)
         beta = z.imag / t.imag
@@ -103,7 +99,7 @@ def _dist(z0) -> float:
 def lattice_dist(z, tau) -> float:
     """Distance from z to the lattice point m + n*tau it reduces to (the least
     such distance over an array)."""
-    return _dist(reduce_to_cell(z, tau)[0])
+    return _dist(_cell(z, _tau_of(tau))[0])
 
 
 def _exp_taylor(x: np.ndarray, m: int) -> np.ndarray:
@@ -198,15 +194,6 @@ def _theta(z, t):
     return _translation(z0, m, n, t) * _theta_taylor(z0, t, 0)[0]
 
 
-def theta_logderiv(z, tau):
-    """d/dz log theta_normalized, with the exact -2*pi*i*n translation shift."""
-    t = _tau_of(tau)
-    z0, _, n = _cell(z, t)
-    T = _theta_taylor(z0, t, 1)
-    out = T[1] / T[0] - 2j * np.pi * n
-    return out if out.shape else complex(out)
-
-
 def _lambert(y, xi, rho, t: complex, s: int) -> np.ndarray:
     """sum_(m >= 0) rho^m T(y + m t, xi, s) for each half (y, xi, rho), Im y > 0,
     0 <= xi < 1 (not 0 at s = 1), |rho| <= 1, where for Im x > 0
@@ -277,17 +264,6 @@ def eta_periods(tau) -> QuasiPeriods:
     t = _tau_of(tau)
     eta1 = _eta1(t)
     return QuasiPeriods(eta1=eta1, eta2=eta1 * t - 2j * cmath.pi)
-
-
-def sigma(z: complex, tau) -> complex:
-    """Weierstrass sigma: odd entire function, sigma(z) = z + O(z^5),
-    sigma(z+1) = -sigma(z) exp(eta1 (z + 1/2))."""
-    out = _sigma(z, _tau_of(tau))
-    return out if out.shape else complex(out)
-
-
-def _sigma(z, t):
-    return np.exp(_eta1(t) * z * z / 2.0) * _theta(z, t)
 
 
 def zeta_fn(z: complex, tau) -> complex:

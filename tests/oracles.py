@@ -57,10 +57,6 @@ def zeta_ref(z, tau):
     return theta_logderiv_ref(z, tau) + eta1_ref(tau) * mpc(z)
 
 
-def sigma_ref(z, tau):
-    return mpexp(eta1_ref(tau) * mpc(z) ** 2 / 2) * theta_ref(z, tau)
-
-
 def e4_e6_ref(tau):
     """Eisenstein series E4 and E6 from the theta constants at nome q = e^{i pi tau}:
     E4 = (th2^8 + th3^8 + th4^8)/2, E6 = (th2^4 + th3^4)(th3^4 + th4^4)(th4^4 - th2^4)/2."""

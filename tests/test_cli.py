@@ -77,7 +77,7 @@ class TestBatchedChecks:
         import numpy as np
 
         from epolylog.cli import CHECKS
-        from epolylog.weierstrass import eta_periods, g_invariants, sigma, wp, zeta_fn
+        from epolylog.weierstrass import eta_periods, g_invariants, theta_normalized, wp, zeta_fn
 
         def legendre(z, t):
             eta1 = zeta_fn(z + 1, t) - zeta_fn(z, t)
@@ -86,6 +86,9 @@ class TestBatchedChecks:
 
         def zeta_law(z, t):
             return abs(zeta_fn(z + 1, t) - zeta_fn(z, t) - eta_periods(t).eta1)
+
+        def sigma(z, t):
+            return cmath.exp(eta_periods(t).eta1 * z * z / 2.0) * theta_normalized(z, t)
 
         def sigma_law(z, t):
             lhs = sigma(z + 1, t)
@@ -123,6 +126,23 @@ class TestBatchedChecks:
                         acc += dlog_kato_siegel((z + c * t + d) / M, t, D)
                 worst = max(worst, abs(acc / M - ref) / max(1.0, abs(ref)))
             assert _ks_norm_trace((z, t), None) == worst
+
+    def test_modularity_sees_a_lattice_sum_defect(self, monkeypatch):
+        # a 1e-9 relative defect in the Lambert halves or in row 0 of the
+        # Lipschitz kernel, which no other check sees, fails the modularity law
+        import numpy as np
+
+        from epolylog import eisenstein
+
+        (_, _, tol, pts, residual), = [c for c in cli.CHECKS["eisenstein"]
+                                       if c[0] == "eisenstein-modularity"]
+        points = pts.build(np.random.default_rng(pts.stream))
+        assert max(residual(points, None)) < tol
+        for attr in ("_lambert", "_row_zero"):
+            orig = getattr(eisenstein, attr)
+            with monkeypatch.context() as m:
+                m.setattr(eisenstein, attr, lambda *a, _orig=orig: _orig(*a) * (1 + 1e-9))
+                assert max(residual(points, None)) > 100 * tol
 
 
 class TestEval:
@@ -252,7 +272,8 @@ class TestErrors:
         cfg = tmp_path / "cfg.json"
         for body in ({"timings": "no"}, {"timings": 1}, {"seed": True}, {"seed": -1},
                      {"seed": 2.0}, {"parallelism": "2"}, {"parallelism": True},
-                     {"parallelism": 0}):
+                     {"parallelism": 0}, {"tolerance_overrides": [["heat", 0.5]]},
+                     {"tolerance_overrides": None}, {"truncation": 5}, {"truncation": None}):
             cfg.write_text(json.dumps(body))
             assert main(["verify", "weierstrass", "--config", str(cfg)]) == 2
             assert next(iter(body)) in capsys.readouterr().err

@@ -7,8 +7,8 @@ from epolylog.eisenstein import EisensteinQuery, F
 from epolylog.kronecker import KroneckerPoint, jacobi_J, s_coeffs
 from epolylog.weierstrass import (
     ModuliPoint,
+    _cell,
     eta_periods,
-    reduce_to_cell,
     theta_normalized,
     zeta_fn,
 )
@@ -89,7 +89,7 @@ def test_F_parity(t, k, N, a, b):
 )
 @settings(max_examples=60)
 def test_reduce_to_cell_reconstruction(z, t):
-    z0, m, n = reduce_to_cell(z, t)
+    z0, m, n = _cell(z, t)
     assert abs(complex(z0) + int(m) + int(n) * t - z) <= 1e-10 * max(1.0, abs(z))
     beta = complex(z0).imag / t.imag
     alpha = complex(z0).real - beta * t.real

@@ -16,14 +16,12 @@ from epolylog.weierstrass import (
     _eisenstein_weights,
     _jacobi_table,
     _jacobi_weights,
+    _cell,
     _theta_taylor,
     eta1_prime,
     eta_periods,
     g_invariants,
     lattice_dist,
-    reduce_to_cell,
-    sigma,
-    theta_logderiv,
     theta_normalized,
     wp,
     zeta_fn,
@@ -37,7 +35,6 @@ THETA_A = complex(0.22157774727843635, 0.081120782643904864)
 THETA_B = complex(0.26963606026854395, -0.039688862090663994)
 THETA_SHIFT = complex(-76064.475891982398, -121291.88135244525)
 ZETA_A = complex(3.5473495316277429, -1.6817134272730667)
-SIGMA_A = complex(0.22991333599162926, 0.11022120722855972)
 WP_A = complex(9.4953166569873459, -11.982465090298054)
 WPP_A = complex(-28.685037527894157, 119.14063640992173)
 ETA1_A = complex(3.288626736608861, -0.0013220866977492866)
@@ -107,16 +104,6 @@ class TestTheta:
                     -2j * cmath.pi * n * (z + (n * t + m) / 2.0)
                 )
                 assert rel(lhs, fac * theta_normalized(z, t)) < 1e-12
-
-    def test_logderiv_oracle(self):
-        for z, t in STANDARD_POINTS:
-            assert rel(theta_logderiv(z, t), oracles.theta_logderiv_ref(z, t)) < 1e-13
-
-    def test_logderiv_shift(self):
-        # translation by tau shifts the log derivative by -2 pi i
-        z, t = Z_A, TAU_A
-        d = theta_logderiv(z + t, t) - theta_logderiv(z, t)
-        assert abs(d + 2j * cmath.pi) < 1e-12
 
     def test_small_im_tau_raises(self):
         # the alternating Jacobi series cancels like e^(pi / (4 Im tau)):
@@ -248,9 +235,9 @@ class TestVectorTau:
         rng = np.random.default_rng(15)
         t = rng.uniform(-0.5, 0.5, 40) + 1j * rng.uniform(0.8, 2.0, 40)
         z = rng.uniform(-3.0, 3.0, 40) + 1j * rng.uniform(-3.0, 3.0, 40)
-        z0, m, n = reduce_to_cell(z, t)
+        z0, m, n = _cell(z, t)
         for p in range(len(t)):
-            one = reduce_to_cell(complex(z[p]), complex(t[p]))
+            one = _cell(complex(z[p]), complex(t[p]))
             assert (complex(z0[p]), int(m[p]), int(n[p])) == one
 
     def test_evaluators_broadcast(self):
@@ -262,8 +249,6 @@ class TestVectorTau:
         for i in range(len(t)):
             zi, ti = complex(z[i]), complex(t[i])
             assert rel(theta_normalized(z, t)[i], theta_normalized(zi, ti)) < 1e-14
-            assert rel(theta_logderiv(z, t)[i], theta_logderiv(zi, ti)) < 1e-14
-            assert rel(sigma(z, t)[i], sigma(zi, ti)) < 1e-14
             assert rel(zeta_fn(z, t)[i], zeta_fn(zi, ti)) < 1e-14
             assert rel(p[i], wp(zi, ti)[0]) < 1e-14 and rel(pp[i], wp(zi, ti)[1]) < 1e-14
             assert eta.eta1[i] == eta_periods(ti).eta1
@@ -273,14 +258,14 @@ class TestVectorTau:
 class TestReduction:
     def test_reconstruction(self):
         z = 3.7 - 2.2 * TAU_A + 0.23 + 0.11j
-        z0, m, n = reduce_to_cell(z, TAU_A)
+        z0, m, n = _cell(z, TAU_A)
         assert abs(complex(z0) + m + n * TAU_A - z) < 1e-12
 
     def test_cell_coordinates_bounded(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             z = complex(rng.uniform(-5, 5), rng.uniform(-5, 5))
-            z0, _, _ = reduce_to_cell(z, TAU_A)
+            z0, _, _ = _cell(z, TAU_A)
             beta = complex(z0).imag / TAU_A.imag
             alpha = complex(z0).real - beta * TAU_A.real
             assert abs(alpha) <= 0.5 + 1e-12
@@ -307,8 +292,8 @@ class TestReduction:
             zs += [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), -0.3,
                    -0.2 * t, 0.3 - 0.2 * t, 3]
             for z in zs:
-                z0, m, n = reduce_to_cell(z, t)
-                a0, am, an = reduce_to_cell(np.array([z]), t)
+                z0, m, n = _cell(z, t)
+                a0, am, an = _cell(np.array([z]), t)
                 assert type(z0) is complex and type(m) is int and type(n) is int
                 assert np.array([z0]).tobytes() == a0.tobytes(), (z, t)
                 assert (m, n) == (am[0], an[0]), (z, t)
@@ -317,24 +302,24 @@ class TestReduction:
         t = 0.25 + 1j
         for a, m in ((-1.5, -2), (-0.5, 0), (0.5, 0), (1.5, 2), (2.5, 2)):
             for z in (a + 0.5 * t, np.array([a + 0.5 * t])):
-                _, mm, nn = reduce_to_cell(z, t)
+                _, mm, nn = _cell(z, t)
                 assert (mm, nn) == (m, 0)
 
     def test_scalar_types(self):
         for z in (Z_A, np.complex128(Z_A), 0.3, np.float64(0.3), 3):
-            z0, m, n = reduce_to_cell(z, TAU_A)
+            z0, m, n = _cell(z, TAU_A)
             assert type(z0) is complex and type(m) is int and type(n) is int
-        z0, m, n = reduce_to_cell(np.asarray(Z_A), TAU_A)
+        z0, m, n = _cell(np.asarray(Z_A), TAU_A)
         assert z0.shape == m.shape == n.shape == ()
 
     def test_non_finite_raises(self):
         inf, nan = float("inf"), float("nan")
         for bad in (inf, -inf, nan, complex(0.1, -inf), complex(nan, 0.1)):
             with pytest.raises(ValueError):
-                reduce_to_cell(bad, TAU_A)
+                _cell(bad, TAU_A)
             with pytest.raises(ValueError):
-                reduce_to_cell(np.array([Z_A, bad]), TAU_A)
-            for fn in (lattice_dist, theta_normalized, theta_logderiv, zeta_fn, wp):
+                _cell(np.array([Z_A, bad]), TAU_A)
+            for fn in (lattice_dist, theta_normalized, zeta_fn, wp):
                 with pytest.raises(ValueError):
                     fn(bad, TAU_A)
 
@@ -365,25 +350,10 @@ class TestQuasiPeriods:
 class TestSigmaZeta:
     def test_frozen(self):
         assert rel(zeta_fn(Z_A, TAU_A), ZETA_A) < 1e-13
-        assert rel(sigma(Z_A, TAU_A), SIGMA_A) < 1e-13
 
     def test_oracle_sweep(self):
         for z, t in STANDARD_POINTS:
             assert rel(zeta_fn(z, t), oracles.zeta_ref(z, t)) < 1e-13
-            assert rel(sigma(z, t), oracles.sigma_ref(z, t)) < 1e-13
-
-    def test_sigma_odd(self):
-        assert abs(sigma(-Z_A, TAU_A) + sigma(Z_A, TAU_A)) < 1e-14
-
-    def test_sigma_quasi_periodicity(self):
-        for z, t in STANDARD_POINTS[:2]:
-            qp = eta_periods(t)
-            lhs1 = sigma(z + 1, t)
-            rhs1 = -sigma(z, t) * cmath.exp(qp.eta1 * (z + 0.5))
-            assert rel(lhs1, rhs1) < 1e-12
-            lhs2 = sigma(z + t, t)
-            rhs2 = -sigma(z, t) * cmath.exp(qp.eta2 * (z + t / 2.0))
-            assert rel(lhs2, rhs2) < 1e-12
 
     def test_zeta_quasi_periodicity(self):
         for z, t in STANDARD_POINTS[:2]:
@@ -396,17 +366,19 @@ class TestSigmaZeta:
             zeta_fn(1e-12, TAU_A)
         with pytest.raises(PoleProximityError):
             zeta_fn(2.0 + 3.0 * TAU_A, TAU_A)
-        # sigma only has zeros on the lattice, no pole guard
-        assert abs(sigma(2.0 + 3.0 * TAU_A, TAU_A)) < 1e-9
 
     def test_zeta_is_logderiv_plus_eta1_z(self):
         # one reduction serves the pole guard and the engine call: bit for bit
-        # the log-derivative of theta plus eta1 z
+        # the log-derivative of theta, from its own reduction and engine call,
+        # plus eta1 z
         rng = np.random.default_rng(4)
         for _ in range(50):
             t = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0))
             z = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
-            assert zeta_fn(z, t) == complex(theta_logderiv(z, t)) + eta_periods(t).eta1 * z
+            z0, _, n = _cell(z, t)
+            T = _theta_taylor(z0, t, 1)
+            logderiv = complex(T[1] / T[0] - 2j * np.pi * n)
+            assert zeta_fn(z, t) == logderiv + eta_periods(t).eta1 * z
 
 
 class TestWp:
