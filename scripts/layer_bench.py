@@ -22,8 +22,9 @@ the layer microbenchmarks of the ROADMAP's performance aim:
   Lipschitz F_tilde at D = 2 and Lipschitz specialize_eisenstein at D = 3
   (eight cosets of the Lipschitz kernel), the connection matrices abs_connection
   at level 4 (logsheaf), and the connection layer's real cost:
-  curvature_residual and closedness_residual at level 4 (closedness_n4
-  covers the levels 0-4, the closedness suite's work for one point and D),
+  curvature_residual at levels 0, 1 and 4 (the levels of the curvature
+  suite) and closedness_residual at level 4 (closedness_n4 covers the levels
+  0-4, the closedness suite's work for one point and D),
   and the kernel's per-point checks (kronecker): the Kato-Siegel residue at
   the origin by a 32-node contour integral of dlog_kato_siegel on its 64-sample
   contour reference path (the call of perfbench's point-eval residue kind),
@@ -181,6 +182,8 @@ def calls(pkg: str = "epolylog"):
         "specialize_lipschitz": lambda: P.specialize_eisenstein(
             P.TorsionLabel(1, 2, 5, 3), tau, 3),
         "abs_connection_n4": lambda: Lg.abs_connection(4, tau),
+        "curvature_n0": lambda: Lg.curvature_residual(0, tau),
+        "curvature_n1": lambda: Lg.curvature_residual(1, tau),
         "curvature_n4": lambda: Lg.curvature_residual(4, tau),
         "closedness_n4": lambda: P.closedness_residual(0.23 + 0.11j, tau, 2, 4),
         "residue_contour_32": lambda: Nm.contour_integral(

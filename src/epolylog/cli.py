@@ -425,11 +425,11 @@ def cmd_eval(target: str, args, config: RunConfig) -> dict:
     """Evaluate a single quantity; returns the result dict for JSON output."""
     t = _parse_complex(args.tau)
     if target == "J":
-        p = KroneckerPoint(z=_parse_complex(args.z), w=_parse_complex(args.w),
+        p = KroneckerPoint(z=_point(args, target, "z"), w=_point(args, target, "w"),
                            tau=ModuliPoint(t))
         return {"target": "J", "value": _c2j(jacobi_J(p))}
     if target == "s_coeffs":
-        sc = s_coeffs(_parse_complex(args.z), t, args.D, args.n)
+        sc = s_coeffs(_point(args, target, "z"), t, args.D, args.n)
         return {"target": "s_coeffs", "D": sc.D,
                 "value": [_c2j(c) for c in sc.coeffs]}
     if target in ("F", "F_tilde"):
@@ -439,15 +439,23 @@ def cmd_eval(target: str, args, config: RunConfig) -> dict:
         return {"target": target, "value": _c2j(val)}
     if target == "dlogtheta":
         return {"target": "dlogtheta",
-                "value": _c2j(dlog_kato_siegel(_parse_complex(args.z), t, args.D))}
+                "value": _c2j(dlog_kato_siegel(_point(args, target, "z"), t, args.D))}
     if target == "L_form":
-        form = L_form(_parse_complex(args.z), t, args.D, args.n)
+        form = L_form(_point(args, target, "z"), t, args.D, args.n)
         table = {
             "dz": {f"({i},{j})": _c2j(c) for (i, j), c in sorted(form.dz.coeffs.items())},
             "dtau": {f"({i},{j})": _c2j(c) for (i, j), c in sorted(form.dtau.coeffs.items())},
         }
         return {"target": "L_form", "n": form.n, "value": table}
     raise ValueError(f"unknown target {target!r}")
+
+
+def _point(args, target: str, flag: str) -> complex:
+    """The complex value of the eval flag --z or --w, which the target needs."""
+    text = getattr(args, flag)
+    if text is None:
+        raise ValueError(f"eval {target} needs --{flag}")
+    return _parse_complex(text)
 
 
 def _parse_complex(text: str) -> complex:

@@ -8,12 +8,20 @@ quasi-period eta1(tau) and its closed-form derivative eta1'(tau); Omega_z
 alone is the relative connection. Flatness is the matrix identity
 dOmega_z/dtau = Omega_z Omega_tau - Omega_tau Omega_z, checked numerically
 by curvature_residual.
+
+The matrices come from a table per level, independent of tau and cached:
+each entry's flat position, integer or constant coefficient, and which
+per-tau scalar it takes (1, eta1, eta1/2 pi i or eta1' - eta1^2/2 pi i,
+Python complexes). One scatter then builds them for a list of tau, so
+curvature_residual builds the centre and its six stencil tau in one pass,
+each entry with the bits of an entry-by-entry loop.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,8 +44,7 @@ class LogFiber:
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"level must be >= 0, got {self.n}")
+        _level(self.n)
         clean = {}
         for (i, j), c in self.coeffs.items():
             if i < 0 or j < 0 or i + j > self.n:
@@ -68,6 +75,56 @@ def basis_indices(n: int) -> list:
     return [(i, d - i) for d in range(n + 1) for i in range(d + 1)]
 
 
+def _level(n) -> int:
+    # a level is an int >= 0 (a numpy integer too); a bool is not a level
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"level must be >= 0, got {n!r}")
+    return int(n)
+
+
+@lru_cache(maxsize=64)  # keys (n, count): the package asks for counts 1 and 7
+def _table(n: int, count: int) -> tuple:
+    # tau-independent, for count tau: every entry of abs_connection's docstring
+    # as its flat position in the stacked (count, 2, N, N) matrices, the position
+    # of its scalar among the count x 4 per-tau scalars (1, eta1, eta1/2 pi i,
+    # eta1' - eta1^2/2 pi i), and its integer or constant coefficient
+    pos = {ij: k for k, ij in enumerate(basis_indices(n))}
+    size = len(pos)
+    entries = []  # (matrix, row, column, scalar, coefficient)
+    for (i, j), col in pos.items():
+        if i + j < n:
+            entries.append((0, pos[i + 1, j], col, 1, -(i + 1)))
+            entries.append((0, pos[i, j + 1], col, 0, j + 1))
+        entries.append((1, col, col, 2, j - i))
+        if i >= 1:
+            entries.append((1, pos[i - 1, j + 1], col, 0, (j + 1) / TWO_PI_I))
+        if j >= 1:
+            entries.append((1, pos[i + 1, j - 1], col, 3, i + 1))
+    flat, scalar, coeff = zip(*[(((2 * k + m) * size + row) * size + col, 4 * k + s, c)
+                                for k in range(count) for m, row, col, s, c in entries])
+    arrays = np.array(flat), np.array(scalar), np.array(coeff, dtype=complex)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return (size, *arrays)
+
+
+def _connection(n: int, taus: list) -> np.ndarray:
+    # (Omega_z, Omega_tau) at each tau of a list of complex tau, stacked
+    # (len(taus), 2, N, N), in one scatter. The per-tau scalars are Python
+    # complexes computed as an entry-by-entry loop computes them (numpy's complex
+    # division rounds otherwise); a real coefficient times a scalar rounds each
+    # part once, as the loop's int times complex does, and a constant times 1 is
+    # exact, so every entry has the loop's bits
+    size, flat, scalar, coeff = _table(n, len(taus))
+    scalars = []
+    for t in taus:
+        eta1 = eta_periods(t).eta1
+        scalars += (1.0, eta1, eta1 / TWO_PI_I, eta1_prime(t) - eta1**2 / TWO_PI_I)
+    out = np.zeros(len(taus) * 2 * size * size, dtype=complex)
+    out[flat] = np.array(scalars, dtype=complex)[scalar] * coeff
+    return out.reshape(len(taus), 2, size, size)
+
+
 def abs_connection(n: int, tau) -> tuple[np.ndarray, np.ndarray]:
     """Matrices (Omega_z, Omega_tau) of the absolute connection at level n,
     rows and columns in the order of basis_indices(n); column (i, j) is the
@@ -80,24 +137,10 @@ def abs_connection(n: int, tau) -> tuple[np.ndarray, np.ndarray]:
 
     nabla_z drops images beyond total degree n; nabla_tau preserves total
     degree, so no truncation occurs there. Hence the level-m matrices are
-    the leading (m+1)(m+2)/2 blocks of the level-n ones, m <= n.
+    the leading (m+1)(m+2)/2 blocks of the level-n ones, m <= n. ValueError
+    for a level that is not an int >= 0.
     """
-    t = _tau_of(tau)
-    eta1 = eta_periods(t).eta1
-    d_eta1 = eta1_prime(t)
-    pos = {ij: k for k, ij in enumerate(basis_indices(n))}
-    omega_z = np.zeros((len(pos), len(pos)), dtype=complex)
-    omega_tau = np.zeros_like(omega_z)
-    for (i, j), col in pos.items():
-        if i + j < n:
-            omega_z[pos[i + 1, j], col] = -(i + 1) * eta1
-            omega_z[pos[i, j + 1], col] = j + 1
-        omega_tau[col, col] = (j - i) * (eta1 / TWO_PI_I)
-        if i >= 1:
-            omega_tau[pos[i - 1, j + 1], col] = (j + 1) / TWO_PI_I
-        if j >= 1:
-            omega_tau[pos[i + 1, j - 1], col] = (i + 1) * (d_eta1 - eta1**2 / TWO_PI_I)
-    return omega_z, omega_tau
+    return tuple(_connection(_level(n), [_tau_of(tau)])[0])
 
 
 def curvature_residual(n: int, tau) -> float:
@@ -109,10 +152,13 @@ def curvature_residual(n: int, tau) -> float:
     taken by one finite-difference stencil of the matrix, which sets the
     residual floor. The stencil differences the Lambert series of eta1,
     while Omega_tau uses the closed-form eta1', so the residual compares two
-    independent evaluations of eta1'.
+    independent evaluations of eta1'. The centre and the six stencil tau are
+    one pass of the connection.
     """
+    n = _level(n)
     t = _tau_of(tau)
-    omega_z, omega_tau = abs_connection(n, t)
     h = _CURVATURE_STEP
-    d_omega_z = richardson([abs_connection(n, s)[0] for s in stencil_nodes(t, h).tolist()], h)
+    mats = _connection(n, [t, *stencil_nodes(t, h).tolist()])
+    omega_z, omega_tau = mats[0]
+    d_omega_z = richardson(mats[1:, 0], h)
     return float(np.max(np.abs(-d_omega_z - omega_tau @ omega_z + omega_z @ omega_tau)))

@@ -7,6 +7,7 @@ randomness, no environment-dependent branching.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,6 +47,15 @@ class LatticeTruncation:
             raise ValueError(f"unknown ordering {self.ordering!r}")
 
 
+def _check_contour(radius, samples, least: int) -> None:
+    # a finite radius > 0 and an integer sample count >= least (a numpy
+    # integer too, not a bool): a fractional count is not a trapezoid rule
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and > 0, got {radius!r}")
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < least:
+        raise ValueError(f"samples must be an integer >= {least}, got {samples!r}")
+
+
 @dataclass(frozen=True)
 class CauchyConfig:
     """Contour sampling for Taylor coefficient extraction.
@@ -59,10 +69,7 @@ class CauchyConfig:
     self_check: bool = True
 
     def __post_init__(self) -> None:
-        if self.radius <= 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        if self.samples < 16:
-            raise ValueError(f"samples must be >= 16, got {self.samples}")
+        _check_contour(self.radius, self.samples, 16)
 
 
 def stencil_nodes(at, step: float) -> np.ndarray:
@@ -139,8 +146,7 @@ def contour_integral(
     """Integral of f over the positively oriented circle of given center and
     radius, by the trapezoid rule (exponentially accurate for f analytic on
     an annulus around the contour)."""
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    _check_contour(radius, samples, 1)
     nodes = np.exp(2j * np.pi * np.arange(samples) / samples)
     vals = _circle_values(f, center, radius, samples)
     return complex(2j * np.pi * radius / samples * np.sum(vals * nodes))

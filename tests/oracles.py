@@ -305,3 +305,24 @@ def stencil_loop(f, at, step):
     for fac in (4.0, 16.0):
         table = [(fac * b - a) / (fac - 1.0) for a, b in zip(table, table[1:])]
     return table[0]
+
+
+def abs_connection_loop(n, eta1, d_eta1):
+    """Omega_z and Omega_tau of the level-n absolute connection, entry by entry
+    in Python complex arithmetic from eta1 and eta1' at one tau, on the basis
+    w^[i,j], i + j <= n, ordered by total degree then i."""
+    two_pi_i = 2j * math.pi
+    pos = {(i, d - i): k for k, (i, d) in
+           enumerate((i, d) for d in range(n + 1) for i in range(d + 1))}
+    omega_z = np.zeros((len(pos), len(pos)), dtype=complex)
+    omega_tau = np.zeros_like(omega_z)
+    for (i, j), col in pos.items():
+        if i + j < n:
+            omega_z[pos[i + 1, j], col] = -(i + 1) * eta1
+            omega_z[pos[i, j + 1], col] = j + 1
+        omega_tau[col, col] = (j - i) * (eta1 / two_pi_i)
+        if i >= 1:
+            omega_tau[pos[i - 1, j + 1], col] = (j + 1) / two_pi_i
+        if j >= 1:
+            omega_tau[pos[i + 1, j - 1], col] = (i + 1) * (d_eta1 - eta1**2 / two_pi_i)
+    return omega_z, omega_tau

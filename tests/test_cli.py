@@ -219,6 +219,18 @@ class TestErrors:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["J"], "--z"),
+        (["J", "--z", "0.2"], "--w"),
+        (["s_coeffs"], "--z"),
+        (["dlogtheta"], "--z"),
+        (["L_form"], "--z"),
+    ])
+    def test_eval_names_the_missing_flag(self, capsys, argv, flag):
+        code = main(["eval", *argv, "--tau", "0.1+1.1i"])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"error: eval {argv[0]} needs {flag}"
+
     def test_eval_point_on_lattice(self, capsys):
         code = main(["eval", "J", "--z", "0", "--w", "0.3", "--tau", "0+1i"])
         assert code == 2

@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+import oracles
 from conftest import STANDARD_TAUS
 from epolylog import logsheaf
 from epolylog.logsheaf import (
@@ -11,10 +12,19 @@ from epolylog.logsheaf import (
     basis_indices,
     curvature_residual,
 )
+from epolylog.numerics import richardson, stencil_nodes
 from epolylog.weierstrass import eta1_prime, eta_periods
 
 TAU_A = 0.5 + 0.8j
 TWO_PI_I = 2j * cmath.pi
+
+_RNG = np.random.default_rng(27)
+# the verify box (|Re tau| <= 1/2, Im tau in [0.8, 2]) and out of it (|Re tau|
+# up to 20, Im tau down to 0.05), with the far corners
+BOX_TAUS = [complex(x, y) for x, y in zip(_RNG.uniform(-0.5, 0.5, 8), _RNG.uniform(0.8, 2.0, 8))]
+OUT_OF_BOX_TAUS = [complex(x, y) for x, y in zip(_RNG.uniform(-20.0, 20.0, 8),
+                                                 _RNG.uniform(0.05, 0.8, 8))]
+OUT_OF_BOX_TAUS += [20.0 + 0.05j, -20.0 + 0.05j, 0.05j]
 
 
 class TestLogFiber:
@@ -135,3 +145,48 @@ class TestCurvature:
         # 1e-8 must still see the error there
         assert curvature_residual(1, -0.4 + 1.9j) > 1e-8
 
+
+
+def reference_connection(n, t):
+    """abs_connection by the entry-by-entry loop, from eta1 and eta1' at t."""
+    return oracles.abs_connection_loop(n, eta_periods(t).eta1, eta1_prime(t))
+
+
+class TestBitsOfTheLoop:
+    # abs_connection scatters a per-level table in one pass; every entry keeps
+    # the bits of the entry-by-entry loop, and curvature_residual those of the
+    # loop over one matrix per stencil node
+
+    @pytest.mark.parametrize("taus", [BOX_TAUS, OUT_OF_BOX_TAUS], ids=["box", "out_of_box"])
+    def test_abs_connection(self, taus):
+        for t in taus:
+            for n in range(9):
+                for got, want in zip(abs_connection(n, t), reference_connection(n, t)):
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("taus", [BOX_TAUS, OUT_OF_BOX_TAUS], ids=["box", "out_of_box"])
+    def test_curvature_residual(self, taus):
+        h = logsheaf._CURVATURE_STEP
+        for t in taus:
+            for n in (0, 1, 2, 4):
+                omega_z, omega_tau = reference_connection(n, t)
+                d_omega_z = richardson(
+                    [reference_connection(n, s)[0] for s in stencil_nodes(t, h).tolist()], h)
+                want = float(np.max(np.abs(-d_omega_z - omega_tau @ omega_z
+                                           + omega_z @ omega_tau)))
+                assert curvature_residual(n, t) == want
+
+
+class TestLevel:
+    @pytest.mark.parametrize("level", [-1, True, False, 1.0, 1.5, "1", None])
+    @pytest.mark.parametrize("fn", [abs_connection, curvature_residual])
+    def test_not_a_level(self, fn, level):
+        # refused before any tau work: the bad tau would raise otherwise
+        with pytest.raises(ValueError, match=f"^level must be >= 0, got {level!r}$"):
+            fn(level, -1j)
+
+    @pytest.mark.parametrize("fn", [abs_connection, curvature_residual])
+    def test_numpy_integer_level(self, fn):
+        a, b = fn(np.int64(2), TAU_A), fn(2, TAU_A)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()

@@ -129,6 +129,21 @@ class TestCauchyCoeffs:
         with pytest.raises(ValueError):
             CauchyConfig(radius=0.5, samples=8)
 
+    @pytest.mark.parametrize("samples", [300.7, 64.0, True, "64"])
+    def test_sample_count_must_be_an_integer(self, samples):
+        # 300.7 samples read c_0 of exp as 1.0016: not a trapezoid rule
+        with pytest.raises(ValueError, match=f"samples must be an integer >= 16, got {samples!r}"):
+            CauchyConfig(radius=0.5, samples=samples)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(ValueError, match="radius must be finite and > 0"):
+            CauchyConfig(radius=radius)
+
+    def test_numpy_integer_sample_count(self):
+        cs = cauchy_coeffs(np.exp, 2, CauchyConfig(radius=0.5, samples=np.int64(64)))
+        assert cs == cauchy_coeffs(np.exp, 2, CauchyConfig(radius=0.5, samples=64))
+
 
 class TestContourIntegral:
     def test_residue(self):
@@ -137,4 +152,20 @@ class TestContourIntegral:
 
     def test_analytic_vanishes(self):
         assert abs(contour_integral(np.exp, 0.3, 0.5)) < 1e-13
+
+    @pytest.mark.parametrize("samples", [-5, 0, 32.5, False])
+    def test_sample_count_must_be_a_positive_integer(self, samples):
+        # -5 samples returned -0j and 32.5 returned 6.3798i for 6.2832i
+        with pytest.raises(ValueError, match=f"samples must be an integer >= 1, got {samples!r}"):
+            contour_integral(lambda w: 1.0 / w, 0.0, 0.5, samples)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -0.5])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        with pytest.raises(ValueError, match="radius must be finite and > 0"):
+            contour_integral(lambda w: 1.0 / w, 0.0, radius)
+
+    @pytest.mark.parametrize("samples", [1, 32, np.int64(32)])
+    def test_integer_sample_counts_run(self, samples):
+        val = contour_integral(lambda w: 1.0 / w, 0.0, 0.5, samples)
+        assert abs(val - 2j * np.pi) < 1e-13
 
