@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable
 
@@ -62,7 +62,6 @@ class RunConfig:
 
     seed: int = 0
     tolerance_overrides: dict = field(default_factory=dict)
-    truncation: LatticeTruncation = LatticeTruncation(shell_radius=500)
     parallelism: int = 1
     timings: bool = False
 
@@ -254,9 +253,10 @@ def _eisenstein_cases(rng) -> list:
     return cases
 
 
-def _naive_vs_lipschitz(case, config) -> float:
+def _naive_vs_lipschitz(case, _config) -> float:
     a, b, N, k, t = case
-    naive = F(EisensteinQuery(a=a, b=b, N=N, k=k, tau=t, mode="naive", trunc=config.truncation))
+    naive = F(EisensteinQuery(a=a, b=b, N=N, k=k, tau=t, mode="naive",
+                              trunc=LatticeTruncation(500)))
     lip = F(EisensteinQuery(a=a, b=b, N=N, k=k, tau=t))
     return abs(naive - lip) / max(1.0, abs(lip))
 
@@ -421,7 +421,7 @@ def _c2j(v: complex) -> dict:
     return {"re": float(v.real), "im": float(v.imag)}
 
 
-def cmd_eval(target: str, args, config: RunConfig) -> dict:
+def cmd_eval(target: str, args) -> dict:
     """Evaluate a single quantity; returns the result dict for JSON output."""
     t = _parse_complex(args.tau)
     if target == "J":
@@ -434,7 +434,7 @@ def cmd_eval(target: str, args, config: RunConfig) -> dict:
                 "value": [_c2j(c) for c in sc.coeffs]}
     if target in ("F", "F_tilde"):
         q = EisensteinQuery(a=args.a, b=args.b, N=args.N, k=args.k, tau=t,
-                            mode=args.mode, trunc=config.truncation)
+                            mode=args.mode, trunc=LatticeTruncation(args.shell_radius))
         val = F(q) if target == "F" else F_tilde(q, args.D, allow_degenerate=args.allow_degenerate)
         return {"target": target, "value": _c2j(val)}
     if target == "dlogtheta":
@@ -481,8 +481,10 @@ def _parse_tolerances(pairs) -> dict:
 
 
 def _load_config(args) -> RunConfig:
+    """The verify run configuration: the --config file's keys, each one
+    overridden by its flag where the flag is given."""
     base: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             base = json.load(fh)
         if not isinstance(base, dict):
@@ -490,32 +492,12 @@ def _load_config(args) -> RunConfig:
         unknown = sorted(set(base) - {f.name for f in fields(RunConfig)})
         if unknown:
             raise ValueError(f"unknown config keys {unknown}")
-        for key in ("tolerance_overrides", "truncation"):
-            if not isinstance(base.get(key, {}), dict):
-                raise ValueError(f"config key {key} must hold a JSON object")
-    cfg = RunConfig(
-        seed=base.get("seed", 0),
-        tolerance_overrides=dict(base.get("tolerance_overrides", {})),
-        truncation=LatticeTruncation(**{"shell_radius": 500, **base.get("truncation", {})}),
-        parallelism=base.get("parallelism", 1),
-        timings=base.get("timings", False),
-    )
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if getattr(args, "parallelism", None) is not None:
-        cfg = replace(cfg, parallelism=args.parallelism)
-    if getattr(args, "timings", False):
-        cfg = replace(cfg, timings=True)
-    if getattr(args, "shell_radius", None) is not None or getattr(args, "ordering", None):
-        cfg = replace(cfg, truncation=LatticeTruncation(
-            shell_radius=(cfg.truncation.shell_radius if args.shell_radius is None
-                          else args.shell_radius),
-            ordering=args.ordering or cfg.truncation.ordering,
-        ))
-    tols = _parse_tolerances(getattr(args, "tolerance", None))
-    if tols:
-        cfg = replace(cfg, tolerance_overrides={**cfg.tolerance_overrides, **tols})
-    return cfg
+        if not isinstance(base.get("tolerance_overrides", {}), dict):
+            raise ValueError("config key tolerance_overrides must hold a JSON object")
+    flags = {"seed": args.seed, "parallelism": args.parallelism, "timings": args.timings or None}
+    tols = {**base.get("tolerance_overrides", {}), **_parse_tolerances(args.tolerance)}
+    return RunConfig(**{**base, **{k: v for k, v in flags.items() if v is not None},
+                        "tolerance_overrides": tols})
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
@@ -525,21 +507,6 @@ def _emit(payload: dict, out_path: str | None) -> None:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _add_common(p) -> None:
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", type=str, default=None, help="JSON config file")
-    p.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
-                   help="override a check tolerance (repeatable)")
-    p.add_argument("--parallelism", type=int, default=None,
-                   help="accepted for compatibility (>= 1); checks always run serially")
-    p.add_argument("--timings", action="store_true",
-                   help="record wall-clock runtime_ms (non-canonical reports)")
-    p.add_argument("--shell-radius", type=int, default=None, dest="shell_radius")
-    p.add_argument("--ordering", choices=("eisenstein", "box"), default=None,
-                   help="naive sum order; box sums as eisenstein but refuses weights 1, 2")
-    p.add_argument("--out", type=str, default=None, help="write JSON here instead of stdout")
 
 
 def main(argv=None) -> int:
@@ -552,7 +519,14 @@ def main(argv=None) -> int:
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=("all",) + SUITES)
-    _add_common(pv)
+    pv.add_argument("--seed", type=int, default=None)
+    pv.add_argument("--config", type=str, default=None, help="JSON config file")
+    pv.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
+                    help="override a check tolerance (repeatable)")
+    pv.add_argument("--parallelism", type=int, default=None,
+                    help="accepted for compatibility (>= 1); checks always run serially")
+    pv.add_argument("--timings", action="store_true",
+                    help="record wall-clock runtime_ms (non-canonical reports)")
 
     pe = sub.add_parser("eval", help="evaluate a single quantity")
     pe.add_argument("target", choices=EVAL_TARGETS)
@@ -567,17 +541,18 @@ def main(argv=None) -> int:
     pe.add_argument("--n", type=int, default=0)
     pe.add_argument("--mode", choices=("naive", "lipschitz"), default="lipschitz")
     pe.add_argument("--allow-degenerate", action="store_true", dest="allow_degenerate")
-    _add_common(pe)
+    pe.add_argument("--shell-radius", type=int, default=500, dest="shell_radius",
+                    help="naive sum radius R, an integer >= 1")
+    for p in (pv, pe):
+        p.add_argument("--out", type=str, default=None, help="write JSON here instead of stdout")
 
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args)
         if args.command == "verify":
-            report = cmd_verify(args.suite, config)
+            report = cmd_verify(args.suite, _load_config(args))
             _emit(report, args.out)
             return 0 if report["overall_pass"] else 1
-        result = cmd_eval(args.target, args, config)
-        _emit(result, args.out)
+        _emit(cmd_eval(args.target, args), args.out)
         return 0
     except (ValueError, OSError, KeyError, TypeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

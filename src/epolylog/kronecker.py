@@ -53,6 +53,11 @@ class KroneckerPoint:
                 raise PoleProximityError(f"{name} = {x} within 1e-8 of the lattice")
 
 
+def _degree(D) -> None:
+    if D < 1:
+        raise ValueError(f"D must be >= 1, got {D}")
+
+
 def _J(z, w, t):
     # vectorized over z, w and tau
     return _theta(np.asarray(z) + np.asarray(w), t) / (_theta(z, t) * _theta(w, t))
@@ -103,6 +108,7 @@ class DVariantCoeffs:
 def default_cauchy_config(tau, D: int) -> CauchyConfig:
     # contour must stay inside the disc punctured by the nearest D-torsion
     # offset (c*tau + d)/D; min(1, |tau|)/D bounds its distance from 0
+    _degree(D)
     t = _tau_of(tau)
     torsion_min = min(1.0, abs(t)) / D
     return CauchyConfig(radius=min(0.1, torsion_min / 2.0), samples=256)
@@ -125,8 +131,7 @@ def _s_columns(z, t, D: int, n: int) -> np.ndarray:
     or an array of z's shape: one engine call, each column with its bits alone."""
     if n < 0 or n > MAX_COEFF_ORDER:
         raise ValueError(f"coefficient order must be in 0..{MAX_COEFF_ORDER}, got {n}")
-    if D < 1:
-        raise ValueError(f"D must be >= 1, got {D}")
+    _degree(D)
     shape, z = np.shape(z), np.ravel(np.asarray(z, dtype=complex))
     t, P = (t if isinstance(t, complex) else np.tile(np.ravel(t), 2)), z.size
     # columns x = z, Dz; T holds the Taylor coefficients at x0 and at 0, per column
@@ -155,6 +160,7 @@ def dlog_kato_siegel(z, tau, D: int, cfg: CauchyConfig | None = None):
     """
     if cfg is not None and np.ndim(z) != 0:
         raise TypeError(f"the contour path takes one z, got shape {np.shape(z)}")
+    _degree(D)
     t = _tau_of(tau)
     if not np.isfinite(z).all():
         raise ValueError(f"z = {z} has no finite lattice coordinates")
@@ -178,8 +184,7 @@ def distribution_residual(p: KroneckerPoint, D: int) -> float:
 
     normalized by max(1, |J(z, w)|). Zero sum for D = 1 (residual of
     0 = D^2 J - D J collapses to 0 exactly)."""
-    if D < 1:
-        raise ValueError(f"D must be >= 1, got {D}")
+    _degree(D)
     t = _tau_of(p.tau)
     z, w = p.z, p.w
     if lattice_dist(D * w, t) / D < 1e-6:

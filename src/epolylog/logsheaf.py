@@ -82,12 +82,12 @@ def _level(n) -> int:
     return int(n)
 
 
-@lru_cache(maxsize=64)  # keys (n, count): the package asks for counts 1 and 7
-def _table(n: int, count: int) -> tuple:
-    # tau-independent, for count tau: every entry of abs_connection's docstring
-    # as its flat position in the stacked (count, 2, N, N) matrices, the position
-    # of its scalar among the count x 4 per-tau scalars (1, eta1, eta1/2 pi i,
-    # eta1' - eta1^2/2 pi i), and its integer or constant coefficient
+@lru_cache(maxsize=32)
+def _table(n: int) -> tuple:
+    # tau-independent: every entry of abs_connection's docstring as its flat
+    # position in the (2, N, N) matrices of one tau, the index of its scalar
+    # among the 4 per-tau scalars (1, eta1, eta1/2 pi i, eta1' - eta1^2/2 pi i),
+    # and its integer or constant coefficient
     pos = {ij: k for k, ij in enumerate(basis_indices(n))}
     size = len(pos)
     entries = []  # (matrix, row, column, scalar, coefficient)
@@ -100,8 +100,8 @@ def _table(n: int, count: int) -> tuple:
             entries.append((1, pos[i - 1, j + 1], col, 0, (j + 1) / TWO_PI_I))
         if j >= 1:
             entries.append((1, pos[i + 1, j - 1], col, 3, i + 1))
-    flat, scalar, coeff = zip(*[(((2 * k + m) * size + row) * size + col, 4 * k + s, c)
-                                for k in range(count) for m, row, col, s, c in entries])
+    flat, scalar, coeff = zip(*[((m * size + row) * size + col, s, c)
+                                for m, row, col, s, c in entries])
     arrays = np.array(flat), np.array(scalar), np.array(coeff, dtype=complex)
     for arr in arrays:
         arr.flags.writeable = False
@@ -115,13 +115,13 @@ def _connection(n: int, taus: list) -> np.ndarray:
     # division rounds otherwise); a real coefficient times a scalar rounds each
     # part once, as the loop's int times complex does, and a constant times 1 is
     # exact, so every entry has the loop's bits
-    size, flat, scalar, coeff = _table(n, len(taus))
+    size, flat, scalar, coeff = _table(n)
     scalars = []
     for t in taus:
         eta1 = eta_periods(t).eta1
-        scalars += (1.0, eta1, eta1 / TWO_PI_I, eta1_prime(t) - eta1**2 / TWO_PI_I)
-    out = np.zeros(len(taus) * 2 * size * size, dtype=complex)
-    out[flat] = np.array(scalars, dtype=complex)[scalar] * coeff
+        scalars.append((1.0, eta1, eta1 / TWO_PI_I, eta1_prime(t) - eta1**2 / TWO_PI_I))
+    out = np.zeros((len(taus), 2 * size * size), dtype=complex)
+    out[:, flat] = np.array(scalars, dtype=complex)[:, scalar] * coeff
     return out.reshape(len(taus), 2, size, size)
 
 

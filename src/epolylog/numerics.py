@@ -107,11 +107,11 @@ def _circle_values(
 
 
 def cauchy_coeffs(
-    f: Callable[[complex], complex], order: int, cfg: CauchyConfig, center: complex = 0.0
+    f: Callable[[complex], complex], order: int, cfg: CauchyConfig
 ) -> list[complex]:
-    """Taylor coefficients c_0..c_order of f about `center`.
+    """Taylor coefficients c_0..c_order of f about 0.
 
-    Trapezoid rule on the circle |w - center| = cfg.radius, evaluated through
+    Trapezoid rule on the circle |w| = cfg.radius, evaluated through
     the FFT; exponentially accurate for f analytic on a neighbourhood of the
     closed disc. f may be vectorized over numpy arrays (used if available).
     """
@@ -121,7 +121,7 @@ def cauchy_coeffs(
         raise ValueError(f"samples={cfg.samples} too small for order {order}")
 
     def coeffs_at(samples: int) -> np.ndarray:
-        vals = _circle_values(f, center, cfg.radius, samples)
+        vals = _circle_values(f, 0.0, cfg.radius, samples)
         hat = np.fft.fft(vals) / samples
         k = np.arange(order + 1)
         return hat[: order + 1] / cfg.radius**k

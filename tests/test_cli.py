@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from epolylog import cli
@@ -195,6 +196,26 @@ class TestEval:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("D", ["0", "-2"])
+    def test_dlogtheta_degree_below_one(self, capsys, D):
+        code = main(["eval", "dlogtheta", "--z", "0.2+0.1i", "--tau", "0+1i", "--D", D])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"error: D must be >= 1, got {D}"
+
+    def test_F_naive_shell_radius(self, capsys):
+        # --shell-radius is the naive sum's R: the printed value has the bits of F
+        from epolylog.eisenstein import EisensteinQuery, F
+        from epolylog.numerics import LatticeTruncation
+
+        code, res = run_main(capsys, ["eval", "F", "--a", "1", "--b", "2", "--N", "5",
+                                      "--k", "3", "--tau", "0.21+1.1i", "--mode", "naive",
+                                      "--shell-radius", "60"])
+        assert code == 0
+        want = F(EisensteinQuery(a=1, b=2, N=5, k=3, tau=0.21 + 1.1j, mode="naive",
+                                 trunc=LatticeTruncation(60)))
+        got = complex(res["value"]["re"], res["value"]["im"])
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
     def test_L_form_table(self, capsys):
         code, res = run_main(
             capsys, ["eval", "L_form", "--n", "2", "--D", "2", "--z", "0.23",
@@ -213,6 +234,24 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "noSuchSuite"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", [["--seed", "5"], ["--tolerance", "heat=3"],
+                                      ["--parallelism", "4"], ["--timings"],
+                                      ["--config", "cfg.json"]])
+    def test_eval_refuses_verify_options(self, capsys, flag):
+        # eval reads none of the run configuration
+        argv = ["eval", "J", "--z", "0.2+0.1i", "--w", "0.1", "--tau", "0+1i", *flag]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--shell-radius", "60"], ["--ordering", "box"]])
+    def test_verify_refuses_eval_options(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "heat", *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
     def test_bad_complex(self, capsys):
         code = main(["eval", "J", "--z", "abc", "--w", "0.3", "--tau", "0+1i"])
@@ -273,7 +312,7 @@ class TestErrors:
         cfg = tmp_path / "cfg.json"
         for body in ({"seeed": 3}, {"diff": {"richardson_levels": 2}},
                      {"cauchy": {"radius": 0.1, "samples": 256}},
-                     {"truncation": {"shell_radius": 100, "compensated": False}}):
+                     {"truncation": {"shell_radius": 500}}, {"truncation": 5}):
             cfg.write_text(json.dumps(body))
             assert main(["verify", "weierstrass", "--config", str(cfg)]) == 2
         assert "seeed" in capsys.readouterr().err
@@ -285,7 +324,7 @@ class TestErrors:
         for body in ({"timings": "no"}, {"timings": 1}, {"seed": True}, {"seed": -1},
                      {"seed": 2.0}, {"parallelism": "2"}, {"parallelism": True},
                      {"parallelism": 0}, {"tolerance_overrides": [["heat", 0.5]]},
-                     {"tolerance_overrides": None}, {"truncation": 5}, {"truncation": None}):
+                     {"tolerance_overrides": None}):
             cfg.write_text(json.dumps(body))
             assert main(["verify", "weierstrass", "--config", str(cfg)]) == 2
             assert next(iter(body)) in capsys.readouterr().err
@@ -297,14 +336,13 @@ class TestErrors:
         assert main(argv) == 2
         assert "shell_radius" in capsys.readouterr().err
 
-    def test_non_integer_shell_radius(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
+    def test_non_integer_shell_radius(self, capsys):
         argv = ["eval", "F", "--a", "1", "--b", "2", "--N", "5", "--k", "3",
-                "--tau", "0.21+1.1i", "--mode", "naive", "--config", str(cfg)]
-        for radius in (2.5, True, "3"):
-            cfg.write_text(json.dumps({"truncation": {"shell_radius": radius}}))
-            assert main(argv) == 2
-            assert "shell_radius" in capsys.readouterr().err
+                "--tau", "0.21+1.1i", "--mode", "naive", "--shell-radius", "2.5"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--shell-radius" in capsys.readouterr().err
 
     def test_unknown_tolerance_name(self, capsys, tmp_path):
         assert main(["verify", "heat", "--tolerance", "haet=1e-3"]) == 2

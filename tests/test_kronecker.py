@@ -274,6 +274,16 @@ class TestDlog:
         with pytest.raises(PoleProximityError):
             dlog_kato_siegel((TAU_A + 1) / 2, TAU_A, 2)
 
+    @pytest.mark.parametrize("D", [0, -2])
+    def test_degree_below_one(self, D):
+        # refused before any tau work (the tau -1j would raise otherwise); else
+        # D = 0 divides by zero and D = -2 reports a torsion-locus pole
+        for call in (lambda: dlog_kato_siegel(Z_A, -1j, D),
+                     lambda: dlog_kato_siegel(Z_A, -1j, D, CauchyConfig(radius=0.05)),
+                     lambda: default_cauchy_config(-1j, D)):
+            with pytest.raises(ValueError, match=f"^D must be >= 1, got {D}$"):
+                call()
+
     def test_non_finite_z(self):
         # the check comes before D * z, where numpy warns for inf (0 * inf),
         # and the error names the z that was passed
