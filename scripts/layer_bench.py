@@ -13,7 +13,9 @@ F_naive_R500 it prints naive_ns_per_term, that call's wall time over its
 the layer microbenchmarks of the ROADMAP's performance aim:
 
   theta on a 256-point vector and scalar theta_normalized (weierstrass),
-  s_coeffs at n = 8 (kronecker), F in Lipschitz mode (at the verify-box tau
+  s_coeffs at n = 8 and n = 2 (kronecker; n = 2 is mostly the kernel's fixed
+  cost), L_form at levels 1 and 4 (polylog, the s_k to order 2 and 5 with
+  their rows and fibers), F in Lipschitz mode (at the verify-box tau
   and at 0.5 + 0.03i, near the real axis) and naive F at R = 500
   (eisenstein), naive box F at R = 400, the weight-2 eisenstein_sum_k2 at
   R = 500, naive F_tilde at R = 500 (two labels over one lattice, the call
@@ -162,6 +164,9 @@ def calls(pkg: str = "epolylog"):
         "theta_vector_fresh_tau_256": lambda: W.theta_normalized(zs, vector_taus),
         "theta_scalar": lambda: W.theta_normalized(0.23 + 0.11j, tau),
         "s_coeffs_n8": lambda: K.s_coeffs(0.23 + 0.11j, tau, 2, 8),
+        "s_coeffs_n2": lambda: K.s_coeffs(0.23 + 0.11j, tau, 2, 2),
+        "L_form_n1": lambda: P.L_form(0.23 + 0.11j, tau, 2, 1),
+        "L_form_n4": lambda: P.L_form(0.23 + 0.11j, tau, 2, 4),
         # one cycle over the fresh tau; main() divides by FRESH_TAUS
         "theta_scalar_fresh_tau": lambda: [W.theta_normalized(0.23 + 0.11j, t) for t in taus],
         "s_coeffs_n4_fresh_tau": lambda: [K.s_coeffs(0.23 + 0.11j, t, 2, 4) for t in taus],

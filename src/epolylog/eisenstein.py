@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 from numpy._core.multiarray import c_einsum  # np.einsum without its Python wrapper
 
-from .numerics import LatticeTruncation
+from .numerics import LatticeTruncation, _integer
 from .weierstrass import _lambert, _tau_of
 
 
@@ -49,7 +49,8 @@ class DegenerateLabelError(ValueError):
 
 @dataclass(frozen=True)
 class EisensteinQuery:
-    """Weight-k level-N query with character (a, b) != (0,0) mod N."""
+    """Weight-k level-N query with character (a, b) != (0,0) mod N: a, b, N and
+    k integers (numpy integers too, not bools), N and k >= 1."""
 
     a: int
     b: int
@@ -60,10 +61,10 @@ class EisensteinQuery:
     trunc: LatticeTruncation | None = None
 
     def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        _integer("a", self.a)
+        _integer("b", self.b)
+        _integer("N", self.N, 1)
+        _integer("k", self.k, 1)
         if self.a % self.N == 0 and self.b % self.N == 0:
             raise DegenerateLabelError(f"(a, b) = {(self.a, self.b)} is (0,0) mod {self.N}")
         if self.mode not in ("naive", "lipschitz"):
@@ -278,10 +279,9 @@ def F_tilde(query: EisensteinQuery, D: int, allow_degenerate: bool = False) -> c
     truncation's tail does not cancel, so it falls off like R^(2-k) only and
     at k = 2 converges to another limit (at R = 500, tau = 0.21 + 1.1i it is
     0.93 relative away at k = 2 and 4.6e-7 at k = 4). Both labels must lie
-    in F's weight-one domain.
+    in F's weight-one domain. ValueError for a D that is not an integer >= 1.
     """
-    if D < 1:
-        raise ValueError(f"D must be >= 1, got {D}")
+    D = _integer("D", D, 1)
     t = _tau_of(query.tau)
     labels = [(query.a, query.b), ((D * query.a) % query.N, (D * query.b) % query.N)]
     degenerate = labels[1] == (0, 0)
@@ -308,8 +308,12 @@ def coset_sum(a: int, b: int, N: int, D: int, tau, s: int, mode: str = "lipschit
 
     the torsion specialization of the polylogarithm before its normalization.
     mode "lipschitz" needs s >= 2; mode "naive" requires trunc, and a box
-    trunc, which declares absolute convergence, needs s >= 3.
+    trunc, which declares absolute convergence, needs s >= 3. a and b are
+    integers, N, D and s integers >= 1 (numpy integers too, not bools);
+    ValueError otherwise, before any tau work.
     """
+    a, b = _integer("a", a), _integer("b", b)
+    N, D, s = _integer("N", N, 1), _integer("D", D, 1), _integer("s", s, 1)
     t = _tau_of(tau)
     if mode == "lipschitz" and s < 2:
         raise ConvergenceModeError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import CauchyConfig, cauchy_coeffs, richardson, stencil_nodes
+from .numerics import CauchyConfig, _integer, cauchy_coeffs, richardson, stencil_nodes
 from .weierstrass import (
     ModuliPoint,
     PoleProximityError,
@@ -34,7 +34,12 @@ from .weierstrass import (
 MAX_COEFF_ORDER = 16
 # heat_residual's stencil step: 1e-3 balances the nested stencil's roundoff and truncation
 _HEAT_STEP = 1e-3
+# _LAG[j, i]: the row j - i of the shift series, or -1, its zero row, for j < i
 _LAG = np.subtract.outer(np.arange(MAX_COEFF_ORDER + 2), np.arange(MAX_COEFF_ORDER + 2))
+_LAG[_LAG < 0] = -1
+_LAG.flags.writeable = False
+_ONE_MINUS_K = 1 - np.arange(MAX_COEFF_ORDER + 1)[:, None]  # the exponents of D^(1-k)
+_ONE_MINUS_K.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -51,11 +56,6 @@ class KroneckerPoint:
         for name, x in (("z", self.z), ("w", self.w)):
             if lattice_dist(x, t) < 1e-8:
                 raise PoleProximityError(f"{name} = {x} within 1e-8 of the lattice")
-
-
-def _degree(D) -> None:
-    if D < 1:
-        raise ValueError(f"D must be >= 1, got {D}")
 
 
 def _J(z, w, t):
@@ -108,7 +108,7 @@ class DVariantCoeffs:
 def default_cauchy_config(tau, D: int) -> CauchyConfig:
     # contour must stay inside the disc punctured by the nearest D-torsion
     # offset (c*tau + d)/D; min(1, |tau|)/D bounds its distance from 0
-    _degree(D)
+    D = _integer("D", D, 1)
     t = _tau_of(tau)
     torsion_min = min(1.0, abs(t)) / D
     return CauchyConfig(radius=min(0.1, torsion_min / 2.0), samples=256)
@@ -122,31 +122,34 @@ def s_coeffs(z: complex, tau, D: int, n: int) -> DVariantCoeffs:
     [theta(x + w)/theta(x)] [w/theta(w)], where theta(x + w)/theta(x) =
     exp(-2 pi i c w) theta(x0 + w)/theta(x0) for x = x0 + m + c*tau.
     s_0 = D^2 zeta(z) - D zeta(Dz); rescaling w -> Dw multiplies s_k by D^k.
+    ValueError for a D that is not an integer >= 1 or an order n outside
+    0..MAX_COEFF_ORDER, before any tau work.
     """
+    D, n = _integer("D", D, 1), _integer("coefficient order", n, 0, MAX_COEFF_ORDER)
     return DVariantCoeffs(D=D, coeffs=tuple(_s_columns(z, _tau_of(tau), D, n).tolist()))
 
 
 def _s_columns(z, t, D: int, n: int) -> np.ndarray:
     """The s_k of s_coeffs, k = 0..n, along the last axis, at z and at t, a complex
-    or an array of z's shape: one engine call, each column with its bits alone."""
-    if n < 0 or n > MAX_COEFF_ORDER:
-        raise ValueError(f"coefficient order must be in 0..{MAX_COEFF_ORDER}, got {n}")
-    _degree(D)
-    shape, z = np.shape(z), np.ravel(np.asarray(z, dtype=complex))
-    t, P = (t if isinstance(t, complex) else np.tile(np.ravel(t), 2)), z.size
-    # columns x = z, Dz; T holds the Taylor coefficients at x0 and at 0, per column
-    x0, _, c = _cell(np.concatenate([z, D * z]), t)
-    if _dist(x0) < 1e-8:
+    or an array of z's shape, for a checked D and n: one engine call, each column
+    with its bits alone. z and Dz reduce by _cell (its scalar path for a scalar z
+    at a complex t), z first, so a z that is not finite is refused before Dz."""
+    (x0, _, c0), (x1, _, c1) = _cell(z, t), _cell(D * z, t)
+    if min(_dist(x0), _dist(x1)) < 1e-8:
         raise PoleProximityError("z or Dz within 1e-8 of the lattice")
-    T = _theta_taylor(np.array([x0, np.zeros(2 * P)]), t, n + 2)
-    lag = _LAG[: n + 2, : n + 2]  # the Toeplitz matrix of the shift series
-    shift = np.where(lag[..., None] >= 0, _exp_taylor(-2j * np.pi * c, n + 1)[lag], 0)
-    g = c_einsum("jic,ic->jc", shift, T[: n + 2, 0] / T[0, 0])
+    # columns x = z, Dz; T holds the Taylor coefficients at x0 and at 0, per column
+    x, c = np.array([x0, x1]).ravel(), np.array([c0, c1]).ravel()
+    P = x.size // 2
+    T = _theta_taylor(np.array([x, np.zeros(2 * P)]),
+                      t if isinstance(t, complex) else np.tile(np.ravel(t), 2), n + 2)
+    # the Toeplitz matrix of the shift series, its zero entries from a zero last row
+    series = _exp_taylor(-2j * np.pi * c, n + 2)
+    series[-1] = 0.0
+    g = c_einsum("jic,ic->jc", series[_LAG[: n + 2, : n + 2]], T[: n + 2, 0] / T[0, 0])
     for j in range(1, n + 2):  # divide by theta(w)/w, the series T[1:, 1]
         g[j] -= c_einsum("ic,ic->c", T[j + 1 : 1 : -1, 1], g[:j])
-    k = np.arange(n + 1)[:, None]
-    s = D * D * g[1:, :P] - float(D) ** (1 - k) * g[1:, P:]
-    return s.T.reshape(shape + (n + 1,))
+    s = D * D * g[1:, :P] - float(D) ** _ONE_MINUS_K[: n + 1] * g[1:, P:]
+    return s.T.reshape(np.shape(x0) + (n + 1,))
 
 
 def dlog_kato_siegel(z, tau, D: int, cfg: CauchyConfig | None = None):
@@ -160,7 +163,7 @@ def dlog_kato_siegel(z, tau, D: int, cfg: CauchyConfig | None = None):
     """
     if cfg is not None and np.ndim(z) != 0:
         raise TypeError(f"the contour path takes one z, got shape {np.shape(z)}")
-    _degree(D)
+    D = _integer("D", D, 1)
     t = _tau_of(tau)
     if not np.isfinite(z).all():
         raise ValueError(f"z = {z} has no finite lattice coordinates")
@@ -184,7 +187,7 @@ def distribution_residual(p: KroneckerPoint, D: int) -> float:
 
     normalized by max(1, |J(z, w)|). Zero sum for D = 1 (residual of
     0 = D^2 J - D J collapses to 0 exactly)."""
-    _degree(D)
+    D = _integer("D", D, 1)
     t = _tau_of(p.tau)
     z, w = p.z, p.w
     if lattice_dist(D * w, t) / D < 1e-6:

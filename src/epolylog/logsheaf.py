@@ -9,12 +9,13 @@ alone is the relative connection. Flatness is the matrix identity
 dOmega_z/dtau = Omega_z Omega_tau - Omega_tau Omega_z, checked numerically
 by curvature_residual.
 
-The matrices come from a table per level, independent of tau and cached:
-each entry's flat position, integer or constant coefficient, and which
-per-tau scalar it takes (1, eta1, eta1/2 pi i or eta1' - eta1^2/2 pi i,
-Python complexes). One scatter then builds them for a list of tau, so
-curvature_residual builds the centre and its six stencil tau in one pass,
-each entry with the bits of an entry-by-entry loop.
+The matrices come from a table per level and count of tau, independent of
+tau and cached: each entry's flat position in the stacked matrices, integer
+or constant coefficient, and which per-tau scalar it takes (1, eta1,
+eta1/2 pi i or eta1' - eta1^2/2 pi i, Python complexes). One gather, one
+product and one scatter, all on flat arrays, then build them for a list of
+tau, so curvature_residual builds the centre and its six stencil tau in one
+pass, each entry with the bits of an entry-by-entry loop.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .numerics import richardson, stencil_nodes
+from .numerics import _integer, richardson, stencil_nodes
 from .weierstrass import _tau_of, eta1_prime, eta_periods
 
 TWO_PI_I = 2j * cmath.pi
@@ -44,7 +45,7 @@ class LogFiber:
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _level(self.n)
+        _integer("level", self.n, 0)
         clean = {}
         for (i, j), c in self.coeffs.items():
             if i < 0 or j < 0 or i + j > self.n:
@@ -75,19 +76,12 @@ def basis_indices(n: int) -> list:
     return [(i, d - i) for d in range(n + 1) for i in range(d + 1)]
 
 
-def _level(n) -> int:
-    # a level is an int >= 0 (a numpy integer too); a bool is not a level
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"level must be >= 0, got {n!r}")
-    return int(n)
-
-
-@lru_cache(maxsize=32)
-def _table(n: int) -> tuple:
-    # tau-independent: every entry of abs_connection's docstring as its flat
-    # position in the (2, N, N) matrices of one tau, the index of its scalar
-    # among the 4 per-tau scalars (1, eta1, eta1/2 pi i, eta1' - eta1^2/2 pi i),
-    # and its integer or constant coefficient
+@lru_cache(maxsize=64)
+def _table(n: int, count: int) -> tuple:
+    # tau-independent: for count tau, every entry of abs_connection's docstring
+    # as its flat position in the stacked (count, 2, N, N) matrices, the flat index
+    # of its scalar among the count x 4 per-tau scalars (1, eta1, eta1/2 pi i,
+    # eta1' - eta1^2/2 pi i), and its integer or constant coefficient
     pos = {ij: k for k, ij in enumerate(basis_indices(n))}
     size = len(pos)
     entries = []  # (matrix, row, column, scalar, coefficient)
@@ -102,7 +96,9 @@ def _table(n: int) -> tuple:
             entries.append((1, pos[i + 1, j - 1], col, 3, i + 1))
     flat, scalar, coeff = zip(*[((m * size + row) * size + col, s, c)
                                 for m, row, col, s, c in entries])
-    arrays = np.array(flat), np.array(scalar), np.array(coeff, dtype=complex)
+    per_tau = np.arange(count)[:, None]
+    arrays = ((per_tau * (2 * size * size) + flat).ravel(), (per_tau * 4 + scalar).ravel(),
+              np.tile(np.array(coeff, dtype=complex), count))
     for arr in arrays:
         arr.flags.writeable = False
     return (size, *arrays)
@@ -115,13 +111,13 @@ def _connection(n: int, taus: list) -> np.ndarray:
     # division rounds otherwise); a real coefficient times a scalar rounds each
     # part once, as the loop's int times complex does, and a constant times 1 is
     # exact, so every entry has the loop's bits
-    size, flat, scalar, coeff = _table(n)
+    size, flat, scalar, coeff = _table(n, len(taus))
     scalars = []
     for t in taus:
         eta1 = eta_periods(t).eta1
-        scalars.append((1.0, eta1, eta1 / TWO_PI_I, eta1_prime(t) - eta1**2 / TWO_PI_I))
-    out = np.zeros((len(taus), 2 * size * size), dtype=complex)
-    out[:, flat] = np.array(scalars, dtype=complex)[:, scalar] * coeff
+        scalars += (1.0, eta1, eta1 / TWO_PI_I, eta1_prime(t) - eta1**2 / TWO_PI_I)
+    out = np.zeros(len(taus) * 2 * size * size, dtype=complex)
+    out[flat] = np.array(scalars, dtype=complex)[scalar] * coeff
     return out.reshape(len(taus), 2, size, size)
 
 
@@ -140,7 +136,7 @@ def abs_connection(n: int, tau) -> tuple[np.ndarray, np.ndarray]:
     the leading (m+1)(m+2)/2 blocks of the level-n ones, m <= n. ValueError
     for a level that is not an int >= 0.
     """
-    return tuple(_connection(_level(n), [_tau_of(tau)])[0])
+    return tuple(_connection(_integer("level", n, 0), [_tau_of(tau)])[0])
 
 
 def curvature_residual(n: int, tau) -> float:
@@ -155,7 +151,7 @@ def curvature_residual(n: int, tau) -> float:
     independent evaluations of eta1'. The centre and the six stencil tau are
     one pass of the connection.
     """
-    n = _level(n)
+    n = _integer("level", n, 0)
     t = _tau_of(tau)
     h = _CURVATURE_STEP
     mats = _connection(n, [t, *stencil_nodes(t, h).tolist()])

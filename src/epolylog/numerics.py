@@ -47,6 +47,18 @@ class LatticeTruncation:
             raise ValueError(f"unknown ordering {self.ordering!r}")
 
 
+def _integer(name: str, value, least: int | None = None, most: int | None = None) -> int:
+    """value as an int if it is an int or a numpy integer, not a bool, within the
+    bounds given; else ValueError naming it. Callers check before any tau work."""
+    integer = type(value) is int or (isinstance(value, (int, np.integer))
+                                     and not isinstance(value, bool))
+    if not integer or (least is not None and value < least) or (most is not None and value > most):
+        bound = ("an integer" if least is None else f">= {least}" if most is None
+                 else f"in {least}..{most}")
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+    return int(value)
+
+
 def _check_contour(radius, samples, least: int) -> None:
     # a finite radius > 0 and an integer sample count >= least (a numpy
     # integer too, not a bool): a fractional count is not a trapezoid rule

@@ -32,7 +32,7 @@ import numpy as np
 from .eisenstein import coset_sum
 from .kronecker import MAX_COEFF_ORDER, _s_columns
 from .logsheaf import LogFiber, LogValuedForm, abs_connection
-from .numerics import richardson, stencil_nodes
+from .numerics import _integer, richardson, stencil_nodes
 from .weierstrass import PoleProximityError, _tau_of, lattice_dist
 
 TWO_PI_I = 2j * cmath.pi
@@ -46,7 +46,8 @@ class TorsionLabel:
     """N-torsion label (a/N, b/N) with isogeny degree D.
 
     (a, b) must be nonzero mod N. D = 1 is allowed as the degenerate case
-    (empty coset sum)."""
+    (empty coset sum). a, b, N and D are integers (numpy integers too, not
+    bools), N and D >= 1."""
 
     a: int
     b: int
@@ -54,32 +55,37 @@ class TorsionLabel:
     D: int
 
     def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
+        _integer("a", self.a)
+        _integer("b", self.b)
+        _integer("N", self.N, 1)
+        _integer("D", self.D, 1)
         if self.a % self.N == 0 and self.b % self.N == 0:
             raise ValueError(f"(a, b) = {(self.a, self.b)} is (0,0) mod {self.N}")
-        if self.D < 1:
-            raise ValueError(f"D must be >= 1, got {self.D}")
+
+
+def _checked(D, n) -> tuple[int, int]:
+    # the degree D and the level n of the public forms, before any tau work
+    return _integer("D", D, 1), _integer("level", n, 0, MAX_COEFF_ORDER - 1)
 
 
 def _rows(z, t, D: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The coefficients of L_n on the rows w^[k,0], k = 0..n, along the last
     axis, at z and t (as in kronecker._s_columns), from the s_k to order n + 1:
-    k! s_k (dz) and (k+1)! s_(k+1) / (2 pi i) (dtau)."""
-    if not 0 <= n <= MAX_COEFF_ORDER - 1:
-        raise ValueError(f"level must be in 0..{MAX_COEFF_ORDER - 1}, got {n}")
-    s = _s_columns(z, t, D, n + 1)
-    y = _FACT[1 : n + 2] * s[..., 1:]  # over 2 pi i as Python's complex division rounds it
-    return _FACT[: n + 1] * s[..., :-1], y.imag / TWO_PI_I.imag - 1j * (y.real / TWO_PI_I.imag)
+    k! s_k (dz) and (k+1)! s_(k+1) / (2 pi i) (dtau), for a D and n _checked."""
+    f = _FACT[: n + 2] * _s_columns(z, t, D, n + 1)  # k! s_k, k = 0..n + 1
+    y = f[..., 1:]  # over 2 pi i below as Python's complex division rounds it
+    return f[..., :-1], y.imag / TWO_PI_I.imag - 1j * (y.real / TWO_PI_I.imag)
 
 
 def L_form(z: complex, tau, D: int, n: int) -> LogValuedForm:
     """Absolute polylogarithm form at level n: the relative coefficients
     k! s_k dz plus the dtau tower (k+1)! s_(k+1) / (2 pi i), both on the
-    rows w^[k,0]."""
+    rows w^[k,0]. ValueError for a D that is not an integer >= 1 or a level
+    outside 0..MAX_COEFF_ORDER - 1, before any tau work."""
+    D, n = _checked(D, n)
     dz, dtau = _rows(z, _tau_of(tau), D, n)
-    return LogValuedForm(n=n, dz=LogFiber(n, {(k, 0): c for k, c in enumerate(dz)}),
-                         dtau=LogFiber(n, {(k, 0): c for k, c in enumerate(dtau)}))
+    return LogValuedForm(n=n, dz=LogFiber(n, {(k, 0): c for k, c in enumerate(dz.tolist())}),
+                         dtau=LogFiber(n, {(k, 0): c for k, c in enumerate(dtau.tolist())}))
 
 
 def closedness_residual(z: complex, tau, D: int, n: int) -> float:
@@ -95,8 +101,10 @@ def closedness_residual(z: complex, tau, D: int, n: int) -> float:
     nodes and the tau nodes (13 columns, each with the bits it has alone), then
     numerics.richardson. L_m is the rows k <= m of L_n and the level-m
     connection the leading block of the level-n one, so the level-m residual
-    is the leading (m+1)(m+2)/2 entries of the level-n one.
+    is the leading (m+1)(m+2)/2 entries of the level-n one. D and n are
+    checked as in L_form.
     """
+    D, n = _checked(D, n)
     t = _tau_of(tau)
     h = _CLOSEDNESS_STEP
     margin = 10.0 * h
@@ -128,7 +136,6 @@ def specialize_eisenstein(
     conditionally convergent: lipschitz rows or the naive eisenstein
     ordering. k = 0 only converges in the naive eisenstein ordering.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    k = _integer("k", k, 0)
     prefac = (-1) ** k * math.factorial(k) * float(label.D) ** (1 - k)
     return prefac * coset_sum(label.a, label.b, label.N, label.D, tau, k + 1, mode, trunc)

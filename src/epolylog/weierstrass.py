@@ -56,9 +56,12 @@ class QuasiPeriods:
 
 
 def _tau_of(tau):
-    # tau as a complex, or as a complex array for an array of tau
+    # tau as a complex, or as a complex array for an array of tau; ValueError for a
+    # tau that is not finite (whose q-series and reduction would give nan)
     t = tau.tau if isinstance(tau, ModuliPoint) else tau
     t = complex(t) if isinstance(t, (complex, float, int, np.number)) else np.asarray(t, complex)
+    if not (cmath.isfinite(t) if isinstance(t, complex) else np.isfinite(t).all()):
+        raise ValueError(f"tau must be finite, got {t}")
     if not (t.imag > 0.0 if isinstance(t, complex) else (t.imag > 0.0).all()):
         raise ValueError(f"Im tau must be positive, got {t}")
     return t
@@ -103,8 +106,12 @@ def lattice_dist(z, tau) -> float:
 
 
 def _exp_taylor(x: np.ndarray, m: int) -> np.ndarray:
-    """Rows x^j / j!, j = 0..m: the Taylor coefficients of exp(x w) in w."""
-    return np.cumprod(np.vstack([np.ones(len(x)), x / np.arange(1, m + 1)[:, None]]), axis=0)
+    """Rows x^j / j!, j = 0..m: the Taylor coefficients of exp(x w) in w, the running
+    product of the rows 1 and x / j, in place in one array."""
+    out = np.empty((m + 1, len(x)), dtype=x.dtype)
+    out[0] = 1.0
+    np.divide(x, np.arange(1, m + 1)[:, None], out=out[1:])
+    return np.multiply.accumulate(out, axis=0, out=out)
 
 
 @lru_cache(maxsize=None)  # K < 200 and m <= MAX_COEFF_ORDER + 2 bound the keys

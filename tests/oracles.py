@@ -1,8 +1,10 @@
 """Independent reference implementations used by the test suite.
 
 Everything here goes through mpmath (arbitrary precision, external codebase)
-or through raw numpy lattice sums; nothing imports from epolylog. Frozen
-constants in the test files were generated with these at dps >= 30.
+or through raw numpy lattice sums; nothing imports from epolylog, except
+s_columns_ref, an earlier form of the s_k kernel that the bit-level tests keep
+on the package's theta engine. Frozen constants in the test files were
+generated with these at dps >= 30.
 """
 import math
 
@@ -326,3 +328,35 @@ def abs_connection_loop(n, eta1, d_eta1):
         if j >= 1:
             omega_tau[pos[i + 1, j - 1], col] = (i + 1) * (d_eta1 - eta1**2 / two_pi_i)
     return omega_z, omega_tau
+
+
+def exp_taylor_ref(x, m):
+    """Rows x^j / j!, j = 0..m, as np.cumprod of the stacked rows 1 and x / j."""
+    return np.cumprod(np.vstack([np.ones(len(x)), x / np.arange(1, m + 1)[:, None]]), axis=0)
+
+
+_LAG = np.subtract.outer(np.arange(18), np.arange(18))
+
+
+def s_columns_ref(z, t, D, n):
+    """The s_k, k = 0..n, of the degree-D kernel variant along the last axis: the
+    earlier kronecker._s_columns without its argument checks (one reduction of
+    the concatenated z and Dz columns, the shift matrix by np.where), on the
+    package's theta engine."""
+    from epolylog.weierstrass import PoleProximityError, _cell, _dist, _theta_taylor, c_einsum
+
+    shape, z = np.shape(z), np.ravel(np.asarray(z, dtype=complex))
+    t, P = (t if isinstance(t, complex) else np.tile(np.ravel(t), 2)), z.size
+    # columns x = z, Dz; T holds the Taylor coefficients at x0 and at 0, per column
+    x0, _, c = _cell(np.concatenate([z, D * z]), t)
+    if _dist(x0) < 1e-8:
+        raise PoleProximityError("z or Dz within 1e-8 of the lattice")
+    T = _theta_taylor(np.array([x0, np.zeros(2 * P)]), t, n + 2)
+    lag = _LAG[: n + 2, : n + 2]  # the Toeplitz matrix of the shift series
+    shift = np.where(lag[..., None] >= 0, exp_taylor_ref(-2j * np.pi * c, n + 1)[lag], 0)
+    g = c_einsum("jic,ic->jc", shift, T[: n + 2, 0] / T[0, 0])
+    for j in range(1, n + 2):  # divide by theta(w)/w, the series T[1:, 1]
+        g[j] -= c_einsum("ic,ic->c", T[j + 1 : 1 : -1, 1], g[:j])
+    k = np.arange(n + 1)[:, None]
+    s = D * D * g[1:, :P] - float(D) ** (1 - k) * g[1:, P:]
+    return s.T.reshape(shape + (n + 1,))

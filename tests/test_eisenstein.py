@@ -48,6 +48,39 @@ class TestQueryValidation:
             EisensteinQuery(a=1, b=0, N=4, k=3, tau=0.5)
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("k", True), ("k", 2.0), ("N", 2.5), ("N", True), ("a", 1.5), ("b", None), ("b", "2")])
+    def test_integer_fields(self, field, value):
+        # refused by name before the tau (-1j, which would raise too); else
+        # k = True evaluates weight 1 and N = 2.5 or a = 1.5 dies in a list index
+        args = dict(a=1, b=2, N=5, k=4, tau=-1j)
+        bound = ">= 1" if field in ("N", "k") else "an integer"
+        with pytest.raises(ValueError) as info:
+            EisensteinQuery(**{**args, field: value})
+        assert str(info.value) == f"{field} must be {bound}, got {value!r}"
+
+    def test_numpy_integer_fields(self):
+        q = EisensteinQuery(np.int64(1), np.int32(2), np.int64(5), np.int16(4), TAU)
+        assert F(q) == F(EisensteinQuery(1, 2, 5, 4, TAU))
+
+    @pytest.mark.parametrize("D", [0, -1, True, 2.5, 2.0])
+    def test_F_tilde_degree(self, D):
+        q = EisensteinQuery(1, 2, 5, 4, TAU)
+        with pytest.raises(ValueError, match=f"^D must be >= 1, got {D!r}$"):
+            F_tilde(q, D)
+
+    @pytest.mark.parametrize("name, args", [
+        ("D", (1, 2, 5, 0, 4)), ("D", (1, 2, 5, -2, 4)), ("D", (1, 2, 5, True, 4)),
+        ("D", (1, 2, 5, 2.0, 4)), ("N", (1, 2, 0, 2, 4)), ("N", (1, 2, 2.5, 2, 4)),
+        ("s", (1, 2, 5, 2, 0)), ("s", (1, 2, 5, 2, True)), ("a", (1.5, 2, 5, 2, 4)),
+        ("b", (1, False, 5, 2, 4))])
+    def test_coset_sum_integers(self, name, args):
+        # before any tau work (-1j); else every D < 1 returns 0j
+        a, b, N, D, s = args
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            eisenstein.coset_sum(a, b, N, D, -1j, s, mode="naive", trunc=LatticeTruncation(20))
+
+
 def _lambert_batch(x, xi, s):
     """T(x, xi, s) for each x with its own xi: the Lambert halves at rho = 0,
     one row each (the denominators are exactly 1)."""

@@ -213,6 +213,36 @@ class TestSCoeffs:
         with pytest.raises(PoleProximityError):
             s_coeffs(0.5 * TAU_A, TAU_A, 2, 3)  # Dz on the lattice
 
+    @pytest.mark.parametrize("D", [True, False, 2.5, 2.0, "2", None])
+    def test_degree_must_be_an_integer(self, D):
+        # refused before any tau work (-1j); else True runs as D = 1 (all zeros)
+        # and 2.5 returns values for a degree that is not an integer
+        for call in (lambda: s_coeffs(Z_A, -1j, D, 2), lambda: default_cauchy_config(-1j, D),
+                     lambda: dlog_kato_siegel(Z_A, -1j, D),
+                     lambda: distribution_residual(pt(Z_A, W_A, TAU_A), D)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"D must be >= 1, got {D!r}"
+
+    @pytest.mark.parametrize("n", [-1, MAX_COEFF_ORDER + 1, 2.0, True])
+    def test_order_must_be_an_integer_in_range(self, n):
+        with pytest.raises(ValueError) as info:
+            s_coeffs(Z_A, -1j, 2, n)
+        assert str(info.value) == f"coefficient order must be in 0..{MAX_COEFF_ORDER}, got {n!r}"
+
+    def test_numpy_integer_degree_and_order(self):
+        got = s_coeffs(Z_A, TAU_A, np.int64(2), np.int32(5))
+        assert got == s_coeffs(Z_A, TAU_A, 2, 5) and type(got.D) is int
+
+    def test_non_finite_z(self):
+        # z is refused before D * z is formed, where numpy would warn (0 * inf)
+        inf, nan = float("inf"), float("nan")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in (complex(inf, 0.0), complex(0.1, -inf), complex(nan, 0.2)):
+                with pytest.raises(ValueError, match="has no finite lattice coordinates"):
+                    s_coeffs(z, TAU_A, 2, 3)
+
     def test_default_config_shrinks_with_D(self):
         r2 = default_cauchy_config(TAU_A, 2).radius
         r12 = default_cauchy_config(TAU_A, 12).radius
@@ -235,6 +265,53 @@ class TestSColumns:
                     for p in range(len(z)):
                         one = s_coeffs(complex(z[p]), tau if np.ndim(tau) == 0 else tau[p], D, n)
                         assert cols[p].tobytes() == np.array(one.coeffs).tobytes()
+
+    @pytest.mark.parametrize("box", [True, False], ids=["box", "out_of_box"])
+    def test_bits_of_the_concatenated_kernel(self, box):
+        # z and Dz reduced apart (by _cell's scalar path for a scalar z) and the shift
+        # matrix gathered from a zero-padded series keep every bit of the kernel that
+        # reduced the concatenated [z, Dz] column and masked its shift matrix by
+        # np.where (oracles.s_columns_ref): scalar z, an array of z at one tau and at
+        # one tau per z, z in the cell and shifted by m + n tau (a nonzero shift series)
+        from epolylog.kronecker import _s_columns
+
+        rng = np.random.default_rng(29 if box else 30)
+        if box:
+            taus = rng.uniform(-0.5, 0.5, 4) + 1j * rng.uniform(0.8, 2.0, 4)
+        else:
+            taus = np.r_[rng.uniform(-20.0, 20.0, 4) + 1j * rng.uniform(0.06, 0.8, 4),
+                         20.0 + 0.06j, -20.0 + 0.06j]
+        for t in taus.tolist():
+            alpha, beta = rng.uniform(-0.45, 0.45, (2, 3))
+            m, k = rng.integers(-3, 4, (2, 3))
+            zs = np.r_[alpha + beta * t, alpha + m + (beta + k) * t]
+            ts = np.resize(taus, zs.size)
+            for D in (1, 2, 3):
+                for n in range(MAX_COEFF_ORDER + 1):
+                    for z in zs.tolist():
+                        got, want = _s_columns(z, t, D, n), oracles.s_columns_ref(z, t, D, n)
+                        assert got.shape == want.shape
+                        assert got.tobytes() == want.tobytes()
+                    for tau in (t, ts):
+                        got, want = _s_columns(zs, tau, D, n), oracles.s_columns_ref(zs, tau, D, n)
+                        assert got.shape == want.shape
+                        assert got.tobytes() == want.tobytes()
+
+    def test_exp_taylor_is_the_cumprod_form(self):
+        # the preallocated running product has the bits of np.cumprod over the
+        # stacked rows 1 and x / j, for the real frequencies of the theta table and
+        # the complex shifts of the s_k kernel
+        from epolylog.weierstrass import _exp_taylor
+
+        rng = np.random.default_rng(7)
+        xs = [(2 * np.arange(40) + 1) * np.pi,
+              -2j * np.pi * rng.integers(-40, 41, 12),
+              rng.normal(size=9) + 1j * rng.normal(size=9)]
+        for x in xs:
+            for m in (0, 1, 2, 9, MAX_COEFF_ORDER + 2):
+                got, want = _exp_taylor(x, m), oracles.exp_taylor_ref(x, m)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 class TestDlog:

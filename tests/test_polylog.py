@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,42 @@ class TestTorsionLabel:
 
     def test_degree_one_allowed(self):
         assert TorsionLabel(a=1, b=0, N=4, D=1).D == 1
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("D", True, "D must be >= 1, got True"), ("D", 2.0, "D must be >= 1, got 2.0"),
+        ("N", 4.5, "N must be >= 1, got 4.5"), ("a", 1.5, "a must be an integer, got 1.5"),
+        ("b", None, "b must be an integer, got None")])
+    def test_integer_fields(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            TorsionLabel(**{**dict(a=1, b=2, N=4, D=2), field: value})
+        assert str(info.value) == message
+
+
+class TestArguments:
+    # D and the level are checked before any tau work (-1j would raise too)
+    @pytest.mark.parametrize("fn", [L_form, closedness_residual])
+    @pytest.mark.parametrize("D, n, message", [
+        (True, 1, "D must be >= 1, got True"), (2.5, 1, "D must be >= 1, got 2.5"),
+        (0, 1, "D must be >= 1, got 0"), (2, 1.0, "level must be in 0..15, got 1.0"),
+        (2, False, "level must be in 0..15, got False"), (2, 16, "level must be in 0..15, got 16")])
+    def test_degree_and_level(self, fn, D, n, message):
+        with pytest.raises(ValueError) as info:
+            fn(Z_A, -1j, D, n)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("k", [-1, 1.0, True])
+    def test_specialization_weight(self, k):
+        with pytest.raises(ValueError) as info:
+            specialize_eisenstein(TorsionLabel(1, 2, 5, 2), -1j, k)
+        assert str(info.value) == f"k must be >= 0, got {k!r}"
+
+    def test_L_form_non_finite_z(self):
+        # z is refused before D * z is formed, where numpy would warn (0 * inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in (complex(float("inf"), 0.0), complex(0.1, float("nan"))):
+                with pytest.raises(ValueError, match="has no finite lattice coordinates"):
+                    L_form(z, TAU_A, 2, 2)
 
 
 class TestForms:

@@ -475,6 +475,31 @@ class TestEta1Prime:
         assert abs(eta1_prime(t) - direct) < 1e-6
 
 
+class TestTauNotFinite:
+    # a tau that is not finite is refused by name: else an infinite Im tau gives
+    # nan (F) or a ConvergenceError about nan-fold cancellation (theta), and an
+    # infinite or nan Re tau fails in round() with "cannot convert float NaN"
+    INF, NAN = float("inf"), float("nan")
+    TAUS = [complex(0.1, INF), complex(INF, 1.0), complex(NAN, 1.0), complex(-INF, 0.5)]
+
+    @pytest.mark.parametrize("tau", TAUS, ids=str)
+    def test_scalar_tau(self, tau):
+        from epolylog.eisenstein import EisensteinQuery, F
+
+        for call in (lambda: F(EisensteinQuery(1, 1, 5, 4, tau)),
+                     lambda: theta_normalized(0.1, tau), lambda: eta_periods(tau),
+                     lambda: eta1_prime(tau), lambda: wp(0.1, tau), lambda: g_invariants(tau),
+                     lambda: lattice_dist(0.1, ModuliPoint(tau))):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"tau must be finite, got {tau}"
+
+    def test_array_tau(self):
+        taus = np.array([TAU_A, complex(0.1, self.INF)])
+        with pytest.raises(ValueError, match="^tau must be finite"):
+            theta_normalized(np.array([0.1, 0.2]), taus)
+
+
 class TestModuliPoint:
     def test_requires_upper_half_plane(self):
         with pytest.raises(ValueError):
