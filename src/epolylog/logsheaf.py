@@ -9,13 +9,13 @@ alone is the relative connection. Flatness is the matrix identity
 dOmega_z/dtau = Omega_z Omega_tau - Omega_tau Omega_z, checked numerically
 by curvature_residual.
 
-The matrices come from a table per level and count of tau, independent of
-tau and cached: each entry's flat position in the stacked matrices, integer
-or constant coefficient, and which per-tau scalar it takes (1, eta1,
-eta1/2 pi i or eta1' - eta1^2/2 pi i, Python complexes). One gather, one
-product and one scatter, all on flat arrays, then build them for a list of
-tau, so curvature_residual builds the centre and its six stencil tau in one
-pass, each entry with the bits of an entry-by-entry loop.
+The matrices come from a table per level, independent of tau and cached:
+each entry's flat position in the stacked matrices, integer or constant
+coefficient, and which of four scalars at one tau it takes (1, eta1,
+eta1/2 pi i or eta1' - eta1^2/2 pi i). One gather, one product and one
+scatter build them, each entry with the bits of an entry-by-entry loop.
+Omega_z depends on tau only through eta1, and affinely, so the same table
+with dOmega_z/dtau's one scalar, the derivative of eta1, builds that matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import _integer, richardson, stencil_nodes
-from .weierstrass import _tau_of, eta1_prime, eta_periods
+from .weierstrass import _eta1, _tau_of, eta1_prime, eta_periods
 
 TWO_PI_I = 2j * cmath.pi
 # the step of curvature_residual's dOmega_z/dtau stencil
@@ -48,10 +48,12 @@ class LogFiber:
         _integer("level", self.n, 0)
         clean = {}
         for (i, j), c in self.coeffs.items():
+            if type(i) is not int or type(j) is not int:  # a numpy integer, or no integer
+                i, j = _integer("index", i), _integer("index", j)
             if i < 0 or j < 0 or i + j > self.n:
                 raise ValueError(f"index {(i, j)} outside level {self.n}")
             if c != 0:
-                clean[(int(i), int(j))] = complex(c)
+                clean[(i, j)] = complex(c)
         object.__setattr__(self, "coeffs", clean)
 
     def get(self, i: int, j: int) -> complex:
@@ -77,11 +79,11 @@ def basis_indices(n: int) -> list:
 
 
 @lru_cache(maxsize=64)
-def _table(n: int, count: int) -> tuple:
-    # tau-independent: for count tau, every entry of abs_connection's docstring
-    # as its flat position in the stacked (count, 2, N, N) matrices, the flat index
-    # of its scalar among the count x 4 per-tau scalars (1, eta1, eta1/2 pi i,
-    # eta1' - eta1^2/2 pi i), and its integer or constant coefficient
+def _table(n: int) -> tuple:
+    # tau-independent: every entry of abs_connection's docstring as its flat
+    # position in the stacked (2, N, N) matrices, the index of its scalar among
+    # (1, eta1, eta1/2 pi i, eta1' - eta1^2/2 pi i), and its integer or constant
+    # coefficient
     pos = {ij: k for k, ij in enumerate(basis_indices(n))}
     size = len(pos)
     entries = []  # (matrix, row, column, scalar, coefficient)
@@ -96,29 +98,21 @@ def _table(n: int, count: int) -> tuple:
             entries.append((1, pos[i + 1, j - 1], col, 3, i + 1))
     flat, scalar, coeff = zip(*[((m * size + row) * size + col, s, c)
                                 for m, row, col, s, c in entries])
-    per_tau = np.arange(count)[:, None]
-    arrays = ((per_tau * (2 * size * size) + flat).ravel(), (per_tau * 4 + scalar).ravel(),
-              np.tile(np.array(coeff, dtype=complex), count))
+    arrays = (np.array(flat), np.array(scalar), np.array(coeff, dtype=complex))
     for arr in arrays:
         arr.flags.writeable = False
     return (size, *arrays)
 
 
-def _connection(n: int, taus: list) -> np.ndarray:
-    # (Omega_z, Omega_tau) at each tau of a list of complex tau, stacked
-    # (len(taus), 2, N, N), in one scatter. The per-tau scalars are Python
-    # complexes computed as an entry-by-entry loop computes them (numpy's complex
-    # division rounds otherwise); a real coefficient times a scalar rounds each
-    # part once, as the loop's int times complex does, and a constant times 1 is
+def _connection(n: int, scalars: tuple) -> np.ndarray:
+    # (Omega_z, Omega_tau) stacked (2, N, N) from one tau's four scalars, in one
+    # scatter. A real coefficient times a scalar rounds each part once, as an
+    # entry-by-entry loop's int times complex does, and a constant times 1 is
     # exact, so every entry has the loop's bits
-    size, flat, scalar, coeff = _table(n, len(taus))
-    scalars = []
-    for t in taus:
-        eta1 = eta_periods(t).eta1
-        scalars += (1.0, eta1, eta1 / TWO_PI_I, eta1_prime(t) - eta1**2 / TWO_PI_I)
-    out = np.zeros(len(taus) * 2 * size * size, dtype=complex)
+    size, flat, scalar, coeff = _table(n)
+    out = np.zeros(2 * size * size, dtype=complex)
     out[flat] = np.array(scalars, dtype=complex)[scalar] * coeff
-    return out.reshape(len(taus), 2, size, size)
+    return out.reshape(2, size, size)
 
 
 def abs_connection(n: int, tau) -> tuple[np.ndarray, np.ndarray]:
@@ -136,7 +130,9 @@ def abs_connection(n: int, tau) -> tuple[np.ndarray, np.ndarray]:
     the leading (m+1)(m+2)/2 blocks of the level-n ones, m <= n. ValueError
     for a level that is not an int >= 0.
     """
-    return tuple(_connection(_integer("level", n, 0), [_tau_of(tau)])[0])
+    n, t = _integer("level", n, 0), _tau_of(tau)
+    eta1 = eta_periods(t).eta1  # Python complex division, as the loop's (numpy's rounds otherwise)
+    return tuple(_connection(n, (1.0, eta1, eta1 / TWO_PI_I, eta1_prime(t) - eta1**2 / TWO_PI_I)))
 
 
 def curvature_residual(n: int, tau) -> float:
@@ -144,17 +140,16 @@ def curvature_residual(n: int, tau) -> float:
 
     The dz^dtau component of the curvature is the matrix
     -dOmega_z/dtau - Omega_tau Omega_z + Omega_z Omega_tau (Omega_tau does
-    not depend on z); flatness means every entry vanishes. dOmega_z/dtau is
-    taken by one finite-difference stencil of the matrix, which sets the
-    residual floor. The stencil differences the Lambert series of eta1,
-    while Omega_tau uses the closed-form eta1', so the residual compares two
-    independent evaluations of eta1'. The centre and the six stencil tau are
-    one pass of the connection.
+    not depend on z); flatness means every entry vanishes. Omega_z is affine
+    in eta1 with slope E, -(i+1) from w^[i,j] to w^[i+1,j], so dOmega_z/dtau
+    is E times the stencil derivative of the Lambert series of eta1, while
+    Omega_tau uses the closed-form eta1'. The residual compares those two
+    evaluations of eta1', and the commutator is eta1' E up to roundoff, so
+    level n reads n times the level-1 residual (up to that roundoff).
     """
-    n = _integer("level", n, 0)
-    t = _tau_of(tau)
-    h = _CURVATURE_STEP
-    mats = _connection(n, [t, *stencil_nodes(t, h).tolist()])
-    omega_z, omega_tau = mats[0]
-    d_omega_z = richardson(mats[1:, 0], h)
+    n, t, h = _integer("level", n, 0), _tau_of(tau), _CURVATURE_STEP
+    omega_z, omega_tau = abs_connection(n, t)
+    # eta1 at the stencil as a numpy array: Python complex division rounds otherwise
+    d_eta1 = richardson(_eta1(stencil_nodes(t, h)), h)
+    d_omega_z = _connection(n, (0.0, d_eta1, 0.0, 0.0))[0]
     return float(np.max(np.abs(-d_omega_z - omega_tau @ omega_z + omega_z @ omega_tau)))

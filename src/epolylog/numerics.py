@@ -40,9 +40,7 @@ class LatticeTruncation:
     ordering: str = "eisenstein"
 
     def __post_init__(self) -> None:
-        R = self.shell_radius
-        if not isinstance(R, int) or isinstance(R, bool) or R < 1:
-            raise ValueError(f"shell_radius must be an integer >= 1, got {R!r}")
+        object.__setattr__(self, "shell_radius", _integer("shell_radius", self.shell_radius, 1))
         if self.ordering not in ("eisenstein", "box"):
             raise ValueError(f"unknown ordering {self.ordering!r}")
 
@@ -127,8 +125,7 @@ def cauchy_coeffs(
     the FFT; exponentially accurate for f analytic on a neighbourhood of the
     closed disc. f may be vectorized over numpy arrays (used if available).
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    order = _integer("order", order, 0)
     if cfg.samples <= 2 * (order + 1):
         raise ValueError(f"samples={cfg.samples} too small for order {order}")
 

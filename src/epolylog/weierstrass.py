@@ -40,13 +40,12 @@ class ConvergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ModuliPoint:
-    """A point tau of the upper half plane."""
+    """A point tau of the upper half plane, finite (ValueError otherwise, as in every evaluator)."""
 
     tau: complex
 
     def __post_init__(self) -> None:
-        if not (self.tau.imag > 0.0):
-            raise ValueError(f"Im tau must be positive, got {self.tau}")
+        _tau_of(self.tau)
 
 
 @dataclass(frozen=True)

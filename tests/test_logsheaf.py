@@ -46,6 +46,20 @@ class TestLogFiber:
         with pytest.raises(ValueError):
             LogFiber(-1, {})
 
+    @pytest.mark.parametrize("index", [(1.5, 0), (True, 0), (0, False), (np.float64(1.0), 0.0),
+                                       (1, "0"), (None, 0)])
+    def test_index_not_an_integer(self, index):
+        # refused, not truncated to an int index
+        with pytest.raises(ValueError, match="^index must be an integer, got "):
+            LogFiber(2, {index: 1.0})
+
+    def test_numpy_integer_index(self):
+        f = LogFiber(2, {(np.int64(1), np.int32(0)): 1.0})
+        assert f == LogFiber(2, {(1, 0): 1.0})
+        assert all(type(i) is int and type(j) is int for i, j in f.coeffs)
+        with pytest.raises(ValueError, match=r"^index \(-1, 0\) outside level 2$"):
+            LogFiber(2, {(np.int64(-1), 0): 1.0})
+
 
 def entry(n, row, col, m):
     """Coefficient of w^row in the image of w^col under the matrix m."""
@@ -145,6 +159,27 @@ class TestCurvature:
         # 1e-8 must still see the error there
         assert curvature_residual(1, -0.4 + 1.9j) > 1e-8
 
+    @pytest.mark.parametrize("taus", [BOX_TAUS, OUT_OF_BOX_TAUS], ids=["box", "out_of_box"])
+    def test_level_n_is_n_times_level_one(self, taus):
+        # the residual is (eta1' - stencil eta1') times Omega_z's eta1 slope, whose
+        # largest entry is n, plus the commutator's roundoff. That roundoff, an ulp
+        # of its largest product, is below 1e-3 of the gap except at the Im tau =
+        # 0.05 corners, where the gap is 1e-15 of eta1' and the products reach 6e9
+        eps = np.finfo(float).eps
+        for t in taus:
+            one = curvature_residual(1, t)
+            for n in range(2, 7):
+                omega_z, omega_tau = abs_connection(n, t)
+                roundoff = eps * max(np.max(np.abs(omega_z @ omega_tau)),
+                                     np.max(np.abs(omega_tau @ omega_z)))
+                assert abs(curvature_residual(n, t) - n * one) <= 1e-3 * n * one + roundoff
+
+    def test_one_eta1_prime_call(self, monkeypatch):
+        # eta1' enters Omega_tau at the centre only; the stencil reads eta1
+        calls = []
+        monkeypatch.setattr(logsheaf, "eta1_prime", lambda t: calls.append(t) or eta1_prime(t))
+        curvature_residual(3, TAU_A)
+        assert calls == [TAU_A]
 
 
 def reference_connection(n, t):
@@ -154,8 +189,10 @@ def reference_connection(n, t):
 
 class TestBitsOfTheLoop:
     # abs_connection scatters a per-level table in one pass; every entry keeps
-    # the bits of the entry-by-entry loop, and curvature_residual those of the
-    # loop over one matrix per stencil node
+    # the bits of the entry-by-entry loop. curvature_residual keeps, at levels
+    # 0-2, the bits of the loop over one matrix per stencil node (Omega_z's eta1
+    # coefficients there are -1 and -2, which scale the stencil exactly), and at
+    # every level those of the loop with the stencil derivative of eta1 alone
 
     @pytest.mark.parametrize("taus", [BOX_TAUS, OUT_OF_BOX_TAUS], ids=["box", "out_of_box"])
     def test_abs_connection(self, taus):
@@ -165,17 +202,30 @@ class TestBitsOfTheLoop:
                     assert got.shape == want.shape
                     assert got.tobytes() == want.tobytes()
 
+    @staticmethod
+    def residual(n, t, d_omega_z):
+        omega_z, omega_tau = reference_connection(n, t)
+        return float(np.max(np.abs(-d_omega_z - omega_tau @ omega_z + omega_z @ omega_tau)))
+
+    @pytest.mark.parametrize("taus", [BOX_TAUS, OUT_OF_BOX_TAUS], ids=["box", "out_of_box"])
+    def test_curvature_residual_matrix_stencil(self, taus):
+        h = logsheaf._CURVATURE_STEP
+        for t in taus:
+            for n in (0, 1, 2):
+                d_omega_z = richardson(
+                    [reference_connection(n, s)[0] for s in stencil_nodes(t, h).tolist()], h)
+                assert curvature_residual(n, t) == self.residual(n, t, d_omega_z)
+
     @pytest.mark.parametrize("taus", [BOX_TAUS, OUT_OF_BOX_TAUS], ids=["box", "out_of_box"])
     def test_curvature_residual(self, taus):
         h = logsheaf._CURVATURE_STEP
         for t in taus:
-            for n in (0, 1, 2, 4):
-                omega_z, omega_tau = reference_connection(n, t)
-                d_omega_z = richardson(
-                    [reference_connection(n, s)[0] for s in stencil_nodes(t, h).tolist()], h)
-                want = float(np.max(np.abs(-d_omega_z - omega_tau @ omega_z
-                                           + omega_z @ omega_tau)))
-                assert curvature_residual(n, t) == want
+            d_eta1 = richardson(
+                np.array([eta_periods(s).eta1 for s in stencil_nodes(t, h).tolist()]), h)
+            for n in range(7):
+                d_omega_z = (oracles.abs_connection_loop(n, d_eta1, 0)[0]
+                             - oracles.abs_connection_loop(n, 0, 0)[0])
+                assert curvature_residual(n, t) == self.residual(n, t, d_omega_z)
 
 
 class TestLevel:

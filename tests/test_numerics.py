@@ -29,6 +29,18 @@ class TestLatticeTruncation:
                 LatticeTruncation(bad)
         assert LatticeTruncation(1).shell_radius == 1
 
+    def test_numpy_integer_radius(self):
+        # a numpy integer radius is the int radius: same field, same naive F bits
+        from epolylog.eisenstein import EisensteinQuery, F
+
+        trunc = LatticeTruncation(np.int64(60))
+        assert type(trunc.shell_radius) is int and trunc == LatticeTruncation(60)
+        got, want = (F(EisensteinQuery(a=1, b=2, N=5, k=3, tau=0.21 + 1.1j, mode="naive",
+                                       trunc=LatticeTruncation(R))) for R in (np.int64(60), 60))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        with pytest.raises(ValueError, match=r"^shell_radius must be >= 1, got np.int64\(0\)$"):
+            LatticeTruncation(np.int64(0))
+
 
 def node_by_node(f, at, step):
     """richardson of f called at each stencil node, as curvature_residual runs it."""
@@ -128,6 +140,15 @@ class TestCauchyCoeffs:
             CauchyConfig(radius=-1.0)
         with pytest.raises(ValueError):
             CauchyConfig(radius=0.5, samples=8)
+
+    @pytest.mark.parametrize("order", [-1, True, 2.5, "2", None])
+    def test_order_must_be_an_integer(self, order):
+        with pytest.raises(ValueError, match=f"^order must be >= 0, got {order!r}$"):
+            cauchy_coeffs(np.exp, order, CauchyConfig(radius=0.5))
+
+    def test_numpy_integer_order(self):
+        cs = cauchy_coeffs(np.exp, np.int64(2), CauchyConfig(radius=0.5))
+        assert cs == cauchy_coeffs(np.exp, 2, CauchyConfig(radius=0.5))
 
     @pytest.mark.parametrize("samples", [300.7, 64.0, True, "64"])
     def test_sample_count_must_be_an_integer(self, samples):

@@ -509,3 +509,9 @@ class TestModuliPoint:
 
     def test_accepts(self):
         assert ModuliPoint(TAU_A).tau == TAU_A
+
+    @pytest.mark.parametrize("tau", TestTauNotFinite.TAUS, ids=str)
+    def test_tau_not_finite(self, tau):
+        # the one tau rule of the evaluators, at construction
+        with pytest.raises(ValueError, match="^tau must be finite, got "):
+            ModuliPoint(tau)
