@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 from numpy._core.multiarray import c_einsum  # np.einsum without its Python wrapper
 
-from .numerics import LatticeTruncation, _integer
+from .numerics import LatticeTruncation, NonFiniteError, _integer
 from .weierstrass import _lambert, _tau_of
 
 
@@ -61,15 +61,29 @@ class EisensteinQuery:
     trunc: LatticeTruncation | None = None
 
     def __post_init__(self) -> None:
-        _integer("a", self.a)
-        _integer("b", self.b)
-        _integer("N", self.N, 1)
+        _check_label(self.a, self.b, self.N)
         _integer("k", self.k, 1)
-        if self.a % self.N == 0 and self.b % self.N == 0:
-            raise DegenerateLabelError(f"(a, b) = {(self.a, self.b)} is (0,0) mod {self.N}")
         if self.mode not in ("naive", "lipschitz"):
             raise ValueError(f"unknown mode {self.mode!r}")
         _tau_of(self.tau)
+
+
+def _check_label(a, b, N) -> None:  # of EisensteinQuery and polylog.TorsionLabel
+    _integer("a", a), _integer("b", b), _integer("N", N, 1)
+    if a % N == 0 and b % N == 0:
+        raise DegenerateLabelError(f"(a, b) = {(a, b)} is (0,0) mod {N}")
+
+
+def _finite(value: complex, k: int, mode: str) -> complex:
+    # a weight-k sum or series of mode, refused where it left the float range
+    if not cmath.isfinite(value):
+        raise NonFiniteError(f"weight {k} overflows the float range in mode {mode!r}")
+    return value
+
+
+def _factorial(n: int) -> float:
+    # n! as a float (the int's nearest, as in a product with a float), inf past 170!
+    return float(math.factorial(n)) if n <= 170 else math.inf
 
 
 @lru_cache(maxsize=None)
@@ -232,16 +246,19 @@ def _lattice_sums(labels, N: int, D: int, cosets, t: complex, s: int, mode: str,
     """The one dispatch of every lattice sum here: one sum per character
     label (a, b) in labels, over the cosets (c, d) mod D (no coset sums to
     0), by the kernel of mode, _lipschitz_sums or _naive_sums, each called
-    once with every label and every coset."""
+    once with every label and every coset; a kernel's OverflowError reads nan."""
     if mode not in ("naive", "lipschitz"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "naive" and trunc is None:
         raise ValueError("naive mode requires an explicit LatticeTruncation")
     if not cosets:
         return [0j] * len(labels)
-    if mode == "lipschitz":
-        return _lipschitz_sums(labels, N, D, cosets, t, s)
-    return _naive_sums(labels, N, D, cosets, t, s, trunc)
+    try:
+        if mode == "lipschitz":
+            return _lipschitz_sums(labels, N, D, cosets, t, s)
+        return _naive_sums(labels, N, D, cosets, t, s, trunc)
+    except OverflowError:  # a factorial of the Lipschitz kernel past the float range
+        return [math.nan] * len(labels)
 
 
 def F(query: EisensteinQuery) -> complex:
@@ -251,13 +268,13 @@ def F(query: EisensteinQuery) -> complex:
     exactly rounded; box is refused below weight 3 (ConvergenceModeError).
     mode "lipschitz" sums rows in closed form and works for all k >= 1.
     Weight 1 raises ConvergenceModeError when a = 0 mod N, and in mode
-    "naive" also when b = 0 mod N.
+    "naive" also when b = 0 mod N. A value that overflows raises NonFiniteError.
     """
     t = _tau_of(query.tau)
     _check_weight_one([(query.a, query.b)], query.N, query.k, query.mode)
     total, = _lattice_sums([(query.a, query.b)], query.N, 1, [(0, 0)], t, query.k, query.mode,
                            query.trunc)
-    return (-1) ** (query.k + 1) * math.factorial(query.k - 1) * total
+    return _finite((-1) ** (query.k + 1) * _factorial(query.k - 1) * total, query.k, query.mode)
 
 
 def _check_weight_one(labels, N: int, k: int, mode: str) -> None:
@@ -295,8 +312,8 @@ def F_tilde(query: EisensteinQuery, D: int, allow_degenerate: bool = False) -> c
                          query.mode, query.trunc)
     if split:
         sums += _lattice_sums(labels[1:], query.N, 1, [(0, 0)], t, query.k, "lipschitz", None)
-    first, second = ((-1) ** (query.k + 1) * math.factorial(query.k - 1) * v for v in sums)
-    return D**2 * first - D ** (2 - query.k) * second
+    first, second = ((-1) ** (query.k + 1) * _factorial(query.k - 1) * v for v in sums)
+    return _finite(D**2 * first - D ** (2 - query.k) * second, query.k, query.mode)
 
 
 def coset_sum(a: int, b: int, N: int, D: int, tau, s: int, mode: str = "lipschitz",
@@ -310,7 +327,7 @@ def coset_sum(a: int, b: int, N: int, D: int, tau, s: int, mode: str = "lipschit
     mode "lipschitz" needs s >= 2; mode "naive" requires trunc, and a box
     trunc, which declares absolute convergence, needs s >= 3. a and b are
     integers, N, D and s integers >= 1 (numpy integers too, not bools);
-    ValueError otherwise, before any tau work.
+    ValueError otherwise, before any tau work. NonFiniteError on overflow.
     """
     a, b = _integer("a", a), _integer("b", b)
     N, D, s = _integer("N", N, 1), _integer("D", D, 1), _integer("s", s, 1)
@@ -320,7 +337,7 @@ def coset_sum(a: int, b: int, N: int, D: int, tau, s: int, mode: str = "lipschit
             "weight-1 inner rows are principal values; use the naive eisenstein ordering")
     cosets = [(c, d) for c in range(D) for d in range(D) if c or d]
     total, = _lattice_sums([(a, b)], N, D, cosets, t, s, mode, trunc)
-    return total
+    return _finite(total, s, mode)
 
 
 def eisenstein_sum_k2(a: int, b: int, N: int, tau, trunc: LatticeTruncation) -> complex:

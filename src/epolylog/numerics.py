@@ -18,7 +18,7 @@ _RICHARDSON_DEPTH = 2
 
 
 class NonFiniteError(ArithmeticError):
-    """A stencil or quadrature evaluation produced inf or nan."""
+    """A stencil, quadrature or lattice-sum evaluation produced inf or nan."""
 
 
 class AliasingError(ArithmeticError):
@@ -57,13 +57,11 @@ def _integer(name: str, value, least: int | None = None, most: int | None = None
     return int(value)
 
 
-def _check_contour(radius, samples, least: int) -> None:
-    # a finite radius > 0 and an integer sample count >= least (a numpy
-    # integer too, not a bool): a fractional count is not a trapezoid rule
+def _check_contour(radius, samples, least: int) -> int:
+    # a finite radius > 0, and an int sample count >= least (a trapezoid rule)
     if not 0.0 < radius < math.inf:
         raise ValueError(f"radius must be finite and > 0, got {radius!r}")
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < least:
-        raise ValueError(f"samples must be an integer >= {least}, got {samples!r}")
+    return _integer("samples", samples, least)
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,7 @@ class CauchyConfig:
     self_check: bool = True
 
     def __post_init__(self) -> None:
-        _check_contour(self.radius, self.samples, 16)
+        object.__setattr__(self, "samples", _check_contour(self.radius, self.samples, 16))
 
 
 def stencil_nodes(at, step: float) -> np.ndarray:
@@ -155,7 +153,7 @@ def contour_integral(
     """Integral of f over the positively oriented circle of given center and
     radius, by the trapezoid rule (exponentially accurate for f analytic on
     an annulus around the contour)."""
-    _check_contour(radius, samples, 1)
+    samples = _check_contour(radius, samples, 1)
     nodes = np.exp(2j * np.pi * np.arange(samples) / samples)
     vals = _circle_values(f, center, radius, samples)
     return complex(2j * np.pi * radius / samples * np.sum(vals * nodes))

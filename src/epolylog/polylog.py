@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eisenstein import coset_sum
+from .eisenstein import _check_label, _factorial, _finite, coset_sum
 from .kronecker import MAX_COEFF_ORDER, _s_columns
 from .logsheaf import LogFiber, LogValuedForm, abs_connection
 from .numerics import _integer, richardson, stencil_nodes
@@ -45,9 +45,9 @@ _CLOSEDNESS_STEP = 1e-4
 class TorsionLabel:
     """N-torsion label (a/N, b/N) with isogeny degree D.
 
-    (a, b) must be nonzero mod N. D = 1 is allowed as the degenerate case
-    (empty coset sum). a, b, N and D are integers (numpy integers too, not
-    bools), N and D >= 1."""
+    (a, b) must be nonzero mod N (DegenerateLabelError). D = 1 is allowed as
+    the degenerate case (empty coset sum). a, b, N and D are integers (numpy
+    integers too, not bools), N and D >= 1."""
 
     a: int
     b: int
@@ -55,12 +55,8 @@ class TorsionLabel:
     D: int
 
     def __post_init__(self) -> None:
-        _integer("a", self.a)
-        _integer("b", self.b)
-        _integer("N", self.N, 1)
+        _check_label(self.a, self.b, self.N)
         _integer("D", self.D, 1)
-        if self.a % self.N == 0 and self.b % self.N == 0:
-            raise ValueError(f"(a, b) = {(self.a, self.b)} is (0,0) mod {self.N}")
 
 
 def _checked(D, n) -> tuple[int, int]:
@@ -132,10 +128,11 @@ def specialize_eisenstein(
     coset lattice sum described in the module docstring, equal to the
     smoothed Eisenstein series D^2 F^(k+1)_(a,b) - D^(1-k) F^(k+1)_(Da,Db).
 
-    k >= 2 gives absolutely convergent inner sums (any mode). k = 1 is
-    conditionally convergent: lipschitz rows or the naive eisenstein
-    ordering. k = 0 only converges in the naive eisenstein ordering.
+    k >= 2 gives absolutely convergent inner sums (any mode), k = 1 needs
+    lipschitz rows or the naive eisenstein ordering, and k = 0 the latter. A
+    value that overflows raises NonFiniteError naming the weight k + 1.
     """
     k = _integer("k", k, 0)
-    prefac = (-1) ** k * math.factorial(k) * float(label.D) ** (1 - k)
-    return prefac * coset_sum(label.a, label.b, label.N, label.D, tau, k + 1, mode, trunc)
+    prefac = (-1) ** k * _factorial(k) * float(label.D) ** (1 - k)
+    total = coset_sum(label.a, label.b, label.N, label.D, tau, k + 1, mode, trunc)
+    return _finite(prefac * total, k + 1, mode)

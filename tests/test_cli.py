@@ -49,15 +49,13 @@ class TestVerify:
         assert a["checks"][0]["max_residual"] != b["checks"][0]["max_residual"]
         assert a["checks"][0]["points_tested"] == 50
 
-    def test_deterministic_across_parallelism(self, capsys):
+    def test_deterministic_across_runs(self, capsys):
         assert main(["verify", "katosiegel", "--seed", "3"]) == 0
         first = capsys.readouterr().out
         main(["verify", "katosiegel", "--seed", "3"])
         second = capsys.readouterr().out
-        main(["verify", "katosiegel", "--seed", "3", "--parallelism", "4"])
-        third = capsys.readouterr().out
         assert first != ""
-        assert first == second == third
+        assert first == second
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -144,6 +142,43 @@ class TestBatchedChecks:
             with monkeypatch.context() as m:
                 m.setattr(eisenstein, attr, lambda *a, _orig=orig: _orig(*a) * (1 + 1e-9))
                 assert max(residual(points, None)) > 100 * tol
+
+    @pytest.mark.parametrize("attr, check", [
+        ("_eta1", "wp-ode"), ("_eisenstein_weights", "wp-ode"), ("g_invariants", "wp-ode"),
+        ("_s_columns", "dlog-zeta")])
+    def test_tightened_check_sees_a_layer_defect(self, attr, check):
+        # a 1e-9 relative defect in eta1, in E2/E4/E6, in g2/g3 or in the s_k,
+        # patched in every module that holds the name and with every lru cache
+        # cleared, fails its check at seeds 0-2; the clean residuals pass it
+        from epolylog import eisenstein, kronecker, logsheaf, numerics, polylog, weierstrass
+
+        mods = (cli, eisenstein, kronecker, logsheaf, numerics, polylog, weierstrass)
+        orig = getattr(kronecker if attr == "_s_columns" else weierstrass, attr)
+        holders = [m for m in mods if getattr(m, attr, None) is orig]
+
+        def defect(*args):
+            out = orig(*args)
+            return tuple(v * (1 + 1e-9) for v in out) if isinstance(out, tuple) else out * (1 + 1e-9)
+
+        def clear_caches():
+            for m in mods:
+                for v in vars(m).values():
+                    if hasattr(v, "cache_clear"):
+                        v.cache_clear()
+
+        (_, _, tol, pts, residual), = [c for checks in cli.CHECKS.values() for c in checks
+                                       if c[0] == check]
+        point_sets = [pts.build(np.random.default_rng(seed + pts.stream)) for seed in (0, 1, 2)]
+        assert all(max(residual(points, None)) < tol for points in point_sets)
+        clear_caches()
+        try:
+            for m in holders:
+                setattr(m, attr, defect)
+            assert all(max(residual(points, None)) > tol for points in point_sets)
+        finally:
+            for m in holders:
+                setattr(m, attr, orig)
+            clear_caches()
 
 
 class TestEval:
@@ -281,6 +316,15 @@ class TestErrors:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode, k", [("naive", "110"), ("lipschitz", "150")])
+    def test_eval_large_weight(self, capsys, mode, k):
+        # a typed error naming the weight and the mode, not a NaN that JSON rejects
+        code = main(["eval", "F", "--tau", "0.21+1.1i", "--a", "1", "--b", "2", "--N", "5",
+                     "--k", k, "--mode", mode])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.strip() == f"error: weight {k} overflows the float range in mode {mode!r}"
+
     def test_eval_non_finite_point(self, capsys):
         # 1e400 parses as inf: a typed error, not a NaN that JSON rejects
         code = main(["eval", "dlogtheta", "--z", "1e400", "--tau", "0.5+0.8i", "--D", "2"])
@@ -322,12 +366,23 @@ class TestErrors:
         # printed "seed": true) or fail with a TypeError on comparison
         cfg = tmp_path / "cfg.json"
         for body in ({"timings": "no"}, {"timings": 1}, {"seed": True}, {"seed": -1},
-                     {"seed": 2.0}, {"parallelism": "2"}, {"parallelism": True},
-                     {"parallelism": 0}, {"tolerance_overrides": [["heat", 0.5]]},
+                     {"seed": 2.0}, {"seed": "2"}, {"tolerance_overrides": [["heat", 0.5]]},
                      {"tolerance_overrides": None}):
             cfg.write_text(json.dumps(body))
             assert main(["verify", "weierstrass", "--config", str(cfg)]) == 2
             assert next(iter(body)) in capsys.readouterr().err
+
+    def test_parallelism_is_refused(self, capsys, tmp_path):
+        # checks always ran serially: the flag and the config key are gone
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "weierstrass", "--parallelism", "1"])
+        assert exc.value.code == 2
+        assert "--parallelism" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        for value in (1, 4, "2", True, 0):
+            cfg.write_text(json.dumps({"parallelism": value}))
+            assert main(["verify", "weierstrass", "--config", str(cfg)]) == 2
+            assert "unknown config keys ['parallelism']" in capsys.readouterr().err
 
     def test_zero_shell_radius(self, capsys):
         # 0 is an invalid radius, not "use the default"
@@ -354,6 +409,21 @@ class TestErrors:
         code, report = run_main(capsys, ["verify", "weierstrass", "--tolerance", "heat=1e-3"])
         assert code == 0
         assert report["overall_pass"] is True
+
+
+class TestRunConfig:
+    # the seed follows the package's one integer rule, numerics._integer
+    @pytest.mark.parametrize("seed", [True, False, 2.0, 2.5, "2", None, -1])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError) as info:
+            cli.RunConfig(seed=seed)
+        assert str(info.value) == f"seed must be >= 0, got {seed!r}"
+
+    def test_numpy_integer_seed(self):
+        config = cli.RunConfig(seed=np.int64(3))
+        assert type(config.seed) is int and config == cli.RunConfig(seed=3)
+        report = cli.cmd_verify("curvature", config)
+        assert json.dumps(report) == json.dumps(cli.cmd_verify("curvature", cli.RunConfig(seed=3)))
 
 
 class TestConfigFile:
@@ -396,6 +466,6 @@ class TestSubprocess:
     def test_byte_identical_stdout(self):
         argv = [sys.executable, "-m", "epolylog.cli", "verify", "curvature", "--seed", "5"]
         a = subprocess.run(argv, capture_output=True)
-        b = subprocess.run(argv + ["--parallelism", "8"], capture_output=True)
+        b = subprocess.run(argv, capture_output=True)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout

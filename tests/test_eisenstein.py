@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from epolylog import eisenstein
+from epolylog import eisenstein, polylog
 from epolylog.eisenstein import (
     ConvergenceModeError,
     DegenerateLabelError,
@@ -20,7 +20,7 @@ from epolylog.eisenstein import (
     _row_zero,
     eisenstein_sum_k2,
 )
-from epolylog.numerics import LatticeTruncation
+from epolylog.numerics import LatticeTruncation, NonFiniteError
 from epolylog.weierstrass import ConvergenceError, _lambert
 
 TAU = 0.21 + 1.1j
@@ -806,3 +806,35 @@ class TestOrderedWeightTwo:
     def test_box_ordering_rejected(self):
         with pytest.raises(ConvergenceModeError):
             eisenstein_sum_k2(1, 2, 5, TAU, LatticeTruncation(200, ordering="box"))
+
+
+class TestLargeWeights:
+    """Past the float range a term (x+n)^k of the naive square, a Lambert term
+    (l - xi)^(k-1) or (k-1)! overflows: a typed error, never a NaN. At (1, 2)
+    mod 5 and TAU, naive F and F_tilde read nan+nanj from k = 110, the Lipschitz
+    values from k = 150, and k >= 171 raised a bare OverflowError."""
+
+    @staticmethod
+    def calls(k, mode, R):
+        trunc = LatticeTruncation(R) if mode == "naive" else None
+        q = EisensteinQuery(a=1, b=2, N=5, k=k, tau=TAU, mode=mode, trunc=trunc)
+        label = polylog.TorsionLabel(a=1, b=2, N=5, D=2)
+        return (("F", lambda: F(q)), ("F_tilde", lambda: F_tilde(q, 2)),
+                ("specialize", lambda: polylog.specialize_eisenstein(label, TAU, k - 1, mode,
+                                                                     trunc)))
+
+    @pytest.mark.parametrize("mode", ["naive", "lipschitz"])
+    def test_finite_at_weight_100(self, mode):
+        values = [call() for _, call in self.calls(100, mode, 500)]
+        assert all(np.isfinite(v) for v in values)
+        assert abs(values[0] / F(EisensteinQuery(1, 2, 5, 100, TAU)) - 1) < 1e-12
+
+    @pytest.mark.parametrize("mode, k, R", [
+        ("naive", 110, 500), ("naive", 150, 500), ("lipschitz", 150, 500),
+        ("lipschitz", 171, 500), ("lipschitz", 200, 500),
+        ("naive", 172, 1)])  # the sums finite at R = 1, (k-1)! not
+    def test_overflow_is_a_typed_error(self, mode, k, R):
+        for name, call in self.calls(k, mode, R):
+            with pytest.raises(NonFiniteError) as info:
+                call()
+            assert str(info.value) == f"weight {k} overflows the float range in mode {mode!r}", name

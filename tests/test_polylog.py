@@ -10,6 +10,7 @@ from conftest import STANDARD_POINTS
 from epolylog import polylog
 from epolylog.eisenstein import (
     ConvergenceModeError,
+    DegenerateLabelError,
     EisensteinQuery,
     F_tilde,
 )
@@ -32,10 +33,14 @@ TWO_PI_I = 2j * cmath.pi
 
 class TestTorsionLabel:
     def test_rejects_zero_label(self):
-        with pytest.raises(ValueError):
-            TorsionLabel(a=0, b=0, N=4, D=2)
-        with pytest.raises(ValueError):
-            TorsionLabel(a=4, b=4, N=4, D=2)
+        # the label rule of EisensteinQuery: the same error, a ValueError
+        assert issubclass(DegenerateLabelError, ValueError)
+        for a, b in ((0, 0), (4, 4), (np.int64(8), -4)):
+            with pytest.raises(DegenerateLabelError) as info:
+                TorsionLabel(a=a, b=b, N=4, D=2)
+            assert str(info.value) == f"(a, b) = {(a, b)} is (0,0) mod 4"
+            with pytest.raises(DegenerateLabelError):
+                EisensteinQuery(a=a, b=b, N=4, k=3, tau=0.21 + 1.1j)
 
     def test_rejects_bad_degree(self):
         with pytest.raises(ValueError):
