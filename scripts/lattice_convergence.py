@@ -3,9 +3,9 @@
 Prints |naive - lipschitz| for the level-N series against a doubling shell
 radius, one row per weight. Weights k >= 3 are absolutely convergent with a
 R^(1-k) tail bound, typically a power faster once the character oscillates;
-the conditionally convergent k = 2 column uses the symmetric inner-then-outer
-ordering and degrades to O(1/R) when a row index hits 0 mod N. Run before
-trusting a naive truncation radius.
+the conditionally convergent k = 2 column is the exactly rounded square sum
+over |m|, |n| <= R and degrades to O(1/R) when a row index hits 0 mod N. Run
+before trusting a naive truncation radius.
 """
 
 import argparse

@@ -2,8 +2,9 @@
 
 Reports are canonical JSON: fixed key order, complex numbers as
 {"re": ..., "im": ...}, floats in shortest round-trip form (full precision).
-runtime_ms is null unless --timings is given, so that reports for a fixed
-seed and config are byte-identical across runs.
+runtime_ms is null unless --timings is given, so a fixed seed and tolerance
+overrides give byte-identical output. verify reads its run configuration from
+its flags alone: --seed, --tolerance and --timings (and --out for the report).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -32,7 +33,8 @@ from .kronecker import (
     _variant,
 )
 from .logsheaf import curvature_residual
-from .numerics import CauchyConfig, LatticeTruncation, _integer, cauchy_coeffs, contour_integral
+from .numerics import (CauchyConfig, LatticeTruncation, NonFiniteError, _integer, cauchy_coeffs,
+                       contour_integral)
 from .polylog import TorsionLabel, L_form, closedness_residual, specialize_eisenstein
 from .weierstrass import (
     ModuliPoint,
@@ -51,9 +53,10 @@ EVAL_TARGETS = ("J", "s_coeffs", "F", "F_tilde", "dlogtheta", "L_form")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by every suite; see the module docstring for report
-    determinism. tolerance_overrides maps check names, of any suite, to
-    tolerances."""
+    """The run configuration of every suite, set by verify's --seed,
+    --tolerance and --timings flags: a fixed seed and tolerance overrides give
+    byte-identical output. tolerance_overrides maps check names, of any suite,
+    to tolerances."""
 
     seed: int = 0
     tolerance_overrides: dict = field(default_factory=dict)
@@ -129,24 +132,24 @@ def _each(stream: int, draw, count: int) -> Points:
 
 
 def _per_point(residual):
-    """A check's residual on its point list from residual(point, config)."""
-    return lambda points, config: [residual(p, config) for p in points]
+    """A check's residual on its point list from residual(point)."""
+    return lambda points: [residual(p) for p in points]
 
 
 # the weierstrass point checks: one evaluation on all points, each (z, tau) a column
-def _legendre(points, _config):
+def _legendre(points):
     z, t = np.array(points).T
     eta1 = _zeta(z + 1, t) - _zeta(z, t)
     eta2 = _zeta(z + t, t) - _zeta(z, t)
     return np.abs(eta1 * t - eta2 - 2j * cmath.pi)
 
 
-def _zeta_law(points, _config):
+def _zeta_law(points):
     z, t = np.array(points).T
     return np.abs(_zeta(z + 1, t) - _zeta(z, t) - _eta1(t))
 
 
-def _sigma_law(points, _config):
+def _sigma_law(points):
     z, t = np.array(points).T
 
     def sigma(x):  # the Weierstrass sigma, exp(eta1 x^2/2) theta(x)
@@ -156,19 +159,19 @@ def _sigma_law(points, _config):
     return np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))
 
 
-def _wp_ode(points, _config):
+def _wp_ode(points):
     z, t = np.array(points).T
     p, pp = _wp(z, t)
     g2, g3 = np.array([g_invariants(x) for x in t.tolist()]).T
     return np.abs(pp**2 - (4 * p**3 - g2 * p - g3)) / np.maximum(1.0, np.abs(pp) ** 2)
 
 
-def _closedness(pt, config) -> float:
+def _closedness(pt) -> float:
     z, t = pt
     return max(closedness_residual(z, t, D, 4) for D in (2, 3))
 
 
-def _coeff_rescaling(pt, _config) -> float:
+def _coeff_rescaling(pt) -> float:
     # contour oracle against closed form: the w -> Dw scaled variant at radius
     # r/D against D^k s_k; node rounding noise grows like (D/r)^k, so the
     # contour sits at 0.35 of the pole distance
@@ -185,7 +188,7 @@ def _coeff_rescaling(pt, _config) -> float:
     return worst
 
 
-def _pole_removal(pt, _config) -> float:
+def _pole_removal(pt) -> float:
     # the D-variant is holomorphic across w = 0: on |w| = 1e-3, where each
     # J term alone is ~1e3, the value must match the degree-8 Taylor
     # polynomial from contour extraction
@@ -213,7 +216,7 @@ def _ks_residue(t: complex, at_torsion: bool) -> float:
     return worst
 
 
-def _ks_norm_trace(pt, _config) -> float:
+def _ks_norm_trace(pt) -> float:
     z, t = pt
     worst = 0.0
     for D, M in ((2, 3), (3, 2)):
@@ -224,7 +227,7 @@ def _ks_norm_trace(pt, _config) -> float:
     return worst
 
 
-def _dlog_zeta(pt, _config) -> float:
+def _dlog_zeta(pt) -> float:
     z, t = pt
     worst = 0.0
     for D in (2, 3):
@@ -244,7 +247,7 @@ def _eisenstein_cases(rng) -> list:
     return cases
 
 
-def _naive_vs_lipschitz(case, _config) -> float:
+def _naive_vs_lipschitz(case) -> float:
     a, b, N, k, t = case
     naive = F(EisensteinQuery(a=a, b=b, N=N, k=k, tau=t, mode="naive",
                               trunc=LatticeTruncation(500)))
@@ -252,13 +255,13 @@ def _naive_vs_lipschitz(case, _config) -> float:
     return abs(naive - lip) / max(1.0, abs(lip))
 
 
-def _k2_ordered(case, _config) -> float:
+def _k2_ordered(case) -> float:
     a, b, N, t, v500 = case
     lip = F(EisensteinQuery(a=a, b=b, N=N, k=2, tau=t))
     return abs(v500 - lip) / max(1.0, abs(lip))
 
 
-def _k2_doubling(case, _config) -> float:
+def _k2_doubling(case) -> float:
     a, b, N, t, v500 = case
     return abs(v500 - eisenstein_sum_k2(a, b, N, t, LatticeTruncation(1000)))
 
@@ -269,7 +272,7 @@ def _draw_modular_case(rng) -> tuple:
     return (*_draw_label(rng, N, 1), N, k, t)
 
 
-def _modularity(case, _config) -> float:
+def _modularity(case) -> float:
     # the lattice sum of label (a, b) at -1/tau is tau^k times that of (b, -a) at
     # tau (swap (m, n) -> (n, -m)); from the Lipschitz kernel itself, so that no
     # reduction of tau inside F can make the two sides one computation
@@ -286,7 +289,7 @@ def _draw_spec_case(rng, N: int) -> tuple:
     return (*_draw_label(rng, N, 2), t)
 
 
-def _specialization(case, _config, k: int, N: int, D: int) -> float:
+def _specialization(case, k: int, N: int, D: int) -> float:
     a, b, t = case
     sp = specialize_eisenstein(TorsionLabel(a=a, b=b, N=N, D=D), t, k)
     ft = F_tilde(EisensteinQuery(a=a, b=b, N=N, k=k + 1, tau=t), D, allow_degenerate=True)
@@ -310,11 +313,11 @@ _K2_CASES = Points(0, lambda rng: [
     for c in ((1, 2, 5, 0.21 + 1.1j), (1, 1, 3, -0.3 + 1.6j), (2, 1, 5, 1.3j))])
 
 # The verification suites, in report order: each check's name, anchor,
-# tolerance, point set and residual(points, config), a residual per point.
+# tolerance, point set and residual(points), a residual per point.
 CHECKS = {
     "weierstrass": (
         ("eta1-at-i", "quasi-period-square-lattice", 1e-8, Points(0, lambda rng: [0]),
-         _per_point(lambda _, c: abs(eta_periods(1j).eta1 - cmath.pi))),
+         _per_point(lambda _: abs(eta_periods(1j).eta1 - cmath.pi))),
         ("legendre", "legendre-relation", 1e-8, _W_TZ, _legendre),
         ("zeta-law", "zeta-quasi-periodicity", 1e-9, _W_TZ, _zeta_law),
         ("sigma-law", "sigma-quasi-periodicity", 1e-9, _W_TZ, _sigma_law),
@@ -322,15 +325,15 @@ CHECKS = {
     ),
     "heat": (
         ("heat", "mixed-heat-equation", 1e-6, _each(0, _draw_kpoint, 50),
-         _per_point(lambda p, c: heat_residual(p))),
+         _per_point(heat_residual)),
     ),
     "curvature": (
         ("curvature-n0", "connection-flatness", 1e-12, _CURV_TAUS,
-         _per_point(lambda t, c: curvature_residual(0, t))),
+         _per_point(partial(curvature_residual, 0))),
         ("curvature-n1", "connection-flatness", 1e-8, _CURV_TAUS,
-         _per_point(lambda t, c: curvature_residual(1, t))),
+         _per_point(partial(curvature_residual, 1))),
         ("curvature", "connection-flatness", 1e-4, _CURV_TAUS,
-         _per_point(lambda t, c: curvature_residual(4, t))),
+         _per_point(partial(curvature_residual, 4))),
     ),
     "closedness": (
         ("closedness", "absolute-form-closedness", 1e-4, _each(0, _draw_tz, 10),
@@ -338,16 +341,16 @@ CHECKS = {
     ),
     "distribution": (
         ("distribution", "isogeny-distribution-law", 1e-6, _each(0, _draw_kpoint, 50),
-         _per_point(lambda p, c: max(distribution_residual(p, D) for D in (2, 3)))),
+         _per_point(lambda p: max(distribution_residual(p, D) for D in (2, 3)))),
         ("pole-removal", "kernel-pole-removal", 1e-8, _DIST_TZ, _per_point(_pole_removal)),
         ("coeff-rescaling", "kernel-coefficient-rescaling", 1e-9, _DIST_TZ,
          _per_point(_coeff_rescaling)),
     ),
     "katosiegel": (
         ("ks-residue-origin", "kato-siegel-divisor", 1e-7, _KS_TAUS,
-         _per_point(lambda t, c: _ks_residue(t, at_torsion=False))),
+         _per_point(partial(_ks_residue, at_torsion=False))),
         ("ks-residue-torsion", "kato-siegel-divisor", 1e-7, _KS_TAUS,
-         _per_point(lambda t, c: _ks_residue(t, at_torsion=True))),
+         _per_point(partial(_ks_residue, at_torsion=True))),
         ("ks-norm-trace", "kato-siegel-norm-compatibility", 1e-7, _KS_TZ,
          _per_point(_ks_norm_trace)),
         ("dlog-zeta", "kernel-constant-term", 1e-13, _KS_TZ, _per_point(_dlog_zeta)),
@@ -372,10 +375,12 @@ SUITES = tuple(CHECKS)
 
 def _check(name, anchor, tolerance, config, points, residual) -> dict:
     t0 = time.perf_counter()
-    residuals = residual(points, config)
+    residuals = residual(points)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     tol = float(config.tolerance_overrides.get(name, tolerance))
-    worst = float(max(residuals))
+    worst = float(np.max(residuals))  # nan wherever one sits, unlike max()
+    if not math.isfinite(worst):
+        raise NonFiniteError(f"check {name} has a non-finite residual")
     return {
         "name": name,
         "anchor": anchor,
@@ -469,26 +474,6 @@ def _parse_tolerances(pairs) -> dict:
     return out
 
 
-def _load_config(args) -> RunConfig:
-    """The verify run configuration: the --config file's keys, each one
-    overridden by its flag where the flag is given."""
-    base: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
-        if not isinstance(base, dict):
-            raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(base) - {f.name for f in fields(RunConfig)})
-        if unknown:
-            raise ValueError(f"unknown config keys {unknown}")
-        if not isinstance(base.get("tolerance_overrides", {}), dict):
-            raise ValueError("config key tolerance_overrides must hold a JSON object")
-    flags = {"seed": args.seed, "timings": args.timings or None}
-    tols = {**base.get("tolerance_overrides", {}), **_parse_tolerances(args.tolerance)}
-    return RunConfig(**{**base, **{k: v for k, v in flags.items() if v is not None},
-                        "tolerance_overrides": tols})
-
-
 def _emit(payload: dict, out_path: str | None) -> None:
     text = json.dumps(payload, indent=2, allow_nan=False)
     if out_path:
@@ -508,8 +493,7 @@ def main(argv=None) -> int:
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=("all",) + SUITES)
-    pv.add_argument("--seed", type=int, default=None)
-    pv.add_argument("--config", type=str, default=None, help="JSON config file")
+    pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
                     help="override a check tolerance (repeatable)")
     pv.add_argument("--timings", action="store_true",
@@ -535,12 +519,16 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            report = cmd_verify(args.suite, _load_config(args))
-            _emit(report, args.out)
-            return 0 if report["overall_pass"] else 1
-        _emit(cmd_eval(args.target, args), args.out)
-        return 0
+        # an overflow past the float range surfaces as a typed error, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "verify":
+                tols = _parse_tolerances(args.tolerance)
+                config = RunConfig(seed=args.seed, tolerance_overrides=tols, timings=args.timings)
+                report = cmd_verify(args.suite, config)
+                _emit(report, args.out)
+                return 0 if report["overall_pass"] else 1
+            _emit(cmd_eval(args.target, args), args.out)
+            return 0
     except (ValueError, OSError, KeyError, TypeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -119,7 +119,7 @@ class TestVariant:
             return engine(*args)
 
         monkeypatch.setattr(weierstrass, "_theta_taylor", counted)
-        _coeff_rescaling((Z_A, TAU_A), None)
+        _coeff_rescaling((Z_A, TAU_A))
         assert len(calls) == 8
 
 
