@@ -61,12 +61,13 @@ call runs it on both, the lead alternating, so the host's drift within a
 round falls on both sides of every ratio. The trees alternate from round to
 round too: the first tree leads the odd rounds and the second the even ones.
 After its calls each round runs each tree's tier-1 pytest (`python -m pytest
--q --continue-on-collection-errors` in the tree's root, its src first on
-PYTHONPATH), in the same order, and records the wall seconds and the passed,
-failed and error counts. Two trees also print, for every layer and every
-verify suite, the second tree's time over the first's in each round, with the
-median and range of those ratios, beside the ratio of the per-tree medians
-over the rounds. A host whose speed drifts between rounds moves both trees of
+-q --continue-on-collection-errors -p no:cacheprovider` in the tree's root,
+its src first on PYTHONPATH, with PYTHONDONTWRITEBYTECODE=1, so the run
+leaves no .pytest_cache or __pycache__ in the tree), in the same order, and
+records the wall seconds and the passed, failed and error counts. Two trees
+also print, for every layer and every verify suite, the second tree's time
+over the first's in each round, with the median and range of those ratios,
+beside the ratio of the per-tree medians over the rounds. A host whose speed drifts between rounds moves both trees of
 a round alike, so the per-round ratios are the figure to compare; the ratio
 of medians mixes rounds of different speeds. --out merges every round, the
 per-tree medians and the per-round ratios into a JSON file.
@@ -256,12 +257,14 @@ def src_lines(src: str) -> int:
 
 def tier1(src: str) -> dict:
     """Wall seconds and the passed, failed and error counts of the tier-1
-    pytest of the tree whose package lives under src."""
+    pytest of the tree whose package lives under src. The run writes no
+    bytecode and no pytest cache into the tree it measures."""
     root = os.path.dirname(src)
-    env = {**os.environ,
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     t0 = time.perf_counter()
-    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+                          "-p", "no:cacheprovider"],
                          cwd=root, env=env, stdout=subprocess.PIPE, text=True)
     wall = time.perf_counter() - t0
     # pytest's summary line, say "1 failed, 296 passed, 2 errors in 17.02s"

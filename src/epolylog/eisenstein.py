@@ -16,12 +16,12 @@ tends to -+pi i zeta_N^(+-mb) and the rows do not sum. The naive square
 truncation at k = 1 also needs b != 0 mod N, without which it converges to
 another value; outside this domain F raises ConvergenceModeError.
 
-coset_sum evaluates the shifted, character-twisted sums of the same kind
-(Eisenstein-Kronecker series, Bannai-Kobayashi arXiv:math/0610163) over the
-nonzero cosets of D^-1 Z^2 / Z^2, which the torsion specialization in polylog
-needs. Every sum goes through one dispatch, _lattice_sums, and each kernel
-sums all labels and cosets of a call in one pass. F and both labels of
-F_tilde are the coset c = d = 0, D = 1.
+The torsion specialization in polylog sums the shifted, character-twisted
+sums of the same kind (Eisenstein-Kronecker series, Bannai-Kobayashi
+arXiv:math/0610163) over the nonzero cosets of D^-1 Z^2 / Z^2. Every sum goes
+through one dispatch, _lattice_sums, which alone holds the rules of where a
+sum converges, and each kernel sums all labels and cosets of a call in one
+pass. F and both labels of F_tilde are the coset c = d = 0, D = 1.
 """
 
 from __future__ import annotations
@@ -124,16 +124,16 @@ def _row_zero(a: int, N: int, D: int, ds, s: int) -> complex:
 
 
 def _lipschitz_sums(labels, N: int, D: int, cosets, t: complex, s: int) -> list:
-    """The lattice sum of coset_sum over the given cosets (c, d), one sum per
-    character label (a, b) in labels. Row m of coset (c, d) is zeta_N^((Dm+c)b
-    - da) T(x_m, xi, s), xi = -Da/N mod 1, x_m = (m + c/D) tau + d/D, and its
-    character is a constant times zeta_N^(Dbm). So the rows m >= m0 = [c = 0]
-    are one Lambert half at y = x_m0, rho = zeta_N^(Db), and the rows m <= -1,
-    reflected by T(x, xi, s) = (-1)^s T(-x, -xi mod 1, s), one at y = -x_-1,
-    rho = zeta_N^(-Db); all halves of all labels and cosets go through one
-    _lambert call. Row 0 is real when c = 0: one _row_zero per label over
-    those cosets, without the origin when d = 0 (F is D = 1, cosets
-    [(0, 0)]). s = 1 needs Da != 0 mod N."""
+    """The lattice sum over the given cosets (c, d), one sum per character
+    label (a, b) in labels, for _lattice_sums, which holds the domain rules.
+    Row m of coset (c, d) is zeta_N^((Dm+c)b - da) T(x_m, xi, s), xi = -Da/N
+    mod 1, x_m = (m + c/D) tau + d/D, and its character is a constant times
+    zeta_N^(Dbm). So the rows m >= m0 = [c = 0] are one Lambert half at y =
+    x_m0, rho = zeta_N^(Db), and the rows m <= -1, reflected by T(x, xi, s) =
+    (-1)^s T(-x, -xi mod 1, s), one at y = -x_-1, rho = zeta_N^(-Db); all
+    halves of all labels and cosets go through one _lambert call. Row 0 is real
+    when c = 0: one _row_zero per label over those cosets, without the origin
+    when d = 0 (F is D = 1, cosets [(0, 0)]). s = 1 needs Da != 0 mod N."""
     roots = _roots_of_unity(N).tolist()
     halves = []  # (y, xi, rho, character of the first row), label by label
     for a, b in labels:
@@ -168,11 +168,11 @@ def _power(work: list, s: int) -> np.ndarray:
 
 def _naive_sums(labels, N: int, D: int, cosets, t: complex, s: int,
                 trunc: LatticeTruncation) -> list:
-    """The lattice sum of coset_sum over the given cosets (c, d), one sum per
-    character label (a, b) in labels: the terms |m|, |n| <= R of each coset,
-    without the origin at c = d = 0 (F is D = 1, cosets [(0, 0)]). "box" sums
-    the same terms alike; it only declares absolute convergence and is
-    refused below weight 3.
+    """The lattice sum over the given cosets (c, d), one sum per character
+    label (a, b) in labels, for _lattice_sums, which holds the domain rules:
+    the terms |m|, |n| <= R of each coset, without the origin at c = d = 0 (F
+    is D = 1, cosets [(0, 0)]). "box" sums the same terms alike; it only
+    declares absolute convergence, and the dispatch refuses it below weight 3.
 
     The column characters zeta_N^(-(Dn+d)a) depend only on n mod N, so the
     columns are ordered by class: n = 0, then n = r mod N, r = 1..min(N, R),
@@ -191,9 +191,6 @@ def _naive_sums(labels, N: int, D: int, cosets, t: complex, s: int,
     the sign (-1)^s. The row characters zeta_N^((Dm+c)b) are one array
     product, and each label's rows of all cosets one math.fsum of the real
     and imaginary parts: exactly rounded, so no order of the rows enters."""
-    if trunc.ordering == "box" and s < 3:
-        raise ConvergenceModeError(f"weight {s} is conditionally convergent; "
-                                   "box ordering is not a sum")
     R = trunc.shell_radius
     roots = _roots_of_unity(N)
     classes = [np.arange(r, R + 1, N) for r in range(1, min(N, R) + 1)]
@@ -244,15 +241,34 @@ def _naive_sums(labels, N: int, D: int, cosets, t: complex, s: int,
 def _lattice_sums(labels, N: int, D: int, cosets, t: complex, s: int, mode: str,
                   trunc: LatticeTruncation | None) -> list:
     """The one dispatch of every lattice sum here: one sum per character
-    label (a, b) in labels, over the cosets (c, d) mod D (no coset sums to
-    0), by the kernel of mode, _lipschitz_sums or _naive_sums, each called
-    once with every label and every coset; a kernel's OverflowError reads nan."""
+    label (a, b) in labels, over the cosets (c, d) mod D, by the kernel of
+    mode, _lipschitz_sums or _naive_sums, each called once with every label
+    and every coset; a kernel's OverflowError reads nan. It alone decides
+    where a sum converges, before any kernel runs and in this order: the mode;
+    at weight s = 1 the coset rule (the rows of a Lipschitz coset sum, any
+    cosets but F's [(0, 0)], are principal values), then the label rule of
+    the module docstring (F's coset); a truncation for naive mode; no coset
+    sums to 0; box needs s >= 3. In naive mode a trailing trivial label
+    (0, 0), F_tilde's degenerate one, is summed by Lipschitz rows."""
     if mode not in ("naive", "lipschitz"):
         raise ValueError(f"unknown mode {mode!r}")
+    if s == 1 and mode == "lipschitz" and cosets != [(0, 0)]:
+        raise ConvergenceModeError(
+            "weight-1 inner rows are principal values; use the naive eisenstein ordering")
+    for a, b in labels if s == 1 and cosets == [(0, 0)] else ():
+        if a % N == 0 or (mode == "naive" and b % N == 0):
+            raise ConvergenceModeError(
+                f"weight 1 at (a, b) = {(a, b)} mod {N} does not converge in mode {mode!r}")
     if mode == "naive" and trunc is None:
         raise ValueError("naive mode requires an explicit LatticeTruncation")
     if not cosets:
         return [0j] * len(labels)
+    if mode == "naive" and trunc.ordering == "box" and s < 3:
+        raise ConvergenceModeError(f"weight {s} is conditionally convergent; "
+                                   "box ordering is not a sum")
+    if mode == "naive" and labels[-1] == (0, 0):
+        return (_lattice_sums(labels[:-1], N, D, cosets, t, s, mode, trunc)
+                + _lattice_sums(labels[-1:], N, D, cosets, t, s, "lipschitz", None))
     try:
         if mode == "lipschitz":
             return _lipschitz_sums(labels, N, D, cosets, t, s)
@@ -271,18 +287,9 @@ def F(query: EisensteinQuery) -> complex:
     "naive" also when b = 0 mod N. A value that overflows raises NonFiniteError.
     """
     t = _tau_of(query.tau)
-    _check_weight_one([(query.a, query.b)], query.N, query.k, query.mode)
     total, = _lattice_sums([(query.a, query.b)], query.N, 1, [(0, 0)], t, query.k, query.mode,
                            query.trunc)
     return _finite((-1) ** (query.k + 1) * _factorial(query.k - 1) * total, query.k, query.mode)
-
-
-def _check_weight_one(labels, N: int, k: int, mode: str) -> None:
-    # the weight-one domain of the module docstring, checked before any sum
-    for a, b in labels:
-        if k == 1 and (a % N == 0 or (mode == "naive" and b % N == 0)):
-            raise ConvergenceModeError(
-                f"weight 1 at (a, b) = {(a, b)} mod {N} does not converge in mode {mode!r}")
 
 
 def F_tilde(query: EisensteinQuery, D: int, allow_degenerate: bool = False) -> complex:
@@ -301,43 +308,12 @@ def F_tilde(query: EisensteinQuery, D: int, allow_degenerate: bool = False) -> c
     D = _integer("D", D, 1)
     t = _tau_of(query.tau)
     labels = [(query.a, query.b), ((D * query.a) % query.N, (D * query.b) % query.N)]
-    degenerate = labels[1] == (0, 0)
-    if degenerate and not allow_degenerate:
+    if labels[1] == (0, 0) and not allow_degenerate:
         raise DegenerateLabelError(
             f"(Da, Db) = {(D * query.a, D * query.b)} is (0,0) mod {query.N}")
-    # this also keeps the trivial-character extension at k >= 2
-    _check_weight_one(labels, query.N, query.k, query.mode)
-    split = degenerate and query.mode == "naive"
-    sums = _lattice_sums(labels[:1] if split else labels, query.N, 1, [(0, 0)], t, query.k,
-                         query.mode, query.trunc)
-    if split:
-        sums += _lattice_sums(labels[1:], query.N, 1, [(0, 0)], t, query.k, "lipschitz", None)
+    sums = _lattice_sums(labels, query.N, 1, [(0, 0)], t, query.k, query.mode, query.trunc)
     first, second = ((-1) ** (query.k + 1) * _factorial(query.k - 1) * v for v in sums)
     return _finite(D**2 * first - D ** (2 - query.k) * second, query.k, query.mode)
-
-
-def coset_sum(a: int, b: int, N: int, D: int, tau, s: int, mode: str = "lipschitz",
-              trunc: LatticeTruncation | None = None) -> complex:
-    """Sum over the cosets (c, d) mod D, (c, d) != (0, 0), of the shifted
-    twisted lattice sums
-
-      sum_{(m,n)} zeta_N^((Dm+c) b - (Dn+d) a) / ((m + c/D) tau + n + d/D)^s,
-
-    the torsion specialization of the polylogarithm before its normalization.
-    mode "lipschitz" needs s >= 2; mode "naive" requires trunc, and a box
-    trunc, which declares absolute convergence, needs s >= 3. a and b are
-    integers, N, D and s integers >= 1 (numpy integers too, not bools);
-    ValueError otherwise, before any tau work. NonFiniteError on overflow.
-    """
-    a, b = _integer("a", a), _integer("b", b)
-    N, D, s = _integer("N", N, 1), _integer("D", D, 1), _integer("s", s, 1)
-    t = _tau_of(tau)
-    if mode == "lipschitz" and s < 2:
-        raise ConvergenceModeError(
-            "weight-1 inner rows are principal values; use the naive eisenstein ordering")
-    cosets = [(c, d) for c in range(D) for d in range(D) if c or d]
-    total, = _lattice_sums([(a, b)], N, D, cosets, t, s, mode, trunc)
-    return _finite(total, s, mode)
 
 
 def eisenstein_sum_k2(a: int, b: int, N: int, tau, trunc: LatticeTruncation) -> complex:

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .numerics import _integer, richardson, stencil_nodes
-from .weierstrass import _eta1, _tau_of, eta1_prime, eta_periods
+from .weierstrass import _eta1, _tau_of, eta1_prime
 
 TWO_PI_I = 2j * cmath.pi
 # the step of curvature_residual's dOmega_z/dtau stencil
@@ -131,7 +131,7 @@ def abs_connection(n: int, tau) -> tuple[np.ndarray, np.ndarray]:
     for a level that is not an int >= 0.
     """
     n, t = _integer("level", n, 0), _tau_of(tau)
-    eta1 = eta_periods(t).eta1  # Python complex division, as the loop's (numpy's rounds otherwise)
+    eta1 = _eta1(t)  # Python complex division, as the loop's (numpy's rounds otherwise)
     return tuple(_connection(n, (1.0, eta1, eta1 / TWO_PI_I, eta1_prime(t) - eta1**2 / TWO_PI_I)))
 
 

@@ -12,13 +12,14 @@ Omega_tau of logsheaf.abs_connection, -dP/dtau - Omega_tau P + dQ/dz +
 Omega_z Q = 0 for L_n = P dz + Q dtau. Evaluating the coefficient tower
 at an N-torsion point collapses, for each k, to the smoothed weight-(k+1)
 Eisenstein series D^2 F^(k+1)_(a,b) - D^(1-k) F^(k+1)_(Da,Db); the sum
-computed here, with the coset sums of eisenstein.coset_sum, is
+computed here, by eisenstein._lattice_sums over the nonzero cosets, is
 
   (-1)^k k! D^(1-k) sum_{(c,d) mod D != (0,0)} sum_{(m,n) in Z^2}
       zeta_N^((Dm+c) b - (Dn+d) a) / ((m + c/D) tau + (n + d/D))^(k+1),
 
 with the character on the actual lattice coordinates and the inner origin
-included (only the global coset (0,0) is removed).
+included (only the global coset (0,0) is removed). That dispatch holds the
+rules of where the sum converges.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eisenstein import _check_label, _factorial, _finite, coset_sum
+from .eisenstein import _check_label, _factorial, _finite, _lattice_sums
 from .kronecker import MAX_COEFF_ORDER, _s_columns
 from .logsheaf import LogFiber, LogValuedForm, abs_connection
 from .numerics import _integer, richardson, stencil_nodes
@@ -133,6 +134,9 @@ def specialize_eisenstein(
     value that overflows raises NonFiniteError naming the weight k + 1.
     """
     k = _integer("k", k, 0)
-    prefac = (-1) ** k * _factorial(k) * float(label.D) ** (1 - k)
-    total = coset_sum(label.a, label.b, label.N, label.D, tau, k + 1, mode, trunc)
+    # Python ints: numpy integers would wrap in _row_zero's exact integer arithmetic
+    a, b, N, D = (int(v) for v in (label.a, label.b, label.N, label.D))
+    prefac = (-1) ** k * _factorial(k) * float(D) ** (1 - k)
+    cosets = [(c, d) for c in range(D) for d in range(D) if c or d]
+    total, = _lattice_sums([(a, b)], N, D, cosets, _tau_of(tau), k + 1, mode, trunc)
     return _finite(prefac * total, k + 1, mode)

@@ -69,17 +69,6 @@ class TestQueryValidation:
         with pytest.raises(ValueError, match=f"^D must be >= 1, got {D!r}$"):
             F_tilde(q, D)
 
-    @pytest.mark.parametrize("name, args", [
-        ("D", (1, 2, 5, 0, 4)), ("D", (1, 2, 5, -2, 4)), ("D", (1, 2, 5, True, 4)),
-        ("D", (1, 2, 5, 2.0, 4)), ("N", (1, 2, 0, 2, 4)), ("N", (1, 2, 2.5, 2, 4)),
-        ("s", (1, 2, 5, 2, 0)), ("s", (1, 2, 5, 2, True)), ("a", (1.5, 2, 5, 2, 4)),
-        ("b", (1, False, 5, 2, 4))])
-    def test_coset_sum_integers(self, name, args):
-        # before any tau work (-1j); else every D < 1 returns 0j
-        a, b, N, D, s = args
-        with pytest.raises(ValueError, match=f"^{name} must be "):
-            eisenstein.coset_sum(a, b, N, D, -1j, s, mode="naive", trunc=LatticeTruncation(20))
-
 
 def _lambert_batch(x, xi, s):
     """T(x, xi, s) for each x with its own xi: the Lambert halves at rho = 0,
@@ -480,8 +469,8 @@ class TestNaiveKernel:
 class TestLipschitzKernel:
     """The Lambert kernel against the naive box sum of the same cosets: each
     coset alone (D = 1, c = d = 0 is F without its prefactor), and two labels
-    over the nonzero cosets of coset_sum (at D = 1 the coset of F) in one
-    call; its halves against their rows summed one by one."""
+    over the nonzero cosets of specialize_eisenstein (at D = 1 the coset of F)
+    in one call; its halves against their rows summed one by one."""
 
     @staticmethod
     def _draw(rng, D, re):
@@ -532,10 +521,11 @@ class TestLipschitzKernel:
             assert abs(both[0] - sum(alone)) < 1e-13 * max(map(abs, alone))
 
     def test_one_lambert_call_per_lattice_sum(self, monkeypatch):
-        # F, both labels of F_tilde and the D^2 - 1 cosets of coset_sum: one
-        # frequency pass (_lambert call) on the halves of every label and
-        # coset, as many as the one-label one-coset calls have together, and
-        # one closed-form row 0 per label when a coset has c = 0
+        # F, both labels of F_tilde and the D^2 - 1 cosets of
+        # specialize_eisenstein (weight k + 1 = 4): one frequency pass
+        # (_lambert call) on the halves of every label and coset, as many as
+        # the one-label one-coset calls have together, and one closed-form
+        # row 0 per label when a coset has c = 0
         calls, rows0 = [], []
         lambert, row_zero = eisenstein._lambert, eisenstein._row_zero
 
@@ -551,11 +541,13 @@ class TestLipschitzKernel:
         monkeypatch.setattr(eisenstein, "_row_zero", counted_row)
         q = EisensteinQuery(a=1, b=2, N=5, k=4, tau=TAU)
         nonzero = [[(c, d) for c in range(D) for d in range(D) if c or d] for D in (2, 3)]
+        specialize = [lambda D=D: polylog.specialize_eisenstein(polylog.TorsionLabel(1, 2, 5, D),
+                                                                TAU, 3) for D in (2, 3)]
         for evaluate, labels, D, cosets in (
                 (lambda: F(q), [(1, 2)], 1, [(0, 0)]),
                 (lambda: F_tilde(q, 2), [(1, 2), (2, 4)], 1, [(0, 0)]),
-                (lambda: eisenstein.coset_sum(1, 2, 5, 2, TAU, 4), [(1, 2)], 2, nonzero[0]),
-                (lambda: eisenstein.coset_sum(1, 2, 5, 3, TAU, 4), [(1, 2)], 3, nonzero[1])):
+                (specialize[0], [(1, 2)], 2, nonzero[0]),
+                (specialize[1], [(1, 2)], 3, nonzero[1])):
             calls.clear()
             rows0.clear()
             evaluate()
@@ -581,7 +573,7 @@ class TestLipschitzKernel:
         monkeypatch.setattr(eisenstein, "_row_zero", counted)
         for D in (2, 3):
             calls.clear()
-            eisenstein.coset_sum(1, 2, 5, D, TAU, 4)
+            polylog.specialize_eisenstein(polylog.TorsionLabel(1, 2, 5, D), TAU, 3)
             assert calls == [(1, 5, D, list(range(1, D)), 4)]
             for a, N, s in ((1, 5, 4), (2, 3, 3), (1, 2, 2)):
                 ds = list(range(D))
@@ -628,7 +620,8 @@ class TestLipschitzKernel:
 
 class TestWeightOneDomain:
     """At k = 1 the row sum diverges when a = 0 mod N, and the naive square
-    truncation misses the row sum when b = 0 mod N."""
+    truncation misses the row sum when b = 0 mod N; the rows of a Lipschitz
+    coset sum at weight 1 are principal values, and box needs weight 3."""
 
     @staticmethod
     def _no_sums(monkeypatch):
@@ -638,18 +631,36 @@ class TestWeightOneDomain:
         monkeypatch.setattr(eisenstein, "_lipschitz_sums", no_sum)
         monkeypatch.setattr(eisenstein, "_naive_sums", no_sum)
 
-    @pytest.mark.parametrize("a, b, mode", [
-        (0, 2, "lipschitz"), (5, 2, "lipschitz"),
-        (0, 2, "naive"), (2, 0, "naive"), (1, 0, "naive"),
+    # the whole domain in one table, each row refused before any kernel runs:
+    # "F" is F and F_tilde at D = 2 (its first label), "degenerate" naive
+    # F_tilde with the trivial second label allowed, "specialize" the coset
+    # sum of specialize_eisenstein at weight k + 1 (D = 1 has no coset)
+    @pytest.mark.parametrize("entry, a, b, N, D, k, mode, ordering", [
+        pytest.param("F", 0, 2, 5, 2, 1, "lipschitz", None, id="0-2-lipschitz"),
+        pytest.param("F", 5, 2, 5, 2, 1, "lipschitz", None, id="5-2-lipschitz"),
+        pytest.param("F", 0, 2, 5, 2, 1, "naive", "eisenstein", id="0-2-naive"),
+        pytest.param("F", 2, 0, 5, 2, 1, "naive", "eisenstein", id="2-0-naive"),
+        pytest.param("F", 1, 0, 5, 2, 1, "naive", "eisenstein", id="1-0-naive"),
+        pytest.param("degenerate", 2, 2, 4, 2, 1, "naive", "eisenstein",
+                     id="F_tilde-degenerate-naive"),
+        pytest.param("specialize", 1, 2, 5, 1, 0, "lipschitz", None, id="specialize-D1-lipschitz"),
+        pytest.param("specialize", 1, 2, 5, 3, 0, "lipschitz", None, id="specialize-D3-lipschitz"),
+        pytest.param("specialize", 1, 2, 5, 2, 0, "naive", "box", id="specialize-k0-box"),
+        pytest.param("specialize", 1, 2, 5, 2, 1, "naive", "box", id="specialize-k1-box"),
     ])
-    def test_raises_before_summing(self, monkeypatch, a, b, mode):
+    def test_raises_before_summing(self, monkeypatch, entry, a, b, N, D, k, mode, ordering):
         self._no_sums(monkeypatch)
-        trunc = LatticeTruncation(250) if mode == "naive" else None
-        q = EisensteinQuery(a=a, b=b, N=5, k=1, tau=TAU, mode=mode, trunc=trunc)
-        with pytest.raises(ConvergenceModeError):
-            F(q)
-        with pytest.raises(ConvergenceModeError):
-            F_tilde(q, 2)
+        trunc = LatticeTruncation(250, ordering) if ordering else None
+        if entry == "specialize":
+            label = polylog.TorsionLabel(a, b, N, D)
+            calls = [lambda: polylog.specialize_eisenstein(label, TAU, k, mode, trunc)]
+        else:
+            q = EisensteinQuery(a=a, b=b, N=N, k=k, tau=TAU, mode=mode, trunc=trunc)
+            calls = ([lambda: F(q), lambda: F_tilde(q, D)] if entry == "F"
+                     else [lambda: F_tilde(q, D, allow_degenerate=True)])
+        for call in calls:
+            with pytest.raises(ConvergenceModeError):
+                call()
 
     @pytest.mark.parametrize("mode", ["lipschitz", "naive"])
     def test_F_tilde_second_label(self, monkeypatch, mode):

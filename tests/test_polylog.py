@@ -53,8 +53,11 @@ class TestTorsionLabel:
 
     @pytest.mark.parametrize("field, value, message", [
         ("D", True, "D must be >= 1, got True"), ("D", 2.0, "D must be >= 1, got 2.0"),
-        ("N", 4.5, "N must be >= 1, got 4.5"), ("a", 1.5, "a must be an integer, got 1.5"),
-        ("b", None, "b must be an integer, got None")])
+        ("D", 0, "D must be >= 1, got 0"), ("D", -2, "D must be >= 1, got -2"),
+        ("N", 4.5, "N must be >= 1, got 4.5"), ("N", 0, "N must be >= 1, got 0"),
+        ("N", 2.5, "N must be >= 1, got 2.5"), ("a", 1.5, "a must be an integer, got 1.5"),
+        ("b", None, "b must be an integer, got None"),
+        ("b", False, "b must be an integer, got False")])
     def test_integer_fields(self, field, value, message):
         with pytest.raises(ValueError) as info:
             TorsionLabel(**{**dict(a=1, b=2, N=4, D=2), field: value})
@@ -73,7 +76,7 @@ class TestArguments:
             fn(Z_A, -1j, D, n)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("k", [-1, 1.0, True])
+    @pytest.mark.parametrize("k", [-1, 1.0, True, False])
     def test_specialization_weight(self, k):
         with pytest.raises(ValueError) as info:
             specialize_eisenstein(TorsionLabel(1, 2, 5, 2), -1j, k)

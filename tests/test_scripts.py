@@ -1,13 +1,16 @@
 """The scripts under scripts/: each imports with src on the path, every
 layer microbenchmark of layer_bench.calls() runs once, layer_bench's
 two-tree timing runs once with this tree on both sides, on the layers and
-on one verify suite, and the private package names the scripts reach into
+on one verify suite, its tier-1 run writes nothing into the tree it
+measures, and the private package names the scripts reach into
 exist and act as the scripts assume.
 A change to the package that would break a script fails here.
 """
 import dataclasses
 import importlib.util
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -73,6 +76,29 @@ def _bits(value):
     if isinstance(value, (list, tuple)):
         return tuple(_bits(v) for v in value)
     return repr(value)
+
+
+def test_layer_bench_tier1_leaves_no_files(monkeypatch, tmp_path):
+    # the tier-1 run writes no bytecode and no .pytest_cache into the tree it
+    # measures, whatever the caller's environment; the pytest call is captured
+    bench = _load(next(p for p in SCRIPTS if p.stem == "layer_bench"))
+    seen = []
+
+    def run(args, **kwargs):
+        seen.append((args, kwargs))
+        return subprocess.CompletedProcess(args, 1,
+                                           stdout="1 failed, 296 passed, 2 errors in 1.5s\n")
+
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setattr(subprocess, "run", run)
+    record = bench.tier1(str(tmp_path / "src"))
+    (args, kwargs), = seen
+    assert args[:3] == [sys.executable, "-m", "pytest"]
+    assert args[args.index("-p") + 1] == "no:cacheprovider"
+    assert kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert kwargs["cwd"] == str(tmp_path)
+    assert kwargs["env"]["PYTHONPATH"].split(os.pathsep)[0] == str(tmp_path / "src")
+    assert (record["tier1_passed"], record["tier1_failed"], record["tier1_errors"]) == (296, 1, 2)
 
 
 def test_layer_bench_interleaves_two_trees():
