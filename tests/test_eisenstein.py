@@ -69,6 +69,21 @@ class TestQueryValidation:
         with pytest.raises(ValueError, match=f"^D must be >= 1, got {D!r}$"):
             F_tilde(q, D)
 
+    @pytest.mark.parametrize("name, args", [
+        ("D", (1, 2, 5, 0, 4)), ("D", (1, 2, 5, -2, 4)), ("D", (1, 2, 5, True, 4)),
+        ("D", (1, 2, 5, 2.0, 4)), ("N", (1, 2, 0, 2, 4)), ("N", (1, 2, 2.5, 2, 4)),
+        ("s", (1, 2, 5, 2, 0)), ("s", (1, 2, 5, 2, True)), ("a", (1.5, 2, 5, 2, 4)),
+        ("b", (1, False, 5, 2, 4))])
+    def test_coset_sum_integers(self, name, args):
+        # the coset sum of weight s is specialize_eisenstein at k = s - 1,
+        # which refuses s as k (a bool s stays a bool k); all before any tau
+        # work (-1j); else every D < 1 returns 0j
+        a, b, N, D, s = args
+        k = False if s is True else s - 1
+        with pytest.raises(ValueError, match=f"^{'k' if name == 's' else name} must be "):
+            polylog.specialize_eisenstein(polylog.TorsionLabel(a, b, N, D), -1j, k,
+                                          mode="naive", trunc=LatticeTruncation(20))
+
 
 def _lambert_batch(x, xi, s):
     """T(x, xi, s) for each x with its own xi: the Lambert halves at rho = 0,
