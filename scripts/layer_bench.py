@@ -61,10 +61,12 @@ call runs it on both, the lead alternating, so the host's drift within a
 round falls on both sides of every ratio. The trees alternate from round to
 round too: the first tree leads the odd rounds and the second the even ones.
 After its calls each round runs each tree's tier-1 pytest (`python -m pytest
--q --continue-on-collection-errors -p no:cacheprovider` in the tree's root,
-its src first on PYTHONPATH, with PYTHONDONTWRITEBYTECODE=1, so the run
-leaves no .pytest_cache or __pycache__ in the tree), in the same order, and
-records the wall seconds and the passed, failed and error counts. Two trees
+-q --continue-on-collection-errors -p no:cacheprovider -p no:benchmark
+--rootdir ROOT ROOT/tests` from a temporary working directory, its src first
+on PYTHONPATH, with PYTHONDONTWRITEBYTECODE=1, so the run leaves no
+.pytest_cache, __pycache__, .benchmarks or .hypothesis in the tree), in the
+same order, and records the wall seconds and the passed, failed and error
+counts. Two trees
 also print, for every layer and every verify suite, the second tree's time
 over the first's in each round, with the median and range of those ratios,
 beside the ratio of the per-tree medians over the rounds. A host whose speed drifts between rounds moves both trees of
@@ -87,6 +89,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from functools import partial
 
@@ -257,16 +260,21 @@ def src_lines(src: str) -> int:
 
 def tier1(src: str) -> dict:
     """Wall seconds and the passed, failed and error counts of the tier-1
-    pytest of the tree whose package lives under src. The run writes no
-    bytecode and no pytest cache into the tree it measures."""
+    pytest of the tree whose package lives under src. The run writes nothing
+    into the tree it measures: no bytecode, no pytest cache, no pytest-benchmark
+    store (no test uses that plugin), and it runs in a temporary working
+    directory, which takes hypothesis's example database."""
+    src = os.path.abspath(src)
     root = os.path.dirname(src)
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    t0 = time.perf_counter()
-    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-                          "-p", "no:cacheprovider"],
-                         cwd=root, env=env, stdout=subprocess.PIPE, text=True)
-    wall = time.perf_counter() - t0
+    with tempfile.TemporaryDirectory() as cwd:
+        t0 = time.perf_counter()
+        out = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+                              "-p", "no:cacheprovider", "-p", "no:benchmark", "--rootdir", root,
+                              os.path.join(root, "tests")],
+                             cwd=cwd, env=env, stdout=subprocess.PIPE, text=True)
+        wall = time.perf_counter() - t0
     # pytest's summary line, say "1 failed, 296 passed, 2 errors in 17.02s"
     summary = (out.stdout.strip().splitlines() or [""])[-1]
     found = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed|error)", summary)}

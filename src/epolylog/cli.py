@@ -136,6 +136,11 @@ def _per_point(residual):
     return lambda points: [residual(p) for p in points]
 
 
+def _per_degree(residual):
+    """A kernel check's residual from residual(point, D): per point, D = 2 and 3."""
+    return _per_point(lambda p: [residual(p, D) for D in (2, 3)])
+
+
 # the weierstrass point checks: one evaluation on all points, each (z, tau) a column
 def _legendre(points):
     z, t = np.array(points).T
@@ -166,75 +171,55 @@ def _wp_ode(points):
     return np.abs(pp**2 - (4 * p**3 - g2 * p - g3)) / np.maximum(1.0, np.abs(pp) ** 2)
 
 
-def _closedness(pt) -> float:
+def _rel(got, ref) -> float:
+    # the error of got relative to max(1, |ref|), by Python's abs
+    return abs(got - ref) / max(1.0, abs(ref))
+
+
+def _coeff_rescaling(pt, D: int) -> list:
+    # contour oracle against closed form, one error per order k <= 8: the
+    # w -> Dw scaled variant at radius r/D against D^k s_k; node rounding
+    # noise grows like (D/r)^k, so the contour sits at 0.35 of the pole distance
     z, t = pt
-    return max(closedness_residual(z, t, D, 4) for D in (2, 3))
+    sc = s_coeffs(z, t, D, 8).coeffs
+    f = _variant(z, t, D)
+    cc = cauchy_coeffs(lambda u: f(D * u), 8,
+                       CauchyConfig(radius=0.35 * min(1.0, abs(t)) / D, samples=256))
+    return [_rel(c, D**k * s) for k, (c, s) in enumerate(zip(cc, sc))]
 
 
-def _coeff_rescaling(pt) -> float:
-    # contour oracle against closed form: the w -> Dw scaled variant at radius
-    # r/D against D^k s_k; node rounding noise grows like (D/r)^k, so the
-    # contour sits at 0.35 of the pole distance
+def _pole_removal(pt, D: int) -> np.ndarray:
+    # the D-variant is holomorphic across w = 0: on 16 points of |w| = 1e-3,
+    # where each J term alone is ~1e3, the value must match the degree-8
+    # Taylor polynomial from contour extraction
     z, t = pt
-    worst = 0.0
-    for D in (2, 3):
-        sc = s_coeffs(z, t, D, 8)
-        f = _variant(z, t, D)
-        cc = cauchy_coeffs(lambda u: f(D * u), 8,
-                           CauchyConfig(radius=0.35 * min(1.0, abs(t)) / D, samples=256))
-        for k in range(9):
-            ref = D**k * sc.coeffs[k]
-            worst = max(worst, abs(cc[k] - ref) / max(1.0, abs(ref)))
-    return worst
+    f = _variant(z, t, D)
+    coeffs = cauchy_coeffs(f, 8, default_cauchy_config(t, D))
+    ws = 1e-3 * np.exp(2j * np.pi * np.arange(16) / 16)
+    return np.abs(f(ws) - sum(coeffs[k] * ws**k for k in range(9)))
 
 
-def _pole_removal(pt) -> float:
-    # the D-variant is holomorphic across w = 0: on |w| = 1e-3, where each
-    # J term alone is ~1e3, the value must match the degree-8 Taylor
-    # polynomial from contour extraction
-    z, t = pt
-    worst = 0.0
-    for D in (2, 3):
-        f = _variant(z, t, D)
-        coeffs = cauchy_coeffs(f, 8, default_cauchy_config(t, D))
-        ws = 1e-3 * np.exp(2j * np.pi * np.arange(16) / 16)
-        poly = sum(coeffs[k] * ws**k for k in range(9))
-        worst = max(worst, float(np.max(np.abs(f(ws) - poly))))
-    return worst
-
-
-def _ks_residue(t: complex, at_torsion: bool) -> float:
+def _ks_residue(t: complex, D: int, at_torsion: bool) -> float:
     # residue D^2 - 1 at the origin, -1 at the D-torsion point (tau + 1)/D
-    worst = 0.0
-    for D in (2, 3):
-        if at_torsion:
-            center, r, expect = (t + 1) / D, 0.3 * min(1.0, abs(t)) / D, -2j * cmath.pi
-        else:
-            center, r, expect = 0.0, 0.4 * min(1.0, abs(t)) / D, 2j * cmath.pi * (D * D - 1)
-        val = contour_integral(lambda u: dlog_kato_siegel(u, t, D), center, r, 128)
-        worst = max(worst, abs(val - expect) / abs(expect))
-    return worst
+    if at_torsion:
+        center, r, expect = (t + 1) / D, 0.3 * min(1.0, abs(t)) / D, -2j * cmath.pi
+    else:
+        center, r, expect = 0.0, 0.4 * min(1.0, abs(t)) / D, 2j * cmath.pi * (D * D - 1)
+    return _rel(contour_integral(lambda u: dlog_kato_siegel(u, t, D), center, r, 128), expect)
 
 
-def _ks_norm_trace(pt) -> float:
+def _ks_norm_trace(pt, D: int) -> float:
     z, t = pt
-    worst = 0.0
-    for D, M in ((2, 3), (3, 2)):
-        ref = dlog_kato_siegel(z, t, D)
-        translates = [(z + c * t + d) / M for c in range(M) for d in range(M)]
-        acc = sum(dlog_kato_siegel(np.array(translates), t, D).tolist(), 0.0 + 0.0j)
-        worst = max(worst, abs(acc / M - ref) / max(1.0, abs(ref)))
-    return worst
+    M = 5 - D  # prime to D: 3 at D = 2, 2 at D = 3
+    ref = dlog_kato_siegel(z, t, D)
+    translates = [(z + c * t + d) / M for c in range(M) for d in range(M)]
+    acc = sum(dlog_kato_siegel(np.array(translates), t, D).tolist(), 0.0 + 0.0j)
+    return _rel(acc / M, ref)
 
 
-def _dlog_zeta(pt) -> float:
+def _dlog_zeta(pt, D: int) -> float:
     z, t = pt
-    worst = 0.0
-    for D in (2, 3):
-        s0 = s_coeffs(z, t, D, 0).coeffs[0]
-        ref = D * D * zeta_fn(z, t) - D * zeta_fn(D * z, t)
-        worst = max(worst, abs(s0 - ref) / max(1.0, abs(ref)))
-    return worst
+    return _rel(s_coeffs(z, t, D, 0).coeffs[0], D * D * zeta_fn(z, t) - D * zeta_fn(D * z, t))
 
 
 def _eisenstein_cases(rng) -> list:
@@ -251,14 +236,12 @@ def _naive_vs_lipschitz(case) -> float:
     a, b, N, k, t = case
     naive = F(EisensteinQuery(a=a, b=b, N=N, k=k, tau=t, mode="naive",
                               trunc=LatticeTruncation(500)))
-    lip = F(EisensteinQuery(a=a, b=b, N=N, k=k, tau=t))
-    return abs(naive - lip) / max(1.0, abs(lip))
+    return _rel(naive, F(EisensteinQuery(a=a, b=b, N=N, k=k, tau=t)))
 
 
 def _k2_ordered(case) -> float:
     a, b, N, t, v500 = case
-    lip = F(EisensteinQuery(a=a, b=b, N=N, k=2, tau=t))
-    return abs(v500 - lip) / max(1.0, abs(lip))
+    return _rel(v500, F(EisensteinQuery(a=a, b=b, N=N, k=2, tau=t)))
 
 
 def _k2_doubling(case) -> float:
@@ -278,8 +261,7 @@ def _modularity(case) -> float:
     # reduction of tau inside F can make the two sides one computation
     a, b, N, k, t = case
     lhs = _lipschitz_sums([(a, b)], N, 1, [(0, 0)], -1 / t, k)[0]
-    rhs = t**k * _lipschitz_sums([(b, -a % N)], N, 1, [(0, 0)], t, k)[0]
-    return abs(lhs - rhs) / max(1.0, abs(rhs))
+    return _rel(lhs, t**k * _lipschitz_sums([(b, -a % N)], N, 1, [(0, 0)], t, k)[0])
 
 
 def _draw_spec_case(rng, N: int) -> tuple:
@@ -312,8 +294,8 @@ _K2_CASES = Points(0, lambda rng: [
     (*c, eisenstein_sum_k2(*c, LatticeTruncation(500)))
     for c in ((1, 2, 5, 0.21 + 1.1j), (1, 1, 3, -0.3 + 1.6j), (2, 1, 5, 1.3j))])
 
-# The verification suites, in report order: each check's name, anchor,
-# tolerance, point set and residual(points), a residual per point.
+# The verification suites, in report order: each check's name, anchor, tolerance,
+# point set and residual(points): each point's raw errors, of one shape per check.
 CHECKS = {
     "weierstrass": (
         ("eta1-at-i", "quasi-period-square-lattice", 1e-8, Points(0, lambda rng: [0]),
@@ -337,23 +319,23 @@ CHECKS = {
     ),
     "closedness": (
         ("closedness", "absolute-form-closedness", 1e-4, _each(0, _draw_tz, 10),
-         _per_point(_closedness)),
+         _per_degree(lambda p, D: closedness_residual(*p, D, 4))),
     ),
     "distribution": (
         ("distribution", "isogeny-distribution-law", 1e-6, _each(0, _draw_kpoint, 50),
-         _per_point(lambda p: max(distribution_residual(p, D) for D in (2, 3)))),
-        ("pole-removal", "kernel-pole-removal", 1e-8, _DIST_TZ, _per_point(_pole_removal)),
+         _per_degree(distribution_residual)),
+        ("pole-removal", "kernel-pole-removal", 1e-8, _DIST_TZ, _per_degree(_pole_removal)),
         ("coeff-rescaling", "kernel-coefficient-rescaling", 1e-9, _DIST_TZ,
-         _per_point(_coeff_rescaling)),
+         _per_degree(_coeff_rescaling)),
     ),
     "katosiegel": (
         ("ks-residue-origin", "kato-siegel-divisor", 1e-7, _KS_TAUS,
-         _per_point(partial(_ks_residue, at_torsion=False))),
+         _per_degree(partial(_ks_residue, at_torsion=False))),
         ("ks-residue-torsion", "kato-siegel-divisor", 1e-7, _KS_TAUS,
-         _per_point(partial(_ks_residue, at_torsion=True))),
+         _per_degree(partial(_ks_residue, at_torsion=True))),
         ("ks-norm-trace", "kato-siegel-norm-compatibility", 1e-7, _KS_TZ,
-         _per_point(_ks_norm_trace)),
-        ("dlog-zeta", "kernel-constant-term", 1e-13, _KS_TZ, _per_point(_dlog_zeta)),
+         _per_degree(_ks_norm_trace)),
+        ("dlog-zeta", "kernel-constant-term", 1e-13, _KS_TZ, _per_degree(_dlog_zeta)),
     ),
     "eisenstein": (
         ("naive-vs-lipschitz", "level-series-cross-evaluators", 1e-5,
@@ -378,7 +360,7 @@ def _check(name, anchor, tolerance, config, points, residual) -> dict:
     residuals = residual(points)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     tol = float(config.tolerance_overrides.get(name, tolerance))
-    worst = float(np.max(residuals))  # nan wherever one sits, unlike max()
+    worst = float(np.max(residuals))  # the one fold of all errors: nan wherever one sits
     if not math.isfinite(worst):
         raise NonFiniteError(f"check {name} has a non-finite residual")
     return {

@@ -50,7 +50,7 @@ class DegenerateLabelError(ValueError):
 @dataclass(frozen=True)
 class EisensteinQuery:
     """Weight-k level-N query with character (a, b) != (0,0) mod N: a, b, N and
-    k integers (numpy integers too, not bools), N and k >= 1."""
+    k integers (numpy integers too, stored as ints; not bools), N and k >= 1."""
 
     a: int
     b: int
@@ -61,17 +61,24 @@ class EisensteinQuery:
     trunc: LatticeTruncation | None = None
 
     def __post_init__(self) -> None:
-        _check_label(self.a, self.b, self.N)
-        _integer("k", self.k, 1)
+        _check_label(self, "k")
         if self.mode not in ("naive", "lipschitz"):
             raise ValueError(f"unknown mode {self.mode!r}")
         _tau_of(self.tau)
 
 
-def _check_label(a, b, N) -> None:  # of EisensteinQuery and polylog.TorsionLabel
-    _integer("a", a), _integer("b", b), _integer("N", N, 1)
+def _check_label(label, degree: str) -> None:
+    """Check an EisensteinQuery or polylog.TorsionLabel: integers a, b, N >= 1, (a, b)
+    != (0, 0) mod N, then degree (k or D) >= 1. It stores a numpy integer as its int
+    (in int64, _row_zero's exact integer arithmetic would wrap)."""
+    a, b, N = _integer("a", label.a), _integer("b", label.b), _integer("N", label.N, 1)
     if a % N == 0 and b % N == 0:
-        raise DegenerateLabelError(f"(a, b) = {(a, b)} is (0,0) mod {N}")
+        raise DegenerateLabelError(f"(a, b) = {(label.a, label.b)} is (0,0) mod {label.N}")
+    d = getattr(label, degree)
+    checked = a, b, N, _integer(degree, d, 1)
+    if not type(label.a) is type(label.b) is type(label.N) is type(d) is int:
+        for name, value in zip(("a", "b", "N", degree), checked):
+            object.__setattr__(label, name, value)
 
 
 def _finite(value: complex, k: int, mode: str) -> complex:

@@ -45,7 +45,9 @@ class LogFiber:
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _integer("level", self.n, 0)
+        n = _integer("level", self.n, 0)
+        if type(self.n) is not int:  # a numpy integer, stored as its int
+            object.__setattr__(self, "n", n)
         clean = {}
         for (i, j), c in self.coeffs.items():
             if type(i) is not int or type(j) is not int:  # a numpy integer, or no integer

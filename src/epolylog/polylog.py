@@ -24,7 +24,6 @@ rules of where the sum converges.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -32,11 +31,10 @@ import numpy as np
 
 from .eisenstein import _check_label, _factorial, _finite, _lattice_sums
 from .kronecker import MAX_COEFF_ORDER, _s_columns
-from .logsheaf import LogFiber, LogValuedForm, abs_connection
+from .logsheaf import TWO_PI_I, LogFiber, LogValuedForm, abs_connection
 from .numerics import _integer, richardson, stencil_nodes
 from .weierstrass import PoleProximityError, _tau_of, lattice_dist
 
-TWO_PI_I = 2j * cmath.pi
 _FACT = np.array([float(math.factorial(k)) for k in range(MAX_COEFF_ORDER + 1)])
 # the step of closedness_residual's dP/dtau and dQ/dz stencils
 _CLOSEDNESS_STEP = 1e-4
@@ -48,7 +46,7 @@ class TorsionLabel:
 
     (a, b) must be nonzero mod N (DegenerateLabelError). D = 1 is allowed as
     the degenerate case (empty coset sum). a, b, N and D are integers (numpy
-    integers too, not bools), N and D >= 1."""
+    integers too, stored as ints; not bools), N and D >= 1."""
 
     a: int
     b: int
@@ -56,8 +54,7 @@ class TorsionLabel:
     D: int
 
     def __post_init__(self) -> None:
-        _check_label(self.a, self.b, self.N)
-        _integer("D", self.D, 1)
+        _check_label(self, "D")
 
 
 def _checked(D, n) -> tuple[int, int]:
@@ -118,8 +115,9 @@ def closedness_residual(z: complex, tau, D: int, n: int) -> float:
     p[pos], q[pos], dp[pos], dq[pos] = P, Q, dP, dQ
     resid = np.abs(-dp - omega_tau @ p + dq + omega_z @ q)
     scale = np.maximum(np.abs(P), np.abs(Q))
-    return max(float(np.max(resid[: (m + 1) * (m + 2) // 2]) / max(np.max(scale[: m + 1]), 1e-300))
-               for m in range(n + 1))
+    levels = [np.max(resid[: (m + 1) * (m + 2) // 2]) / max(np.max(scale[: m + 1]), 1e-300)
+              for m in range(n + 1)]
+    return float(np.max(levels))  # nan wherever one sits, unlike max()
 
 
 def specialize_eisenstein(
@@ -133,10 +131,9 @@ def specialize_eisenstein(
     lipschitz rows or the naive eisenstein ordering, and k = 0 the latter. A
     value that overflows raises NonFiniteError naming the weight k + 1.
     """
-    k = _integer("k", k, 0)
-    # Python ints: numpy integers would wrap in _row_zero's exact integer arithmetic
-    a, b, N, D = (int(v) for v in (label.a, label.b, label.N, label.D))
+    k, D = _integer("k", k, 0), label.D
     prefac = (-1) ** k * _factorial(k) * float(D) ** (1 - k)
     cosets = [(c, d) for c in range(D) for d in range(D) if c or d]
-    total, = _lattice_sums([(a, b)], N, D, cosets, _tau_of(tau), k + 1, mode, trunc)
+    total, = _lattice_sums([(label.a, label.b)], label.N, D, cosets, _tau_of(tau), k + 1, mode,
+                           trunc)
     return _finite(prefac * total, k + 1, mode)

@@ -128,15 +128,13 @@ class TestBatchedChecks:
         from epolylog.kronecker import dlog_kato_siegel
 
         for z, t in ((0.23 + 0.11j, 0.5 + 0.8j), (0.14 + 0.21j, 0.13 + 1.7j)):
-            worst = 0.0
             for D, M in ((2, 3), (3, 2)):
                 ref = dlog_kato_siegel(z, t, D)
                 acc = 0.0 + 0.0j
                 for c in range(M):
                     for d in range(M):
                         acc += dlog_kato_siegel((z + c * t + d) / M, t, D)
-                worst = max(worst, abs(acc / M - ref) / max(1.0, abs(ref)))
-            assert _ks_norm_trace((z, t)) == worst
+                assert _ks_norm_trace((z, t), D) == abs(acc / M - ref) / max(1.0, abs(ref))
 
     def test_modularity_sees_a_lattice_sum_defect(self, monkeypatch):
         # a 1e-9 relative defect in the Lambert halves or in row 0 of the
@@ -181,12 +179,12 @@ class TestBatchedChecks:
         (_, _, tol, pts, residual), = [c for checks in cli.CHECKS.values() for c in checks
                                        if c[0] == check]
         point_sets = [pts.build(np.random.default_rng(seed + pts.stream)) for seed in (0, 1, 2)]
-        assert all(max(residual(points)) < tol for points in point_sets)
+        assert all(np.max(residual(points)) < tol for points in point_sets)
         clear_caches()
         try:
             for m in holders:
                 setattr(m, attr, defect)
-            assert all(max(residual(points)) > tol for points in point_sets)
+            assert all(np.max(residual(points)) > tol for points in point_sets)
         finally:
             for m in holders:
                 setattr(m, attr, orig)
@@ -368,6 +366,58 @@ class TestErrors:
         monkeypatch.setitem(cli.CHECKS, "heat", ((name, anchor, tol, pts, lambda _: residuals),))
         assert main(["verify", "heat"]) == 2
         assert capsys.readouterr().err.strip() == "error: check heat has a non-finite residual"
+
+    @pytest.mark.parametrize("suite, check", [
+        ("closedness", "closedness"), ("distribution", "distribution"),
+        ("distribution", "pole-removal"), ("distribution", "coeff-rescaling"),
+        ("katosiegel", "ks-residue-origin"), ("katosiegel", "ks-residue-torsion"),
+        ("katosiegel", "ks-norm-trace"), ("katosiegel", "dlog-zeta")])
+    def test_nan_at_one_degree(self, monkeypatch, suite, check):
+        # a kernel check evaluates D = 2, then D = 3 at each point; a nan from
+        # the D = 3 evaluation alone is a typed error naming the check (the suite
+        # holds only that check). Each name is patched where the call looks it up.
+        from dataclasses import replace
+
+        from epolylog import kronecker
+        from epolylog.numerics import NonFiniteError
+
+        def nan_at_three(module, attr, spoil, degree_of=lambda args: args[2]):
+            orig = getattr(module, attr)
+
+            def patched(*args):
+                out = orig(*args)
+                return spoil(out) if degree_of(args) == 3 else out
+            monkeypatch.setattr(module, attr, patched)
+
+        def times_nan(v):
+            return v * math.nan
+
+        def nan_coeffs(sc):
+            return replace(sc, coeffs=tuple(map(times_nan, sc.coeffs)))
+
+        if check == "closedness":
+            nan_at_three(cli, "closedness_residual", times_nan)
+        elif check == "distribution":  # its _J call: D^2 - 1 cosets and 3 references
+            nan_at_three(kronecker, "_J", times_nan, lambda a: math.isqrt(np.size(a[0]) - 2))
+        elif check == "pole-removal":  # nan on the ring |w| = 1e-3, not on the contour
+            nan_at_three(cli, "_variant",
+                         lambda f: lambda w: np.where(np.abs(w) < 0.01, np.nan, f(w)))
+        elif check in ("coeff-rescaling", "dlog-zeta"):
+            nan_at_three(cli, "s_coeffs", nan_coeffs)
+        elif check == "ks-norm-trace":
+            nan_at_three(cli, "dlog_kato_siegel", times_nan)
+        else:  # the contour integral of a degree-3 integrand
+            degrees, dlog = [], cli.dlog_kato_siegel
+
+            def noted(*args):
+                degrees.append(args[2])
+                return dlog(*args)
+            monkeypatch.setattr(cli, "dlog_kato_siegel", noted)
+            nan_at_three(cli, "contour_integral", times_nan, lambda _: degrees[-1])
+        entry, = [c for c in cli.CHECKS[suite] if c[0] == check]
+        monkeypatch.setitem(cli.CHECKS, suite, (entry,))
+        with pytest.raises(NonFiniteError, match=f"^check {check} has a non-finite residual$"):
+            cli.cmd_verify(suite, cli.RunConfig())
 
     def test_parallelism_is_refused(self, capsys):
         # checks always ran serially: the flag is gone

@@ -60,8 +60,15 @@ class TestQueryValidation:
         assert str(info.value) == f"{field} must be {bound}, got {value!r}"
 
     def test_numpy_integer_fields(self):
-        q = EisensteinQuery(np.int64(1), np.int32(2), np.int64(5), np.int16(4), TAU)
-        assert F(q) == F(EisensteinQuery(1, 2, 5, 4, TAU))
+        # stored as ints: in int64 the exact Bernoulli numerator of row 0 wraps
+        # from weight 16 at (1, 2) mod 5 (40 % off at k = 18, NonFiniteError
+        # from k = 28), and F_tilde's D^(2-k) refuses a negative int64 power
+        for k in (4, *range(14, 31)):
+            q = EisensteinQuery(np.int64(1), np.int32(2), np.int64(5), np.int16(k), TAU)
+            ref = EisensteinQuery(1, 2, 5, k, TAU)
+            assert repr(complex(F(q))) == repr(F(ref)), k
+            assert repr(complex(F_tilde(q, 2))) == repr(F_tilde(ref, 2)), k
+        assert all(type(v) is int for v in (q.a, q.b, q.N, q.k))
 
     @pytest.mark.parametrize("D", [0, -1, True, 2.5, 2.0])
     def test_F_tilde_degree(self, D):

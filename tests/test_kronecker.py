@@ -105,9 +105,10 @@ class TestVariant:
                 assert _variant(z, t, D)(w).tobytes() == two_J.tobytes()
 
     def test_theta_of_z_once_per_variant(self, monkeypatch):
-        # coeff-rescaling at one point, per D: theta(z) and theta(Dz) once,
-        # and one stacked theta call on each of the 256- and 512-sample rings
-        # (s_coeffs calls the engine through kronecker's own name, not counted)
+        # coeff-rescaling at one point, at D = 2 and 3: per D theta(z) and
+        # theta(Dz) once, and one stacked theta call on each of the 256- and
+        # 512-sample rings (s_coeffs calls the engine through kronecker's own
+        # name, not counted)
         from epolylog import weierstrass
         from epolylog.cli import _coeff_rescaling
 
@@ -119,7 +120,8 @@ class TestVariant:
             return engine(*args)
 
         monkeypatch.setattr(weierstrass, "_theta_taylor", counted)
-        _coeff_rescaling((Z_A, TAU_A))
+        for D in (2, 3):
+            _coeff_rescaling((Z_A, TAU_A), D)
         assert len(calls) == 8
 
 

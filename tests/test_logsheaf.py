@@ -53,6 +53,10 @@ class TestLogFiber:
         with pytest.raises(ValueError, match="^index must be an integer, got "):
             LogFiber(2, {index: 1.0})
 
+    def test_numpy_integer_level(self):
+        f = LogFiber(np.int64(2), {(1, 1): 1.0})
+        assert type(f.n) is int and f == LogFiber(2, {(1, 1): 1.0})
+
     def test_numpy_integer_index(self):
         f = LogFiber(2, {(np.int64(1), np.int32(0)): 1.0})
         assert f == LogFiber(2, {(1, 0): 1.0})

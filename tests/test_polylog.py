@@ -51,6 +51,11 @@ class TestTorsionLabel:
     def test_degree_one_allowed(self):
         assert TorsionLabel(a=1, b=0, N=4, D=1).D == 1
 
+    def test_numpy_integer_fields_are_stored_as_ints(self):
+        label = TorsionLabel(a=np.int64(1), b=np.int32(2), N=np.int64(5), D=np.int16(2))
+        assert label == TorsionLabel(a=1, b=2, N=5, D=2)
+        assert all(type(v) is int for v in (label.a, label.b, label.N, label.D))
+
     @pytest.mark.parametrize("field, value, message", [
         ("D", True, "D must be >= 1, got True"), ("D", 2.0, "D must be >= 1, got 2.0"),
         ("D", 0, "D must be >= 1, got 0"), ("D", -2, "D must be >= 1, got -2"),
@@ -164,6 +169,20 @@ class TestClosedness:
         for n in (0, 1, 2):
             for D in (2, 3):
                 assert closedness_residual(Z_A, TAU_A, D, n) < 1e-4
+
+    def test_a_nan_at_one_level_is_the_residual(self, monkeypatch):
+        # a nan in the level-4 block of Omega_z reaches only the level-4
+        # residual; the fold over the levels keeps it, whatever levels 0-3 read
+        connection = polylog.abs_connection
+
+        def spoiled(n, t):
+            omega_z, omega_tau = connection(n, t)
+            omega_z = omega_z.copy()
+            omega_z[-1, -1] = np.nan  # at w^[4,0], the last basis element of level 4
+            return omega_z, omega_tau
+
+        monkeypatch.setattr(polylog, "abs_connection", spoiled)
+        assert math.isnan(closedness_residual(0.23 + 0.11j, 0.21 + 1.1j, 2, 4))
 
     def test_matches_per_level_oracle(self):
         for z, t in STANDARD_POINTS:

@@ -79,8 +79,9 @@ def _bits(value):
 
 
 def test_layer_bench_tier1_leaves_no_files(monkeypatch, tmp_path):
-    # the tier-1 run writes no bytecode and no .pytest_cache into the tree it
-    # measures, whatever the caller's environment; the pytest call is captured
+    # the tier-1 run writes no bytecode, .pytest_cache or .benchmarks into the
+    # tree it measures, whatever the caller's environment, and runs outside it,
+    # so hypothesis's .hypothesis lands elsewhere; the pytest call is captured
     bench = _load(next(p for p in SCRIPTS if p.stem == "layer_bench"))
     seen = []
 
@@ -94,9 +95,12 @@ def test_layer_bench_tier1_leaves_no_files(monkeypatch, tmp_path):
     record = bench.tier1(str(tmp_path / "src"))
     (args, kwargs), = seen
     assert args[:3] == [sys.executable, "-m", "pytest"]
-    assert args[args.index("-p") + 1] == "no:cacheprovider"
+    plugins = [args[i + 1] for i, arg in enumerate(args) if arg == "-p"]
+    assert plugins == ["no:cacheprovider", "no:benchmark"]
     assert kwargs["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
-    assert kwargs["cwd"] == str(tmp_path)
+    assert not Path(kwargs["cwd"]).is_relative_to(tmp_path)
+    assert args[args.index("--rootdir") + 1] == str(tmp_path)
+    assert args[-1] == str(tmp_path / "tests")
     assert kwargs["env"]["PYTHONPATH"].split(os.pathsep)[0] == str(tmp_path / "src")
     assert (record["tier1_passed"], record["tier1_failed"], record["tier1_errors"]) == (296, 1, 2)
 
