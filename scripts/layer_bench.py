@@ -42,9 +42,13 @@ _eisenstein_weights at each: what the Lambert sums of a tau new to eta1, g2
 and g3 cost. theta_vector_fresh_tau_256 is one theta_normalized call on 256
 points, each at its own tau (the first 256 of those tau): the vector-tau
 engine's weight lookup per tau and its padded sum.
+F_lipschitz_fresh_tau is Lipschitz F at one label over the same 512 tau: its
+real row comes from the real row cache (eisenstein._real_row), which is keyed
+without tau, and its Lambert halves are new at each tau.
 The round also counts the theta weights' cache misses
-(`_jacobi_weights.cache_info().misses`) over one `verify all --seed 0` run
-with that cache cleared first.
+(`_jacobi_weights.cache_info().misses`) and the real row cache's hits and
+misses over one `verify all --seed 0` run with those caches cleared first
+(None for a tree without the real row cache).
 
 The verify suites are timed the same way: cmd_verify(suite) at seed 0 for
 every verify suite and for `all` (the whole suite per run), each a call of
@@ -178,6 +182,7 @@ def calls(pkg: str = "epolylog"):
         "eisenstein_weights_fresh_tau": lambda: [W._eisenstein_weights.__wrapped__(t)
                                                  for t in taus],
         "F_lipschitz": lambda: E.F(E.EisensteinQuery(1, 2, 5, 4, tau)),
+        "F_lipschitz_fresh_tau": lambda: [E.F(E.EisensteinQuery(1, 2, 5, 4, t)) for t in taus],
         # near the real axis, outside the verify box, where the rows decay slowly
         "F_lipschitz_small_im": lambda: E.F(E.EisensteinQuery(1, 2, 5, 4, 0.5 + 0.03j)),
         "F_naive_R500": lambda: E.F(naive(NAIVE_R)),
@@ -233,13 +238,20 @@ def layers(trees: list, repeat: int) -> tuple:
     return records, results
 
 
-def cold_misses(pkg: str) -> int:
-    """Theta weight cache misses of one `verify all --seed 0` from a cleared
-    cache, of the package imported as pkg."""
-    cli, W = (importlib.import_module(f"{pkg}.{m}") for m in ("cli", "weierstrass"))
-    W._jacobi_weights.cache_clear()
+def cold_misses(pkg: str) -> dict:
+    """The theta weight cache's misses, and the real row cache's hits and
+    misses (None in a tree without that cache), of one `verify all --seed 0`
+    from cleared caches, of the package imported as pkg."""
+    cli, E, W = (importlib.import_module(f"{pkg}.{m}")
+                 for m in ("cli", "eisenstein", "weierstrass"))
+    real_row = getattr(E, "_real_row", None)
+    for cache in filter(None, (W._jacobi_weights, real_row)):
+        cache.cache_clear()
     cli.cmd_verify("all", cli.RunConfig(seed=0))
-    return W._jacobi_weights.cache_info().misses
+    rows = real_row.cache_info() if real_row else None
+    return {"jacobi_weights_misses_verify_all_seed0": W._jacobi_weights.cache_info().misses,
+            "real_row_hits_verify_all_seed0": rows and rows.hits,
+            "real_row_misses_verify_all_seed0": rows and rows.misses}
 
 
 def report_md5(report: dict) -> str:
@@ -296,6 +308,8 @@ def show(title: str, record: dict) -> None:
     print(f"{'verify all --seed 0 md5':28s} {record['verify_all_seed0_md5']}")
     print(f"{'theta weight misses':28s} {record['jacobi_weights_misses_verify_all_seed0']:10d}"
           "   (cold verify all --seed 0)")
+    print(f"{'real row hits, misses':28s} {record['real_row_hits_verify_all_seed0']!s:>10}"
+          f" {record['real_row_misses_verify_all_seed0']!s:>10}   (cold verify all --seed 0)")
     print(f"{'src lines':28s} {record['src_lines']:10d}")
     print(f"{'tier-1 pytest':28s} {record['tier1_s']:10.3f} s   {record['tier1_passed']} passed, "
           f"{record['tier1_failed']} failed, {record['tier1_errors']} errors", flush=True)
@@ -370,8 +384,7 @@ def main() -> None:
         for (label, src, pkg, _), record, result in zip(lead, records, results):
             key = f"{label}_round{r}"
             rounds[key] = {**record, "verify_all_seed0_md5": report_md5(result["verify all"]),
-                           "jacobi_weights_misses_verify_all_seed0": cold_misses(pkg),
-                           "src_lines": src_lines(src), **tier1(src)}
+                           **cold_misses(pkg), "src_lines": src_lines(src), **tier1(src)}
             order.append(key)
             show(key, rounds[key])
     medians = {label: median_record([rounds[f"{label}_round{r}"]

@@ -69,8 +69,8 @@ class EisensteinQuery:
 
 def _check_label(label, degree: str) -> None:
     """Check an EisensteinQuery or polylog.TorsionLabel: integers a, b, N >= 1, (a, b)
-    != (0, 0) mod N, then degree (k or D) >= 1. It stores a numpy integer as its int
-    (in int64, _row_zero's exact integer arithmetic would wrap)."""
+    != (0, 0) mod N, then degree (k or D) >= 1. It stores a numpy integer as its int,
+    as the kernels' exact integer arithmetic takes Python ints."""
     a, b, N = _integer("a", label.a), _integer("b", label.b), _integer("N", label.N, 1)
     if a % N == 0 and b % N == 0:
         raise DegenerateLabelError(f"(a, b) = {(label.a, label.b)} is (0,0) mod {label.N}")
@@ -113,19 +113,31 @@ def _bernoulli(s: int) -> tuple:
 
 def _row_zero(a: int, N: int, D: int, ds, s: int) -> complex:
     """Row m = 0 of the cosets (0, d), d in ds: sum_n zeta_N^(-(Dn+d)a)/(n + d/D)^s,
-    without the origin at d = 0. With k = Dn + d it is D^s sum_(k = d mod D, k != 0)
+    without the origin at d = 0. It does not depend on tau, so _real_row keeps it
+    per label class: the key is (a mod N, N, D, tuple(ds), s) in ints, exact since
+    only a mod N enters it, and a numpy integer neither wraps in int64 there nor
+    keys the cache apart from its int."""
+    N = int(N)
+    return _real_row(int(a) % N, N, int(D), tuple(map(int, ds)), int(s))
+
+
+@lru_cache(maxsize=None)
+def _real_row(a: int, N: int, D: int, ds: tuple, s: int) -> complex:
+    """_row_zero at 0 <= a < N. With k = Dn + d the row is D^s sum_(k = d mod D, k != 0)
     e^(2 pi i k theta)/k^s, theta = -a/N, which the D characters of k mod D split
     into full sums at theta + j/D, j < D, each -(2 pi i)^s B_s({theta})/s! with B_s
     at a rational point p/q, q = ND: one exactly rounded quotient of integers. At
     s = 1 that is the logarithm pair -log(1 - u) + log(1 - 1/u), u = e^(2 pi i theta),
-    which needs theta != 0 mod 1."""
+    which needs theta != 0 mod 1 (a raised error is not cached)."""
     coeffs, M = _bernoulli(s)
     q, total = N * D, 0j
     for j in range(D):
-        p = (j * N - a * D) % q
+        p = (j * N - a * D) % q  # depends on a mod N only
         if s == 1 and not p:
             raise ConvergenceModeError("the real row at weight 1 needs theta != 0 mod 1")
-        num = sum(c * p ** (s - k) * q**k for k, c in enumerate(coeffs))  # M q^s B_s(p/q)
+        num, qk = 0, 1
+        for c in coeffs:  # M q^s B_s(p/q) = sum_k c_k p^(s-k) q^k, by Horner in p
+            num, qk = num * p + c * qk, qk * q
         total += sum(cmath.exp(-2j * cmath.pi * j * d / D) for d in ds) * (num / (M * q**s))
     return -(2j * math.pi) ** s / math.factorial(s) * D ** (s - 1) * total
 
@@ -250,8 +262,10 @@ def _lattice_sums(labels, N: int, D: int, cosets, t: complex, s: int, mode: str,
     """The one dispatch of every lattice sum here: one sum per character
     label (a, b) in labels, over the cosets (c, d) mod D, by the kernel of
     mode, _lipschitz_sums or _naive_sums, each called once with every label
-    and every coset; a kernel's OverflowError reads nan. It alone decides
-    where a sum converges, before any kernel runs and in this order: the mode;
+    and every coset; a kernel's OverflowError reads nan, and so do values past
+    the float range, without numpy's warnings (F raises NonFiniteError on
+    them). It alone decides where a sum converges, before any kernel runs
+    and in this order: the mode;
     at weight s = 1 the coset rule (the rows of a Lipschitz coset sum, any
     cosets but F's [(0, 0)], are principal values), then the label rule of
     the module docstring (F's coset); a truncation for naive mode; no coset
@@ -279,7 +293,13 @@ def _lattice_sums(labels, N: int, D: int, cosets, t: complex, s: int, mode: str,
     try:
         if mode == "lipschitz":
             return _lipschitz_sums(labels, N, D, cosets, t, s)
-        return _naive_sums(labels, N, D, cosets, t, s, trunc)
+        # a naive denominator |x_m + n| lies in [min(1, Im t)/D, (R + 1)(|t| + 1)]: only
+        # where its power or reciprocal may pass e^709 are numpy's warnings off
+        R = trunc.shell_radius
+        if s * math.log(max((R + 1) * (abs(t) + 1), D / min(1.0, t.imag))) <= 709.0:
+            return _naive_sums(labels, N, D, cosets, t, s, trunc)
+        with np.errstate(all="ignore"):
+            return _naive_sums(labels, N, D, cosets, t, s, trunc)
     except OverflowError:  # a factorial of the Lipschitz kernel past the float range
         return [math.nan] * len(labels)
 

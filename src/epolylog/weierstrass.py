@@ -216,7 +216,8 @@ def _lambert(y, xi, rho, t: complex, s: int) -> np.ndarray:
     half. Every half runs over the same L terms, summed in frequency order by a
     running sum (numpy's sum over one column would add pairwise), so a half keeps
     its bits whatever other halves share the call. Past 5000 terms it raises
-    ConvergenceError, before it allocates any."""
+    ConvergenceError, before it allocates any. A power past the float range
+    reads inf or nan, without numpy's warnings."""
     im_min = min(v.imag for v in y)
     if im_min <= 0.0:
         raise ValueError("Lambert halves need Im y > 0")
@@ -241,6 +242,16 @@ def _lambert(y, xi, rho, t: complex, s: int) -> np.ndarray:
     np.exp((1.0 - xi) * z, out=phase[0])
     np.cumprod(phase, axis=0, out=phase)
     f = np.arange(1, L + 1)[:, None] - xi[:H]
+    if (s - 1) * math.log(L + 1) <= 709.0:  # f^(s-1) <= L^(s-1) stays in the float range
+        return _lambert_sum(f, phase, rho, s)
+    with np.errstate(all="ignore"):
+        return _lambert_sum(f, phase, rho, s)
+
+
+def _lambert_sum(f, phase, rho, s: int) -> np.ndarray:
+    """_lambert's halves from the frequencies f = l - xi and the phases (columns
+    y, then t)."""
+    H = f.shape[1]
     terms = f ** (s - 1) * phase[:, :H] / (1.0 - np.asarray(rho) * phase[:, H:])
     return np.cumsum(terms, axis=0, out=terms)[-1] * ((-2j * np.pi) ** s / math.factorial(s - 1))
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 import tracemalloc
@@ -131,6 +132,48 @@ class TestRowMachinery:
         for a, N, D in ((0, 3, 1), (5, 5, 1), (1, 2, 2)):
             with pytest.raises(ConvergenceModeError):
                 _row_zero(a, N, D, [0], 1)
+
+    def test_real_row_cache_is_bit_exact(self):
+        # the cached row, keyed on (a mod N, N, D, tuple(ds), s) in ints, against
+        # the uncached sum of the powers of p at a itself, bit for bit: a < 0, a >= N
+        # and a numpy a, called first so that a row it wrapped in int64 would also
+        # be served to the ints after it; ds a list or a tuple
+        def uncached(a, N, D, ds, s):
+            coeffs, M = eisenstein._bernoulli(s)
+            q, total = N * D, 0j
+            for j in range(D):
+                p = (j * N - a * D) % q
+                num = sum(c * p ** (s - k) * q**k for k, c in enumerate(coeffs))
+                total += sum(cmath.exp(-2j * cmath.pi * j * d / D) for d in ds) * (num / (M * q**s))
+            return -(2j * math.pi) ** s / math.factorial(s) * D ** (s - 1) * total
+
+        rng = random.Random(35)
+        eisenstein._real_row.cache_clear()
+        for _ in range(300):
+            N, D, s = rng.randint(1, 12), rng.randint(1, 4), rng.randint(2, 14)
+            a = rng.randint(-3 * N, 3 * N)
+            ds = sorted(rng.sample(range(D), rng.randint(1, D)))
+            want = repr(uncached(a, N, D, ds, s))
+            for arg, d_arg in ((np.int64(a), tuple(ds)), (a, ds), (a + N * rng.randint(-9, 9), ds)):
+                assert repr(_row_zero(arg, N, D, d_arg, s)) == want, (a, N, D, ds, s)
+        info = eisenstein._real_row.cache_info()
+        assert info.hits >= 600 and info.misses == info.currsize <= 300
+
+    def test_real_row_once_per_label(self):
+        # Lipschitz F at 20 tau for one label does the exact Bernoulli
+        # arithmetic once: the real row does not depend on tau
+        eisenstein._real_row.cache_clear()
+        for i in range(20):
+            F(EisensteinQuery(a=1, b=2, N=5, k=4, tau=complex(0.05 * i - 0.5, 0.8 + 0.06 * i)))
+        info = eisenstein._real_row.cache_info()
+        assert (info.misses, info.hits) == (1, 19)
+
+    def test_real_row_error_not_cached(self):
+        eisenstein._real_row.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ConvergenceModeError):
+                _row_zero(3, 3, 1, [0], 1)
+        assert eisenstein._real_row.cache_info().currsize == 0
 
     def test_row_zero_vs_hurwitz(self):
         # the split into the D classes of k mod D against the rows summed from
@@ -841,11 +884,13 @@ class TestOrderedWeightTwo:
             eisenstein_sum_k2(1, 2, 5, TAU, LatticeTruncation(200, ordering="box"))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestLargeWeights:
     """Past the float range a term (x+n)^k of the naive square, a Lambert term
-    (l - xi)^(k-1) or (k-1)! overflows: a typed error, never a NaN. At (1, 2)
-    mod 5 and TAU, naive F and F_tilde read nan+nanj from k = 110, the Lipschitz
-    values from k = 150, and k >= 171 raised a bare OverflowError."""
+    (l - xi)^(k-1) or (k-1)! overflows: a typed error, never a NaN, and no numpy
+    RuntimeWarning on the way (an error here). At (1, 2) mod 5 and TAU, naive F
+    and F_tilde read nan+nanj from k = 110, the Lipschitz values from k = 150,
+    and k >= 171 raised a bare OverflowError."""
 
     @staticmethod
     def calls(k, mode, R):

@@ -1,5 +1,7 @@
 """The scripts under scripts/: each imports with src on the path, every
-layer microbenchmark of layer_bench.calls() runs once, layer_bench's
+layer microbenchmark of layer_bench.calls() runs once, layer_bench's cache
+counts of a cold verify run match the calls they count, its fresh-tau
+Lipschitz layer reads one real row from the cache, its
 two-tree timing runs once with this tree on both sides, on the layers and
 on one verify suite, its tier-1 run writes nothing into the tree it
 measures, and the private package names the scripts reach into
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epolylog import kronecker, weierstrass
+from epolylog import eisenstein, kronecker, weierstrass
 from epolylog.cli import SUITES
 from epolylog.kronecker import KroneckerPoint, heat_residual
 from epolylog.weierstrass import ModuliPoint
@@ -63,6 +65,35 @@ def test_theta_weights_cache_counts_misses():
     # layer_bench counts the theta weights' cache misses of one verify run
     info = weierstrass._jacobi_weights.cache_info()
     assert callable(weierstrass._jacobi_weights.cache_clear) and info.misses >= 0
+
+
+def test_layer_bench_counts_real_row_traffic(monkeypatch):
+    # cold_misses reports the real row cache's traffic over one cold verify run:
+    # a lookup per _row_zero call, a miss per distinct key (a mod N, N, D, ds, s)
+    bench = _load(next(p for p in SCRIPTS if p.stem == "layer_bench"))
+    keys = []
+    row_zero = eisenstein._row_zero
+
+    def counted(a, N, D, ds, s):
+        keys.append((a % N, N, D, tuple(ds), s))
+        return row_zero(a, N, D, ds, s)
+
+    monkeypatch.setattr(eisenstein, "_row_zero", counted)
+    record = bench.cold_misses("epolylog")
+    hits, misses = (record[f"real_row_{k}_verify_all_seed0"] for k in ("hits", "misses"))
+    assert hits + misses == len(keys) and misses == len(set(keys)) < len(keys)
+    assert record["jacobi_weights_misses_verify_all_seed0"] > 0
+
+
+def test_layer_bench_fresh_tau_lipschitz_reads_one_real_row():
+    # F_lipschitz_fresh_tau is one label at every fresh tau: the real row, keyed
+    # without tau, misses once and is read from the cache at every other tau
+    bench = _load(next(p for p in SCRIPTS if p.stem == "layer_bench"))
+    layer = bench.calls()["F_lipschitz_fresh_tau"]
+    eisenstein._real_row.cache_clear()
+    layer()
+    info = eisenstein._real_row.cache_info()
+    assert (info.misses, info.hits) == (1, bench.FRESH_TAUS - 1)
 
 
 def _bits(value):
