@@ -14,7 +14,10 @@ realize the eisenstein summation order, so this also holds at the conditionally
 convergent weights k <= 2. At k = 1 it needs a != 0 mod N: with a = 0 row m
 tends to -+pi i zeta_N^(+-mb) and the rows do not sum. The naive square
 truncation at k = 1 also needs b != 0 mod N, without which it converges to
-another value; outside this domain F raises ConvergenceModeError.
+another value; outside this domain F raises ConvergenceModeError. At k >= 3 F is
+summed at Im tau' >= 1/2 by F_(a,b)^(k)(gamma tau') = (C tau' + D)^k F_(Cb+Aa,Db+Ba)^(k)
+(tau'), gamma = (A B; C D) in SL2(Z), the identity at Im tau >= 1/2: near the real axis
+only k <= 2 meet the Lambert term limit. Odd k is 0 where (2a, 2b) = 0 mod N.
 
 The torsion specialization in polylog sums the shifted, character-twisted
 sums of the same kind (Eisenstein-Kronecker series, Bannai-Kobayashi
@@ -36,7 +39,7 @@ import numpy as np
 from numpy._core.multiarray import c_einsum  # np.einsum without its Python wrapper
 
 from .numerics import LatticeTruncation, NonFiniteError, _integer
-from .weierstrass import _lambert, _tau_of
+from .weierstrass import ConvergenceError, _lambert, _reduce, _tau_of
 
 
 class ConvergenceModeError(ValueError):
@@ -270,7 +273,13 @@ def _lattice_sums(labels, N: int, D: int, cosets, t: complex, s: int, mode: str,
     cosets but F's [(0, 0)], are principal values), then the label rule of
     the module docstring (F's coset); a truncation for naive mode; no coset
     sums to 0; box needs s >= 3. In naive mode a trailing trivial label
-    (0, 0), F_tilde's degenerate one, is summed by Lipschitz rows."""
+    (0, 0), F_tilde's degenerate one, is summed by Lipschitz rows. In Lipschitz mode
+    (2a, 2b) = 0 mod N at odd s sums to 0, (m, n) -> (-m, -n) flipping every term; at
+    s >= 3 the other labels are summed at tau' of weierstrass._reduce, t = gamma tau',
+    gamma = (A B; C E): (m', n') = (mA + nC, mB + nE) has m t + n = (m' tau' + n')/(C tau'
+    + E), mb - na = m'(Eb + Ba) - n'(Cb + Aa), and takes the points (Dm + c, Dn + d)/D of
+    coset (c, d) to coset (cA + dC, cB + dE) mod D. At D > 1 the real row rounds to about
+    2^-50 D^(s+1): past 1e-9 max(1, |sum|) times |C tau' + E|^-s, ConvergenceError."""
     if mode not in ("naive", "lipschitz"):
         raise ValueError(f"unknown mode {mode!r}")
     if s == 1 and mode == "lipschitz" and cosets != [(0, 0)]:
@@ -292,7 +301,16 @@ def _lattice_sums(labels, N: int, D: int, cosets, t: complex, s: int, mode: str,
                 + _lattice_sums(labels[-1:], N, D, cosets, t, s, "lipschitz", None))
     try:
         if mode == "lipschitz":
-            return _lipschitz_sums(labels, N, D, cosets, t, s)
+            tau, (t, (A, B, C, E)) = t, _reduce(t) if s >= 3 else (t, (1, 0, 0, 1))
+            live = [(a, b) for a, b in labels if not s % 2 or (2 * a % N, 2 * b % N) != (0, 0)]
+            raw = _lipschitz_sums([((C * b + A * a) % N, (E * b + B * a) % N) for a, b in live],
+                                  N, D, [((c * A + d * C) % D, (c * B + d * E) % D)
+                                         for c, d in cosets], t, s) if live else []
+            w = (C * t + E) ** s
+            bound = abs(w) * 2.0**-50 * float(D) ** (s + 1) * (D > 1)
+            if bound > 1e-9 and any(abs(w * v) < 1e9 * bound for v in raw):
+                raise ConvergenceError(f"coset sums at tau = {tau} cancel below {bound:.1e}")
+            return [raw.pop(0) * w if label in live else 0j for label in labels]
         # a naive denominator |x_m + n| lies in [min(1, Im t)/D, (R + 1)(|t| + 1)]: only
         # where its power or reciprocal may pass e^709 are numpy's warnings off
         R = trunc.shell_radius

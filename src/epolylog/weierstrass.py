@@ -2,7 +2,7 @@
 (_theta_taylor: Jacobi series weights, per tau times a tau-independent table) under
 the theta family and kronecker._s_columns, and one Lambert engine (_lambert: half
 lattices of rows T(x, xi, s), summed by frequency) under E2, E4 and E6, so eta1,
-eta1', g2 and g3, and under the Lipschitz lattice sums of eisenstein.
+eta1', g2 and g3, and under eisenstein's Lipschitz sums, at tau' of _reduce.
 The evaluators broadcast over z and tau; the package's batched paths call their
 private cores (_cell, _theta, _zeta, _wp, _eta1), so that a public function is only
 ever called at one tau from inside the package.
@@ -159,12 +159,11 @@ def _theta_taylor(z0, t, m: int) -> np.ndarray:
     1, ..., with its own tau's weights padded by zero weights at frequency 0 (finite
     at any Im z0), so a column has the bits of the call at its tau alone."""
     if isinstance(t, complex):
-        a, w = _jacobi_weights(complex(t.real - round(t.real), t.imag), m)
+        a, w = _jacobi_weights(_translate(t)[0], m)
         z0, a = np.asarray(z0, dtype=complex), a[:, None]
     else:
         z0, t = np.broadcast_arrays(np.asarray(z0, dtype=complex), t)
-        cols = [_jacobi_weights(complex(x.real - round(x.real), x.imag), m)
-                for x in t.ravel().tolist()]
+        cols = [_jacobi_weights(_translate(x)[0], m) for x in t.ravel().tolist()]
         K = max(len(ak) for ak, _ in cols)
         a, w = np.zeros((K, len(cols))), np.zeros((m + 1, K, len(cols)), dtype=complex)
         for p, (ak, wk) in enumerate(cols):
@@ -175,6 +174,24 @@ def _theta_taylor(z0, t, m: int) -> np.ndarray:
     if m:  # theta alone (m = 0) has no odd rows
         out[1::2] = c_einsum("jk...,k...->j...", w[1::2], np.cos(x))
     return out.reshape((m + 1,) + z0.shape)
+
+
+def _translate(t: complex) -> tuple:
+    # _reduce's T-step (t - n, n), n = round(Re t); alone, the 1-periodic weights' reduction
+    n = round(t.real)
+    return complex(t.real - n, t.imag), n
+
+
+def _reduce(t: complex) -> tuple:
+    """tau' with Im tau' >= 1/2 and gamma = (A, B, C, D) in SL2(Z), t = (A tau' + B)/(C tau'
+    + D): while Im tau' < 1/2, the T-step (gamma T^n), then S: -1/tau', gamma S^-1 = gamma
+    (0 1; -1 0), which at |tau'|^2 < 1/2 at least doubles Im tau'. gamma = 1 at Im t >= 1/2."""
+    A, B, C, D = 1, 0, 0, 1
+    while t.imag < 0.5:
+        t, n = _translate(t)
+        A, B, C, D = -(A * n + B), A, -(C * n + D), C
+        t = -1 / t
+    return t, (A, B, C, D)
 
 
 def _translation(z0, m, n, t: complex):
@@ -260,7 +277,7 @@ def _lambert_sum(f, phase, rho, s: int) -> np.ndarray:
 def _eisenstein_weights(t: complex) -> tuple:
     # E_s = G_s / (2 zeta(s)), G_s = sum' 1/(m t + n)^s = 2 zeta(s) + 2 sum_(m >= 1)
     # T(m t, 0, s): one Lambert half at y = t, xi = 0, rho = 1; 1-periodic in t
-    t = complex(t.real - round(t.real), t.imag)
+    t = _translate(t)[0]
     return tuple(complex(1.0 + _lambert([t], [0.0], [1.0], t, s)[0] / zeta_s) for s, zeta_s in
                  ((2, math.pi**2 / 6.0), (4, math.pi**4 / 90.0), (6, math.pi**6 / 945.0)))
 

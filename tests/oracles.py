@@ -7,6 +7,7 @@ on the package's theta engine. Frozen constants in the test files were
 generated with these at dps >= 30.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 from mpmath import mp, mpc, jtheta, pi as mppi, exp as mpexp, sin as mpsin
@@ -182,6 +183,67 @@ def F_rows_mp(a, b, N, k, tau):
                     row += (l - xi) ** (k - 1) * term
                     term *= step
                 total += roots[sign * m * b % N] * (-1) ** (k * (sign < 0)) * scale * row
+        return complex((-1) ** (k + 1) * mp.factorial(k - 1) * total)
+
+
+def F_rows_fine(a, b, N, k, tau, bits=200, cut=1e-20):
+    """F_rows_mp's rows without its cuts, for k >= 3 near the real axis, where the
+    rows reach about 1e12 and the value cancels far below them. Row m's series over l
+    is summed in closed form: with c = 1 - xi, w = e^(2 pi i m tau) and
+    P(j) = (j + c)^(k-1), Newton's series of P and sum_j binom(j, i) w^j =
+    w^i / (1 - w)^(i+1) give
+
+      sum_(l >= 1) (l - xi)^(k-1) e^(2 pi i (l - xi) m tau)
+          = e^(2 pi i c m tau) sum_(i < k) Delta^i P(0) u^i / (1 - w),  u = w/(1 - w).
+
+    Each Delta^i P(0) is i! times a divided difference of x^(k-1) on x > 0, so >= 0,
+    and the same sum at |w| and |e^(2 pi i c m tau)| bounds the row's terms in
+    modulus; every later row's bound is at most e^(-2 pi c Im tau) times it. The rows
+    run, in complex fixed point on Python ints at 2^-bits, until the bound on all the
+    rows after them, in F's units, is below cut; row 0 is F_rows_mp's polylogarithm
+    pair. a != 0 mod N needs no care: the closed form has no pole at |w| < 1."""
+    one = 1 << bits
+
+    def fixed(v):
+        return int(mp.nint(v.real * one)), int(mp.nint(v.imag * one))
+
+    def mul(x, y):
+        return (x[0] * y[0] - x[1] * y[1]) >> bits, (x[0] * y[1] + x[1] * y[0]) >> bits
+
+    with mp.workdps(bits * 3 // 10 + 10):
+        t, y = mpc(tau), float(mpc(tau).imag)
+        u0 = mpexp(-2j * mppi * a / N)
+        total = mp.polylog(k, u0) + (-1) ** k * mp.polylog(k, 1 / u0)
+        roots = [fixed(mpexp(2j * mppi * r / N)) for r in range(N)]
+        rows = [0, 0]
+        for sign in (1, -1):
+            c = 1 - Fraction((-sign * a) % N, N)
+            d = [sum((-1) ** (i - j) * math.comb(i, j) * (j + c) ** (k - 1) for j in range(i + 1))
+                 for i in range(k)]
+            d_fixed, d_float = [x.numerator * one // x.denominator for x in d], list(map(float, d))
+            w1 = fixed(mpexp(2j * mppi * t))
+            e1 = fixed(mpexp(2j * mppi * t * c.numerator / c.denominator))
+            rho = math.exp(-2.0 * math.pi * float(c) * y)
+            w, e, m = (one, 0), (one, 0), 0
+            while True:
+                m += 1
+                w, e = mul(w, w1), mul(e, e1)
+                z = (one - w[0], -w[1])  # 1 - w and its inverse
+                n2 = z[0] * z[0] + z[1] * z[1]
+                inv = (z[0] * one * one // n2, -z[1] * one * one // n2)
+                u, acc = mul(w, inv), (d_fixed[-1], 0)
+                for di in reversed(d_fixed[:-1]):
+                    acc = mul(acc, u)
+                    acc = (acc[0] + di, acc[1])
+                row = mul(mul(acc, inv), mul(e, roots[sign * m * b % N]))
+                sgn = -1 if sign < 0 and k % 2 else 1
+                rows = [rows[0] + sgn * row[0], rows[1] + sgn * row[1]]
+                r = math.exp(-2.0 * math.pi * m * y)
+                bound = math.exp(-2.0 * math.pi * float(c) * m * y) * sum(
+                    di * r**i / (1.0 - r) ** (i + 1) for i, di in enumerate(d_float))
+                if (2.0 * math.pi) ** k * bound * rho / (1.0 - rho) < cut:
+                    break
+        total += (-2j * mppi) ** k / mp.factorial(k - 1) * mpc(rows[0], rows[1]) / one
         return complex((-1) ** (k + 1) * mp.factorial(k - 1) * total)
 
 

@@ -321,11 +321,21 @@ class TestErrors:
         assert code == 2
 
     def test_eval_lambert_term_count(self, capsys):
-        # a Lipschitz sum past 5000 Lambert terms is a typed error, exit 2
+        # a Lipschitz sum past 5000 Lambert terms is a typed error, exit 2: weight 2
+        # keeps tau (weight 4 is summed at the reduced tau and returns a value)
         code = main(["eval", "F", "--tau", "0.3+1e-4i", "--a", "1", "--b", "2", "--N", "5",
-                     "--k", "4"])
+                     "--k", "2"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_eval_F_near_a_cusp(self, capsys):
+        # at 0.337 + 0.0055i, by the cusp 1/3, the rows reach about 1e12 and the value
+        # cancels below 1e-20 (tests/oracles.py::F_rows_fine); summed at tau itself
+        # its rounding reads 34.7 - 50.1i
+        code, res = run_main(capsys, ["eval", "F", "--tau", "0.337+0.0055i", "--a", "7",
+                                      "--b", "3", "--N", "8", "--k", "7"])
+        assert code == 0
+        assert abs(complex(res["value"]["re"], res["value"]["im"])) < 1e-9
 
     @pytest.mark.parametrize("mode, k", [("naive", "110"), ("naive", "150"), ("lipschitz", "150")])
     def test_eval_large_weight(self, capsys, mode, k):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from epolylog import eisenstein, polylog
@@ -22,13 +23,16 @@ from epolylog.eisenstein import (
     eisenstein_sum_k2,
 )
 from epolylog.numerics import LatticeTruncation, NonFiniteError
-from epolylog.weierstrass import ConvergenceError, _lambert
+from epolylog.weierstrass import ConvergenceError, _lambert, _reduce
 
 TAU = 0.21 + 1.1j
 
 # pinned lipschitz value; agreed with the box-sum oracle (R = 400) to 1.2e-8
 # when frozen
 F_PIN_135 = complex(-1.1333177993317052, -6.018861746495824)
+# F at (1, 2) mod 5, k = 4 and tau = 0.3 + 1e-4i, by the cusp 3/10:
+# oracles.F_rows_fine with cut = 1e-6 (at bits = 200 and 260 alike)
+F_PIN_1254_CUSP = complex(9455175769700.502, -4.198941535985129)
 
 
 class TestQueryValidation:
@@ -801,9 +805,18 @@ class TestF:
 
     def test_lambert_term_count_guard(self):
         # at Im tau = 1e-4 the Lambert halves would need about 1e5 terms: past
-        # 5000 the sum raises instead of returning a value dominated by roundoff
+        # 5000 the sum raises instead of returning a value dominated by roundoff.
+        # Weight 2 keeps tau (weight 4 is summed at the reduced tau, TestReduction)
         with pytest.raises(ConvergenceError):
-            F(EisensteinQuery(a=1, b=2, N=5, k=4, tau=0.3 + 1e-4j))
+            F(EisensteinQuery(a=1, b=2, N=5, k=2, tau=0.3 + 1e-4j))
+        with pytest.raises(ConvergenceError):
+            _lambert([0.3 + 1e-4j], [0.4], [0.0], 0.3 + 1e-4j, 4)
+
+    def test_weight_four_at_im_1e_4(self):
+        # at tau itself the Lambert halves would need 108939 terms; at the reduced
+        # tau the call reads the pin to 6.1e-13
+        got = F(EisensteinQuery(a=1, b=2, N=5, k=4, tau=0.3 + 1e-4j))
+        assert abs(got - F_PIN_1254_CUSP) < 1e-12 * abs(F_PIN_1254_CUSP)
 
     def test_box_rejected_below_weight_three(self):
         with pytest.raises(ConvergenceModeError):
@@ -824,6 +837,108 @@ class TestF:
         a = F(EisensteinQuery(a=1, b=2, N=5, k=3, tau=TAU))
         b = F(EisensteinQuery(a=6, b=-3, N=5, k=3, tau=TAU))
         assert abs(a - b) < 1e-13 * max(1.0, abs(a))
+
+
+# (a, b, N, k, tau, D) with D = +-1 mod N, so that F_tilde's second label is
+# +-(a, b) and one oracle row sum gives F, F_tilde and specialize_eisenstein;
+# Im tau in [0.005, 0.5), the first by the cusp 1/3, where the rows reach 1e12
+_SMALL_IM = [
+    (7, 3, 8, 7, 0.337 + 0.0055j, 9),
+    (1, 2, 5, 4, -0.21 + 0.005j, 4),
+    (2, 1, 5, 5, -0.48 + 0.0083j, 4),
+    (1, 1, 3, 4, 0.31 + 0.02j, 2),
+    (1, 3, 4, 6, -0.27 + 0.021j, 3),
+    (1, 2, 5, 4, 0.5 + 0.03j, 4),
+    (3, 5, 7, 3, 0.143 + 0.0142j, 6),
+    (0, 1, 3, 3, -0.33 + 0.06j, 2),
+    (2, 1, 3, 5, 0.41 + 0.13j, 2),
+    (5, 2, 6, 8, 0.4 + 0.2j, 7),
+    (3, 2, 4, 8, 0.22 + 0.25j, 3),
+    (4, 0, 5, 7, 0.0817 + 0.3733j, 6),
+]
+
+
+class TestReduction:
+    """Lipschitz sums at k >= 3 are summed at the tau' of weierstrass._reduce
+    (Im tau' >= 1/2) by the modular law, against row sums at tau itself."""
+
+    @pytest.mark.parametrize("t", [0.3 + 1e-4j, 0.337 + 0.0055j, -7.5 + 0.02j, 0.5 + 0.49j,
+                                   1e-9 + 1e-7j, 0.21 + 1.1j, -0.5 + 0.5j])
+    def test_reduce(self, t):
+        # t = gamma tau' with gamma in SL2(Z) and Im tau' >= 1/2; gamma = 1 from 1/2 up
+        tp, (A, B, C, D) = _reduce(t)
+        assert A * D - B * C == 1 and tp.imag >= 0.5
+        assert abs((A * tp + B) / (C * tp + D) - t) < 1e-9 * abs(t)
+        if t.imag >= 0.5:
+            assert (tp, (A, B, C, D)) == (t, (1, 0, 0, 1))
+
+    def test_identity_keeps_the_kernel_bits(self):
+        # at Im tau >= 1/2 the dispatch returns the kernel's sums bit for bit
+        rng = random.Random(7)
+        for _ in range(20):
+            N, D, s = rng.randint(2, 7), rng.randint(1, 3), rng.randint(3, 8)
+            labels = [(rng.randrange(N), rng.randrange(1, N))]
+            cosets = [(c, d) for c in range(D) for d in range(D) if c or d] or [(0, 0)]
+            t = complex(rng.uniform(-1, 1), rng.uniform(0.5, 2))
+            got = eisenstein._lattice_sums(labels, N, D, cosets, t, s, "lipschitz", None)
+            want = _lipschitz_sums(labels, N, D, cosets, t, s)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("a, b, N, k, tau, D", _SMALL_IM)
+    def test_vs_fine_rows(self, a, b, N, k, tau, D):
+        # F and F_tilde against the row sums at tau to 1e-12 of max(1, |value|).
+        # The first case reads 3e-21 under rows of about 1e12; summed at tau itself
+        # its rounding reads 34.7 - 50.1i
+        ref = oracles.F_rows_fine(a, b, N, k, tau)
+        sign = 1 if D % N == 1 else (-1) ** k
+        want = D**2 * ref - D ** (2 - k) * sign * ref
+        q = EisensteinQuery(a=a, b=b, N=N, k=k, tau=tau)
+        assert abs(F(q) - ref) < 1e-12 * max(1.0, abs(ref))
+        assert abs(F_tilde(q, D) - want) < 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("a, b, N, k, tau, D", [c for c in _SMALL_IM if c[4] not in (
+        0.337 + 0.0055j, -0.48 + 0.0083j, 0.0817 + 0.3733j)])
+    def test_specialize_vs_fine_rows(self, a, b, N, k, tau, D):
+        # the coset sums, but where they refuse (the next test) and at (4, 0) mod 5,
+        # D = 6, which loses 1.2e-11 (the value is 2.3e3) to the rounding of its real
+        # row times |C tau' + D|^7 = 850, under the refusal bound
+        ref = oracles.F_rows_fine(a, b, N, k, tau)
+        sign = 1 if D % N == 1 else (-1) ** k
+        want = D**2 * ref - D ** (2 - k) * sign * ref
+        got = polylog.specialize_eisenstein(polylog.TorsionLabel(a, b, N, D), tau, k - 1)
+        assert abs(got - want) < 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("a, b, N, k, tau, D", [
+        (7, 3, 8, 7, 0.337 + 0.0055j, 2), (7, 3, 8, 7, 0.337 + 0.0055j, 3),
+        (7, 3, 8, 7, 0.337 + 0.0055j, 7), (2, 1, 5, 5, -0.48 + 0.0083j, 4)])
+    def test_coset_sums_refuse_below_their_rounding(self, a, b, N, k, tau, D):
+        # at the cusp case the coset sums at tau' cancel to 1e-32 while their real
+        # row rounds at about 1e-16 D^8: times |C tau' + D|^7 = 8e11 that read 2.0 at
+        # D = 3 and 73 at D = 7 for a value of 1e-19, so they raise; F_tilde, whose
+        # real rows are exactly rounded, does not (test_vs_fine_rows)
+        with pytest.raises(ConvergenceError):
+            polylog.specialize_eisenstein(polylog.TorsionLabel(a, b, N, D), tau, k - 1)
+        F_tilde(EisensteinQuery(a, b, N, k, tau), D)
+
+    def test_vanishing_label(self):
+        # (2, 0) mod 5 at weight 3 and 0.02i: about 1e-129 at the reduced tau
+        # (oracles.F_rows_fine reads below 1e-28 at cut = 1e-26)
+        assert abs(F(EisensteinQuery(a=2, b=0, N=5, k=3, tau=0.02j))) < 1e-20
+
+    @given(h=st.sampled_from([1, 2, 3, 4]), which=st.sampled_from([(1, 0), (0, 1), (1, 1)]),
+           shift=st.integers(-2, 2), k=st.sampled_from([3, 5, 7, 9]), D=st.integers(1, 4),
+           re=st.floats(-1.0, 1.0), im=st.floats(-5.3, 0.7))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_parity_zeros(self, h, which, shift, k, D, re, im):
+        # (2a, 2b) = 0 mod N at odd weight: (m, n) -> (-m, -n) flips every term, so
+        # the Lipschitz sums are exactly 0, decided before any kernel runs
+        N = 2 * h
+        a, b = which[0] * h + shift * N, which[1] * h
+        tau = complex(re, math.exp(im))
+        q = EisensteinQuery(a=a, b=b, N=N, k=k, tau=tau)
+        assert F(q) == 0
+        assert F_tilde(q, D, allow_degenerate=True) == 0
+        assert polylog.specialize_eisenstein(polylog.TorsionLabel(a, b, N, D), tau, k - 1) == 0
 
 
 class TestFTilde:
