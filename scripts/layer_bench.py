@@ -76,7 +76,9 @@ over the first's in each round, with the median and range of those ratios,
 beside the ratio of the per-tree medians over the rounds. A host whose speed drifts between rounds moves both trees of
 a round alike, so the per-round ratios are the figure to compare; the ratio
 of medians mixes rounds of different speeds. --out merges every round, the
-per-tree medians and the per-round ratios into a JSON file.
+per-tree medians and the per-round ratios into a JSON file, written before the
+medians are printed. A field the rounds disagree on (the line count of a tree
+edited during the run, say) is kept and printed as its list of values.
 
 Run: python scripts/layer_bench.py [--src DIR [--src DIR2]] [--label L [--label L2]]
          [--rounds N] [--repeat N] [--out FILE]
@@ -298,6 +300,12 @@ def cpu_note(wall, cpu) -> str:
     return f"   CPU > {CPU_OVER_WALL} x wall" if cpu > CPU_OVER_WALL * wall else ""
 
 
+def count(value) -> str:
+    """A count in 10 columns; a count the rounds disagree on, which median_record
+    keeps as its list of values, as that list."""
+    return f"{value!s:>10}" if isinstance(value, list) else f"{value:10d}"
+
+
 def show(title: str, record: dict) -> None:
     print(f"== {title}   (wall, CPU)")
     for name, ms in record["layers_ms"].items():
@@ -306,11 +314,11 @@ def show(title: str, record: dict) -> None:
                     if name == "F_naive_R500" else "")
         print(f"{name:28s} {ms:10.4f} ms {cpu:10.4f} ms{per_term}{cpu_note(ms, cpu)}")
     print(f"{'verify all --seed 0 md5':28s} {record['verify_all_seed0_md5']}")
-    print(f"{'theta weight misses':28s} {record['jacobi_weights_misses_verify_all_seed0']:10d}"
+    print(f"{'theta weight misses':28s} {count(record['jacobi_weights_misses_verify_all_seed0'])}"
           "   (cold verify all --seed 0)")
     print(f"{'real row hits, misses':28s} {record['real_row_hits_verify_all_seed0']!s:>10}"
           f" {record['real_row_misses_verify_all_seed0']!s:>10}   (cold verify all --seed 0)")
-    print(f"{'src lines':28s} {record['src_lines']:10d}")
+    print(f"{'src lines':28s} {count(record['src_lines'])}")
     print(f"{'tier-1 pytest':28s} {record['tier1_s']:10.3f} s   {record['tier1_passed']} passed, "
           f"{record['tier1_failed']} failed, {record['tier1_errors']} errors", flush=True)
 
@@ -389,13 +397,9 @@ def main() -> None:
             show(key, rounds[key])
     medians = {label: median_record([rounds[f"{label}_round{r}"]
                                      for r in range(1, args.rounds + 1)]) for label in labels}
-    for label in labels:
-        show(f"{label}, median of {args.rounds} rounds", medians[label])
     ratios = round_ratios(rounds, medians, labels, args.rounds) if len(labels) == 2 else None
-    if ratios:
-        show_ratios(labels, ratios)
 
-    if args.out:
+    if args.out:  # first, so no printing below can lose the rounds
         data = {}
         if os.path.exists(args.out):
             with open(args.out, encoding="utf-8") as fh:
@@ -411,6 +415,10 @@ def main() -> None:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=2)
             fh.write("\n")
+    for label in labels:
+        show(f"{label}, median of {args.rounds} rounds", medians[label])
+    if ratios:
+        show_ratios(labels, ratios)
 
 
 if __name__ == "__main__":

@@ -104,6 +104,11 @@ def _roots_of_unity(N: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _root_tuple(N: int) -> tuple:
+    return tuple(_roots_of_unity(N).tolist())  # the roots as Python complexes, for indexing
+
+
+@lru_cache(maxsize=None)
 def _bernoulli(s: int) -> tuple:
     """Integers c_0..c_s and M with M B_s(x) = sum_k c_k x^(s-k), B_s the
     Bernoulli polynomial (c_k = M binom(s, k) B_k, B_1 = -1/2)."""
@@ -156,7 +161,7 @@ def _lipschitz_sums(labels, N: int, D: int, cosets, t: complex, s: int) -> list:
     halves of all labels and cosets go through one _lambert call. Row 0 is real
     when c = 0: one _row_zero per label over those cosets, without the origin
     when d = 0 (F is D = 1, cosets [(0, 0)]). s = 1 needs Da != 0 mod N."""
-    roots = _roots_of_unity(N).tolist()
+    roots = _root_tuple(N)
     halves = []  # (y, xi, rho, character of the first row), label by label
     for a, b in labels:
         for c, d in cosets:
@@ -166,7 +171,8 @@ def _lipschitz_sums(labels, N: int, D: int, cosets, t: complex, s: int) -> list:
                        ((1 - c / D) * t - d / D, D * a % N / N, roots[-D * b % N],
                         (-1) ** s * roots[((c - D) * b - d * a) % N])]
     y, xi, rho, pref = zip(*halves)
-    sums = (np.array(pref) * _lambert(y, xi, rho, t, s)).reshape(len(labels), -1).sum(axis=1)
+    sums = np.add.reduce((np.array(pref) * _lambert(y, xi, rho, t, s)).reshape(len(labels), -1),
+                         axis=1)
     ds = [d for c, d in cosets if c == 0]
     return [complex(v + _row_zero(a, N, D, ds, s)) if ds else complex(v)
             for (a, _), v in zip(labels, sums)]
@@ -275,11 +281,12 @@ def _lattice_sums(labels, N: int, D: int, cosets, t: complex, s: int, mode: str,
     sums to 0; box needs s >= 3. In naive mode a trailing trivial label
     (0, 0), F_tilde's degenerate one, is summed by Lipschitz rows. In Lipschitz mode
     (2a, 2b) = 0 mod N at odd s sums to 0, (m, n) -> (-m, -n) flipping every term; at
-    s >= 3 the other labels are summed at tau' of weierstrass._reduce, t = gamma tau',
+    s >= 3, Im t < 1/2 the others are summed at tau' of weierstrass._reduce, t = gamma tau',
     gamma = (A B; C E): (m', n') = (mA + nC, mB + nE) has m t + n = (m' tau' + n')/(C tau'
     + E), mb - na = m'(Eb + Ba) - n'(Cb + Aa), and takes the points (Dm + c, Dn + d)/D of
-    coset (c, d) to coset (cA + dC, cB + dE) mod D. At D > 1 the real row rounds to about
-    2^-50 D^(s+1): past 1e-9 max(1, |sum|) times |C tau' + E|^-s, ConvergenceError."""
+    coset (c, d) to coset (cA + dC, cB + dE) mod D; elsewhere gamma = 1, with no maps and no
+    factor. At D > 1 the real row rounds to about 2^-50 D^(s+1): past 1e-9 max(1, |sum|)
+    times |C tau' + E|^-s (1 at gamma = 1), ConvergenceError."""
     if mode not in ("naive", "lipschitz"):
         raise ValueError(f"unknown mode {mode!r}")
     if s == 1 and mode == "lipschitz" and cosets != [(0, 0)]:
@@ -301,12 +308,14 @@ def _lattice_sums(labels, N: int, D: int, cosets, t: complex, s: int, mode: str,
                 + _lattice_sums(labels[-1:], N, D, cosets, t, s, "lipschitz", None))
     try:
         if mode == "lipschitz":
-            tau, (t, (A, B, C, E)) = t, _reduce(t) if s >= 3 else (t, (1, 0, 0, 1))
             live = [(a, b) for a, b in labels if not s % 2 or (2 * a % N, 2 * b % N) != (0, 0)]
-            raw = _lipschitz_sums([((C * b + A * a) % N, (E * b + B * a) % N) for a, b in live],
-                                  N, D, [((c * A + d * C) % D, (c * B + d * E) % D)
-                                         for c, d in cosets], t, s) if live else []
-            w = (C * t + E) ** s
+            tau, mapped, w = t, live, 1.0
+            if s >= 3 and t.imag < 0.5:  # gamma != 1: map the labels, cosets and factor
+                t, (A, B, C, E) = _reduce(t)
+                mapped = [((C * b + A * a) % N, (E * b + B * a) % N) for a, b in live]
+                cosets = [((c * A + d * C) % D, (c * B + d * E) % D) for c, d in cosets]
+                w = (C * t + E) ** s
+            raw = _lipschitz_sums(mapped, N, D, cosets, t, s) if live else []
             bound = abs(w) * 2.0**-50 * float(D) ** (s + 1) * (D > 1)
             if bound > 1e-9 and any(abs(w * v) < 1e9 * bound for v in raw):
                 raise ConvergenceError(f"coset sums at tau = {tau} cancel below {bound:.1e}")

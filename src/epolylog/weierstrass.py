@@ -257,8 +257,8 @@ def _lambert(y, xi, rho, t: complex, s: int) -> np.ndarray:
     phase = np.empty((L, 2 * H), dtype=complex)
     phase[1:] = np.exp(z)
     np.exp((1.0 - xi) * z, out=phase[0])
-    np.cumprod(phase, axis=0, out=phase)
-    f = np.arange(1, L + 1)[:, None] - xi[:H]
+    np.multiply.accumulate(phase, axis=0, out=phase)
+    f = np.arange(1.0, L + 1.0)[:, None] - xi[:H]
     if (s - 1) * math.log(L + 1) <= 709.0:  # f^(s-1) <= L^(s-1) stays in the float range
         return _lambert_sum(f, phase, rho, s)
     with np.errstate(all="ignore"):
@@ -269,8 +269,9 @@ def _lambert_sum(f, phase, rho, s: int) -> np.ndarray:
     """_lambert's halves from the frequencies f = l - xi and the phases (columns
     y, then t)."""
     H = f.shape[1]
-    terms = f ** (s - 1) * phase[:, :H] / (1.0 - np.asarray(rho) * phase[:, H:])
-    return np.cumsum(terms, axis=0, out=terms)[-1] * ((-2j * np.pi) ** s / math.factorial(s - 1))
+    terms = f ** (s - 1) * phase[:, :H] / (1.0 - np.array(rho) * phase[:, H:])
+    return np.add.accumulate(terms, axis=0, out=terms)[-1] * ((-2j * np.pi) ** s
+                                                              / math.factorial(s - 1))
 
 
 @lru_cache(maxsize=4096)

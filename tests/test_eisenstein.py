@@ -108,6 +108,27 @@ def _lambert_one(x, xi, s):
     return _lambert_batch(np.array([x]), np.array([xi]), s)[0]
 
 
+def _lambert_cumsum_form(y, xi, rho, t, s):
+    """weierstrass._lambert as first written, through the np.cumprod, np.cumsum
+    and np.asarray wrappers, with an integer arange: the reference for the
+    direct ufunc calls, which must keep its bits."""
+    w = 2.0 * math.pi * min(v.imag for v in y)
+    A = 48.0 - math.log1p(-math.exp(-0.5 * w))
+    a = A / max(s - 1, 1)
+    c = 1.0 + a + math.log1p(a)
+    u = (s - 1) * (a + math.log(c)) / ((1.0 - 1.0 / c) * w) if s > 1 else A / w
+    L = max(int(math.ceil(48.0 / w)) + s + 6, math.ceil(u - 1.0 + max(xi)))
+    H = len(y)
+    z, xi = 2j * np.pi * np.array([*y, *[t] * H]), np.array([*xi, *xi])
+    phase = np.empty((L, 2 * H), dtype=complex)
+    phase[1:] = np.exp(z)
+    np.exp((1.0 - xi) * z, out=phase[0])
+    np.cumprod(phase, axis=0, out=phase)
+    f = np.arange(1, L + 1)[:, None] - xi[:H]
+    terms = f ** (s - 1) * phase[:, :H] / (1.0 - np.asarray(rho) * phase[:, H:])
+    return np.cumsum(terms, axis=0, out=terms)[-1] * ((-2j * np.pi) ** s / math.factorial(s - 1))
+
+
 class TestRowMachinery:
     def test_row_zero_vs_polylog(self):
         # without the origin, the real row at x = 0 is the polylogarithm pair
@@ -316,6 +337,23 @@ class TestRowMachinery:
             one = _lambert(np.array([y]), np.array([xi]), np.array([rho]), t, s)
             two = _lambert(np.array([y, y]), np.array([xi, xi]), np.array([rho, rho]), t, s)
             assert one.tobytes() == two[:1].tobytes() == two[1:].tobytes(), (y, xi, rho, t, s)
+
+    def test_lambert_keeps_the_bits_of_the_cumsum_form(self):
+        # the ufuncs called directly (np.multiply.accumulate, np.add.accumulate,
+        # np.array, a float arange) against the wrappers' form, bit for bit, at 1, 2
+        # and 16 halves, with rho = 0 (a row alone) and xi = 0 among them
+        rng = random.Random(37)
+        for _ in range(300):
+            t = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.5, 2.0))
+            H, N, s = rng.choice((1, 2, 16)), rng.randint(2, 12), rng.randint(2, 12)
+            y = [complex(rng.uniform(-1.0, 1.0), t.imag * rng.choice((1 / 3, 1 / 2, 1.0)))
+                 for _ in range(H)]
+            xi = [rng.choice((0, rng.randrange(N))) / N for _ in range(H)]
+            rho = [rng.choice((0j, complex(np.exp(2j * np.pi * rng.randrange(N) / N))))
+                   for _ in range(H)]
+            got = _lambert(tuple(y), tuple(xi), tuple(rho), t, s)
+            assert got.tobytes() == _lambert_cumsum_form(y, xi, rho, t, s).tobytes(), (
+                y, xi, rho, t, s)
 
 
 def _draw_case(rng, ordering):
@@ -872,17 +910,39 @@ class TestReduction:
         if t.imag >= 0.5:
             assert (tp, (A, B, C, D)) == (t, (1, 0, 0, 1))
 
-    def test_identity_keeps_the_kernel_bits(self):
-        # at Im tau >= 1/2 the dispatch returns the kernel's sums bit for bit
+    def test_identity_keeps_the_kernel_bits(self, monkeypatch):
+        # gamma = 1 at Im tau >= 1/2 (s >= 3) and at s <= 2 (any tau): the dispatch
+        # never reduces tau and returns the kernel's sums of the live labels, given
+        # unreduced, bit for bit, and exactly 0 for a parity-null label among them
+        def no_reduce(t):
+            raise AssertionError(f"reduced tau = {t} at gamma = 1")
+
+        monkeypatch.setattr(eisenstein, "_reduce", no_reduce)
         rng = random.Random(7)
-        for _ in range(20):
-            N, D, s = rng.randint(2, 7), rng.randint(1, 3), rng.randint(3, 8)
-            labels = [(rng.randrange(N), rng.randrange(1, N))]
+        for i in range(40):
+            h = rng.randint(2, 4)  # N >= 4, so (a, 1) and (a, 3N - 1) are live
+            N, D = 2 * h, rng.randint(1, 3)
+            s = rng.randint(3, 8) if i % 2 else rng.randint(1 if D == 1 else 2, 2)
+            t = complex(rng.uniform(-1, 1), rng.uniform(0.5, 2) if s >= 3 else
+                        math.exp(rng.uniform(-3, 0.7)))
+            live = [(rng.choice([a for a in range(-N, 2 * N) if a % N]), b) for b in (1, 3 * N - 1)]
+            # (h, 0) is parity-null: 0 at odd s, a live label at even s
+            labels = [live[0], (h + N * rng.randint(-1, 1), 0), *live[1:]]
+            if s % 2 == 0:
+                live = labels
             cosets = [(c, d) for c in range(D) for d in range(D) if c or d] or [(0, 0)]
-            t = complex(rng.uniform(-1, 1), rng.uniform(0.5, 2))
             got = eisenstein._lattice_sums(labels, N, D, cosets, t, s, "lipschitz", None)
-            want = _lipschitz_sums(labels, N, D, cosets, t, s)
-            assert np.array(got).tobytes() == np.array(want).tobytes()
+            want = iter(_lipschitz_sums(live, N, D, cosets, t, s))
+            want = [next(want) if label in live else 0j for label in labels]
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (labels, N, D, t, s)
+
+    def test_identity_keeps_the_refusal(self, monkeypatch):
+        # gamma = 1 keeps the coset sums' refusal with the factor 1: at D = 7, s = 7
+        # the real row rounds to 2^-50 7^8 = 5.1e-9 > 1e-9, so a sum of 1e-30 raises
+        monkeypatch.setattr(eisenstein, "_lipschitz_sums", lambda labels, *_: [1e-30] * len(labels))
+        cosets = [(c, d) for c in range(7) for d in range(7) if c or d]
+        with pytest.raises(ConvergenceError):
+            eisenstein._lattice_sums([(1, 2)], 5, 7, cosets, 0.1 + 1.0j, 7, "lipschitz", None)
 
     @pytest.mark.parametrize("a, b, N, k, tau, D", _SMALL_IM)
     def test_vs_fine_rows(self, a, b, N, k, tau, D):

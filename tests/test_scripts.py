@@ -136,6 +136,27 @@ def test_layer_bench_tier1_leaves_no_files(monkeypatch, tmp_path):
     assert (record["tier1_passed"], record["tier1_failed"], record["tier1_errors"]) == (296, 1, 2)
 
 
+def test_layer_bench_shows_counts_the_rounds_disagree_on(capsys):
+    # median_record keeps a field the rounds disagree on as its list (a tree edited
+    # between rounds changes its line count): show prints that list, not a TypeError
+    bench = _load(next(p for p in SCRIPTS if p.stem == "layer_bench"))
+    rounds = [{"layers_ms": {"F_naive_R500": ms}, "layers_cpu_ms": {"F_naive_R500": ms},
+               "naive_ns_per_term": 2.5, "verify_all_seed0_md5": "0" * 32,
+               "jacobi_weights_misses_verify_all_seed0": misses,
+               "real_row_hits_verify_all_seed0": 200, "real_row_misses_verify_all_seed0": 122,
+               "src_lines": lines, "tier1_s": 13.0, "tier1_passed": 544, "tier1_failed": 0,
+               "tier1_errors": 0}
+              for ms, misses, lines in ((3.0, 40, 1954), (3.2, 41, 1964), (3.1, 40, 1954))]
+    median = bench.median_record(rounds)
+    assert median["src_lines"] == [1954, 1964, 1954]
+    assert median["jacobi_weights_misses_verify_all_seed0"] == [40, 41, 40]
+    bench.show("parent, median of 3 rounds", median)
+    shown = capsys.readouterr().out
+    assert "[1954, 1964, 1954]" in shown and "[40, 41, 40]" in shown
+    bench.show("parent_round1", rounds[0])
+    assert f"{'src lines':28s} {1954:10d}\n" in capsys.readouterr().out
+
+
 def test_layer_bench_interleaves_two_trees():
     # the two-tree form: both trees in this interpreter, each its own package,
     # every call timed on both; the working tree on both sides gives the same
