@@ -30,11 +30,13 @@ the layer microbenchmarks of the ROADMAP's performance aim:
   and the kernel's per-point checks (kronecker): the Kato-Siegel residue at
   the origin by a 32-node contour integral of dlog_kato_siegel on its 64-sample
   contour reference path (the call of perfbench's point-eval residue kind),
-  heat_residual and distribution_residual at D = 3 at one point.
+  heat_residual and distribution_residual at D = 3 at one point, and the
+  kernel value jacobi_J with its KroneckerPoint built in the call (the call of
+  perfbench's point-eval J kind).
 
 Every call above repeats one tau, so its theta weights come from the cache.
-The fresh-tau layers, scalar theta_normalized, wp and s_coeffs at n = 4, cycle
-through 512 distinct verify-box tau (twice the 256 entries of the theta
+The fresh-tau layers, scalar theta_normalized, wp, jacobi_J and s_coeffs at n =
+4, cycle through 512 distinct verify-box tau (twice the 256 entries of the theta
 weights' cache), so every call builds its weights; a timed run is one cycle
 and the figure is its time per call. The 4096 entries of the E2, E4, E6 cache
 hold all 512 tau, so eisenstein_weights_fresh_tau calls the uncached
@@ -207,6 +209,10 @@ def calls(pkg: str = "epolylog"):
             0.4 * min(1.0, abs(tau)) / 2, 32),
         "heat_residual_point": lambda: K.heat_residual(kpoint),
         "distribution_point": lambda: K.distribution_residual(kpoint, 3),
+        "J_scalar": lambda: K.jacobi_J(K.KroneckerPoint(0.23 + 0.11j, 0.17 + 0.05j,
+                                                        W.ModuliPoint(tau))),
+        "J_fresh_tau": lambda: [K.jacobi_J(K.KroneckerPoint(0.23 + 0.11j, 0.17 + 0.05j,
+                                                            W.ModuliPoint(t))) for t in taus],
     }
 
 

@@ -298,7 +298,7 @@ _K2_CASES = Points(0, lambda rng: [
 # point set and residual(points): each point's raw errors, of one shape per check.
 CHECKS = {
     "weierstrass": (
-        ("eta1-at-i", "quasi-period-square-lattice", 1e-8, Points(0, lambda rng: [0]),
+        ("eta1-at-i", "quasi-period-square-lattice", 1e-14, Points(0, lambda rng: [0]),
          _per_point(lambda _: abs(eta_periods(1j).eta1 - cmath.pi))),
         ("legendre", "legendre-relation", 1e-8, _W_TZ, _legendre),
         ("zeta-law", "zeta-quasi-periodicity", 1e-9, _W_TZ, _zeta_law),

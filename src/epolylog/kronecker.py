@@ -24,8 +24,8 @@ from .weierstrass import (
     _dist,
     _exp_taylor,
     _tau_of,
-    _theta,
     _theta_taylor,
+    _thetas,
     c_einsum,
     lattice_dist,
     theta_normalized,
@@ -54,13 +54,15 @@ class KroneckerPoint:
     def __post_init__(self) -> None:
         t = _tau_of(self.tau)
         for name, x in (("z", self.z), ("w", self.w)):
-            if lattice_dist(x, t) < 1e-8:
+            if _dist(_cell(x, t)[0]) < 1e-8:
                 raise PoleProximityError(f"{name} = {x} within 1e-8 of the lattice")
 
 
 def _J(z, w, t):
-    # vectorized over z, w and tau
-    return _theta(np.asarray(z) + np.asarray(w), t) / (_theta(z, t) * _theta(w, t))
+    # z and w scalars or arrays (broadcasting), at a complex t or an array of tau:
+    # one engine call on the points z + w, z and w
+    top, theta_z, theta_w = _thetas((z + w, z, w), t)
+    return top / (theta_z * theta_w)
 
 
 def _variant(z: complex, t: complex, D: int):
@@ -165,9 +167,10 @@ def dlog_kato_siegel(z, tau, D: int, cfg: CauchyConfig | None = None):
         raise TypeError(f"the contour path takes one z, got shape {np.shape(z)}")
     D = _integer("D", D, 1)
     t = _tau_of(tau)
-    if not np.isfinite(z).all():
+    scalar = isinstance(z, (complex, float, int))
+    if not (cmath.isfinite(z) if scalar else np.isfinite(z).all()):
         raise ValueError(f"z = {z} has no finite lattice coordinates")
-    z = z if isinstance(z, (complex, float, int)) else np.asarray(z)
+    z = z if scalar else np.asarray(z)
     (x0, _, c0), (x1, _, c1) = _cell(z, t), _cell(D * z, t)
     if _dist(x1) / D < 1e-8:
         raise PoleProximityError(f"z = {z} within 1e-8 of the D-torsion locus")

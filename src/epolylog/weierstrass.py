@@ -4,8 +4,8 @@ the theta family and kronecker._s_columns, and one Lambert engine (_lambert: hal
 lattices of rows T(x, xi, s), summed by frequency) under E2, E4 and E6, so eta1,
 eta1', g2 and g3, and under eisenstein's Lipschitz sums, at tau' of _reduce.
 The evaluators broadcast over z and tau; the package's batched paths call their
-private cores (_cell, _theta, _zeta, _wp, _eta1), so that a public function is only
-ever called at one tau from inside the package.
+private cores (_cell, _theta, _thetas, _zeta, _wp, _eta1), so that a public
+function is only ever called at one tau from inside the package.
 
 Conventions: eta1 is the quasi-period with eta1(i) = +pi and
 zeta(z+1) - zeta(z) = eta1; eta2 = eta1*tau - 2*pi*i (Legendre relation with
@@ -116,10 +116,13 @@ def _exp_taylor(x: np.ndarray, m: int) -> np.ndarray:
 @lru_cache(maxsize=None)  # K < 200 and m <= MAX_COEFF_ORDER + 2 bound the keys
 def _jacobi_table(K: int, m: int) -> tuple:
     # tau-independent: k, (-1)^k, k + 1, a_k and the rows (-1)^(j//2) a_k^j / j!,
-    # since d^j/dz^j sin(a z) = a^j sin(a z + j pi/2) (the sign + + - - is exact)
+    # since d^j/dz^j sin(a z) = a^j sin(a z + j pi/2) (the sign + + - - is exact);
+    # all but a_k are stored complex, the type numpy casts them to in the weights'
+    # products, which then take the same values without the cast
     k = np.arange(K)
     sign, k1, a = (-1.0) ** k, k + 1, (2 * k + 1) * np.pi
     rows = (-1.0) ** (np.arange(m + 1) // 2)[:, None] * _exp_taylor(a, m)
+    k, sign, k1, rows = (arr.astype(complex) for arr in (k, sign, k1, rows))
     for arr in (k, sign, k1, a, rows):
         arr.flags.writeable = False
     return k, sign, k1, a, rows
@@ -128,9 +131,11 @@ def _jacobi_table(K: int, m: int) -> tuple:
 @lru_cache(maxsize=256)
 def _jacobi_weights(t: complex, m: int) -> tuple:
     # frequencies a_k, and weights c_k times the table rows on sin(a_k z) (rows j
-    # even) or cos(a_k z); at |Im z| <= Im(tau)/2 term k is below exp(-pi Im(tau) k^2)
+    # even) or cos(a_k z), at t reduced by _translate (the weights are 1-periodic);
+    # at |Im z| <= Im(tau)/2 term k is below exp(-pi Im(tau) k^2)
     # (2k+1)^m times term 0, and the terms stop under e^-42; no k with
     # pi Im(tau) k^2 <= 42 passes, so the search starts at sqrt(42 / (pi Im tau))
+    t = _translate(t)[0]
     pi_im = math.pi * t.imag
     k0 = max(1, int(min(math.sqrt(42.0 / pi_im), 200.0)))
     K = next((k for k in range(k0, 200) if pi_im * k * k - m * math.log(2 * k + 1) > 42.0
@@ -157,23 +162,25 @@ def _theta_taylor(z0, t, m: int) -> np.ndarray:
     = 2 sum_k (-1)^k q^((k+1/2)^2) sin((2k+1) pi z), q = e^(i pi tau), over pi
     theta_1'(0); 1-periodic in tau. One einsum sums each column in the order k = 0,
     1, ..., with its own tau's weights padded by zero weights at frequency 0 (finite
-    at any Im z0), so a column has the bits of the call at its tau alone."""
-    if isinstance(t, complex):
-        a, w = _jacobi_weights(_translate(t)[0], m)
-        z0, a = np.asarray(z0, dtype=complex), a[:, None]
-    else:
+    at any Im z0), so a column has the bits of the call at its tau alone, and of a
+    call at that point alone."""
+    if isinstance(t, complex):  # x has the shape (K,) + the shape of z0
+        a, w = _jacobi_weights(t, m)
+        x = np.multiply.outer(a, z0, dtype=complex)
+    else:  # x has the shape (K, P), P the points of z0 and t broadcast
         z0, t = np.broadcast_arrays(np.asarray(z0, dtype=complex), t)
-        cols = [_jacobi_weights(_translate(x)[0], m) for x in t.ravel().tolist()]
+        cols = [_jacobi_weights(x, m) for x in t.ravel().tolist()]
         K = max(len(ak) for ak, _ in cols)
         a, w = np.zeros((K, len(cols))), np.zeros((m + 1, K, len(cols)), dtype=complex)
         for p, (ak, wk) in enumerate(cols):
             a[: len(ak), p], w[:, : len(ak), p] = ak, wk
-    x = a * z0.ravel()
-    out = np.empty((m + 1, z0.size), dtype=complex)
-    out[0::2] = c_einsum("jk...,k...->j...", w[0::2], np.sin(x))
+        x = a * z0.ravel()
+    # the sums go straight into the even and odd rows of out
+    out = np.empty((m + 1,) + x.shape[1:], dtype=complex)
+    c_einsum("jk...,k...->j...", w[0::2], np.sin(x), out=out[0::2])
     if m:  # theta alone (m = 0) has no odd rows
-        out[1::2] = c_einsum("jk...,k...->j...", w[1::2], np.cos(x))
-    return out.reshape((m + 1,) + z0.shape)
+        c_einsum("jk...,k...->j...", w[1::2], np.cos(x), out=out[1::2])
+    return out if isinstance(t, complex) else out.reshape((m + 1,) + z0.shape)
 
 
 def _translate(t: complex) -> tuple:
@@ -215,6 +222,31 @@ def theta_normalized(z, tau):
 def _theta(z, t):
     z0, m, n = _cell(z, t)
     return _translation(z0, m, n, t) * _theta_taylor(z0, t, 0)[0]
+
+
+def _thetas(zs, t) -> list:
+    # _theta at each of the points zs, each with the bits of its own _theta call:
+    # one engine call on the Python or numpy scalars at a complex t, each theta
+    # ending in a numpy-scalar product as in _theta (numpy's array complex product
+    # can round the same factors differently in the last bit), and one _theta call
+    # on the others (arrays, and any point at an array t) stacked, broadcast with
+    # one another and with an array t
+    scalars = [i for i, z in enumerate(zs)
+               if isinstance(z, (complex, float, int)) and isinstance(t, complex)]
+    rest = [i for i in range(len(zs)) if i not in scalars]
+    out = [None] * len(zs)
+    if scalars:
+        cells = [_cell(zs[i], t) for i in scalars]
+        T = _theta_taylor(np.array([x0 for x0, _, _ in cells]), t, 0)[0]
+        for k, i in enumerate(scalars):
+            out[i] = _translation(*cells[k], t) * T[k]
+    if rest:
+        *points, taus = np.broadcast_arrays(*(zs[i] for i in rest), t)
+        thetas = _theta(np.stack(points),
+                        t if isinstance(t, complex) else np.stack([taus] * len(rest)))
+        for i, theta in zip(rest, thetas):
+            out[i] = theta
+    return out
 
 
 def _lambert(y, xi, rho, t: complex, s: int) -> np.ndarray:

@@ -45,7 +45,7 @@ def test_criterion_02_quasi_period_suite():
     checks = _run("weierstrass", budget_s=30.0)
     _assert_check(checks, "legendre", 1e-8)
     assert checks["legendre"]["points_tested"] == 20
-    _assert_check(checks, "eta1-at-i", 1e-8)
+    _assert_check(checks, "eta1-at-i", 1e-14)
     _assert_check(checks, "wp-ode", 1e-12)
     assert checks["wp-ode"]["points_tested"] == 50
     # square-lattice value against the independent lattice-sum oracle

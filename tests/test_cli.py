@@ -155,11 +155,12 @@ class TestBatchedChecks:
 
     @pytest.mark.parametrize("attr, check", [
         ("_eta1", "wp-ode"), ("_eisenstein_weights", "wp-ode"), ("g_invariants", "wp-ode"),
-        ("_s_columns", "dlog-zeta")])
+        ("_s_columns", "dlog-zeta"), ("_eta1", "eta1-at-i"), ("_eisenstein_weights", "eta1-at-i")])
     def test_tightened_check_sees_a_layer_defect(self, attr, check):
         # a 1e-9 relative defect in eta1, in E2/E4/E6, in g2/g3 or in the s_k,
         # patched in every module that holds the name and with every lru cache
         # cleared, fails its check at seeds 0-2; the clean residuals pass it
+        # (eta1-at-i reads exactly 0 clean, and pi * 1e-9 under either defect)
         from epolylog import eisenstein, kronecker, logsheaf, numerics, polylog, weierstrass
 
         mods = (cli, eisenstein, kronecker, logsheaf, numerics, polylog, weierstrass)

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from conftest import STANDARD_POINTS
@@ -18,7 +19,7 @@ from epolylog.kronecker import (
     s_coeffs,
 )
 from epolylog.numerics import CauchyConfig, contour_integral, richardson, stencil_nodes
-from epolylog.weierstrass import ModuliPoint, PoleProximityError, zeta_fn
+from epolylog.weierstrass import ModuliPoint, PoleProximityError, _theta, lattice_dist, zeta_fn
 
 TAU_A = 0.5 + 0.8j
 Z_A = 0.23 + 0.11j
@@ -87,6 +88,87 @@ class TestKernel:
         # z + w on the lattice is a zero of J, not a pole
         p = pt(0.3 + 0.2j, 0.7 - 0.2j, TAU_A)
         assert abs(jacobi_J(p)) < 1e-12
+
+
+def three_theta_J(z, w, t):
+    # the kernel from three _theta calls, each with its own reduction and engine
+    # call: the form whose bits _J keeps
+    return _theta(np.asarray(z) + np.asarray(w), t) / (_theta(z, t) * _theta(w, t))
+
+
+def outcome(call):
+    # a call's value as bytes, or its exception's type and message
+    try:
+        return np.asarray(call()).tobytes()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+COORDS = st.floats(-2.0, 2.0)
+POINTS = st.builds(complex, COORDS, COORDS)
+BOX_TAUS = st.builds(complex, st.floats(-0.5, 0.5), st.floats(0.8, 2.0))
+OUT_TAUS = st.builds(complex, st.floats(-20.0, 20.0), st.floats(0.06, 3.0))
+
+
+class TestOneEngineCall:
+    @given(z=POINTS, w=POINTS, t=st.one_of(BOX_TAUS, OUT_TAUS))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_jacobi_J_keeps_the_three_call_bits(self, z, w, t):
+        # z and w anywhere in [-2, 2]^2, mostly outside the cell, at tau in the
+        # verify box and out of it (|Re tau| <= 20, Im tau down to 0.06): the
+        # one engine call on z + w, z and w gives the bits of three _theta calls
+        assume(min(lattice_dist(z, t), lattice_dist(w, t)) >= 1e-8)
+        got = outcome(lambda: jacobi_J(pt(z, w, t)))
+        assert got == outcome(lambda: complex(three_theta_J(z, w, t)))
+
+    def test_batched_kernel_keeps_the_three_call_bits(self):
+        # _J on heat's tau stencil (scalar z and w, an array of tau) and z-w grid
+        # (a column of z nodes against a row of w nodes), on distribution's
+        # paired arrays, and on test_acceptance's scalar z against an array of w
+        # (and the reverse), at verify-box tau and out of the box
+        from epolylog.kronecker import _J
+
+        h = kronecker._HEAT_STEP
+        rng = np.random.default_rng(38)
+        for i in range(40):
+            t = (complex(rng.uniform(-0.5, 0.5), rng.uniform(0.8, 2.0)) if i % 2 else
+                 complex(rng.uniform(-20.0, 20.0), rng.uniform(0.06, 3.0)))
+            z, w = (complex(*rng.uniform(-2.0, 2.0, 2)) for _ in range(2))
+            zs, ws = (rng.uniform(-2.0, 2.0, 11) + 1j * rng.uniform(-2.0, 2.0, 11)
+                      for _ in range(2))
+            for args in ((z, w, stencil_nodes(t, h)),
+                         (stencil_nodes(z, h)[:, None], stencil_nodes(w, h), t),
+                         (zs, ws, t), (z, ws, t), (zs, w, t)):
+                got, ref = _J(*args), three_theta_J(*args)
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    def test_one_engine_call_per_kernel_evaluation(self, monkeypatch):
+        # jacobi_J and _J at heat's and distribution's shapes each make one
+        # engine call; scalars against arrays at one tau (test_acceptance's
+        # shape) take two, one for the scalars and one for the arrays
+        from epolylog import weierstrass
+        from epolylog.kronecker import _J
+
+        calls = []
+        engine = weierstrass._theta_taylor
+
+        def counted(*args):
+            calls.append(args)
+            return engine(*args)
+
+        monkeypatch.setattr(weierstrass, "_theta_taylor", counted)
+        monkeypatch.setattr(kronecker, "_theta_taylor", counted)
+        h = kronecker._HEAT_STEP
+        zs, ws = Z_A + 0.1 * np.arange(11), W_A - 0.1j * np.arange(11)
+        for call, engine_calls in (
+                (lambda: jacobi_J(pt(Z_A, W_A, TAU_A)), 1),
+                (lambda: _J(Z_A, W_A, stencil_nodes(TAU_A, h)), 1),
+                (lambda: _J(stencil_nodes(Z_A, h)[:, None], stencil_nodes(W_A, h), TAU_A), 1),
+                (lambda: _J(zs, ws, TAU_A), 1),
+                (lambda: _J(Z_A, ws, TAU_A), 2)):
+            calls.clear()
+            call()
+            assert len(calls) == engine_calls
 
 
 class TestVariant:

@@ -1,7 +1,8 @@
 """The scripts under scripts/: each imports with src on the path, every
 layer microbenchmark of layer_bench.calls() runs once, layer_bench's cache
 counts of a cold verify run match the calls they count, its fresh-tau
-Lipschitz layer reads one real row from the cache, its
+Lipschitz layer reads one real row from the cache, its kernel-value layers
+give one value per tau, its
 two-tree timing runs once with this tree on both sides, on the layers and
 on one verify suite, its tier-1 run writes nothing into the tree it
 measures, and the private package names the scripts reach into
@@ -44,6 +45,16 @@ def test_layer_bench_calls_run_once():
     calls = _load(next(p for p in SCRIPTS if p.stem == "layer_bench")).calls()
     for fn in calls.values():
         fn()
+
+
+def test_layer_bench_times_the_kernel_value():
+    # point-eval's J kind: a KroneckerPoint and jacobi_J, at one tau and over
+    # the fresh tau, one value per tau
+    bench = _load(next(p for p in SCRIPTS if p.stem == "layer_bench"))
+    calls = bench.calls()
+    assert isinstance(calls["J_scalar"](), complex)
+    values = calls["J_fresh_tau"]()
+    assert len(values) == bench.FRESH_TAUS and all(isinstance(v, complex) for v in values)
 
 
 def test_contour_radius_sweep_kernel():

@@ -185,6 +185,53 @@ class TestTheta:
         assert np.max(np.abs(vals - np.array(singles))) < 1e-14
 
 
+def copy_assign_taylor(z0, t, m):
+    """The one-tau engine with its sums in temporaries copied into the rows of
+    the output, on a raveled z0: the form whose bits the engine keeps."""
+    a, w = _jacobi_weights(complex(t.real - round(t.real), t.imag), m)
+    z0 = np.asarray(z0, dtype=complex)
+    x = a[:, None] * z0.ravel()
+    out = np.empty((m + 1, z0.size), dtype=complex)
+    out[0::2] = np.einsum("jk...,k...->j...", w[0::2], np.sin(x))
+    if m:
+        out[1::2] = np.einsum("jk...,k...->j...", w[1::2], np.cos(x))
+    return out.reshape((m + 1,) + z0.shape)
+
+
+class TestEngineColumns:
+    # kronecker's kernel evaluates theta at z + w, z and w from one engine call,
+    # and keeps the bits of three calls only if a column of a many-point call
+    # is the call at that point alone
+
+    TAUS = (0.21 + 1.1j, -0.4 + 0.8j, 13.3 + 0.07j, -7.6 + 2.9j)
+
+    def test_columns_are_the_one_point_calls(self):
+        rng = np.random.default_rng(38)
+        for t in self.TAUS:
+            for P in (1, 2, 3, 17, 258):
+                z0 = _cell(rng.uniform(-2.0, 2.0, P) + 1j * rng.uniform(-2.0, 2.0, P), t)[0]
+                for m in range(9):
+                    T = _theta_taylor(z0, t, m)
+                    for p in range(P):
+                        assert T[:, p].tobytes() == _theta_taylor(complex(z0[p]), t, m).tobytes()
+
+    def test_lean_path_is_the_copy_assign_form(self):
+        # the sums written straight into the rows of the output, on z0 of any
+        # shape (no ravel), give the bits of the copy-assign form on a raveled z0
+        rng = np.random.default_rng(39)
+        for t in self.TAUS:
+            for shape in ((), (1,), (3,), (2, 5), (2, 3, 4)):
+                z0 = _cell(rng.uniform(-2.0, 2.0, shape) + 1j * rng.uniform(-2.0, 2.0, shape),
+                           t)[0]
+                z0 = complex(z0) if shape == () else z0
+                for m in (0, 1, 2, 7, 18):
+                    got, ref = _theta_taylor(z0, t, m), copy_assign_taylor(z0, t, m)
+                    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+                    if np.ndim(z0) == 2:  # a transposed, non-contiguous z0
+                        assert _theta_taylor(z0.T, t, m).tobytes() == \
+                            copy_assign_taylor(z0.T, t, m).tobytes()
+
+
 class TestVectorTau:
     """The engine and the evaluators at an array of tau: each column keeps the
     bits of the call at its own tau (the engine) or its value (the evaluators)."""
