@@ -46,7 +46,7 @@ points, each at its own tau (the first 256 of those tau): the vector-tau
 engine's weight lookup per tau and its padded sum.
 F_lipschitz_fresh_tau is Lipschitz F at one label over the same 512 tau: its
 real row comes from the real row cache (eisenstein._real_row), which is keyed
-without tau, and its Lambert halves are new at each tau.
+on (a mod N, N, D, s), without tau, and its Lambert halves are new at each tau.
 The round also counts the theta weights' cache misses
 (`_jacobi_weights.cache_info().misses`) and the real row cache's hits and
 misses over one `verify all --seed 0` run with those caches cleared first
@@ -75,7 +75,9 @@ same order, and records the wall seconds and the passed, failed and error
 counts. Two trees
 also print, for every layer and every verify suite, the second tree's time
 over the first's in each round, with the median and range of those ratios,
-beside the ratio of the per-tree medians over the rounds. A host whose speed drifts between rounds moves both trees of
+beside the ratio of the per-tree medians over the rounds, and the names of
+the check records of the `verify all --seed 0` report that differ between the
+two trees (from the last round). A host whose speed drifts between rounds moves both trees of
 a round alike, so the per-round ratios are the figure to compare; the ratio
 of medians mixes rounds of different speeds. --out merges every round, the
 per-tree medians and the per-round ratios into a JSON file, written before the
@@ -268,6 +270,14 @@ def report_md5(report: dict) -> str:
     return hashlib.md5(text.encode()).hexdigest()
 
 
+def moved_records(first: dict, second: dict) -> list:
+    """The names of the check records that differ between two verify reports, in
+    report order; a record that only one report has differs too."""
+    records = [{r["name"]: r for r in report["checks"]} for report in (first, second)]
+    return [name for name in {**records[0], **records[1]}
+            if records[0].get(name) != records[1].get(name)]
+
+
 def src_lines(src: str) -> int:
     pkg = os.path.join(src, "epolylog")
     total = 0
@@ -391,12 +401,13 @@ def main() -> None:
     pkgs = [load_tree(src, f"epolylog_tree{i}") for i, src in enumerate(srcs)]
     trees = [(label, src, pkg, {**calls(pkg), **suites(pkg)})
              for label, src, pkg in zip(labels, srcs, pkgs)]
-    rounds, order = {}, []
+    rounds, order, reports = {}, [], {}
     for r in range(1, args.rounds + 1):
         lead = trees if r % 2 else trees[::-1]
         records, results = layers([fns for *_, fns in lead], args.repeat)
         for (label, src, pkg, _), record, result in zip(lead, records, results):
             key = f"{label}_round{r}"
+            reports[label] = result["verify all"]
             rounds[key] = {**record, "verify_all_seed0_md5": report_md5(result["verify all"]),
                            **cold_misses(pkg), "src_lines": src_lines(src), **tier1(src)}
             order.append(key)
@@ -404,6 +415,7 @@ def main() -> None:
     medians = {label: median_record([rounds[f"{label}_round{r}"]
                                      for r in range(1, args.rounds + 1)]) for label in labels}
     ratios = round_ratios(rounds, medians, labels, args.rounds) if len(labels) == 2 else None
+    moved = moved_records(*(reports[label] for label in labels)) if ratios else None
 
     if args.out:  # first, so no printing below can lose the rounds
         data = {}
@@ -418,6 +430,7 @@ def main() -> None:
         data["median_over_rounds"] = medians
         if ratios:
             data["round_ratios"] = {"of": f"{labels[1]} / {labels[0]}", **ratios}
+            data["verify_all_seed0_moved_records"] = moved
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(data, fh, indent=2)
             fh.write("\n")
@@ -425,6 +438,10 @@ def main() -> None:
         show(f"{label}, median of {args.rounds} rounds", medians[label])
     if ratios:
         show_ratios(labels, ratios)
+        print(f"== verify all --seed 0 records that differ, {labels[1]} against {labels[0]}: "
+              f"{len(moved)}")
+        for name in moved:
+            print(name)
 
 
 if __name__ == "__main__":

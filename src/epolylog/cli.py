@@ -260,8 +260,8 @@ def _modularity(case) -> float:
     # tau (swap (m, n) -> (n, -m)); from the Lipschitz kernel itself, so that no
     # reduction of tau inside F can make the two sides one computation
     a, b, N, k, t = case
-    lhs = _lipschitz_sums([(a, b)], N, 1, [(0, 0)], -1 / t, k)[0]
-    return _rel(lhs, t**k * _lipschitz_sums([(b, -a % N)], N, 1, [(0, 0)], t, k)[0])
+    lhs = _lipschitz_sums([(a, b)], N, 1, -1 / t, k)[0]
+    return _rel(lhs, t**k * _lipschitz_sums([(b, -a % N)], N, 1, t, k)[0])
 
 
 def _draw_spec_case(rng, N: int) -> tuple:

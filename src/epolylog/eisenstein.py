@@ -19,12 +19,14 @@ summed at Im tau' >= 1/2 by F_(a,b)^(k)(gamma tau') = (C tau' + D)^k F_(Cb+Aa,Db
 (tau'), gamma = (A B; C D) in SL2(Z), the identity at Im tau >= 1/2: near the real axis
 only k <= 2 meet the Lambert term limit. Odd k is 0 where (2a, 2b) = 0 mod N.
 
-The torsion specialization in polylog sums the shifted, character-twisted
-sums of the same kind (Eisenstein-Kronecker series, Bannai-Kobayashi
-arXiv:math/0610163) over the nonzero cosets of D^-1 Z^2 / Z^2. Every sum goes
-through one dispatch, _lattice_sums, which alone holds the rules of where a
-sum converges, and each kernel sums all labels and cosets of a call in one
-pass. F and both labels of F_tilde are the coset c = d = 0, D = 1.
+The torsion specialization in polylog sums the shifted, character-twisted sums of
+the same kind (Eisenstein-Kronecker series, Bannai-Kobayashi arXiv:math/0610163)
+over the nonzero cosets of D^-1 Z^2 / Z^2. Every sum goes through one dispatch,
+_lattice_sums, which alone holds the rules of where a sum converges, and each kernel
+sums all labels and cosets of a call in one pass. F and both labels of F_tilde are
+the coset c = d = 0, D = 1. The real row of the nonzero cosets is D^s S(theta) -
+S(D theta), S(theta) F's real row at theta = -a/N (Bernoulli's multiplication
+theorem), exactly rounded like F's.
 """
 
 from __future__ import annotations
@@ -119,52 +121,53 @@ def _bernoulli(s: int) -> tuple:
     return tuple(int(math.comb(s, k) * B[k] * M) for k in range(s + 1)), M
 
 
-def _row_zero(a: int, N: int, D: int, ds, s: int) -> complex:
-    """Row m = 0 of the cosets (0, d), d in ds: sum_n zeta_N^(-(Dn+d)a)/(n + d/D)^s,
-    without the origin at d = 0. It does not depend on tau, so _real_row keeps it
-    per label class: the key is (a mod N, N, D, tuple(ds), s) in ints, exact since
-    only a mod N enters it, and a numpy integer neither wraps in int64 there nor
-    keys the cache apart from its int."""
+def _cosets(D: int) -> list:  # the D^2 - 1 nonzero cosets (c, d) mod D
+    return [(c, d) for c in range(D) for d in range(D) if c or d]
+
+
+def _row_zero(a: int, N: int, D: int, s: int) -> complex:
+    """Row m = 0 of the cosets of D (_lipschitz_sums): sum over the cosets (0, d) of
+    sum_n zeta_N^(-(Dn+d)a)/(n + d/D)^s, without the origin at D = 1. It does not
+    depend on tau, so _real_row keeps it per label class: the key is (a mod N, N, D,
+    s) in ints, exact since only a mod N enters it, and a numpy integer neither wraps
+    in int64 there nor keys the cache apart from its int."""
     N = int(N)
-    return _real_row(int(a) % N, N, int(D), tuple(map(int, ds)), int(s))
+    return _real_row(int(a) % N, N, int(D), int(s))
 
 
 @lru_cache(maxsize=None)
-def _real_row(a: int, N: int, D: int, ds: tuple, s: int) -> complex:
-    """_row_zero at 0 <= a < N. With k = Dn + d the row is D^s sum_(k = d mod D, k != 0)
-    e^(2 pi i k theta)/k^s, theta = -a/N, which the D characters of k mod D split
-    into full sums at theta + j/D, j < D, each -(2 pi i)^s B_s({theta})/s! with B_s
-    at a rational point p/q, q = ND: one exactly rounded quotient of integers. At
-    s = 1 that is the logarithm pair -log(1 - u) + log(1 - 1/u), u = e^(2 pi i theta),
-    which needs theta != 0 mod 1 (a raised error is not cached)."""
+def _real_row(a: int, N: int, D: int, s: int) -> complex:
+    """_row_zero at 0 <= a < N. With S(theta) = sum_(k != 0) e^(2 pi i k theta)/k^s =
+    -(2 pi i)^s B_s({theta})/s!, theta = -a/N, the row is S(theta) at D = 1, and at D >
+    1, where k = Dn + d runs over k != 0 mod D, D^s S(theta) - S(D theta): B_s at p/N,
+    p = -a and -Da mod N, one exactly rounded quotient of integers over M N^s. s = 1, a
+    logarithm pair, needs theta != 0 mod 1 and D = 1 (a raised error is not cached)."""
+    if s == 1 and (not a or D > 1):
+        raise ConvergenceModeError("the real row at weight 1 needs theta != 0 mod 1 and D = 1")
     coeffs, M = _bernoulli(s)
-    q, total = N * D, 0j
-    for j in range(D):
-        p = (j * N - a * D) % q  # depends on a mod N only
-        if s == 1 and not p:
-            raise ConvergenceModeError("the real row at weight 1 needs theta != 0 mod 1")
-        num, qk = 0, 1
-        for c in coeffs:  # M q^s B_s(p/q) = sum_k c_k p^(s-k) q^k, by Horner in p
-            num, qk = num * p + c * qk, qk * q
-        total += sum(cmath.exp(-2j * cmath.pi * j * d / D) for d in ds) * (num / (M * q**s))
-    return -(2j * math.pi) ** s / math.factorial(s) * D ** (s - 1) * total
+    top = 0
+    for w, p in ((D**s, -a % N), (-1, -D * a % N)) if D > 1 else ((1, -a % N),):
+        num, Nk = 0, 1
+        for c in coeffs:  # M N^s B_s(p/N) = sum_k c_k p^(s-k) N^k, by Horner in p
+            num, Nk = num * p + c * Nk, Nk * N
+        top += w * num
+    return -(2j * math.pi) ** s / math.factorial(s) * (top / (M * N**s))
 
 
-def _lipschitz_sums(labels, N: int, D: int, cosets, t: complex, s: int) -> list:
-    """The lattice sum over the given cosets (c, d), one sum per character
-    label (a, b) in labels, for _lattice_sums, which holds the domain rules.
-    Row m of coset (c, d) is zeta_N^((Dm+c)b - da) T(x_m, xi, s), xi = -Da/N
-    mod 1, x_m = (m + c/D) tau + d/D, and its character is a constant times
-    zeta_N^(Dbm). So the rows m >= m0 = [c = 0] are one Lambert half at y =
-    x_m0, rho = zeta_N^(Db), and the rows m <= -1, reflected by T(x, xi, s) =
-    (-1)^s T(-x, -xi mod 1, s), one at y = -x_-1, rho = zeta_N^(-Db); all
-    halves of all labels and cosets go through one _lambert call. Row 0 is real
-    when c = 0: one _row_zero per label over those cosets, without the origin
-    when d = 0 (F is D = 1, cosets [(0, 0)]). s = 1 needs Da != 0 mod N."""
+def _lipschitz_sums(labels, N: int, D: int, t: complex, s: int) -> list:
+    """The lattice sum over the cosets of D, _cosets(D) or F's (0, 0) at D = 1, one
+    sum per character label (a, b) in labels, for _lattice_sums, which holds the
+    domain rules. Row m of coset (c, d) is zeta_N^((Dm+c)b - da) T(x_m, xi, s), xi =
+    -Da/N mod 1, x_m = (m + c/D) tau + d/D, and its character is a constant times
+    zeta_N^(Dbm). So the rows m >= m0 = [c = 0] are one Lambert half at y = x_m0,
+    rho = zeta_N^(Db), and the rows m <= -1, reflected by T(x, xi, s) = (-1)^s T(-x,
+    -xi mod 1, s), one at y = -x_-1, rho = zeta_N^(-Db); all halves of all labels and
+    cosets go through one _lambert call. Row 0 of the cosets (0, d) is real: one
+    _row_zero per label. s = 1 needs D = 1 and a != 0 mod N."""
     roots = _root_tuple(N)
     halves = []  # (y, xi, rho, character of the first row), label by label
     for a, b in labels:
-        for c, d in cosets:
+        for c, d in _cosets(D) if D > 1 else [(0, 0)]:
             m0 = c == 0
             halves += [((m0 + c / D) * t + d / D, -D * a % N / N, roots[D * b % N],
                         roots[((D * m0 + c) * b - d * a) % N]),
@@ -173,9 +176,7 @@ def _lipschitz_sums(labels, N: int, D: int, cosets, t: complex, s: int) -> list:
     y, xi, rho, pref = zip(*halves)
     sums = np.add.reduce((np.array(pref) * _lambert(y, xi, rho, t, s)).reshape(len(labels), -1),
                          axis=1)
-    ds = [d for c, d in cosets if c == 0]
-    return [complex(v + _row_zero(a, N, D, ds, s)) if ds else complex(v)
-            for (a, _), v in zip(labels, sums)]
+    return [complex(v + _row_zero(a, N, D, s)) for (a, _), v in zip(labels, sums)]
 
 
 # terms per block of denominators in the naive kernel (a row longer than this
@@ -268,13 +269,13 @@ def _naive_sums(labels, N: int, D: int, cosets, t: complex, s: int,
 
 def _lattice_sums(labels, N: int, D: int, cosets, t: complex, s: int, mode: str,
                   trunc: LatticeTruncation | None) -> list:
-    """The one dispatch of every lattice sum here: one sum per character
-    label (a, b) in labels, over the cosets (c, d) mod D, by the kernel of
-    mode, _lipschitz_sums or _naive_sums, each called once with every label
-    and every coset; a kernel's OverflowError reads nan, and so do values past
-    the float range, without numpy's warnings (F raises NonFiniteError on
-    them). It alone decides where a sum converges, before any kernel runs
-    and in this order: the mode;
+    """The one dispatch of every lattice sum here: one sum per character label
+    (a, b) in labels, over the cosets (c, d) mod D, F's [(0, 0)] or _cosets(D), by
+    the kernel of mode, called once with every label: _naive_sums with every coset,
+    _lipschitz_sums, which sums the cosets of D itself. A kernel's OverflowError
+    reads nan, and so do values past the float range, without numpy's warnings (F
+    raises NonFiniteError on them). It alone decides where a sum converges, before
+    any kernel runs and in this order: the mode;
     at weight s = 1 the coset rule (the rows of a Lipschitz coset sum, any
     cosets but F's [(0, 0)], are principal values), then the label rule of
     the module docstring (F's coset); a truncation for naive mode; no coset
@@ -283,10 +284,10 @@ def _lattice_sums(labels, N: int, D: int, cosets, t: complex, s: int, mode: str,
     (2a, 2b) = 0 mod N at odd s sums to 0, (m, n) -> (-m, -n) flipping every term; at
     s >= 3, Im t < 1/2 the others are summed at tau' of weierstrass._reduce, t = gamma tau',
     gamma = (A B; C E): (m', n') = (mA + nC, mB + nE) has m t + n = (m' tau' + n')/(C tau'
-    + E), mb - na = m'(Eb + Ba) - n'(Cb + Aa), and takes the points (Dm + c, Dn + d)/D of
-    coset (c, d) to coset (cA + dC, cB + dE) mod D; elsewhere gamma = 1, with no maps and no
-    factor. At D > 1 the real row rounds to about 2^-50 D^(s+1): past 1e-9 max(1, |sum|)
-    times |C tau' + E|^-s (1 at gamma = 1), ConvergenceError."""
+    + E), mb - na = m'(Eb + Ba) - n'(Cb + Aa), and only permutes the nonzero cosets mod
+    D; elsewhere gamma = 1, with no map and no factor. At D > 1 the Lambert halves of
+    the cosets can cancel far below their size, so 2^-50 D^(s+1) bounds their rounding:
+    past 1e-9 max(1, |sum|) times |C tau' + E|^-s (1 at gamma = 1), ConvergenceError."""
     if mode not in ("naive", "lipschitz"):
         raise ValueError(f"unknown mode {mode!r}")
     if s == 1 and mode == "lipschitz" and cosets != [(0, 0)]:
@@ -310,12 +311,11 @@ def _lattice_sums(labels, N: int, D: int, cosets, t: complex, s: int, mode: str,
         if mode == "lipschitz":
             live = [(a, b) for a, b in labels if not s % 2 or (2 * a % N, 2 * b % N) != (0, 0)]
             tau, mapped, w = t, live, 1.0
-            if s >= 3 and t.imag < 0.5:  # gamma != 1: map the labels, cosets and factor
+            if s >= 3 and t.imag < 0.5:  # gamma != 1: map the labels and the factor
                 t, (A, B, C, E) = _reduce(t)
                 mapped = [((C * b + A * a) % N, (E * b + B * a) % N) for a, b in live]
-                cosets = [((c * A + d * C) % D, (c * B + d * E) % D) for c, d in cosets]
                 w = (C * t + E) ** s
-            raw = _lipschitz_sums(mapped, N, D, cosets, t, s) if live else []
+            raw = _lipschitz_sums(mapped, N, D, t, s) if live else []
             bound = abs(w) * 2.0**-50 * float(D) ** (s + 1) * (D > 1)
             if bound > 1e-9 and any(abs(w * v) < 1e9 * bound for v in raw):
                 raise ConvergenceError(f"coset sums at tau = {tau} cancel below {bound:.1e}")

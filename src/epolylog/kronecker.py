@@ -151,7 +151,7 @@ def _s_columns(z, t, D: int, n: int) -> np.ndarray:
     for j in range(1, n + 2):  # divide by theta(w)/w, the series T[1:, 1]
         g[j] -= c_einsum("ic,ic->c", T[j + 1 : 1 : -1, 1], g[:j])
     s = D * D * g[1:, :P] - float(D) ** _ONE_MINUS_K[: n + 1] * g[1:, P:]
-    return s.T.reshape(np.shape(x0) + (n + 1,))
+    return s.T.reshape((() if isinstance(x0, complex) else x0.shape) + (n + 1,))
 
 
 def dlog_kato_siegel(z, tau, D: int, cfg: CauchyConfig | None = None):

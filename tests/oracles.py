@@ -315,8 +315,8 @@ def naive_sum_rows(a, b, N, D, c, d, tau, s, R, ordering):
     only if the kernel's mirror is exact. "box" Kahan-sums the full rows
     m = -R..R, each by one np.sum over n = -R..R: the same terms in another
     rounding order, an independent reference at absolutely convergent
-    weights for both kernels (which take a list of cosets, summed here one
-    call per coset)."""
+    weights for both kernels (the naive one takes a list of cosets, the
+    Lipschitz one sums the cosets of D; summed here one call per coset)."""
     roots = np.exp(2j * np.pi * np.arange(N) / N)
     skip_origin = c == 0 and d == 0
 

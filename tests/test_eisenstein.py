@@ -136,51 +136,67 @@ class TestRowMachinery:
         for s, p, q in [(2, 1, 4), (3, 2, 5), (1, 1, 3), (4, 0, 1), (5, 1, 2)]:
             u = mpmath.exp(2j * mpmath.pi * p / q)
             ref = complex(mpmath.polylog(s, u) + (-1) ** s * mpmath.polylog(s, 1 / u))
-            assert abs(_row_zero(-p, q, 1, [0], s) - ref) < 1e-13
+            assert abs(_row_zero(-p, q, 1, s) - ref) < 1e-13
 
     def test_row_zero_weight_one_at_one_diverges(self):
         with pytest.raises(ValueError):
-            _row_zero(0, 1, 1, [0], 1)
+            _row_zero(0, 1, 1, 1)
 
     def test_row_zero_vs_lerchphi(self):
         # sum_n e^{2 pi i xi n}/(x+n)^s split into the two lerchphi halves: the
-        # real row x = d/D = 1/4 of the coset (0, 1) at D = 4 and (a, N) = (2, 3),
-        # xi = -Da/N = 1/3 mod 1, under its character zeta_N^(-da)
-        x, p, q, s = 0.25, 1, 3, 3
+        # real rows x = d/D of the cosets (0, d), d = 1..3, at D = 4 and (a, N) =
+        # (2, 3), xi = -Da/N = 1/3 mod 1, each under its character zeta_N^(-da)
+        p, q, s = 1, 3, 3
         u = mpmath.exp(2j * mpmath.pi * p / q)
-        ref = mpmath.lerchphi(u, s, x) + (-1) ** s / u * mpmath.lerchphi(1 / u, s, 1 - x)
-        ref *= mpmath.exp(-2j * mpmath.pi * 2 / 3)
-        assert abs(_row_zero(2, 3, 4, [1], s) - complex(ref)) < 1e-12
+        ref = 0
+        for d in (1, 2, 3):
+            x = mpmath.mpf(d) / 4
+            half = mpmath.lerchphi(u, s, x) + (-1) ** s / u * mpmath.lerchphi(1 / u, s, 1 - x)
+            ref += mpmath.exp(-2j * mpmath.pi * 2 * d / 3) * half
+        assert abs(_row_zero(2, 3, 4, s) - complex(ref)) < 1e-12
 
     def test_row_zero_domain(self):
-        # weight 1 converges only off the integer frequencies theta + j/D
-        for a, N, D in ((0, 3, 1), (5, 5, 1), (1, 2, 2)):
+        # weight 1 converges only at theta = -a/N != 0 mod 1, and only for F's
+        # coset (D = 1): the rows of a coset sum are principal values
+        for a, N, D in ((0, 3, 1), (5, 5, 1), (1, 2, 2), (1, 3, 2)):
             with pytest.raises(ConvergenceModeError):
-                _row_zero(a, N, D, [0], 1)
+                _row_zero(a, N, D, 1)
+
+    def test_row_zero_forced_zeros_are_exact(self):
+        # odd s >= 3 with 2a = 0 mod N: theta = -a/N and D theta are 0 or 1/2 mod
+        # 1, where B_s vanishes (k <-> -k pairs every term with its negative), so
+        # the row is exactly 0 at every D, the exact numerator being 0
+        for s in range(3, 14, 2):
+            for N in range(1, 9):
+                for a in [a for a in range(N) if 2 * a % N == 0]:
+                    for D in range(1, 9):
+                        assert _row_zero(a + N * (D - 4), N, D, s) == 0, (a, N, D, s)
 
     def test_real_row_cache_is_bit_exact(self):
-        # the cached row, keyed on (a mod N, N, D, tuple(ds), s) in ints, against
-        # the uncached sum of the powers of p at a itself, bit for bit: a < 0, a >= N
-        # and a numpy a, called first so that a row it wrapped in int64 would also
-        # be served to the ints after it; ds a list or a tuple
-        def uncached(a, N, D, ds, s):
+        # the cached row, keyed on (a mod N, N, D, s) in ints, against the closed
+        # form in exact rationals, D^s B_s({theta}) - B_s({D theta}) at D > 1 and
+        # B_s({theta}) at D = 1, theta = -a/N, rounded once, bit for bit: a < 0,
+        # a >= N and a numpy a, called first so that a row it wrapped in int64
+        # would also be served to the ints after it
+        def uncached(a, N, D, s):
             coeffs, M = eisenstein._bernoulli(s)
-            q, total = N * D, 0j
-            for j in range(D):
-                p = (j * N - a * D) % q
-                num = sum(c * p ** (s - k) * q**k for k, c in enumerate(coeffs))
-                total += sum(cmath.exp(-2j * cmath.pi * j * d / D) for d in ds) * (num / (M * q**s))
-            return -(2j * math.pi) ** s / math.factorial(s) * D ** (s - 1) * total
+
+            def bernoulli(x):
+                return sum(c * x ** (s - k) for k, c in enumerate(coeffs)) / Fraction(M)
+
+            theta = Fraction(-a, N)
+            row = bernoulli(theta % 1) * D**s - bernoulli(D * theta % 1) if D > 1 else \
+                bernoulli(theta % 1)
+            return -(2j * math.pi) ** s / math.factorial(s) * float(row)
 
         rng = random.Random(35)
         eisenstein._real_row.cache_clear()
         for _ in range(300):
-            N, D, s = rng.randint(1, 12), rng.randint(1, 4), rng.randint(2, 14)
+            N, D, s = rng.randint(1, 12), rng.randint(1, 8), rng.randint(2, 14)
             a = rng.randint(-3 * N, 3 * N)
-            ds = sorted(rng.sample(range(D), rng.randint(1, D)))
-            want = repr(uncached(a, N, D, ds, s))
-            for arg, d_arg in ((np.int64(a), tuple(ds)), (a, ds), (a + N * rng.randint(-9, 9), ds)):
-                assert repr(_row_zero(arg, N, D, d_arg, s)) == want, (a, N, D, ds, s)
+            want = repr(uncached(a, N, D, s))
+            for arg in (np.int64(a), a, a + N * rng.randint(-9, 9)):
+                assert repr(_row_zero(arg, N, D, s)) == want, (a, N, D, s)
         info = eisenstein._real_row.cache_info()
         assert info.hits >= 600 and info.misses == info.currsize <= 300
 
@@ -196,14 +212,15 @@ class TestRowMachinery:
     def test_real_row_error_not_cached(self):
         eisenstein._real_row.cache_clear()
         for _ in range(2):
-            with pytest.raises(ConvergenceModeError):
-                _row_zero(3, 3, 1, [0], 1)
+            for a, N, D in ((3, 3, 1), (1, 3, 2)):
+                with pytest.raises(ConvergenceModeError):
+                    _row_zero(a, N, D, 1)
         assert eisenstein._real_row.cache_info().currsize == 0
 
     def test_row_zero_vs_hurwitz(self):
-        # the split into the D classes of k mod D against the rows summed from
-        # mpmath's Hurwitz zeta, class by class of n mod N: every d list of the
-        # c = 0 cosets at D = 2, 3, 4
+        # the closed form against the rows summed from mpmath's Hurwitz zeta, class
+        # by class of n mod N, on the two coset sets of the kernel: F's (0, 0) at
+        # D = 1 and the cosets (0, d), d = 1..D-1, of the nonzero cosets at D = 2, 3, 4
         def row(a, N, D, d, s):
             with mpmath.workdps(30):
                 x, total = mpmath.mpf(d) / D, 0
@@ -215,12 +232,12 @@ class TestRowMachinery:
                 return complex(total)
 
         rng = random.Random(20)
-        for D in (2, 3, 4):
-            for ds in ([0], list(range(1, D)), list(range(D)), [D - 1]):
+        for D in (1, 2, 3, 4):
+            for _ in range(4):
                 N, s = rng.randint(2, 9), rng.randint(2, 8)
                 a = rng.randrange(N)
-                want = sum(row(a, N, D, d, s) for d in ds)
-                assert abs(_row_zero(a, N, D, ds, s) - want) < 1e-13 * max(1.0, abs(want))
+                want = sum(row(a, N, D, d, s) for d in (range(1, D) if D > 1 else [0]))
+                assert abs(_row_zero(a, N, D, s) - want) < 1e-13 * max(1.0, abs(want))
 
     def test_lambert_vs_direct_sum(self):
         x, xi, s = mpmath.mpc(0.3, 0.9), 0.25, 3
@@ -574,10 +591,10 @@ class TestNaiveKernel:
 
 
 class TestLipschitzKernel:
-    """The Lambert kernel against the naive box sum of the same cosets: each
-    coset alone (D = 1, c = d = 0 is F without its prefactor), and two labels
-    over the nonzero cosets of specialize_eisenstein (at D = 1 the coset of F)
-    in one call; its halves against their rows summed one by one."""
+    """The Lambert kernel against the naive box sums of the cosets it sums, the
+    cosets of D (at D = 1 the coset of F, F without its prefactor; at D > 1 the
+    nonzero cosets of specialize_eisenstein): one label, and two labels in one
+    call; its halves against their rows summed one by one."""
 
     @staticmethod
     def _draw(rng, D, re):
@@ -592,20 +609,23 @@ class TestLipschitzKernel:
 
     @pytest.mark.parametrize("D", [1, 2, 3])
     def test_every_coset_vs_box(self, D):
+        cosets = eisenstein._cosets(D) or [(0, 0)]
+
+        def box(a, b, N, tau, s):
+            return sum(oracles.naive_sum_rows(a, b, N, D, c, d, tau, s, 400, "box")
+                       for c, d in cosets)
+
         rng = random.Random(8 + D)
-        for c in range(D):
-            for d in range(D):
-                for re in (0.0, 0.5, rng.uniform(-0.5, 0.5)):
-                    a, b, N, s, tau = self._draw(rng, D, re)
-                    got, = _lipschitz_sums([(a, b)], N, D, [(c, d)], tau, s)
-                    want = oracles.naive_sum_rows(a, b, N, D, c, d, tau, s, 400, "box")
-                    assert type(got) is complex
-                    assert abs(got - want) < 1e-8 * max(1.0, abs(want))
-        # every label and coset in one call: their halves share one frequency
-        # pass, whose term count the smallest Im y of all of them sets. The second label
-        # has another xi = -Da/N, and with it other row ranges, as in F_tilde;
-        # it comes from its own stream, so the first labels are drawn as before
-        cosets = [(c, d) for c in range(D) for d in range(D) if c or d] or [(0, 0)]
+        for re in (0.0, 0.5, rng.uniform(-0.5, 0.5)):
+            a, b, N, s, tau = self._draw(rng, D, re)
+            got, = _lipschitz_sums([(a, b)], N, D, tau, s)
+            want = box(a, b, N, tau, s)
+            assert type(got) is complex
+            assert abs(got - want) < 1e-8 * max(1.0, abs(want))
+        # two labels in one call: their halves share one frequency pass, whose
+        # term count the smallest Im y of all of them sets. The second label has
+        # another xi = -Da/N, and with it other row ranges, as in F_tilde; it
+        # comes from its own stream, so the first labels are drawn as before
         second = random.Random(D)
         for re in (0.0, 0.5, rng.uniform(-0.5, 0.5)):
             a, b, N, s, tau = self._draw(rng, D, re)
@@ -614,25 +634,19 @@ class TestLipschitzKernel:
                 a2, b2 = second.randrange(N), second.randrange(N)
                 if (D * a2) % N != (D * a) % N and ((D * a2) % N or (D * b2) % N):
                     labels.append((a2, b2))
-            both = _lipschitz_sums(labels, N, D, cosets, tau, s)
+            both = _lipschitz_sums(labels, N, D, tau, s)
             for (a, b), got in zip(labels, both):
-                one, = _lipschitz_sums([(a, b)], N, D, cosets, tau, s)
-                want = sum(oracles.naive_sum_rows(a, b, N, D, c, d, tau, s, 400, "box")
-                           for c, d in cosets)
+                one, = _lipschitz_sums([(a, b)], N, D, tau, s)
+                want = box(a, b, N, tau, s)
                 assert type(got) is complex
                 assert abs(got - want) < 1e-8 * max(1.0, abs(want))
                 assert abs(got - one) < 1e-13 * abs(one)
-            # the cosets can cancel far below their own size, so roundoff is
-            # measured against the largest of them
-            alone = [_lipschitz_sums(labels[:1], N, D, [coset], tau, s)[0] for coset in cosets]
-            assert abs(both[0] - sum(alone)) < 1e-13 * max(map(abs, alone))
 
     def test_one_lambert_call_per_lattice_sum(self, monkeypatch):
         # F, both labels of F_tilde and the D^2 - 1 cosets of
         # specialize_eisenstein (weight k + 1 = 4): one frequency pass
         # (_lambert call) on the halves of every label and coset, as many as
-        # the one-label one-coset calls have together, and one closed-form
-        # row 0 per label when a coset has c = 0
+        # the one-label calls have together, and one closed-form row 0 per label
         calls, rows0 = [], []
         lambert, row_zero = eisenstein._lambert, eisenstein._row_zero
 
@@ -640,52 +654,50 @@ class TestLipschitzKernel:
             calls.append(len(y))
             return lambert(y, xi, rho, t, s)
 
-        def counted_row(a, N, D, ds, s):
-            rows0.append(len(ds))
-            return row_zero(a, N, D, ds, s)
+        def counted_row(a, N, D, s):
+            rows0.append((a, N, D, s))
+            return row_zero(a, N, D, s)
 
         monkeypatch.setattr(eisenstein, "_lambert", counted)
         monkeypatch.setattr(eisenstein, "_row_zero", counted_row)
         q = EisensteinQuery(a=1, b=2, N=5, k=4, tau=TAU)
-        nonzero = [[(c, d) for c in range(D) for d in range(D) if c or d] for D in (2, 3)]
         specialize = [lambda D=D: polylog.specialize_eisenstein(polylog.TorsionLabel(1, 2, 5, D),
                                                                 TAU, 3) for D in (2, 3)]
-        for evaluate, labels, D, cosets in (
-                (lambda: F(q), [(1, 2)], 1, [(0, 0)]),
-                (lambda: F_tilde(q, 2), [(1, 2), (2, 4)], 1, [(0, 0)]),
-                (specialize[0], [(1, 2)], 2, nonzero[0]),
-                (specialize[1], [(1, 2)], 3, nonzero[1])):
+        for evaluate, labels, D in ((lambda: F(q), [(1, 2)], 1),
+                                    (lambda: F_tilde(q, 2), [(1, 2), (2, 4)], 1),
+                                    (specialize[0], [(1, 2)], 2),
+                                    (specialize[1], [(1, 2)], 3)):
             calls.clear()
             rows0.clear()
             evaluate()
-            halves, real_rows = calls[:], rows0[:]
-            assert real_rows == [D - 1 if D > 1 else 1] * len(labels)
+            halves = calls[:]
+            assert rows0 == [(a, 5, D, 4) for a, _ in labels]
             calls.clear()
             for label in labels:
-                for coset in cosets:
-                    _lipschitz_sums([label], 5, D, [coset], TAU, 4)
-            assert halves == [2 * len(labels) * len(cosets)] == [sum(calls)]
+                _lipschitz_sums([label], 5, D, TAU, 4)
+            assert halves == [2 * len(labels) * max(1, D * D - 1)] == [sum(calls)]
 
     def test_one_hurwitz_call_per_coset_sum(self, monkeypatch):
         # the real rows 0 of the c = 0 cosets (0, d), d = 1 .. D-1, share theta
-        # and go through one closed-form Hurwitz call (_row_zero) over all d;
-        # that call is the sum of the one-d calls up to roundoff
+        # and go through one closed-form call (_row_zero) for all d; that row is
+        # D^s times F's row at a less F's row at Da (Bernoulli's multiplication
+        # theorem), up to roundoff
         calls = []
         row_zero = eisenstein._row_zero
 
-        def counted(a, N, D, ds, s):
-            calls.append((a, N, D, list(ds), s))
-            return row_zero(a, N, D, ds, s)
+        def counted(a, N, D, s):
+            calls.append((a, N, D, s))
+            return row_zero(a, N, D, s)
 
         monkeypatch.setattr(eisenstein, "_row_zero", counted)
         for D in (2, 3):
             calls.clear()
             polylog.specialize_eisenstein(polylog.TorsionLabel(1, 2, 5, D), TAU, 3)
-            assert calls == [(1, 5, D, list(range(1, D)), 4)]
+            assert calls == [(1, 5, D, 4)]
             for a, N, s in ((1, 5, 4), (2, 3, 3), (1, 2, 2)):
-                ds = list(range(D))
-                alone = [row_zero(a, N, D, [d], s) for d in ds]
-                assert abs(row_zero(a, N, D, ds, s) - sum(alone)) < 1e-13 * max(map(abs, alone))
+                parts = [D**s * row_zero(a, N, 1, s), row_zero(D * a, N, 1, s)]
+                assert abs(row_zero(a, N, D, s) - (parts[0] - parts[1])) < \
+                    1e-13 * max(map(abs, parts))
 
     def test_lambert_vs_rows_mpmath(self):
         # each half is sum_(m >= 0) rho^m T(y + m t, xi, s): against those rows
@@ -932,13 +944,13 @@ class TestReduction:
                 live = labels
             cosets = [(c, d) for c in range(D) for d in range(D) if c or d] or [(0, 0)]
             got = eisenstein._lattice_sums(labels, N, D, cosets, t, s, "lipschitz", None)
-            want = iter(_lipschitz_sums(live, N, D, cosets, t, s))
+            want = iter(_lipschitz_sums(live, N, D, t, s))
             want = [next(want) if label in live else 0j for label in labels]
             assert np.array(got).tobytes() == np.array(want).tobytes(), (labels, N, D, t, s)
 
     def test_identity_keeps_the_refusal(self, monkeypatch):
         # gamma = 1 keeps the coset sums' refusal with the factor 1: at D = 7, s = 7
-        # the real row rounds to 2^-50 7^8 = 5.1e-9 > 1e-9, so a sum of 1e-30 raises
+        # the coset halves round to 2^-50 7^8 = 5.1e-9 > 1e-9, so a sum of 1e-30 raises
         monkeypatch.setattr(eisenstein, "_lipschitz_sums", lambda labels, *_: [1e-30] * len(labels))
         cosets = [(c, d) for c in range(7) for d in range(7) if c or d]
         with pytest.raises(ConvergenceError):
@@ -957,11 +969,9 @@ class TestReduction:
         assert abs(F_tilde(q, D) - want) < 1e-12 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("a, b, N, k, tau, D", [c for c in _SMALL_IM if c[4] not in (
-        0.337 + 0.0055j, -0.48 + 0.0083j, 0.0817 + 0.3733j)])
+        0.337 + 0.0055j, -0.48 + 0.0083j)])
     def test_specialize_vs_fine_rows(self, a, b, N, k, tau, D):
-        # the coset sums, but where they refuse (the next test) and at (4, 0) mod 5,
-        # D = 6, which loses 1.2e-11 (the value is 2.3e3) to the rounding of its real
-        # row times |C tau' + D|^7 = 850, under the refusal bound
+        # the coset sums, but where they refuse (the next test)
         ref = oracles.F_rows_fine(a, b, N, k, tau)
         sign = 1 if D % N == 1 else (-1) ** k
         want = D**2 * ref - D ** (2 - k) * sign * ref
@@ -972,10 +982,11 @@ class TestReduction:
         (7, 3, 8, 7, 0.337 + 0.0055j, 2), (7, 3, 8, 7, 0.337 + 0.0055j, 3),
         (7, 3, 8, 7, 0.337 + 0.0055j, 7), (2, 1, 5, 5, -0.48 + 0.0083j, 4)])
     def test_coset_sums_refuse_below_their_rounding(self, a, b, N, k, tau, D):
-        # at the cusp case the coset sums at tau' cancel to 1e-32 while their real
-        # row rounds at about 1e-16 D^8: times |C tau' + D|^7 = 8e11 that read 2.0 at
-        # D = 3 and 73 at D = 7 for a value of 1e-19, so they raise; F_tilde, whose
-        # real rows are exactly rounded, does not (test_vs_fine_rows)
+        # at the cusp case the mapped label (0, 5) has an exact real row 0, and the
+        # Lambert halves of the cosets at tau', up to 4e-17 at D = 2 and 2e-3 at D = 7,
+        # cancel to 6e-33 and 5e-18: times |C tau' + D|^7 = 8e11 their rounding is as
+        # large as the value or far above it, so they raise; F_tilde, whose one coset
+        # (0, 0) has no such cancellation, does not (test_vs_fine_rows)
         with pytest.raises(ConvergenceError):
             polylog.specialize_eisenstein(polylog.TorsionLabel(a, b, N, D), tau, k - 1)
         F_tilde(EisensteinQuery(a, b, N, k, tau), D)

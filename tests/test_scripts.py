@@ -4,7 +4,8 @@ counts of a cold verify run match the calls they count, its fresh-tau
 Lipschitz layer reads one real row from the cache, its kernel-value layers
 give one value per tau, its
 two-tree timing runs once with this tree on both sides, on the layers and
-on one verify suite, its tier-1 run writes nothing into the tree it
+on one verify suite, it names the verify records that differ between two
+trees, its tier-1 run writes nothing into the tree it
 measures, and the private package names the scripts reach into
 exist and act as the scripts assume.
 A change to the package that would break a script fails here.
@@ -80,14 +81,14 @@ def test_theta_weights_cache_counts_misses():
 
 def test_layer_bench_counts_real_row_traffic(monkeypatch):
     # cold_misses reports the real row cache's traffic over one cold verify run:
-    # a lookup per _row_zero call, a miss per distinct key (a mod N, N, D, ds, s)
+    # a lookup per _row_zero call, a miss per distinct key (a mod N, N, D, s)
     bench = _load(next(p for p in SCRIPTS if p.stem == "layer_bench"))
     keys = []
     row_zero = eisenstein._row_zero
 
-    def counted(a, N, D, ds, s):
-        keys.append((a % N, N, D, tuple(ds), s))
-        return row_zero(a, N, D, ds, s)
+    def counted(a, N, D, s):
+        keys.append((a % N, N, D, s))
+        return row_zero(a, N, D, s)
 
     monkeypatch.setattr(eisenstein, "_row_zero", counted)
     record = bench.cold_misses("epolylog")
@@ -166,6 +167,21 @@ def test_layer_bench_shows_counts_the_rounds_disagree_on(capsys):
     assert "[1954, 1964, 1954]" in shown and "[40, 41, 40]" in shown
     bench.show("parent_round1", rounds[0])
     assert f"{'src lines':28s} {1954:10d}\n" in capsys.readouterr().out
+
+
+def test_layer_bench_names_the_moved_records():
+    # two trees: the records of their verify all --seed 0 reports that differ, by
+    # name; one record moved, a report compared with itself moves none, and a
+    # record that one report lacks differs
+    bench = _load(next(p for p in SCRIPTS if p.stem == "layer_bench"))
+    first = {"suite": "all", "checks": [
+        {"name": name, "max_residual": 1e-15, "pass": True}
+        for name in ("eta1-at-i", "specialization[k=2,N=3,D=3]", "heat")]}
+    second = {**first, "checks": [dict(r) for r in first["checks"]]}
+    second["checks"][1]["max_residual"] = 6e-16
+    assert bench.moved_records(first, second) == ["specialization[k=2,N=3,D=3]"]
+    assert bench.moved_records(first, first) == []
+    assert bench.moved_records(first, {**first, "checks": first["checks"][:2]}) == ["heat"]
 
 
 def test_layer_bench_interleaves_two_trees():
