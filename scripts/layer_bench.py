@@ -45,8 +45,9 @@ and g3 cost. theta_vector_fresh_tau_256 is one theta_normalized call on 256
 points, each at its own tau (the first 256 of those tau): the vector-tau
 engine's weight lookup per tau and its padded sum.
 F_lipschitz_fresh_tau is Lipschitz F at one label over the same 512 tau: its
-real row comes from the real row cache (eisenstein._real_row), which is keyed
-on (a mod N, N, D, s), without tau, and its Lambert halves are new at each tau.
+real row comes from the real row cache (eisenstein._row_zero, _real_row in an
+older tree), which is keyed on (a mod N, N, D, s), without tau, and its Lambert
+halves are new at each tau.
 The round also counts the theta weights' cache misses
 (`_jacobi_weights.cache_info().misses`) and the real row cache's hits and
 misses over one `verify all --seed 0` run with those caches cleared first
@@ -250,11 +251,13 @@ def layers(trees: list, repeat: int) -> tuple:
 
 def cold_misses(pkg: str) -> dict:
     """The theta weight cache's misses, and the real row cache's hits and
-    misses (None in a tree without that cache), of one `verify all --seed 0`
-    from cleared caches, of the package imported as pkg."""
+    misses (_row_zero's, or _real_row's in an older tree; None in a tree
+    without that cache), of one `verify all --seed 0` from cleared caches, of
+    the package imported as pkg."""
     cli, E, W = (importlib.import_module(f"{pkg}.{m}")
                  for m in ("cli", "eisenstein", "weierstrass"))
-    real_row = getattr(E, "_real_row", None)
+    real_row = next((f for f in (getattr(E, name, None) for name in ("_row_zero", "_real_row"))
+                     if hasattr(f, "cache_info")), None)
     for cache in filter(None, (W._jacobi_weights, real_row)):
         cache.cache_clear()
     cli.cmd_verify("all", cli.RunConfig(seed=0))

@@ -275,8 +275,6 @@ def _specialization(case, k: int, N: int, D: int) -> float:
     a, b, t = case
     sp = specialize_eisenstein(TorsionLabel(a=a, b=b, N=N, D=D), t, k)
     ft = F_tilde(EisensteinQuery(a=a, b=b, N=N, k=k + 1, tau=t), D, allow_degenerate=True)
-    if ft == 0:
-        return 0.0 if sp == ft else math.inf
     return abs(sp - ft) / abs(ft)
 
 

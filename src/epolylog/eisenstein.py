@@ -22,11 +22,12 @@ only k <= 2 meet the Lambert term limit. Odd k is 0 where (2a, 2b) = 0 mod N.
 The torsion specialization in polylog sums the shifted, character-twisted sums of
 the same kind (Eisenstein-Kronecker series, Bannai-Kobayashi arXiv:math/0610163)
 over the nonzero cosets of D^-1 Z^2 / Z^2. Every sum goes through one dispatch,
-_lattice_sums, which alone holds the rules of where a sum converges, and each kernel
-sums all labels and cosets of a call in one pass. F and both labels of F_tilde are
-the coset c = d = 0, D = 1. The real row of the nonzero cosets is D^s S(theta) -
-S(D theta), S(theta) F's real row at theta = -a/N (Bernoulli's multiplication
-theorem), exactly rounded like F's.
+_lattice_sums, which alone holds the rules of where a sum converges and builds the
+cosets from the degree it is given (none for F and both labels of F_tilde: the coset
+c = d = 0, D = 1), and each kernel sums all labels and cosets of a call in one pass.
+The real row of the nonzero cosets is D^s S(theta) - S(D theta), S(theta) F's real
+row at theta = -a/N (Bernoulli's multiplication theorem), exactly rounded like F's;
+_row_zero caches it per (a mod N, N, D, s), as it does not depend on tau.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from functools import lru_cache
 import numpy as np
 from numpy._core.multiarray import c_einsum  # np.einsum without its Python wrapper
 
-from .numerics import LatticeTruncation, NonFiniteError, _integer
+from .numerics import LatticeTruncation, NonFiniteError, _cosets, _integer
 from .weierstrass import ConvergenceError, _lambert, _reduce, _tau_of
 
 
@@ -121,28 +122,19 @@ def _bernoulli(s: int) -> tuple:
     return tuple(int(math.comb(s, k) * B[k] * M) for k in range(s + 1)), M
 
 
-def _cosets(D: int) -> list:  # the D^2 - 1 nonzero cosets (c, d) mod D
-    return [(c, d) for c in range(D) for d in range(D) if c or d]
-
-
+@lru_cache(maxsize=None)
 def _row_zero(a: int, N: int, D: int, s: int) -> complex:
     """Row m = 0 of the cosets of D (_lipschitz_sums): sum over the cosets (0, d) of
-    sum_n zeta_N^(-(Dn+d)a)/(n + d/D)^s, without the origin at D = 1. It does not
-    depend on tau, so _real_row keeps it per label class: the key is (a mod N, N, D,
-    s) in ints, exact since only a mod N enters it, and a numpy integer neither wraps
-    in int64 there nor keys the cache apart from its int."""
-    N = int(N)
-    return _real_row(int(a) % N, N, int(D), int(s))
-
-
-@lru_cache(maxsize=None)
-def _real_row(a: int, N: int, D: int, s: int) -> complex:
-    """_row_zero at 0 <= a < N. With S(theta) = sum_(k != 0) e^(2 pi i k theta)/k^s =
-    -(2 pi i)^s B_s({theta})/s!, theta = -a/N, the row is S(theta) at D = 1, and at D >
-    1, where k = Dn + d runs over k != 0 mod D, D^s S(theta) - S(D theta): B_s at p/N,
-    p = -a and -Da mod N, one exactly rounded quotient of integers over M N^s. s = 1, a
-    logarithm pair, needs theta != 0 mod 1 and D = 1 (a raised error is not cached)."""
-    if s == 1 and (not a or D > 1):
+    sum_n zeta_N^(-(Dn+d)a)/(n + d/D)^s, without the origin at D = 1. It depends on
+    neither tau nor a beyond a mod N, so the cache is keyed on (a mod N, N, D, s);
+    the arguments become ints on a miss, so a numpy integer does not wrap in int64.
+    With S(theta) = sum_(k != 0) e^(2 pi i k theta)/k^s = -(2 pi i)^s B_s({theta})/s!,
+    theta = -a/N, the row is S(theta) at D = 1, and at D > 1, where k = Dn + d runs
+    over k != 0 mod D, D^s S(theta) - S(D theta): B_s at p/N, p = -a and -Da mod N,
+    one exactly rounded quotient of integers over M N^s. s = 1, a logarithm pair,
+    needs theta != 0 mod 1 and D = 1 (a raised error is not cached)."""
+    a, N, D, s = int(a), int(N), int(D), int(s)
+    if s == 1 and (a % N == 0 or D > 1):
         raise ConvergenceModeError("the real row at weight 1 needs theta != 0 mod 1 and D = 1")
     coeffs, M = _bernoulli(s)
     top = 0
@@ -176,7 +168,7 @@ def _lipschitz_sums(labels, N: int, D: int, t: complex, s: int) -> list:
     y, xi, rho, pref = zip(*halves)
     sums = np.add.reduce((np.array(pref) * _lambert(y, xi, rho, t, s)).reshape(len(labels), -1),
                          axis=1)
-    return [complex(v + _row_zero(a, N, D, s)) for (a, _), v in zip(labels, sums)]
+    return [complex(v + _row_zero(a % N, N, D, s)) for (a, _), v in zip(labels, sums)]
 
 
 # terms per block of denominators in the naive kernel (a row longer than this
@@ -267,19 +259,19 @@ def _naive_sums(labels, N: int, D: int, cosets, t: complex, s: int,
     return [complex(math.fsum(v.real.tolist()), math.fsum(v.imag.tolist())) for v in rows]
 
 
-def _lattice_sums(labels, N: int, D: int, cosets, t: complex, s: int, mode: str,
-                  trunc: LatticeTruncation | None) -> list:
+def _lattice_sums(labels, N: int, t: complex, s: int, mode: str,
+                  trunc: LatticeTruncation | None, D: int | None = None) -> list:
     """The one dispatch of every lattice sum here: one sum per character label
-    (a, b) in labels, over the cosets (c, d) mod D, F's [(0, 0)] or _cosets(D), by
-    the kernel of mode, called once with every label: _naive_sums with every coset,
-    _lipschitz_sums, which sums the cosets of D itself. A kernel's OverflowError
-    reads nan, and so do values past the float range, without numpy's warnings (F
-    raises NonFiniteError on them). It alone decides where a sum converges, before
-    any kernel runs and in this order: the mode;
-    at weight s = 1 the coset rule (the rows of a Lipschitz coset sum, any
-    cosets but F's [(0, 0)], are principal values), then the label rule of
-    the module docstring (F's coset); a truncation for naive mode; no coset
-    sums to 0; box needs s >= 3. In naive mode a trailing trivial label
+    (a, b) in labels, over F's coset (0, 0) without D, or over the nonzero cosets
+    _cosets(D) mod D, which it builds itself, by the kernel of mode, called once
+    with every label: _naive_sums with every coset, _lipschitz_sums, which sums the
+    cosets of D itself. A kernel's OverflowError reads nan, and so do values past
+    the float range, without numpy's warnings (F raises NonFiniteError on them). It
+    alone decides where a sum converges, before any kernel runs and in this order:
+    the mode; at weight s = 1 the coset rule (the rows of a Lipschitz coset sum,
+    any D given, are principal values), then the label rule of the module
+    docstring (F's coset); a truncation for naive mode; D = 1, no coset, sums to
+    0; box needs s >= 3. In naive mode a trailing trivial label
     (0, 0), F_tilde's degenerate one, is summed by Lipschitz rows. In Lipschitz mode
     (2a, 2b) = 0 mod N at odd s sums to 0, (m, n) -> (-m, -n) flipping every term; at
     s >= 3, Im t < 1/2 the others are summed at tau' of weierstrass._reduce, t = gamma tau',
@@ -290,25 +282,26 @@ def _lattice_sums(labels, N: int, D: int, cosets, t: complex, s: int, mode: str,
     past 1e-9 max(1, |sum|) times |C tau' + E|^-s (1 at gamma = 1), ConvergenceError."""
     if mode not in ("naive", "lipschitz"):
         raise ValueError(f"unknown mode {mode!r}")
-    if s == 1 and mode == "lipschitz" and cosets != [(0, 0)]:
+    if s == 1 and mode == "lipschitz" and D is not None:
         raise ConvergenceModeError(
             "weight-1 inner rows are principal values; use the naive eisenstein ordering")
-    for a, b in labels if s == 1 and cosets == [(0, 0)] else ():
+    for a, b in labels if s == 1 and D is None else ():
         if a % N == 0 or (mode == "naive" and b % N == 0):
             raise ConvergenceModeError(
                 f"weight 1 at (a, b) = {(a, b)} mod {N} does not converge in mode {mode!r}")
     if mode == "naive" and trunc is None:
         raise ValueError("naive mode requires an explicit LatticeTruncation")
-    if not cosets:
+    if D == 1:
         return [0j] * len(labels)
     if mode == "naive" and trunc.ordering == "box" and s < 3:
         raise ConvergenceModeError(f"weight {s} is conditionally convergent; "
                                    "box ordering is not a sum")
     if mode == "naive" and labels[-1] == (0, 0):
-        return (_lattice_sums(labels[:-1], N, D, cosets, t, s, mode, trunc)
-                + _lattice_sums(labels[-1:], N, D, cosets, t, s, "lipschitz", None))
+        return (_lattice_sums(labels[:-1], N, t, s, mode, trunc, D)
+                + _lattice_sums(labels[-1:], N, t, s, "lipschitz", None, D))
     try:
-        if mode == "lipschitz":
+        if mode == "lipschitz":  # the kernel sums the cosets of D, F's at D = 1
+            D = D or 1
             live = [(a, b) for a, b in labels if not s % 2 or (2 * a % N, 2 * b % N) != (0, 0)]
             tau, mapped, w = t, live, 1.0
             if s >= 3 and t.imag < 0.5:  # gamma != 1: map the labels and the factor
@@ -320,6 +313,7 @@ def _lattice_sums(labels, N: int, D: int, cosets, t: complex, s: int, mode: str,
             if bound > 1e-9 and any(abs(w * v) < 1e9 * bound for v in raw):
                 raise ConvergenceError(f"coset sums at tau = {tau} cancel below {bound:.1e}")
             return [raw.pop(0) * w if label in live else 0j for label in labels]
+        cosets, D = ([(0, 0)], 1) if D is None else (_cosets(D), D)
         # a naive denominator |x_m + n| lies in [min(1, Im t)/D, (R + 1)(|t| + 1)]: only
         # where its power or reciprocal may pass e^709 are numpy's warnings off
         R = trunc.shell_radius
@@ -341,8 +335,7 @@ def F(query: EisensteinQuery) -> complex:
     "naive" also when b = 0 mod N. A value that overflows raises NonFiniteError.
     """
     t = _tau_of(query.tau)
-    total, = _lattice_sums([(query.a, query.b)], query.N, 1, [(0, 0)], t, query.k, query.mode,
-                           query.trunc)
+    total, = _lattice_sums([(query.a, query.b)], query.N, t, query.k, query.mode, query.trunc)
     return _finite((-1) ** (query.k + 1) * _factorial(query.k - 1) * total, query.k, query.mode)
 
 
@@ -365,7 +358,7 @@ def F_tilde(query: EisensteinQuery, D: int, allow_degenerate: bool = False) -> c
     if labels[1] == (0, 0) and not allow_degenerate:
         raise DegenerateLabelError(
             f"(Da, Db) = {(D * query.a, D * query.b)} is (0,0) mod {query.N}")
-    sums = _lattice_sums(labels, query.N, 1, [(0, 0)], t, query.k, query.mode, query.trunc)
+    sums = _lattice_sums(labels, query.N, t, query.k, query.mode, query.trunc)
     first, second = ((-1) ** (query.k + 1) * _factorial(query.k - 1) * v for v in sums)
     return _finite(D**2 * first - D ** (2 - query.k) * second, query.k, query.mode)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import CauchyConfig, _integer, cauchy_coeffs, richardson, stencil_nodes
+from .numerics import CauchyConfig, _cosets, _integer, cauchy_coeffs, richardson, stencil_nodes
 from .weierstrass import (
     ModuliPoint,
     PoleProximityError,
@@ -59,8 +59,8 @@ class KroneckerPoint:
 
 
 def _J(z, w, t):
-    # z and w scalars or arrays (broadcasting), at a complex t or an array of tau:
-    # one engine call on the points z + w, z and w
+    # z and w scalars or arrays (broadcasting with each other and with t), at a
+    # complex t or an array of tau: one engine call on the points z + w, z and w
     top, theta_z, theta_w = _thetas((z + w, z, w), t)
     return top / (theta_z * theta_w)
 
@@ -197,7 +197,7 @@ def distribution_residual(p: KroneckerPoint, D: int) -> float:
         raise PoleProximityError("w within 1e-6 of the D-torsion locus")
     if lattice_dist(D * z, t) < 1e-6:
         raise PoleProximityError("Dz within 1e-6 of the lattice")
-    cosets = [(c, d) for c in range(D) for d in range(D) if c or d]
+    cosets = _cosets(D)
     zs = np.array([D * z] * len(cosets) + [z, D * z, z])
     ws = np.array([w + (c * t + d) / D for c, d in cosets] + [D * w, w, w])
     *coset_vals, j_z_dw, j_dz_w, j_z_w = _J(zs, ws, t).tolist()

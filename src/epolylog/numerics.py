@@ -57,6 +57,10 @@ def _integer(name: str, value, least: int | None = None, most: int | None = None
     return int(value)
 
 
+def _cosets(D: int) -> list:  # the D^2 - 1 nonzero cosets (c, d) mod D
+    return [(c, d) for c in range(D) for d in range(D) if c or d]
+
+
 def _check_contour(radius, samples, least: int) -> int:
     # a finite radius > 0, and an int sample count >= least (a trapezoid rule)
     if not 0.0 < radius < math.inf:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eisenstein import _check_label, _cosets, _factorial, _finite, _lattice_sums
+from .eisenstein import _check_label, _factorial, _finite, _lattice_sums
 from .kronecker import MAX_COEFF_ORDER, _s_columns
 from .logsheaf import TWO_PI_I, LogFiber, LogValuedForm, abs_connection
 from .numerics import _integer, richardson, stencil_nodes
@@ -133,6 +133,5 @@ def specialize_eisenstein(
     """
     k, D = _integer("k", k, 0), label.D
     prefac = (-1) ** k * _factorial(k) * float(D) ** (1 - k)
-    total, = _lattice_sums([(label.a, label.b)], label.N, D, _cosets(D), _tau_of(tau), k + 1,
-                           mode, trunc)
+    total, = _lattice_sums([(label.a, label.b)], label.N, _tau_of(tau), k + 1, mode, trunc, D)
     return _finite(prefac * total, k + 1, mode)

@@ -225,28 +225,19 @@ def _theta(z, t):
 
 
 def _thetas(zs, t) -> list:
-    # _theta at each of the points zs, each with the bits of its own _theta call:
-    # one engine call on the Python or numpy scalars at a complex t, each theta
-    # ending in a numpy-scalar product as in _theta (numpy's array complex product
-    # can round the same factors differently in the last bit), and one _theta call
-    # on the others (arrays, and any point at an array t) stacked, broadcast with
-    # one another and with an array t
-    scalars = [i for i, z in enumerate(zs)
-               if isinstance(z, (complex, float, int)) and isinstance(t, complex)]
-    rest = [i for i in range(len(zs)) if i not in scalars]
-    out = [None] * len(zs)
-    if scalars:
-        cells = [_cell(zs[i], t) for i in scalars]
+    # _theta at each of the points zs in one engine call. Python or numpy scalars
+    # at a complex t end in numpy-scalar products, each with the bits of its own
+    # _theta call (numpy's array complex product can round the same factors
+    # differently in the last bit); any other points are broadcast with one
+    # another and with t into one _theta call, with the bits of _theta on the
+    # broadcast points
+    if isinstance(t, complex) and all(isinstance(z, (complex, float, int)) for z in zs):
+        cells = [_cell(z, t) for z in zs]
         T = _theta_taylor(np.array([x0 for x0, _, _ in cells]), t, 0)[0]
-        for k, i in enumerate(scalars):
-            out[i] = _translation(*cells[k], t) * T[k]
-    if rest:
-        *points, taus = np.broadcast_arrays(*(zs[i] for i in rest), t)
-        thetas = _theta(np.stack(points),
-                        t if isinstance(t, complex) else np.stack([taus] * len(rest)))
-        for i, theta in zip(rest, thetas):
-            out[i] = theta
-    return out
+        return [_translation(*cell, t) * T[k] for k, cell in enumerate(cells)]
+    *points, taus = np.broadcast_arrays(*zs, t)
+    return list(_theta(np.stack(points),
+                       t if isinstance(t, complex) else np.stack([taus] * len(zs))))
 
 
 def _lambert(y, xi, rho, t: complex, s: int) -> np.ndarray:

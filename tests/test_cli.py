@@ -305,6 +305,15 @@ class TestErrors:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, text", [("--z", "1+"), ("--tau", "1e")])
+    def test_complex_syntax_error(self, capsys, flag, text):
+        # text within the character filter that complex() still refuses
+        args = {"--z": "0.2+0.1i", "--w": "0.3", "--tau": "0+1i", flag: text}
+        code = main(["eval", "J", *(x for kv in args.items() for x in kv)])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == \
+            f"error: cannot parse complex number from {text!r}"
+
     @pytest.mark.parametrize("argv, flag", [
         (["J"], "--z"),
         (["J", "--z", "0.2"], "--w"),

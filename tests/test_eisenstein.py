@@ -22,7 +22,7 @@ from epolylog.eisenstein import (
     _row_zero,
     eisenstein_sum_k2,
 )
-from epolylog.numerics import LatticeTruncation, NonFiniteError
+from epolylog.numerics import LatticeTruncation, NonFiniteError, _cosets
 from epolylog.weierstrass import ConvergenceError, _lambert, _reduce
 
 TAU = 0.21 + 1.1j
@@ -173,11 +173,11 @@ class TestRowMachinery:
                         assert _row_zero(a + N * (D - 4), N, D, s) == 0, (a, N, D, s)
 
     def test_real_row_cache_is_bit_exact(self):
-        # the cached row, keyed on (a mod N, N, D, s) in ints, against the closed
-        # form in exact rationals, D^s B_s({theta}) - B_s({D theta}) at D > 1 and
-        # B_s({theta}) at D = 1, theta = -a/N, rounded once, bit for bit: a < 0,
-        # a >= N and a numpy a, called first so that a row it wrapped in int64
-        # would also be served to the ints after it
+        # the cached row against the closed form in exact rationals, D^s
+        # B_s({theta}) - B_s({D theta}) at D > 1 and B_s({theta}) at D = 1, theta =
+        # -a/N, rounded once, bit for bit: a < 0, a >= N and a numpy a, called
+        # first so that a row it wrapped in int64 would also be served to the int
+        # after it, which keys the same entry; one miss per distinct key
         def uncached(a, N, D, s):
             coeffs, M = eisenstein._bernoulli(s)
 
@@ -190,32 +190,36 @@ class TestRowMachinery:
             return -(2j * math.pi) ** s / math.factorial(s) * float(row)
 
         rng = random.Random(35)
-        eisenstein._real_row.cache_clear()
+        _row_zero.cache_clear()
+        keys = set()
         for _ in range(300):
             N, D, s = rng.randint(1, 12), rng.randint(1, 8), rng.randint(2, 14)
             a = rng.randint(-3 * N, 3 * N)
             want = repr(uncached(a, N, D, s))
             for arg in (np.int64(a), a, a + N * rng.randint(-9, 9)):
                 assert repr(_row_zero(arg, N, D, s)) == want, (a, N, D, s)
-        info = eisenstein._real_row.cache_info()
-        assert info.hits >= 600 and info.misses == info.currsize <= 300
+                keys.add((int(arg), N, D, s))
+        info = _row_zero.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (900 - len(keys), len(keys), len(keys))
 
     def test_real_row_once_per_label(self):
-        # Lipschitz F at 20 tau for one label does the exact Bernoulli
-        # arithmetic once: the real row does not depend on tau
-        eisenstein._real_row.cache_clear()
+        # Lipschitz F at 20 tau for one label class does the exact Bernoulli
+        # arithmetic once: the real row does not depend on tau, and the kernel
+        # keys it on a mod N (a = 1 and 6 at N = 5 alternate)
+        _row_zero.cache_clear()
         for i in range(20):
-            F(EisensteinQuery(a=1, b=2, N=5, k=4, tau=complex(0.05 * i - 0.5, 0.8 + 0.06 * i)))
-        info = eisenstein._real_row.cache_info()
+            F(EisensteinQuery(a=1 + 5 * (i % 2), b=2, N=5, k=4,
+                              tau=complex(0.05 * i - 0.5, 0.8 + 0.06 * i)))
+        info = _row_zero.cache_info()
         assert (info.misses, info.hits) == (1, 19)
 
     def test_real_row_error_not_cached(self):
-        eisenstein._real_row.cache_clear()
+        _row_zero.cache_clear()
         for _ in range(2):
             for a, N, D in ((3, 3, 1), (1, 3, 2)):
                 with pytest.raises(ConvergenceModeError):
                     _row_zero(a, N, D, 1)
-        assert eisenstein._real_row.cache_info().currsize == 0
+        assert _row_zero.cache_info().currsize == 0
 
     def test_row_zero_vs_hurwitz(self):
         # the closed form against the rows summed from mpmath's Hurwitz zeta, class
@@ -609,7 +613,7 @@ class TestLipschitzKernel:
 
     @pytest.mark.parametrize("D", [1, 2, 3])
     def test_every_coset_vs_box(self, D):
-        cosets = eisenstein._cosets(D) or [(0, 0)]
+        cosets = _cosets(D) or [(0, 0)]
 
         def box(a, b, N, tau, s):
             return sum(oracles.naive_sum_rows(a, b, N, D, c, d, tau, s, 400, "box")
@@ -942,8 +946,8 @@ class TestReduction:
             labels = [live[0], (h + N * rng.randint(-1, 1), 0), *live[1:]]
             if s % 2 == 0:
                 live = labels
-            cosets = [(c, d) for c in range(D) for d in range(D) if c or d] or [(0, 0)]
-            got = eisenstein._lattice_sums(labels, N, D, cosets, t, s, "lipschitz", None)
+            got = eisenstein._lattice_sums(labels, N, t, s, "lipschitz", None,
+                                           D if D > 1 else None)
             want = iter(_lipschitz_sums(live, N, D, t, s))
             want = [next(want) if label in live else 0j for label in labels]
             assert np.array(got).tobytes() == np.array(want).tobytes(), (labels, N, D, t, s)
@@ -952,9 +956,8 @@ class TestReduction:
         # gamma = 1 keeps the coset sums' refusal with the factor 1: at D = 7, s = 7
         # the coset halves round to 2^-50 7^8 = 5.1e-9 > 1e-9, so a sum of 1e-30 raises
         monkeypatch.setattr(eisenstein, "_lipschitz_sums", lambda labels, *_: [1e-30] * len(labels))
-        cosets = [(c, d) for c in range(7) for d in range(7) if c or d]
         with pytest.raises(ConvergenceError):
-            eisenstein._lattice_sums([(1, 2)], 5, 7, cosets, 0.1 + 1.0j, 7, "lipschitz", None)
+            eisenstein._lattice_sums([(1, 2)], 5, 0.1 + 1.0j, 7, "lipschitz", None, 7)
 
     @pytest.mark.parametrize("a, b, N, k, tau, D", _SMALL_IM)
     def test_vs_fine_rows(self, a, b, N, k, tau, D):
@@ -1053,7 +1056,7 @@ class TestFTilde:
         D, N = 2, 2
         q = EisensteinQuery(a=1, b=1, N=N, k=k, tau=TAU, mode="naive",
                             trunc=LatticeTruncation(60))
-        trivial, = eisenstein._lattice_sums([(0, 0)], N, 1, [(0, 0)], TAU, k, "lipschitz", None)
+        trivial, = eisenstein._lattice_sums([(0, 0)], N, TAU, k, "lipschitz", None)
         second = (-1) ** (k + 1) * math.factorial(k - 1) * trivial
         assert F_tilde(q, D, allow_degenerate=True) == D**2 * F(q) - D ** (2 - k) * second
 

@@ -125,7 +125,8 @@ class TestOneEngineCall:
         # _J on heat's tau stencil (scalar z and w, an array of tau) and z-w grid
         # (a column of z nodes against a row of w nodes), on distribution's
         # paired arrays, and on test_acceptance's scalar z against an array of w
-        # (and the reverse), at verify-box tau and out of the box
+        # (and the reverse), at verify-box tau and out of the box; a scalar among
+        # arrays keeps the bits of three _theta calls on the broadcast points
         from epolylog.kronecker import _J
 
         h = kronecker._HEAT_STEP
@@ -139,13 +140,16 @@ class TestOneEngineCall:
             for args in ((z, w, stencil_nodes(t, h)),
                          (stencil_nodes(z, h)[:, None], stencil_nodes(w, h), t),
                          (zs, ws, t), (z, ws, t), (zs, w, t)):
-                got, ref = _J(*args), three_theta_J(*args)
+                z_, w_, t_ = args
+                if np.ndim(z_) != np.ndim(w_):
+                    z_, w_ = np.broadcast_arrays(z_, w_)
+                got, ref = _J(*args), three_theta_J(z_, w_, t_)
                 assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
     def test_one_engine_call_per_kernel_evaluation(self, monkeypatch):
-        # jacobi_J and _J at heat's and distribution's shapes each make one
-        # engine call; scalars against arrays at one tau (test_acceptance's
-        # shape) take two, one for the scalars and one for the arrays
+        # jacobi_J and _J at heat's and distribution's shapes, and at a scalar
+        # against arrays at one tau (test_acceptance's shape), each make one
+        # engine call
         from epolylog import weierstrass
         from epolylog.kronecker import _J
 
@@ -165,7 +169,8 @@ class TestOneEngineCall:
                 (lambda: _J(Z_A, W_A, stencil_nodes(TAU_A, h)), 1),
                 (lambda: _J(stencil_nodes(Z_A, h)[:, None], stencil_nodes(W_A, h), TAU_A), 1),
                 (lambda: _J(zs, ws, TAU_A), 1),
-                (lambda: _J(Z_A, ws, TAU_A), 2)):
+                (lambda: _J(Z_A, ws, TAU_A), 1),
+                (lambda: _J(zs, W_A, TAU_A), 1)):
             calls.clear()
             call()
             assert len(calls) == engine_calls
@@ -174,16 +179,17 @@ class TestOneEngineCall:
 class TestVariant:
     def test_one_theta_call_keeps_the_two_J_bits(self):
         # D^2 J(z, w) - D J(Dz, w/D) from one stacked theta call, against the
-        # formula with two _J calls, on the contour rings of dlog_kato_siegel's
-        # reference path (64 samples), of pole-removal's extraction (256 and
-        # 512) and pole-removal's |w| = 1e-3 ring (16)
-        from epolylog.kronecker import _J, _variant
+        # formula with two J's of three _theta calls each, theta(z) and theta(Dz)
+        # scalar calls, on the contour rings of dlog_kato_siegel's reference path
+        # (64 samples), of pole-removal's extraction (256 and 512) and
+        # pole-removal's |w| = 1e-3 ring (16)
+        from epolylog.kronecker import _variant
 
         rings = ((64, 0.05), (256, 0.1), (512, 0.1), (16, 1e-3))
         for (z, t), D in zip(STANDARD_POINTS + [(0.12 + 0.28j, 0.45 + 0.82j)], (2, 3, 2, 3, 3)):
             for samples, radius in rings:
                 w = radius * np.exp(2j * np.pi * np.arange(samples) / samples)
-                two_J = D * D * _J(z, w, t) - D * _J(D * z, w / D, t)
+                two_J = D * D * three_theta_J(z, w, t) - D * three_theta_J(D * z, w / D, t)
                 assert _variant(z, t, D)(w).tobytes() == two_J.tobytes()
 
     def test_theta_of_z_once_per_variant(self, monkeypatch):
